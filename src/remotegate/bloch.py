@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, identity2, sigma_z
+from .gates import PAULIS, identity2, require_finite, sigma_z
 from .operators import Unimodular
-
-DENSITY_TOL = 1e-9
-RESTORE_TOL = 1e-9
+from .tolerances import DENSITY_TOL, RESTORE_TOL, STATE_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,12 @@ def bloch_vector(rho) -> BlochVector:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > DENSITY_TOL:
+    require_finite("rho", rho)
+    if not np.linalg.norm(rho - rho.conj().T) <= DENSITY_TOL:
         raise ValueError("invalid density matrix: not Hermitian")
-    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
+    if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
         raise ValueError("invalid density matrix: trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -DENSITY_TOL:
+    if not np.linalg.eigvalsh(rho).min() >= -DENSITY_TOL:
         raise ValueError("invalid density matrix: not positive semidefinite")
     s = [float(np.trace(rho @ p).real) for p in PAULIS]
     return BlochVector(*s)
@@ -66,7 +65,8 @@ def density_from_bloch(vec: BlochVector) -> np.ndarray:
 def mirror_state(psi) -> np.ndarray:
     """sigma_z|psi>: same Sz, opposite equatorial projection."""
     psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    require_finite("psi", psi)
+    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
         raise ValueError(f"state is not normalized (norm {np.linalg.norm(psi)!r})")
     return sigma_z @ psi
 

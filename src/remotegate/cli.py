@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,7 @@ from .protocols import (
     success_probability,
 )
 from .statevector import InvariantViolation, QubitId, StateVector, qubit_state
+from .tolerances import UNIMODULAR_TOL, ZERO_AXIS_NORM, ZERO_STATE_NORM_SQ
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -75,11 +77,16 @@ def _split_floats(spec: str, body: str, offset: int, count: int) -> list[float]:
     col = offset
     for part in parts:
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
             raise ValueError(
                 f"bad spec {spec!r}: not a number at column {col + 1}: {part!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"bad spec {spec!r}: not a finite number at column {col + 1}: {part!r}"
+            )
+        values.append(value)
         col += len(part) + 1
     return values
 
@@ -96,13 +103,13 @@ def parse_operator(spec: str) -> Unimodular:
         nx, ny, nz, theta = _split_floats(spec, spec[4:], 4, 4)
         axis = np.array([nx, ny, nz])
         norm = np.linalg.norm(axis)
-        if norm < 1e-12:
+        if not norm >= ZERO_AXIS_NORM:
             raise ValueError(f"bad spec {spec!r}: zero rotation axis")
         return from_axis_angle(axis / norm, theta)
     if spec.startswith("mat:"):
         are, aim, bre, bim = _split_floats(spec, spec[4:], 4, 4)
         residual = abs(are**2 + aim**2 + bre**2 + bim**2 - 1.0)
-        if residual > 1e-10:
+        if not residual <= UNIMODULAR_TOL:
             raise ValueError(
                 f"bad spec {spec!r}: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
             )
@@ -125,7 +132,7 @@ def parse_state(spec: str) -> StateVector:
         return qubit_state(alpha, beta, QubitId("bob", 0))
     if spec.startswith("amp:"):
         re0, im0, re1, im1 = _split_floats(spec, spec[4:], 4, 4)
-        if re0**2 + im0**2 + re1**2 + im1**2 < 1e-20:
+        if not re0**2 + im0**2 + re1**2 + im1**2 >= ZERO_STATE_NORM_SQ:
             raise ValueError(f"bad spec {spec!r}: zero state vector")
         return qubit_state(complex(re0, im0), complex(re1, im1), QubitId("bob", 0))
     raise ValueError(f"bad state spec {spec!r}: expected 0|1|+|- or amp:...")
@@ -135,7 +142,7 @@ def _parse_axis(text: str) -> np.ndarray:
     values = _split_floats(text, text, 0, 3)
     axis = np.array(values, dtype=float)
     norm = np.linalg.norm(axis)
-    if norm < 1e-12:
+    if not norm >= ZERO_AXIS_NORM:
         raise ValueError(f"bad axis {text!r}: zero vector")
     return axis / norm
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNITARY_TOL = 1e-10
+from .tolerances import UNITARY_TOL
 
 identity2 = np.eye(2, dtype=complex)
 sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,6 +25,17 @@ cnot_matrix = np.array(
 )
 
 PAULIS = (sigma_x, sigma_y, sigma_z)
+
+
+def require_finite(name: str, values) -> None:
+    """Raise ValueError naming the first entry of ``values`` that is NaN or
+    infinite, e.g. ``psi[1] is not finite: nan``."""
+    arr = np.asarray(values)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        idx = np.unravel_index(int(np.argmin(finite)), arr.shape)
+        where = f"[{', '.join(str(i) for i in idx)}]" if idx else ""
+        raise ValueError(f"{name}{where} is not finite: {arr[idx].item()!r}")
 
 
 def pauli_dot(vec) -> np.ndarray:

@@ -19,18 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, identity2, pauli_dot, sigma_x, sigma_y, sigma_z
+from .gates import Gate, identity2, pauli_dot, require_finite, sigma_x, sigma_y, sigma_z
+from .tolerances import (
+    AXIS_NORM_TOL,
+    CENTRAL_TOL,
+    CLASS_TOL,
+    CROSS_TOL,
+    DEGENERACY_TOL,
+    DUPLICATE_AXIS_TOL,
+    SIGN_TOL,
+    SPECIAL_UNITARY_TOL,
+    UNIMODULAR_TOL,
+)
 
 _SQRT2 = np.sqrt(2.0)
 _PAULI_TRIPLE = (sigma_x, sigma_y, sigma_z)
-
-UNIMODULAR_TOL = 1e-10
-#: Frobenius-norm threshold for the (anti)commutation tests.
-CLASS_TOL = 1e-9
-#: Below this |sin(lambda)| the product U2^dag U1 counts as proportional to 1.
-DEGENERACY_TOL = 1e-8
-#: Operators within this distance of +/-1 carry no axis information.
-CENTRAL_TOL = 1e-9
 
 COMMUTING = "commuting"
 ANTICOMMUTING = "anticommuting"
@@ -51,7 +54,9 @@ class Unimodular:
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
         residual = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
-        if residual > UNIMODULAR_TOL:
+        if not residual <= UNIMODULAR_TOL:
+            require_finite("Unimodular.a", a)
+            require_finite("Unimodular.b", b)
             raise ValueError(
                 f"not unimodular: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
             )
@@ -64,7 +69,7 @@ class Unimodular:
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         u = cls(m[0, 0], m[0, 1])
-        if not np.allclose(u.matrix, m, atol=1e-9):
+        if not np.allclose(u.matrix, m, atol=SPECIAL_UNITARY_TOL):
             raise ValueError("matrix is not special-unitary (det must be 1)")
         return u
 
@@ -91,11 +96,20 @@ class Unimodular:
 IDENTITY = Unimodular(1, 0)
 
 
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` as a float array, rejected unless finite with unit norm."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis)
+    if not abs(norm - 1.0) <= AXIS_NORM_TOL:
+        require_finite("axis", axis)
+        raise ValueError(f"non-unit axis (norm {norm!r})")
+    return axis
+
+
 def from_axis_angle(axis, theta: float) -> Unimodular:
     """Rotation exp(-i theta axis.sigma / 2) about a unit 3-vector."""
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-        raise ValueError(f"non-unit axis (norm {np.linalg.norm(axis)!r})")
+    axis = _unit_axis(axis)
+    require_finite("theta", theta)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return Unimodular(c - 1j * s * axis[2], -s * axis[1] - 1j * s * axis[0])
 
@@ -147,9 +161,7 @@ def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
     Exactly one tag applies: [U, n.sigma] and {U, n.sigma} cannot both vanish
     for a unitary U.
     """
-    axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-        raise ValueError(f"non-unit axis (norm {np.linalg.norm(axis)!r})")
+    axis = _unit_axis(axis)
     m = pauli_dot(axis)
     um, mu = u.matrix @ m, m @ u.matrix
     if np.linalg.norm(um - mu) <= CLASS_TOL:
@@ -167,7 +179,7 @@ def q_operator(alpha: float, xi) -> Unimodular:
     anything.
     """
     xi = np.asarray(xi, dtype=complex)
-    if abs(np.linalg.norm(xi) - 1.0) > UNIMODULAR_TOL:
+    if not abs(np.linalg.norm(xi) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"xi is not normalized (norm {np.linalg.norm(xi)!r})")
     proj = np.outer(xi, xi.conj())
     m = cmath.exp(1j * alpha) * proj + cmath.exp(-1j * alpha) * (identity2 - proj)
@@ -207,9 +219,9 @@ def _pauli_vector(hermitian_traceless: np.ndarray) -> np.ndarray:
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the first component larger than 1e-7 is positive."""
+    """Flip sign so the first component larger than SIGN_TOL is positive."""
     for c in vec:
-        if abs(c) > 1e-7:
+        if abs(c) > SIGN_TOL:
             return -vec if c < 0 else vec
     return vec
 
@@ -271,11 +283,11 @@ def find_common_axis(operators) -> np.ndarray | None:
         for j in range(i + 1, len(axes)):
             cross = np.cross(axes[i], axes[j])
             norm = np.linalg.norm(cross)
-            if norm > 1e-6:
+            if norm > CROSS_TOL:
                 candidates.append(cross / norm)
     seen: list[np.ndarray] = []
     for cand in candidates:
-        if any(abs(np.dot(cand, s)) > 1.0 - 1e-9 for s in seen):
+        if any(abs(np.dot(cand, s)) > 1.0 - DUPLICATE_AXIS_TOL for s in seen):
             continue
         seen.append(cand)
         if all(classify_operator(u, cand).kind != GENERAL for u in operators):
@@ -309,7 +321,7 @@ def find_orthogonal_pair(u1: Unimodular, u2: Unimodular) -> OrthogonalPair:
     prod = u2.dagger() @ u1
     p0, pvec = prod.pauli_decompose()
     s = np.linalg.norm(pvec)
-    if s < DEGENERACY_TOL:
+    if not s >= DEGENERACY_TOL:
         raise ValueError(
             "degenerate pair: U2^dag U1 is proportional to the identity "
             f"(|sin| = {s:.3e})"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import CNOT, Gate, H, X, Z, controlled, controlled_phase, sigma_x, sigma_y, sigma_z
+from .gates import CNOT, Gate, H, X, Z, controlled, controlled_phase, require_finite, sigma_x, sigma_y, sigma_z
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -48,8 +48,7 @@ from .statevector import (
     sample_branch,
     tensor,
 )
-
-SUCCESS_TOL = 1e-9
+from .tolerances import NORM_TOL, SUCCESS_TOL
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
 BELL_CORRECTIONS = {
@@ -117,8 +116,9 @@ class ProtocolConfig:
         ).reshape(-1)
         if psi.shape != (2,):
             raise ValueError("psi must be a single-qubit state")
+        require_finite("psi", psi)
         norm = np.linalg.norm(psi)
-        if norm < 1e-10:
+        if not norm >= NORM_TOL:
             raise ValueError("psi must be nonzero")
         psi = psi / norm
         psi.setflags(write=False)

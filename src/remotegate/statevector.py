@@ -22,15 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Gate
+from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL
 
 PARTIES = ("alice", "bob", "blackbox")
-
-NORM_TOL = 1e-10
-#: Measurement branches below this probability are dropped: their
-#: post-states carry no weight and cannot be renormalized.
-BRANCH_PRUNE = 1e-12
-#: Largest admissible second Schmidt coefficient when factoring a qubit out.
-FACTOR_TOL = 1e-9
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -85,7 +79,7 @@ class StateVector:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
-        if norm < NORM_TOL:
+        if not norm >= NORM_TOL:
             raise ValueError("cannot normalize a zero state vector")
         amps = amps / norm
         amps.setflags(write=False)
@@ -256,7 +250,7 @@ def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:
         raise ValueError("no branches to sample")
     probs = np.array([b.probability for b in branches])
     total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= SAMPLE_SUM_TOL:
         raise ValueError(f"degenerate probability vector (sums to {total!r})")
     r = rng.random() * total
     acc = 0.0
@@ -284,7 +278,7 @@ def entanglement_entropy(s: StateVector, cut) -> float:
         raise ValueError("cut must be a proper subset of the register")
     rho = reduced_density(s, cut)
     evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-15]
+    evals = evals[evals > ENTROPY_CUTOFF]
     entropy = float(-(evals * np.log2(evals)).sum())
     return entropy if entropy > 0.0 else 0.0
 
@@ -306,7 +300,7 @@ def factor_qubit(s: StateVector, qubit: QubitId) -> np.ndarray:
     psi, _ = _targets_front(s, [qubit])
     mat = psi.reshape(2, -1)
     u, sing, _ = np.linalg.svd(mat, full_matrices=False)
-    if len(sing) > 1 and sing[1] > FACTOR_TOL:
+    if len(sing) > 1 and not sing[1] <= FACTOR_TOL:
         raise InvariantViolation(
             f"qubit {qubit} is entangled (second Schmidt coefficient {sing[1]:.3e})"
         )

@@ -58,6 +58,10 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="positive"):
             bloch_vector(np.diag([1.5, -0.5]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"rho\[0, 1\] is not finite"):
+            bloch_vector(np.array([[0.5, np.nan], [0.0, 0.5]]))
+
 
 class TestMirrorState:
     def test_plus_maps_to_minus(self):
@@ -81,6 +85,10 @@ class TestMirrorState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             mirror_state(np.array([1.0, 1.0]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match=r"psi\[1\] is not finite: \(inf"):
+            mirror_state(np.array([1.0, np.inf]))
 
 
 class TestRestoration:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from remotegate import random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import build_parser, main, parse_operator, parse_state, render_operator
@@ -171,7 +174,7 @@ class TestMain:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "checks passed" in out
+        assert "26/26 checks passed" in out
 
 
 class TestExitCodes:
@@ -214,3 +217,56 @@ class TestExitCodes:
         monkeypatch.setitem(cli.PROTOCOLS, "bqst", broken)
         assert main(["run", "--protocol", "bqst", "--u", "id", "--psi", "0"]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
+
+
+class TestNonFinite:
+    """A NaN or infinite field stops the command at that field, exit code 1."""
+
+    @pytest.mark.parametrize(
+        "argv, column",
+        [
+            (["classify", "--u", "sx", "--axis", "nan,0,1"], 1),
+            (["run", "--protocol", "bqst", "--u", "mat:nan,0,0,0", "--psi", "0"], 5),
+            (["run", "--protocol", "one11", "--u", "rz:inf", "--psi", "0", "--promise", "commuting"], 4),
+            (["run", "--protocol", "bqst", "--u", "id", "--psi", "amp:1,0,-inf,0"], 9),
+        ],
+    )
+    def test_rejected_at_column(self, argv, column, capsys):
+        assert main(argv) == 1
+        assert f"not a finite number at column {column}" in capsys.readouterr().err
+
+    def test_axis_set_rejects_nan(self, tmp_path, capsys):
+        spec = tmp_path / "ops.txt"
+        spec.write_text("rz:nan\n")
+        assert main(["axis", "--set", str(spec)]) == 1
+        assert "not a finite number at column 4" in capsys.readouterr().err
+
+
+#: spec prefix -> (number of fields, command line that parses the spec);
+#: ``--opt=spec`` keeps argparse from reading a leading "-" as an option.
+SPEC_FORMS = {
+    "rz:": (1, lambda spec: ["classify", f"--u={spec}"]),
+    "rot:": (4, lambda spec: ["classify", f"--u={spec}"]),
+    "mat:": (4, lambda spec: ["classify", f"--u={spec}"]),
+    "amp:": (4, lambda spec: ["run", "--protocol", "bqst", "--u", "id", f"--psi={spec}"]),
+    "": (3, lambda spec: ["classify", "--u", "sx", f"--axis={spec}"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    form=st.sampled_from(sorted(SPEC_FORMS)),
+    values=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+    bad=st.sampled_from(["nan", "inf", "-inf"]),
+    index=st.integers(0, 3),
+)
+def test_non_finite_spec_field_is_named(form, values, bad, index):
+    count, argv = SPEC_FORMS[form]
+    fields = [repr(v) for v in values[:count]]
+    index %= count
+    fields[index] = bad
+    column = len(form) + sum(len(f) + 1 for f in fields[:index]) + 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv(form + ",".join(fields))) == 1
+    assert f"at column {column}: {bad!r}" in err.getvalue()

@@ -44,6 +44,11 @@ class TestUnimodular:
         with pytest.raises(ValueError, match="unimodular"):
             Unimodular(0.6, 0.81)
 
+    @pytest.mark.parametrize("a, b, field", [(np.nan, 0, "a"), (0, np.inf, "b"), (complex(1, np.nan), 0, "a")])
+    def test_rejects_non_finite_naming_field(self, a, b, field):
+        with pytest.raises(ValueError, match=rf"Unimodular\.{field} is not finite"):
+            Unimodular(a, b)
+
     def test_from_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         u = random_unimodular(rng)
@@ -98,6 +103,14 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match="non-unit axis"):
             from_axis_angle([1.0, 1.0, 0.0], 0.5)
 
+    def test_non_finite_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"axis\[1\] is not finite: nan"):
+            from_axis_angle([0.0, np.nan, 1.0], 0.5)
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(ValueError, match="theta is not finite: inf"):
+            from_axis_angle(Z_AXIS, np.inf)
+
     def test_rz_convention(self):
         np.testing.assert_allclose(rz(0.5).matrix, np.diag([np.exp(0.5j), np.exp(-0.5j)]))
 
@@ -130,6 +143,10 @@ class TestClassify:
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError, match="non-unit axis"):
             classify_operator(IDENTITY, np.array([0.0, 0.0, 2.0]))
+
+    def test_axis_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"axis\[0\] is not finite: nan"):
+            classify_operator(Unimodular(0, 1j), np.array([np.nan, 0.0, 1.0]))
 
 
 class TestQOperator:

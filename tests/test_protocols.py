@@ -47,6 +47,10 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="nonzero"):
             ProtocolConfig(u=rz(0.1), psi=np.zeros(2))
 
+    def test_rejects_non_finite_psi(self):
+        with pytest.raises(ValueError, match=r"psi\[0\] is not finite"):
+            ProtocolConfig(u=rz(0.1), psi=[np.nan, 0])
+
     def test_rejects_violated_promise(self):
         with pytest.raises(ValueError, match="promise violation"):
             ProtocolConfig(u=rz(0.1), psi=np.array([1, 0]), promise=ANTICOMMUTING)
