@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, identity2, require_finite, sigma_z
+from .gates import PAULIS, identity2, require_finite, sigma_z, unit_vector, vector_norm
 from .operators import Unimodular
-from .tolerances import DENSITY_TOL, RESTORE_TOL, STATE_NORM_TOL
+from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,9 @@ class BlochVector:
 
 def pure_density(psi) -> np.ndarray:
     """|psi><psi| for a (normalized) single-qubit state."""
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = unit_vector(np.asarray(psi, dtype=complex), NORM_TOL)
+    if psi is None:
+        raise ValueError("psi must be nonzero")
     return np.outer(psi, psi.conj())
 
 
@@ -66,8 +67,9 @@ def mirror_state(psi) -> np.ndarray:
     """sigma_z|psi>: same Sz, opposite equatorial projection."""
     psi = np.asarray(psi, dtype=complex)
     require_finite("psi", psi)
-    if not abs(np.linalg.norm(psi) - 1.0) <= STATE_NORM_TOL:
-        raise ValueError(f"state is not normalized (norm {np.linalg.norm(psi)!r})")
+    norm = vector_norm(psi)
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        raise ValueError(f"state is not normalized (norm {norm!r})")
     return sigma_z @ psi
 
 
@@ -81,4 +83,4 @@ def verify_restoration(u: Unimodular, psi) -> bool:
     rho = pure_density(psi)
     mirrored = sigma_z @ rho @ sigma_z
     restored = sigma_z @ (m @ mirrored @ m.conj().T) @ sigma_z
-    return bool(np.allclose(restored, m @ rho @ m.conj().T, atol=RESTORE_TOL))
+    return bool(np.abs(restored - m @ rho @ m.conj().T).max() <= RESTORE_TOL)

@@ -35,6 +35,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
+from .gates import unit_vector
 from .operators import Unimodular, classify_operator, find_common_axis, from_axis_angle, rz
 from .protocols import (
     PROTOCOLS,
@@ -47,7 +48,7 @@ from .protocols import (
     success_probability,
 )
 from .statevector import InvariantViolation, QubitId, StateVector, qubit_state
-from .tolerances import UNIMODULAR_TOL, ZERO_AXIS_NORM, ZERO_STATE_NORM_SQ
+from .tolerances import NORM_TOL, UNIMODULAR_TOL, ZERO_AXIS_NORM
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -101,14 +102,14 @@ def parse_operator(spec: str) -> Unimodular:
         return rz(phi)
     if spec.startswith("rot:"):
         nx, ny, nz, theta = _split_floats(spec, spec[4:], 4, 4)
-        axis = np.array([nx, ny, nz])
-        norm = np.linalg.norm(axis)
-        if not norm >= ZERO_AXIS_NORM:
+        axis = unit_vector([nx, ny, nz], ZERO_AXIS_NORM)
+        if axis is None:
             raise ValueError(f"bad spec {spec!r}: zero rotation axis")
-        return from_axis_angle(axis / norm, theta)
+        return from_axis_angle(axis, theta)
     if spec.startswith("mat:"):
         are, aim, bre, bim = _split_floats(spec, spec[4:], 4, 4)
-        residual = abs(are**2 + aim**2 + bre**2 + bim**2 - 1.0)
+        norm = math.hypot(are, aim, bre, bim)
+        residual = abs(norm * norm - 1.0)
         if not residual <= UNIMODULAR_TOL:
             raise ValueError(
                 f"bad spec {spec!r}: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
@@ -132,19 +133,17 @@ def parse_state(spec: str) -> StateVector:
         return qubit_state(alpha, beta, QubitId("bob", 0))
     if spec.startswith("amp:"):
         re0, im0, re1, im1 = _split_floats(spec, spec[4:], 4, 4)
-        if not re0**2 + im0**2 + re1**2 + im1**2 >= ZERO_STATE_NORM_SQ:
+        if not math.hypot(re0, im0, re1, im1) >= NORM_TOL:
             raise ValueError(f"bad spec {spec!r}: zero state vector")
         return qubit_state(complex(re0, im0), complex(re1, im1), QubitId("bob", 0))
     raise ValueError(f"bad state spec {spec!r}: expected 0|1|+|- or amp:...")
 
 
 def _parse_axis(text: str) -> np.ndarray:
-    values = _split_floats(text, text, 0, 3)
-    axis = np.array(values, dtype=float)
-    norm = np.linalg.norm(axis)
-    if not norm >= ZERO_AXIS_NORM:
+    axis = unit_vector(_split_floats(text, text, 0, 3), ZERO_AXIS_NORM)
+    if axis is None:
         raise ValueError(f"bad axis {text!r}: zero vector")
-    return axis / norm
+    return axis
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,11 +2,13 @@
 
 Module-level constants hold the raw 2x2 Pauli / Hadamard matrices (used by
 the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
-instances for the statevector engine.
+instances for the statevector engine, plus the finite-input helpers the
+other modules share (``require_finite``, ``vector_norm``, ``unit_vector``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,27 @@ def require_finite(name: str, values) -> None:
         raise ValueError(f"{name}{where} is not finite: {arr[idx].item()!r}")
 
 
+def vector_norm(values) -> float:
+    """Euclidean norm of finite real or complex ``values``. ``math.hypot``
+    scales before squaring, so ``|[1e200, 1e200]|`` is 1.41e200 where a
+    plain sum of squares overflows to inf."""
+    return math.hypot(*np.asarray(values, dtype=complex).ravel().view(float).tolist())
+
+
+def unit_vector(values, floor: float):
+    """``values`` divided by their Euclidean norm, or None when that norm is
+    below ``floor``. The entries must be finite; any finite size works,
+    ``[1e200, 1e200]`` gives ``[0.707, 0.707]``, not ``[0, 0]``."""
+    v = np.asarray(values)
+    norm = vector_norm(v)
+    if not norm >= floor:
+        return None
+    if norm == math.inf:  # the norm is beyond the float range, the direction is not
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        norm = vector_norm(v)
+    return v / norm
+
+
 def pauli_dot(vec) -> np.ndarray:
     """Return ``vec[0]*sigma_x + vec[1]*sigma_y + vec[2]*sigma_z``."""
     v = np.asarray(vec, dtype=float)
@@ -58,7 +81,7 @@ class Gate:
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate must be 2x2 or 4x4, got shape {m.shape}")
         dim = m.shape[0]
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=UNITARY_TOL):
+        if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARY_TOL:
             raise ValueError(f"gate {self.name!r} is not unitary within {UNITARY_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

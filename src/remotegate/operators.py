@@ -15,11 +15,12 @@ orthogonal input pair whose images overlap by i*sin(lambda).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, identity2, pauli_dot, require_finite, sigma_x, sigma_y, sigma_z
+from .gates import Gate, identity2, pauli_dot, require_finite, sigma_x, sigma_y, sigma_z, vector_norm
 from .tolerances import (
     AXIS_NORM_TOL,
     CENTRAL_TOL,
@@ -53,7 +54,8 @@ class Unimodular:
 
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
-        residual = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
+        norm = math.hypot(a.real, a.imag, b.real, b.imag)
+        residual = abs(norm * norm - 1.0)
         if not residual <= UNIMODULAR_TOL:
             require_finite("Unimodular.a", a)
             require_finite("Unimodular.b", b)
@@ -69,7 +71,7 @@ class Unimodular:
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         u = cls(m[0, 0], m[0, 1])
-        if not np.allclose(u.matrix, m, atol=SPECIAL_UNITARY_TOL):
+        if not np.abs(u.matrix - m).max() <= SPECIAL_UNITARY_TOL:
             raise ValueError("matrix is not special-unitary (det must be 1)")
         return u
 
@@ -99,7 +101,7 @@ IDENTITY = Unimodular(1, 0)
 def _unit_axis(axis) -> np.ndarray:
     """``axis`` as a float array, rejected unless finite with unit norm."""
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
+    norm = vector_norm(axis)
     if not abs(norm - 1.0) <= AXIS_NORM_TOL:
         require_finite("axis", axis)
         raise ValueError(f"non-unit axis (norm {norm!r})")
@@ -179,8 +181,9 @@ def q_operator(alpha: float, xi) -> Unimodular:
     anything.
     """
     xi = np.asarray(xi, dtype=complex)
-    if not abs(np.linalg.norm(xi) - 1.0) <= UNIMODULAR_TOL:
-        raise ValueError(f"xi is not normalized (norm {np.linalg.norm(xi)!r})")
+    norm = vector_norm(xi)
+    if not abs(norm - 1.0) <= UNIMODULAR_TOL:
+        raise ValueError(f"xi is not normalized (norm {norm!r})")
     proj = np.outer(xi, xi.conj())
     m = cmath.exp(1j * alpha) * proj + cmath.exp(-1j * alpha) * (identity2 - proj)
     return Unimodular.from_matrix(m)

@@ -22,7 +22,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import CNOT, Gate, H, X, Z, controlled, controlled_phase, require_finite, sigma_x, sigma_y, sigma_z
+from .gates import (
+    CNOT,
+    Gate,
+    H,
+    X,
+    Z,
+    controlled,
+    controlled_phase,
+    require_finite,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+    unit_vector,
+)
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -33,22 +46,23 @@ from .operators import (
     rz,
 )
 from .statevector import (
+    BELL_VECTORS,
+    InvariantViolation,
     QubitId,
     StateVector,
     apply_gate,
     basis_state,
     bell_phi_plus,
     entanglement_entropy,
-    factor_qubit,
     fidelity_up_to_phase,
     measure,
     minus_state,
     plus_state,
     qubit_state,
-    sample_branch,
+    sample_index,
     tensor,
 )
-from .tolerances import NORM_TOL, SUCCESS_TOL
+from .tolerances import BRANCH_PRUNE, FACTOR_TOL, NORM_TOL, PROB_TOL, SUCCESS_TOL
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
 BELL_CORRECTIONS = {
@@ -117,10 +131,9 @@ class ProtocolConfig:
         if psi.shape != (2,):
             raise ValueError("psi must be a single-qubit state")
         require_finite("psi", psi)
-        norm = np.linalg.norm(psi)
-        if not norm >= NORM_TOL:
+        psi = unit_vector(psi, NORM_TOL)
+        if psi is None:
             raise ValueError("psi must be nonzero")
-        psi = psi / norm
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         if self.mode not in ("exact", "sampled"):
@@ -139,69 +152,140 @@ class ProtocolConfig:
 
 
 # ---------------------------------------------------------------------------
-# branch bookkeeping
+# branch tensor
+
+#: Measurement bases as rows of outcome vectors, keyed by (basis, qubits).
+_BASES = {
+    ("computational", 1): np.eye(2),
+    ("computational", 2): np.eye(4),
+    ("bell", 2): np.array(BELL_VECTORS),
+}
 
 
-@dataclass
-class _Branch:
-    state: StateVector
-    probability: float
-    record: tuple[tuple[str, str, str], ...]
-
-    def last_outcome(self) -> str:
-        return self.record[-1][2]
+def _apply_matrix(matrix: np.ndarray, axes: list[int], amps: np.ndarray) -> np.ndarray:
+    """``matrix`` on the given qubit axes of every branch in ``amps``."""
+    k = len(axes)
+    front = np.moveaxis(amps, axes, range(1, k + 1))
+    out = matrix @ front.reshape(front.shape[0], 2**k, 2 ** (front.ndim - 1 - k))
+    return np.moveaxis(out.reshape(front.shape), range(1, k + 1), axes)
 
 
 class _Run:
-    """Tracks all live branches of one protocol execution."""
+    """All live branches of one protocol execution, held as one array.
+
+    ``amps[b]`` is branch b's state with one axis per register qubit. It is
+    never renormalised: its squared norm is the branch probability, so a
+    step that is not unitary shows in the total when the run ends. A
+    measurement moves its outcomes onto the branch axis, parent branch
+    first and outcome second, which keeps the order of the branch tree.
+    """
 
     def __init__(self, state: StateVector, cfg: ProtocolConfig):
-        self.branches = [_Branch(state, 1.0, ())]
+        self.position = state.position
+        self.amps = state.amplitudes.reshape((1,) + (2,) * state.n).copy()
+        self.records: list[tuple[tuple[str, str, str], ...]] = [()]
+        self.last = np.zeros(1, dtype=int)
         self.rng = np.random.default_rng(cfg.seed) if cfg.mode == "sampled" else None
+        #: Probability the live branches carry: 1, or in sampled mode the
+        #: product of the conditional probabilities drawn so far.
+        self.mass = 1.0
         self.ledger = ResourceLedger()
 
-    def apply(self, gate: Gate, targets, when=None):
-        for br in self.branches:
-            if when is None or when(br):
-                br.state = apply_gate(br.state, gate, targets)
+    def _axes(self, targets) -> list[int]:
+        axes = [1 + self.position(q) for q in targets]
+        if len(set(axes)) != len(axes):
+            raise ValueError("duplicate targets")
+        return axes
+
+    def apply(self, gate: Gate, targets, when: str | None = None):
+        """Apply ``gate`` on every branch, or on those whose last outcome is ``when``."""
+        axes = self._axes(targets)
+        if len(axes) != gate.qubits:
+            raise ValueError(
+                f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)"
+            )
+        if when is None:
+            self.amps = _apply_matrix(gate.matrix, axes, self.amps)
+        else:
+            hit = self.last == int(when, 2)
+            self.amps[hit] = _apply_matrix(gate.matrix, axes, self.amps[hit])
 
     def measure(self, targets, basis: str, party: str):
-        expanded = []
-        for br in self.branches:
-            options = measure(br.state, targets, basis)
-            if self.rng is not None:
-                options = [sample_branch(options, self.rng)]
-            for opt in options:
-                expanded.append(
-                    _Branch(
-                        state=opt.post_state,
-                        probability=br.probability * opt.probability,
-                        record=br.record + ((party, basis, opt.outcome),),
-                    )
-                )
-        self.branches = expanded
+        """Split every branch by the outcome of measuring ``targets``.
+
+        A child whose conditional probability is below ``BRANCH_PRUNE`` is
+        dropped; in sampled mode one child per measurement is drawn.
+        """
+        axes = self._axes(targets)
+        k = len(axes)
+        vecs = _BASES.get((basis, k))
+        if vecs is None:
+            raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
+        front = np.moveaxis(self.amps, axes, range(1, k + 1))
+        n_branch, dim = front.shape[0], 2**k
+        mat = front.reshape(n_branch, dim, 2 ** (front.ndim - 1 - k))
+        coeff = vecs.conj() @ mat
+        child = np.sum(coeff.real**2 + coeff.imag**2, axis=2)
+        parent = child.sum(axis=1, keepdims=True)
+        # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
+        keep = ~(child < BRANCH_PRUNE * parent)
+        if self.rng is not None:
+            (kept,) = np.nonzero(keep[0])
+            cond = child[0, kept] / parent[0, 0]
+            pick = sample_index(cond, self.rng)
+            self.mass *= float(cond[pick])
+            keep[:] = False
+            keep[0, kept[pick]] = True
+        keep = keep.ravel()
+        post = (vecs[None, :, :, None] * coeff[:, :, None, :]).reshape(n_branch * dim, *front.shape[1:])
+        self.amps = np.moveaxis(post[keep], range(1, k + 1), axes)
+        parents = np.repeat(np.arange(n_branch), dim)[keep]
+        self.last = np.tile(np.arange(dim), n_branch)[keep]
+        labels = [format(o, f"0{k}b") for o in range(dim)]
+        self.records = [
+            self.records[b] + ((party, basis, labels[o]),)
+            for b, o in zip(parents.tolist(), self.last.tolist())
+        ]
 
     def outcomes(self, cfg: ProtocolConfig, bob_qubit: QubitId) -> list[ProtocolOutcome]:
-        target = cfg.u.matrix @ cfg.psi
-        results = []
-        for br in self.branches:
-            final = StateVector(factor_qubit(br.state, bob_qubit), (bob_qubit,))
-            fid = float(abs(np.vdot(target, final.amplitudes)) ** 2)
-            results.append(
-                ProtocolOutcome(
-                    measurement_record=br.record,
-                    probability=br.probability,
-                    bob_final=final,
-                    target_fidelity=fid,
-                    succeeded=fid >= 1.0 - SUCCESS_TOL,
-                    ledger=replace(self.ledger),
-                )
+        """One outcome per branch, Bob's qubit factored out of each."""
+        n_branch = len(self.records)
+        flat = self.amps.reshape(n_branch, -1)
+        probs = np.sum(flat.real**2 + flat.imag**2, axis=1)
+        total = float(probs.sum())
+        if not abs(total - self.mass) <= PROB_TOL:
+            raise InvariantViolation(
+                f"branch probabilities sum to {total!r}, expected {self.mass!r}: "
+                "a step was not unitary"
             )
-        return results
-
-
-def _outcome_is(bit: str):
-    return lambda br: br.last_outcome() == bit
+        (axis,) = self._axes([bob_qubit])
+        mat = np.moveaxis(self.amps, axis, 1).reshape(n_branch, 2, -1)
+        u, sing, _ = np.linalg.svd(mat, full_matrices=False)
+        if sing.shape[1] > 1:
+            # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
+            entangled = ~(sing[:, 1] <= FACTOR_TOL * np.sqrt(probs))
+            if entangled.any():
+                b = int(np.argmax(entangled))
+                raise InvariantViolation(
+                    f"qubit {bob_qubit} is entangled (second Schmidt coefficient "
+                    f"{sing[b, 1] / np.sqrt(probs[b]):.3e})"
+                )
+        finals = u[:, :, 0]
+        lead = finals[np.arange(n_branch), np.argmax(np.abs(finals), axis=1)]
+        finals = finals * (lead.conj() / np.abs(lead))[:, None]
+        target = cfg.u.matrix @ cfg.psi
+        fids = np.abs(finals @ target.conj()) ** 2
+        return [
+            ProtocolOutcome(
+                measurement_record=record,
+                probability=prob,
+                bob_final=StateVector(final, (bob_qubit,)),
+                target_fidelity=fid,
+                succeeded=fid >= 1.0 - SUCCESS_TOL,
+                ledger=replace(self.ledger),
+            )
+            for record, prob, final, fid in zip(self.records, probs.tolist(), finals, fids.tolist())
+        ]
 
 
 def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: QubitId):
@@ -213,8 +297,8 @@ def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: 
     run.apply(CNOT, [bob_half, data])
     run.measure([data], "computational", "bob")
     run.ledger.send_b_to_a(1)
-    run.apply(X, [alice_half], when=_outcome_is("1"))
-    run.apply(X, [bob_half], when=_outcome_is("1"))
+    run.apply(X, [alice_half], when="1")
+    run.apply(X, [bob_half], when="1")
 
 
 def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId, sender: str):
@@ -228,7 +312,7 @@ def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId, s
         run.ledger.send_b_to_a(2)
     for outcome, gate in BELL_CORRECTIONS.items():
         if gate is not None:
-            run.apply(gate, [dest], when=_outcome_is(outcome))
+            run.apply(gate, [dest], when=outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +388,7 @@ def _run_221(cfg: ProtocolConfig, correct_failure: bool) -> list[ProtocolOutcome
     run.apply(H, [b1])
     run.measure([b1], "computational", "bob")
     if correct_failure:
-        run.apply(Z, [b2], when=_outcome_is("1"))
+        run.apply(Z, [b2], when="1")
     return run.outcomes(cfg, b2)
 
 
@@ -330,10 +414,10 @@ def run_111(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     run.measure([a1], "computational", "alice")
     run.ledger.send_a_to_b(1)
     if cfg.promise == COMMUTING:
-        run.apply(Z, [b1], when=_outcome_is("1"))
+        run.apply(Z, [b1], when="1")
     else:
-        run.apply(X, [b1], when=_outcome_is("0"))
-        run.apply(ZX, [b1], when=_outcome_is("1"))
+        run.apply(X, [b1], when="0")
+        run.apply(ZX, [b1], when="1")
     return run.outcomes(cfg, b1)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate
+from .gates import Gate, unit_vector
 from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL
 
 PARTIES = ("alice", "bob", "blackbox")
@@ -78,10 +78,9 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if not norm >= NORM_TOL:
+        amps = unit_vector(amps, NORM_TOL)
+        if amps is None:
             raise ValueError("cannot normalize a zero state vector")
-        amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "register", reg)
@@ -243,22 +242,24 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:
-    """Draw one branch with its probability; deterministic for a fixed seed."""
-    branches = list(branches)
-    if not branches:
+def sample_index(probs, rng: np.random.Generator) -> int:
+    """Index drawn with probability ``probs[i]``: the first whose running
+    sum reaches ``rng.random() * sum(probs)``. Consumes one draw, so a fixed
+    seed gives a fixed sequence."""
+    probs = np.asarray(probs, dtype=float)
+    if not probs.size:
         raise ValueError("no branches to sample")
-    probs = np.array([b.probability for b in branches])
     total = probs.sum()
     if not abs(total - 1.0) <= SAMPLE_SUM_TOL:
         raise ValueError(f"degenerate probability vector (sums to {total!r})")
     r = rng.random() * total
-    acc = 0.0
-    for branch in branches:
-        acc += branch.probability
-        if r <= acc:
-            return branch
-    return branches[-1]
+    return min(int(np.searchsorted(np.cumsum(probs), r)), probs.size - 1)
+
+
+def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:
+    """Draw one branch with its probability; deterministic for a fixed seed."""
+    branches = list(branches)
+    return branches[sample_index([b.probability for b in branches], rng)]
 
 
 def reduced_density(s: StateVector, keep) -> np.ndarray:

@@ -9,8 +9,6 @@ boundaries reject non-finite input before any threshold sees it.
 
 #: A state whose norm is below this is rejected as zero instead of normalized.
 NORM_TOL = 1e-10
-#: The same floor on the squared norm that the ``amp:`` state spec computes.
-ZERO_STATE_NORM_SQ = 1e-20
 #: How far from 1 the norm of a state passed as normalized may be.
 STATE_NORM_TOL = 1e-10
 #: Entrywise bound on G^dag G - 1 for a gate.

@@ -63,6 +63,10 @@ class TestBlochVector:
             bloch_vector(np.array([[0.5, np.nan], [0.0, 0.5]]))
 
 
+def test_pure_density_of_huge_state():
+    np.testing.assert_allclose(pure_density([1e200, 0]), [[1, 0], [0, 0]])
+
+
 class TestMirrorState:
     def test_plus_maps_to_minus(self):
         out = mirror_state(np.array([1, 1]) / np.sqrt(2))

@@ -270,3 +270,29 @@ def test_non_finite_spec_field_is_named(form, values, bad, index):
     with contextlib.redirect_stderr(err):
         assert main(argv(form + ",".join(fields))) == 1
     assert f"at column {column}: {bad!r}" in err.getvalue()
+
+
+class TestHugeFields:
+    """Finite fields whose squares overflow: a direction normalises, a
+    ``mat:`` far from unimodular is refused with the residual."""
+
+    def test_huge_amp_state_normalises(self, capsys):
+        argv = ["run", "--protocol", "bqst", "--u", "sx", "--psi", "amp:1e200,0,1e200,0",
+                "--format", "structured"]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(records) == 16
+        assert min(r["fidelity"] for r in records) >= 1 - 1e-9
+
+    def test_huge_mat_is_refused_with_residual(self, capsys):
+        argv = ["run", "--protocol", "bqst", "--u", "mat:1e200,0,0,0", "--psi", "0"]
+        assert main(argv) == 1
+        assert "|a|^2 + |b|^2 deviates from 1 by inf" in capsys.readouterr().err
+
+    def test_huge_rotation_axis_normalises(self, capsys):
+        assert main(["classify", "--u", "rot:1e200,0,0,0.7", "--axis", "1,0,0"]) == 0
+        assert capsys.readouterr().out.strip() == "commuting(1,0,0)"
+
+    def test_huge_classification_axis_normalises(self, capsys):
+        assert main(["classify", "--u", "sx", "--axis=1e200,0,0"]) == 0
+        assert capsys.readouterr().out.strip() == "commuting(1,0,0)"

@@ -49,6 +49,10 @@ class TestUnimodular:
         with pytest.raises(ValueError, match=rf"Unimodular\.{field} is not finite"):
             Unimodular(a, b)
 
+    def test_huge_entry_refused_with_residual(self):
+        with pytest.raises(ValueError, match="deviates from 1 by inf"):
+            Unimodular(1e200, 0)
+
     def test_from_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         u = random_unimodular(rng)

@@ -43,6 +43,10 @@ class TestProtocolConfig:
         cfg = ProtocolConfig(u=rz(0.1), psi=np.array([2.0, 0.0]))
         np.testing.assert_allclose(cfg.psi, [1.0, 0.0])
 
+    def test_normalizes_huge_psi(self):
+        cfg = ProtocolConfig(u=rz(0.1), psi=[1e200, 0])
+        np.testing.assert_allclose(cfg.psi, [1.0, 0.0])
+
     def test_rejects_zero_psi(self):
         with pytest.raises(ValueError, match="nonzero"):
             ProtocolConfig(u=rz(0.1), psi=np.zeros(2))

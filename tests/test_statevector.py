@@ -14,6 +14,7 @@ from remotegate import (
     entanglement_entropy,
     factor_qubit,
     fidelity_up_to_phase,
+    from_amplitudes,
     measure,
     plus_state,
     qubit_state,
@@ -35,6 +36,12 @@ class TestConstruction:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             StateVector(np.zeros(2), (B0,))
+
+    @pytest.mark.parametrize("scale", [1e200, 1.5e308])
+    def test_huge_entries_normalise(self, scale):
+        # the squared norm overflows, and at 1.5e308 so does the norm itself
+        s = from_amplitudes([scale, 1j * scale], (B0,))
+        np.testing.assert_allclose(s.amplitudes, np.array([1, 1j]) / np.sqrt(2), atol=1e-15)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="amplitudes"):
