@@ -39,6 +39,7 @@ from .operators import (
 from .protocols import (
     BELL_CORRECTIONS,
     PROTOCOLS,
+    BatchOutcome,
     ProtocolConfig,
     ProtocolOutcome,
     ResourceLedger,
@@ -48,6 +49,7 @@ from .protocols import (
     outcome_record,
     ramsey_curve,
     run_111,
+    run_batch,
     run_bqst,
     run_restricted_221,
     run_universal_221,

@@ -11,6 +11,9 @@ ledger of consumed e-bits and classical bits per direction:
 * ``run_restricted_221``  U (anti)commuting with sz, always,     (2, 2, 1)
 * ``run_111``             as above with the class known upfront, (1, 1, 1)
 
+``run_batch`` runs any of them exactly on N configurations at once and
+returns the branches of all N as one ``BatchOutcome`` table.
+
 The capacity demos bound the resources from below: a gate applying a Pauli
 picked by two control bits creates 2 e-bits from nothing and carries 2
 classical bits toward Bob, and a plain controlled-NOT carries 1 bit back.
@@ -30,6 +33,7 @@ from .gates import (
     Z,
     controlled,
     controlled_phase,
+    identity2,
     require_finite,
     sigma_x,
     sigma_y,
@@ -54,11 +58,9 @@ from .statevector import (
     basis_state,
     bell_phi_plus,
     entanglement_entropy,
-    fidelity_up_to_phase,
     measure,
     minus_state,
     plus_state,
-    qubit_state,
     sample_index,
     tensor,
 )
@@ -162,83 +164,159 @@ _BASES = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class BatchOutcome:
+    """Every branch of one protocol run over N configurations (rows).
+
+    Branch b has the same measurement record in every row, and the ledger
+    is the same for every branch. The arrays are indexed ``[n, b]``.
+    ``live[n, b]`` is False where row n dropped branch b because its
+    conditional probability fell below ``BRANCH_PRUNE``; there the
+    probability, fidelity and ``bob_final`` are zero and ``succeeded`` is
+    False, so sums over a row cover exactly the branches a single run keeps.
+    """
+
+    records: tuple[tuple[tuple[str, str, str], ...], ...]
+    probability: np.ndarray  # (N, B)
+    fidelity: np.ndarray  # (N, B), to U|psi>
+    succeeded: np.ndarray  # (N, B)
+    bob_final: np.ndarray  # (N, B, 2), phase-fixed unit vectors
+    live: np.ndarray  # (N, B)
+    ledger: ResourceLedger
+    bob_qubit: QubitId
+
+    def row(self, n: int) -> list[ProtocolOutcome]:
+        """Row n as a single run returns it: one outcome per live branch."""
+        (kept,) = np.nonzero(self.live[n])
+        finals = StateVector.from_unit_rows(self.bob_final[n, kept], (self.bob_qubit,))
+        probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
+        return [
+            ProtocolOutcome(
+                measurement_record=self.records[b],
+                probability=probs[b],
+                bob_final=final,
+                target_fidelity=fids[b],
+                succeeded=wins[b],
+                ledger=replace(self.ledger),
+            )
+            for b, final in zip(kept.tolist(), finals)
+        ]
+
+
 def _apply_matrix(matrix: np.ndarray, axes: list[int], amps: np.ndarray) -> np.ndarray:
-    """``matrix`` on the given qubit axes of every branch in ``amps``."""
+    """``matrix`` on the given qubit axes of every branch of every row; a
+    matrix of shape (N, 1, d, d) gives each row its own."""
     k = len(axes)
-    front = np.moveaxis(amps, axes, range(1, k + 1))
-    out = matrix @ front.reshape(front.shape[0], 2**k, 2 ** (front.ndim - 1 - k))
-    return np.moveaxis(out.reshape(front.shape), range(1, k + 1), axes)
+    front = np.moveaxis(amps, axes, range(2, k + 2))
+    n_row, n_branch = front.shape[:2]
+    out = matrix @ front.reshape(n_row, n_branch, 2**k, 2 ** (front.ndim - 2 - k))
+    return np.moveaxis(out.reshape(front.shape), range(2, k + 2), axes)
+
+
+def _squared_norms(amps: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis, with no temporary the size of ``amps``."""
+    flat = np.ascontiguousarray(amps).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _black_box(cfgs) -> np.ndarray:
+    """The black box of every row, as an (N, 2, 2) stack."""
+    return np.array([cfg.u.as_gate().matrix for cfg in cfgs])
 
 
 class _Run:
-    """All live branches of one protocol execution, held as one array.
+    """All branches of one protocol over N configurations, held as one array.
 
-    ``amps[b]`` is branch b's state with one axis per register qubit. It is
-    never renormalised: its squared norm is the branch probability, so a
-    step that is not unitary shows in the total when the run ends. A
-    measurement moves its outcomes onto the branch axis, parent branch
-    first and outcome second, which keeps the order of the branch tree.
+    ``amps[n, b]`` is branch b of row n, with one axis per register qubit
+    not yet measured. It is never renormalised: its squared norm is the
+    branch probability, so a step that is not unitary shows in the row's
+    total when the run ends. A measurement contracts its qubits with the
+    basis vectors and drops them from the register (deferred measurement);
+    the outcomes go onto the branch axis, parent branch first and outcome
+    second, which keeps the order of the branch tree. The rows share the
+    branch axis, so each branch has one record and one last outcome.
     """
 
-    def __init__(self, state: StateVector, cfg: ProtocolConfig):
-        self.position = state.position
-        self.amps = state.amplitudes.reshape((1,) + (2,) * state.n).copy()
+    def __init__(self, pairs: StateVector, data: QubitId, cfgs):
+        """Row n starts as ``pairs`` with Bob's data qubit in ``cfgs[n].psi``."""
+        if len(cfgs) > 1 and any(cfg.mode == "sampled" for cfg in cfgs):
+            raise ValueError(f"sampled mode runs one configuration at a time, got {len(cfgs)}")
+        self.cfgs = cfgs
+        self.register = pairs.register + (data,)
+        psis = np.array([cfg.psi for cfg in cfgs])
+        amps = pairs.amplitudes[None, :, None] * psis[:, None, :]
+        self.amps = amps.reshape((len(cfgs), 1) + (2,) * len(self.register))
+        self.live = np.ones((len(cfgs), 1), dtype=bool)
         self.records: list[tuple[tuple[str, str, str], ...]] = [()]
         self.last = np.zeros(1, dtype=int)
-        self.rng = np.random.default_rng(cfg.seed) if cfg.mode == "sampled" else None
+        sampled = cfgs[0].mode == "sampled"
+        self.rng = np.random.default_rng(cfgs[0].seed) if sampled else None
         #: Probability the live branches carry: 1, or in sampled mode the
         #: product of the conditional probabilities drawn so far.
         self.mass = 1.0
         self.ledger = ResourceLedger()
 
     def _axes(self, targets) -> list[int]:
-        axes = [1 + self.position(q) for q in targets]
-        if len(set(axes)) != len(axes):
+        if len(set(targets)) != len(targets):
             raise ValueError("duplicate targets")
-        return axes
+        for q in targets:
+            if q not in self.register:
+                raise ValueError(f"qubit {q} not in register")
+        return [2 + self.register.index(q) for q in targets]
 
-    def apply(self, gate: Gate, targets, when: str | None = None):
-        """Apply ``gate`` on every branch, or on those whose last outcome is ``when``."""
+    def apply(self, gate, targets, when: str | None = None):
+        """Apply ``gate`` on every branch, or on those whose last outcome is
+        ``when``. ``gate`` is a ``Gate`` for all rows or an (N, 2, 2) stack
+        holding each row's own matrix."""
         axes = self._axes(targets)
-        if len(axes) != gate.qubits:
-            raise ValueError(
-                f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)"
-            )
+        if isinstance(gate, Gate):
+            if len(axes) != gate.qubits:
+                raise ValueError(
+                    f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)"
+                )
+            matrix = gate.matrix
+        else:
+            matrix = gate[:, None]
         if when is None:
-            self.amps = _apply_matrix(gate.matrix, axes, self.amps)
+            self.amps = _apply_matrix(matrix, axes, self.amps)
         else:
             hit = self.last == int(when, 2)
-            self.amps[hit] = _apply_matrix(gate.matrix, axes, self.amps[hit])
+            self.amps[:, hit] = _apply_matrix(matrix, axes, self.amps[:, hit])
 
     def measure(self, targets, basis: str, party: str):
-        """Split every branch by the outcome of measuring ``targets``.
+        """Split every branch by the outcome of measuring ``targets``, which
+        leave the register.
 
-        A child whose conditional probability is below ``BRANCH_PRUNE`` is
-        dropped; in sampled mode one child per measurement is drawn.
+        A child whose conditional probability in row n is below
+        ``BRANCH_PRUNE`` is not live in that row, and one live in no row is
+        dropped. In sampled mode one child per measurement is drawn.
         """
         axes = self._axes(targets)
         k = len(axes)
         vecs = _BASES.get((basis, k))
         if vecs is None:
             raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
-        front = np.moveaxis(self.amps, axes, range(1, k + 1))
-        n_branch, dim = front.shape[0], 2**k
-        mat = front.reshape(n_branch, dim, 2 ** (front.ndim - 1 - k))
-        coeff = vecs.conj() @ mat
-        child = np.sum(coeff.real**2 + coeff.imag**2, axis=2)
-        parent = child.sum(axis=1, keepdims=True)
+        front = np.moveaxis(self.amps, axes, range(2, k + 2))
+        (n_row, n_branch), dim, rest = front.shape[:2], 2**k, front.shape[k + 2 :]
+        coeff = vecs.conj() @ front.reshape(n_row, n_branch, dim, 2 ** len(rest))
+        child = _squared_norms(coeff)
+        parent = child.sum(axis=2, keepdims=True)
         # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
-        keep = ~(child < BRANCH_PRUNE * parent)
+        live = self.live[:, :, None] & ~(child < BRANCH_PRUNE * parent)
         if self.rng is not None:
-            (kept,) = np.nonzero(keep[0])
-            cond = child[0, kept] / parent[0, 0]
+            (kept,) = np.nonzero(live[0, 0])
+            cond = child[0, 0, kept] / parent[0, 0, 0]
             pick = sample_index(cond, self.rng)
             self.mass *= float(cond[pick])
-            keep[:] = False
-            keep[0, kept[pick]] = True
-        keep = keep.ravel()
-        post = (vecs[None, :, :, None] * coeff[:, :, None, :]).reshape(n_branch * dim, *front.shape[1:])
-        self.amps = np.moveaxis(post[keep], range(1, k + 1), axes)
+            live[:] = False
+            live[0, 0, kept[pick]] = True
+        live = live.reshape(n_row, n_branch * dim)
+        keep = live.any(axis=0)
+        self.amps = coeff.reshape(n_row, n_branch * dim, *rest)
+        if not keep.all():
+            self.amps, live = self.amps[:, keep], live[:, keep]
+        self.live = live
+        self.register = tuple(q for q in self.register if q not in targets)
         parents = np.repeat(np.arange(n_branch), dim)[keep]
         self.last = np.tile(np.arange(dim), n_branch)[keep]
         labels = [format(o, f"0{k}b") for o in range(dim)]
@@ -247,45 +325,59 @@ class _Run:
             for b, o in zip(parents.tolist(), self.last.tolist())
         ]
 
-    def outcomes(self, cfg: ProtocolConfig, bob_qubit: QubitId) -> list[ProtocolOutcome]:
-        """One outcome per branch, Bob's qubit factored out of each."""
-        n_branch = len(self.records)
-        flat = self.amps.reshape(n_branch, -1)
-        probs = np.sum(flat.real**2 + flat.imag**2, axis=1)
-        total = float(probs.sum())
-        if not abs(total - self.mass) <= PROB_TOL:
+    def result(self, bob_qubit: QubitId) -> BatchOutcome:
+        """Every branch of every row, with Bob's qubit factored out. Ends
+        the run: Bob's states are normalised in place."""
+        n_row, n_branch = self.amps.shape[:2]
+        live = self.live
+        targets = np.array([cfg.u.matrix @ cfg.psi for cfg in self.cfgs])
+        probs = _squared_norms(self.amps.reshape(n_row, n_branch, -1))
+        probs[~live] = 0.0
+        totals = probs.sum(axis=1)
+        bad = ~(np.abs(totals - self.mass) <= PROB_TOL)
+        if bad.any():
+            n = int(np.argmax(bad))
             raise InvariantViolation(
-                f"branch probabilities sum to {total!r}, expected {self.mass!r}: "
-                "a step was not unitary"
+                f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
+                f"expected {self.mass!r}: a step was not unitary"
             )
         (axis,) = self._axes([bob_qubit])
-        mat = np.moveaxis(self.amps, axis, 1).reshape(n_branch, 2, -1)
-        u, sing, _ = np.linalg.svd(mat, full_matrices=False)
-        if sing.shape[1] > 1:
+        mat = np.moveaxis(self.amps, axis, 2).reshape(n_row, n_branch, 2, -1)
+        norms = np.sqrt(probs)
+        if mat.shape[3] == 1:
+            finals = mat[..., 0]
+            np.divide(finals, norms[..., None], out=finals, where=live[..., None])
+        else:
+            u, sing, _ = np.linalg.svd(mat, full_matrices=False)
             # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
-            entangled = ~(sing[:, 1] <= FACTOR_TOL * np.sqrt(probs))
+            entangled = live & ~(sing[..., 1] <= FACTOR_TOL * norms)
             if entangled.any():
-                b = int(np.argmax(entangled))
+                n, b = np.argwhere(entangled)[0]
                 raise InvariantViolation(
-                    f"qubit {bob_qubit} is entangled (second Schmidt coefficient "
-                    f"{sing[b, 1] / np.sqrt(probs[b]):.3e})"
+                    f"qubit {bob_qubit} is entangled in row {n} (second Schmidt "
+                    f"coefficient {sing[n, b, 1] / norms[n, b]:.3e})"
                 )
-        finals = u[:, :, 0]
-        lead = finals[np.arange(n_branch), np.argmax(np.abs(finals), axis=1)]
-        finals = finals * (lead.conj() / np.abs(lead))[:, None]
-        target = cfg.u.matrix @ cfg.psi
-        fids = np.abs(finals @ target.conj()) ** 2
-        return [
-            ProtocolOutcome(
-                measurement_record=record,
-                probability=prob,
-                bob_final=StateVector(final, (bob_qubit,)),
-                target_fidelity=fid,
-                succeeded=fid >= 1.0 - SUCCESS_TOL,
-                ledger=replace(self.ledger),
-            )
-            for record, prob, final, fid in zip(self.records, probs.tolist(), finals, fids.tolist())
-        ]
+            finals = u[..., 0]
+        finals[~live] = 0.0
+        # phase-fix: the larger component (the first on a tie) real and positive
+        lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
+        size = np.abs(lead)
+        np.divide(lead.conj(), size, out=lead, where=size > 0)
+        finals *= lead[..., None]
+        fids = np.abs(finals @ targets[..., None].conj())[..., 0] ** 2
+        succeeded = live & (fids >= 1.0 - SUCCESS_TOL)
+        for array in (probs, fids, succeeded, finals, live):
+            array.setflags(write=False)
+        return BatchOutcome(
+            records=tuple(self.records),
+            probability=probs,
+            fidelity=fids,
+            succeeded=succeeded,
+            bob_final=finals,
+            live=live,
+            ledger=self.ledger,
+            bob_qubit=bob_qubit,
+        )
 
 
 def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: QubitId):
@@ -317,6 +409,124 @@ def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId, s
 
 # ---------------------------------------------------------------------------
 # protocols
+#
+# Each protocol is a circuit over a list of configurations that returns a
+# BatchOutcome, plus a precondition on one configuration. ``run_batch`` runs
+# a circuit on N rows; each ``run_*`` function runs it on one.
+
+_A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
+_B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
+#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1).
+_ONE_PAIR = bell_phi_plus(_A1, _B1)
+_TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
+
+
+def _bqst(cfgs) -> BatchOutcome:
+    data = QubitId("bob", 2)
+    run = _Run(_TWO_PAIRS, data, cfgs)
+    _teleport(run, data, _B1, _A1, sender="bob")
+    run.apply(_black_box(cfgs), [_A1])
+    _teleport(run, _A1, _A2, _B2, sender="alice")
+    return run.result(_B2)
+
+
+def _run_221(cfgs, correct_failure: bool) -> BatchOutcome:
+    data = QubitId("bob", 2)
+    run = _Run(_TWO_PAIRS, data, cfgs)
+    _spread_amplitudes(run, _A1, _B1, data)
+    run.apply(_black_box(cfgs), [_A1])
+    _teleport(run, _A1, _A2, _B2, sender="alice")
+    run.apply(H, [_B1])
+    run.measure([_B1], "computational", "bob")
+    if correct_failure:
+        run.apply(Z, [_B2], when="1")
+    return run.result(_B2)
+
+
+def _one11(cfgs) -> BatchOutcome:
+    data = QubitId("bob", 1)
+    run = _Run(_ONE_PAIR, data, cfgs)
+    _spread_amplitudes(run, _A1, _B1, data)
+    run.apply(_black_box(cfgs), [_A1])
+    run.apply(H, [_A1])
+    run.measure([_A1], "computational", "alice")
+    run.ledger.send_a_to_b(1)
+    # Bob's fix-up per promise: (1, sz) when commuting, (sx, sz sx) when anticommuting
+    commuting = np.array([cfg.promise == COMMUTING for cfg in cfgs])[:, None, None]
+    run.apply(np.where(commuting, identity2, sigma_x), [_B1], when="0")
+    run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when="1")
+    return run.result(_B1)
+
+
+def _any_config(cfg: ProtocolConfig):
+    """bqst takes every rotation, with or without a promise."""
+
+
+def _no_promise(cfg: ProtocolConfig):
+    if cfg.promise is not None:
+        raise ValueError("the universal protocol takes no promise")
+
+
+def _in_set_only(cfg: ProtocolConfig):
+    if classify_operator(cfg.u, Z_AXIS).kind == GENERAL:
+        m = cfg.u.matrix
+        comm = np.linalg.norm(m @ sigma_z - sigma_z @ m)
+        anti = np.linalg.norm(m @ sigma_z + sigma_z @ m)
+        raise ValueError(
+            "operator is neither commuting nor anticommuting with the z axis "
+            f"(commutator norm {comm:.3e}, anticommutator norm {anti:.3e})"
+        )
+
+
+def _promised(cfg: ProtocolConfig):
+    if cfg.promise is None:
+        raise ValueError("the 1-1-1 protocol requires a promise")
+
+
+#: Protocol name -> (precondition on one configuration, circuit over a list).
+_CIRCUITS = {
+    "bqst": (_any_config, _bqst),
+    "universal221": (_no_promise, lambda cfgs: _run_221(cfgs, correct_failure=False)),
+    "restricted221": (_in_set_only, lambda cfgs: _run_221(cfgs, correct_failure=True)),
+    "one11": (_promised, _one11),
+}
+
+
+def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
+    precondition, circuit = _CIRCUITS[protocol]
+    precondition(cfg)
+    return circuit([cfg]).row(0)
+
+
+def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
+    """Run ``protocol`` exactly on N configurations at once.
+
+    Row n takes the rotation ``us[n]`` and Bob's state ``psis[n]``;
+    ``promise`` is one class for every row or a sequence of N. Each row is
+    checked as a single run checks its configuration, and an error names
+    the row. Sampled mode takes one configuration at a time, through the
+    ``run_*`` functions.
+    """
+    if protocol not in _CIRCUITS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    precondition, circuit = _CIRCUITS[protocol]
+    us, psis = list(us), list(psis)
+    promises = [promise] * len(us) if promise is None or isinstance(promise, str) else list(promise)
+    if not len(us) == len(psis) == len(promises):
+        raise ValueError(
+            f"{len(us)} rotations, {len(psis)} states and {len(promises)} promises do not match"
+        )
+    if not us:
+        raise ValueError("a batch needs at least one configuration")
+    cfgs = []
+    for n, (u, psi, promised) in enumerate(zip(us, psis, promises)):
+        try:
+            cfg = ProtocolConfig(u=u, psi=psi, promise=promised)
+            precondition(cfg)
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from None
+        cfgs.append(cfg)
+    return circuit(cfgs)
 
 
 def run_bqst(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
@@ -325,18 +535,7 @@ def run_bqst(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     Every branch ends with Bob holding U|psi> exactly; the ledger is
     (2 e-bits, 2 bits each way), the cost any universal scheme must beat.
     """
-    a1, a2 = QubitId("alice", 0), QubitId("alice", 1)
-    b1, b2 = QubitId("bob", 0), QubitId("bob", 1)
-    data = QubitId("bob", 2)
-    state = tensor(
-        tensor(bell_phi_plus(a1, b1), bell_phi_plus(a2, b2)),
-        qubit_state(cfg.psi[0], cfg.psi[1], data),
-    )
-    run = _Run(state, cfg)
-    _teleport(run, data, b1, a1, sender="bob")
-    run.apply(cfg.u.as_gate(), [a1])
-    _teleport(run, a1, a2, b2, sender="alice")
-    return run.outcomes(cfg, b2)
+    return _run_one("bqst", cfg)
 
 
 def run_universal_221(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
@@ -349,9 +548,7 @@ def run_universal_221(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     0 leaves U|psi>; outcome 1 leaves U sz|psi>, which no fixed local
     operation can repair for arbitrary U.
     """
-    if cfg.promise is not None:
-        raise ValueError("the universal protocol takes no promise")
-    return _run_221(cfg, correct_failure=False)
+    return _run_one("universal221", cfg)
 
 
 def run_restricted_221(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
@@ -361,35 +558,7 @@ def run_restricted_221(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     Works without knowing which of the two classes U belongs to. Rejects a
     general operator up front, naming the failed commutation test.
     """
-    tag = classify_operator(cfg.u, Z_AXIS)
-    if tag.kind == GENERAL:
-        m = cfg.u.matrix
-        comm = np.linalg.norm(m @ sigma_z - sigma_z @ m)
-        anti = np.linalg.norm(m @ sigma_z + sigma_z @ m)
-        raise ValueError(
-            "operator is neither commuting nor anticommuting with the z axis "
-            f"(commutator norm {comm:.3e}, anticommutator norm {anti:.3e})"
-        )
-    return _run_221(cfg, correct_failure=True)
-
-
-def _run_221(cfg: ProtocolConfig, correct_failure: bool) -> list[ProtocolOutcome]:
-    a1, a2 = QubitId("alice", 0), QubitId("alice", 1)
-    b1, b2 = QubitId("bob", 0), QubitId("bob", 1)
-    data = QubitId("bob", 2)
-    state = tensor(
-        tensor(bell_phi_plus(a1, b1), bell_phi_plus(a2, b2)),
-        qubit_state(cfg.psi[0], cfg.psi[1], data),
-    )
-    run = _Run(state, cfg)
-    _spread_amplitudes(run, a1, b1, data)
-    run.apply(cfg.u.as_gate(), [a1])
-    _teleport(run, a1, a2, b2, sender="alice")
-    run.apply(H, [b1])
-    run.measure([b1], "computational", "bob")
-    if correct_failure:
-        run.apply(Z, [b2], when="1")
-    return run.outcomes(cfg, b2)
+    return _run_one("restricted221", cfg)
 
 
 def run_111(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
@@ -401,24 +570,7 @@ def run_111(cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     nothing / sz under the commuting promise, sx / sz sx under the
     anticommuting one.
     """
-    if cfg.promise is None:
-        raise ValueError("the 1-1-1 protocol requires a promise")
-    a1 = QubitId("alice", 0)
-    b1 = QubitId("bob", 0)
-    data = QubitId("bob", 1)
-    state = tensor(bell_phi_plus(a1, b1), qubit_state(cfg.psi[0], cfg.psi[1], data))
-    run = _Run(state, cfg)
-    _spread_amplitudes(run, a1, b1, data)
-    run.apply(cfg.u.as_gate(), [a1])
-    run.apply(H, [a1])
-    run.measure([a1], "computational", "alice")
-    run.ledger.send_a_to_b(1)
-    if cfg.promise == COMMUTING:
-        run.apply(Z, [b1], when="1")
-    else:
-        run.apply(X, [b1], when="0")
-        run.apply(ZX, [b1], when="1")
-    return run.outcomes(cfg, b1)
+    return _run_one("one11", cfg)
 
 
 def success_probability(outcomes) -> float:
@@ -497,18 +649,16 @@ def demo_cnot_reverse(bob_bit: int) -> int:
 def ramsey_curve(thetas) -> list[tuple[float, float]]:
     """Probability of finding Bob's qubit in |+> after remotely applying a
     z rotation with accumulated phase theta to |+> through the 1-1-1
-    protocol. Computed from the protocol branches, not from the closed form
-    (1 + cos theta)/2 they reproduce."""
-    points = []
-    for theta in thetas:
-        theta = float(theta)
-        cfg = ProtocolConfig(u=rz(theta / 2.0), psi=np.array([1, 1]), promise=COMMUTING)
-        p_plus = 0.0
-        for out in run_111(cfg):
-            ref = plus_state(out.bob_final.register[0])
-            p_plus += out.probability * fidelity_up_to_phase(out.bob_final, ref)
-        points.append((theta, p_plus))
-    return points
+    protocol, one batch row per theta. Computed from the protocol branches,
+    not from the closed form (1 + cos theta)/2 they reproduce."""
+    thetas = [float(theta) for theta in thetas]
+    if not thetas:
+        return []
+    plus = np.array([1, 1])
+    table = run_batch("one11", [rz(theta / 2.0) for theta in thetas], [plus] * len(thetas), COMMUTING)
+    overlap = table.bob_final @ plus_state(_B1).amplitudes.conj()
+    p_plus = np.sum(table.probability * np.abs(overlap) ** 2, axis=1)
+    return list(zip(thetas, p_plus.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -285,26 +285,31 @@ def check_ledgers(rng):
     return True, "(2,2,2) / (2,2,1) / (2,2,1) / (1,1,1) on every branch"
 
 
+def _haar_rows(rng, count):
+    """``count`` Haar (U, psi) pairs, drawn U first, then psi, row by row."""
+    rows = [(random_unimodular(rng), random_qubit(rng)) for _ in range(count)]
+    return [u for u, _ in rows], [psi for _, psi in rows]
+
+
 def check_universal_success_half(rng):
-    gaps = []
-    for _ in range(100):
-        cfg = protocols.ProtocolConfig(u=random_unimodular(rng), psi=random_qubit(rng))
-        gaps.append(abs(protocols.success_probability(protocols.run_universal_221(cfg)) - 0.5))
-    return _at_most(DERIVED_TOL, "max |p - 1/2| =", gaps)
+    table = protocols.run_batch("universal221", *_haar_rows(rng, 100))
+    p_success = np.sum(table.probability, axis=1, where=table.succeeded)
+    return _at_most(DERIVED_TOL, "max |p - 1/2| =", np.abs(p_success - 0.5))
 
 
 def _exact_with_ledger(protocol, rng, promised):
-    """1000 runs alternating z rotations and off-diagonal operators: every
-    branch reaches fidelity 1 and carries the protocol's exact ledger."""
-    fidelities, ledgers_ok = [], True
+    """1000 runs alternating z rotations and off-diagonal operators, in one
+    batch: every branch reaches fidelity 1 and carries the protocol's exact
+    ledger."""
+    us, psis, promises = [], [], []
     for k in range(1000):
         u = _in_set_operator(rng, diagonal=k % 2 == 0)
-        promise = classify_operator(u).kind if promised else None
-        cfg = protocols.ProtocolConfig(u=u, psi=random_qubit(rng), promise=promise)
-        outs = protocols.PROTOCOLS[protocol](cfg)
-        fidelities += [o.target_fidelity for o in outs]
-        ledgers_ok = ledgers_ok and all(o.ledger.as_tuple() == EXPECTED_LEDGERS[protocol] for o in outs)
-    passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", fidelities)
+        us.append(u)
+        promises.append(classify_operator(u).kind if promised else None)
+        psis.append(random_qubit(rng))
+    table = protocols.run_batch(protocol, us, psis, promises)
+    ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
+    passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.fidelity[table.live])
     return passed and ledgers_ok, f"{detail}, ledgers exact: {ledgers_ok}"
 
 
@@ -330,15 +335,12 @@ def check_branch_conservation(rng):
 
 
 def check_failure_branch_identity(rng):
-    fidelities = []
-    for _ in range(100):
-        u, psi = random_unimodular(rng), random_qubit(rng)
-        cfg = protocols.ProtocolConfig(u=u, psi=psi)
-        wrong = u.matrix @ sigma_z @ psi
-        for out in protocols.run_universal_221(cfg):
-            if out.measurement_record[-1][2] == "1":
-                fidelities.append(abs(np.vdot(wrong, out.bob_final.amplitudes)) ** 2)
-    return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities)
+    us, psis = _haar_rows(rng, 100)
+    table = protocols.run_batch("universal221", us, psis)
+    wrong = np.array([u.matrix @ sigma_z @ psi for u, psi in zip(us, psis)])
+    failed = np.array([record[-1][2] == "1" for record in table.records]) & table.live
+    fidelities = np.abs(table.bob_final @ wrong[..., None].conj())[..., 0] ** 2
+    return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities[failed])
 
 
 def check_classification_consistency(rng):

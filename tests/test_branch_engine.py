@@ -1,11 +1,13 @@
-"""The branch-tensor engine against the per-branch engine it replaced.
+"""The batched branch-tensor engine against the per-branch engine it replaced.
 
-``ReferenceRun`` keeps one renormalised ``StateVector`` per branch and
-drives ``apply_gate``, ``measure``, ``sample_branch`` and ``factor_qubit``
-one branch at a time. It has the interface of ``protocols._Run``, so a
-protocol runs on it unchanged once it is patched in.
+``ReferenceRun`` keeps one renormalised ``StateVector`` per branch of a
+single configuration and drives ``apply_gate``, ``measure``,
+``sample_branch`` and ``factor_qubit`` one branch at a time. It has the
+interface of ``protocols._Run``, so a protocol runs on it unchanged once it
+is patched in; ``run_batch`` is compared with it row by row.
 """
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,13 +25,17 @@ from remotegate import (
     StateVector,
     Unimodular,
     apply_gate,
+    basis_state,
     factor_qubit,
     measure,
     protocols,
+    qubit_state,
     random_qubit,
     random_unimodular,
     rz,
     sample_branch,
+    tensor,
+    verify,
 )
 
 ORACLE_TOL = 1e-12
@@ -43,14 +49,18 @@ class _Branch:
 
 
 class ReferenceRun:
-    """Per-branch engine: a list of normalised branch states."""
+    """Per-branch engine for one configuration: a list of normalised branch states."""
 
-    def __init__(self, state: StateVector, cfg: ProtocolConfig):
+    def __init__(self, pairs: StateVector, data: QubitId, cfgs):
+        (self.cfg,) = cfgs
+        state = tensor(pairs, qubit_state(self.cfg.psi[0], self.cfg.psi[1], data))
         self.branches = [_Branch(state, 1.0, ())]
-        self.rng = np.random.default_rng(cfg.seed) if cfg.mode == "sampled" else None
+        self.rng = np.random.default_rng(self.cfg.seed) if self.cfg.mode == "sampled" else None
         self.ledger = ResourceLedger()
 
-    def apply(self, gate: Gate, targets, when=None):
+    def apply(self, gate, targets, when=None):
+        if not isinstance(gate, Gate):
+            gate = Gate(gate[0], "row 0")
         for br in self.branches:
             if when is None or br.record[-1][2] == when:
                 br.state = apply_gate(br.state, gate, targets)
@@ -71,13 +81,13 @@ class ReferenceRun:
                 )
         self.branches = expanded
 
-    def outcomes(self, cfg: ProtocolConfig, bob_qubit: QubitId):
-        target = cfg.u.matrix @ cfg.psi
-        results = []
+    def result(self, bob_qubit: QubitId):
+        target = self.cfg.u.matrix @ self.cfg.psi
+        outcomes = []
         for br in self.branches:
             final = StateVector(factor_qubit(br.state, bob_qubit), (bob_qubit,))
             fid = float(abs(np.vdot(target, final.amplitudes)) ** 2)
-            results.append(
+            outcomes.append(
                 protocols.ProtocolOutcome(
                     measurement_record=br.record,
                     probability=br.probability,
@@ -87,7 +97,22 @@ class ReferenceRun:
                     ledger=replace(self.ledger),
                 )
             )
-        return results
+        return _ReferenceResult(outcomes)
+
+
+@dataclass
+class _ReferenceResult:
+    outcomes: list
+
+    def row(self, n):
+        assert n == 0
+        return self.outcomes
+
+
+def _reference(monkeypatch, name, cfg):
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols, "_Run", ReferenceRun)
+        return PROTOCOLS[name](cfg)
 
 
 def _in_set(rng, k):
@@ -115,9 +140,7 @@ def test_branch_tensor_matches_per_branch_engine(monkeypatch, name, mode):
     run = PROTOCOLS[name]
     for cfg in _configs(name, mode, seed=sorted(PROTOCOLS).index(name) + 40):
         fast = run(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(protocols, "_Run", ReferenceRun)
-            ref = run(cfg)
+        ref = _reference(monkeypatch, name, cfg)
         assert len(fast) == len(ref)
         assert mode == "exact" or len(fast) == 1
         for a, b in zip(fast, ref):
@@ -146,3 +169,178 @@ def test_non_unitary_step_is_reported(monkeypatch, name, mode):
     )
     with pytest.raises(InvariantViolation, match="not unitary"):
         PROTOCOLS[name](cfg)
+
+
+# ---------------------------------------------------------------------------
+# N configurations in one run
+
+
+def _batch_rows(name, seed, count=64):
+    """Seeded rows cycling through z rotations, half turns and (where the
+    protocol takes them) Haar rotations, and through |0>, |1> and Haar states."""
+    rng = np.random.default_rng(seed)
+    families = 3 if name in ("bqst", "universal221") else 2
+    us, psis, promises = [], [], []
+    for k in range(count):
+        if k % families == 2:
+            u, promise = random_unimodular(rng), None
+        else:
+            u, promise = _in_set(rng, k % families)
+        us.append(u)
+        promises.append(promise if name == "one11" else None)
+        psis.append(np.eye(2)[k % 4] if k % 4 < 2 else random_qubit(rng))
+    return us, psis, promises
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_run_batch_matches_per_branch_engine(monkeypatch, name):
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
+    table = protocols.run_batch(name, us, psis, promises)
+    n_branch = len(table.records)
+    for array in (table.probability, table.fidelity, table.succeeded, table.live):
+        assert array.shape == (len(us), n_branch)
+    assert table.bob_final.shape == (len(us), n_branch, 2)
+    for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
+        ref = _reference(monkeypatch, name, ProtocolConfig(u=u, psi=psi, promise=promise))
+        (kept,) = np.nonzero(table.live[n])
+        assert [table.records[b] for b in kept] == [o.measurement_record for o in ref]
+        for b, o in zip(kept, ref):
+            assert table.ledger == o.ledger
+            assert table.succeeded[n, b] == o.succeeded
+            assert abs(table.probability[n, b] - o.probability) <= ORACLE_TOL
+            assert abs(table.fidelity[n, b] - o.target_fidelity) <= ORACLE_TOL
+            assert np.abs(table.bob_final[n, b] - o.bob_final.amplitudes).max() <= ORACLE_TOL
+
+
+def _leaky_row(monkeypatch, bad):
+    """Make ``bad.as_gate()`` damp |1>, slipping past Gate's unitarity check."""
+    leaky = Gate(np.eye(2), "leaky")
+    object.__setattr__(leaky, "matrix", np.diag([1.0, 0.5]))
+    as_gate = Unimodular.as_gate
+    monkeypatch.setattr(
+        Unimodular, "as_gate", lambda self, name="u": leaky if self is bad else as_gate(self, name)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_batch_non_unitary_row_is_named(monkeypatch, name):
+    us = [rz(0.1 * k) for k in range(6)]
+    _leaky_row(monkeypatch, us[3])
+    promise = COMMUTING if name == "one11" else None
+    with pytest.raises(InvariantViolation, match=r"of row 3 sum to .*not unitary"):
+        protocols.run_batch(name, us, [[0.6, 0.8]] * 6, promise)
+
+
+@pytest.mark.parametrize(
+    "name, us, psis, promise, message",
+    [
+        ("restricted221", [rz(0.3), rz(0.5), Unimodular(0.6, 0.8)], None, None, r"row 2: operator is neither"),
+        ("one11", [rz(0.3), rz(0.5)], None, [COMMUTING, ANTICOMMUTING], r"row 1: promise violation"),
+        ("universal221", [rz(0.3)] * 5, [[1, 0]] * 4 + [[np.nan, 1]], None, r"row 4: psi\[0\] is not finite"),
+        ("bqst", [rz(0.3)] * 3, [[1, 0], [0, 0], [0, 1]], None, r"row 1: psi must be nonzero"),
+    ],
+)
+def test_batch_input_errors_name_the_row(name, us, psis, promise, message):
+    psis = psis or [[0.6, 0.8]] * len(us)
+    with pytest.raises(ValueError, match=message):
+        protocols.run_batch(name, us, psis, promise)
+
+
+def test_sampled_batch_is_refused():
+    cfg = ProtocolConfig(u=rz(0.3), psi=[1, 0], mode="sampled", seed=3)
+    with pytest.raises(ValueError, match="one configuration at a time"):
+        protocols._Run(protocols._ONE_PAIR, QubitId("bob", 1), [cfg, cfg])
+
+
+def test_branch_is_dropped_only_when_no_row_keeps_it():
+    """Rows near |0> and at |1>: each keeps one outcome of the data qubit, so
+    both children stay, live in one row each; the |0> pair half keeps
+    outcome 0 in every row, so its outcome-1 child is dropped. Row 0's
+    dead branch still holds amplitude 1e-7, which the table must not show."""
+    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
+    cfgs = [ProtocolConfig(u=rz(0.3), psi=psi) for psi in ([1, 1e-7], [0, 1])]
+    run = protocols._Run(basis_state("00", (a, b)), data, cfgs)
+    run.measure([data], "computational", "bob")
+    assert run.live.tolist() == [[True, False], [False, True]]
+    run.measure([a], "computational", "alice")
+    assert [r[-1][2] for r in run.records] == ["0", "0"]
+    table = run.result(b)
+    assert table.live.tolist() == [[True, False], [False, True]]
+    assert abs(table.probability[0, 0] - 1.0) <= ORACLE_TOL
+    assert table.probability[1].tolist() == [0.0, 1.0]
+    for n, dead in ((0, 1), (1, 0)):
+        assert table.probability[n, dead] == table.fidelity[n, dead] == 0.0
+        assert not table.succeeded[n, dead]
+        assert table.bob_final[n, dead].tolist() == [0, 0]
+    assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0"], ["1/0"]]
+
+
+def test_entangled_output_names_the_row():
+    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
+    cfgs = [ProtocolConfig(u=rz(0.3), psi=psi) for psi in ([1, 0], [1, 1])]
+    run = protocols._Run(basis_state("00", (a, b)), data, cfgs)
+    run.apply(protocols.CNOT, [data, b])
+    with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
+        run.result(b)
+
+
+def test_batch_memory_drops_measured_qubits(monkeypatch):
+    """1000 restricted 2-2-1 rows peak near 2.4 MB of numpy allocations with
+    measured qubits dropped; kept, they would take about 40 MB."""
+    us, psis, _ = _batch_rows("restricted221", seed=7, count=1000)
+    final = {}
+    result = protocols._Run.result
+
+    def spy(run, bob_qubit):
+        final["shape"], final["register"] = run.amps.shape, run.register
+        return result(run, bob_qubit)
+
+    monkeypatch.setattr(protocols._Run, "result", spy)
+    tracemalloc.start()
+    try:
+        protocols.run_batch("restricted221", us, psis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert final == {"shape": (1000, 16, 2), "register": (QubitId("bob", 1),)}
+
+
+def _per_call_draws(rng, kind, count):
+    """The configurations verify's sampling loops drew one call at a time."""
+    rows = []
+    for k in range(count):
+        if kind == "haar":
+            u = random_unimodular(rng)
+        elif k % 2 == 0:
+            u = rz(rng.uniform(0, 2 * np.pi))
+        else:
+            u = Unimodular(0, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        rows.append((u, random_qubit(rng)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "check, kind, count",
+    [
+        ("protocols.universal_success_half", "haar", 100),
+        ("protocols.restricted_perfect", "in_set", 1000),
+        ("protocols.one11_perfect", "in_set", 1000),
+        ("protocols.failure_branch_identity", "haar", 100),
+    ],
+)
+def test_verify_batch_draws_the_per_call_samples(monkeypatch, check, kind, count):
+    batches = []
+    run_batch = protocols.run_batch
+
+    def spy(protocol, us, psis, promise=None):
+        batches.append((us, psis))
+        return run_batch(protocol, us, psis, promise)
+
+    monkeypatch.setattr(protocols, "run_batch", spy)
+    passed, detail = dict(verify.registry())[check](np.random.default_rng(5))
+    assert passed, detail
+    ((us, psis),) = batches
+    expected = _per_call_draws(np.random.default_rng(5), kind, count)
+    assert [(u.a, u.b) for u in us] == [(u.a, u.b) for u, _ in expected]
+    assert all(np.array_equal(psi, want) for psi, (_, want) in zip(psis, expected))
