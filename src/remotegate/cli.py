@@ -6,7 +6,8 @@ Subcommands::
               --u <spec> --psi <spec> [--promise commuting|anticommuting]
               [--mode exact|sampled --seed N] [--format human|structured]
               [--out PATH]
-    classify  --u <spec> [--axis x,y,z]
+    classify  --u <spec> [--axis x,y,z]   (or --axis=x,y,z; both forms take
+                                           a negative first component)
     axis      --set FILE          (one operator spec per line, # comments ok)
     demo      cp-entanglement | cp-capacity | cnot-reverse
     ramsey    --steps N [--out PATH]
@@ -19,6 +20,11 @@ for an axis-angle rotation (axis normalized on entry), and raw
 ``mat:<a_re>,<a_im>,<b_re>,<b_im>``. State specs: ``0``, ``1``, ``+``, ``-``
 or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 
+``main`` builds its argument parser on its first call and reuses it for every
+later call in the process: argparse keeps no per-call state on a parser, and
+writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
+call time. ``build_parser`` returns a fresh parser on each call.
+
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
 JSON record per branch and is byte-identical across runs for identical
@@ -28,8 +34,10 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -184,6 +192,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use."""
+    return build_parser()
+
+
+#: a value argparse would read as an option flag: "-" then a digit or "."
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_axis_values(argv) -> list[str]:
+    """Rewrite ``--axis -0.1,0,1`` as ``--axis=-0.1,0,1``, which argparse
+    otherwise rejects with "expected one argument"."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--axis" and _NEGATIVE_VALUE.match(token):
+            joined[-1] = f"--axis={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -281,9 +311,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(_join_axis_values(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -21,6 +21,7 @@ classical bits toward Bob, and a plain controlled-NOT carries 1 bit back.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,14 +204,24 @@ class BatchOutcome:
         ]
 
 
-def _apply_matrix(matrix: np.ndarray, axes: list[int], amps: np.ndarray) -> np.ndarray:
+@functools.cache
+def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that moves qubit ``axes`` to positions 2, 3, ..., right
+    after the row and branch axes, the others keeping their order (what
+    ``np.moveaxis`` does, without its per-call cost), and its inverse."""
+    perm = (0, 1) + axes + tuple(a for a in range(2, ndim) if a not in axes)
+    return perm, tuple(np.argsort(perm).tolist())
+
+
+def _apply_matrix(matrix: np.ndarray, axes: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
     """``matrix`` on the given qubit axes of every branch of every row; a
     matrix of shape (N, 1, d, d) gives each row its own."""
     k = len(axes)
-    front = np.moveaxis(amps, axes, range(2, k + 2))
+    perm, inverse = _to_front(amps.ndim, axes)
+    front = amps.transpose(perm)
     n_row, n_branch = front.shape[:2]
     out = matrix @ front.reshape(n_row, n_branch, 2**k, 2 ** (front.ndim - 2 - k))
-    return np.moveaxis(out.reshape(front.shape), range(2, k + 2), axes)
+    return out.reshape(front.shape).transpose(inverse)
 
 
 def _squared_norms(amps: np.ndarray) -> np.ndarray:
@@ -256,13 +267,13 @@ class _Run:
         self.mass = 1.0
         self.ledger = ResourceLedger()
 
-    def _axes(self, targets) -> list[int]:
+    def _axes(self, targets) -> tuple[int, ...]:
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate targets")
         for q in targets:
             if q not in self.register:
                 raise ValueError(f"qubit {q} not in register")
-        return [2 + self.register.index(q) for q in targets]
+        return tuple(2 + self.register.index(q) for q in targets)
 
     def apply(self, gate, targets, when: str | None = None):
         """Apply ``gate`` on every branch, or on those whose last outcome is
@@ -296,7 +307,7 @@ class _Run:
         vecs = _BASES.get((basis, k))
         if vecs is None:
             raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
-        front = np.moveaxis(self.amps, axes, range(2, k + 2))
+        front = self.amps.transpose(_to_front(self.amps.ndim, axes)[0])
         (n_row, n_branch), dim, rest = front.shape[:2], 2**k, front.shape[k + 2 :]
         coeff = vecs.conj() @ front.reshape(n_row, n_branch, dim, 2 ** len(rest))
         child = _squared_norms(coeff)
@@ -341,8 +352,8 @@ class _Run:
                 f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
                 f"expected {self.mass!r}: a step was not unitary"
             )
-        (axis,) = self._axes([bob_qubit])
-        mat = np.moveaxis(self.amps, axis, 2).reshape(n_row, n_branch, 2, -1)
+        front = self.amps.transpose(_to_front(self.amps.ndim, self._axes([bob_qubit]))[0])
+        mat = front.reshape(n_row, n_branch, 2, -1)
         norms = np.sqrt(probs)
         if mat.shape[3] == 1:
             finals = mat[..., 0]

@@ -17,7 +17,9 @@ random generator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -271,16 +273,16 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
 
 def sample_index(probs, rng: np.random.Generator) -> int:
     """Index drawn with probability ``probs[i]``: the first whose running
-    sum reaches ``rng.random() * sum(probs)``. Consumes one draw, so a fixed
-    seed gives a fixed sequence."""
-    probs = np.asarray(probs, dtype=float)
-    if not probs.size:
+    sum reaches ``rng.random() * sum(probs)``, the sum being the last running
+    sum. Consumes one draw, so a fixed seed gives a fixed sequence."""
+    sums = list(accumulate(map(float, probs)))
+    if not sums:
         raise ValueError("no branches to sample")
-    total = probs.sum()
+    total = sums[-1]
     if not abs(total - 1.0) <= SAMPLE_SUM_TOL:
         raise ValueError(f"degenerate probability vector (sums to {total!r})")
     r = rng.random() * total
-    return min(int(np.searchsorted(np.cumsum(probs), r)), probs.size - 1)
+    return min(bisect_left(sums, r), len(sums) - 1)
 
 
 def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:

@@ -1,12 +1,14 @@
+import argparse
 import contextlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from remotegate import random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
+from remotegate import cli, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import build_parser, main, parse_operator, parse_state, render_operator
 
 
@@ -27,6 +29,65 @@ class TestParser:
     def test_demo_names(self):
         args = build_parser().parse_args(["demo", "cp-capacity"])
         assert args.name == "cp-capacity"
+
+
+class TestSharedParser:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    @staticmethod
+    def requests(tmp_path):
+        spec = tmp_path / "ops.txt"
+        spec.write_text("rz:0.3\nsx\n")
+        return [
+            ["run", "--protocol", "one11", "--u", "rz:0.9", "--psi", "+", "--promise", "commuting"],
+            ["run", "--protocol", "bqst", "--u", "nope", "--psi", "0"],
+            ["--help"],
+            ["classify", "--u", "rot:1,0,0,0.7", "--axis", "-1,0,0"],
+            ["run", "--protocol", "universal221", "--u", "h", "--psi", "amp:0.6,0,0,0.8",
+             "--mode", "sampled", "--seed", "5", "--format", "structured"],
+            ["run", "--protocol", "bogus", "--u", "id", "--psi", "0"],
+            ["classify", "--help"],
+            ["axis", "--set", str(spec)],
+            ["demo", "cp-capacity"],
+            ["classify", "--u", "sx", "--axis"],
+        ]
+
+    def test_no_parser_is_built_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        main(["classify", "--u", "sx"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in 2 * self.requests(tmp_path):
+            main(argv)
+        assert built == []
+        build_parser()
+        assert built  # the count sees every parser construction
+
+    def test_same_results_as_a_fresh_parser_per_call(self, tmp_path, capsys, monkeypatch):
+        def results():
+            out = []
+            for argv in self.requests(tmp_path):
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        shared = results()
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = results()
+        assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
+        assert shared == fresh
+
+    def test_help_reaches_the_current_stdout_every_time(self, capsys):
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.startswith("usage: remotegate")
+            assert captured.err == ""
 
 
 class TestParseOperator:
@@ -141,6 +202,23 @@ class TestMain:
     def test_classify_custom_axis(self, capsys):
         assert main(["classify", "--u", "rot:1,0,0,0.7", "--axis", "1,0,0"]) == 0
         assert capsys.readouterr().out.strip() == "commuting(1,0,0)"
+
+    @pytest.mark.parametrize("axis", ["-1,0,0", "-.5,0,1", "-0.1,0,1"])
+    def test_classify_negative_axis_both_forms(self, axis, capsys):
+        assert main(["classify", "--u", "sz", "--axis", axis]) == 0
+        spaced = capsys.readouterr()
+        assert main(["classify", "--u", "sz", f"--axis={axis}"]) == 0
+        assert capsys.readouterr() == spaced
+        assert spaced.err == ""
+
+    def test_classify_negative_axis_from_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["remotegate", "classify", "--u", "sz", "--axis", "-1,0,0"])
+        assert main() == 0
+        assert capsys.readouterr().out.strip() == "anticommuting(-1,0,0)"
+
+    def test_classify_axis_without_value(self, capsys):
+        assert main(["classify", "--u", "sz", "--axis"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_ramsey_grid(self, capsys):
         assert main(["ramsey", "--steps", "8"]) == 0

@@ -23,6 +23,7 @@ from remotegate import (
     sample_branch,
     tensor,
 )
+from remotegate.statevector import sample_index
 
 A0, A1 = QubitId("alice", 0), QubitId("alice", 1)
 B0, B1 = QubitId("bob", 0), QubitId("bob", 1)
@@ -205,6 +206,27 @@ class TestSampleBranch:
         rng = np.random.default_rng(123)
         hits = sum(sample_branch(branches, rng).outcome == "0" for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_index_matches_numpy_rule(self, size):
+        """The index and the number of draws match numpy's rule,
+        ``searchsorted(cumsum(p), random() * p.sum())``. Below 8 entries
+        numpy sums in sequence, so both totals are the same float."""
+        gen = np.random.default_rng(1000 + size)
+        for trial in range(300):
+            probs = gen.dirichlet(np.ones(size))
+            if trial % 3 == 1 and size > 1:
+                probs[gen.integers(size)] = 0.0  # a pruned branch
+                probs /= probs.sum()
+            elif trial % 3 == 2:
+                probs *= 1.0 + gen.uniform(-1e-9, 1e-9)  # off 1, within SAMPLE_SUM_TOL
+            seed = int(gen.integers(2**31))
+            ref = np.random.default_rng(seed)
+            expected = min(int(np.searchsorted(np.cumsum(probs), ref.random() * probs.sum())), size - 1)
+            rng = np.random.default_rng(seed)
+            assert sample_index(probs, rng) == expected
+            assert sample_index(probs.tolist(), np.random.default_rng(seed)) == expected
+            assert rng.random() == ref.random()
 
     def test_degenerate_probabilities(self):
         branches = measure(plus_state(B0), [B0])
