@@ -198,8 +198,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: a value argparse would read as an option flag: "-" then a digit or "."
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+#: a value argparse would read as an option flag: "-" then a digit, "." or
+#: the start of an infinity or a NaN, as ``float`` spells them
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf|nan)", re.IGNORECASE)
 
 
 def _join_axis_values(argv) -> list[str]:

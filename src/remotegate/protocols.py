@@ -3,8 +3,8 @@
 Alice holds the black box applying an unknown rotation U; Bob holds a qubit
 in an arbitrary state psi. The parties may only act locally, share prepared
 (|00> + |11>)/sqrt(2) pairs, and exchange classical bits. Every protocol
-returns the exhaustive branch tree (or one sampled path) together with a
-ledger of consumed e-bits and classical bits per direction:
+returns the exhaustive branch tree (or one path drawn from it) with the
+ledger of e-bits and classical bits per direction that its steps imply:
 
 * ``run_bqst``            baseline via two state teleportations, (2, 2, 2)
 * ``run_universal_221``   any U, succeeds with probability 1/2,  (2, 2, 1)
@@ -22,7 +22,8 @@ classical bits toward Bob, and a plain controlled-NOT carries 1 bit back.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -78,22 +79,13 @@ BELL_CORRECTIONS = {
 ZX = Gate(sigma_z @ sigma_x, "zx")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceLedger:
     """Consumed e-bits and classical bits sent in each direction."""
 
     ebits_consumed: int = 0
     cbits_a_to_b: int = 0
     cbits_b_to_a: int = 0
-
-    def consume_ebit(self):
-        self.ebits_consumed += 1
-
-    def send_a_to_b(self, bits: int):
-        self.cbits_a_to_b += bits
-
-    def send_b_to_a(self, bits: int):
-        self.cbits_b_to_a += bits
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.ebits_consumed, self.cbits_a_to_b, self.cbits_b_to_a)
@@ -186,9 +178,9 @@ class BatchOutcome:
     ledger: ResourceLedger
     bob_qubit: QubitId
 
-    def row(self, n: int) -> list[ProtocolOutcome]:
-        """Row n as a single run returns it: one outcome per live branch."""
-        (kept,) = np.nonzero(self.live[n])
+    def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
+        """Row n as a single run returns it: one outcome per live branch (or per one in ``branches``)."""
+        kept = np.flatnonzero(self.live[n]) if branches is None else np.asarray(branches)
         finals = StateVector.from_unit_rows(self.bob_final[n, kept], (self.bob_qubit,))
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
         return [
@@ -198,7 +190,7 @@ class BatchOutcome:
                 bob_final=final,
                 target_fidelity=fids[b],
                 succeeded=wins[b],
-                ledger=replace(self.ledger),
+                ledger=self.ledger,
             )
             for b, final in zip(kept.tolist(), finals)
         ]
@@ -245,64 +237,70 @@ class _Run:
     basis vectors and drops them from the register (deferred measurement);
     the outcomes go onto the branch axis, parent branch first and outcome
     second, which keeps the order of the branch tree. The rows share the
-    branch axis, so each branch has one record and one last outcome.
+    branch axis, so each branch has one record and one outcome per
+    measurement.
+
+    Each step acts for the party that owns its qubits, and a step across
+    the Alice|Bob cut is refused (LOCC: local operations and classical
+    communication). The ledger follows from the steps: one e-bit per shared
+    pair, and in each direction the bits of every outcome one party measured
+    and the other read, counted once however many steps read it.
     """
 
     def __init__(self, pairs: StateVector, data: QubitId, cfgs):
-        """Row n starts as ``pairs`` with Bob's data qubit in ``cfgs[n].psi``."""
-        if len(cfgs) > 1 and any(cfg.mode == "sampled" for cfg in cfgs):
-            raise ValueError(f"sampled mode runs one configuration at a time, got {len(cfgs)}")
+        """Row n starts as the shared ``pairs`` and Bob's data qubit in ``cfgs[n].psi``."""
         self.cfgs = cfgs
+        self.ebits = len(pairs.register) // 2
         self.register = pairs.register + (data,)
         psis = np.array([cfg.psi for cfg in cfgs])
         amps = pairs.amplitudes[None, :, None] * psis[:, None, :]
         self.amps = amps.reshape((len(cfgs), 1) + (2,) * len(self.register))
         self.live = np.ones((len(cfgs), 1), dtype=bool)
         self.records: list[tuple[tuple[str, str, str], ...]] = [()]
-        self.last = np.zeros(1, dtype=int)
-        sampled = cfgs[0].mode == "sampled"
-        self.rng = np.random.default_rng(cfgs[0].seed) if sampled else None
-        #: Probability the live branches carry: 1, or in sampled mode the
-        #: product of the conditional probabilities drawn so far.
-        self.mass = 1.0
-        self.ledger = ResourceLedger()
+        #: per measurement, the outcome on each branch
+        self.outcomes: list[np.ndarray] = []
+        #: measurements whose outcome the other party read
+        self.sent: set[int] = set()
 
-    def _axes(self, targets) -> tuple[int, ...]:
+    def _locate(self, targets, step: str) -> tuple[str, tuple[int, ...]]:
+        """The one party that owns ``targets``, and their axes."""
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate targets")
         for q in targets:
             if q not in self.register:
                 raise ValueError(f"qubit {q} not in register")
-        return tuple(2 + self.register.index(q) for q in targets)
+        owners = {q.owner for q in targets}
+        if len(owners) > 1:
+            raise ValueError(f"{step} on ({', '.join(map(str, targets))}) crosses the Alice|Bob cut")
+        return (owners.pop() if owners else None), tuple(2 + self.register.index(q) for q in targets)
 
-    def apply(self, gate, targets, when: str | None = None):
-        """Apply ``gate`` on every branch, or on those whose last outcome is
-        ``when``. ``gate`` is a ``Gate`` for all rows or an (N, 2, 2) stack
-        holding each row's own matrix."""
-        axes = self._axes(targets)
-        if isinstance(gate, Gate):
-            if len(axes) != gate.qubits:
-                raise ValueError(
-                    f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)"
-                )
-            matrix = gate.matrix
-        else:
-            matrix = gate[:, None]
+    def apply(self, gate, targets, when: tuple[int, int] | None = None):
+        """Apply ``gate`` on every branch, or, with ``when=(m, value)``, on
+        those where measurement m gave ``value``. ``gate`` is a ``Gate`` for
+        all rows or an (N, 2, 2) stack holding each row's own matrix."""
+        named = isinstance(gate, Gate)
+        party, axes = self._locate(targets, f"gate {gate.name!r}" if named else "row-wise gate")
+        if named and len(axes) != gate.qubits:
+            raise ValueError(f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)")
+        matrix = gate.matrix if named else gate[:, None]
         if when is None:
             self.amps = _apply_matrix(matrix, axes, self.amps)
         else:
-            hit = self.last == int(when, 2)
+            m, value = when
+            if self.records[0][m][0] != party:  # measured by the other party
+                self.sent.add(m)
+            hit = self.outcomes[m] == value
             self.amps[:, hit] = _apply_matrix(matrix, axes, self.amps[:, hit])
 
-    def measure(self, targets, basis: str, party: str):
+    def measure(self, targets, basis: str) -> int:
         """Split every branch by the outcome of measuring ``targets``, which
-        leave the register.
+        leave the register, and return the measurement's index for ``when``.
 
         A child whose conditional probability in row n is below
         ``BRANCH_PRUNE`` is not live in that row, and one live in no row is
-        dropped. In sampled mode one child per measurement is drawn.
+        dropped.
         """
-        axes = self._axes(targets)
+        party, axes = self._locate(targets, f"{basis} measurement")
         k = len(axes)
         vecs = _BASES.get((basis, k))
         if vecs is None:
@@ -314,13 +312,6 @@ class _Run:
         parent = child.sum(axis=2, keepdims=True)
         # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
         live = self.live[:, :, None] & ~(child < BRANCH_PRUNE * parent)
-        if self.rng is not None:
-            (kept,) = np.nonzero(live[0, 0])
-            cond = child[0, 0, kept] / parent[0, 0, 0]
-            pick = sample_index(cond, self.rng)
-            self.mass *= float(cond[pick])
-            live[:] = False
-            live[0, 0, kept[pick]] = True
         live = live.reshape(n_row, n_branch * dim)
         keep = live.any(axis=0)
         self.amps = coeff.reshape(n_row, n_branch * dim, *rest)
@@ -329,12 +320,14 @@ class _Run:
         self.live = live
         self.register = tuple(q for q in self.register if q not in targets)
         parents = np.repeat(np.arange(n_branch), dim)[keep]
-        self.last = np.tile(np.arange(dim), n_branch)[keep]
+        outcome = np.tile(np.arange(dim), n_branch)[keep]
+        self.outcomes = [o[parents] for o in self.outcomes] + [outcome]
         labels = [format(o, f"0{k}b") for o in range(dim)]
         self.records = [
             self.records[b] + ((party, basis, labels[o]),)
-            for b, o in zip(parents.tolist(), self.last.tolist())
+            for b, o in zip(parents.tolist(), outcome.tolist())
         ]
+        return len(self.outcomes) - 1
 
     def result(self, bob_qubit: QubitId) -> BatchOutcome:
         """Every branch of every row, with Bob's qubit factored out. Ends
@@ -345,14 +338,14 @@ class _Run:
         probs = _squared_norms(self.amps.reshape(n_row, n_branch, -1))
         probs[~live] = 0.0
         totals = probs.sum(axis=1)
-        bad = ~(np.abs(totals - self.mass) <= PROB_TOL)
+        bad = ~(np.abs(totals - 1.0) <= PROB_TOL)
         if bad.any():
             n = int(np.argmax(bad))
             raise InvariantViolation(
                 f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
-                f"expected {self.mass!r}: a step was not unitary"
+                "expected 1.0: a step was not unitary"
             )
-        front = self.amps.transpose(_to_front(self.amps.ndim, self._axes([bob_qubit]))[0])
+        front = self.amps.transpose(_to_front(self.amps.ndim, self._locate([bob_qubit], "result")[1])[0])
         mat = front.reshape(n_row, n_branch, 2, -1)
         norms = np.sqrt(probs)
         if mat.shape[3] == 1:
@@ -379,6 +372,8 @@ class _Run:
         succeeded = live & (fids >= 1.0 - SUCCESS_TOL)
         for array in (probs, fids, succeeded, finals, live):
             array.setflags(write=False)
+        sent = [self.records[0][m] for m in self.sent]  # (measurer, basis, outcome)
+        a_to_b, b_to_a = (sum(len(o) for p, _, o in sent if p == side) for side in ("alice", "bob"))
         return BatchOutcome(
             records=tuple(self.records),
             probability=probs,
@@ -386,7 +381,7 @@ class _Run:
             succeeded=succeeded,
             bob_final=finals,
             live=live,
-            ledger=self.ledger,
+            ledger=ResourceLedger(self.ebits, a_to_b, b_to_a),
             bob_qubit=bob_qubit,
         )
 
@@ -395,27 +390,20 @@ def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: 
     """Move Bob's amplitudes onto a shared pair: CNOT from his pair half onto
     the data qubit, measure the data qubit, send the outcome to Alice, and
     on outcome 1 both parties flip their halves. Leaves the pair in
-    alpha|00> + beta|11> and costs the e-bit plus one bit Bob -> Alice."""
-    run.ledger.consume_ebit()
+    alpha|00> + beta|11>; Alice's flip costs one bit Bob -> Alice."""
     run.apply(CNOT, [bob_half, data])
-    run.measure([data], "computational", "bob")
-    run.ledger.send_b_to_a(1)
-    run.apply(X, [alice_half], when="1")
-    run.apply(X, [bob_half], when="1")
+    m = run.measure([data], "computational")
+    run.apply(X, [alice_half], when=(m, 1))
+    run.apply(X, [bob_half], when=(m, 1))
 
 
-def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId, sender: str):
-    """Standard teleportation step: Bell-measure (source, source_half),
-    send the two outcome bits, apply the Pauli fix-up on ``dest``."""
-    run.ledger.consume_ebit()
-    run.measure([source, source_half], "bell", sender)
-    if sender == "alice":
-        run.ledger.send_a_to_b(2)
-    else:
-        run.ledger.send_b_to_a(2)
+def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId):
+    """Standard teleportation step: Bell-measure (source, source_half) and
+    apply the Pauli fix-up on ``dest``, which reads the two outcome bits."""
+    m = run.measure([source, source_half], "bell")
     for outcome, gate in BELL_CORRECTIONS.items():
         if gate is not None:
-            run.apply(gate, [dest], when=outcome)
+            run.apply(gate, [dest], when=(m, int(outcome, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +423,9 @@ _TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
 def _bqst(cfgs) -> BatchOutcome:
     data = QubitId("bob", 2)
     run = _Run(_TWO_PAIRS, data, cfgs)
-    _teleport(run, data, _B1, _A1, sender="bob")
+    _teleport(run, data, _B1, _A1)
     run.apply(_black_box(cfgs), [_A1])
-    _teleport(run, _A1, _A2, _B2, sender="alice")
+    _teleport(run, _A1, _A2, _B2)
     return run.result(_B2)
 
 
@@ -446,11 +434,11 @@ def _run_221(cfgs, correct_failure: bool) -> BatchOutcome:
     run = _Run(_TWO_PAIRS, data, cfgs)
     _spread_amplitudes(run, _A1, _B1, data)
     run.apply(_black_box(cfgs), [_A1])
-    _teleport(run, _A1, _A2, _B2, sender="alice")
+    _teleport(run, _A1, _A2, _B2)
     run.apply(H, [_B1])
-    run.measure([_B1], "computational", "bob")
+    m = run.measure([_B1], "computational")
     if correct_failure:
-        run.apply(Z, [_B2], when="1")
+        run.apply(Z, [_B2], when=(m, 1))
     return run.result(_B2)
 
 
@@ -460,12 +448,11 @@ def _one11(cfgs) -> BatchOutcome:
     _spread_amplitudes(run, _A1, _B1, data)
     run.apply(_black_box(cfgs), [_A1])
     run.apply(H, [_A1])
-    run.measure([_A1], "computational", "alice")
-    run.ledger.send_a_to_b(1)
+    m = run.measure([_A1], "computational")
     # Bob's fix-up per promise: (1, sz) when commuting, (sx, sz sx) when anticommuting
     commuting = np.array([cfg.promise == COMMUTING for cfg in cfgs])[:, None, None]
-    run.apply(np.where(commuting, identity2, sigma_x), [_B1], when="0")
-    run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when="1")
+    run.apply(np.where(commuting, identity2, sigma_x), [_B1], when=(m, 0))
+    run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when=(m, 1))
     return run.result(_B1)
 
 
@@ -506,7 +493,20 @@ _CIRCUITS = {
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     precondition, circuit = _CIRCUITS[protocol]
     precondition(cfg)
-    return circuit([cfg]).row(0)
+    table = circuit([cfg])
+    return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
+
+
+def _draw(table: BatchOutcome, rng) -> int:
+    """One branch of row 0, drawn down the tree a measurement at a time: each
+    outcome with its probability given those before it (the weight below it)."""
+    probs = table.probability[0].tolist()
+    branches = np.flatnonzero(table.live[0]).tolist()
+    for level in range(len(table.records[0])):
+        children = [list(c) for _, c in groupby(branches, lambda b: table.records[b][level])]
+        weights = [sum(probs[b] for b in child) for child in children]
+        branches = children[sample_index([w / sum(weights) for w in weights], rng)]
+    return branches[0]
 
 
 def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
@@ -515,8 +515,7 @@ def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
     Row n takes the rotation ``us[n]`` and Bob's state ``psis[n]``;
     ``promise`` is one class for every row or a sequence of N. Each row is
     checked as a single run checks its configuration, and an error names
-    the row. Sampled mode takes one configuration at a time, through the
-    ``run_*`` functions.
+    the row.
     """
     if protocol not in _CIRCUITS:
         raise ValueError(f"unknown protocol {protocol!r}")

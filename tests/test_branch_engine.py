@@ -2,13 +2,15 @@
 
 ``ReferenceRun`` keeps one renormalised ``StateVector`` per branch of a
 single configuration and drives ``apply_gate``, ``measure``,
-``sample_branch`` and ``factor_qubit`` one branch at a time. It has the
-interface of ``protocols._Run``, so a protocol runs on it unchanged once it
-is patched in; ``run_batch`` is compared with it row by row.
+``sample_branch`` and ``factor_qubit`` one branch at a time, and it counts
+its own ledger. It has the interface of ``protocols._Run``, so a protocol
+runs on it unchanged once it is patched in; ``run_batch`` is compared with
+it row by row. In sampled mode it draws one branch per measurement as it
+goes, where the engine draws a path from its exact tree after the run.
 """
 
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -49,23 +51,33 @@ class _Branch:
 
 
 class ReferenceRun:
-    """Per-branch engine for one configuration: a list of normalised branch states."""
+    """Per-branch engine for one configuration: a list of normalised branch
+    states. Its ledger holds one e-bit per pair and the bits of each outcome
+    that a party other than the one who measured it reads."""
 
     def __init__(self, pairs: StateVector, data: QubitId, cfgs):
         (self.cfg,) = cfgs
         state = tensor(pairs, qubit_state(self.cfg.psi[0], self.cfg.psi[1], data))
         self.branches = [_Branch(state, 1.0, ())]
         self.rng = np.random.default_rng(self.cfg.seed) if self.cfg.mode == "sampled" else None
-        self.ledger = ResourceLedger()
+        self.pairs = pairs.n // 2
+        self.measured = []  # (party, bits) of each measurement
+        self.read_across = set()  # measurements the other party read
 
     def apply(self, gate, targets, when=None):
         if not isinstance(gate, Gate):
             gate = Gate(gate[0], "row 0")
+        if when is not None:
+            m, value = when
+            if self.measured[m][0] != targets[0].owner:
+                self.read_across.add(m)
         for br in self.branches:
-            if when is None or br.record[-1][2] == when:
+            if when is None or int(br.record[m][2], 2) == value:
                 br.state = apply_gate(br.state, gate, targets)
 
-    def measure(self, targets, basis: str, party: str):
+    def measure(self, targets, basis: str):
+        party = targets[0].owner
+        self.measured.append((party, len(targets)))
         expanded = []
         for br in self.branches:
             options = measure(br.state, targets, basis)
@@ -80,9 +92,15 @@ class ReferenceRun:
                     )
                 )
         self.branches = expanded
+        return len(self.measured) - 1
 
     def result(self, bob_qubit: QubitId):
         target = self.cfg.u.matrix @ self.cfg.psi
+        sent = {"alice": 0, "bob": 0}
+        for m in self.read_across:
+            party, bits = self.measured[m]
+            sent[party] += bits
+        ledger = ResourceLedger(self.pairs, sent["alice"], sent["bob"])
         outcomes = []
         for br in self.branches:
             final = StateVector(factor_qubit(br.state, bob_qubit), (bob_qubit,))
@@ -94,7 +112,7 @@ class ReferenceRun:
                     bob_final=final,
                     target_fidelity=fid,
                     succeeded=fid >= 1.0 - protocols.SUCCESS_TOL,
-                    ledger=replace(self.ledger),
+                    ledger=ledger,
                 )
             )
         return _ReferenceResult(outcomes)
@@ -102,11 +120,18 @@ class ReferenceRun:
 
 @dataclass
 class _ReferenceResult:
+    """The reference's branches, in the table form the ``run_*`` functions read."""
+
     outcomes: list
 
-    def row(self, n):
+    def __post_init__(self):
+        self.records = [o.measurement_record for o in self.outcomes]
+        self.probability = np.array([[o.probability for o in self.outcomes]])
+        self.live = np.ones_like(self.probability, dtype=bool)
+
+    def row(self, n, branches=None):
         assert n == 0
-        return self.outcomes
+        return self.outcomes if branches is None else [self.outcomes[b] for b in branches]
 
 
 def _reference(monkeypatch, name, cfg):
@@ -246,12 +271,6 @@ def test_batch_input_errors_name_the_row(name, us, psis, promise, message):
         protocols.run_batch(name, us, psis, promise)
 
 
-def test_sampled_batch_is_refused():
-    cfg = ProtocolConfig(u=rz(0.3), psi=[1, 0], mode="sampled", seed=3)
-    with pytest.raises(ValueError, match="one configuration at a time"):
-        protocols._Run(protocols._ONE_PAIR, QubitId("bob", 1), [cfg, cfg])
-
-
 def test_branch_is_dropped_only_when_no_row_keeps_it():
     """Rows near |0> and at |1>: each keeps one outcome of the data qubit, so
     both children stay, live in one row each; the |0> pair half keeps
@@ -260,9 +279,9 @@ def test_branch_is_dropped_only_when_no_row_keeps_it():
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
     cfgs = [ProtocolConfig(u=rz(0.3), psi=psi) for psi in ([1, 1e-7], [0, 1])]
     run = protocols._Run(basis_state("00", (a, b)), data, cfgs)
-    run.measure([data], "computational", "bob")
+    run.measure([data], "computational")
     assert run.live.tolist() == [[True, False], [False, True]]
-    run.measure([a], "computational", "alice")
+    run.measure([a], "computational")
     assert [r[-1][2] for r in run.records] == ["0", "0"]
     table = run.result(b)
     assert table.live.tolist() == [[True, False], [False, True]]
@@ -282,6 +301,85 @@ def test_entangled_output_names_the_row():
     run.apply(protocols.CNOT, [data, b])
     with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
         run.result(b)
+
+
+# ---------------------------------------------------------------------------
+# LOCC and the derived ledger
+
+A0, A1, B0, B1, DATA = QubitId("alice", 0), QubitId("alice", 1), QubitId("bob", 0), QubitId("bob", 1), QubitId("bob", 2)
+
+
+def _hand_built_run():
+    """Alice's and Bob's pair halves in |0000> (two pairs, by count) and
+    Bob's data qubit in 0.6|0> + 0.8|1>."""
+    cfg = ProtocolConfig(u=rz(0.3), psi=[0.6, 0.8])
+    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA, [cfg])
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (lambda run: run.apply(protocols.CNOT, [A0, B1]), r"gate 'cnot' on \(alice:0, bob:1\)"),
+        (lambda run: run.measure([A1, B0], "bell"), r"bell measurement on \(alice:1, bob:0\)"),
+        (lambda run: run.measure([DATA, A0], "computational"), r"computational measurement on \(bob:2, alice:0\)"),
+    ],
+    ids=["apply", "bell", "computational"],
+)
+def test_step_across_the_cut_is_refused(step, message):
+    with pytest.raises(ValueError, match=message + r" crosses the Alice\|Bob cut"):
+        step(_hand_built_run())
+
+
+def _bob_reads_his_bit(run):
+    m = run.measure([B0], "computational")
+    run.apply(protocols.X, [DATA], when=(m, 1))
+
+
+def _bob_reads_alices_bit(run):
+    m = run.measure([A0], "computational")
+    run.apply(protocols.X, [DATA], when=(m, 1))
+
+
+def _alice_reads_bobs_bit_twice(run):
+    m = run.measure([B0], "computational")
+    run.apply(protocols.X, [A0], when=(m, 0))
+    run.apply(protocols.Z, [A1], when=(m, 0))
+
+
+def _bob_reads_one_bell_outcome_three_times(run):
+    m = run.measure([A0, A1], "bell")
+    for value, gate in ((1, protocols.Z), (2, protocols.X), (3, protocols.ZX)):
+        run.apply(gate, [DATA], when=(m, value))
+
+
+@pytest.mark.parametrize(
+    "steps, ledger",
+    [
+        (lambda run: None, (2, 0, 0)),
+        (_bob_reads_his_bit, (2, 0, 0)),
+        (_bob_reads_alices_bit, (2, 1, 0)),
+        (_alice_reads_bobs_bit_twice, (2, 0, 1)),
+        (_bob_reads_one_bell_outcome_three_times, (2, 2, 0)),
+    ],
+    ids=["no_reads", "own_bit", "a_to_b", "b_to_a_twice", "bell_thrice"],
+)
+def test_ledger_counts_each_outcome_read_across_the_cut_once(steps, ledger):
+    run = _hand_built_run()
+    steps(run)
+    assert run.result(DATA).ledger.as_tuple() == ledger
+
+
+def test_when_reads_the_named_measurement():
+    """Bob flips bob:0 on the data outcome after a later measurement of
+    alice:0, whose outcome is always 0; the flip must follow the data bit."""
+    run = _hand_built_run()
+    data = run.measure([DATA], "computational")
+    run.measure([A0], "computational")
+    run.apply(protocols.X, [B0], when=(data, 1))
+    table = run.result(B0)
+    assert [o.branch_id for o in table.row(0)] == ["0/0", "1/0"]
+    assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
+    assert table.ledger.as_tuple() == (2, 0, 0)
 
 
 def test_batch_memory_drops_measured_qubits(monkeypatch):

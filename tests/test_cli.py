@@ -203,13 +203,17 @@ class TestMain:
         assert main(["classify", "--u", "rot:1,0,0,0.7", "--axis", "1,0,0"]) == 0
         assert capsys.readouterr().out.strip() == "commuting(1,0,0)"
 
-    @pytest.mark.parametrize("axis", ["-1,0,0", "-.5,0,1", "-0.1,0,1"])
+    @pytest.mark.parametrize("axis", ["-1,0,0", "-.5,0,1", "-0.1,0,1", "-inf,0,1", "-nan,0,1", "-Infinity,0,1"])
     def test_classify_negative_axis_both_forms(self, axis, capsys):
-        assert main(["classify", "--u", "sz", "--axis", axis]) == 0
+        finite = np.isfinite(float(axis.split(",")[0]))
+        assert main(["classify", "--u", "sz", "--axis", axis]) == (0 if finite else 1)
         spaced = capsys.readouterr()
-        assert main(["classify", "--u", "sz", f"--axis={axis}"]) == 0
+        assert main(["classify", "--u", "sz", f"--axis={axis}"]) == (0 if finite else 1)
         assert capsys.readouterr() == spaced
-        assert spaced.err == ""
+        if finite:
+            assert spaced.err == ""
+        else:
+            assert "not a finite number at column 1" in spaced.err
 
     def test_classify_negative_axis_from_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["remotegate", "classify", "--u", "sz", "--axis", "-1,0,0"])
