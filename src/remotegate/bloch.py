@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, identity2, require_finite, sigma_z, unit_vector, vector_norm
-from .operators import Unimodular
+from .gates import PAULIS, RowError, identity2, require_finite, sigma_z, unit_rows, vector_norm
+from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
 
@@ -31,12 +31,21 @@ class BlochVector:
         return float(np.linalg.norm(self.as_array()))
 
 
+def pure_densities(psis) -> np.ndarray:
+    """|psi><psi| for each row of an (N, 2) stack of states, each normalized
+    first; a zero row is refused, naming it."""
+    psis, ok = unit_rows(np.asarray(psis, dtype=complex), NORM_TOL)
+    if not ok.all():
+        raise RowError(int(np.argmin(ok)), "psi must be nonzero")
+    return psis[:, :, None] * psis[:, None, :].conj()
+
+
 def pure_density(psi) -> np.ndarray:
-    """|psi><psi| for a (normalized) single-qubit state."""
-    psi = unit_vector(np.asarray(psi, dtype=complex), NORM_TOL)
-    if psi is None:
-        raise ValueError("psi must be nonzero")
-    return np.outer(psi, psi.conj())
+    """|psi><psi| for a (normalized) single-qubit state: ``pure_densities`` of one."""
+    try:
+        return pure_densities(np.asarray(psi, dtype=complex)[None])[0]
+    except RowError as exc:
+        raise ValueError(exc.message) from None
 
 
 def bloch_vector(rho) -> BlochVector:
@@ -73,14 +82,25 @@ def mirror_state(psi) -> np.ndarray:
     return sigma_z @ psi
 
 
+def verify_restorations(us, psis) -> np.ndarray:
+    """``verify_restoration`` for each row of an (N, 2) stack of (a, b)
+    pairs and an (N, 2) stack of states."""
+    m = unimodular_matrices(as_pairs(us))
+    m_dag = m.conj().swapaxes(1, 2)
+    rho = pure_densities(psis)
+    mirrored = sigma_z @ rho @ sigma_z
+    restored = sigma_z @ (m @ mirrored @ m_dag) @ sigma_z
+    return np.abs(restored - m @ rho @ m_dag).max(axis=(1, 2)) <= RESTORE_TOL
+
+
 def verify_restoration(u: Unimodular, psi) -> bool:
-    """Whether sz U |mirror><mirror| U^dag sz equals U |psi><psi| U^dag.
+    """Whether sz U |mirror><mirror| U^dag sz equals U |psi><psi| U^dag:
+    ``verify_restorations`` of one row.
 
     True for every input when U commutes or anticommutes with sz; false for
     a general U except at special inputs.
     """
-    m = u.matrix
-    rho = pure_density(psi)
-    mirrored = sigma_z @ rho @ sigma_z
-    restored = sigma_z @ (m @ mirrored @ m.conj().T) @ sigma_z
-    return bool(np.abs(restored - m @ rho @ m.conj().T).max() <= RESTORE_TOL)
+    try:
+        return bool(verify_restorations([u], np.asarray(psi, dtype=complex)[None])[0])
+    except RowError as exc:
+        raise ValueError(exc.message) from None

@@ -11,7 +11,7 @@ Subcommands::
     axis      --set FILE          (one operator spec per line, # comments ok)
     demo      cp-entanglement | cp-capacity | cnot-reverse
     ramsey    --steps N [--out PATH]
-    verify    [--seed N]
+    verify    [--seed N]          (one line per check, ending in its seconds)
 
 Operator specs: ``id``, ``sx``, ``sy``, ``sz``, ``h`` (the unimodular forms,
 i.e. i times the Pauli or Hadamard matrix so the determinant stays 1),
@@ -305,7 +305,7 @@ def _cmd_verify(args) -> int:
     results = verify_mod.run_all(seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: {res.detail}")
+        print(f"{status} {res.name}: {res.detail} ({res.seconds:.3f} s)")
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 2

@@ -3,7 +3,9 @@
 Module-level constants hold the raw 2x2 Pauli / Hadamard matrices (used by
 the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
 instances for the statevector engine, plus the finite-input helpers the
-other modules share (``require_finite``, ``vector_norm``, ``unit_vector``).
+other modules share (``require_finite`` and the overflow-safe norms
+``vector_norm``/``unit_vector``, with ``row_norms``/``unit_rows`` applying
+them to each row of a stack).
 """
 
 from __future__ import annotations
@@ -40,11 +42,33 @@ def require_finite(name: str, values) -> None:
         raise ValueError(f"{name}{where} is not finite: {arr[idx].item()!r}")
 
 
+class RowError(ValueError):
+    """A check failed on one row of a stack. ``message`` is what the same
+    check says about a single value; the error text also names the row."""
+
+    def __init__(self, row, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row, self.message = row, message
+
+
 def vector_norm(values) -> float:
     """Euclidean norm of finite real or complex ``values``. ``math.hypot``
     scales before squaring, so ``|[1e200, 1e200]|`` is 1.41e200 where a
     plain sum of squares overflows to inf."""
     return math.hypot(*np.asarray(values, dtype=complex).ravel().view(float).tolist())
+
+
+def _row_hypots(rows: np.ndarray) -> list[float]:
+    """``vector_norm`` of each row of an (N, d) array."""
+    flat = np.ascontiguousarray(rows, dtype=complex).view(float)
+    return [math.hypot(*row) for row in flat.tolist()]
+
+
+def row_norms(rows) -> np.ndarray:
+    """``vector_norm`` of each row (last axis) of ``rows``; on rows of a few
+    entries, one ``math.hypot`` per row costs less than scaling in numpy."""
+    rows = np.asarray(rows)
+    return np.array(_row_hypots(rows.reshape(-1, rows.shape[-1]))).reshape(rows.shape[:-1])
 
 
 def unit_vector(values, floor: float):
@@ -59,6 +83,26 @@ def unit_vector(values, floor: float):
         v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
         norm = vector_norm(v)
     return v / norm
+
+
+def unit_rows(rows, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """``unit_vector`` of each row of an (N, d) array, as one array, and
+    which rows have a norm of at least ``floor`` (the others, and rows that
+    are not finite, come back as zeros). The norms are the same
+    ``math.hypot`` per row and the division is done once for the stack, so
+    each row equals its ``unit_vector``."""
+    rows = np.asarray(rows)
+    norms = _row_hypots(rows)
+    if all(floor <= norm < math.inf for norm in norms):
+        return rows / np.array(norms)[:, None], np.ones(len(norms), dtype=bool)
+    norms = np.array(norms)
+    ok, beyond = norms >= floor, norms == math.inf  # beyond the float range, or not finite
+    unit = np.zeros(rows.shape, np.result_type(rows, float))
+    np.divide(rows, norms[:, None], out=unit, where=(ok & ~beyond)[:, None])
+    for n in np.flatnonzero(beyond):
+        ok[n] = np.isfinite(rows[n]).all()
+        unit[n] = unit_vector(rows[n], floor) if ok[n] else 0.0
+    return unit, ok
 
 
 def pauli_dot(vec) -> np.ndarray:

@@ -15,12 +15,23 @@ orthogonal input pair whose images overlap by i*sin(lambda).
 from __future__ import annotations
 
 import cmath
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, identity2, pauli_dot, require_finite, sigma_x, sigma_y, sigma_z, vector_norm
+from .gates import (
+    Gate,
+    RowError,
+    identity2,
+    pauli_dot,
+    require_finite,
+    row_norms,
+    sigma_x,
+    sigma_y,
+    sigma_z,
+    vector_norm,
+)
 from .tolerances import (
     AXIS_NORM_TOL,
     CENTRAL_TOL,
@@ -54,8 +65,8 @@ class Unimodular:
 
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
-        norm = math.hypot(a.real, a.imag, b.real, b.imag)
-        residual = abs(norm * norm - 1.0)
+        # the sum unimodular_residuals takes, in its order
+        residual = abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
         if not residual <= UNIMODULAR_TOL:
             require_finite("Unimodular.a", a)
             require_finite("Unimodular.b", b)
@@ -70,10 +81,10 @@ class Unimodular:
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        u = cls(m[0, 0], m[0, 1])
-        if not np.abs(u.matrix - m).max() <= SPECIAL_UNITARY_TOL:
-            raise ValueError("matrix is not special-unitary (det must be 1)")
-        return u
+        try:
+            return cls(*pairs_from_matrices(m[None])[0])
+        except RowError as exc:
+            raise ValueError(exc.message) from None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -96,6 +107,59 @@ class Unimodular:
 
 
 IDENTITY = Unimodular(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# stacks: N operators as an (N, 2) array of (a, b) pairs
+
+
+def unimodular_residuals(pairs) -> np.ndarray:
+    """| |a|^2 + |b|^2 - 1 | for each row of an (..., 2) stack of pairs."""
+    flat = np.ascontiguousarray(pairs, dtype=complex).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a square beyond the float range is inf
+        return np.abs(np.add.reduce(flat * flat, axis=-1) - 1.0)
+
+
+def as_pairs(us) -> np.ndarray:
+    """A sequence of ``Unimodular`` (or an array of (a, b) pairs) as a
+    complex (..., 2) stack. Pairs not read from ``Unimodular`` values are
+    refused unless every row is unimodular; the error names the first bad
+    row."""
+    if not isinstance(us, np.ndarray):
+        if all(isinstance(u, Unimodular) for u in us):  # unimodular by construction
+            return np.array([(u.a, u.b) for u in us], dtype=complex).reshape(-1, 2)
+        us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
+    pairs = np.asarray(us, dtype=complex)
+    if pairs.ndim < 2 or pairs.shape[-1] != 2:
+        raise ValueError(f"expected a stack of (a, b) pairs, got shape {pairs.shape}")
+    bad = ~(unimodular_residuals(pairs) <= UNIMODULAR_TOL)
+    if bad.any():
+        row = tuple(np.argwhere(bad)[0].tolist())
+        try:
+            Unimodular(*pairs[row].tolist())
+        except ValueError as exc:
+            raise RowError(", ".join(map(str, row)), str(exc)) from None
+    return pairs
+
+
+def unimodular_matrices(pairs) -> np.ndarray:
+    """[[a, b], [-b*, a*]] for each row of an (..., 2) stack of pairs."""
+    m = np.empty(pairs.shape[:-1] + (2, 2), dtype=complex)
+    m[..., 0, :] = pairs
+    m[..., 1, 0] = -pairs[..., 1].conj()
+    m[..., 1, 1] = pairs[..., 0].conj()
+    return m
+
+
+def pairs_from_matrices(m) -> np.ndarray:
+    """The (a, b) pair of each matrix in an (N, 2, 2) stack, refused unless
+    every matrix is special-unitary; the error names the first bad row."""
+    m = np.asarray(m, dtype=complex)
+    pairs = as_pairs(m[:, 0])
+    bad = ~(np.abs(unimodular_matrices(pairs) - m).max(axis=(1, 2)) <= SPECIAL_UNITARY_TOL)
+    if bad.any():
+        raise RowError(int(np.argmax(bad)), "matrix is not special-unitary (det must be 1)")
+    return pairs
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -122,9 +186,10 @@ def rz(phi: float) -> Unimodular:
 
 
 def orthogonal_state(psi) -> np.ndarray:
-    """The unique (up to phase) state orthogonal to a qubit state."""
+    """The unique (up to phase) state orthogonal to a qubit state, or to
+    each state of an (..., 2) stack."""
     psi = np.asarray(psi, dtype=complex)
-    return np.array([-psi[1].conjugate(), psi[0].conjugate()])
+    return np.stack([-psi[..., 1].conj(), psi[..., 0].conj()], axis=-1)
 
 
 def random_unimodular(rng: np.random.Generator) -> Unimodular:
@@ -157,36 +222,68 @@ class OperatorClass:
         return f"{self.kind}({ax})"
 
 
-def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
-    """Tag ``u`` as commuting, anticommuting or general against ``axis``.
+def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of [U, n.sigma] and {U, n.sigma} for each matrix U
+    of a (..., 2, 2) stack."""
+    um, mu = matrices @ n_sigma, n_sigma @ matrices
+    both = np.stack([um - mu, um + mu])
+    flat = both.reshape(*both.shape[:-2], 4).view(float)
+    comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return comm, anti
+
+
+def kinds_from_norms(comm, anti) -> np.ndarray:
+    """COMMUTING where the commutator norm is within CLASS_TOL, else
+    ANTICOMMUTING where the anticommutator norm is, else GENERAL."""
+    return np.where(comm <= CLASS_TOL, COMMUTING, np.where(anti <= CLASS_TOL, ANTICOMMUTING, GENERAL))
+
+
+def classify_matrices(matrices, axis=Z_AXIS) -> np.ndarray:
+    """The tag of each matrix of a (..., 2, 2) stack against ``axis``:
+    COMMUTING, ANTICOMMUTING or GENERAL.
 
     Exactly one tag applies: [U, n.sigma] and {U, n.sigma} cannot both vanish
     for a unitary U.
     """
+    return kinds_from_norms(*commutation_norms(np.asarray(matrices), pauli_dot(_unit_axis(axis))))
+
+
+def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
+    """Tag ``u`` as commuting, anticommuting or general against ``axis``:
+    ``classify_matrices`` of one matrix."""
     axis = _unit_axis(axis)
-    m = pauli_dot(axis)
-    um, mu = u.matrix @ m, m @ u.matrix
-    if np.linalg.norm(um - mu) <= CLASS_TOL:
-        return OperatorClass(COMMUTING, axis)
-    if np.linalg.norm(um + mu) <= CLASS_TOL:
-        return OperatorClass(ANTICOMMUTING, axis)
-    return OperatorClass(GENERAL)
+    kind = str(kinds_from_norms(*commutation_norms(u.matrix, pauli_dot(axis))))
+    return OperatorClass(kind, None if kind == GENERAL else axis)
+
+
+def q_matrices(alphas, xis) -> np.ndarray:
+    """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for each row of an
+    (N,) stack of angles and an (N, 2) stack of normalized states, as (N, 2)
+    pairs; refused, naming the row, unless each xi is normalized and each
+    matrix special-unitary."""
+    alphas = np.asarray(alphas, dtype=float)
+    xis = np.asarray(xis, dtype=complex)
+    norms = row_norms(xis)
+    bad = ~(np.abs(norms - 1.0) <= UNIMODULAR_TOL)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise RowError(n, f"xi is not normalized (norm {float(norms[n])!r})")
+    proj = xis[:, :, None] * xis[:, None, :].conj()
+    phase = np.exp(1j * alphas)[:, None, None]
+    return pairs_from_matrices(phase * proj + phase.conj() * (identity2 - proj))
 
 
 def q_operator(alpha: float, xi) -> Unimodular:
-    """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for a normalized xi.
+    """``q_matrices`` of one angle and state.
 
     Satisfies Q(alpha, xi) == Q(-alpha, xi_perp). Proportional to the
     identity when alpha is a multiple of pi, so only other values probe
     anything.
     """
-    xi = np.asarray(xi, dtype=complex)
-    norm = vector_norm(xi)
-    if not abs(norm - 1.0) <= UNIMODULAR_TOL:
-        raise ValueError(f"xi is not normalized (norm {norm!r})")
-    proj = np.outer(xi, xi.conj())
-    m = cmath.exp(1j * alpha) * proj + cmath.exp(-1j * alpha) * (identity2 - proj)
-    return Unimodular.from_matrix(m)
+    try:
+        return Unimodular(*q_matrices([alpha], [xi])[0])
+    except RowError as exc:
+        raise ValueError(exc.message) from None
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +312,39 @@ def solve_correction(u: Unimodular) -> CorrectionSolution:
     return CorrectionSolution(v=m @ sigma_z @ m.conj().T, delta=0.0)
 
 
-def _pauli_vector(hermitian_traceless: np.ndarray) -> np.ndarray:
-    return np.array(
-        [np.trace(hermitian_traceless @ s).real / 2.0 for s in _PAULI_TRIPLE]
-    )
+def _pauli_vectors(hermitian_traceless: np.ndarray) -> np.ndarray:
+    """(tr(H sx), tr(H sy), tr(H sz)) / 2 for each H of a (..., 2, 2) stack."""
+    return np.einsum("...ij,pji->...p", hermitian_traceless, _PAULI_TRIPLE).real / 2.0
+
+
+def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
+    """-1 where the first component of a vector larger than SIGN_TOL is
+    negative, else 1, for each vector of a (..., 3) stack."""
+    big = np.abs(vecs) > SIGN_TOL
+    lead = np.take_along_axis(vecs, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where(big.any(axis=-1) & (lead < 0), -1.0, 1.0)
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     """Flip sign so the first component larger than SIGN_TOL is positive."""
-    for c in vec:
-        if abs(c) > SIGN_TOL:
-            return -vec if c < 0 else vec
-    return vec
+    return -vec if _canonical_signs(vec) < 0 else vec
+
+
+def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``check_common_correction`` over an (M, K, 2) stack of M sets of K
+    operators as (a, b) pairs: whether each set admits a common correction,
+    its V (M, 2, 2) and its deltas (M, K), meaningful where it does."""
+    m = unimodular_matrices(as_pairs(families))
+    ws = m @ sigma_z @ m.conj().swapaxes(-2, -1)
+    base = ws[:, 0] * _canonical_signs(_pauli_vectors(ws[:, 0]))[:, None, None]
+    same = np.linalg.norm(ws - base[:, None], axis=(-2, -1)) <= CLASS_TOL
+    flipped = np.linalg.norm(ws + base[:, None], axis=(-2, -1)) <= CLASS_TOL
+    return (same | flipped).all(axis=1), base, np.where(same, 0.0, np.pi)
 
 
 def check_common_correction(operators) -> CommonCorrection | None:
-    """Search a set for one V with U_i sigma_z U_i^dag = +/-V throughout.
+    """Search a set for one V with U_i sigma_z U_i^dag = +/-V throughout:
+    ``common_corrections`` of one set.
 
     Each W_i = U_i sigma_z U_i^dag is Hermitian, traceless and unitary; the
     set admits a common correction exactly when all W_i agree up to sign.
@@ -240,20 +354,8 @@ def check_common_correction(operators) -> CommonCorrection | None:
     operators = list(operators)
     if not operators:
         raise ValueError("empty operator set")
-    ws = [u.matrix @ sigma_z @ u.matrix.conj().T for u in operators]
-    base = ws[0]
-    vec = _pauli_vector(base)
-    if not np.array_equal(_canonical_sign(vec), vec):
-        base = -base
-    deltas = []
-    for w in ws:
-        if np.linalg.norm(w - base) <= CLASS_TOL:
-            deltas.append(0.0)
-        elif np.linalg.norm(w + base) <= CLASS_TOL:
-            deltas.append(np.pi)
-        else:
-            return None
-    return CommonCorrection(v=base, deltas=tuple(deltas))
+    (ok,), (v,), (deltas,) = common_corrections(as_pairs(operators)[None])
+    return CommonCorrection(v=v, deltas=tuple(deltas.tolist())) if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +366,12 @@ def find_common_axis(operators) -> np.ndarray | None:
     """A unit axis against which every operator is commuting or anticommuting.
 
     Candidate axes are read from the traceless parts of the operators plus
-    pairwise cross products (for sets made purely of half-turns); each
-    candidate is verified by classification. Operators within tolerance of
-    +/-1 constrain nothing and are skipped; a set of only such operators is
-    compatible with every axis and gets the z axis by convention. Returns
-    None when no axis fits.
+    pairwise cross products (for sets made purely of half-turns), the
+    crosses only once every operator's own axis has failed; each candidate
+    is verified by classifying the whole set at once. Operators within
+    tolerance of +/-1 constrain nothing and are skipped; a set of only such
+    operators is compatible with every axis and gets the z axis by
+    convention. Returns None when no axis fits.
     """
     operators = list(operators)
     if not operators:
@@ -281,21 +384,26 @@ def find_common_axis(operators) -> np.ndarray | None:
             axes.append(vec / norm)
     if not axes:
         return Z_AXIS.copy()
-    candidates = list(axes)
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            cross = np.cross(axes[i], axes[j])
-            norm = np.linalg.norm(cross)
-            if norm > CROSS_TOL:
-                candidates.append(cross / norm)
+    matrices = np.array([u.matrix for u in operators])
     seen: list[np.ndarray] = []
-    for cand in candidates:
+    for cand in itertools.chain(axes, _cross_axes(axes)):
         if any(abs(np.dot(cand, s)) > 1.0 - DUPLICATE_AXIS_TOL for s in seen):
             continue
         seen.append(cand)
-        if all(classify_operator(u, cand).kind != GENERAL for u in operators):
+        if not (classify_matrices(matrices, cand) == GENERAL).any():
             return _canonical_sign(cand)
     return None
+
+
+def _cross_axes(axes):
+    """The normalized cross product of each pair of ``axes`` (i < j, in
+    order) that is longer than CROSS_TOL, built only when asked for."""
+    for i, first in enumerate(axes):
+        for second in axes[i + 1 :]:
+            cross = np.cross(first, second)
+            norm = np.linalg.norm(cross)
+            if norm > CROSS_TOL:
+                yield cross / norm
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +422,56 @@ class OrthogonalPair:
     lam: float
 
 
+def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
+    """``find_orthogonal_pair`` over two (N, 2) stacks of (a, b) pairs: one
+    ``OrthogonalPair`` whose fields are stacks (``lam`` of shape (N,), the
+    states (N, 2)), and |sin lam| of each row. Rows where that is below
+    DEGENERACY_TOL hold no pair."""
+    u1, u2 = as_pairs(u1), as_pairs(u2)
+    (a1, b1), (a2, b2) = u1.T, u2.T
+    # U2^dag U1 as a pair, and its Pauli decomposition p0*1 - i*pvec.sigma
+    a, b = a2.conj() * a1 + b2 * b1.conj(), a2.conj() * b1 - b2 * a1.conj()
+    pvec = np.stack([-b.imag, -b.real, -a.imag], axis=-1)
+    s = np.linalg.norm(pvec, axis=-1)
+    ok = s >= DEGENERACY_TOL
+    lam = np.arctan2(s, a.real)
+    # eigh of the Hermitian axis operator gives orthonormal eigenvectors;
+    # its -1 eigenvector carries the e^{+i lam} eigenvalue of the product.
+    axes = np.where(ok[:, None], pvec / np.where(ok, s, 1.0)[:, None], Z_AXIS)
+    _, evecs = np.linalg.eigh(np.einsum("np,pij->nij", axes, _PAULI_TRIPLE))
+    lam_plus, lam_minus = evecs[..., 0], evecs[..., 1]
+    psi = (lam_plus + lam_minus) / _SQRT2
+    psi_perp = (lam_plus - lam_minus) / _SQRT2
+    pair = OrthogonalPair(
+        psi=psi,
+        psi_perp=psi_perp,
+        phi=(unimodular_matrices(u1) @ psi[..., None])[..., 0],
+        phi_prime=(unimodular_matrices(u2) @ psi_perp[..., None])[..., 0],
+        lam=lam,
+    )
+    return pair, s
+
+
 def find_orthogonal_pair(u1: Unimodular, u2: Unimodular) -> OrthogonalPair:
     """Diagonalize U2^dag U1 = e^{+/- i lam} on |lam+/->, set
-    psi = (|lam+> + |lam->)/sqrt(2) and psi_perp = (|lam+> - |lam->)/sqrt(2).
+    psi = (|lam+> + |lam->)/sqrt(2) and psi_perp = (|lam+> - |lam->)/sqrt(2):
+    ``orthogonal_pairs`` of one pair.
 
     Raises for a degenerate product (U2 proportional to U1 up to phase),
     where lam is a multiple of pi and the images are orthogonal instead.
     """
-    prod = u2.dagger() @ u1
-    p0, pvec = prod.pauli_decompose()
-    s = np.linalg.norm(pvec)
+    pair, (s,) = orthogonal_pairs([u1], [u2])
     if not s >= DEGENERACY_TOL:
         raise ValueError(
             "degenerate pair: U2^dag U1 is proportional to the identity "
             f"(|sin| = {s:.3e})"
         )
-    lam = float(np.arctan2(s, p0))
-    # eigh of the Hermitian axis operator gives orthonormal eigenvectors;
-    # its -1 eigenvector carries the e^{+i lam} eigenvalue of the product.
-    _, evecs = np.linalg.eigh(pauli_dot(pvec / s))
-    lam_plus, lam_minus = evecs[:, 0], evecs[:, 1]
-    psi = (lam_plus + lam_minus) / _SQRT2
-    psi_perp = (lam_plus - lam_minus) / _SQRT2
     return OrthogonalPair(
-        psi=psi,
-        psi_perp=psi_perp,
-        phi=u1.matrix @ psi,
-        phi_prime=u2.matrix @ psi_perp,
-        lam=lam,
+        psi=pair.psi[0],
+        psi_perp=pair.psi_perp[0],
+        phi=pair.phi[0],
+        phi_prime=pair.phi_prime[0],
+        lam=float(pair.lam[0]),
     )
 
 

@@ -22,7 +22,7 @@ classical bits toward Bob, and a plain controlled-NOT carries 1 bit back.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -31,6 +31,7 @@ from .gates import (
     CNOT,
     Gate,
     H,
+    RowError,
     X,
     Z,
     controlled,
@@ -40,6 +41,7 @@ from .gates import (
     sigma_x,
     sigma_y,
     sigma_z,
+    unit_rows,
     unit_vector,
 )
 from .operators import (
@@ -47,9 +49,12 @@ from .operators import (
     COMMUTING,
     GENERAL,
     Unimodular,
-    Z_AXIS,
     classify_operator,
+    commutation_norms,
+    kinds_from_norms,
     rz,
+    unimodular_matrices,
+    unimodular_residuals,
 )
 from .statevector import (
     BELL_VECTORS,
@@ -66,7 +71,15 @@ from .statevector import (
     sample_index,
     tensor,
 )
-from .tolerances import BRANCH_PRUNE, FACTOR_TOL, NORM_TOL, PROB_TOL, SUCCESS_TOL
+from .tolerances import (
+    BRANCH_PRUNE,
+    FACTOR_TOL,
+    NORM_TOL,
+    PROB_TOL,
+    SUCCESS_TOL,
+    UNIMODULAR_TOL,
+    UNITARY_TOL,
+)
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
 BELL_CORRECTIONS = {
@@ -108,42 +121,150 @@ class ProtocolOutcome:
 
 
 @dataclass(frozen=True, eq=False)
+class _Rows:
+    """N checked configurations as stacks: the black boxes (N, 2, 2), Bob's
+    unit states (N, 2) and each row's promise (an object array of None or
+    a class)."""
+
+    u: np.ndarray
+    psi: np.ndarray
+    promise: np.ndarray
+
+    @functools.cached_property
+    def norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Commutator and anticommutator norms of each black box with sz."""
+        return commutation_norms(self.u, sigma_z)
+
+    @functools.cached_property
+    def kinds(self) -> np.ndarray:
+        """The class of each black box against the z axis."""
+        return kinds_from_norms(*self.norms)
+
+
+def _refuse(checks):
+    """Raise ``RowError`` for the first row that fails a check, with the
+    message of the first check it fails: what checking row by row, every
+    check on a row before the next row, reports. ``checks`` are pairs (rows
+    that pass, message for row n), in the order one row is checked."""
+    if not checks:
+        return
+    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    if not passed.all():
+        row = int(np.argmin(passed))
+        raise RowError(row, next(message(row) for ok, message in checks if not ok[row]))
+
+
+def _check_config(u, psi, promise) -> np.ndarray:
+    """Every check one configuration gets, in order, each raising
+    ValueError with its message: the rotation is finite and unimodular (a
+    ``Unimodular``, or an (a, b) pair read as one) and its black box
+    unitary, psi is one qubit's, finite and nonzero, and a promise names a
+    class the rotation has. Returns psi normalised."""
+    if not isinstance(u, Unimodular):
+        u = Unimodular(*u)
+    u.as_gate()  # refused unless the black box is unitary within UNITARY_TOL
+    psi = np.asarray(psi.amplitudes if isinstance(psi, StateVector) else psi, dtype=complex).reshape(-1)
+    if psi.shape != (2,):
+        raise ValueError("psi must be a single-qubit state")
+    require_finite("psi", psi)
+    psi = unit_vector(psi, NORM_TOL)
+    if psi is None:
+        raise ValueError("psi must be nonzero")
+    if promise is not None:
+        if promise not in (COMMUTING, ANTICOMMUTING):
+            raise ValueError(f"unknown promise {promise!r}")
+        actual = classify_operator(u).kind
+        if actual != promise:
+            raise ValueError(f"promise violation: operator classifies as {actual}, promise says {promise}")
+    return psi
+
+
+def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's states as an (N, 2) stack, and which rows are one qubit's."""
+    if not isinstance(psis, np.ndarray):
+        psis = [p.amplitudes if isinstance(p, StateVector) else p for p in psis]
+    try:
+        stack = np.asarray(psis, dtype=complex)
+    except ValueError:  # rows of several lengths
+        stack = None
+    if stack is not None and stack.ndim >= 1 and stack.size == 2 * len(stack):
+        return stack.reshape(len(stack), 2), np.ones(len(stack), dtype=bool)
+    rows = [np.asarray(p, dtype=complex).reshape(-1) for p in psis]
+    one_qubit = np.array([row.shape == (2,) for row in rows], dtype=bool)
+    stack = np.array([row if ok else np.zeros(2) for row, ok in zip(rows, one_qubit)])
+    return stack.reshape(-1, 2), one_qubit
+
+
+def _rows(us, psis, promise, precondition) -> _Rows:
+    """Stack and check N configurations. Each row gets the checks of
+    ``_check_config`` as one expression over the stack, the black boxes as
+    built included, and then ``precondition``; ``promise`` is one value for
+    every row or a sequence of N. Raises ``RowError`` for the first bad row,
+    with the message ``_check_config`` or the precondition gives it."""
+    if not isinstance(us, np.ndarray):
+        us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
+    if not isinstance(psis, np.ndarray):
+        psis = list(psis)
+    pairs = np.asarray(us, dtype=complex)
+    psi, one_qubit = _state_rows(psis)
+    n_row = len(pairs)
+    if promise is None or isinstance(promise, str):
+        promises = np.full(n_row, promise, dtype=object)
+    else:
+        promises = np.array(list(promise) + [None], dtype=object)[:-1]  # strings stay entries
+    if pairs.shape != (n_row, 2) or not n_row == len(psi) == len(promises):
+        raise ValueError(
+            f"{n_row} rotations, {len(psi)} states and {len(promises)} promises do not match"
+        )
+    if not n_row:
+        raise ValueError("a batch needs at least one configuration")
+    unit, nonzero = unit_rows(psi, NORM_TOL)  # a row that is not finite is refused here too
+    u = unimodular_matrices(pairs)
+    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
+        gram = np.einsum("nki,nkj->nij", u.conj(), u)
+        passed = (unimodular_residuals(pairs) <= UNIMODULAR_TOL) & one_qubit & nonzero
+        passed &= np.abs(gram - identity2).max(axis=(1, 2)) <= UNITARY_TOL
+    rows = _Rows(u=u, psi=unit, promise=promises)
+    if promise is not None:
+        given = promises != None  # noqa: E711 (elementwise)
+        known = (promises == COMMUTING) | (promises == ANTICOMMUTING)
+        passed &= ~given | (known & (rows.kinds == promises))
+
+    def explain(n: int) -> str:
+        try:
+            _check_config(pairs[n], psis[n], promises[n])
+        except ValueError as exc:
+            return str(exc)
+        raise InvariantViolation(f"row {n} passes the checks of one configuration, not their stacked form")
+
+    _refuse([(passed, explain)] + precondition(rows))
+    rows.psi.setflags(write=False)
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Inputs of a run: the black-box rotation, Bob's state, an optional
-    promise about the rotation's class, and the execution mode."""
+    promise about the rotation's class, and the execution mode. ``rows``
+    holds the configuration as the one-row stack a run takes."""
 
     u: Unimodular
     psi: np.ndarray
     promise: str | None = None
     mode: str = "exact"
     seed: int | None = None
+    rows: _Rows = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = np.asarray(
-            self.psi.amplitudes if isinstance(self.psi, StateVector) else self.psi,
-            dtype=complex,
-        ).reshape(-1)
-        if psi.shape != (2,):
-            raise ValueError("psi must be a single-qubit state")
-        require_finite("psi", psi)
-        psi = unit_vector(psi, NORM_TOL)
-        if psi is None:
-            raise ValueError("psi must be nonzero")
+        psi = _check_config(self.u, self.psi, self.promise)
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled" and self.seed is None:
             raise ValueError("sampled mode requires a seed")
-        if self.promise is not None:
-            if self.promise not in (COMMUTING, ANTICOMMUTING):
-                raise ValueError(f"unknown promise {self.promise!r}")
-            actual = classify_operator(self.u, Z_AXIS).kind
-            if actual != self.promise:
-                raise ValueError(
-                    f"promise violation: operator classifies as {actual}, "
-                    f"promise says {self.promise}"
-                )
+        promise = np.array([self.promise], dtype=object)
+        object.__setattr__(self, "rows", _Rows(u=self.u.matrix[None], psi=psi[None], promise=promise))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +304,12 @@ class BatchOutcome:
         kept = np.flatnonzero(self.live[n]) if branches is None else np.asarray(branches)
         finals = StateVector.from_unit_rows(self.bob_final[n, kept], (self.bob_qubit,))
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
-        return [
-            ProtocolOutcome(
+        outcomes = []
+        for b, final in zip(kept.tolist(), finals):
+            # the fields set directly: a frozen dataclass's __init__ sets each
+            # through object.__setattr__, and that was most of this method's time
+            outcome = object.__new__(ProtocolOutcome)
+            outcome.__dict__.update(
                 measurement_record=self.records[b],
                 probability=probs[b],
                 bob_final=final,
@@ -192,8 +317,8 @@ class BatchOutcome:
                 succeeded=wins[b],
                 ledger=self.ledger,
             )
-            for b, final in zip(kept.tolist(), finals)
-        ]
+            outcomes.append(outcome)
+        return outcomes
 
 
 @functools.cache
@@ -222,11 +347,6 @@ def _squared_norms(amps: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", flat, flat)
 
 
-def _black_box(cfgs) -> np.ndarray:
-    """The black box of every row, as an (N, 2, 2) stack."""
-    return np.array([cfg.u.as_gate().matrix for cfg in cfgs])
-
-
 class _Run:
     """All branches of one protocol over N configurations, held as one array.
 
@@ -247,32 +367,42 @@ class _Run:
     and the other read, counted once however many steps read it.
     """
 
-    def __init__(self, pairs: StateVector, data: QubitId, cfgs):
-        """Row n starts as the shared ``pairs`` and Bob's data qubit in ``cfgs[n].psi``."""
-        self.cfgs = cfgs
+    def __init__(self, pairs: StateVector, data: QubitId, rows: _Rows):
+        """Row n starts as the shared ``pairs`` and Bob's data qubit in ``rows.psi[n]``."""
+        self.rows = rows
         self.ebits = len(pairs.register) // 2
-        self.register = pairs.register + (data,)
-        psis = np.array([cfg.psi for cfg in cfgs])
-        amps = pairs.amplitudes[None, :, None] * psis[:, None, :]
-        self.amps = amps.reshape((len(cfgs), 1) + (2,) * len(self.register))
-        self.live = np.ones((len(cfgs), 1), dtype=bool)
+        self._set_register(pairs.register + (data,))
+        n_row = len(rows.psi)
+        amps = pairs.amplitudes[None, :, None] * rows.psi[:, None, :]
+        self.amps = amps.reshape((n_row, 1) + (2,) * len(self.register))
+        self.live = np.ones((n_row, 1), dtype=bool)
         self.records: list[tuple[tuple[str, str, str], ...]] = [()]
         #: per measurement, the outcome on each branch
         self.outcomes: list[np.ndarray] = []
         #: measurements whose outcome the other party read
         self.sent: set[int] = set()
 
+    def _set_register(self, register: tuple[QubitId, ...]):
+        self.register = register
+        #: id(qubit) -> its axis in ``amps``. The steps name the very objects
+        #: the register holds, and an int key is found in C, where a search
+        #: of the register tuple, or a dict keyed by the qubits themselves,
+        #: calls ``QubitId``'s generated ``__eq__`` or ``__hash__`` in Python.
+        self._axes = {id(q): 2 + i for i, q in enumerate(register)}
+
     def _locate(self, targets, step: str) -> tuple[str, tuple[int, ...]]:
         """The one party that owns ``targets``, and their axes."""
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate targets")
-        for q in targets:
-            if q not in self.register:
-                raise ValueError(f"qubit {q} not in register")
+        axes = tuple(self._axes.get(id(q)) for q in targets)
+        if None in axes:  # a target equal to a register qubit but another object, or none
+            axes = tuple(2 + self.register.index(q) if q in self.register else None for q in targets)
+        if None in axes or len(set(axes)) != len(axes):
+            if len(set(targets)) != len(targets):
+                raise ValueError("duplicate targets")
+            raise ValueError(f"qubit {targets[axes.index(None)]} not in register")
         owners = {q.owner for q in targets}
         if len(owners) > 1:
             raise ValueError(f"{step} on ({', '.join(map(str, targets))}) crosses the Alice|Bob cut")
-        return (owners.pop() if owners else None), tuple(2 + self.register.index(q) for q in targets)
+        return (owners.pop() if owners else None), axes
 
     def apply(self, gate, targets, when: tuple[int, int] | None = None):
         """Apply ``gate`` on every branch, or, with ``when=(m, value)``, on
@@ -318,7 +448,7 @@ class _Run:
         if not keep.all():
             self.amps, live = self.amps[:, keep], live[:, keep]
         self.live = live
-        self.register = tuple(q for q in self.register if q not in targets)
+        self._set_register(tuple(q for q in self.register if q not in targets))
         parents = np.repeat(np.arange(n_branch), dim)[keep]
         outcome = np.tile(np.arange(dim), n_branch)[keep]
         self.outcomes = [o[parents] for o in self.outcomes] + [outcome]
@@ -334,7 +464,7 @@ class _Run:
         the run: Bob's states are normalised in place."""
         n_row, n_branch = self.amps.shape[:2]
         live = self.live
-        targets = np.array([cfg.u.matrix @ cfg.psi for cfg in self.cfgs])
+        targets = (self.rows.u @ self.rows.psi[..., None])[..., 0]
         probs = _squared_norms(self.amps.reshape(n_row, n_branch, -1))
         probs[~live] = 0.0
         totals = probs.sum(axis=1)
@@ -420,20 +550,20 @@ _ONE_PAIR = bell_phi_plus(_A1, _B1)
 _TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
 
 
-def _bqst(cfgs) -> BatchOutcome:
+def _bqst(rows: _Rows) -> BatchOutcome:
     data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data, cfgs)
+    run = _Run(_TWO_PAIRS, data, rows)
     _teleport(run, data, _B1, _A1)
-    run.apply(_black_box(cfgs), [_A1])
+    run.apply(rows.u, [_A1])
     _teleport(run, _A1, _A2, _B2)
     return run.result(_B2)
 
 
-def _run_221(cfgs, correct_failure: bool) -> BatchOutcome:
+def _run_221(rows: _Rows, correct_failure: bool) -> BatchOutcome:
     data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data, cfgs)
+    run = _Run(_TWO_PAIRS, data, rows)
     _spread_amplitudes(run, _A1, _B1, data)
-    run.apply(_black_box(cfgs), [_A1])
+    run.apply(rows.u, [_A1])
     _teleport(run, _A1, _A2, _B2)
     run.apply(H, [_B1])
     m = run.measure([_B1], "computational")
@@ -442,58 +572,64 @@ def _run_221(cfgs, correct_failure: bool) -> BatchOutcome:
     return run.result(_B2)
 
 
-def _one11(cfgs) -> BatchOutcome:
+def _one11(rows: _Rows) -> BatchOutcome:
     data = QubitId("bob", 1)
-    run = _Run(_ONE_PAIR, data, cfgs)
+    run = _Run(_ONE_PAIR, data, rows)
     _spread_amplitudes(run, _A1, _B1, data)
-    run.apply(_black_box(cfgs), [_A1])
+    run.apply(rows.u, [_A1])
     run.apply(H, [_A1])
     m = run.measure([_A1], "computational")
     # Bob's fix-up per promise: (1, sz) when commuting, (sx, sz sx) when anticommuting
-    commuting = np.array([cfg.promise == COMMUTING for cfg in cfgs])[:, None, None]
+    commuting = (rows.promise == COMMUTING)[:, None, None]
     run.apply(np.where(commuting, identity2, sigma_x), [_B1], when=(m, 0))
     run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when=(m, 1))
     return run.result(_B1)
 
 
-def _any_config(cfg: ProtocolConfig):
+# Each precondition returns its checks on the rows, in ``_refuse``'s form.
+
+
+def _any_config(rows: _Rows):
     """bqst takes every rotation, with or without a promise."""
+    return []
 
 
-def _no_promise(cfg: ProtocolConfig):
-    if cfg.promise is not None:
-        raise ValueError("the universal protocol takes no promise")
+def _no_promise(rows: _Rows):
+    return [(rows.promise == None, lambda n: "the universal protocol takes no promise")]  # noqa: E711
 
 
-def _in_set_only(cfg: ProtocolConfig):
-    if classify_operator(cfg.u, Z_AXIS).kind == GENERAL:
-        m = cfg.u.matrix
-        comm = np.linalg.norm(m @ sigma_z - sigma_z @ m)
-        anti = np.linalg.norm(m @ sigma_z + sigma_z @ m)
-        raise ValueError(
-            "operator is neither commuting nor anticommuting with the z axis "
-            f"(commutator norm {comm:.3e}, anticommutator norm {anti:.3e})"
+def _in_set_only(rows: _Rows):
+    comm, anti = rows.norms
+    return [
+        (
+            rows.kinds != GENERAL,
+            lambda n: "operator is neither commuting nor anticommuting with the z axis "
+            f"(commutator norm {comm[n]:.3e}, anticommutator norm {anti[n]:.3e})",
         )
+    ]
 
 
-def _promised(cfg: ProtocolConfig):
-    if cfg.promise is None:
-        raise ValueError("the 1-1-1 protocol requires a promise")
+def _promised(rows: _Rows):
+    return [(rows.promise != None, lambda n: "the 1-1-1 protocol requires a promise")]  # noqa: E711
 
 
-#: Protocol name -> (precondition on one configuration, circuit over a list).
+#: Protocol name -> (precondition on the rows, circuit over the rows).
 _CIRCUITS = {
     "bqst": (_any_config, _bqst),
-    "universal221": (_no_promise, lambda cfgs: _run_221(cfgs, correct_failure=False)),
-    "restricted221": (_in_set_only, lambda cfgs: _run_221(cfgs, correct_failure=True)),
+    "universal221": (_no_promise, lambda rows: _run_221(rows, correct_failure=False)),
+    "restricted221": (_in_set_only, lambda rows: _run_221(rows, correct_failure=True)),
     "one11": (_promised, _one11),
 }
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
+    """One configuration, run as the one-row stack it holds."""
     precondition, circuit = _CIRCUITS[protocol]
-    precondition(cfg)
-    table = circuit([cfg])
+    try:
+        _refuse(precondition(cfg.rows))
+    except RowError as exc:
+        raise ValueError(exc.message) from None
+    table = circuit(cfg.rows)
     return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
 
 
@@ -512,31 +648,17 @@ def _draw(table: BatchOutcome, rng) -> int:
 def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
     """Run ``protocol`` exactly on N configurations at once.
 
-    Row n takes the rotation ``us[n]`` and Bob's state ``psis[n]``;
-    ``promise`` is one class for every row or a sequence of N. Each row is
-    checked as a single run checks its configuration, and an error names
-    the row.
+    Row n takes the rotation ``us[n]`` and Bob's state ``psis[n]``. ``us``
+    is an (N, 2) complex array of (a, b) pairs or a sequence of
+    ``Unimodular``; ``psis`` is an (N, 2) array or a sequence of states;
+    ``promise`` is one class for every row or a sequence of N. The rows are
+    checked as stacks, with every check a single run makes on its
+    configuration, and an error names the first bad row.
     """
     if protocol not in _CIRCUITS:
         raise ValueError(f"unknown protocol {protocol!r}")
     precondition, circuit = _CIRCUITS[protocol]
-    us, psis = list(us), list(psis)
-    promises = [promise] * len(us) if promise is None or isinstance(promise, str) else list(promise)
-    if not len(us) == len(psis) == len(promises):
-        raise ValueError(
-            f"{len(us)} rotations, {len(psis)} states and {len(promises)} promises do not match"
-        )
-    if not us:
-        raise ValueError("a batch needs at least one configuration")
-    cfgs = []
-    for n, (u, psi, promised) in enumerate(zip(us, psis, promises)):
-        try:
-            cfg = ProtocolConfig(u=u, psi=psi, promise=promised)
-            precondition(cfg)
-        except ValueError as exc:
-            raise ValueError(f"row {n}: {exc}") from None
-        cfgs.append(cfg)
-    return circuit(cfgs)
+    return circuit(_rows(us, psis, promise, precondition))
 
 
 def run_bqst(cfg: ProtocolConfig) -> list[ProtocolOutcome]:

@@ -96,8 +96,7 @@ class StateVector:
         states = []
         for amps in rows:
             state = object.__new__(cls)
-            object.__setattr__(state, "amplitudes", amps)
-            object.__setattr__(state, "register", reg)
+            state.__dict__.update(amplitudes=amps, register=reg)
             states.append(state)
         return states
 

@@ -8,6 +8,7 @@ as a named check ``fn(rng) -> (passed, detail)``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +22,13 @@ from .operators import (
     Unimodular,
     classify_operator,
     find_common_axis,
-    find_orthogonal_pair,
     from_axis_angle,
     orthogonal_state,
-    q_operator,
     random_qubit,
     random_unimodular,
     rz,
     solve_correction,
+    unimodular_matrices,
 )
 from .statevector import (
     QubitId,
@@ -42,6 +42,7 @@ from .statevector import (
 from .tolerances import (
     AXIS_ANGLE_TOL,
     CLASS_TOL,
+    DEGENERACY_TOL,
     DERIVED_TOL,
     OPERATOR_EQ_TOL,
     PROB_TOL,
@@ -64,6 +65,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    #: wall time the check took
+    seconds: float = 0.0
 
 
 def _at_most(tol, label, values):
@@ -166,11 +169,14 @@ def check_entropy_bounds(rng):
 
 
 def check_unimodular_closure(rng):
-    drifts = []
+    products, alphas, xis = [], [], []
     for _ in range(200):
         u, v = random_unimodular(rng), random_unimodular(rng)
-        for w in (u @ v, u.dagger(), q_operator(rng.uniform(0.1, 3.0), random_qubit(rng))):
-            drifts.append(abs(abs(w.a) ** 2 + abs(w.b) ** 2 - 1.0))
+        products += [u @ v, u.dagger()]
+        alphas.append(rng.uniform(0.1, 3.0))
+        xis.append(random_qubit(rng))
+    pairs = np.concatenate([operators.as_pairs(products), operators.q_matrices(alphas, xis)])
+    drifts = np.abs(np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2 - 1.0)
     return _at_most(UNIMODULAR_TOL, "max unimodularity drift", drifts)
 
 
@@ -178,24 +184,27 @@ def check_classification_trichotomy(rng):
     pool = [random_unimodular(rng) for _ in range(100)]
     pool += [rz(rng.uniform(0, 6)) for _ in range(20)]
     pool += [Unimodular(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(20)]
-    for u in pool:
-        m = u.matrix
-        comm = np.linalg.norm(m @ sigma_z - sigma_z @ m) <= CLASS_TOL
-        anti = np.linalg.norm(m @ sigma_z + sigma_z @ m) <= CLASS_TOL
-        kind = classify_operator(u).kind
-        expected = COMMUTING if comm else ANTICOMMUTING if anti else GENERAL
-        if kind != expected or (comm and anti):
-            return False, f"operator {u} tagged {kind}, norms say {expected}"
+    m = np.array([u.matrix for u in pool])
+    comm = np.linalg.norm(m @ sigma_z - sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
+    anti = np.linalg.norm(m @ sigma_z + sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
+    kinds = operators.classify_matrices(m)
+    expected = np.where(comm, COMMUTING, np.where(anti, ANTICOMMUTING, GENERAL))
+    wrong = (kinds != expected) | (comm & anti)
+    if wrong.any():
+        n = int(np.argmax(wrong))
+        return False, f"operator {pool[n]} tagged {kinds[n]}, norms say {expected[n]}"
     return True, "exactly one tag per operator"
 
 
 def check_q_symmetry(rng):
-    diffs = []
+    alphas, psis = [], []
     for _ in range(1000):
-        alpha = rng.uniform(-3, 3)
-        psi = random_qubit(rng)
-        diff = q_operator(alpha, psi).matrix - q_operator(-alpha, orthogonal_state(psi)).matrix
-        diffs.append(np.abs(diff).max())
+        alphas.append(rng.uniform(-3, 3))
+        psis.append(random_qubit(rng))
+    alphas, psis = np.array(alphas), np.array(psis)
+    q = operators.q_matrices(alphas, psis)
+    q_perp = operators.q_matrices(-alphas, orthogonal_state(psis))
+    diffs = np.abs(unimodular_matrices(q) - unimodular_matrices(q_perp)).max(axis=(1, 2))
     return _at_most(OPERATOR_EQ_TOL, "max entrywise difference", diffs)
 
 
@@ -211,32 +220,34 @@ def check_correction_identity(rng):
 
 
 def check_sign_flip_closure(rng):
-    residuals = []
-    for _ in range(500):
-        u = _in_set_operator(rng)
-        sign = 1.0 if classify_operator(u).kind == COMMUTING else -1.0
-        residuals.append(np.abs(sigma_z @ u.matrix @ sigma_z - sign * u.matrix).max())
+    m = np.array([_in_set_operator(rng).matrix for _ in range(500)])
+    sign = np.where(operators.classify_matrices(m) == COMMUTING, 1.0, -1.0)[:, None, None]
+    residuals = np.abs(sigma_z @ m @ sigma_z - sign * m).max(axis=(1, 2))
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
 
 
 def check_orthogonal_pair_overlap(rng):
     """<phi'|phi> = i sin(lam), and |<phi'|phi>| also matches an eigenphase
-    of U2^dag U1 from an independent eigendecomposition."""
-    residuals, pairs = [], 0
-    while pairs < 1000:
-        u1, u2 = random_unimodular(rng), random_unimodular(rng)
-        try:
-            pair = find_orthogonal_pair(u1, u2)
-        except ValueError:
-            continue
-        pairs += 1
-        overlap = np.vdot(pair.phi_prime, pair.phi)
-        eigenphase = np.angle(np.linalg.eigvals(u2.dagger().matrix @ u1.matrix)[0])
-        residuals += [
-            abs(abs(overlap) - abs(np.sin(pair.lam))),
-            abs(overlap - 1j * np.sin(pair.lam)),
-            abs(abs(overlap) - abs(np.sin(eigenphase))),
-        ]
+    of U2^dag U1 from an independent eigendecomposition. A degenerate draw
+    is skipped and the next one taken, as one pair at a time would."""
+    batches, count = [], 0
+    while count < 1000:
+        draws = operators.as_pairs([random_unimodular(rng) for _ in range(2 * (1000 - count))])
+        u1, u2 = draws[0::2], draws[1::2]
+        pair, sines = operators.orthogonal_pairs(u1, u2)
+        kept = sines >= DEGENERACY_TOL
+        batches.append((u1[kept], u2[kept], pair.lam[kept], pair.phi[kept], pair.phi_prime[kept]))
+        count += int(kept.sum())
+    u1, u2, lam, phi, phi_prime = map(np.concatenate, zip(*batches))
+    overlap = np.sum(phi_prime.conj() * phi, axis=1)
+    m1, m2 = unimodular_matrices(u1), unimodular_matrices(u2)
+    eigenphase = np.angle(np.linalg.eigvals(m2.conj().swapaxes(1, 2) @ m1)[:, 0])
+    sin = np.sin(lam)
+    residuals = [
+        np.abs(np.abs(overlap) - np.abs(sin)),
+        np.abs(overlap - 1j * sin),
+        np.abs(np.abs(overlap) - np.abs(np.sin(eigenphase))),
+    ]
     return _at_most(DERIVED_TOL, "max overlap residual", residuals)
 
 
@@ -246,7 +257,7 @@ def check_axis_recovery(rng):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         w = random_unimodular(rng).matrix
-        ops = []
+        conjugated = []
         for k in range(10):
             if k % 2 == 0:
                 u = from_axis_angle(axis, rng.uniform(0.3, 5.9))
@@ -255,8 +266,9 @@ def check_axis_recovery(rng):
                 perp = raw - np.dot(raw, axis) * axis
                 perp /= np.linalg.norm(perp)
                 u = from_axis_angle(perp, np.pi)
-            ops.append(Unimodular.from_matrix(w @ u.matrix @ w.conj().T))
-        found = find_common_axis(ops)
+            conjugated.append(w @ u.matrix @ w.conj().T)
+        pairs = operators.pairs_from_matrices(conjugated).tolist()
+        found = find_common_axis([Unimodular(a, b) for a, b in pairs])
         if found is None:
             return False, "no axis found for an in-set family"
         conj = w @ pauli_dot(axis) @ w.conj().T
@@ -286,9 +298,10 @@ def check_ledgers(rng):
 
 
 def _haar_rows(rng, count):
-    """``count`` Haar (U, psi) pairs, drawn U first, then psi, row by row."""
+    """``count`` Haar (U, psi) pairs, drawn U first, then psi, row by row,
+    as an (N, 2) stack of (a, b) pairs and one of states."""
     rows = [(random_unimodular(rng), random_qubit(rng)) for _ in range(count)]
-    return [u for u, _ in rows], [psi for _, psi in rows]
+    return operators.as_pairs([u for u, _ in rows]), np.array([psi for _, psi in rows])
 
 
 def check_universal_success_half(rng):
@@ -301,12 +314,12 @@ def _exact_with_ledger(protocol, rng, promised):
     """1000 runs alternating z rotations and off-diagonal operators, in one
     batch: every branch reaches fidelity 1 and carries the protocol's exact
     ledger."""
-    us, psis, promises = [], [], []
+    us, psis = [], []
     for k in range(1000):
-        u = _in_set_operator(rng, diagonal=k % 2 == 0)
-        us.append(u)
-        promises.append(classify_operator(u).kind if promised else None)
+        us.append(_in_set_operator(rng, diagonal=k % 2 == 0))
         psis.append(random_qubit(rng))
+    us, psis = operators.as_pairs(us), np.array(psis)
+    promises = operators.classify_matrices(unimodular_matrices(us)) if promised else None
     table = protocols.run_batch(protocol, us, psis, promises)
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
     passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.fidelity[table.live])
@@ -337,25 +350,39 @@ def check_branch_conservation(rng):
 def check_failure_branch_identity(rng):
     us, psis = _haar_rows(rng, 100)
     table = protocols.run_batch("universal221", us, psis)
-    wrong = np.array([u.matrix @ sigma_z @ psi for u, psi in zip(us, psis)])
+    wrong = (unimodular_matrices(us) @ sigma_z @ psis[..., None])[..., 0]
     failed = np.array([record[-1][2] == "1" for record in table.records]) & table.live
     fidelities = np.abs(table.bob_final @ wrong[..., None].conj())[..., 0] ** 2
     return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities[failed])
 
 
+def _every_branch_succeeds(table) -> np.ndarray:
+    return (table.succeeded | ~table.live).all(axis=1)
+
+
 def check_classification_consistency(rng):
+    """The in-set rows run as one restricted batch; every general row must
+    be refused on its own."""
+    us, psis = [], []
     for _ in range(100):
-        u = random_unimodular(rng) if rng.random() < 0.5 else _in_set_operator(rng)
-        cfg = protocols.ProtocolConfig(u=u, psi=random_qubit(rng))
-        in_set = classify_operator(u).kind != GENERAL
+        us.append(random_unimodular(rng) if rng.random() < 0.5 else _in_set_operator(rng))
+        psis.append(random_qubit(rng))
+    us, psis = operators.as_pairs(us), np.array(psis)
+    in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
+    ran = np.zeros(len(us), dtype=bool)
+    if in_set.any():
+        ran[in_set] = _every_branch_succeeds(protocols.run_batch("restricted221", us[in_set], psis[in_set]))
+    for n in np.flatnonzero(~in_set):
         try:
-            ran = all(o.succeeded for o in protocols.run_restricted_221(cfg))
+            table = protocols.run_batch("restricted221", us[n : n + 1], psis[n : n + 1])
+            ran[n] = _every_branch_succeeds(table)[0]
         except ValueError:
-            ran = False
-        common = operators.check_common_correction([u])
-        admits_sz = common is not None and np.abs(common.v - sigma_z).max() <= CLASS_TOL
-        if ran != in_set or admits_sz != in_set:
-            return False, f"inconsistent classification for {u}"
+            ran[n] = False
+    common, v, _ = operators.common_corrections(us[:, None])
+    admits_sz = common & (np.abs(v - sigma_z).max(axis=(1, 2)) <= CLASS_TOL)
+    wrong = (ran != in_set) | (admits_sz != in_set)
+    if wrong.any():
+        return False, f"inconsistent classification for {Unimodular(*us[np.argmax(wrong)].tolist())}"
     return True, "restricted run succeeds iff the operator is in-set"
 
 
@@ -382,19 +409,37 @@ def check_bloch_covariance(rng):
 
 def check_restoration_classification(rng):
     """Alternating 500 general and 500 in-set operators: in-set ones restore;
-    general ones fail on one of 10 inputs and share no correction with z rotations."""
+    general ones fail on one of 10 inputs and share no correction with z
+    rotations. A general operator's inputs are drawn until one fails, so
+    that test stays in the draw loop; the in-set restorations and the
+    common-correction tests run as stacks afterwards, and a failure is
+    reported for the first operator, in draw order, that fails any test."""
+    failures = []  # (k, message)
+    in_set, psis, families = [], [], []
     for k in range(1000):
         if k % 2 == 0:
             u = _general_unimodular(rng)
             if all(bloch.verify_restoration(u, random_qubit(rng)) for _ in range(10)):
-                return False, f"general operator restored on 10 random inputs: {u}"
-            family = [_in_set_operator(rng, diagonal=True) for _ in range(3)] + [u]
-            if operators.check_common_correction(family) is not None:
-                return False, f"general operator shares a correction with z rotations: {u}"
+                failures.append((k, f"general operator restored on 10 random inputs: {u}"))
+                break
+            families.append([_in_set_operator(rng, diagonal=True) for _ in range(3)] + [u])
         else:
-            u = _in_set_operator(rng)
-            if not bloch.verify_restoration(u, random_qubit(rng)):
-                return False, f"in-set operator failed restoration: {u}"
+            in_set.append(_in_set_operator(rng))
+            psis.append(random_qubit(rng))
+    if in_set:
+        restored = bloch.verify_restorations(operators.as_pairs(in_set), np.array(psis))
+        failures += [
+            (2 * i + 1, f"in-set operator failed restoration: {in_set[i]}")
+            for i in np.flatnonzero(~restored)[:1]
+        ]
+    if families:
+        shared, _, _ = operators.common_corrections(np.array([operators.as_pairs(f) for f in families]))
+        failures += [
+            (2 * i, f"general operator shares a correction with z rotations: {families[i][-1]}")
+            for i in np.flatnonzero(shared)[:1]
+        ]
+    if failures:
+        return False, min(failures)[1]
     return True, "restoration holds exactly for in-set operators; 500 general operators witnessed"
 
 
@@ -478,9 +523,11 @@ def run_all(seed: int = 20020923) -> list[CheckResult]:
     results = []
     for i, (name, fn) in enumerate(registry()):
         rng = np.random.default_rng([seed, i])
+        start = time.perf_counter()
         try:
             passed, detail = fn(rng)
         except Exception as exc:  # a crash counts as a failed invariant
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
+        seconds = time.perf_counter() - start
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail, seconds=seconds))
     return results

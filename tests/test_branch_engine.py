@@ -55,11 +55,12 @@ class ReferenceRun:
     states. Its ledger holds one e-bit per pair and the bits of each outcome
     that a party other than the one who measured it reads."""
 
-    def __init__(self, pairs: StateVector, data: QubitId, cfgs):
-        (self.cfg,) = cfgs
-        state = tensor(pairs, qubit_state(self.cfg.psi[0], self.cfg.psi[1], data))
+    def __init__(self, pairs: StateVector, data: QubitId, rows, seed=None):
+        """One row of ``rows``; with a ``seed``, one branch drawn per measurement."""
+        ((self.u,), (self.psi,)) = rows.u, rows.psi
+        state = tensor(pairs, qubit_state(self.psi[0], self.psi[1], data))
         self.branches = [_Branch(state, 1.0, ())]
-        self.rng = np.random.default_rng(self.cfg.seed) if self.cfg.mode == "sampled" else None
+        self.rng = None if seed is None else np.random.default_rng(seed)
         self.pairs = pairs.n // 2
         self.measured = []  # (party, bits) of each measurement
         self.read_across = set()  # measurements the other party read
@@ -95,7 +96,7 @@ class ReferenceRun:
         return len(self.measured) - 1
 
     def result(self, bob_qubit: QubitId):
-        target = self.cfg.u.matrix @ self.cfg.psi
+        target = self.u @ self.psi
         sent = {"alice": 0, "bob": 0}
         for m in self.read_across:
             party, bits = self.measured[m]
@@ -135,8 +136,9 @@ class _ReferenceResult:
 
 
 def _reference(monkeypatch, name, cfg):
+    seed = cfg.seed if cfg.mode == "sampled" else None
     with monkeypatch.context() as patch:
-        patch.setattr(protocols, "_Run", ReferenceRun)
+        patch.setattr(protocols, "_Run", lambda pairs, data, rows: ReferenceRun(pairs, data, rows, seed))
         return PROTOCOLS[name](cfg)
 
 
@@ -180,11 +182,10 @@ def test_branch_tensor_matches_per_branch_engine(monkeypatch, name, mode):
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_non_unitary_step_is_reported(monkeypatch, name, mode):
-    """A black box that damps |1>, slipped past Gate's unitarity check, must
-    fail the run; the per-branch engine renormalised it away unseen."""
-    leaky = Gate(np.eye(2), "leaky")
-    object.__setattr__(leaky, "matrix", np.diag([1.0, 0.5]))
-    monkeypatch.setattr(Unimodular, "as_gate", lambda self, name="u": leaky)
+    """A black box that damps |1>, slipped in after the rows' unitarity
+    check, must fail the run; the per-branch engine renormalised it away
+    unseen."""
+    _leaky_row(monkeypatch, 0)
     cfg = ProtocolConfig(
         u=rz(0.4),
         psi=[0.6, 0.8],
@@ -238,19 +239,23 @@ def test_run_batch_matches_per_branch_engine(monkeypatch, name):
 
 
 def _leaky_row(monkeypatch, bad):
-    """Make ``bad.as_gate()`` damp |1>, slipping past Gate's unitarity check."""
-    leaky = Gate(np.eye(2), "leaky")
-    object.__setattr__(leaky, "matrix", np.diag([1.0, 0.5]))
-    as_gate = Unimodular.as_gate
-    monkeypatch.setattr(
-        Unimodular, "as_gate", lambda self, name="u": leaky if self is bad else as_gate(self, name)
-    )
+    """Make the black box of row ``bad`` damp |1>. The stack is replaced as
+    the rows a run takes are stored (by ``ProtocolConfig`` for one
+    configuration, by ``run_batch`` for N), after every check on it."""
+    rows = protocols._Rows
+
+    def leaky(u, psi, promise):
+        u = u.copy()
+        u[bad] = np.diag([1.0, 0.5])
+        return rows(u=u, psi=psi, promise=promise)
+
+    monkeypatch.setattr(protocols, "_Rows", leaky)
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_batch_non_unitary_row_is_named(monkeypatch, name):
     us = [rz(0.1 * k) for k in range(6)]
-    _leaky_row(monkeypatch, us[3])
+    _leaky_row(monkeypatch, 3)
     promise = COMMUTING if name == "one11" else None
     with pytest.raises(InvariantViolation, match=r"of row 3 sum to .*not unitary"):
         protocols.run_batch(name, us, [[0.6, 0.8]] * 6, promise)
@@ -271,14 +276,29 @@ def test_batch_input_errors_name_the_row(name, us, psis, promise, message):
         protocols.run_batch(name, us, psis, promise)
 
 
+def test_batch_non_unitary_black_box_is_refused(monkeypatch):
+    """The black boxes are checked as built, not only as (a, b) pairs: one
+    that is not unitary while its pair is unimodular is an internal fault."""
+    build = protocols.unimodular_matrices
+
+    def damped(pairs):
+        m = build(pairs)
+        m[2] = m[2] @ np.diag([1.0, 0.5])
+        return m
+
+    monkeypatch.setattr(protocols, "unimodular_matrices", damped)
+    with pytest.raises(InvariantViolation, match=r"row 2 passes the checks of one configuration"):
+        protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
+
+
 def test_branch_is_dropped_only_when_no_row_keeps_it():
     """Rows near |0> and at |1>: each keeps one outcome of the data qubit, so
     both children stay, live in one row each; the |0> pair half keeps
     outcome 0 in every row, so its outcome-1 child is dropped. Row 0's
     dead branch still holds amplitude 1e-7, which the table must not show."""
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-    cfgs = [ProtocolConfig(u=rz(0.3), psi=psi) for psi in ([1, 1e-7], [0, 1])]
-    run = protocols._Run(basis_state("00", (a, b)), data, cfgs)
+    rows = protocols._rows([rz(0.3)] * 2, [[1, 1e-7], [0, 1]], None, protocols._any_config)
+    run = protocols._Run(basis_state("00", (a, b)), data, rows)
     run.measure([data], "computational")
     assert run.live.tolist() == [[True, False], [False, True]]
     run.measure([a], "computational")
@@ -296,8 +316,8 @@ def test_branch_is_dropped_only_when_no_row_keeps_it():
 
 def test_entangled_output_names_the_row():
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-    cfgs = [ProtocolConfig(u=rz(0.3), psi=psi) for psi in ([1, 0], [1, 1])]
-    run = protocols._Run(basis_state("00", (a, b)), data, cfgs)
+    rows = protocols._rows([rz(0.3)] * 2, [[1, 0], [1, 1]], None, protocols._any_config)
+    run = protocols._Run(basis_state("00", (a, b)), data, rows)
     run.apply(protocols.CNOT, [data, b])
     with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
         run.result(b)
@@ -313,7 +333,7 @@ def _hand_built_run():
     """Alice's and Bob's pair halves in |0000> (two pairs, by count) and
     Bob's data qubit in 0.6|0> + 0.8|1>."""
     cfg = ProtocolConfig(u=rz(0.3), psi=[0.6, 0.8])
-    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA, [cfg])
+    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA, cfg.rows)
 
 
 @pytest.mark.parametrize(
@@ -440,5 +460,6 @@ def test_verify_batch_draws_the_per_call_samples(monkeypatch, check, kind, count
     assert passed, detail
     ((us, psis),) = batches
     expected = _per_call_draws(np.random.default_rng(5), kind, count)
-    assert [(u.a, u.b) for u in us] == [(u.a, u.b) for u, _ in expected]
-    assert all(np.array_equal(psi, want) for psi, (_, want) in zip(psis, expected))
+    assert isinstance(us, np.ndarray) and isinstance(psis, np.ndarray)
+    assert np.array_equal(us, [(u.a, u.b) for u, _ in expected])
+    assert np.array_equal(psis, [psi for _, psi in expected])

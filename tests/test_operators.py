@@ -26,6 +26,7 @@ from remotegate import (
     sigma_y,
     sigma_z,
     solve_correction,
+    tolerances,
 )
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -268,6 +269,69 @@ class TestCommonAxis:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             find_common_axis([])
+
+    @pytest.mark.parametrize("kind", ["common_axis", "half_turns_only", "central_only", "no_axis"])
+    def test_lazy_crosses_match_the_eager_search(self, kind):
+        """The search builds a cross-product candidate only once every
+        operator's own axis has failed; the oracle builds every candidate
+        first. Both must return the same axis, bit for bit, or both None."""
+        rng = np.random.default_rng(["common_axis", "half_turns_only", "central_only", "no_axis"].index(kind) + 70)
+        for _ in range(40):
+            ops = _axis_search_set(rng, kind)
+            found, want = find_common_axis(ops), _eager_common_axis(ops)
+            assert (found is None) == (want is None), kind
+            assert found is None or np.array_equal(found, want), kind
+
+
+def _axis_search_set(rng, kind):
+    """A seeded operator set of one of four kinds, conjugated by a Haar rotation."""
+    w = random_unimodular(rng)
+    size = int(rng.integers(2, 11))
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    if kind == "central_only":
+        return [Unimodular(rng.choice([1.0, -1.0]), 0) for _ in range(size)]
+    if kind == "no_axis":
+        return [random_unimodular(rng) for _ in range(size)]
+    ops = []
+    for k in range(size):
+        raw = rng.normal(size=3)
+        perp = raw - np.dot(raw, axis) * axis
+        perp /= np.linalg.norm(perp)
+        if kind == "half_turns_only" or k % 2:
+            ops.append(from_axis_angle(perp, np.pi))
+        else:
+            ops.append(from_axis_angle(axis, rng.uniform(0.3, 5.9)))
+    return [conjugate(w, u) for u in ops]
+
+
+def _eager_common_axis(operators):
+    """The axis search with every candidate built up front: each
+    operator's own axis, then every pairwise cross product."""
+    axes = []
+    for u in operators:
+        _, vec = u.pauli_decompose()
+        norm = np.linalg.norm(vec)
+        if norm > tolerances.CENTRAL_TOL:
+            axes.append(vec / norm)
+    if not axes:
+        return Z_AXIS.copy()
+    candidates = list(axes)
+    for i in range(len(axes)):
+        for j in range(i + 1, len(axes)):
+            cross = np.cross(axes[i], axes[j])
+            norm = np.linalg.norm(cross)
+            if norm > tolerances.CROSS_TOL:
+                candidates.append(cross / norm)
+    seen = []
+    for cand in candidates:
+        if any(abs(np.dot(cand, s)) > 1.0 - tolerances.DUPLICATE_AXIS_TOL for s in seen):
+            continue
+        seen.append(cand)
+        if all(classify_operator(u, cand).kind != GENERAL for u in operators):
+            lead = next((c for c in cand if abs(c) > tolerances.SIGN_TOL), 1.0)
+            return -cand if lead < 0 else cand
+    return None
 
 
 class TestOrthogonalPair:
