@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, RowError, identity2, require_finite, sigma_z, unit_rows, vector_norm
+from .gates import PAULIS, RowError, identity2, require_finite, sigma_z, single_row, unit_rows, vector_norm
 from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
@@ -42,10 +42,8 @@ def pure_densities(psis) -> np.ndarray:
 
 def pure_density(psi) -> np.ndarray:
     """|psi><psi| for a (normalized) single-qubit state: ``pure_densities`` of one."""
-    try:
+    with single_row:
         return pure_densities(np.asarray(psi, dtype=complex)[None])[0]
-    except RowError as exc:
-        raise ValueError(exc.message) from None
 
 
 def bloch_vector(rho) -> BlochVector:
@@ -100,7 +98,5 @@ def verify_restoration(u: Unimodular, psi) -> bool:
     True for every input when U commutes or anticommutes with sz; false for
     a general U except at special inputs.
     """
-    try:
+    with single_row:
         return bool(verify_restorations([u], np.asarray(psi, dtype=complex)[None])[0])
-    except RowError as exc:
-        raise ValueError(exc.message) from None

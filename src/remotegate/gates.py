@@ -31,15 +31,23 @@ cnot_matrix = np.array(
 PAULIS = (sigma_x, sigma_y, sigma_z)
 
 
-def require_finite(name: str, values) -> None:
-    """Raise ValueError naming the first entry of ``values`` that is NaN or
-    infinite, e.g. ``psi[1] is not finite: nan``."""
+def not_finite(name: str, values) -> str | None:
+    """The message naming the first entry of ``values`` that is NaN or
+    infinite, e.g. ``psi[1] is not finite: nan``, or None if there is none."""
     arr = np.asarray(values)
     finite = np.isfinite(arr)
-    if not finite.all():
-        idx = np.unravel_index(int(np.argmin(finite)), arr.shape)
-        where = f"[{', '.join(str(i) for i in idx)}]" if idx else ""
-        raise ValueError(f"{name}{where} is not finite: {arr[idx].item()!r}")
+    if finite.all():
+        return None
+    idx = np.unravel_index(int(np.argmin(finite)), arr.shape)
+    where = f"[{', '.join(str(i) for i in idx)}]" if idx else ""
+    return f"{name}{where} is not finite: {arr[idx].item()!r}"
+
+
+def require_finite(name: str, values) -> None:
+    """Raise ValueError with ``not_finite``'s message, if it has one."""
+    message = not_finite(name, values)
+    if message is not None:
+        raise ValueError(message)
 
 
 class RowError(ValueError):
@@ -49,6 +57,22 @@ class RowError(ValueError):
     def __init__(self, row, message: str):
         super().__init__(f"row {row}: {message}")
         self.row, self.message = row, message
+
+
+class _SingleRow:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, RowError):
+            raise ValueError(exc.message) from None
+
+
+#: ``with single_row:`` reports a ``RowError`` raised on a stack of one value
+#: as that value's ``ValueError``: the check's message, without the row. (A
+#: class, not ``contextlib.contextmanager``: one configuration's run enters it
+#: twice, and a generator costs several times as much per entry.)
+single_row = _SingleRow()
 
 
 def vector_norm(values) -> float:
@@ -92,16 +116,15 @@ def unit_rows(rows, floor: float) -> tuple[np.ndarray, np.ndarray]:
     ``math.hypot`` per row and the division is done once for the stack, so
     each row equals its ``unit_vector``."""
     rows = np.asarray(rows)
-    norms = _row_hypots(rows)
-    if all(floor <= norm < math.inf for norm in norms):
-        return rows / np.array(norms)[:, None], np.ones(len(norms), dtype=bool)
-    norms = np.array(norms)
-    ok, beyond = norms >= floor, norms == math.inf  # beyond the float range, or not finite
+    hypots = _row_hypots(rows)
+    norms = np.array(hypots)
+    ok = norms >= floor
     unit = np.zeros(rows.shape, np.result_type(rows, float))
-    np.divide(rows, norms[:, None], out=unit, where=(ok & ~beyond)[:, None])
-    for n in np.flatnonzero(beyond):
-        ok[n] = np.isfinite(rows[n]).all()
-        unit[n] = unit_vector(rows[n], floor) if ok[n] else 0.0
+    np.divide(rows, norms[:, None], out=unit, where=(ok & (norms < math.inf))[:, None])
+    for n, norm in enumerate(hypots):
+        if norm == math.inf:  # beyond the float range, or not finite
+            ok[n] = np.isfinite(rows[n]).all()
+            unit[n] = unit_vector(rows[n], floor) if ok[n] else 0.0
     return unit, ok
 
 

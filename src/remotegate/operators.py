@@ -24,12 +24,14 @@ from .gates import (
     Gate,
     RowError,
     identity2,
+    not_finite,
     pauli_dot,
     require_finite,
     row_norms,
     sigma_x,
     sigma_y,
     sigma_z,
+    single_row,
     vector_norm,
 )
 from .tolerances import (
@@ -56,6 +58,16 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def unimodular_error(a: complex, b: complex, residual: float) -> str:
+    """Why the pair (a, b), whose | |a|^2 + |b|^2 - 1 | is ``residual``, is
+    not unimodular: an entry that is not finite, or the residual."""
+    return (
+        not_finite("Unimodular.a", a)
+        or not_finite("Unimodular.b", b)
+        or f"not unimodular: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
+    )
+
+
 @dataclass(frozen=True)
 class Unimodular:
     """Special-unitary 2x2 operator [[a, b], [-b*, a*]]."""
@@ -68,11 +80,7 @@ class Unimodular:
         # the sum unimodular_residuals takes, in its order
         residual = abs(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag - 1.0)
         if not residual <= UNIMODULAR_TOL:
-            require_finite("Unimodular.a", a)
-            require_finite("Unimodular.b", b)
-            raise ValueError(
-                f"not unimodular: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
-            )
+            raise ValueError(unimodular_error(a, b, residual))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -81,10 +89,8 @@ class Unimodular:
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        try:
+        with single_row:
             return cls(*pairs_from_matrices(m[None])[0])
-        except RowError as exc:
-            raise ValueError(exc.message) from None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -123,8 +129,8 @@ def unimodular_residuals(pairs) -> np.ndarray:
 def as_pairs(us) -> np.ndarray:
     """A sequence of ``Unimodular`` (or an array of (a, b) pairs) as a
     complex (..., 2) stack. Pairs not read from ``Unimodular`` values are
-    refused unless every row is unimodular; the error names the first bad
-    row."""
+    refused unless every row is unimodular within UNIMODULAR_TOL; the error
+    names the first bad row."""
     if not isinstance(us, np.ndarray):
         if all(isinstance(u, Unimodular) for u in us):  # unimodular by construction
             return np.array([(u.a, u.b) for u in us], dtype=complex).reshape(-1, 2)
@@ -132,13 +138,11 @@ def as_pairs(us) -> np.ndarray:
     pairs = np.asarray(us, dtype=complex)
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError(f"expected a stack of (a, b) pairs, got shape {pairs.shape}")
-    bad = ~(unimodular_residuals(pairs) <= UNIMODULAR_TOL)
+    residuals = unimodular_residuals(pairs)
+    bad = ~(residuals <= UNIMODULAR_TOL)
     if bad.any():
         row = tuple(np.argwhere(bad)[0].tolist())
-        try:
-            Unimodular(*pairs[row].tolist())
-        except ValueError as exc:
-            raise RowError(", ".join(map(str, row)), str(exc)) from None
+        raise RowError(", ".join(map(str, row)), unimodular_error(*pairs[row].tolist(), residuals[row]))
     return pairs
 
 
@@ -280,10 +284,8 @@ def q_operator(alpha: float, xi) -> Unimodular:
     identity when alpha is a multiple of pi, so only other values probe
     anything.
     """
-    try:
+    with single_row:
         return Unimodular(*q_matrices([alpha], [xi])[0])
-    except RowError as exc:
-        raise ValueError(exc.message) from None
 
 
 # ---------------------------------------------------------------------------

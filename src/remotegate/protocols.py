@@ -37,22 +37,22 @@ from .gates import (
     controlled,
     controlled_phase,
     identity2,
-    require_finite,
+    not_finite,
     sigma_x,
     sigma_y,
     sigma_z,
+    single_row,
     unit_rows,
-    unit_vector,
 )
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
     GENERAL,
     Unimodular,
-    classify_operator,
     commutation_norms,
     kinds_from_norms,
     rz,
+    unimodular_error,
     unimodular_matrices,
     unimodular_residuals,
 )
@@ -154,31 +154,6 @@ def _refuse(checks):
         raise RowError(row, next(message(row) for ok, message in checks if not ok[row]))
 
 
-def _check_config(u, psi, promise) -> np.ndarray:
-    """Every check one configuration gets, in order, each raising
-    ValueError with its message: the rotation is finite and unimodular (a
-    ``Unimodular``, or an (a, b) pair read as one) and its black box
-    unitary, psi is one qubit's, finite and nonzero, and a promise names a
-    class the rotation has. Returns psi normalised."""
-    if not isinstance(u, Unimodular):
-        u = Unimodular(*u)
-    u.as_gate()  # refused unless the black box is unitary within UNITARY_TOL
-    psi = np.asarray(psi.amplitudes if isinstance(psi, StateVector) else psi, dtype=complex).reshape(-1)
-    if psi.shape != (2,):
-        raise ValueError("psi must be a single-qubit state")
-    require_finite("psi", psi)
-    psi = unit_vector(psi, NORM_TOL)
-    if psi is None:
-        raise ValueError("psi must be nonzero")
-    if promise is not None:
-        if promise not in (COMMUTING, ANTICOMMUTING):
-            raise ValueError(f"unknown promise {promise!r}")
-        actual = classify_operator(u).kind
-        if actual != promise:
-            raise ValueError(f"promise violation: operator classifies as {actual}, promise says {promise}")
-    return psi
-
-
 def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
     """Bob's states as an (N, 2) stack, and which rows are one qubit's."""
     if not isinstance(psis, np.ndarray):
@@ -196,48 +171,53 @@ def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(us, psis, promise, precondition) -> _Rows:
-    """Stack and check N configurations. Each row gets the checks of
-    ``_check_config`` as one expression over the stack, the black boxes as
-    built included, and then ``precondition``; ``promise`` is one value for
-    every row or a sequence of N. Raises ``RowError`` for the first bad row,
-    with the message ``_check_config`` or the precondition gives it."""
+    """Stack and check N configurations. Each row gets every check, in
+    order: its rotation is finite and unimodular (a ``Unimodular`` or an
+    (a, b) pair) and its black box, as built, unitary; psi is one qubit's,
+    finite and nonzero (and is normalised); a promise names a class the
+    rotation has; then ``precondition``. ``promise`` is one value for every
+    row or a sequence of N. Raises ``RowError`` for the first bad row, with
+    the message of the first check it fails."""
     if not isinstance(us, np.ndarray):
         us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
-    if not isinstance(psis, np.ndarray):
-        psis = list(psis)
     pairs = np.asarray(us, dtype=complex)
     psi, one_qubit = _state_rows(psis)
     n_row = len(pairs)
-    if promise is None or isinstance(promise, str):
-        promises = np.full(n_row, promise, dtype=object)
-    else:
-        promises = np.array(list(promise) + [None], dtype=object)[:-1]  # strings stay entries
-    if pairs.shape != (n_row, 2) or not n_row == len(psi) == len(promises):
+    given = [promise] * n_row if promise is None or isinstance(promise, str) else list(promise)
+    promises = np.array(given + [None], dtype=object)[:-1]  # strings stay entries
+    if not n_row == len(psi) == len(promises):
         raise ValueError(
             f"{n_row} rotations, {len(psi)} states and {len(promises)} promises do not match"
         )
     if not n_row:
         raise ValueError("a batch needs at least one configuration")
-    unit, nonzero = unit_rows(psi, NORM_TOL)  # a row that is not finite is refused here too
+    if pairs.shape != (n_row, 2):
+        raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
+    residuals = unimodular_residuals(pairs)
     u = unimodular_matrices(pairs)
     with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
-        gram = np.einsum("nki,nkj->nij", u.conj(), u)
-        passed = (unimodular_residuals(pairs) <= UNIMODULAR_TOL) & one_qubit & nonzero
-        passed &= np.abs(gram - identity2).max(axis=(1, 2)) <= UNITARY_TOL
+        unitary = np.abs(u.conj().swapaxes(1, 2) @ u - identity2).reshape(n_row, 4).max(axis=1) <= UNITARY_TOL
+    unit, nonzero = unit_rows(psi, NORM_TOL)
     rows = _Rows(u=u, psi=unit, promise=promises)
-    if promise is not None:
-        given = promises != None  # noqa: E711 (elementwise)
-        known = (promises == COMMUTING) | (promises == ANTICOMMUTING)
-        passed &= ~given | (known & (rows.kinds == promises))
-
-    def explain(n: int) -> str:
-        try:
-            _check_config(pairs[n], psis[n], promises[n])
-        except ValueError as exc:
-            return str(exc)
-        raise InvariantViolation(f"row {n} passes the checks of one configuration, not their stacked form")
-
-    _refuse([(passed, explain)] + precondition(rows))
+    checks = [
+        (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
+        (unitary, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
+        (one_qubit, lambda n: "psi must be a single-qubit state"),
+        (np.isfinite(psi).all(axis=1), lambda n: not_finite("psi", psi[n])),
+        (nonzero, lambda n: "psi must be nonzero"),
+    ]
+    if any(p is not None for p in given):
+        none = np.array([p is None for p in given])
+        known = np.array([p in (COMMUTING, ANTICOMMUTING) for p in given])
+        checks += [
+            (none | known, lambda n: f"unknown promise {promises[n]!r}"),
+            (
+                none | (rows.kinds == promises),
+                lambda n: f"promise violation: operator classifies as {rows.kinds[n]}, "
+                f"promise says {promises[n]}",
+            ),
+        ]
+    _refuse(checks + precondition(rows))
     rows.psi.setflags(write=False)
     return rows
 
@@ -246,7 +226,7 @@ def _rows(us, psis, promise, precondition) -> _Rows:
 class ProtocolConfig:
     """Inputs of a run: the black-box rotation, Bob's state, an optional
     promise about the rotation's class, and the execution mode. ``rows``
-    holds the configuration as the one-row stack a run takes."""
+    holds the configuration as the checked one-row stack a run takes."""
 
     u: Unimodular
     psi: np.ndarray
@@ -256,15 +236,14 @@ class ProtocolConfig:
     rows: _Rows = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = _check_config(self.u, self.psi, self.promise)
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
+        with single_row:
+            rows = _rows([self.u], [self.psi], [self.promise], _any_config)
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled" and self.seed is None:
             raise ValueError("sampled mode requires a seed")
-        promise = np.array([self.promise], dtype=object)
-        object.__setattr__(self, "rows", _Rows(u=self.u.matrix[None], psi=psi[None], promise=promise))
+        object.__setattr__(self, "psi", rows.psi[0])
+        object.__setattr__(self, "rows", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +604,8 @@ _CIRCUITS = {
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     """One configuration, run as the one-row stack it holds."""
     precondition, circuit = _CIRCUITS[protocol]
-    try:
+    with single_row:
         _refuse(precondition(cfg.rows))
-    except RowError as exc:
-        raise ValueError(exc.message) from None
     table = circuit(cfg.rows)
     return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
 

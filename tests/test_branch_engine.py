@@ -268,26 +268,49 @@ def test_batch_non_unitary_row_is_named(monkeypatch, name):
         ("one11", [rz(0.3), rz(0.5)], None, [COMMUTING, ANTICOMMUTING], r"row 1: promise violation"),
         ("universal221", [rz(0.3)] * 5, [[1, 0]] * 4 + [[np.nan, 1]], None, r"row 4: psi\[0\] is not finite"),
         ("bqst", [rz(0.3)] * 3, [[1, 0], [0, 0], [0, 1]], None, r"row 1: psi must be nonzero"),
+        # (N, 2) arrays: a bad pair or state row is named as in a list
+        ("bqst", np.array([[1, 0], [0.6, 0.7], [1, 0]]), None, None, r"row 1: not unimodular: .* by 1\.500e-01$"),
+        ("universal221", np.array([[1, 0], [1, 0], [np.inf, 0]]), None, None, r"row 2: Unimodular\.a is not finite: \(inf\+0j\)$"),
+        ("bqst", np.array([[1, 0], [1, 0]]), np.array([[1, 0], [0, np.nan]]), None, r"row 1: psi\[1\] is not finite"),
+        ("one11", np.array([[1, 0]] * 3), np.array([[1, 0], [1, 0], [0, 0]]), COMMUTING, r"row 2: psi must be nonzero"),
+        ("bqst", [rz(0.3)] * 2, [[1, 0], [1, 0, 0, 0]], None, r"row 1: psi must be a single-qubit state"),
+        ("one11", [rz(0.3)] * 2, None, [COMMUTING, "sideways"], r"row 1: unknown promise 'sideways'"),
+        # the first bad row is named, with the first check it fails
+        ("bqst", [rz(0.3), (np.nan, 0)], [[1, 0], [0, 0]], None, r"row 1: Unimodular\.a is not finite"),
+        ("bqst", np.empty((0, 2)), np.empty((0, 2)), None, r"^a batch needs at least one configuration$"),
+        ("bqst", [], [], None, r"^a batch needs at least one configuration$"),
+        ("bqst", [rz(0.3)] * 2, [[1, 0]], None, r"^2 rotations, 1 states and 2 promises do not match$"),
     ],
 )
 def test_batch_input_errors_name_the_row(name, us, psis, promise, message):
-    psis = psis or [[0.6, 0.8]] * len(us)
+    psis = [[0.6, 0.8]] * len(us) if psis is None else psis
     with pytest.raises(ValueError, match=message):
         protocols.run_batch(name, us, psis, promise)
 
 
-def test_batch_non_unitary_black_box_is_refused(monkeypatch):
-    """The black boxes are checked as built, not only as (a, b) pairs: one
-    that is not unitary while its pair is unimodular is an internal fault."""
-    build = protocols.unimodular_matrices
+def _damp_row_2(matrices):
+    matrices[2] = matrices[2] @ np.diag([1.0, 0.5])
+    return matrices
 
-    def damped(pairs):
-        m = build(pairs)
-        m[2] = m[2] @ np.diag([1.0, 0.5])
-        return m
 
-    monkeypatch.setattr(protocols, "unimodular_matrices", damped)
-    with pytest.raises(InvariantViolation, match=r"row 2 passes the checks of one configuration"):
+def _residual_of_row_2(residuals):
+    residuals[2] = 0.25
+    return residuals
+
+
+@pytest.mark.parametrize(
+    "stack, spoil, message",
+    [
+        # the black boxes are checked as built, not only as (a, b) pairs
+        ("unimodular_matrices", _damp_row_2, r"^row 2: gate 'u' is not unitary within 1e-10$"),
+        # the stacked residual decides, and the error quotes it
+        ("unimodular_residuals", _residual_of_row_2, r"^row 2: not unimodular: .* by 2\.500e-01$"),
+    ],
+)
+def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, message):
+    build = getattr(protocols, stack)
+    monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    with pytest.raises(ValueError, match=message):
         protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
 
 

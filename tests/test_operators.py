@@ -16,6 +16,7 @@ from remotegate import (
     find_common_axis,
     find_orthogonal_pair,
     from_axis_angle,
+    operators,
     orthogonal_state,
     pauli_dot,
     q_operator,
@@ -28,6 +29,7 @@ from remotegate import (
     solve_correction,
     tolerances,
 )
+from remotegate.gates import RowError
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -53,6 +55,35 @@ class TestUnimodular:
     def test_huge_entry_refused_with_residual(self):
         with pytest.raises(ValueError, match="deviates from 1 by inf"):
             Unimodular(1e200, 0)
+
+    @pytest.mark.parametrize(
+        "pairs, row, message",
+        [
+            ([[1, 0], [0.6, 0.81], [0.6, 0.8]], "1", r"not unimodular: .* by 1\.610e-02$"),
+            ([[1, 0], [0, np.nan]], "1", r"Unimodular\.b is not finite: \(nan\+0j\)$"),
+            ([[[1, 0], [0, 1]], [[1e200, 0], [1, 0]]], "1, 0", r"deviates from 1 by inf$"),
+        ],
+    )
+    def test_stack_names_the_first_bad_row(self, pairs, row, message):
+        with pytest.raises(RowError, match=message) as info:
+            operators.as_pairs(np.array(pairs, dtype=complex))
+        assert info.value.row == row
+
+    def test_stack_refuses_what_its_residuals_refuse(self, monkeypatch):
+        """The stacked residual decides, even on a row a ``Unimodular`` of
+        the same pair accepts, and the error quotes that residual."""
+        residuals = operators.unimodular_residuals
+
+        def strict(pairs):
+            out = residuals(pairs)
+            out[2] = 0.5
+            return out
+
+        monkeypatch.setattr(operators, "unimodular_residuals", strict)
+        pairs = np.array([[1, 0], [0.6, 0.8], [0, 1j], [0, 1]], dtype=complex)
+        Unimodular(*pairs[2])
+        with pytest.raises(RowError, match=r"^row 2: not unimodular: .* by 5\.000e-01$"):
+            operators.as_pairs(pairs)
 
     def test_from_matrix_round_trip(self):
         rng = np.random.default_rng(0)
