@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, RowError, identity2, require_finite, sigma_z, single_row, unit_rows, vector_norm
+from .gates import PAULIS, RowError, identity2, not_finite, require_finite, sigma_z, single_row, unit_rows, vector_norm
 from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
@@ -33,11 +33,13 @@ class BlochVector:
 
 def pure_densities(psis) -> np.ndarray:
     """|psi><psi| for each row of an (N, 2) stack of states, each normalized
-    first; a zero row is refused, naming it."""
-    psis, ok = unit_rows(np.asarray(psis, dtype=complex), NORM_TOL)
+    first; the first row that is not finite, or is zero, is refused, naming it."""
+    psis = np.asarray(psis, dtype=complex)
+    unit, ok = unit_rows(psis, NORM_TOL)
     if not ok.all():
-        raise RowError(int(np.argmin(ok)), "psi must be nonzero")
-    return psis[:, :, None] * psis[:, None, :].conj()
+        n = int(np.argmin(ok))
+        raise RowError(n, not_finite("psi", psis[n]) or "psi must be nonzero")
+    return unit[:, :, None] * unit[:, None, :].conj()
 
 
 def pure_density(psi) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Module-level constants hold the raw 2x2 Pauli / Hadamard matrices (used by
 the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
-instances for the statevector engine, plus the finite-input helpers the
-other modules share (``require_finite`` and the overflow-safe norms
-``vector_norm``/``unit_vector``, with ``row_norms``/``unit_rows`` applying
-them to each row of a stack).
+instances for the statevector engine, plus the input helpers the other
+modules share (``require_finite``, ``require_seed`` and the overflow-safe
+norms ``vector_norm``/``unit_vector``, with ``row_norms``/``unit_rows``
+applying them to each row of a stack).
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ def require_finite(name: str, values) -> None:
     message = not_finite(name, values)
     if message is not None:
         raise ValueError(message)
+
+
+def require_seed(seed) -> None:
+    """Raise ValueError, naming ``seed``, unless it is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 class RowError(ValueError):

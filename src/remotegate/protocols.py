@@ -38,6 +38,7 @@ from .gates import (
     controlled_phase,
     identity2,
     not_finite,
+    require_seed,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -242,6 +243,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled" and self.seed is None:
             raise ValueError("sampled mode requires a seed")
+        if self.seed is not None:
+            require_seed(self.seed)
         object.__setattr__(self, "psi", rows.psi[0])
         object.__setattr__(self, "rows", rows)
 
@@ -336,8 +339,9 @@ class _Run:
     basis vectors and drops them from the register (deferred measurement);
     the outcomes go onto the branch axis, parent branch first and outcome
     second, which keeps the order of the branch tree. The rows share the
-    branch axis, so each branch has one record and one outcome per
-    measurement.
+    branch axis, so each measurement is logged once, as its party, basis
+    and qubit count, beside its outcome on each branch; the branch records
+    and the ledger's bits follow from that log.
 
     Each step acts for the party that owns its qubits, and a step across
     the Alice|Bob cut is refused (LOCC: local operations and classical
@@ -355,33 +359,36 @@ class _Run:
         amps = pairs.amplitudes[None, :, None] * rows.psi[:, None, :]
         self.amps = amps.reshape((n_row, 1) + (2,) * len(self.register))
         self.live = np.ones((n_row, 1), dtype=bool)
-        self.records: list[tuple[tuple[str, str, str], ...]] = [()]
-        #: per measurement, the outcome on each branch
-        self.outcomes: list[np.ndarray] = []
+        #: per measurement, its (party, basis, qubit count)
+        self.log: list[tuple[str, str, int]] = []
+        #: ``outcomes[b, m]``: the outcome of measurement m on branch b
+        self.outcomes = np.zeros((1, 0), dtype=int)
         #: measurements whose outcome the other party read
         self.sent: set[int] = set()
 
     def _set_register(self, register: tuple[QubitId, ...]):
         self.register = register
-        #: id(qubit) -> its axis in ``amps``. The steps name the very objects
-        #: the register holds, and an int key is found in C, where a search
-        #: of the register tuple, or a dict keyed by the qubits themselves,
-        #: calls ``QubitId``'s generated ``__eq__`` or ``__hash__`` in Python.
-        self._axes = {id(q): 2 + i for i, q in enumerate(register)}
+        #: (owner, index) -> the qubit's axis in ``amps``
+        self._axes = {(q.owner, q.index): 2 + i for i, q in enumerate(register)}
 
     def _locate(self, targets, step: str) -> tuple[str, tuple[int, ...]]:
         """The one party that owns ``targets``, and their axes."""
-        axes = tuple(self._axes.get(id(q)) for q in targets)
-        if None in axes:  # a target equal to a register qubit but another object, or none
-            axes = tuple(2 + self.register.index(q) if q in self.register else None for q in targets)
-        if None in axes or len(set(axes)) != len(axes):
-            if len(set(targets)) != len(targets):
-                raise ValueError("duplicate targets")
+        keys = [(q.owner, q.index) for q in targets]
+        axes = tuple(map(self._axes.get, keys))
+        if len(set(keys)) != len(keys):
+            raise ValueError("duplicate targets")
+        if None in axes:
             raise ValueError(f"qubit {targets[axes.index(None)]} not in register")
-        owners = {q.owner for q in targets}
+        owners = {owner for owner, _ in keys}
         if len(owners) > 1:
             raise ValueError(f"{step} on ({', '.join(map(str, targets))}) crosses the Alice|Bob cut")
         return (owners.pop() if owners else None), axes
+
+    @property
+    def records(self) -> list[tuple[tuple[str, str, str], ...]]:
+        """Each branch's measurement record: (party, basis, outcome bits) per measurement."""
+        labels = [[(party, basis, format(o, f"0{k}b")) for o in range(2**k)] for party, basis, k in self.log]
+        return [tuple(labels[m][o] for m, o in enumerate(branch)) for branch in self.outcomes.tolist()]
 
     def apply(self, gate, targets, when: tuple[int, int] | None = None):
         """Apply ``gate`` on every branch, or, with ``when=(m, value)``, on
@@ -396,9 +403,9 @@ class _Run:
             self.amps = _apply_matrix(matrix, axes, self.amps)
         else:
             m, value = when
-            if self.records[0][m][0] != party:  # measured by the other party
+            if self.log[m][0] != party:  # measured by the other party
                 self.sent.add(m)
-            hit = self.outcomes[m] == value
+            hit = self.outcomes[:, m] == value
             self.amps[:, hit] = _apply_matrix(matrix, axes, self.amps[:, hit])
 
     def measure(self, targets, basis: str) -> int:
@@ -427,16 +434,11 @@ class _Run:
         if not keep.all():
             self.amps, live = self.amps[:, keep], live[:, keep]
         self.live = live
-        self._set_register(tuple(q for q in self.register if q not in targets))
-        parents = np.repeat(np.arange(n_branch), dim)[keep]
-        outcome = np.tile(np.arange(dim), n_branch)[keep]
-        self.outcomes = [o[parents] for o in self.outcomes] + [outcome]
-        labels = [format(o, f"0{k}b") for o in range(dim)]
-        self.records = [
-            self.records[b] + ((party, basis, labels[o]),)
-            for b, o in zip(parents.tolist(), outcome.tolist())
-        ]
-        return len(self.outcomes) - 1
+        self._set_register(tuple(q for i, q in enumerate(self.register, 2) if i not in axes))
+        kept = np.flatnonzero(keep)  # child index: parent branch * dim + outcome
+        self.outcomes = np.column_stack((self.outcomes[kept // dim], kept % dim))
+        self.log.append((party, basis, k))
+        return len(self.log) - 1
 
     def result(self, bob_qubit: QubitId) -> BatchOutcome:
         """Every branch of every row, with Bob's qubit factored out. Ends
@@ -481,8 +483,8 @@ class _Run:
         succeeded = live & (fids >= 1.0 - SUCCESS_TOL)
         for array in (probs, fids, succeeded, finals, live):
             array.setflags(write=False)
-        sent = [self.records[0][m] for m in self.sent]  # (measurer, basis, outcome)
-        a_to_b, b_to_a = (sum(len(o) for p, _, o in sent if p == side) for side in ("alice", "bob"))
+        sent = [self.log[m] for m in self.sent]
+        a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
         return BatchOutcome(
             records=tuple(self.records),
             probability=probs,
@@ -783,11 +785,7 @@ def outcome_record(protocol: str, outcome: ProtocolOutcome) -> dict:
         "probability": outcome.probability,
         "fidelity": outcome.target_fidelity,
         "succeeded": outcome.succeeded,
-        "ledger": {
-            "ebits": outcome.ledger.ebits_consumed,
-            "cbits_ab": outcome.ledger.cbits_a_to_b,
-            "cbits_ba": outcome.ledger.cbits_b_to_a,
-        },
+        "ledger": dict(zip(("ebits", "cbits_ab", "cbits_ba"), outcome.ledger.as_tuple())),
     }
 
 

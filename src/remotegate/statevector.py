@@ -26,7 +26,7 @@ import numpy as np
 from .gates import Gate, unit_vector
 from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL, STATE_NORM_TOL
 
-PARTIES = ("alice", "bob", "blackbox")
+PARTIES = ("alice", "bob")
 
 _SQRT2 = np.sqrt(2.0)
 

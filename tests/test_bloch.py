@@ -14,6 +14,7 @@ from remotegate import (
     rz,
     verify_restoration,
 )
+from remotegate.bloch import pure_densities
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -65,6 +66,25 @@ class TestBlochVector:
 
 def test_pure_density_of_huge_state():
     np.testing.assert_allclose(pure_density([1e200, 0]), [[1, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pure_density([np.nan, 0]), r"^psi\[0\] is not finite: \(nan\+0j\)$"),
+        (lambda: pure_density([np.inf, 0]), r"^psi\[0\] is not finite: \(inf\+0j\)$"),
+        (lambda: pure_density([0, -np.inf]), r"^psi\[1\] is not finite: \(-inf\+0j\)$"),
+        (lambda: verify_restoration(rz(0.1), [np.nan, 1]), r"^psi\[0\] is not finite: \(nan\+0j\)$"),
+        (lambda: pure_density([0, 0]), r"^psi must be nonzero$"),
+        # a stack names its first bad row, with the first check that row fails
+        (lambda: pure_densities([[1, 0], [np.nan, 1], [0, 0]]), r"^row 1: psi\[0\] is not finite"),
+        (lambda: pure_densities([[1, 0], [0, 0], [np.nan, 1]]), r"^row 1: psi must be nonzero$"),
+    ],
+    ids=["nan", "inf", "minus_inf_second", "restoration_nan", "zero", "stack_nan_first", "stack_zero_first"],
+)
+def test_pure_density_names_a_bad_psi(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestMirrorState:

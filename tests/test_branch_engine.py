@@ -425,6 +425,58 @@ def test_when_reads_the_named_measurement():
     assert table.ledger.as_tuple() == (2, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (lambda run: run.apply(protocols.X, [QubitId("alice", 5)]), r"^qubit alice:5 not in register$"),
+        (lambda run: run.measure([B0, QubitId("bob", 7)], "bell"), r"^qubit bob:7 not in register$"),
+        (lambda run: run.apply(protocols.X, [DATA], when=(run.measure([DATA], "computational"), 1)),
+         r"^qubit bob:2 not in register$"),
+        (lambda run: run.apply(protocols.CNOT, [B0, B0]), r"^duplicate targets$"),
+        (lambda run: run.measure([A1, A1], "bell"), r"^duplicate targets$"),
+        # equal qubits that are distinct objects are the same register slot
+        (lambda run: run.apply(protocols.CNOT, [B0, QubitId("bob", 0)]), r"^duplicate targets$"),
+        (lambda run: run.measure([QubitId("alice", 1), QubitId("alice", 1)], "bell"), r"^duplicate targets$"),
+    ],
+    ids=["apply_unknown", "measure_unknown", "measured_before", "apply_same", "measure_same",
+         "apply_equal", "measure_equal"],
+)
+def test_engine_refuses_targets_outside_the_register_or_repeated(step, message):
+    with pytest.raises(ValueError, match=message):
+        step(_hand_built_run())
+
+
+def test_target_equal_to_a_register_qubit_resolves_to_its_axis():
+    """Steps naming fresh ``QubitId`` objects act on the register slots they
+    equal: flip the data qubit, copy it onto bob:0 and read Bob's output."""
+    run = _hand_built_run()
+    data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
+    assert data is not DATA and bob0 is not B0
+    run.apply(protocols.X, [data])
+    run.apply(protocols.CNOT, [data, bob0])
+    run.measure([QubitId("bob", 0)], "computational")
+    table = run.result(QubitId("bob", 2))
+    assert run.records == [(("bob", "computational", "0"),), (("bob", "computational", "1"),)]
+    assert table.probability[0] == pytest.approx([0.64, 0.36], abs=ORACLE_TOL)
+    assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "targets, basis, bits",
+    [([A0], "computational", 1), ([A0, A1], "bell", 2), ([A0, A1], "computational", 2)],
+    ids=["one_qubit", "bell", "two_qubit"],
+)
+def test_outcome_read_across_the_cut_costs_its_qubit_count(targets, basis, bits):
+    """The measurement log holds each measurement's qubit count once; the
+    record labels and the ledger's bits both follow from it."""
+    run = _hand_built_run()
+    m = run.measure(targets, basis)
+    assert run.log == [("alice", basis, bits)]
+    assert {len(record[m][2]) for record in run.records} == {bits}
+    run.apply(protocols.X, [DATA], when=(m, 0))
+    assert run.result(DATA).ledger.as_tuple() == (2, bits, 0)
+
+
 def test_batch_memory_drops_measured_qubits(monkeypatch):
     """1000 restricted 2-2-1 rows peak near 2.4 MB of numpy allocations with
     measured qubits dropped; kept, they would take about 40 MB."""

@@ -120,6 +120,11 @@ class TestParseOperator:
         with pytest.raises(ValueError, match="column"):
             parse_operator("mat:1,0,x,0")
 
+    def test_library_refusal_keeps_the_spec_prefix(self):
+        message = r"^bad spec 'mat:0\.6,0,0\.8,0\.1': not unimodular: \|a\|\^2 \+ \|b\|\^2 deviates from 1 by 1\.000e-02$"
+        with pytest.raises(ValueError, match=message):
+            parse_operator("mat:0.6,0,0.8,0.1")
+
     def test_unknown_form(self):
         with pytest.raises(ValueError, match="operator spec"):
             parse_operator("paulix")
@@ -145,6 +150,10 @@ class TestParseState:
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
+            parse_state("amp:0,0,0,0")
+
+    def test_library_refusal_keeps_the_spec_prefix(self):
+        with pytest.raises(ValueError, match=r"^bad spec 'amp:0,0,0,0': cannot normalize a zero state vector$"):
             parse_state("amp:0,0,0,0")
 
     def test_unknown_form(self):
@@ -282,6 +291,18 @@ class TestExitCodes:
             ["run", "--protocol", "bqst", "--u", "id", "--psi", "0", "--mode", "sampled"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--protocol", "bqst", "--u", "id", "--psi", "0", "--mode", "sampled", "--seed", "-1"],
+            ["verify", "--seed", "-1"],
+        ],
+        ids=["run", "verify"],
+    )
+    def test_negative_seed_is_named(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_unknown_subcommand(self):
         assert main(["teleport"]) == 1

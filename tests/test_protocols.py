@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,19 @@ class TestProtocolConfig:
     def test_rejects_unknown_promise(self):
         with pytest.raises(ValueError, match="promise"):
             ProtocolConfig(u=rz(0.1), psi=np.array([1, 0]), promise="diagonal")
+
+    @pytest.mark.parametrize("mode", ["sampled", "exact"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.int64(-2)], ids=repr)
+    def test_rejects_a_bad_seed_naming_it(self, seed, mode):
+        with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            ProtocolConfig(u=rz(0.1), psi=[1, 0], mode=mode, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        runs = [
+            run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8], mode="sampled", seed=seed))
+            for seed in (np.int64(5), 5)
+        ]
+        assert runs[0][0].branch_id == runs[1][0].branch_id
 
 
 class TestBqst:

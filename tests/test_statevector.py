@@ -53,8 +53,9 @@ class TestConstruction:
             StateVector(np.ones(4), (B0, B0))
 
     def test_rejects_unknown_party(self):
-        with pytest.raises(ValueError, match="party"):
-            QubitId("eve", 0)
+        for owner in ("eve", "blackbox"):  # the parties are Alice and Bob only
+            with pytest.raises(ValueError, match="party"):
+                QubitId(owner, 0)
 
     def test_amplitudes_immutable(self):
         s = plus_state(B0)

@@ -65,6 +65,12 @@ def test_verify_lines_carry_each_checks_time(capsys):
     assert all(float(m.group(4)) >= 0 for m in parsed)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None], ids=repr)
+def test_run_all_refuses_a_bad_seed_naming_it(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+        verify.run_all(seed)
+
+
 # ---------------------------------------------------------------------------
 # batched sampling loops draw what the per-call loops drew
 #
