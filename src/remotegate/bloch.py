@@ -33,8 +33,11 @@ class BlochVector:
 
 def pure_densities(psis) -> np.ndarray:
     """|psi><psi| for each row of an (N, 2) stack of states, each normalized
-    first; the first row that is not finite, or is zero, is refused, naming it."""
+    first; the first row that is not finite, or is zero, is refused, naming it,
+    and so is a stack whose rows are not single-qubit states."""
     psis = np.asarray(psis, dtype=complex)
+    if psis.ndim != 2 or psis.shape[1] != 2:
+        raise RowError(0, "psi must be a single-qubit state")
     unit, ok = unit_rows(psis, NORM_TOL)
     if not ok.all():
         n = int(np.argmin(ok))
@@ -75,6 +78,8 @@ def density_from_bloch(vec: BlochVector) -> np.ndarray:
 def mirror_state(psi) -> np.ndarray:
     """sigma_z|psi>: same Sz, opposite equatorial projection."""
     psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (2,):
+        raise ValueError("psi must be a single-qubit state")
     require_finite("psi", psi)
     norm = vector_norm(psi)
     if not abs(norm - 1.0) <= STATE_NORM_TOL:

@@ -33,14 +33,19 @@ PAULIS = (sigma_x, sigma_y, sigma_z)
 
 def not_finite(name: str, values) -> str | None:
     """The message naming the first entry of ``values`` that is NaN or
-    infinite, e.g. ``psi[1] is not finite: nan``, or None if there is none."""
+    infinite, e.g. ``psi[1] is not finite: nan``, or None if there is none.
+    A complex entry with imaginary part 0 prints as its real part, as it
+    was most likely written."""
     arr = np.asarray(values)
     finite = np.isfinite(arr)
     if finite.all():
         return None
     idx = np.unravel_index(int(np.argmin(finite)), arr.shape)
     where = f"[{', '.join(str(i) for i in idx)}]" if idx else ""
-    return f"{name}{where} is not finite: {arr[idx].item()!r}"
+    value = arr[idx].item()
+    if isinstance(value, complex) and value.imag == 0:
+        value = value.real
+    return f"{name}{where} is not finite: {value!r}"
 
 
 def require_finite(name: str, values) -> None:

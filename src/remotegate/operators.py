@@ -43,6 +43,7 @@ from .tolerances import (
     DUPLICATE_AXIS_TOL,
     SIGN_TOL,
     SPECIAL_UNITARY_TOL,
+    STATE_NORM_TOL,
     UNIMODULAR_TOL,
 )
 
@@ -167,8 +168,10 @@ def pairs_from_matrices(m) -> np.ndarray:
 
 
 def _unit_axis(axis) -> np.ndarray:
-    """``axis`` as a float array, rejected unless finite with unit norm."""
+    """``axis`` as a float array, rejected unless a finite 3-vector with unit norm."""
     axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {axis.shape}")
     norm = vector_norm(axis)
     if not abs(norm - 1.0) <= AXIS_NORM_TOL:
         require_finite("axis", axis)
@@ -263,12 +266,14 @@ def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
 def q_matrices(alphas, xis) -> np.ndarray:
     """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for each row of an
     (N,) stack of angles and an (N, 2) stack of normalized states, as (N, 2)
-    pairs; refused, naming the row, unless each xi is normalized and each
-    matrix special-unitary."""
+    pairs; refused, naming the row, unless each xi is a normalized qubit
+    state and each matrix special-unitary."""
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=complex)
+    if xis.ndim != 2 or xis.shape[1] != 2:
+        raise RowError(0, "xi must be a single-qubit state")
     norms = row_norms(xis)
-    bad = ~(np.abs(norms - 1.0) <= UNIMODULAR_TOL)
+    bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)
     if bad.any():
         n = int(np.argmax(bad))
         raise RowError(n, f"xi is not normalized (norm {float(norms[n])!r})")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,7 @@ class ResourceLedger:
         return (self.ebits_consumed, self.cbits_a_to_b, self.cbits_b_to_a)
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     """One branch of a protocol run."""
 
     measurement_record: tuple[tuple[str, str, str], ...]
@@ -265,11 +265,8 @@ class BatchOutcome:
     """Every branch of one protocol run over N configurations (rows).
 
     Branch b has the same measurement record in every row, and the ledger
-    is the same for every branch. The arrays are indexed ``[n, b]``.
-    ``live[n, b]`` is False where row n dropped branch b because its
-    conditional probability fell below ``BRANCH_PRUNE``; there the
-    probability, fidelity and ``bob_final`` are zero and ``succeeded`` is
-    False, so sums over a row cover exactly the branches a single run keeps.
+    is the same for every branch. The arrays are indexed ``[n, b]``; every
+    row has every branch.
     """
 
     records: tuple[tuple[tuple[str, str, str], ...], ...]
@@ -277,30 +274,18 @@ class BatchOutcome:
     fidelity: np.ndarray  # (N, B), to U|psi>
     succeeded: np.ndarray  # (N, B)
     bob_final: np.ndarray  # (N, B, 2), phase-fixed unit vectors
-    live: np.ndarray  # (N, B)
     ledger: ResourceLedger
     bob_qubit: QubitId
 
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
-        """Row n as a single run returns it: one outcome per live branch (or per one in ``branches``)."""
-        kept = np.flatnonzero(self.live[n]) if branches is None else np.asarray(branches)
+        """Row n as a single run returns it: one outcome per branch (or per one in ``branches``)."""
+        kept = range(len(self.records)) if branches is None else branches
         finals = StateVector.from_unit_rows(self.bob_final[n, kept], (self.bob_qubit,))
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
-        outcomes = []
-        for b, final in zip(kept.tolist(), finals):
-            # the fields set directly: a frozen dataclass's __init__ sets each
-            # through object.__setattr__, and that was most of this method's time
-            outcome = object.__new__(ProtocolOutcome)
-            outcome.__dict__.update(
-                measurement_record=self.records[b],
-                probability=probs[b],
-                bob_final=final,
-                target_fidelity=fids[b],
-                succeeded=wins[b],
-                ledger=self.ledger,
-            )
-            outcomes.append(outcome)
-        return outcomes
+        return [
+            ProtocolOutcome(self.records[b], probs[b], final, fids[b], wins[b], self.ledger)
+            for b, final in zip(kept, finals)
+        ]
 
 
 @functools.cache
@@ -355,10 +340,8 @@ class _Run:
         self.rows = rows
         self.ebits = len(pairs.register) // 2
         self._set_register(pairs.register + (data,))
-        n_row = len(rows.psi)
         amps = pairs.amplitudes[None, :, None] * rows.psi[:, None, :]
-        self.amps = amps.reshape((n_row, 1) + (2,) * len(self.register))
-        self.live = np.ones((n_row, 1), dtype=bool)
+        self.amps = amps.reshape((len(rows.psi), 1) + (2,) * len(self.register))
         #: per measurement, its (party, basis, qubit count)
         self.log: list[tuple[str, str, int]] = []
         #: ``outcomes[b, m]``: the outcome of measurement m on branch b
@@ -412,9 +395,8 @@ class _Run:
         """Split every branch by the outcome of measuring ``targets``, which
         leave the register, and return the measurement's index for ``when``.
 
-        A child whose conditional probability in row n is below
-        ``BRANCH_PRUNE`` is not live in that row, and one live in no row is
-        dropped.
+        A child below ``BRANCH_PRUNE`` of its parent in every row is dropped,
+        and one below it in some rows only is refused: the rows share branches.
         """
         party, axes = self._locate(targets, f"{basis} measurement")
         k = len(axes)
@@ -425,15 +407,17 @@ class _Run:
         (n_row, n_branch), dim, rest = front.shape[:2], 2**k, front.shape[k + 2 :]
         coeff = vecs.conj() @ front.reshape(n_row, n_branch, dim, 2 ** len(rest))
         child = _squared_norms(coeff)
-        parent = child.sum(axis=2, keepdims=True)
         # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
-        live = self.live[:, :, None] & ~(child < BRANCH_PRUNE * parent)
-        live = live.reshape(n_row, n_branch * dim)
-        keep = live.any(axis=0)
+        small = (child < BRANCH_PRUNE * child.sum(axis=2, keepdims=True)).reshape(n_row, n_branch * dim)
+        keep = ~small.all(axis=0)
+        if (small & keep).any():
+            n, c = np.argwhere(small & keep)[0]
+            raise InvariantViolation(
+                f"row {n} drops outcome {c % dim:0{k}b} of measurement {len(self.log)}, which another row keeps"
+            )
         self.amps = coeff.reshape(n_row, n_branch * dim, *rest)
         if not keep.all():
-            self.amps, live = self.amps[:, keep], live[:, keep]
-        self.live = live
+            self.amps = self.amps[:, keep]
         self._set_register(tuple(q for i, q in enumerate(self.register, 2) if i not in axes))
         kept = np.flatnonzero(keep)  # child index: parent branch * dim + outcome
         self.outcomes = np.column_stack((self.outcomes[kept // dim], kept % dim))
@@ -444,10 +428,7 @@ class _Run:
         """Every branch of every row, with Bob's qubit factored out. Ends
         the run: Bob's states are normalised in place."""
         n_row, n_branch = self.amps.shape[:2]
-        live = self.live
-        targets = (self.rows.u @ self.rows.psi[..., None])[..., 0]
         probs = _squared_norms(self.amps.reshape(n_row, n_branch, -1))
-        probs[~live] = 0.0
         totals = probs.sum(axis=1)
         bad = ~(np.abs(totals - 1.0) <= PROB_TOL)
         if bad.any():
@@ -461,11 +442,11 @@ class _Run:
         norms = np.sqrt(probs)
         if mat.shape[3] == 1:
             finals = mat[..., 0]
-            np.divide(finals, norms[..., None], out=finals, where=live[..., None])
+            finals /= norms[..., None]
         else:
             u, sing, _ = np.linalg.svd(mat, full_matrices=False)
             # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
-            entangled = live & ~(sing[..., 1] <= FACTOR_TOL * norms)
+            entangled = ~(sing[..., 1] <= FACTOR_TOL * norms)
             if entangled.any():
                 n, b = np.argwhere(entangled)[0]
                 raise InvariantViolation(
@@ -473,15 +454,13 @@ class _Run:
                     f"coefficient {sing[n, b, 1] / norms[n, b]:.3e})"
                 )
             finals = u[..., 0]
-        finals[~live] = 0.0
         # phase-fix: the larger component (the first on a tie) real and positive
         lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
-        size = np.abs(lead)
-        np.divide(lead.conj(), size, out=lead, where=size > 0)
+        np.divide(lead.conj(), np.abs(lead), out=lead)
         finals *= lead[..., None]
-        fids = np.abs(finals @ targets[..., None].conj())[..., 0] ** 2
-        succeeded = live & (fids >= 1.0 - SUCCESS_TOL)
-        for array in (probs, fids, succeeded, finals, live):
+        fids = np.abs(finals @ (self.rows.u @ self.rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
+        succeeded = fids >= 1.0 - SUCCESS_TOL
+        for array in (probs, fids, succeeded, finals):
             array.setflags(write=False)
         sent = [self.log[m] for m in self.sent]
         a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
@@ -491,7 +470,6 @@ class _Run:
             fidelity=fids,
             succeeded=succeeded,
             bob_final=finals,
-            live=live,
             ledger=ResourceLedger(self.ebits, a_to_b, b_to_a),
             bob_qubit=bob_qubit,
         )
@@ -616,7 +594,7 @@ def _draw(table: BatchOutcome, rng) -> int:
     """One branch of row 0, drawn down the tree a measurement at a time: each
     outcome with its probability given those before it (the weight below it)."""
     probs = table.probability[0].tolist()
-    branches = np.flatnonzero(table.live[0]).tolist()
+    branches = list(range(len(table.records)))
     for level in range(len(table.records[0])):
         children = [list(c) for _, c in groupby(branches, lambda b: table.records[b][level])]
         weights = [sum(probs[b] for b in child) for child in children]

@@ -322,7 +322,7 @@ def _exact_with_ledger(protocol, rng, promised):
     promises = operators.classify_matrices(unimodular_matrices(us)) if promised else None
     table = protocols.run_batch(protocol, us, psis, promises)
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
-    passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.fidelity[table.live])
+    passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.fidelity)
     return passed and ledgers_ok, f"{detail}, ledgers exact: {ledgers_ok}"
 
 
@@ -351,13 +351,9 @@ def check_failure_branch_identity(rng):
     us, psis = _haar_rows(rng, 100)
     table = protocols.run_batch("universal221", us, psis)
     wrong = (unimodular_matrices(us) @ sigma_z @ psis[..., None])[..., 0]
-    failed = np.array([record[-1][2] == "1" for record in table.records]) & table.live
+    failed = np.array([record[-1][2] == "1" for record in table.records])
     fidelities = np.abs(table.bob_final @ wrong[..., None].conj())[..., 0] ** 2
-    return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities[failed])
-
-
-def _every_branch_succeeds(table) -> np.ndarray:
-    return (table.succeeded | ~table.live).all(axis=1)
+    return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities[:, failed])
 
 
 def check_classification_consistency(rng):
@@ -371,11 +367,10 @@ def check_classification_consistency(rng):
     in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
     ran = np.zeros(len(us), dtype=bool)
     if in_set.any():
-        ran[in_set] = _every_branch_succeeds(protocols.run_batch("restricted221", us[in_set], psis[in_set]))
+        ran[in_set] = protocols.run_batch("restricted221", us[in_set], psis[in_set]).succeeded.all(axis=1)
     for n in np.flatnonzero(~in_set):
         try:
-            table = protocols.run_batch("restricted221", us[n : n + 1], psis[n : n + 1])
-            ran[n] = _every_branch_succeeds(table)[0]
+            ran[n] = protocols.run_batch("restricted221", us[n : n + 1], psis[n : n + 1]).succeeded.all()
         except ValueError:
             ran[n] = False
     common, v, _ = operators.common_corrections(us[:, None])

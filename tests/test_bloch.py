@@ -71,16 +71,31 @@ def test_pure_density_of_huge_state():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: pure_density([np.nan, 0]), r"^psi\[0\] is not finite: \(nan\+0j\)$"),
-        (lambda: pure_density([np.inf, 0]), r"^psi\[0\] is not finite: \(inf\+0j\)$"),
-        (lambda: pure_density([0, -np.inf]), r"^psi\[1\] is not finite: \(-inf\+0j\)$"),
-        (lambda: verify_restoration(rz(0.1), [np.nan, 1]), r"^psi\[0\] is not finite: \(nan\+0j\)$"),
+        (lambda: pure_density([np.nan, 0]), r"^psi\[0\] is not finite: nan$"),
+        (lambda: pure_density([np.inf, 0]), r"^psi\[0\] is not finite: inf$"),
+        (lambda: pure_density([0, -np.inf]), r"^psi\[1\] is not finite: -inf$"),
+        (lambda: verify_restoration(rz(0.1), [np.nan, 1]), r"^psi\[0\] is not finite: nan$"),
         (lambda: pure_density([0, 0]), r"^psi must be nonzero$"),
         # a stack names its first bad row, with the first check that row fails
         (lambda: pure_densities([[1, 0], [np.nan, 1], [0, 0]]), r"^row 1: psi\[0\] is not finite"),
         (lambda: pure_densities([[1, 0], [0, 0], [np.nan, 1]]), r"^row 1: psi must be nonzero$"),
+        # a state with other than two entries
+        (lambda: pure_density([1, 0, 0]), r"^psi must be a single-qubit state$"),
+        (lambda: verify_restoration(rz(0.1), [1, 0, 0]), r"^psi must be a single-qubit state$"),
+        (lambda: pure_densities([[1, 0, 0], [0, 1, 0]]), r"^row 0: psi must be a single-qubit state$"),
     ],
-    ids=["nan", "inf", "minus_inf_second", "restoration_nan", "zero", "stack_nan_first", "stack_zero_first"],
+    ids=[
+        "nan",
+        "inf",
+        "minus_inf_second",
+        "restoration_nan",
+        "zero",
+        "stack_nan_first",
+        "stack_zero_first",
+        "three_entries",
+        "restoration_three_entries",
+        "stack_three_entries",
+    ],
 )
 def test_pure_density_names_a_bad_psi(call, message):
     with pytest.raises(ValueError, match=message):
@@ -111,8 +126,13 @@ class TestMirrorState:
             mirror_state(np.array([1.0, 1.0]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match=r"psi\[1\] is not finite: \(inf"):
+        with pytest.raises(ValueError, match=r"psi\[1\] is not finite: inf$"):
             mirror_state(np.array([1.0, np.inf]))
+
+    @pytest.mark.parametrize("psi", [[1, 0, 0], [1], [[1, 0]]])
+    def test_rejects_a_state_that_is_not_one_qubits(self, psi):
+        with pytest.raises(ValueError, match=r"^psi must be a single-qubit state$"):
+            mirror_state(psi)
 
 
 class TestRestoration:

@@ -128,7 +128,6 @@ class _ReferenceResult:
     def __post_init__(self):
         self.records = [o.measurement_record for o in self.outcomes]
         self.probability = np.array([[o.probability for o in self.outcomes]])
-        self.live = np.ones_like(self.probability, dtype=bool)
 
     def row(self, n, branches=None):
         assert n == 0
@@ -223,14 +222,13 @@ def test_run_batch_matches_per_branch_engine(monkeypatch, name):
     us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
     table = protocols.run_batch(name, us, psis, promises)
     n_branch = len(table.records)
-    for array in (table.probability, table.fidelity, table.succeeded, table.live):
+    for array in (table.probability, table.fidelity, table.succeeded):
         assert array.shape == (len(us), n_branch)
     assert table.bob_final.shape == (len(us), n_branch, 2)
     for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
         ref = _reference(monkeypatch, name, ProtocolConfig(u=u, psi=psi, promise=promise))
-        (kept,) = np.nonzero(table.live[n])
-        assert [table.records[b] for b in kept] == [o.measurement_record for o in ref]
-        for b, o in zip(kept, ref):
+        assert list(table.records) == [o.measurement_record for o in ref]
+        for b, o in enumerate(ref):
             assert table.ledger == o.ledger
             assert table.succeeded[n, b] == o.succeeded
             assert abs(table.probability[n, b] - o.probability) <= ORACLE_TOL
@@ -270,7 +268,7 @@ def test_batch_non_unitary_row_is_named(monkeypatch, name):
         ("bqst", [rz(0.3)] * 3, [[1, 0], [0, 0], [0, 1]], None, r"row 1: psi must be nonzero"),
         # (N, 2) arrays: a bad pair or state row is named as in a list
         ("bqst", np.array([[1, 0], [0.6, 0.7], [1, 0]]), None, None, r"row 1: not unimodular: .* by 1\.500e-01$"),
-        ("universal221", np.array([[1, 0], [1, 0], [np.inf, 0]]), None, None, r"row 2: Unimodular\.a is not finite: \(inf\+0j\)$"),
+        ("universal221", np.array([[1, 0], [1, 0], [np.inf, 0]]), None, None, r"row 2: Unimodular\.a is not finite: inf$"),
         ("bqst", np.array([[1, 0], [1, 0]]), np.array([[1, 0], [0, np.nan]]), None, r"row 1: psi\[1\] is not finite"),
         ("one11", np.array([[1, 0]] * 3), np.array([[1, 0], [1, 0], [0, 0]]), COMMUTING, r"row 2: psi must be nonzero"),
         ("bqst", [rz(0.3)] * 2, [[1, 0], [1, 0, 0, 0]], None, r"row 1: psi must be a single-qubit state"),
@@ -314,27 +312,60 @@ def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, mess
         protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
 
 
-def test_branch_is_dropped_only_when_no_row_keeps_it():
-    """Rows near |0> and at |1>: each keeps one outcome of the data qubit, so
-    both children stay, live in one row each; the |0> pair half keeps
-    outcome 0 in every row, so its outcome-1 child is dropped. Row 0's
-    dead branch still holds amplitude 1e-7, which the table must not show."""
+def _two_row_run(psis):
+    """Bob's data qubit in ``psis[n]`` beside a pair half each for Alice and Bob, both in |0>."""
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-    rows = protocols._rows([rz(0.3)] * 2, [[1, 1e-7], [0, 1]], None, protocols._any_config)
-    run = protocols._Run(basis_state("00", (a, b)), data, rows)
+    rows = protocols._rows([rz(0.3)] * 2, psis, None, protocols._any_config)
+    return protocols._Run(basis_state("00", (a, b)), data, rows), a, b, data
+
+
+def test_branch_is_dropped_only_when_every_row_drops_it():
+    """Both rows keep both outcomes of the data qubit; Alice's |0> half
+    gives outcome 1 in no row, so that child leaves the table."""
+    run, a, b, data = _two_row_run([[0.6, 0.8], [0.8, 0.6j]])
     run.measure([data], "computational")
-    assert run.live.tolist() == [[True, False], [False, True]]
     run.measure([a], "computational")
-    assert [r[-1][2] for r in run.records] == ["0", "0"]
     table = run.result(b)
-    assert table.live.tolist() == [[True, False], [False, True]]
-    assert abs(table.probability[0, 0] - 1.0) <= ORACLE_TOL
-    assert table.probability[1].tolist() == [0.0, 1.0]
-    for n, dead in ((0, 1), (1, 0)):
-        assert table.probability[n, dead] == table.fidelity[n, dead] == 0.0
-        assert not table.succeeded[n, dead]
-        assert table.bob_final[n, dead].tolist() == [0, 0]
-    assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0"], ["1/0"]]
+    assert table.probability.shape == (2, 2)
+    assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0", "1/0"]] * 2
+    assert np.abs(table.probability - [[0.36, 0.64], [0.64, 0.36]]).max() <= ORACLE_TOL
+
+
+def test_rows_that_keep_different_branches_are_refused():
+    """Row 0 (|0>) drops the data qubit's outcome 1 and row 1 (|1>) its
+    outcome 0: no branch set fits both rows."""
+    run, _, _, data = _two_row_run([[1, 0], [0, 1]])
+    with pytest.raises(InvariantViolation, match=r"^row 0 drops outcome 1 of measurement 0, which another row keeps$"):
+        run.measure([data], "computational")
+
+
+#: Rotations at the edges of each protocol's domain, with their promises:
+#: 1, -1, a z rotation and half turns, and (where the protocol takes them)
+#: Haar rotations; and states at the poles, on the equator and next to |0>.
+_EDGE_US = [
+    (Unimodular(1, 0), COMMUTING),
+    (Unimodular(-1, 0), COMMUTING),
+    (rz(0.7), COMMUTING),
+    (Unimodular(0, 1), ANTICOMMUTING),
+    (Unimodular(0, np.exp(0.4j)), ANTICOMMUTING),
+]
+_EDGE_PSIS = [[1, 0], [0, 1], [1, 1], [1, 1e-9]]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_every_row_keeps_every_branch_with_equal_weight(name):
+    """The outcome statistics do not depend on the input: each branch has
+    probability 1/16 (1/4 for one11) in every row, so no row drops one."""
+    pairs = _EDGE_US
+    if name in ("bqst", "universal221"):
+        rng = np.random.default_rng(9)
+        pairs = pairs + [(random_unimodular(rng), None) for _ in range(3)]
+    configs = [(u, promise, psi) for u, promise in pairs for psi in _EDGE_PSIS]
+    us, promises, psis = zip(*configs)
+    table = protocols.run_batch(name, us, psis, promises if name == "one11" else None)
+    n_branch = 4 if name == "one11" else 16
+    assert table.probability.shape == (len(configs), n_branch)
+    assert np.abs(table.probability - 1.0 / n_branch).max() <= protocols.PROB_TOL
 
 
 def test_entangled_output_names_the_row():

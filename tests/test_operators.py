@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,20 @@ class TestUnimodular:
         with pytest.raises(ValueError, match=rf"Unimodular\.{field} is not finite"):
             Unimodular(a, b)
 
+    @pytest.mark.parametrize(
+        "a, shown",
+        [
+            (np.nan, "nan"),
+            (-np.inf, "-inf"),
+            (complex(np.nan, 0), "nan"),
+            (complex(1, np.nan), "(1+nanj)"),
+            (complex(np.inf, 2), "(inf+2j)"),
+        ],
+    )
+    def test_non_finite_entry_is_shown_as_written(self, a, shown):
+        with pytest.raises(ValueError, match=rf"^Unimodular\.a is not finite: {re.escape(shown)}$"):
+            Unimodular(a, 0)
+
     def test_huge_entry_refused_with_residual(self):
         with pytest.raises(ValueError, match="deviates from 1 by inf"):
             Unimodular(1e200, 0)
@@ -60,7 +76,7 @@ class TestUnimodular:
         "pairs, row, message",
         [
             ([[1, 0], [0.6, 0.81], [0.6, 0.8]], "1", r"not unimodular: .* by 1\.610e-02$"),
-            ([[1, 0], [0, np.nan]], "1", r"Unimodular\.b is not finite: \(nan\+0j\)$"),
+            ([[1, 0], [0, np.nan]], "1", r"Unimodular\.b is not finite: nan$"),
             ([[[1, 0], [0, 1]], [[1e200, 0], [1, 0]]], "1, 0", r"deviates from 1 by inf$"),
         ],
     )
@@ -143,6 +159,14 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match=r"axis\[1\] is not finite: nan"):
             from_axis_angle([0.0, np.nan, 1.0], 0.5)
 
+    @pytest.mark.parametrize("axis", [[1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]]])
+    def test_axis_of_wrong_shape_rejected(self, axis):
+        """Refused by name, by the constructor and by the classifier alike."""
+        shape = re.escape(str(np.shape(axis)))
+        for call in (lambda: from_axis_angle(axis, 0.3), lambda: classify_operator(IDENTITY, axis)):
+            with pytest.raises(ValueError, match=rf"^expected a 3-vector, got shape {shape}$"):
+                call()
+
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="theta is not finite: inf"):
             from_axis_angle(Z_AXIS, np.inf)
@@ -206,6 +230,18 @@ class TestQOperator:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             q_operator(0.5, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: q_operator(0.3, [1, 0, 0]), r"^xi must be a single-qubit state$"),
+            (lambda: operators.q_matrices([0.3, 0.4], [[1, 0, 0], [0, 1, 0]]), r"^row 0: xi must be a single-qubit state$"),
+        ],
+        ids=["one", "stack"],
+    )
+    def test_rejects_a_state_that_is_not_one_qubits(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestCorrection:

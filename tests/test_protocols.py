@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from remotegate import (
     ANTICOMMUTING,
     COMMUTING,
+    BatchOutcome,
     ProtocolConfig,
     QubitId,
     ResourceLedger,
@@ -327,3 +330,10 @@ class TestSerialization:
         }
         assert record["ledger"] == {"ebits": 1, "cbits_ab": 1, "cbits_ba": 1}
         assert record["branch_id"] == "/".join(m[2] for m in record["measurement_record"])
+
+
+def test_readme_lists_the_batch_outcome_fields_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| field | shape | contents |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    assert rows == [f.name for f in dataclasses.fields(BatchOutcome)]
