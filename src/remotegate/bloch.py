@@ -89,10 +89,14 @@ def mirror_state(psi) -> np.ndarray:
 
 def verify_restorations(us, psis) -> np.ndarray:
     """``verify_restoration`` for each row of an (N, 2) stack of (a, b)
-    pairs and an (N, 2) stack of states."""
-    m = unimodular_matrices(as_pairs(us))
-    m_dag = m.conj().swapaxes(1, 2)
+    pairs and an (N, 2) stack of states; refused unless the stacks are
+    equally long."""
+    pairs = as_pairs(us)
     rho = pure_densities(psis)
+    if len(pairs) != len(rho):
+        raise ValueError(f"{len(pairs)} rotations and {len(rho)} states do not match")
+    m = unimodular_matrices(pairs)
+    m_dag = m.conj().swapaxes(1, 2)
     mirrored = sigma_z @ rho @ sigma_z
     restored = sigma_z @ (m @ mirrored @ m_dag) @ sigma_z
     return np.abs(restored - m @ rho @ m_dag).max(axis=(1, 2)) <= RESTORE_TOL

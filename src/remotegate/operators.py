@@ -267,11 +267,14 @@ def q_matrices(alphas, xis) -> np.ndarray:
     """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for each row of an
     (N,) stack of angles and an (N, 2) stack of normalized states, as (N, 2)
     pairs; refused, naming the row, unless each xi is a normalized qubit
-    state and each matrix special-unitary."""
+    state and each matrix special-unitary, and refused unless there are as
+    many angles as states."""
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=complex)
     if xis.ndim != 2 or xis.shape[1] != 2:
         raise RowError(0, "xi must be a single-qubit state")
+    if alphas.shape != (len(xis),):
+        raise ValueError(f"{alphas.size} angles and {len(xis)} states do not match")
     norms = row_norms(xis)
     bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)
     if bad.any():

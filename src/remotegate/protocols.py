@@ -333,6 +333,9 @@ class _Run:
     communication). The ledger follows from the steps: one e-bit per shared
     pair, and in each direction the bits of every outcome one party measured
     and the other read, counted once however many steps read it.
+
+    Each protocol's circuit runs on it once per promise class, to compile
+    the protocol's instrument (``_instrument``); runs contract that.
     """
 
     def __init__(self, pairs: StateVector, data: QubitId, rows: _Rows):
@@ -424,55 +427,82 @@ class _Run:
         self.log.append((party, basis, k))
         return len(self.log) - 1
 
+    @property
+    def ledger(self) -> ResourceLedger:
+        """One e-bit per shared pair and, in each direction, the bits of every
+        outcome one party measured and the other read."""
+        sent = [self.log[m] for m in self.sent]
+        a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
+        return ResourceLedger(self.ebits, a_to_b, b_to_a)
+
+    def output(self, bob_qubit: QubitId) -> np.ndarray:
+        """Every branch of every row as (N, B, 2, R): Bob's qubit, then the
+        rest of the register."""
+        front = self.amps.transpose(_to_front(self.amps.ndim, self._locate([bob_qubit], "result")[1])[0])
+        return front.reshape(*front.shape[:2], 2, -1)
+
     def result(self, bob_qubit: QubitId) -> BatchOutcome:
         """Every branch of every row, with Bob's qubit factored out. Ends
         the run: Bob's states are normalised in place."""
-        n_row, n_branch = self.amps.shape[:2]
-        probs = _squared_norms(self.amps.reshape(n_row, n_branch, -1))
-        totals = probs.sum(axis=1)
-        bad = ~(np.abs(totals - 1.0) <= PROB_TOL)
-        if bad.any():
-            n = int(np.argmax(bad))
-            raise InvariantViolation(
-                f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
-                "expected 1.0: a step was not unitary"
-            )
-        front = self.amps.transpose(_to_front(self.amps.ndim, self._locate([bob_qubit], "result")[1])[0])
-        mat = front.reshape(n_row, n_branch, 2, -1)
-        norms = np.sqrt(probs)
-        if mat.shape[3] == 1:
-            finals = mat[..., 0]
-            finals /= norms[..., None]
-        else:
-            u, sing, _ = np.linalg.svd(mat, full_matrices=False)
-            # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
-            entangled = ~(sing[..., 1] <= FACTOR_TOL * norms)
-            if entangled.any():
-                n, b = np.argwhere(entangled)[0]
-                raise InvariantViolation(
-                    f"qubit {bob_qubit} is entangled in row {n} (second Schmidt "
-                    f"coefficient {sing[n, b, 1] / norms[n, b]:.3e})"
-                )
-            finals = u[..., 0]
-        # phase-fix: the larger component (the first on a tie) real and positive
-        lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
-        np.divide(lead.conj(), np.abs(lead), out=lead)
-        finals *= lead[..., None]
-        fids = np.abs(finals @ (self.rows.u @ self.rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
-        succeeded = fids >= 1.0 - SUCCESS_TOL
-        for array in (probs, fids, succeeded, finals):
-            array.setflags(write=False)
-        sent = [self.log[m] for m in self.sent]
-        a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
-        return BatchOutcome(
-            records=tuple(self.records),
-            probability=probs,
-            fidelity=fids,
-            succeeded=succeeded,
-            bob_final=finals,
-            ledger=ResourceLedger(self.ebits, a_to_b, b_to_a),
-            bob_qubit=bob_qubit,
+        return _finish(self.output(bob_qubit), self.rows, tuple(self.records), self.ledger, bob_qubit)
+
+
+def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: QubitId) -> BatchOutcome:
+    """The table of the branches ``amps[n, b]`` of ``rows``, each shaped (2,
+    R) as Bob's qubit and the rest of the register, and never renormalised.
+    Refuses a row whose probabilities do not sum to 1 (a step was not
+    unitary), a branch below ``BRANCH_PRUNE`` of its row (the rows share
+    every branch) and a Bob's qubit that is entangled with the rest.
+    Normalises Bob's states in ``amps`` in place."""
+    n_row, n_branch = amps.shape[:2]
+    probs = _squared_norms(amps.reshape(n_row, n_branch, -1))
+    totals = probs.sum(axis=1)
+    bad = ~(np.abs(totals - 1.0) <= PROB_TOL)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise InvariantViolation(
+            f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
+            "expected 1.0: a step was not unitary"
         )
+    small = probs < BRANCH_PRUNE * totals[:, None]
+    if small.any():
+        n, b = np.argwhere(small)[0]
+        branch = "/".join(outcome for _, _, outcome in records[b])
+        raise InvariantViolation(
+            f"row {n} drops branch {branch} (probability {probs[n, b]:.3e}), which every row keeps"
+        )
+    norms = np.sqrt(probs)
+    if amps.shape[3] == 1:
+        finals = amps[..., 0]
+        finals /= norms[..., None]
+    else:
+        u, sing, _ = np.linalg.svd(amps, full_matrices=False)
+        # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
+        entangled = ~(sing[..., 1] <= FACTOR_TOL * norms)
+        if entangled.any():
+            n, b = np.argwhere(entangled)[0]
+            raise InvariantViolation(
+                f"qubit {bob_qubit} is entangled in row {n} (second Schmidt "
+                f"coefficient {sing[n, b, 1] / norms[n, b]:.3e})"
+            )
+        finals = u[..., 0]
+    # phase-fix: the larger component (the first on a tie) real and positive
+    lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
+    np.divide(lead.conj(), np.abs(lead), out=lead)
+    finals *= lead[..., None]
+    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
+    succeeded = fids >= 1.0 - SUCCESS_TOL
+    for array in (probs, fids, succeeded, finals):
+        array.setflags(write=False)
+    return BatchOutcome(
+        records=records,
+        probability=probs,
+        fidelity=fids,
+        succeeded=succeeded,
+        bob_final=finals,
+        ledger=ledger,
+        bob_qubit=bob_qubit,
+    )
 
 
 def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: QubitId):
@@ -498,9 +528,11 @@ def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId):
 # ---------------------------------------------------------------------------
 # protocols
 #
-# Each protocol is a circuit over a list of configurations that returns a
-# BatchOutcome, plus a precondition on one configuration. ``run_batch`` runs
-# a circuit on N rows; each ``run_*`` function runs it on one.
+# Each protocol is a circuit, run step by step on checked rows, that returns
+# the finished run and Bob's output qubit, plus a precondition on the rows.
+# The circuit runs once per promise class, to compile the protocol's
+# instrument; ``run_batch`` and each ``run_*`` function contract the
+# instrument with their rows.
 
 _A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
 _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
@@ -509,16 +541,16 @@ _ONE_PAIR = bell_phi_plus(_A1, _B1)
 _TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
 
 
-def _bqst(rows: _Rows) -> BatchOutcome:
+def _bqst(rows: _Rows) -> tuple[_Run, QubitId]:
     data = QubitId("bob", 2)
     run = _Run(_TWO_PAIRS, data, rows)
     _teleport(run, data, _B1, _A1)
     run.apply(rows.u, [_A1])
     _teleport(run, _A1, _A2, _B2)
-    return run.result(_B2)
+    return run, _B2
 
 
-def _run_221(rows: _Rows, correct_failure: bool) -> BatchOutcome:
+def _run_221(rows: _Rows, correct_failure: bool) -> tuple[_Run, QubitId]:
     data = QubitId("bob", 2)
     run = _Run(_TWO_PAIRS, data, rows)
     _spread_amplitudes(run, _A1, _B1, data)
@@ -528,10 +560,10 @@ def _run_221(rows: _Rows, correct_failure: bool) -> BatchOutcome:
     m = run.measure([_B1], "computational")
     if correct_failure:
         run.apply(Z, [_B2], when=(m, 1))
-    return run.result(_B2)
+    return run, _B2
 
 
-def _one11(rows: _Rows) -> BatchOutcome:
+def _one11(rows: _Rows) -> tuple[_Run, QubitId]:
     data = QubitId("bob", 1)
     run = _Run(_ONE_PAIR, data, rows)
     _spread_amplitudes(run, _A1, _B1, data)
@@ -542,7 +574,7 @@ def _one11(rows: _Rows) -> BatchOutcome:
     commuting = (rows.promise == COMMUTING)[:, None, None]
     run.apply(np.where(commuting, identity2, sigma_x), [_B1], when=(m, 0))
     run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when=(m, 1))
-    return run.result(_B1)
+    return run, _B1
 
 
 # Each precondition returns its checks on the rows, in ``_refuse``'s form.
@@ -580,13 +612,72 @@ _CIRCUITS = {
     "one11": (_promised, _one11),
 }
 
+#: 1, i sz, i sy and i sx as (a, b) pairs, per promise class. The four span
+#: the 2x2 matrices, with tr(M_k^dag M_l) = 2 delta_kl, so that
+#: E_ij = sum_k conj(M_k[i, j]) / 2 M_k; the two that commute with sz span
+#: the diagonal matrices, and the two that anticommute the off-diagonal ones.
+_ELEMENTS = {
+    None: [(1, 0), (1j, 0), (0, 1), (0, 1j)],
+    COMMUTING: [(1, 0), (1j, 0)],
+    ANTICOMMUTING: [(0, 1), (0, 1j)],
+}
+
+
+class _Instrument(NamedTuple):
+    """A protocol compiled for one promise class. Row (i, j, m) of
+    ``tensor`` is every branch's output, flattened from ``shape`` (B, 2, R),
+    for the black box E_ij and Bob's state |m>. A run is linear in both, so
+    its output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m)."""
+
+    tensor: np.ndarray  # (8, B * 2 * R)
+    shape: tuple[int, int, int]
+    records: tuple[tuple[tuple[str, str, str], ...], ...]
+    ledger: ResourceLedger
+    bob_qubit: QubitId
+
+
+@functools.cache
+def _instrument(protocol: str, promise: str | None) -> _Instrument:
+    """Compile ``protocol`` for a promise class: run its circuit once, step
+    by step, on each of the class's ``_ELEMENTS`` with psi = |0> and |1>
+    (rows that pass every check a run makes), and recombine the outputs
+    into the tensor of the matrix units E_ij."""
+    precondition, circuit = _CIRCUITS[protocol]
+    count = len(_ELEMENTS[promise])
+    rows = _rows(np.repeat(_ELEMENTS[promise], 2, axis=0), np.tile(identity2, (count, 1)), promise, precondition)
+    run, bob_qubit = circuit(rows)
+    out = run.output(bob_qubit)
+    tensor = np.einsum("kij,kmf->ijmf", rows.u[::2].conj() / 2, out.reshape(count, 2, -1)).reshape(8, -1)
+    table = run.result(bob_qubit)
+    tensor.setflags(write=False)
+    return _Instrument(tensor, out.shape[1:], table.records, table.ledger, bob_qubit)
+
+
+def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
+    """``protocol`` on checked rows: each row's U[i, j] psi[m] contracted
+    with the instrument of its promise class, then finished."""
+    n_row = len(rows.psi)
+    inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
+    if protocol == "one11":
+        # One circuit for both classes, so the two share records, ledger and
+        # Bob's qubit. Each tensor spans its class's matrices only: the part
+        # of U off the promised class, which the promise check admits within
+        # CLASS_TOL, is dropped.
+        commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
+        promised_commuting = (rows.promise == COMMUTING)[:, None]
+        amps = np.where(promised_commuting, inputs @ commuting.tensor, inputs @ anticommuting.tensor)
+        inst = commuting
+    else:
+        inst = _instrument(protocol, None)
+        amps = inputs @ inst.tensor
+    return _finish(amps.reshape(n_row, *inst.shape), rows, inst.records, inst.ledger, inst.bob_qubit)
+
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     """One configuration, run as the one-row stack it holds."""
-    precondition, circuit = _CIRCUITS[protocol]
     with single_row:
-        _refuse(precondition(cfg.rows))
-    table = circuit(cfg.rows)
+        _refuse(_CIRCUITS[protocol][0](cfg.rows))
+    table = _run_rows(protocol, cfg.rows)
     return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
 
 
@@ -614,8 +705,7 @@ def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
     """
     if protocol not in _CIRCUITS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    precondition, circuit = _CIRCUITS[protocol]
-    return circuit(_rows(us, psis, promise, precondition))
+    return _run_rows(protocol, _rows(us, psis, promise, _CIRCUITS[protocol][0]))
 
 
 def run_bqst(cfg: ProtocolConfig) -> list[ProtocolOutcome]:

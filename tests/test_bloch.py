@@ -14,7 +14,7 @@ from remotegate import (
     rz,
     verify_restoration,
 )
-from remotegate.bloch import pure_densities
+from remotegate.bloch import pure_densities, verify_restorations
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -136,6 +136,18 @@ class TestMirrorState:
 
 
 class TestRestoration:
+    @pytest.mark.parametrize(
+        "count, psis, message",
+        [
+            (3, [[1, 0], [0, 1]], r"^3 rotations and 2 states do not match$"),
+            (1, [[1, 0], [0, 1]], r"^1 rotations and 2 states do not match$"),
+        ],
+        ids=["more_rotations", "fewer_rotations"],
+    )
+    def test_stacks_of_unequal_length_are_refused(self, count, psis, message):
+        with pytest.raises(ValueError, match=message):
+            verify_restorations([rz(0.1)] * count, psis)
+
     def test_z_rotation_restores(self):
         rng = np.random.default_rng(4)
         assert verify_restoration(rz(1.23), random_qubit(rng))

@@ -3,13 +3,15 @@
 ``ReferenceRun`` keeps one renormalised ``StateVector`` per branch of a
 single configuration and drives ``apply_gate``, ``measure``,
 ``sample_branch`` and ``factor_qubit`` one branch at a time, and it counts
-its own ledger. It has the interface of ``protocols._Run``, so a protocol
-runs on it unchanged once it is patched in; ``run_batch`` is compared with
-it row by row. In sampled mode it draws one branch per measurement as it
-goes, where the engine draws a path from its exact tree after the run.
+its own ledger. It has the interface of ``protocols._Run``, so a protocol's
+circuit runs on it unchanged once it is patched in; the compiled runs
+(``run_*`` and ``run_batch``) are compared with it row by row. In sampled
+mode it draws one branch per measurement as it goes, where the engine draws
+a path from its exact tree after the run.
 """
 
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,7 @@ class ReferenceRun:
         self.branches = expanded
         return len(self.measured) - 1
 
-    def result(self, bob_qubit: QubitId):
+    def result(self, bob_qubit: QubitId) -> list:
         target = self.u @ self.psi
         sent = {"alice": 0, "bob": 0}
         for m in self.read_across:
@@ -116,29 +118,26 @@ class ReferenceRun:
                     ledger=ledger,
                 )
             )
-        return _ReferenceResult(outcomes)
-
-
-@dataclass
-class _ReferenceResult:
-    """The reference's branches, in the table form the ``run_*`` functions read."""
-
-    outcomes: list
-
-    def __post_init__(self):
-        self.records = [o.measurement_record for o in self.outcomes]
-        self.probability = np.array([[o.probability for o in self.outcomes]])
-
-    def row(self, n, branches=None):
-        assert n == 0
-        return self.outcomes if branches is None else [self.outcomes[b] for b in branches]
+        return outcomes
 
 
 def _reference(monkeypatch, name, cfg):
+    """The branches of ``cfg`` from the protocol's circuit run step by step
+    on ``ReferenceRun``, bypassing the compiled instrument (in sampled mode,
+    the one branch drawn as it went)."""
     seed = cfg.seed if cfg.mode == "sampled" else None
+    built = []
+
+    def reference_run(pairs, data, rows):
+        built.append(ReferenceRun(pairs, data, rows, seed))
+        return built[-1]
+
     with monkeypatch.context() as patch:
-        patch.setattr(protocols, "_Run", lambda pairs, data, rows: ReferenceRun(pairs, data, rows, seed))
-        return PROTOCOLS[name](cfg)
+        patch.setattr(protocols, "_Run", reference_run)
+        run, bob_qubit = protocols._CIRCUITS[name][1](cfg.rows)
+        outcomes = run.result(bob_qubit)
+    assert built == [run]
+    return outcomes
 
 
 def _in_set(rng, k):
@@ -236,10 +235,18 @@ def test_run_batch_matches_per_branch_engine(monkeypatch, name):
             assert np.abs(table.bob_final[n, b] - o.bob_final.amplitudes).max() <= ORACLE_TOL
 
 
+#: Every (protocol, promise class) that is compiled.
+_COMPILED = [("bqst", None), ("universal221", None), ("restricted221", None),
+             ("one11", COMMUTING), ("one11", ANTICOMMUTING)]
+
+
 def _leaky_row(monkeypatch, bad):
     """Make the black box of row ``bad`` damp |1>. The stack is replaced as
     the rows a run takes are stored (by ``ProtocolConfig`` for one
-    configuration, by ``run_batch`` for N), after every check on it."""
+    configuration, by ``run_batch`` for N), after every check on it. The
+    instruments are compiled first, so the damped row reaches a run."""
+    for key in _COMPILED:
+        protocols._instrument(*key)
     rows = protocols._Rows
 
     def leaky(u, psi, promise):
@@ -509,8 +516,10 @@ def test_outcome_read_across_the_cut_costs_its_qubit_count(targets, basis, bits)
 
 
 def test_batch_memory_drops_measured_qubits(monkeypatch):
-    """1000 restricted 2-2-1 rows peak near 2.4 MB of numpy allocations with
-    measured qubits dropped; kept, they would take about 40 MB."""
+    """1000 restricted 2-2-1 rows, compile included, peak near 1.9 MB of
+    numpy allocations. The compile run, the one ``_Run.result`` sees, drops
+    measured qubits and ends on Bob's output qubit alone; kept, the five
+    qubits would make each branch 16 times as large."""
     us, psis, _ = _batch_rows("restricted221", seed=7, count=1000)
     final = {}
     result = protocols._Run.result
@@ -520,6 +529,7 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
         return result(run, bob_qubit)
 
     monkeypatch.setattr(protocols._Run, "result", spy)
+    protocols._instrument.cache_clear()
     tracemalloc.start()
     try:
         protocols.run_batch("restricted221", us, psis)
@@ -527,7 +537,71 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert final == {"shape": (1000, 16, 2), "register": (QubitId("bob", 1),)}
+    assert final == {"shape": (8, 16, 2), "register": (QubitId("bob", 1),)}
+
+
+# ---------------------------------------------------------------------------
+# compiled instruments
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_compiled_run_matches_the_step_by_step_circuit(name):
+    """``run_batch`` against the circuit run step by step on the real
+    engine, on 200 seeded rows: z rotations, half turns and (where the protocol takes
+    them) Haar rotations, both one11 classes in one batch, on |0>, |1>,
+    [1, 1e-9] and Haar states."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 80, count=200)
+    psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
+    table = protocols.run_batch(name, us, psis, promises)
+    precondition, circuit = protocols._CIRCUITS[name]
+    run, bob_qubit = circuit(protocols._rows(us, psis, promises, precondition))
+    ref = run.result(bob_qubit)
+    assert table.records == ref.records
+    assert table.ledger == ref.ledger and table.bob_qubit == ref.bob_qubit
+    assert np.array_equal(table.succeeded, ref.succeeded)
+    for a, b in ((table.probability, ref.probability), (table.fidelity, ref.fidelity),
+                 (table.bob_final, ref.bob_final)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= ORACLE_TOL
+
+
+def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
+    """100 ``run_*`` calls, exact and sampled, over every protocol and both
+    one11 classes, build one engine per (protocol, promise class)."""
+    compiled, built = Counter(), []
+    for name, (precondition, circuit) in protocols._CIRCUITS.items():
+        def counted(rows, name=name, circuit=circuit):
+            compiled[name, rows.promise[0]] += 1
+            return circuit(rows)
+
+        monkeypatch.setitem(protocols._CIRCUITS, name, (precondition, counted))
+    engine = protocols._Run
+    monkeypatch.setattr(protocols, "_Run", lambda *args: built.append(engine(*args)) or built[-1])
+    protocols._instrument.cache_clear()
+    rng = np.random.default_rng(3)
+    for k in range(100):
+        name = sorted(PROTOCOLS)[k % 4]
+        u, promise = _in_set(rng, k // 4)
+        cfg = ProtocolConfig(u=u, psi=random_qubit(rng), promise=promise if name == "one11" else None,
+                             mode="sampled" if k % 3 else "exact", seed=k)
+        assert PROTOCOLS[name](cfg)
+    assert compiled == Counter(_COMPILED)
+    assert len(built) == len(_COMPILED)
+
+
+def test_branch_negligible_in_one_row_is_refused():
+    """Row 1 gives each outcome 1 probability 1e-7, which both measurements
+    keep (it is far above ``BRANCH_PRUNE`` of its parent), so branch 1/1 of
+    row 1 holds 1e-14 of the row, where row 0 holds 1/4: refused at the end."""
+    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
+    t = np.arcsin(np.sqrt(1e-7))
+    rows = protocols._rows([rz(0.3), rz(0.3)], [[1, 1], [np.cos(t), np.sin(t)]], None, protocols._any_config)
+    run = protocols._Run(basis_state("00", (a, b)), data, rows)
+    run.measure([data], "computational")
+    run.apply(protocols.unimodular_matrices(np.array([[np.cos(np.pi / 4), np.sin(np.pi / 4)], [np.cos(t), np.sin(t)]])), [a])
+    run.measure([a], "computational")
+    with pytest.raises(InvariantViolation, match=r"^row 1 drops branch 1/1 \(probability 1\.000e-14\), which every row keeps$"):
+        run.result(b)
 
 
 def _per_call_draws(rng, kind, count):

@@ -243,6 +243,19 @@ class TestQOperator:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize(
+        "alphas, xis, message",
+        [
+            ([0.1], [[1, 0], [0, 1]], r"^1 angles and 2 states do not match$"),
+            ([0.1, 0.2, 0.3], [[1, 0], [0, 1]], r"^3 angles and 2 states do not match$"),
+            (0.1, [[1, 0], [0, 1]], r"^1 angles and 2 states do not match$"),
+        ],
+        ids=["fewer_angles", "more_angles", "one_bare_angle"],
+    )
+    def test_stacks_of_unequal_length_are_refused(self, alphas, xis, message):
+        with pytest.raises(ValueError, match=message):
+            operators.q_matrices(alphas, xis)
+
 
 class TestCorrection:
     def test_diagonal_gives_sigma_z(self):
