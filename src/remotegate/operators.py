@@ -233,8 +233,9 @@ def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.nda
     """Frobenius norms of [U, n.sigma] and {U, n.sigma} for each matrix U
     of a (..., 2, 2) stack."""
     um, mu = matrices @ n_sigma, n_sigma @ matrices
-    both = np.stack([um - mu, um + mu])
-    flat = both.reshape(*both.shape[:-2], 4).view(float)
+    # commutators then anticommutators along the first axis: one (2, ..., 4) block
+    both = np.concatenate((um - mu, um + mu)).reshape(2, *um.shape[:-2], 4)
+    flat = both.view(float)
     comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     return comm, anti
 

@@ -78,6 +78,7 @@ from .tolerances import (
     FACTOR_TOL,
     NORM_TOL,
     PROB_TOL,
+    STATE_NORM_TOL,
     SUCCESS_TOL,
     UNIMODULAR_TOL,
     UNITARY_TOL,
@@ -149,7 +150,9 @@ def _refuse(checks):
     that pass, message for row n), in the order one row is checked."""
     if not checks:
         return
-    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    passed = checks[0][0]
+    for ok, _ in checks[1:]:
+        passed = passed & ok
     if not passed.all():
         row = int(np.argmin(passed))
         raise RowError(row, next(message(row) for ok, message in checks if not ok[row]))
@@ -197,7 +200,7 @@ def _rows(us, psis, promise, precondition) -> _Rows:
     residuals = unimodular_residuals(pairs)
     u = unimodular_matrices(pairs)
     with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
-        unitary = np.abs(u.conj().swapaxes(1, 2) @ u - identity2).reshape(n_row, 4).max(axis=1) <= UNITARY_TOL
+        unitary = np.abs(u.conj().swapaxes(1, 2) @ u - identity2).max(axis=(1, 2)) <= UNITARY_TOL
     unit, nonzero = unit_rows(psi, NORM_TOL)
     rows = _Rows(u=u, psi=unit, promise=promises)
     checks = [
@@ -278,14 +281,21 @@ class BatchOutcome:
     bob_qubit: QubitId
 
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
-        """Row n as a single run returns it: one outcome per branch (or per one in ``branches``)."""
+        """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
+
+        Each state is a read-only view of ``bob_final``, built without a
+        second check: ``_finish`` certified every final state once.
+        """
         kept = range(len(self.records)) if branches is None else branches
-        finals = StateVector.from_unit_rows(self.bob_final[n, kept], (self.bob_qubit,))
+        finals, register, records, ledger = self.bob_final[n], (self.bob_qubit,), self.records, self.ledger
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
-        return [
-            ProtocolOutcome(self.records[b], probs[b], final, fids[b], wins[b], self.ledger)
-            for b, final in zip(kept, finals)
-        ]
+        outcomes = []
+        for b in kept:
+            final = object.__new__(StateVector)
+            final.__dict__.update(amplitudes=finals[b], register=register)
+            # tuple.__new__ skips the named tuple's Python-level __new__
+            outcomes.append(tuple.__new__(ProtocolOutcome, (records[b], probs[b], final, fids[b], wins[b], ledger)))
+        return outcomes
 
 
 @functools.cache
@@ -452,14 +462,15 @@ def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: Qubit
     R) as Bob's qubit and the rest of the register, and never renormalised.
     Refuses a row whose probabilities do not sum to 1 (a step was not
     unitary), a branch below ``BRANCH_PRUNE`` of its row (the rows share
-    every branch) and a Bob's qubit that is entangled with the rest.
-    Normalises Bob's states in ``amps`` in place."""
+    every branch), a Bob's qubit that is entangled with the rest and a
+    final state of Bob's that is not finite and unit within
+    ``STATE_NORM_TOL``. Normalises Bob's states in ``amps`` in place."""
     n_row, n_branch = amps.shape[:2]
     probs = _squared_norms(amps.reshape(n_row, n_branch, -1))
     totals = probs.sum(axis=1)
-    bad = ~(np.abs(totals - 1.0) <= PROB_TOL)
-    if bad.any():
-        n = int(np.argmax(bad))
+    off = np.abs(totals - 1.0)
+    if not off.max() <= PROB_TOL:  # NaN fails too
+        n = int(np.argmax(~(off <= PROB_TOL)))
         raise InvariantViolation(
             f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
             "expected 1.0: a step was not unitary"
@@ -490,6 +501,14 @@ def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: Qubit
     lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
+    # certified once here, so that ``BatchOutcome.row`` hands the states out unchecked
+    off = np.abs(_squared_norms(finals) - 1.0)
+    if not off.max() <= STATE_NORM_TOL:
+        n, b = np.argwhere(~(off <= STATE_NORM_TOL))[0]
+        branch = "/".join(outcome for _, _, outcome in records[b])
+        raise InvariantViolation(
+            f"row {n} branch {branch}: Bob's final state is not a unit vector (norm^2 off by {off[n, b]:.3e})"
+        )
     fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
@@ -641,7 +660,16 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
     """Compile ``protocol`` for a promise class: run its circuit once, step
     by step, on each of the class's ``_ELEMENTS`` with psi = |0> and |1>
     (rows that pass every check a run makes), and recombine the outputs
-    into the tensor of the matrix units E_ij."""
+    into the tensor of the matrix units E_ij.
+
+    ``one11`` takes a promise, so its instrument of no promise is instead
+    its two class tensors side by side, (8, 2 * B * 2 * R), commuting
+    first: one contraction serves a batch of both classes."""
+    if protocol == "one11" and promise is None:
+        commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
+        both = np.concatenate((commuting.tensor, anticommuting.tensor), axis=1)
+        both.setflags(write=False)
+        return commuting._replace(tensor=both)
     precondition, circuit = _CIRCUITS[protocol]
     count = len(_ELEMENTS[promise])
     rows = _rows(np.repeat(_ELEMENTS[promise], 2, axis=0), np.tile(identity2, (count, 1)), promise, precondition)
@@ -658,18 +686,16 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
     with the instrument of its promise class, then finished."""
     n_row = len(rows.psi)
     inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
+    inst = _instrument(protocol, None)
+    amps = inputs @ inst.tensor
     if protocol == "one11":
         # One circuit for both classes, so the two share records, ledger and
-        # Bob's qubit. Each tensor spans its class's matrices only: the part
-        # of U off the promised class, which the promise check admits within
-        # CLASS_TOL, is dropped.
-        commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
-        promised_commuting = (rows.promise == COMMUTING)[:, None]
-        amps = np.where(promised_commuting, inputs @ commuting.tensor, inputs @ anticommuting.tensor)
-        inst = commuting
-    else:
-        inst = _instrument(protocol, None)
-        amps = inputs @ inst.tensor
+        # Bob's qubit; each row keeps the half of its promised class. Each
+        # half spans its class's matrices only: the part of U off the
+        # promised class, which the promise check admits within CLASS_TOL,
+        # is dropped.
+        half = (rows.promise == ANTICOMMUTING).astype(np.intp)
+        amps = amps.reshape(n_row, 2, -1)[np.arange(n_row), half]
     return _finish(amps.reshape(n_row, *inst.shape), rows, inst.records, inst.ledger, inst.bob_qubit)
 
 

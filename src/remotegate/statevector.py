@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .gates import Gate, unit_vector
-from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL, STATE_NORM_TOL
+from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL
 
 PARTIES = ("alice", "bob")
 
@@ -71,34 +71,18 @@ class StateVector:
     def __post_init__(self):
         reg = tuple(self.register)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        _check_block(amps[None], reg)
+        if len(set(reg)) != len(reg):
+            raise ValueError("register conflict: duplicate qubit ids")
+        if len(amps) != 2 ** len(reg):
+            raise ValueError(f"expected {2 ** len(reg)} amplitudes for {len(reg)} qubits, got {len(amps)}")
+        if not np.all(np.isfinite(amps.view(float))):
+            raise ValueError("amplitudes must be finite")
         amps = unit_vector(amps, NORM_TOL)
         if amps is None:
             raise ValueError("cannot normalize a zero state vector")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "register", reg)
-
-    @classmethod
-    def from_unit_rows(cls, rows, register) -> list[StateVector]:
-        """One state per row of ``rows``, each row already a unit vector.
-
-        The block is checked once, finite and within ``STATE_NORM_TOL`` of
-        unit norm, and no row is renormalised on its own.
-        """
-        reg = tuple(register)
-        rows = np.array(rows, dtype=complex)
-        _check_block(rows, reg)
-        deviation = np.abs(np.sum(rows.real**2 + rows.imag**2, axis=1) - 1.0)
-        if not np.all(deviation <= STATE_NORM_TOL):
-            raise ValueError(f"rows are not unit vectors (norm^2 off by {deviation.max():.3e})")
-        rows.setflags(write=False)
-        states = []
-        for amps in rows:
-            state = object.__new__(cls)
-            state.__dict__.update(amplitudes=amps, register=reg)
-            states.append(state)
-        return states
 
     @property
     def n(self) -> int:
@@ -113,19 +97,6 @@ class StateVector:
     def __repr__(self):
         reg = ",".join(str(q) for q in self.register)
         return f"StateVector([{reg}], dim={len(self.amplitudes)})"
-
-
-def _check_block(rows: np.ndarray, reg: tuple[QubitId, ...]):
-    """Rows of amplitudes over ``reg``: distinct qubits, the right length, finite."""
-    if len(set(reg)) != len(reg):
-        raise ValueError("register conflict: duplicate qubit ids")
-    if rows.ndim != 2 or rows.shape[1] != 2 ** len(reg):
-        raise ValueError(
-            f"expected {2 ** len(reg)} amplitudes for {len(reg)} qubits, "
-            f"got {rows.shape[-1]}"
-        )
-    if not np.all(np.isfinite(rows.view(float))):
-        raise ValueError("amplitudes must be finite")
 
 
 @dataclass(frozen=True, eq=False)

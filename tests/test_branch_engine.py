@@ -643,3 +643,71 @@ def test_verify_batch_draws_the_per_call_samples(monkeypatch, check, kind, count
     assert isinstance(us, np.ndarray) and isinstance(psis, np.ndarray)
     assert np.array_equal(us, [(u.a, u.b) for u, _ in expected])
     assert np.array_equal(psis, [psi for _, psi in expected])
+
+
+# ---------------------------------------------------------------------------
+# one configuration is the one-row case of the batch path
+
+
+def _same_outcomes(single, batched):
+    """Exact equality, field by field, of two outcome lists."""
+    assert len(single) == len(batched)
+    for a, b in zip(single, batched):
+        assert a.measurement_record == b.measurement_record
+        assert a.probability == b.probability
+        assert a.target_fidelity == b.target_fidelity
+        assert a.succeeded == b.succeeded
+        assert a.ledger == b.ledger
+        assert a.bob_final.register == b.bob_final.register
+        assert np.array_equal(a.bob_final.amplitudes, b.bob_final.amplitudes)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_single_call_is_row_zero_of_its_one_row_batch(name):
+    """On 50 seeded configurations, a ``run_*`` call returns exactly what
+    ``run_batch`` returns for its one row: not within a tolerance, bit for
+    bit. For one11 the rows alternate between the two promises, and one
+    batch of all 50 rows must give each row as its single call does, which
+    pins the half of the side-by-side instrument each row keeps."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 90, count=50)
+    for u, psi, promise in zip(us, psis, promises):
+        single = PROTOCOLS[name](ProtocolConfig(u=u, psi=psi, promise=promise))
+        _same_outcomes(single, protocols.run_batch(name, [u], [psi], [promise]).row(0))
+    if name == "one11":
+        assert promises[:4] == [COMMUTING, ANTICOMMUTING] * 2
+        table = protocols.run_batch(name, us, psis, promises)
+        for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
+            _same_outcomes(PROTOCOLS[name](ProtocolConfig(u=u, psi=psi, promise=promise)), table.row(n))
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_row_hands_out_read_only_states_of_bobs_qubit(name):
+    us, psis, promises = _batch_rows(name, seed=3, count=3)
+    table = protocols.run_batch(name, us, psis, promises)
+    for outcomes in (table.row(1), table.row(2, [0])):
+        for o in outcomes:
+            assert o.bob_final.register == (table.bob_qubit,)
+            assert not o.bob_final.amplitudes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                o.bob_final.amplitudes[0] = 0.0
+
+
+def test_final_state_that_is_not_a_unit_vector_is_refused(monkeypatch):
+    """``_finish`` certifies Bob's final states once per table. Damage the
+    normalisation of row 1, branch 5 (``np.sqrt`` of the branch
+    probabilities doubled there): the state is a half-length vector, and
+    the refusal names the row and the branch."""
+    us, psis, _ = _batch_rows("universal221", seed=4, count=3)
+    branch = "/".join(outcome for _, _, outcome in protocols._instrument("universal221", None).records[5])
+    sqrt = np.sqrt
+
+    def damaged(x, *args, **kwargs):
+        out = sqrt(x, *args, **kwargs)
+        if np.ndim(out) == 2:  # the (N, B) branch norms in _finish
+            out[1, 5] *= 2.0
+        return out
+
+    monkeypatch.setattr(np, "sqrt", damaged)
+    message = rf"^row 1 branch {branch}: Bob's final state is not a unit vector \(norm\^2 off by 7\.500e-01\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        protocols.run_batch("universal221", us, psis)

@@ -2,12 +2,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import remotegate
 from remotegate import cli, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import build_parser, main, parse_operator, parse_state, render_operator
 
@@ -399,3 +402,16 @@ class TestHugeFields:
     def test_huge_classification_axis_normalises(self, capsys):
         assert main(["classify", "--u", "sx", "--axis=1e200,0,0"]) == 0
         assert capsys.readouterr().out.strip() == "commuting(1,0,0)"
+
+
+def test_python_m_remotegate_runs_the_cli():
+    """``python -m remotegate`` is ``python -m remotegate.cli``, whether the
+    package is installed or imported from a checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(remotegate.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = [
+        subprocess.run([sys.executable, "-m", module, "classify", "--u", "sz"],
+                       capture_output=True, text=True, env=env, check=True).stdout
+        for module in ("remotegate", "remotegate.cli")
+    ]
+    assert outputs[0] == outputs[1] == "commuting(0,0,1)\n"

@@ -21,6 +21,7 @@ from remotegate import (
     operators,
     orthogonal_state,
     pauli_dot,
+    protocols,
     q_operator,
     random_qubit,
     random_unimodular,
@@ -207,6 +208,82 @@ class TestClassify:
     def test_axis_must_be_finite(self):
         with pytest.raises(ValueError, match=r"axis\[0\] is not finite: nan"):
             classify_operator(Unimodular(0, 1j), np.array([np.nan, 0.0, 1.0]))
+
+
+def _stacked_norms(matrices, n_sigma):
+    """The commutator and anticommutator norms as one ``np.stack`` of the
+    two, the formula ``commutation_norms`` computes without the stack."""
+    um, mu = matrices @ n_sigma, n_sigma @ matrices
+    both = np.stack([um - mu, um + mu])
+    flat = both.reshape(*both.shape[:-2], 4).view(float)
+    comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    return comm, anti
+
+
+def _straddling_magnitudes(norm_of):
+    """The float x at which ``norm_of(x) <= CLASS_TOL`` last holds, and the
+    next float, where it fails: one ulp either side of the boundary."""
+    x = tolerances.CLASS_TOL / np.sqrt(8)  # |[U, sz]| = sqrt(8)|b|, |{U, sz}| = sqrt(8)|a|
+    while norm_of(x) <= tolerances.CLASS_TOL:
+        x = np.nextafter(x, 1.0)
+    while norm_of(x) > tolerances.CLASS_TOL:
+        x = np.nextafter(x, 0.0)
+    return x, np.nextafter(x, 1.0)
+
+
+def _boundary_matrices():
+    """Rotations with |b| (commutator) or |a| (anticommutator) one ulp
+    either side of the CLASS_TOL boundary, at several phases."""
+    pairs = []
+    for phase in np.exp(1j * np.array([0.0, 0.3, 2.1])):
+        for small_b in (True, False):
+            def pair(x, phase=phase, small_b=small_b):
+                big = np.sqrt(1.0 - x * x)
+                return (big, x * phase) if small_b else (x * phase, big)
+
+            def norm_of(x, pair=pair, small_b=small_b):
+                comm, anti = operators.commutation_norms(operators.unimodular_matrices(np.array([pair(x)])), sigma_z)
+                return (comm if small_b else anti)[0]
+
+            pairs += [pair(x) for x in _straddling_magnitudes(norm_of)]
+    return operators.unimodular_matrices(np.array(pairs))
+
+
+def _haar_matrices(rng, count):
+    return operators.unimodular_matrices(np.array([(u.a, u.b) for u in (random_unimodular(rng) for _ in range(count))]))
+
+
+class TestCommutationNorms:
+    def test_matches_the_stack_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        haar = _haar_matrices(rng, 1000)
+        boundary = _boundary_matrices()
+        axes = [Z_AXIS, X_AXIS, rng.normal(size=3)]
+        for matrices in (haar, boundary, haar.reshape(10, 100, 2, 2), haar[0], boundary[0]):
+            for axis in axes:
+                n_sigma = pauli_dot(axis / np.linalg.norm(axis))
+                got, want = operators.commutation_norms(matrices, n_sigma), _stacked_norms(matrices, n_sigma)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape == matrices.shape[:-2]
+                    assert np.array_equal(a, b)
+
+    def test_boundary_matrices_fall_either_side(self):
+        """Each ulp pair straddles the boundary: the first one classifies in
+        its class, the second one does not."""
+        kinds = operators.classify_matrices(_boundary_matrices()).tolist()
+        assert kinds == [COMMUTING, GENERAL, ANTICOMMUTING, GENERAL] * 3
+
+    def test_rows_classify_as_classify_matrices(self):
+        rng = np.random.default_rng(12)
+        in_set = [(u.a, u.b) for u in (rz(rng.uniform(0, 6)) for _ in range(20))]
+        in_set += [(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(20)]
+        in_set = operators.unimodular_matrices(np.array(in_set, dtype=complex))
+        matrices = np.concatenate((_haar_matrices(rng, 1000), in_set, _boundary_matrices()))
+        count = len(matrices)
+        rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.full(count, None))
+        expected = operators.classify_matrices(matrices)
+        assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
+        assert np.array_equal(rows.kinds, expected)
 
 
 class TestQOperator:
