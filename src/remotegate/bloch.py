@@ -16,6 +16,8 @@ from .gates import PAULIS, RowError, identity2, not_finite, require_finite, sigm
 from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
+_PAULI_STACK = np.array(PAULIS)
+
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -51,28 +53,52 @@ def pure_density(psi) -> np.ndarray:
         return pure_densities(np.asarray(psi, dtype=complex)[None])[0]
 
 
+def bloch_vectors(rhos) -> np.ndarray:
+    """(Sx, Sy, Sz) of each valid density matrix of an (N, 2, 2) stack, as
+    an (N, 3) array. Each test in turn (finite, Hermitian, unit trace,
+    positive semidefinite) refuses the first row that fails it, naming it."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (2, 2):
+        raise ValueError(f"expected an (N, 2, 2) stack of density matrices, got shape {rhos.shape}")
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise RowError(n, not_finite("rho", rhos[n]))
+    tests = (
+        (np.linalg.norm(rhos - rhos.conj().swapaxes(1, 2), axis=(1, 2)) <= DENSITY_TOL, "not Hermitian"),
+        (np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= DENSITY_TOL, "trace differs from 1"),
+        (np.linalg.eigvalsh(rhos).min(axis=1) >= -DENSITY_TOL, "not positive semidefinite"),
+    )
+    for ok, why in tests:
+        if not ok.all():
+            raise RowError(int(np.argmin(ok)), f"invalid density matrix: {why}")
+    return np.trace(rhos[:, None] @ _PAULI_STACK, axis1=2, axis2=3).real
+
+
 def bloch_vector(rho) -> BlochVector:
-    """(Sx, Sy, Sz) of a valid 2x2 density matrix."""
+    """(Sx, Sy, Sz) of a valid 2x2 density matrix: ``bloch_vectors`` of one."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    require_finite("rho", rho)
-    if not np.linalg.norm(rho - rho.conj().T) <= DENSITY_TOL:
-        raise ValueError("invalid density matrix: not Hermitian")
-    if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
-        raise ValueError("invalid density matrix: trace differs from 1")
-    if not np.linalg.eigvalsh(rho).min() >= -DENSITY_TOL:
-        raise ValueError("invalid density matrix: not positive semidefinite")
-    s = [float(np.trace(rho @ p).real) for p in PAULIS]
-    return BlochVector(*s)
+    with single_row:
+        return BlochVector(*bloch_vectors(rho[None])[0].tolist())
+
+
+def densities_from_bloch(vecs) -> np.ndarray:
+    """Reconstruction (1 + S.sigma)/2 of each Bloch vector of an (N, 3)
+    stack, as an (N, 2, 2) stack."""
+    vecs = np.asarray(vecs, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) stack of Bloch vectors, got shape {vecs.shape}")
+    out = np.repeat(identity2[None], len(vecs), axis=0)
+    for s, p in zip(vecs.T, PAULIS):
+        out += s[:, None, None] * p
+    return out / 2.0
 
 
 def density_from_bloch(vec: BlochVector) -> np.ndarray:
-    """Reconstruction (1 + S.sigma)/2 of a Bloch vector."""
-    out = identity2.copy()
-    for s, p in zip(vec.as_array(), PAULIS):
-        out += s * p
-    return out / 2.0
+    """Reconstruction (1 + S.sigma)/2 of a Bloch vector: ``densities_from_bloch`` of one."""
+    return densities_from_bloch(vec.as_array()[None])[0]
 
 
 def mirror_state(psi) -> np.ndarray:

@@ -5,7 +5,8 @@ the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
 instances for the statevector engine, plus the input helpers the other
 modules share (``require_finite``, ``require_seed`` and the overflow-safe
 norms ``vector_norm``/``unit_vector``, with ``row_norms``/``unit_rows``
-applying them to each row of a stack).
+applying them to each row of a stack, and ``dot_norms``, ``np.linalg.norm``
+of each row of a stack).
 """
 
 from __future__ import annotations
@@ -104,6 +105,14 @@ def row_norms(rows) -> np.ndarray:
     entries, one ``math.hypot`` per row costs less than scaling in numpy."""
     rows = np.asarray(rows)
     return np.array(_row_hypots(rows.reshape(-1, rows.shape[-1]))).reshape(rows.shape[:-1])
+
+
+def dot_norms(rows) -> np.ndarray:
+    """``np.linalg.norm`` of each row (last axis) of a real array: the same
+    BLAS dot product per row, so each norm equals that row's on its own, bit
+    for bit. It does not scale, so the entries must be far from overflow."""
+    rows = np.asarray(rows, dtype=float)
+    return np.sqrt(rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
 
 
 def unit_vector(values, floor: float):

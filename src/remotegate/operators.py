@@ -23,6 +23,7 @@ import numpy as np
 from .gates import (
     Gate,
     RowError,
+    dot_norms,
     identity2,
     not_finite,
     pauli_dot,
@@ -199,16 +200,45 @@ def orthogonal_state(psi) -> np.ndarray:
     return np.stack([-psi[..., 1].conj(), psi[..., 0].conj()], axis=-1)
 
 
+def haar_pairs(normals) -> np.ndarray:
+    """The Haar-random SU(2) element (uniform on the unit 3-sphere) made from
+    each row v of an (..., 4) stack of standard normal draws, as the pair
+    (v0 + i v1, v2 + i v3) / |v|. Each norm is ``dot_norms``', so a row
+    comes out as it would on its own, bit for bit."""
+    v = np.asarray(normals, dtype=float)
+    return (v / dot_norms(v)[..., None]).view(complex)
+
+
+def haar_qubits(normals) -> np.ndarray:
+    """The Haar-random single-qubit state (uniform on the Bloch sphere) U|0>
+    = (a, -b*) of each ``haar_pairs`` element U = (a, b)."""
+    psis = haar_pairs(normals)
+    psis[..., 1] = -psis[..., 1].conj()
+    return psis
+
+
+def random_unimodulars(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random SU(2) elements as an (n, 2) stack of pairs, from
+    ``rng.normal(size=(n, 4))``: the draws, and the values, of ``n`` calls
+    of ``random_unimodular``."""
+    return haar_pairs(rng.normal(size=(n, 4)))
+
+
+def random_qubits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random single-qubit states as an (n, 2) stack, from
+    ``rng.normal(size=(n, 4))``: the draws, and the values, of ``n`` calls
+    of ``random_qubit``."""
+    return haar_qubits(rng.normal(size=(n, 4)))
+
+
 def random_unimodular(rng: np.random.Generator) -> Unimodular:
-    """Haar-random SU(2) element (uniform on the unit 3-sphere)."""
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return Unimodular(v[0] + 1j * v[1], v[2] + 1j * v[3])
+    """Haar-random SU(2) element: ``random_unimodulars`` of one."""
+    return Unimodular(*random_unimodulars(rng, 1)[0])
 
 
 def random_qubit(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random single-qubit state (uniform on the Bloch sphere)."""
-    return random_unimodular(rng).matrix @ np.array([1.0, 0.0], dtype=complex)
+    """Haar-random single-qubit state: ``random_qubits`` of one."""
+    return random_qubits(rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +270,18 @@ def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.nda
     return comm, anti
 
 
+# The tags as 0-d arrays, converted once: np.where converts a Python str on every call.
+_COMMUTING_TAG, _ANTICOMMUTING_TAG, _GENERAL_TAG = (
+    np.array(kind, dtype="<U13") for kind in (COMMUTING, ANTICOMMUTING, GENERAL)
+)
+
+
 def kinds_from_norms(comm, anti) -> np.ndarray:
     """COMMUTING where the commutator norm is within CLASS_TOL, else
     ANTICOMMUTING where the anticommutator norm is, else GENERAL."""
-    return np.where(comm <= CLASS_TOL, COMMUTING, np.where(anti <= CLASS_TOL, ANTICOMMUTING, GENERAL))
+    return np.where(
+        comm <= CLASS_TOL, _COMMUTING_TAG, np.where(anti <= CLASS_TOL, _ANTICOMMUTING_TAG, _GENERAL_TAG)
+    )
 
 
 def classify_matrices(matrices, axis=Z_AXIS) -> np.ndarray:
@@ -317,10 +355,18 @@ class CommonCorrection:
     deltas: tuple[float, ...]
 
 
+def solve_corrections(us) -> CorrectionSolution:
+    """``solve_correction`` for each row of an (N, 2) stack of (a, b) pairs:
+    one ``CorrectionSolution`` whose fields are stacks (``v`` of shape
+    (N, 2, 2), ``delta`` (N,))."""
+    m = unimodular_matrices(as_pairs(us))
+    return CorrectionSolution(v=m @ sigma_z @ m.conj().swapaxes(-2, -1), delta=np.zeros(len(m)))
+
+
 def solve_correction(u: Unimodular) -> CorrectionSolution:
-    """The correction for one operator: V = U sigma_z U^dag, delta = 0."""
-    m = u.matrix
-    return CorrectionSolution(v=m @ sigma_z @ m.conj().T, delta=0.0)
+    """The correction for one operator: V = U sigma_z U^dag, delta = 0;
+    ``solve_corrections`` of one."""
+    return CorrectionSolution(v=solve_corrections([u]).v[0], delta=0.0)
 
 
 def _pauli_vectors(hermitian_traceless: np.ndarray) -> np.ndarray:

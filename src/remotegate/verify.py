@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, operators, protocols
-from .gates import CNOT, PAULIS, pauli_dot, require_seed, sigma_z
+from .gates import CNOT, PAULIS, dot_norms, pauli_dot, require_seed, sigma_z
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -23,11 +23,14 @@ from .operators import (
     classify_operator,
     find_common_axis,
     from_axis_angle,
+    haar_pairs,
+    haar_qubits,
     orthogonal_state,
     random_qubit,
+    random_qubits,
     random_unimodular,
+    random_unimodulars,
     rz,
-    solve_correction,
     unimodular_matrices,
 )
 from .statevector import (
@@ -97,14 +100,23 @@ def _general_unimodular(rng) -> Unimodular:
             return u
 
 
-def _in_set_operator(rng, diagonal: bool | None = None) -> Unimodular:
-    """A z rotation (commuting with sz) or an off-diagonal operator
-    (anticommuting); a coin flip picks the family unless ``diagonal`` does."""
-    if diagonal is None:
-        diagonal = rng.random() < 0.5
-    if diagonal:
-        return rz(rng.uniform(0, 2 * np.pi))
-    return Unimodular(0, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+def _uniform(lo, hi, draws) -> np.ndarray:
+    """What ``rng.uniform(lo, hi)`` returns for each ``rng.random()`` draw,
+    bit for bit."""
+    return lo + (hi - lo) * np.asarray(draws)
+
+
+def _in_set_pairs(diagonal, draws) -> np.ndarray:
+    """For each uniform draw and its family, as (N, 2) pairs: the z rotation
+    rz(2 pi draw) (commuting with sz) where ``diagonal``, else the
+    off-diagonal operator (0, e^{2 pi i draw}) (anticommuting). The phases
+    are ``cmath.exp``'s, bit for bit."""
+    phases = np.exp(1j * _uniform(0, 2 * np.pi, draws))
+    return np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
+
+
+def _unimodular(pair) -> Unimodular:
+    return Unimodular(*pair.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +181,15 @@ def check_entropy_bounds(rng):
 
 
 def check_unimodular_closure(rng):
-    products, alphas, xis = [], [], []
-    for _ in range(200):
-        u, v = random_unimodular(rng), random_unimodular(rng)
-        products += [u @ v, u.dagger()]
-        alphas.append(rng.uniform(0.1, 3.0))
-        xis.append(random_qubit(rng))
-    pairs = np.concatenate([operators.as_pairs(products), operators.q_matrices(alphas, xis)])
+    uv, alphas, xis = [], [], []
+    for _ in range(200):  # per row: U and V, alpha, xi
+        uv.append(rng.normal(size=8))
+        alphas.append(rng.random())
+        xis.append(rng.normal(size=4))
+    us = [_unimodular(pair) for pair in haar_pairs(np.reshape(uv, (400, 4)))]
+    products = [w for u, v in zip(us[0::2], us[1::2]) for w in (u @ v, u.dagger())]
+    q = operators.q_matrices(_uniform(0.1, 3.0, alphas), haar_qubits(xis))
+    pairs = np.concatenate([operators.as_pairs(products), q])
     drifts = np.abs(np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2 - 1.0)
     return _at_most(UNIMODULAR_TOL, "max unimodularity drift", drifts)
 
@@ -198,10 +212,10 @@ def check_classification_trichotomy(rng):
 
 def check_q_symmetry(rng):
     alphas, psis = [], []
-    for _ in range(1000):
-        alphas.append(rng.uniform(-3, 3))
-        psis.append(random_qubit(rng))
-    alphas, psis = np.array(alphas), np.array(psis)
+    for _ in range(1000):  # per row: alpha, psi
+        alphas.append(rng.random())
+        psis.append(rng.normal(size=4))
+    alphas, psis = _uniform(-3, 3, alphas), haar_qubits(psis)
     q = operators.q_matrices(alphas, psis)
     q_perp = operators.q_matrices(-alphas, orthogonal_state(psis))
     diffs = np.abs(unimodular_matrices(q) - unimodular_matrices(q_perp)).max(axis=(1, 2))
@@ -209,18 +223,16 @@ def check_q_symmetry(rng):
 
 
 def check_correction_identity(rng):
-    residuals = []
-    for _ in range(500):
-        u = random_unimodular(rng)
-        sol = solve_correction(u)
-        lhs = sol.v @ u.matrix
-        rhs = np.exp(1j * sol.delta) * (u.matrix @ sigma_z)
-        residuals.append(np.linalg.norm(lhs - rhs))
+    us = random_unimodulars(rng, 500)
+    sol = operators.solve_corrections(us)
+    m = unimodular_matrices(us)
+    residuals = np.linalg.norm(sol.v @ m - np.exp(1j * sol.delta)[:, None, None] * (m @ sigma_z), axis=(1, 2))
     return _at_most(DERIVED_TOL, "max identity residual", residuals)
 
 
 def check_sign_flip_closure(rng):
-    m = np.array([_in_set_operator(rng).matrix for _ in range(500)])
+    draws = rng.random((500, 2))  # per row: the family's coin, then the angle
+    m = unimodular_matrices(_in_set_pairs(draws[:, 0] < 0.5, draws[:, 1]))
     sign = np.where(operators.classify_matrices(m) == COMMUTING, 1.0, -1.0)[:, None, None]
     residuals = np.abs(sigma_z @ m @ sigma_z - sign * m).max(axis=(1, 2))
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
@@ -232,7 +244,7 @@ def check_orthogonal_pair_overlap(rng):
     is skipped and the next one taken, as one pair at a time would."""
     batches, count = [], 0
     while count < 1000:
-        draws = operators.as_pairs([random_unimodular(rng) for _ in range(2 * (1000 - count))])
+        draws = random_unimodulars(rng, 2 * (1000 - count))
         u1, u2 = draws[0::2], draws[1::2]
         pair, sines = operators.orthogonal_pairs(u1, u2)
         kept = sines >= DEGENERACY_TOL
@@ -300,8 +312,8 @@ def check_ledgers(rng):
 def _haar_rows(rng, count):
     """``count`` Haar (U, psi) pairs, drawn U first, then psi, row by row,
     as an (N, 2) stack of (a, b) pairs and one of states."""
-    rows = [(random_unimodular(rng), random_qubit(rng)) for _ in range(count)]
-    return operators.as_pairs([u for u, _ in rows]), np.array([psi for _, psi in rows])
+    normals = rng.normal(size=(count, 2, 4))
+    return haar_pairs(normals[:, 0]), haar_qubits(normals[:, 1])
 
 
 def check_universal_success_half(rng):
@@ -314,11 +326,11 @@ def _exact_with_ledger(protocol, rng, promised):
     """1000 runs alternating z rotations and off-diagonal operators, in one
     batch: every branch reaches fidelity 1 and carries the protocol's exact
     ledger."""
-    us, psis = [], []
-    for k in range(1000):
-        us.append(_in_set_operator(rng, diagonal=k % 2 == 0))
-        psis.append(random_qubit(rng))
-    us, psis = operators.as_pairs(us), np.array(psis)
+    angles, psis = [], []
+    for _ in range(1000):  # per row: the operator's angle, psi
+        angles.append(rng.random())
+        psis.append(rng.normal(size=4))
+    us, psis = _in_set_pairs(np.arange(1000) % 2 == 0, angles), haar_qubits(psis)
     promises = operators.classify_matrices(unimodular_matrices(us)) if promised else None
     table = protocols.run_batch(protocol, us, psis, promises)
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
@@ -359,11 +371,19 @@ def check_failure_branch_identity(rng):
 def check_classification_consistency(rng):
     """The in-set rows run as one restricted batch; every general row must
     be refused on its own."""
-    us, psis = [], []
-    for _ in range(100):
-        us.append(random_unimodular(rng) if rng.random() < 0.5 else _in_set_operator(rng))
-        psis.append(random_qubit(rng))
-    us, psis = operators.as_pairs(us), np.array(psis)
+    haar, haar_normals, in_set_draws, psis = [], [], [], []
+    for _ in range(100):  # per row: the coin, a Haar operator or an in-set one (coin, angle), psi
+        haar.append(rng.random() < 0.5)
+        if haar[-1]:
+            haar_normals.append(rng.normal(size=4))
+        else:
+            in_set_draws.append((rng.random(), rng.random()))
+        psis.append(rng.normal(size=4))
+    haar, psis = np.array(haar), haar_qubits(psis)
+    us = np.empty((100, 2), dtype=complex)
+    us[haar] = haar_pairs(np.reshape(haar_normals, (-1, 4)))
+    coins, angles = np.reshape(in_set_draws, (-1, 2)).T
+    us[~haar] = _in_set_pairs(coins < 0.5, angles)
     in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
     ran = np.zeros(len(us), dtype=bool)
     if in_set.any():
@@ -386,51 +406,75 @@ def check_classification_consistency(rng):
 
 
 def check_bloch_purity(rng):
-    deviations = [
-        abs(bloch.bloch_vector(bloch.pure_density(random_qubit(rng))).norm - 1.0) for _ in range(200)
-    ]
-    return _at_most(DERIVED_TOL, "max |S| deviation", deviations)
+    vecs = bloch.bloch_vectors(bloch.pure_densities(random_qubits(rng, 200)))
+    return _at_most(DERIVED_TOL, "max |S| deviation", np.abs(dot_norms(vecs) - 1.0))
 
 
 def check_bloch_covariance(rng):
-    residuals = []
-    for _ in range(200):
-        u, psi = random_unimodular(rng), random_qubit(rng)
-        rotated = u.matrix @ bloch.pure_density(psi) @ u.matrix.conj().T
-        back = bloch.density_from_bloch(bloch.bloch_vector(rotated))
-        residuals.append(np.abs(back - rotated).max())
-    return _at_most(DERIVED_TOL, "max reconstruction residual", residuals)
+    us, psis = _haar_rows(rng, 200)
+    m = unimodular_matrices(us)
+    rotated = m @ bloch.pure_densities(psis) @ m.conj().swapaxes(1, 2)
+    back = bloch.densities_from_bloch(bloch.bloch_vectors(rotated))
+    return _at_most(DERIVED_TOL, "max reconstruction residual", np.abs(back - rotated).max(axis=(1, 2)))
 
 
 def check_restoration_classification(rng):
     """Alternating 500 general and 500 in-set operators: in-set ones restore;
     general ones fail on one of 10 inputs and share no correction with z
-    rotations. A general operator's inputs are drawn until one fails, so
-    that test stays in the draw loop; the in-set restorations and the
-    common-correction tests run as stacks afterwards, and a failure is
-    reported for the first operator, in draw order, that fails any test."""
-    failures = []  # (k, message)
-    in_set, psis, families = [], [], []
-    for k in range(1000):
-        if k % 2 == 0:
-            u = _general_unimodular(rng)
-            if all(bloch.verify_restoration(u, random_qubit(rng)) for _ in range(10)):
-                failures.append((k, f"general operator restored on 10 random inputs: {u}"))
-                break
-            families.append([_in_set_operator(rng, diagonal=True) for _ in range(3)] + [u])
-        else:
-            in_set.append(_in_set_operator(rng))
-            psis.append(random_qubit(rng))
+    rotations. A general operator is redrawn until it classifies as general
+    and its inputs are drawn until one fails. A Haar draw almost always
+    passes both on the first draw, so each general row is drawn that way,
+    from the generator state saved before it, and the guesses are tested as
+    one stack afterwards. From the first row guessed wrong, the generator is
+    put back and that row is drawn one test at a time. The in-set
+    restorations and the common-correction tests also run as stacks, and a
+    failure is reported for the first operator, in draw order, that fails
+    any test."""
+    # per general row: the generator state before it, its draws, three z
+    # rotation angles; per in-set row: coin, angle, psi
+    general, in_set = [], []
+    drawn_alone, failures = set(), []  # indices into ``general``
+    while True:
+        for k in range(len(general) + len(in_set), 1000):
+            if k % 2:
+                in_set.append((rng.random(), rng.random(), rng.normal(size=4)))
+                continue
+            state = rng.bit_generator.state
+            if len(general) in drawn_alone:
+                u = _general_unimodular(rng)
+                if all(bloch.verify_restoration(u, random_qubit(rng)) for _ in range(10)):
+                    failures.append((k, f"general operator restored on 10 random inputs: {u}"))
+                    break
+            else:
+                u = rng.normal(size=8)  # a Haar operator, then its first input
+            general.append((state, u, rng.random(3)))
+        guessed = [j for j in range(len(general)) if j not in drawn_alone]
+        draws = np.reshape([general[j][1] for j in guessed], (-1, 8))
+        guesses = haar_pairs(draws[:, :4])
+        wrong = operators.classify_matrices(unimodular_matrices(guesses)) != GENERAL
+        wrong |= bloch.verify_restorations(guesses, haar_qubits(draws[:, 4:]))
+        if not wrong.any():
+            break
+        j = guessed[int(np.argmax(wrong))]
+        rng.bit_generator.state = general[j][0]
+        del general[j:], in_set[j:], failures[:]
+        drawn_alone.add(j)
+    us = np.array([(u.a, u.b) if j in drawn_alone else (0, 0) for j, (_, u, _) in enumerate(general)], complex)
+    us = us.reshape(-1, 2)  # a row per general operator, also when there is none
+    us[guessed] = guesses
     if in_set:
-        restored = bloch.verify_restorations(operators.as_pairs(in_set), np.array(psis))
+        coins, angles, psis = zip(*in_set)
+        pairs = _in_set_pairs(np.array(coins) < 0.5, angles)
+        restored = bloch.verify_restorations(pairs, haar_qubits(psis))
         failures += [
-            (2 * i + 1, f"in-set operator failed restoration: {in_set[i]}")
+            (2 * i + 1, f"in-set operator failed restoration: {_unimodular(pairs[i])}")
             for i in np.flatnonzero(~restored)[:1]
         ]
-    if families:
-        shared, _, _ = operators.common_corrections(np.array([operators.as_pairs(f) for f in families]))
+    if general:
+        families = np.concatenate([_in_set_pairs(True, [z for *_, z in general]), us[:, None]], axis=1)
+        shared, _, _ = operators.common_corrections(families)
         failures += [
-            (2 * i, f"general operator shares a correction with z rotations: {families[i][-1]}")
+            (2 * i, f"general operator shares a correction with z rotations: {_unimodular(families[i, -1])}")
             for i in np.flatnonzero(shared)[:1]
         ]
     if failures:

@@ -3,6 +3,7 @@ import pytest
 
 from remotegate import (
     GENERAL,
+    BlochVector,
     Unimodular,
     bloch_vector,
     classify_operator,
@@ -14,7 +15,8 @@ from remotegate import (
     rz,
     verify_restoration,
 )
-from remotegate.bloch import pure_densities, verify_restorations
+from remotegate.gates import PAULIS, dot_norms
+from remotegate.bloch import bloch_vectors, densities_from_bloch, pure_densities, verify_restorations
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -62,6 +64,63 @@ class TestBlochVector:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match=r"rho\[0, 1\] is not finite"):
             bloch_vector(np.array([[0.5, np.nan], [0.0, 0.5]]))
+
+
+class TestStackForms:
+    @staticmethod
+    def _densities(rng, count):
+        """Pure states, and mixtures of two of them."""
+        pure = pure_densities([random_qubit(rng) for _ in range(2 * count)])
+        weights = rng.random(count)[:, None, None]
+        return np.concatenate([pure[:count], weights * pure[:count] + (1 - weights) * pure[count:]])
+
+    def test_rows_are_the_one_matrix_formulas_bit_for_bit(self):
+        """Against the formulas the one-matrix functions used before they
+        became the stacks' one-row case: tr(rho s) per Pauli, and 1 plus
+        each S s in turn, halved."""
+        rhos = self._densities(np.random.default_rng(30), 100)
+        vecs = bloch_vectors(rhos)
+        assert vecs.shape == (200, 3)
+        for rho, vec in zip(rhos, vecs):
+            assert np.array_equal([float(np.trace(rho @ p).real) for p in PAULIS], vec)
+            assert np.array_equal(bloch_vector(rho).as_array(), vec)
+        assert np.array_equal(dot_norms(vecs), [BlochVector(*vec).norm for vec in vecs])
+        back = densities_from_bloch(vecs)
+        assert back.shape == (200, 2, 2)
+        for vec, rho in zip(vecs, back):
+            want = np.eye(2, dtype=complex)
+            for s, p in zip(vec, PAULIS):
+                want += s * p
+            assert np.array_equal(want / 2.0, rho)
+            assert np.array_equal(density_from_bloch(BlochVector(*vec)), rho)
+
+    @pytest.mark.parametrize(
+        "row, bad, message",
+        [
+            (2, [[0.5, np.nan], [0.0, 0.5]], r"^row 2: rho\[0, 1\] is not finite: nan$"),
+            (1, [[0.5, 0.5], [0.0, 0.5]], r"^row 1: invalid density matrix: not Hermitian$"),
+            (3, np.eye(2), r"^row 3: invalid density matrix: trace differs from 1$"),
+            (0, np.diag([1.5, -0.5]), r"^row 0: invalid density matrix: not positive semidefinite$"),
+        ],
+        ids=["not_finite", "not_hermitian", "trace", "not_psd"],
+    )
+    def test_a_bad_row_is_refused_naming_it(self, row, bad, message):
+        rhos = self._densities(np.random.default_rng(31), 2)
+        rhos[row] = bad
+        with pytest.raises(ValueError, match=message):
+            bloch_vectors(rhos)
+
+    @pytest.mark.parametrize(
+        "rhos", [np.eye(2) / 2, np.zeros((2, 3, 3)), np.zeros((1, 2, 2, 2))], ids=["one_matrix", "3x3", "4d"]
+    )
+    def test_a_stack_that_is_not_of_2x2_matrices_is_refused(self, rhos):
+        with pytest.raises(ValueError, match=r"^expected an \(N, 2, 2\) stack of density matrices, got shape "):
+            bloch_vectors(rhos)
+
+    @pytest.mark.parametrize("vecs", [[0.0, 0.0, 1.0], np.zeros((2, 4))], ids=["one_vector", "4_components"])
+    def test_a_stack_that_is_not_of_3_vectors_is_refused(self, vecs):
+        with pytest.raises(ValueError, match=r"^expected an \(N, 3\) stack of Bloch vectors, got shape "):
+            densities_from_bloch(vecs)
 
 
 def test_pure_density_of_huge_state():

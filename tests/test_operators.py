@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -285,6 +286,19 @@ class TestCommutationNorms:
         assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
         assert np.array_equal(rows.kinds, expected)
 
+    def test_tags_are_those_of_the_string_formula(self):
+        """The tags ``np.where`` takes as arrays give what it gave with the
+        Python strings: the same tags, dtype and shape, NaN general."""
+        tol = tolerances.CLASS_TOL
+        near = [0.0, tol, np.nextafter(tol, 1.0), 1.0, np.nan]
+        comm, anti = (np.array(x) for x in zip(*itertools.product(near, near)))
+        for c, a in ((comm, anti), (comm.reshape(5, 5), anti.reshape(5, 5)), (comm[7], anti[7]), (np.nan, 0.0)):
+            got = operators.kinds_from_norms(c, a)
+            want = np.where(c <= tol, COMMUTING, np.where(a <= tol, ANTICOMMUTING, GENERAL))
+            assert got.dtype == want.dtype == np.dtype("<U13")
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert str(operators.kinds_from_norms(np.array(1.0), np.array(0.0))) == ANTICOMMUTING
+
 
 class TestQOperator:
     def test_projector_on_zero(self):
@@ -348,6 +362,16 @@ class TestCorrection:
         # U sz U^dag for U = [[0,1],[-1,0]] is -sz by direct product.
         sol = solve_correction(Unimodular(0, 1))
         np.testing.assert_allclose(sol.v, -sigma_z, atol=1e-12)
+
+    def test_stack_is_the_one_operator_formula_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        us = [random_unimodular(rng) for _ in range(200)] + [rz(0.9), IDENTITY, Unimodular(0, 1)]
+        sol = operators.solve_corrections(us)
+        assert sol.v.shape == (len(us), 2, 2) and np.array_equal(sol.delta, np.zeros(len(us)))
+        for u, v in zip(us, sol.v):
+            assert np.array_equal(u.matrix @ sigma_z @ u.matrix.conj().T, v)
+            one = solve_correction(u)
+            assert np.array_equal(one.v, v) and one.delta == 0.0
 
     def test_identity_holds_for_random_operators(self):
         rng = np.random.default_rng(8)
@@ -553,3 +577,35 @@ def test_orthogonal_state_is_orthogonal():
 def test_random_unimodular_on_unit_sphere(seed):
     u = random_unimodular(np.random.default_rng(seed))
     assert abs(abs(u.a) ** 2 + abs(u.b) ** 2 - 1) < 1e-10
+
+
+def _written_out_draw(rng):
+    """One Haar draw as the samplers are specified: a normalised normal 4-vector."""
+    v = rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20020923])
+def test_stacked_samplers_are_the_written_out_draws_bit_for_bit(seed):
+    """10,000 draws each, as (a, b) = (v0 + i v1, v2 + i v3) and as U|0> =
+    (a, -b*); the generator ends where the 10,000 one-draw calls leave it."""
+    want = np.random.default_rng(seed)
+    vs = np.array([_written_out_draw(want) for _ in range(10_000)])
+    pairs = np.array([(v[0] + 1j * v[1], v[2] + 1j * v[3]) for v in vs])
+    states = np.array([(v[0] + 1j * v[1], -v[2] + 1j * v[3]) for v in vs])
+    for sampler, expected in ((operators.random_unimodulars, pairs), (operators.random_qubits, states)):
+        rng = np.random.default_rng(seed)
+        got = sampler(rng, 10_000)
+        assert got.shape == (10_000, 2) and got.dtype == complex
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_one_draw_is_the_stacks_row():
+    """``random_unimodular`` and ``random_qubit`` draw what one row of the
+    stack does, so interleaved one-draw calls take the stack's stream."""
+    rng, stacked = np.random.default_rng(3), np.random.default_rng(3)
+    pairs, states = operators.random_unimodulars(stacked, 50), operators.random_qubits(stacked, 50)
+    assert np.array_equal([(u.a, u.b) for u in (random_unimodular(rng) for _ in range(50))], pairs)
+    assert np.array_equal([random_qubit(rng) for _ in range(50)], states)
+    assert rng.bit_generator.state == stacked.bit_generator.state
