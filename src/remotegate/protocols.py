@@ -300,21 +300,18 @@ class BatchOutcome:
 
 @functools.cache
 def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that moves qubit ``axes`` to positions 2, 3, ..., right
-    after the row and branch axes, the others keeping their order (what
+    """The transpose that moves qubit ``axes`` to positions 1, 2, ..., right
+    after the branch axis, the others keeping their order (what
     ``np.moveaxis`` does, without its per-call cost), and its inverse."""
-    perm = (0, 1) + axes + tuple(a for a in range(2, ndim) if a not in axes)
+    perm = (0,) + axes + tuple(a for a in range(1, ndim) if a not in axes)
     return perm, tuple(np.argsort(perm).tolist())
 
 
 def _apply_matrix(matrix: np.ndarray, axes: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    """``matrix`` on the given qubit axes of every branch of every row; a
-    matrix of shape (N, 1, d, d) gives each row its own."""
-    k = len(axes)
+    """``matrix`` on the given qubit axes of every branch."""
     perm, inverse = _to_front(amps.ndim, axes)
     front = amps.transpose(perm)
-    n_row, n_branch = front.shape[:2]
-    out = matrix @ front.reshape(n_row, n_branch, 2**k, 2 ** (front.ndim - 2 - k))
+    out = matrix @ front.reshape(len(front), len(matrix), 2 ** (front.ndim - 1 - len(axes)))
     return out.reshape(front.shape).transpose(inverse)
 
 
@@ -324,37 +321,42 @@ def _squared_norms(amps: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", flat, flat)
 
 
-class _Run:
-    """All branches of one protocol over N configurations, held as one array.
+_SWAP = Gate(np.eye(4)[[0, 2, 1, 3]], "swap")
+#: The comb's references: Bob's R_psi, paired with his data qubit, and Alice's R_in and R_out.
+_R_PSI, _R_IN, _R_OUT = QubitId("bob", 3), QubitId("alice", 2), QubitId("alice", 3)
 
-    ``amps[n, b]`` is branch b of row n, with one axis per register qubit
-    not yet measured. It is never renormalised: its squared norm is the
-    branch probability, so a step that is not unitary shows in the row's
-    total when the run ends. A measurement contracts its qubits with the
-    basis vectors and drops them from the register (deferred measurement);
-    the outcomes go onto the branch axis, parent branch first and outcome
-    second, which keeps the order of the branch tree. The rows share the
-    branch axis, so each measurement is logged once, as its party, basis
-    and qubit count, beside its outcome on each branch; the branch records
-    and the ledger's bits follow from that log.
+
+class _Run:
+    """All branches of one protocol as one array: the protocol as a one-slot
+    quantum comb (Chiribella, D'Ariano and Perinotti, PRL 101, 060401, 2008).
+    Bob's data qubit is paired with a reference R_psi, and the black box is
+    a slot (``black_box``) wired to Alice's references R_in and R_out, so at
+    (R_out, R_in, R_psi) = (i, j, m) the run holds the protocol's output for
+    the box E_ij = |i><j| and Bob's state |m>, which ``_instrument`` reads.
+
+    ``amps[b]`` is branch b, with one axis per register qubit not yet
+    measured. A measurement contracts its qubits with the basis vectors and
+    drops them from the register (deferred measurement); the outcomes go
+    onto the branch axis, parent branch first and outcome second, which
+    keeps the order of the branch tree. Each measurement is logged once, as
+    its party, basis and qubit count, beside its outcome on each branch; the
+    branch records and the ledger's bits follow from that log.
 
     Each step acts for the party that owns its qubits, and a step across
     the Alice|Bob cut is refused (LOCC: local operations and classical
     communication). The ledger follows from the steps: one e-bit per shared
     pair, and in each direction the bits of every outcome one party measured
     and the other read, counted once however many steps read it.
-
-    Each protocol's circuit runs on it once per promise class, to compile
-    the protocol's instrument (``_instrument``); runs contract that.
     """
 
-    def __init__(self, pairs: StateVector, data: QubitId, rows: _Rows):
-        """Row n starts as the shared ``pairs`` and Bob's data qubit in ``rows.psi[n]``."""
-        self.rows = rows
+    def __init__(self, pairs: StateVector, data: QubitId):
+        """The shared ``pairs`` beside three references, each at amplitude 1
+        on its basis states: |00> + |11> on (``data``, R_psi), |0> on R_in
+        and |0> + |1> on R_out."""
         self.ebits = len(pairs.register) // 2
-        self._set_register(pairs.register + (data,))
-        amps = pairs.amplitudes[None, :, None] * rows.psi[:, None, :]
-        self.amps = amps.reshape((len(rows.psi), 1) + (2,) * len(self.register))
+        self._set_register(pairs.register + (data, _R_PSI, _R_IN, _R_OUT))
+        references = np.kron(np.kron([1, 0, 0, 1], [1, 0]), [1, 1])
+        self.amps = np.kron(pairs.amplitudes, references).reshape((1,) + (2,) * len(self.register))
         #: per measurement, its (party, basis, qubit count)
         self.log: list[tuple[str, str, int]] = []
         #: ``outcomes[b, m]``: the outcome of measurement m on branch b
@@ -365,7 +367,7 @@ class _Run:
     def _set_register(self, register: tuple[QubitId, ...]):
         self.register = register
         #: (owner, index) -> the qubit's axis in ``amps``
-        self._axes = {(q.owner, q.index): 2 + i for i, q in enumerate(register)}
+        self._axes = {(q.owner, q.index): 1 + i for i, q in enumerate(register)}
 
     def _locate(self, targets, step: str) -> tuple[str, tuple[int, ...]]:
         """The one party that owns ``targets``, and their axes."""
@@ -386,52 +388,45 @@ class _Run:
         labels = [[(party, basis, format(o, f"0{k}b")) for o in range(2**k)] for party, basis, k in self.log]
         return [tuple(labels[m][o] for m, o in enumerate(branch)) for branch in self.outcomes.tolist()]
 
-    def apply(self, gate, targets, when: tuple[int, int] | None = None):
+    def apply(self, gate: Gate, targets, when: tuple[int, int] | None = None):
         """Apply ``gate`` on every branch, or, with ``when=(m, value)``, on
-        those where measurement m gave ``value``. ``gate`` is a ``Gate`` for
-        all rows or an (N, 2, 2) stack holding each row's own matrix."""
-        named = isinstance(gate, Gate)
-        party, axes = self._locate(targets, f"gate {gate.name!r}" if named else "row-wise gate")
-        if named and len(axes) != gate.qubits:
+        those where measurement m gave ``value``."""
+        party, axes = self._locate(targets, f"gate {gate.name!r}")
+        if len(axes) != gate.qubits:
             raise ValueError(f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)")
-        matrix = gate.matrix if named else gate[:, None]
         if when is None:
-            self.amps = _apply_matrix(matrix, axes, self.amps)
+            self.amps = _apply_matrix(gate.matrix, axes, self.amps)
         else:
             m, value = when
             if self.log[m][0] != party:  # measured by the other party
                 self.sent.add(m)
             hit = self.outcomes[:, m] == value
-            self.amps[:, hit] = _apply_matrix(matrix, axes, self.amps[:, hit])
+            self.amps[hit] = _apply_matrix(gate.matrix, axes, self.amps[hit])
+
+    def black_box(self, q: QubitId):
+        """Alice's black box on ``q``, as the comb's slot: q's state moves to
+        R_in and q takes R_out's, which leaves the box E_ij at (R_out, R_in)
+        = (i, j)."""
+        self.apply(_SWAP, [q, _R_IN])
+        self.apply(CNOT, [_R_OUT, q])
 
     def measure(self, targets, basis: str) -> int:
         """Split every branch by the outcome of measuring ``targets``, which
         leave the register, and return the measurement's index for ``when``.
-
-        A child below ``BRANCH_PRUNE`` of its parent in every row is dropped,
-        and one below it in some rows only is refused: the rows share branches.
-        """
+        A child below ``BRANCH_PRUNE`` of its parent is dropped."""
         party, axes = self._locate(targets, f"{basis} measurement")
         k = len(axes)
         vecs = _BASES.get((basis, k))
         if vecs is None:
             raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
         front = self.amps.transpose(_to_front(self.amps.ndim, axes)[0])
-        (n_row, n_branch), dim, rest = front.shape[:2], 2**k, front.shape[k + 2 :]
-        coeff = vecs.conj() @ front.reshape(n_row, n_branch, dim, 2 ** len(rest))
+        n_branch, dim, rest = len(front), 2**k, front.shape[k + 1 :]
+        coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
         child = _squared_norms(coeff)
         # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
-        small = (child < BRANCH_PRUNE * child.sum(axis=2, keepdims=True)).reshape(n_row, n_branch * dim)
-        keep = ~small.all(axis=0)
-        if (small & keep).any():
-            n, c = np.argwhere(small & keep)[0]
-            raise InvariantViolation(
-                f"row {n} drops outcome {c % dim:0{k}b} of measurement {len(self.log)}, which another row keeps"
-            )
-        self.amps = coeff.reshape(n_row, n_branch * dim, *rest)
-        if not keep.all():
-            self.amps = self.amps[:, keep]
-        self._set_register(tuple(q for i, q in enumerate(self.register, 2) if i not in axes))
+        keep = ~(child < BRANCH_PRUNE * child.sum(axis=1, keepdims=True)).reshape(-1)
+        self.amps = coeff.reshape(n_branch * dim, *rest)[keep]
+        self._set_register(tuple(q for i, q in enumerate(self.register, 1) if i not in axes))
         kept = np.flatnonzero(keep)  # child index: parent branch * dim + outcome
         self.outcomes = np.column_stack((self.outcomes[kept // dim], kept % dim))
         self.log.append((party, basis, k))
@@ -444,17 +439,6 @@ class _Run:
         sent = [self.log[m] for m in self.sent]
         a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
         return ResourceLedger(self.ebits, a_to_b, b_to_a)
-
-    def output(self, bob_qubit: QubitId) -> np.ndarray:
-        """Every branch of every row as (N, B, 2, R): Bob's qubit, then the
-        rest of the register."""
-        front = self.amps.transpose(_to_front(self.amps.ndim, self._locate([bob_qubit], "result")[1])[0])
-        return front.reshape(*front.shape[:2], 2, -1)
-
-    def result(self, bob_qubit: QubitId) -> BatchOutcome:
-        """Every branch of every row, with Bob's qubit factored out. Ends
-        the run: Bob's states are normalised in place."""
-        return _finish(self.output(bob_qubit), self.rows, tuple(self.records), self.ledger, bob_qubit)
 
 
 def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: QubitId) -> BatchOutcome:
@@ -547,7 +531,7 @@ def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId):
 # ---------------------------------------------------------------------------
 # protocols
 #
-# Each protocol is a circuit, run step by step on checked rows, that returns
+# Each protocol is a circuit on the comb for a promise class, which returns
 # the finished run and Bob's output qubit, plus a precondition on the rows.
 # The circuit runs once per promise class, to compile the protocol's
 # instrument; ``run_batch`` and each ``run_*`` function contract the
@@ -560,20 +544,20 @@ _ONE_PAIR = bell_phi_plus(_A1, _B1)
 _TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
 
 
-def _bqst(rows: _Rows) -> tuple[_Run, QubitId]:
+def _bqst() -> tuple[_Run, QubitId]:
     data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data, rows)
+    run = _Run(_TWO_PAIRS, data)
     _teleport(run, data, _B1, _A1)
-    run.apply(rows.u, [_A1])
+    run.black_box(_A1)
     _teleport(run, _A1, _A2, _B2)
     return run, _B2
 
 
-def _run_221(rows: _Rows, correct_failure: bool) -> tuple[_Run, QubitId]:
+def _run_221(correct_failure: bool) -> tuple[_Run, QubitId]:
     data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data, rows)
+    run = _Run(_TWO_PAIRS, data)
     _spread_amplitudes(run, _A1, _B1, data)
-    run.apply(rows.u, [_A1])
+    run.black_box(_A1)
     _teleport(run, _A1, _A2, _B2)
     run.apply(H, [_B1])
     m = run.measure([_B1], "computational")
@@ -582,17 +566,19 @@ def _run_221(rows: _Rows, correct_failure: bool) -> tuple[_Run, QubitId]:
     return run, _B2
 
 
-def _one11(rows: _Rows) -> tuple[_Run, QubitId]:
+def _one11(promise: str) -> tuple[_Run, QubitId]:
     data = QubitId("bob", 1)
-    run = _Run(_ONE_PAIR, data, rows)
+    run = _Run(_ONE_PAIR, data)
     _spread_amplitudes(run, _A1, _B1, data)
-    run.apply(rows.u, [_A1])
+    run.black_box(_A1)
     run.apply(H, [_A1])
     m = run.measure([_A1], "computational")
-    # Bob's fix-up per promise: (1, sz) when commuting, (sx, sz sx) when anticommuting
-    commuting = (rows.promise == COMMUTING)[:, None, None]
-    run.apply(np.where(commuting, identity2, sigma_x), [_B1], when=(m, 0))
-    run.apply(np.where(commuting, sigma_z, ZX.matrix), [_B1], when=(m, 1))
+    # Bob's fix-ups on outcomes 0 and 1: (1, sz) when commuting, (sx, sz sx) when anticommuting
+    if promise == COMMUTING:
+        run.apply(Z, [_B1], when=(m, 1))
+    else:
+        run.apply(X, [_B1], when=(m, 0))
+        run.apply(ZX, [_B1], when=(m, 1))
     return run, _B1
 
 
@@ -623,22 +609,12 @@ def _promised(rows: _Rows):
     return [(rows.promise != None, lambda n: "the 1-1-1 protocol requires a promise")]  # noqa: E711
 
 
-#: Protocol name -> (precondition on the rows, circuit over the rows).
+#: Protocol name -> (precondition on the rows, circuit for a promise class).
 _CIRCUITS = {
-    "bqst": (_any_config, _bqst),
-    "universal221": (_no_promise, lambda rows: _run_221(rows, correct_failure=False)),
-    "restricted221": (_in_set_only, lambda rows: _run_221(rows, correct_failure=True)),
+    "bqst": (_any_config, lambda promise: _bqst()),
+    "universal221": (_no_promise, lambda promise: _run_221(correct_failure=False)),
+    "restricted221": (_in_set_only, lambda promise: _run_221(correct_failure=True)),
     "one11": (_promised, _one11),
-}
-
-#: 1, i sz, i sy and i sx as (a, b) pairs, per promise class. The four span
-#: the 2x2 matrices, with tr(M_k^dag M_l) = 2 delta_kl, so that
-#: E_ij = sum_k conj(M_k[i, j]) / 2 M_k; the two that commute with sz span
-#: the diagonal matrices, and the two that anticommute the off-diagonal ones.
-_ELEMENTS = {
-    None: [(1, 0), (1j, 0), (0, 1), (0, 1j)],
-    COMMUTING: [(1, 0), (1j, 0)],
-    ANTICOMMUTING: [(0, 1), (0, 1j)],
 }
 
 
@@ -657,10 +633,12 @@ class _Instrument(NamedTuple):
 
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
-    """Compile ``protocol`` for a promise class: run its circuit once, step
-    by step, on each of the class's ``_ELEMENTS`` with psi = |0> and |1>
-    (rows that pass every check a run makes), and recombine the outputs
-    into the tensor of the matrix units E_ij.
+    """Compile ``protocol`` for a promise class: run its circuit once on the
+    comb and read row (i, j, m) at (R_out, R_in, R_psi) = (i, j, m). A class
+    spans only its own E_ij (the diagonal ones commute with sz, the others
+    anticommute), so under a promise the other rows are zeroed: the part of
+    U off the promised class, which the promise check admits within
+    CLASS_TOL, is dropped.
 
     ``one11`` takes a promise, so its instrument of no promise is instead
     its two class tensors side by side, (8, 2 * B * 2 * R), commuting
@@ -670,15 +648,15 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
         both = np.concatenate((commuting.tensor, anticommuting.tensor), axis=1)
         both.setflags(write=False)
         return commuting._replace(tensor=both)
-    precondition, circuit = _CIRCUITS[protocol]
-    count = len(_ELEMENTS[promise])
-    rows = _rows(np.repeat(_ELEMENTS[promise], 2, axis=0), np.tile(identity2, (count, 1)), promise, precondition)
-    run, bob_qubit = circuit(rows)
-    out = run.output(bob_qubit)
-    tensor = np.einsum("kij,kmf->ijmf", rows.u[::2].conj() / 2, out.reshape(count, 2, -1)).reshape(8, -1)
-    table = run.result(bob_qubit)
+    run, bob_qubit = _CIRCUITS[protocol][1](promise)
+    axes = tuple(run._axes[q.owner, q.index] for q in (_R_OUT, _R_IN, _R_PSI, bob_qubit))
+    out = np.moveaxis(run.amps.transpose(_to_front(run.amps.ndim, axes)[0]), 0, 3)
+    out = out.reshape(2, 2, 2, len(run.amps), 2, -1).copy()
+    if promise is not None:
+        out[np.eye(2, dtype=bool) == (promise == ANTICOMMUTING)] = 0
+    tensor = out.reshape(8, -1)
     tensor.setflags(write=False)
-    return _Instrument(tensor, out.shape[1:], table.records, table.ledger, bob_qubit)
+    return _Instrument(tensor, out.shape[3:], tuple(run.records), run.ledger, bob_qubit)
 
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:

@@ -4,10 +4,11 @@
 single configuration and drives ``apply_gate``, ``measure``,
 ``sample_branch`` and ``factor_qubit`` one branch at a time, and it counts
 its own ledger. It has the interface of ``protocols._Run``, so a protocol's
-circuit runs on it unchanged once it is patched in; the compiled runs
-(``run_*`` and ``run_batch``) are compared with it row by row. In sampled
-mode it draws one branch per measurement as it goes, where the engine draws
-a path from its exact tree after the run.
+circuit runs on it unchanged once it is patched in, except that its black
+box applies the configuration's real ``Gate(U)`` where the engine's is the
+comb's slot; the compiled runs (``run_*`` and ``run_batch``) are compared
+with it row by row. In sampled mode it draws one branch per measurement as
+it goes, where the engine draws a path from its exact tree after the run.
 """
 
 import tracemalloc
@@ -21,7 +22,6 @@ from remotegate import (
     ANTICOMMUTING,
     COMMUTING,
     PROTOCOLS,
-    Gate,
     InvariantViolation,
     ProtocolConfig,
     QubitId,
@@ -39,7 +39,7 @@ from remotegate import (
     rz,
     sample_branch,
     tensor,
-    verify,
+    tolerances,
 )
 
 ORACLE_TOL = 1e-12
@@ -57,9 +57,10 @@ class ReferenceRun:
     states. Its ledger holds one e-bit per pair and the bits of each outcome
     that a party other than the one who measured it reads."""
 
-    def __init__(self, pairs: StateVector, data: QubitId, rows, seed=None):
-        """One row of ``rows``; with a ``seed``, one branch drawn per measurement."""
-        ((self.u,), (self.psi,)) = rows.u, rows.psi
+    def __init__(self, pairs: StateVector, data: QubitId, cfg: ProtocolConfig, seed=None):
+        """Bob's ``data`` qubit in ``cfg.psi`` beside the ``pairs``; with a
+        ``seed``, one branch drawn per measurement."""
+        self.u, self.psi = cfg.u.as_gate(), cfg.psi
         state = tensor(pairs, qubit_state(self.psi[0], self.psi[1], data))
         self.branches = [_Branch(state, 1.0, ())]
         self.rng = None if seed is None else np.random.default_rng(seed)
@@ -68,8 +69,6 @@ class ReferenceRun:
         self.read_across = set()  # measurements the other party read
 
     def apply(self, gate, targets, when=None):
-        if not isinstance(gate, Gate):
-            gate = Gate(gate[0], "row 0")
         if when is not None:
             m, value = when
             if self.measured[m][0] != targets[0].owner:
@@ -77,6 +76,9 @@ class ReferenceRun:
         for br in self.branches:
             if when is None or int(br.record[m][2], 2) == value:
                 br.state = apply_gate(br.state, gate, targets)
+
+    def black_box(self, q: QubitId):
+        self.apply(self.u, [q])
 
     def measure(self, targets, basis: str):
         party = targets[0].owner
@@ -98,7 +100,7 @@ class ReferenceRun:
         return len(self.measured) - 1
 
     def result(self, bob_qubit: QubitId) -> list:
-        target = self.u @ self.psi
+        target = self.u.matrix @ self.psi
         sent = {"alice": 0, "bob": 0}
         for m in self.read_across:
             party, bits = self.measured[m]
@@ -127,14 +129,9 @@ def _reference(monkeypatch, name, cfg):
     the one branch drawn as it went)."""
     seed = cfg.seed if cfg.mode == "sampled" else None
     built = []
-
-    def reference_run(pairs, data, rows):
-        built.append(ReferenceRun(pairs, data, rows, seed))
-        return built[-1]
-
     with monkeypatch.context() as patch:
-        patch.setattr(protocols, "_Run", reference_run)
-        run, bob_qubit = protocols._CIRCUITS[name][1](cfg.rows)
+        patch.setattr(protocols, "_Run", lambda pairs, data: built.append(ReferenceRun(pairs, data, cfg, seed)) or built[-1])
+        run, bob_qubit = protocols._CIRCUITS[name][1](cfg.promise)
         outcomes = run.result(bob_qubit)
     assert built == [run]
     return outcomes
@@ -216,9 +213,7 @@ def _batch_rows(name, seed, count=64):
     return us, psis, promises
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_run_batch_matches_per_branch_engine(monkeypatch, name):
-    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
+def _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises):
     table = protocols.run_batch(name, us, psis, promises)
     n_branch = len(table.records)
     for array in (table.probability, table.fidelity, table.succeeded):
@@ -235,6 +230,12 @@ def test_run_batch_matches_per_branch_engine(monkeypatch, name):
             assert np.abs(table.bob_final[n, b] - o.bob_final.amplitudes).max() <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_run_batch_matches_per_branch_engine(monkeypatch, name):
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
+    _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises)
+
+
 #: Every (protocol, promise class) that is compiled.
 _COMPILED = [("bqst", None), ("universal221", None), ("restricted221", None),
              ("one11", COMMUTING), ("one11", ANTICOMMUTING)]
@@ -243,10 +244,7 @@ _COMPILED = [("bqst", None), ("universal221", None), ("restricted221", None),
 def _leaky_row(monkeypatch, bad):
     """Make the black box of row ``bad`` damp |1>. The stack is replaced as
     the rows a run takes are stored (by ``ProtocolConfig`` for one
-    configuration, by ``run_batch`` for N), after every check on it. The
-    instruments are compiled first, so the damped row reaches a run."""
-    for key in _COMPILED:
-        protocols._instrument(*key)
+    configuration, by ``run_batch`` for N), after every check on it."""
     rows = protocols._Rows
 
     def leaky(u, psi, promise):
@@ -319,31 +317,32 @@ def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, mess
         protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
 
 
-def _two_row_run(psis):
-    """Bob's data qubit in ``psis[n]`` beside a pair half each for Alice and Bob, both in |0>."""
-    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-    rows = protocols._rows([rz(0.3)] * 2, psis, None, protocols._any_config)
-    return protocols._Run(basis_state("00", (a, b)), data, rows), a, b, data
+def _run_circuit(monkeypatch, circuit, psis, us=None):
+    """Run ``circuit``, a hand-built circuit on the comb that returns (run,
+    Bob's qubit), as ``run_batch`` runs a protocol: compiled once, then
+    contracted with the rows of ``psis``. The black box is 1 unless ``us``
+    are given; a circuit without a ``black_box`` step needs it to be."""
+    monkeypatch.setitem(protocols._CIRCUITS, "hand_built", (protocols._any_config, lambda promise: circuit()))
+    protocols._instrument.cache_clear()
+    return protocols.run_batch("hand_built", [Unimodular(1, 0)] * len(psis) if us is None else us, psis)
 
 
-def test_branch_is_dropped_only_when_every_row_drops_it():
+def test_branch_is_dropped_only_when_every_row_drops_it(monkeypatch):
     """Both rows keep both outcomes of the data qubit; Alice's |0> half
-    gives outcome 1 in no row, so that child leaves the table."""
-    run, a, b, data = _two_row_run([[0.6, 0.8], [0.8, 0.6j]])
-    run.measure([data], "computational")
-    run.measure([a], "computational")
-    table = run.result(b)
+    gives outcome 1 for no black box and no input, so the compile drops
+    that child and it is in no row of the table."""
+    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
+
+    def circuit():
+        run = protocols._Run(basis_state("00", (a, b)), data)
+        run.measure([data], "computational")
+        run.measure([a], "computational")
+        return run, b
+
+    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8], [0.8, 0.6j]])
     assert table.probability.shape == (2, 2)
     assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0", "1/0"]] * 2
     assert np.abs(table.probability - [[0.36, 0.64], [0.64, 0.36]]).max() <= ORACLE_TOL
-
-
-def test_rows_that_keep_different_branches_are_refused():
-    """Row 0 (|0>) drops the data qubit's outcome 1 and row 1 (|1>) its
-    outcome 0: no branch set fits both rows."""
-    run, _, _, data = _two_row_run([[1, 0], [0, 1]])
-    with pytest.raises(InvariantViolation, match=r"^row 0 drops outcome 1 of measurement 0, which another row keeps$"):
-        run.measure([data], "computational")
 
 
 #: Rotations at the edges of each protocol's domain, with their promises:
@@ -375,13 +374,16 @@ def test_every_row_keeps_every_branch_with_equal_weight(name):
     assert np.abs(table.probability - 1.0 / n_branch).max() <= protocols.PROB_TOL
 
 
-def test_entangled_output_names_the_row():
+def test_entangled_output_names_the_row(monkeypatch):
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-    rows = protocols._rows([rz(0.3)] * 2, [[1, 0], [1, 1]], None, protocols._any_config)
-    run = protocols._Run(basis_state("00", (a, b)), data, rows)
-    run.apply(protocols.CNOT, [data, b])
+
+    def circuit():
+        run = protocols._Run(basis_state("00", (a, b)), data)
+        run.apply(protocols.CNOT, [data, b])
+        return run, b
+
     with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
-        run.result(b)
+        _run_circuit(monkeypatch, circuit, [[1, 0], [1, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +394,8 @@ A0, A1, B0, B1, DATA = QubitId("alice", 0), QubitId("alice", 1), QubitId("bob", 
 
 def _hand_built_run():
     """Alice's and Bob's pair halves in |0000> (two pairs, by count) and
-    Bob's data qubit in 0.6|0> + 0.8|1>."""
-    cfg = ProtocolConfig(u=rz(0.3), psi=[0.6, 0.8])
-    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA, cfg.rows)
+    Bob's data qubit, paired with the comb's reference R_psi."""
+    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA)
 
 
 @pytest.mark.parametrize(
@@ -447,17 +448,21 @@ def _bob_reads_one_bell_outcome_three_times(run):
 def test_ledger_counts_each_outcome_read_across_the_cut_once(steps, ledger):
     run = _hand_built_run()
     steps(run)
-    assert run.result(DATA).ledger.as_tuple() == ledger
+    assert run.ledger.as_tuple() == ledger
 
 
-def test_when_reads_the_named_measurement():
+def test_when_reads_the_named_measurement(monkeypatch):
     """Bob flips bob:0 on the data outcome after a later measurement of
     alice:0, whose outcome is always 0; the flip must follow the data bit."""
-    run = _hand_built_run()
-    data = run.measure([DATA], "computational")
-    run.measure([A0], "computational")
-    run.apply(protocols.X, [B0], when=(data, 1))
-    table = run.result(B0)
+
+    def circuit():
+        run = _hand_built_run()
+        data = run.measure([DATA], "computational")
+        run.measure([A0], "computational")
+        run.apply(protocols.X, [B0], when=(data, 1))
+        return run, B0
+
+    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
     assert [o.branch_id for o in table.row(0)] == ["0/0", "1/0"]
     assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
     assert table.ledger.as_tuple() == (2, 0, 0)
@@ -484,17 +489,21 @@ def test_engine_refuses_targets_outside_the_register_or_repeated(step, message):
         step(_hand_built_run())
 
 
-def test_target_equal_to_a_register_qubit_resolves_to_its_axis():
+def test_target_equal_to_a_register_qubit_resolves_to_its_axis(monkeypatch):
     """Steps naming fresh ``QubitId`` objects act on the register slots they
     equal: flip the data qubit, copy it onto bob:0 and read Bob's output."""
-    run = _hand_built_run()
-    data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
-    assert data is not DATA and bob0 is not B0
-    run.apply(protocols.X, [data])
-    run.apply(protocols.CNOT, [data, bob0])
-    run.measure([QubitId("bob", 0)], "computational")
-    table = run.result(QubitId("bob", 2))
-    assert run.records == [(("bob", "computational", "0"),), (("bob", "computational", "1"),)]
+
+    def circuit():
+        run = _hand_built_run()
+        data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
+        assert data is not DATA and bob0 is not B0
+        run.apply(protocols.X, [data])
+        run.apply(protocols.CNOT, [data, bob0])
+        run.measure([QubitId("bob", 0)], "computational")
+        return run, QubitId("bob", 2)
+
+    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
+    assert table.records == ((("bob", "computational", "0"),), (("bob", "computational", "1"),))
     assert table.probability[0] == pytest.approx([0.64, 0.36], abs=ORACLE_TOL)
     assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
 
@@ -512,23 +521,17 @@ def test_outcome_read_across_the_cut_costs_its_qubit_count(targets, basis, bits)
     assert run.log == [("alice", basis, bits)]
     assert {len(record[m][2]) for record in run.records} == {bits}
     run.apply(protocols.X, [DATA], when=(m, 0))
-    assert run.result(DATA).ledger.as_tuple() == (2, bits, 0)
+    assert run.ledger.as_tuple() == (2, bits, 0)
 
 
 def test_batch_memory_drops_measured_qubits(monkeypatch):
     """1000 restricted 2-2-1 rows, compile included, peak near 1.9 MB of
-    numpy allocations. The compile run, the one ``_Run.result`` sees, drops
-    measured qubits and ends on Bob's output qubit alone; kept, the five
-    qubits would make each branch 16 times as large."""
+    numpy allocations. The compile run drops measured qubits and ends on
+    Bob's output qubit and the comb's three references; kept, the four
+    measured qubits would make each branch 16 times as large."""
     us, psis, _ = _batch_rows("restricted221", seed=7, count=1000)
-    final = {}
-    result = protocols._Run.result
-
-    def spy(run, bob_qubit):
-        final["shape"], final["register"] = run.amps.shape, run.register
-        return result(run, bob_qubit)
-
-    monkeypatch.setattr(protocols._Run, "result", spy)
+    built, engine = [], protocols._Run
+    monkeypatch.setattr(protocols, "_Run", lambda *args: built.append(engine(*args)) or built[-1])
     protocols._instrument.cache_clear()
     tracemalloc.start()
     try:
@@ -537,7 +540,9 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    assert final == {"shape": (8, 16, 2), "register": (QubitId("bob", 1),)}
+    ((run,),) = [built]
+    assert run.amps.shape == (16, 2, 2, 2, 2)
+    assert run.register == (QubitId("bob", 1), protocols._R_PSI, protocols._R_IN, protocols._R_OUT)
 
 
 # ---------------------------------------------------------------------------
@@ -545,24 +550,14 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_compiled_run_matches_the_step_by_step_circuit(name):
-    """``run_batch`` against the circuit run step by step on the real
-    engine, on 200 seeded rows: z rotations, half turns and (where the protocol takes
-    them) Haar rotations, both one11 classes in one batch, on |0>, |1>,
-    [1, 1e-9] and Haar states."""
-    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 80, count=200)
+def test_compiled_run_matches_the_step_by_step_circuit(monkeypatch, name):
+    """``run_batch`` against the circuit run step by step, with the real
+    black box, on ``ReferenceRun``: 40 seeded rows of z rotations, half
+    turns and (where the protocol takes them) Haar rotations, both one11
+    classes in one batch, on |0>, |1>, [1, 1e-9] and Haar states."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 80, count=40)
     psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
-    table = protocols.run_batch(name, us, psis, promises)
-    precondition, circuit = protocols._CIRCUITS[name]
-    run, bob_qubit = circuit(protocols._rows(us, psis, promises, precondition))
-    ref = run.result(bob_qubit)
-    assert table.records == ref.records
-    assert table.ledger == ref.ledger and table.bob_qubit == ref.bob_qubit
-    assert np.array_equal(table.succeeded, ref.succeeded)
-    for a, b in ((table.probability, ref.probability), (table.fidelity, ref.fidelity),
-                 (table.bob_final, ref.bob_final)):
-        assert a.shape == b.shape
-        assert np.abs(a - b).max() <= ORACLE_TOL
+    _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises)
 
 
 def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
@@ -570,9 +565,9 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     one11 classes, build one engine per (protocol, promise class)."""
     compiled, built = Counter(), []
     for name, (precondition, circuit) in protocols._CIRCUITS.items():
-        def counted(rows, name=name, circuit=circuit):
-            compiled[name, rows.promise[0]] += 1
-            return circuit(rows)
+        def counted(promise, name=name, circuit=circuit):
+            compiled[name, promise] += 1
+            return circuit(promise)
 
         monkeypatch.setitem(protocols._CIRCUITS, name, (precondition, counted))
     engine = protocols._Run
@@ -589,60 +584,43 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     assert len(built) == len(_COMPILED)
 
 
-def test_branch_negligible_in_one_row_is_refused():
-    """Row 1 gives each outcome 1 probability 1e-7, which both measurements
-    keep (it is far above ``BRANCH_PRUNE`` of its parent), so branch 1/1 of
-    row 1 holds 1e-14 of the row, where row 0 holds 1/4: refused at the end."""
+@pytest.mark.parametrize("promise", [COMMUTING, ANTICOMMUTING])
+def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
+    """Rotations 3e-10 off the promised class, at the ``CLASS_TOL`` edge,
+    pass the promise check and run as their part in the class: probabilities
+    and Bob's final states equal, bit for bit, those with that entry at 0."""
+    rng = np.random.default_rng(11)
+    clean = np.exp(2j * np.pi * rng.random((8, 2)))
+    off = 1 if promise == COMMUTING else 0  # b when commuting, a when anticommuting
+    clean[:, off] = 0
+    near = clean.copy()
+    near[:, off] = 3e-10 * np.exp(2j * np.pi * rng.random(8))
+    comm, anti = protocols.commutation_norms(protocols.unimodular_matrices(near), protocols.sigma_z)
+    norms = comm if promise == COMMUTING else anti
+    assert (0.5 * tolerances.CLASS_TOL < norms).all() and (norms <= tolerances.CLASS_TOL).all()
+    psis = [random_qubit(rng) for _ in range(8)]
+    a, b = (protocols.run_batch("one11", us, psis, promise) for us in (near, clean))
+    assert np.array_equal(a.probability, b.probability)
+    assert np.array_equal(a.bob_final, b.bob_final)
+
+
+def test_branch_negligible_in_one_row_is_refused(monkeypatch):
+    """Row 1 gives each outcome 1 probability 1e-7, and other boxes and
+    inputs reach each child, so the compile keeps all four: branch 1/1 of
+    row 1 holds 1e-14 of the row, where row 0 holds 1/4, and is refused."""
     a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
     t = np.arcsin(np.sqrt(1e-7))
-    rows = protocols._rows([rz(0.3), rz(0.3)], [[1, 1], [np.cos(t), np.sin(t)]], None, protocols._any_config)
-    run = protocols._Run(basis_state("00", (a, b)), data, rows)
-    run.measure([data], "computational")
-    run.apply(protocols.unimodular_matrices(np.array([[np.cos(np.pi / 4), np.sin(np.pi / 4)], [np.cos(t), np.sin(t)]])), [a])
-    run.measure([a], "computational")
+
+    def circuit():
+        run = protocols._Run(basis_state("00", (a, b)), data)
+        run.measure([data], "computational")
+        run.black_box(a)
+        run.measure([a], "computational")
+        return run, b
+
+    us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
     with pytest.raises(InvariantViolation, match=r"^row 1 drops branch 1/1 \(probability 1\.000e-14\), which every row keeps$"):
-        run.result(b)
-
-
-def _per_call_draws(rng, kind, count):
-    """The configurations verify's sampling loops drew one call at a time."""
-    rows = []
-    for k in range(count):
-        if kind == "haar":
-            u = random_unimodular(rng)
-        elif k % 2 == 0:
-            u = rz(rng.uniform(0, 2 * np.pi))
-        else:
-            u = Unimodular(0, np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        rows.append((u, random_qubit(rng)))
-    return rows
-
-
-@pytest.mark.parametrize(
-    "check, kind, count",
-    [
-        ("protocols.universal_success_half", "haar", 100),
-        ("protocols.restricted_perfect", "in_set", 1000),
-        ("protocols.one11_perfect", "in_set", 1000),
-        ("protocols.failure_branch_identity", "haar", 100),
-    ],
-)
-def test_verify_batch_draws_the_per_call_samples(monkeypatch, check, kind, count):
-    batches = []
-    run_batch = protocols.run_batch
-
-    def spy(protocol, us, psis, promise=None):
-        batches.append((us, psis))
-        return run_batch(protocol, us, psis, promise)
-
-    monkeypatch.setattr(protocols, "run_batch", spy)
-    passed, detail = dict(verify.registry())[check](np.random.default_rng(5))
-    assert passed, detail
-    ((us, psis),) = batches
-    expected = _per_call_draws(np.random.default_rng(5), kind, count)
-    assert isinstance(us, np.ndarray) and isinstance(psis, np.ndarray)
-    assert np.array_equal(us, [(u.a, u.b) for u, _ in expected])
-    assert np.array_equal(psis, [psi for _, psi in expected])
+        _run_circuit(monkeypatch, circuit, [[1, 1], [np.cos(t), np.sin(t)]], us)
 
 
 # ---------------------------------------------------------------------------
