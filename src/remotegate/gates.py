@@ -149,11 +149,12 @@ def unit_rows(rows, floor: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pauli_dot(vec) -> np.ndarray:
-    """Return ``vec[0]*sigma_x + vec[1]*sigma_y + vec[2]*sigma_z``."""
+    """Return ``vec[0]*sigma_x + vec[1]*sigma_y + vec[2]*sigma_z``, or that
+    matrix for each vector of a (..., 3) stack, each as it would be on its own."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return v[0] * sigma_x + v[1] * sigma_y + v[2] * sigma_z
+    return v[..., 0, None, None] * sigma_x + v[..., 1, None, None] * sigma_y + v[..., 2, None, None] * sigma_z
 
 
 @dataclass(frozen=True, eq=False)

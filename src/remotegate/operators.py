@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +181,40 @@ def _unit_axis(axis) -> np.ndarray:
     return axis
 
 
+def from_axis_angles(axes, thetas) -> np.ndarray:
+    """The rotation exp(-i theta n.sigma / 2) for each row of an (N, 3)
+    stack of unit axes n and an (N,) stack of angles, as (N, 2) pairs;
+    refused, naming the row, unless each axis is a finite unit 3-vector and
+    each angle finite, and refused unless there are as many angles as axes."""
+    axes = np.asarray(axes, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if axes.ndim != 2 or axes.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) stack of axes, got shape {axes.shape}")
+    if thetas.shape != (len(axes),):
+        raise ValueError(f"{thetas.size} angles and {len(axes)} axes do not match")
+    for n, (axis, theta) in enumerate(zip(axes.tolist(), thetas.tolist())):  # _unit_axis, then require_finite
+        norm = math.hypot(*axis)
+        if not abs(norm - 1.0) <= AXIS_NORM_TOL:
+            raise RowError(n, not_finite("axis", axes[n]) or f"non-unit axis (norm {norm!r})")
+        if not math.isfinite(theta):
+            raise RowError(n, not_finite("theta", thetas[n]))
+    half = thetas / 2
+    c, s = np.cos(half), np.sin(half)
+    # (c, -s n_y) - i s (n_z, n_x) as complex products and differences, so
+    # that each row is what the one-rotation formula gave, signed zeros included
+    real = np.empty((len(axes), 2))
+    real[:, 0], real[:, 1] = c, -s * axes[:, 1]
+    return real - (1j * s)[:, None] * axes[:, 2::-2]
+
+
 def from_axis_angle(axis, theta: float) -> Unimodular:
-    """Rotation exp(-i theta axis.sigma / 2) about a unit 3-vector."""
-    axis = _unit_axis(axis)
-    require_finite("theta", theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return Unimodular(c - 1j * s * axis[2], -s * axis[1] - 1j * s * axis[0])
+    """Rotation exp(-i theta axis.sigma / 2) about a unit 3-vector:
+    ``from_axis_angles`` of one."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {axis.shape}")
+    with single_row:
+        return Unimodular(*from_axis_angles(axis[None], [theta])[0].tolist())
 
 
 def rz(phi: float) -> Unimodular:
@@ -378,8 +407,9 @@ def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
     """-1 where the first component of a vector larger than SIGN_TOL is
     negative, else 1, for each vector of a (..., 3) stack."""
     big = np.abs(vecs) > SIGN_TOL
-    lead = np.take_along_axis(vecs, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    return np.where(big.any(axis=-1) & (lead < 0), -1.0, 1.0)
+    # the first big component, else the last, which is then within SIGN_TOL of 0
+    lead = np.where(big[..., 0], vecs[..., 0], np.where(big[..., 1], vecs[..., 1], vecs[..., 2]))
+    return np.where(lead < -SIGN_TOL, -1.0, 1.0)
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:
@@ -419,8 +449,24 @@ def check_common_correction(operators) -> CommonCorrection | None:
 # axis search
 
 
+def find_common_axes(families) -> list[np.ndarray | None]:
+    """``find_common_axis`` of each set of an (M, K, 2) stack of M sets of K
+    operators as (a, b) pairs; refused unless K > 0 and every pair is
+    unimodular, the error naming the first bad set and operator.
+
+    Each set's first candidate, the axis of its first operator beyond
+    CENTRAL_TOL, is tried for every set at once; only a set it fails goes
+    on to the remaining candidates, one set at a time.
+    """
+    pairs = as_pairs(families)
+    if pairs.ndim != 3 or not pairs.shape[1]:
+        raise ValueError(f"expected an (M, K, 2) stack of nonempty operator sets, got shape {pairs.shape}")
+    return _common_axes(pairs)
+
+
 def find_common_axis(operators) -> np.ndarray | None:
-    """A unit axis against which every operator is commuting or anticommuting.
+    """A unit axis against which every operator is commuting or anticommuting:
+    ``find_common_axes`` of one set.
 
     Candidate axes are read from the traceless parts of the operators plus
     pairwise cross products (for sets made purely of half-turns), the
@@ -428,39 +474,72 @@ def find_common_axis(operators) -> np.ndarray | None:
     is verified by classifying the whole set at once. Operators within
     tolerance of +/-1 constrain nothing and are skipped; a set of only such
     operators is compatible with every axis and gets the z axis by
-    convention. Returns None when no axis fits.
+    convention. The axis is sign-fixed so that its first component larger
+    than SIGN_TOL is positive. Returns None when no axis fits.
     """
     operators = list(operators)
     if not operators:
         raise ValueError("empty operator set")
-    axes = []
-    for u in operators:
-        _, vec = u.pauli_decompose()
-        norm = np.linalg.norm(vec)
-        if norm > CENTRAL_TOL:
-            axes.append(vec / norm)
-    if not axes:
-        return Z_AXIS.copy()
-    matrices = np.array([u.matrix for u in operators])
-    seen: list[np.ndarray] = []
-    for cand in itertools.chain(axes, _cross_axes(axes)):
+    return _common_axes(as_pairs(operators)[None])[0]
+
+
+def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
+    """``find_common_axes`` of an (M, K, 2) stack of unimodular pairs, K > 0."""
+    # each U as u0*1 - i*vec.sigma: vec = -(Im b, Re b, Im a), then vec / |vec|
+    vecs = -np.ascontiguousarray(pairs).view(float)[..., 3:0:-1]
+    norms = dot_norms(vecs)
+    moving = norms > CENTRAL_TOL
+    axes = vecs / np.maximum(norms, CENTRAL_TOL)[..., None]  # a central operator's row is not used
+    rows = np.arange(len(pairs))
+    firsts = axes[rows, moving.argmax(axis=1)]
+    matrices = unimodular_matrices(pairs)
+    fits = _fits(matrices, pauli_dot(firsts)[:, None])
+    firsts *= _canonical_signs(firsts)[:, None]
+    found = []
+    for m, (constrained, fit) in enumerate(zip(moving.any(axis=1).tolist(), fits.tolist())):
+        if not constrained:
+            found.append(Z_AXIS.copy())
+        elif fit:
+            found.append(firsts[m])
+        else:
+            found.append(_search_axis(matrices[m], axes[m, moving[m]]))
+    return found
+
+
+def _fits(matrices, n_sigma) -> np.ndarray:
+    """Whether no matrix of each (..., K, 2, 2) set is GENERAL against its
+    n.sigma (``kinds_from_norms``' tags, from the same norms)."""
+    comm, anti = commutation_norms(matrices, n_sigma)
+    return (np.fmin(comm, anti) <= CLASS_TOL).all(axis=-1)
+
+
+def _search_axis(matrices, axes) -> np.ndarray | None:
+    """The candidates after ``axes[0]``, which has failed, in order: the rest
+    of the unit ``axes``, then their cross products, each skipped when
+    within DUPLICATE_AXIS_TOL of one already tried; the first that fits the
+    set of ``matrices``, sign-fixed, or None."""
+    seen = [axes[0]]
+    for cand in itertools.chain(axes[1:], _cross_axes(axes)):
         if any(abs(np.dot(cand, s)) > 1.0 - DUPLICATE_AXIS_TOL for s in seen):
             continue
         seen.append(cand)
-        if not (classify_matrices(matrices, cand) == GENERAL).any():
+        if _fits(matrices, pauli_dot(cand)):
             return _canonical_sign(cand)
     return None
 
 
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross_axes(axes):
     """The normalized cross product of each pair of ``axes`` (i < j, in
-    order) that is longer than CROSS_TOL, built only when asked for."""
-    for i, first in enumerate(axes):
-        for second in axes[i + 1 :]:
-            cross = np.cross(first, second)
-            norm = np.linalg.norm(cross)
-            if norm > CROSS_TOL:
-                yield cross / norm
+    order) that is longer than CROSS_TOL, built once the first is asked
+    for. The products and differences are ``np.cross``'s, in its order."""
+    first, second = (axes[index] for index in np.triu_indices(len(axes), 1))
+    crosses = first[:, _NEXT] * second[:, _AFTER] - first[:, _AFTER] * second[:, _NEXT]
+    norms = dot_norms(crosses)
+    long = norms > CROSS_TOL
+    yield from crosses[long] / norms[long, None]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from .operators import (
     GENERAL,
     Unimodular,
     classify_operator,
-    find_common_axis,
-    from_axis_angle,
     haar_pairs,
     haar_qubits,
     orthogonal_state,
@@ -106,12 +104,12 @@ def _uniform(lo, hi, draws) -> np.ndarray:
     return lo + (hi - lo) * np.asarray(draws)
 
 
-def _in_set_pairs(diagonal, draws) -> np.ndarray:
+def _in_set_pairs(diagonal, draws, span=2 * np.pi) -> np.ndarray:
     """For each uniform draw and its family, as (N, 2) pairs: the z rotation
-    rz(2 pi draw) (commuting with sz) where ``diagonal``, else the
-    off-diagonal operator (0, e^{2 pi i draw}) (anticommuting). The phases
+    rz(span draw) (commuting with sz) where ``diagonal``, else the
+    off-diagonal operator (0, e^{i span draw}) (anticommuting). The phases
     are ``cmath.exp``'s, bit for bit."""
-    phases = np.exp(1j * _uniform(0, 2 * np.pi, draws))
+    phases = np.exp(1j * _uniform(0, span, draws))
     return np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
 
 
@@ -195,10 +193,10 @@ def check_unimodular_closure(rng):
 
 
 def check_classification_trichotomy(rng):
-    pool = [random_unimodular(rng) for _ in range(100)]
-    pool += [rz(rng.uniform(0, 6)) for _ in range(20)]
-    pool += [Unimodular(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(20)]
-    m = np.array([u.matrix for u in pool])
+    haar = random_unimodulars(rng, 100)
+    in_set = _in_set_pairs(np.arange(40) < 20, rng.random(40), span=6)  # 20 rz(phi), then 20 (0, e^{i phi})
+    pool = np.concatenate([haar, in_set])
+    m = unimodular_matrices(pool)
     comm = np.linalg.norm(m @ sigma_z - sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
     anti = np.linalg.norm(m @ sigma_z + sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
     kinds = operators.classify_matrices(m)
@@ -206,7 +204,7 @@ def check_classification_trichotomy(rng):
     wrong = (kinds != expected) | (comm & anti)
     if wrong.any():
         n = int(np.argmax(wrong))
-        return False, f"operator {pool[n]} tagged {kinds[n]}, norms say {expected[n]}"
+        return False, f"operator {_unimodular(pool[n])} tagged {kinds[n]}, norms say {expected[n]}"
     return True, "exactly one tag per operator"
 
 
@@ -264,29 +262,35 @@ def check_orthogonal_pair_overlap(rng):
 
 
 def check_axis_recovery(rng):
-    errors = []
-    for _ in range(100):
+    """100 families of 5 rotations about an axis n, each followed by a
+    half-turn about an axis orthogonal to n, conjugated by a Haar W: the
+    axis found for each family must be W's image of n, up to sign. The
+    families are drawn one operator at a time and built as stacks."""
+    axes, normals, draws, perps = [], [], [], []
+    for _ in range(100):  # per family: n, W, then per pair a rotation angle and a half-turn's axis
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        w = random_unimodular(rng).matrix
-        conjugated = []
-        for k in range(10):
-            if k % 2 == 0:
-                u = from_axis_angle(axis, rng.uniform(0.3, 5.9))
-            else:
-                raw = rng.normal(size=3)
-                perp = raw - np.dot(raw, axis) * axis
-                perp /= np.linalg.norm(perp)
-                u = from_axis_angle(perp, np.pi)
-            conjugated.append(w @ u.matrix @ w.conj().T)
-        pairs = operators.pairs_from_matrices(conjugated).tolist()
-        found = find_common_axis([Unimodular(a, b) for a, b in pairs])
-        if found is None:
-            return False, "no axis found for an in-set family"
-        conj = w @ pauli_dot(axis) @ w.conj().T
-        expected = np.array([np.trace(conj @ s).real / 2 for s in PAULIS])
-        errors.append(np.arccos(min(abs(float(np.dot(found, expected))), 1.0)))
-    return _at_most(AXIS_ANGLE_TOL, "max angular error", errors)
+        axes.append(axis)
+        normals.append(rng.normal(size=4))
+        for _ in range(5):
+            draws.append(rng.random())
+            raw = rng.normal(size=3)
+            perp = raw - np.dot(raw, axis) * axis
+            perps.append(perp / np.linalg.norm(perp))
+    axes = np.array(axes)
+    rotation_axes = np.stack([np.repeat(axes, 5, axis=0), perps], axis=1).reshape(-1, 3)
+    angles = np.stack([_uniform(0.3, 5.9, draws), np.full(len(draws), np.pi)], axis=1).reshape(-1)
+    ws = unimodular_matrices(haar_pairs(normals))
+    w_dags = ws.conj().swapaxes(-2, -1)
+    us = unimodular_matrices(operators.from_axis_angles(rotation_axes, angles)).reshape(100, 10, 2, 2)
+    conjugated = operators.pairs_from_matrices((ws[:, None] @ us @ w_dags[:, None]).reshape(-1, 2, 2))
+    found = operators.find_common_axes(conjugated.reshape(100, 10, 2))
+    if any(f is None for f in found):
+        return False, "no axis found for an in-set family"
+    images = ws @ pauli_dot(axes) @ w_dags
+    expected = np.trace(images[:, None] @ np.array(PAULIS), axis1=-2, axis2=-1).real / 2
+    dots = (np.array(found)[:, None, :] @ expected[:, :, None])[:, 0, 0]
+    return _at_most(AXIS_ANGLE_TOL, "max angular error", np.arccos(np.minimum(np.abs(dots), 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,50 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match="theta is not finite: inf"):
             from_axis_angle(Z_AXIS, np.inf)
 
+    def test_stack_rows_are_the_scalar_formula_bit_for_bit(self):
+        """Each row of ``from_axis_angles`` is ``from_axis_angle`` of that
+        row, and both are the scalar formula written out, bit for bit."""
+        rng = np.random.default_rng(30)
+        axes = rng.normal(size=(200, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        thetas = np.concatenate([rng.uniform(-8, 8, 195), [0.0, np.pi, -np.pi, 2 * np.pi, 5.9]])
+        pairs = operators.from_axis_angles(axes, thetas)
+        assert pairs.shape == (200, 2)
+        for axis, theta, pair in zip(axes, thetas, pairs):
+            u = from_axis_angle(axis, theta)
+            c, s = np.cos(theta / 2), np.sin(theta / 2)
+            written_out = [c - 1j * s * axis[2], -s * axis[1] - 1j * s * axis[0]]
+            for want in ([u.a, u.b], written_out):
+                assert np.array_equal(pair.view(np.uint64), np.array(want, dtype=complex).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "row, axis, theta, message",
+        [
+            (2, [1.0, 1.0, 0.0], 0.5, r"non-unit axis \(norm 1.4142135623730951\)"),
+            (1, [0.0, np.nan, 1.0], 0.5, r"axis\[1\] is not finite: nan"),
+            (0, [-np.inf, 0.0, 1.0], np.nan, r"axis\[0\] is not finite: -inf"),
+            (3, [0.0, 0.0, 1.0], np.inf, "theta is not finite: inf"),
+        ],
+        ids=["non_unit_axis", "nan_axis", "axis_before_angle", "infinite_angle"],
+    )
+    def test_a_stack_refusal_names_its_row(self, row, axis, theta, message):
+        """In ``_unit_axis``'s and ``require_finite``'s words, the axis
+        before the angle; a later bad row is not the one named, and the
+        one-row form says the same without the row."""
+        axes, thetas = np.tile(Z_AXIS, (6, 1)), np.ones(6)
+        axes[row], thetas[row] = axis, theta
+        axes[5], thetas[5] = [2.0, 0.0, 0.0], np.nan
+        with pytest.raises(RowError, match=rf"^row {row}: {message}$"):
+            operators.from_axis_angles(axes, thetas)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            from_axis_angle(axis, theta)
+
+    def test_a_stack_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"^expected an \(N, 3\) stack of axes, got shape \(3,\)$"):
+            operators.from_axis_angles(Z_AXIS, [0.5])
+        with pytest.raises(ValueError, match="^1 angles and 2 axes do not match$"):
+            operators.from_axis_angles([Z_AXIS, X_AXIS], [0.5])
+
     def test_rz_convention(self):
         np.testing.assert_allclose(rz(0.5).matrix, np.diag([np.exp(0.5j), np.exp(-0.5j)]))
 
@@ -414,6 +458,9 @@ class TestCommonCorrection:
         assert found.deltas == (np.pi, 0.0)
 
 
+AXIS_SEARCH_KINDS = ["common_axis", "half_turns_only", "central_only", "no_axis", "central_first"]
+
+
 class TestCommonAxis:
     def test_z_rotations(self):
         rng = np.random.default_rng(12)
@@ -451,23 +498,57 @@ class TestCommonAxis:
         with pytest.raises(ValueError, match="empty"):
             find_common_axis([])
 
-    @pytest.mark.parametrize("kind", ["common_axis", "half_turns_only", "central_only", "no_axis"])
+    @pytest.mark.parametrize("kind", AXIS_SEARCH_KINDS)
     def test_lazy_crosses_match_the_eager_search(self, kind):
         """The search builds a cross-product candidate only once every
         operator's own axis has failed; the oracle builds every candidate
         first. Both must return the same axis, bit for bit, or both None."""
-        rng = np.random.default_rng(["common_axis", "half_turns_only", "central_only", "no_axis"].index(kind) + 70)
+        rng = np.random.default_rng(AXIS_SEARCH_KINDS.index(kind) + 70)
         for _ in range(40):
             ops = _axis_search_set(rng, kind)
             found, want = find_common_axis(ops), _eager_common_axis(ops)
             assert (found is None) == (want is None), kind
             assert found is None or np.array_equal(found, want), kind
 
+    #: Which families reach the remaining candidates after the first.
+    SEARCHED = {"common_axis": False, "half_turns_only": True, "central_only": False, "no_axis": True, "central_first": True}
 
-def _axis_search_set(rng, kind):
-    """A seeded operator set of one of four kinds, conjugated by a Haar rotation."""
+    @pytest.mark.parametrize("kind", AXIS_SEARCH_KINDS)
+    def test_each_set_of_a_stack_is_its_one_set_search(self, monkeypatch, kind):
+        """``find_common_axes`` over sets of one kind, each followed by a
+        common-axis set that its first candidate fits, gives each set's
+        ``find_common_axis``, bit for bit; only the sets whose first
+        candidate fails go on to the remaining ones."""
+        rng = np.random.default_rng(AXIS_SEARCH_KINDS.index(kind) + 40)
+        sets = [_axis_search_set(rng, k, size=6) for _ in range(15) for k in (kind, "common_axis")]
+        searched, search = [], operators._search_axis
+        monkeypatch.setattr(operators, "_search_axis", lambda m, axes: searched.append(m) or search(m, axes))
+        found = operators.find_common_axes([[(u.a, u.b) for u in ops] for ops in sets])
+        assert len(searched) == (15 if self.SEARCHED[kind] else 0)
+        monkeypatch.setattr(operators, "_search_axis", search)
+        for ops, got in zip(sets, found):
+            want = find_common_axis(ops)
+            assert (got is None) == (want is None), kind
+            assert got is None or np.array_equal(got, want), kind
+        if kind in ("no_axis", "central_only"):
+            want = None if kind == "no_axis" else Z_AXIS
+            assert all(got is None if want is None else np.array_equal(got, want) for got in found[0::2])
+
+    def test_a_stack_refusal_names_the_set_and_operator(self):
+        families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
+        families[1, 2] = (1.0, 0.5)
+        with pytest.raises(RowError, match=r"^row 1, 2: not unimodular"):
+            operators.find_common_axes(families)
+        with pytest.raises(ValueError, match=r"nonempty operator sets, got shape \(2, 0, 2\)$"):
+            operators.find_common_axes(np.zeros((2, 0, 2), dtype=complex))
+
+
+def _axis_search_set(rng, kind, size=None):
+    """A seeded operator set of one of ``AXIS_SEARCH_KINDS``, conjugated by a
+    Haar rotation; ``central_first`` is a common-axis set led by -1, so that
+    its first candidate is a half-turn's axis."""
     w = random_unimodular(rng)
-    size = int(rng.integers(2, 11))
+    size = int(rng.integers(2, 11)) if size is None else size
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     if kind == "central_only":
@@ -483,6 +564,8 @@ def _axis_search_set(rng, kind):
             ops.append(from_axis_angle(perp, np.pi))
         else:
             ops.append(from_axis_angle(axis, rng.uniform(0.3, 5.9)))
+    if kind == "central_first":
+        ops[0] = Unimodular(-1, 0)
     return [conjugate(w, u) for u in ops]
 
 

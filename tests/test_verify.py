@@ -19,13 +19,20 @@ from remotegate import (
     bloch,
     classify_operator,
     cli,
+    find_common_axis,
     find_orthogonal_pair,
+    from_axis_angle,
     operators,
     orthogonal_state,
+    pauli_dot,
     protocols,
     rz,
+    sigma_x,
+    sigma_y,
+    sigma_z,
     verify,
 )
+from remotegate.tolerances import AXIS_ANGLE_TOL
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_details.json").read_text())
 GOLDEN_TOL = 1e-12
@@ -110,6 +117,13 @@ def _unimodular_closure_draws(rng):
         alphas.append(rng.uniform(0.1, 3.0))
         xis.append(_qubit(rng))
     return {"q_matrices": [(alphas, xis)]}
+
+
+def _trichotomy_draws(rng):
+    pool = [_unimodular(rng) for _ in range(100)]
+    pool += [rz(rng.uniform(0, 6)) for _ in range(20)]
+    pool += [Unimodular(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(20)]
+    return {"classify_matrices": [([u.matrix for u in pool],)]}
 
 
 def _q_symmetry_draws(rng):
@@ -204,6 +218,36 @@ def _sequential_restoration(rng):
     return calls, restored_everywhere, unsettled
 
 
+def _sequential_axis_recovery(rng):
+    """The axis recovery check's loop, one operator and one family at a
+    time: the stacked calls the check must make, and its result."""
+    rotation_axes, angles, families, errors = [], [], [], []
+    for _ in range(100):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        w = _unimodular(rng).matrix
+        family = []
+        for k in range(10):
+            if k % 2 == 0:
+                n, theta = axis, rng.uniform(0.3, 5.9)
+            else:
+                raw = rng.normal(size=3)
+                n = raw - np.dot(raw, axis) * axis
+                n, theta = n / np.linalg.norm(n), np.pi
+            rotation_axes.append(n)
+            angles.append(theta)
+            family.append(Unimodular.from_matrix(w @ from_axis_angle(n, theta).matrix @ w.conj().T))
+        families.append(_pairs(family))
+        found = find_common_axis(family)
+        image = w @ pauli_dot(axis) @ w.conj().T
+        expected = np.array([np.trace(image @ s).real / 2 for s in (sigma_x, sigma_y, sigma_z)])
+        errors.append(np.nan if found is None else np.arccos(min(abs(float(np.dot(found, expected))), 1.0)))
+    calls = {"from_axis_angles": [(rotation_axes, angles)], "find_common_axes": [(families,)]}
+    if np.isnan(errors).any():
+        return calls, (False, "no axis found for an in-set family")
+    return calls, (max(errors) <= AXIS_ANGLE_TOL, f"max angular error {max(errors):.2e}")
+
+
 def _classification_consistency_draws(rng):
     us, psis = [], []
     for _ in range(100):
@@ -236,10 +280,12 @@ def _equal(got: tuple, want: tuple) -> bool:
 
 STACKED = {
     "operators.unimodular_closure": _unimodular_closure_draws,
+    "operators.classification_trichotomy": _trichotomy_draws,
     "operators.q_symmetry": _q_symmetry_draws,
     "operators.correction_identity": _correction_identity_draws,
     "operators.sign_flip_closure": _sign_flip_draws,
     "operators.orthogonal_pair_overlap": _orthogonal_pair_draws,
+    "operators.axis_recovery": lambda rng: _sequential_axis_recovery(rng)[0],
     "protocols.universal_success_half": _universal_draws,
     "protocols.restricted_perfect": _exact_with_ledger_draws("restricted221"),
     "protocols.one11_perfect": _exact_with_ledger_draws("one11"),
@@ -256,6 +302,8 @@ HOMES = {
     "orthogonal_pairs": operators,
     "common_corrections": operators,
     "solve_corrections": operators,
+    "from_axis_angles": operators,
+    "find_common_axes": operators,
     "verify_restorations": bloch,
     "pure_densities": bloch,
     "bloch_vectors": bloch,
@@ -370,3 +418,33 @@ def test_restoration_check_redraws_each_wrong_guess_one_test_at_a_time(monkeypat
         assert len(got) == len(want), name
         for args, want_args in zip(got, want):
             assert _equal(args[: len(want_args)], want_args), name
+
+
+@pytest.mark.parametrize("central_tol", [None, 0.9], ids=["as_is", "central_below_0.9"])
+def test_axis_recovery_falls_back_one_family_at_a_time(monkeypatch, central_tol):
+    """With CENTRAL_TOL raised to 0.9, a rotation by an angle below about
+    2.2 or above about 4.1 constrains nothing, so a family whose first
+    rotation is one tries a half-turn's axis first, which fails, and goes on
+    to the later operators' axes or, when all five rotations are skipped, to
+    the cross products of the half-turns' axes. The stacked check must
+    report what the one-family-at-a-time loop reports, make its stacked
+    calls on the same draws and leave the generator where that loop does."""
+    if central_tol is not None:
+        monkeypatch.setattr(operators, "CENTRAL_TOL", central_tol)
+    sequential = np.random.default_rng(19)
+    expected, result = _sequential_axis_recovery(sequential)
+    calls = _spy(monkeypatch, expected)
+    searched, search = [], operators._search_axis
+    monkeypatch.setattr(operators, "_search_axis", lambda m, axes: searched.append(len(axes)) or search(m, axes))
+    rng = np.random.default_rng(19)
+    assert verify.check_axis_recovery(rng) == result
+    assert result[0], result
+    assert rng.bit_generator.state == sequential.bit_generator.state
+    for name, want in expected.items():
+        assert len(calls[name]) == len(want), name
+        for args, want_args in zip(calls[name], want):
+            assert _equal(args, want_args), name
+    if central_tol is None:
+        assert not searched
+    else:  # families whose first candidate fails: some keep a rotation, some only the half-turns
+        assert len(searched) >= 10 and 5 in searched and max(searched) > 5, searched
