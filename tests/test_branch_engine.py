@@ -230,6 +230,12 @@ def _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promise
             assert np.abs(table.bob_final[n, b] - o.bob_final.amplitudes).max() <= ORACLE_TOL
 
 
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_run_batch_matches_per_branch_engine(monkeypatch, name):
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
+    _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises)
+
+
 #: Every (protocol, promise class) that is compiled.
 _COMPILED = [("bqst", None), ("universal221", None), ("restricted221", None),
              ("one11", COMMUTING), ("one11", ANTICOMMUTING)]
