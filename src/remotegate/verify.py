@@ -20,9 +20,6 @@ from .operators import (
     COMMUTING,
     GENERAL,
     Unimodular,
-    classify_operator,
-    haar_pairs,
-    haar_qubits,
     orthogonal_state,
     random_qubit,
     random_qubits,
@@ -91,25 +88,11 @@ def _random_register(rng, n: int) -> tuple[QubitId, ...]:
     return tuple(QubitId(str(o), i) for i, o in enumerate(owners))
 
 
-def _general_unimodular(rng) -> Unimodular:
-    while True:
-        u = random_unimodular(rng)
-        if classify_operator(u).kind == GENERAL:
-            return u
-
-
-def _uniform(lo, hi, draws) -> np.ndarray:
-    """What ``rng.uniform(lo, hi)`` returns for each ``rng.random()`` draw,
-    bit for bit."""
-    return lo + (hi - lo) * np.asarray(draws)
-
-
-def _in_set_pairs(diagonal, draws, span=2 * np.pi) -> np.ndarray:
-    """For each uniform draw and its family, as (N, 2) pairs: the z rotation
-    rz(span draw) (commuting with sz) where ``diagonal``, else the
-    off-diagonal operator (0, e^{i span draw}) (anticommuting). The phases
-    are ``cmath.exp``'s, bit for bit."""
-    phases = np.exp(1j * _uniform(0, span, draws))
+def _in_set(rng, diagonal, span=2 * np.pi) -> np.ndarray:
+    """For each entry of ``diagonal``, with phi drawn uniform in [0, span),
+    as (..., 2) pairs: the z rotation rz(phi) (commuting with sz) where it
+    is true, else the off-diagonal operator (0, e^{i phi}) (anticommuting)."""
+    phases = np.exp(1j * rng.uniform(0, span, np.shape(diagonal)))
     return np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
 
 
@@ -164,14 +147,17 @@ def check_measurement_idempotence(rng):
 
 
 def check_entropy_bounds(rng):
-    ok = True
+    """0 <= S <= min(|cut|, n-|cut|) for random 4-qubit states and cuts,
+    reported as the largest excess over either bound beyond its tolerance:
+    at most 0, and the further below 0, the wider the margin."""
+    excess = []
     for _ in range(50):
         reg = _random_register(rng, 4)
         s = _random_state(rng, reg)
         k = int(rng.integers(1, 4))
         ent = entanglement_entropy(s, list(reg[:k]))
-        ok = ok and -ROUNDING_TOL <= ent <= min(k, 4 - k) + DERIVED_TOL
-    return ok, "0 <= S <= min(|cut|, n-|cut|)"
+        excess.append(max(-ROUNDING_TOL - ent, ent - min(k, 4 - k) - DERIVED_TOL))
+    return _at_most(0.0, "max excess over 0 <= S <= min(|cut|, n-|cut|)", excess)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +165,9 @@ def check_entropy_bounds(rng):
 
 
 def check_unimodular_closure(rng):
-    uv, alphas, xis = [], [], []
-    for _ in range(200):  # per row: U and V, alpha, xi
-        uv.append(rng.normal(size=8))
-        alphas.append(rng.random())
-        xis.append(rng.normal(size=4))
-    us = [_unimodular(pair) for pair in haar_pairs(np.reshape(uv, (400, 4)))]
+    us = [_unimodular(pair) for pair in random_unimodulars(rng, 400)]
     products = [w for u, v in zip(us[0::2], us[1::2]) for w in (u @ v, u.dagger())]
-    q = operators.q_matrices(_uniform(0.1, 3.0, alphas), haar_qubits(xis))
+    q = operators.q_matrices(rng.uniform(0.1, 3.0, 200), random_qubits(rng, 200))
     pairs = np.concatenate([operators.as_pairs(products), q])
     drifts = np.abs(np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2 - 1.0)
     return _at_most(UNIMODULAR_TOL, "max unimodularity drift", drifts)
@@ -194,7 +175,7 @@ def check_unimodular_closure(rng):
 
 def check_classification_trichotomy(rng):
     haar = random_unimodulars(rng, 100)
-    in_set = _in_set_pairs(np.arange(40) < 20, rng.random(40), span=6)  # 20 rz(phi), then 20 (0, e^{i phi})
+    in_set = _in_set(rng, np.arange(40) < 20, span=6)  # 20 rz(phi), then 20 (0, e^{i phi})
     pool = np.concatenate([haar, in_set])
     m = unimodular_matrices(pool)
     comm = np.linalg.norm(m @ sigma_z - sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
@@ -209,11 +190,7 @@ def check_classification_trichotomy(rng):
 
 
 def check_q_symmetry(rng):
-    alphas, psis = [], []
-    for _ in range(1000):  # per row: alpha, psi
-        alphas.append(rng.random())
-        psis.append(rng.normal(size=4))
-    alphas, psis = _uniform(-3, 3, alphas), haar_qubits(psis)
+    alphas, psis = rng.uniform(-3, 3, 1000), random_qubits(rng, 1000)
     q = operators.q_matrices(alphas, psis)
     q_perp = operators.q_matrices(-alphas, orthogonal_state(psis))
     diffs = np.abs(unimodular_matrices(q) - unimodular_matrices(q_perp)).max(axis=(1, 2))
@@ -229,8 +206,7 @@ def check_correction_identity(rng):
 
 
 def check_sign_flip_closure(rng):
-    draws = rng.random((500, 2))  # per row: the family's coin, then the angle
-    m = unimodular_matrices(_in_set_pairs(draws[:, 0] < 0.5, draws[:, 1]))
+    m = unimodular_matrices(_in_set(rng, rng.random(500) < 0.5))
     sign = np.where(operators.classify_matrices(m) == COMMUTING, 1.0, -1.0)[:, None, None]
     residuals = np.abs(sigma_z @ m @ sigma_z - sign * m).max(axis=(1, 2))
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
@@ -239,7 +215,7 @@ def check_sign_flip_closure(rng):
 def check_orthogonal_pair_overlap(rng):
     """<phi'|phi> = i sin(lam), and |<phi'|phi>| also matches an eigenphase
     of U2^dag U1 from an independent eigendecomposition. A degenerate draw
-    is skipped and the next one taken, as one pair at a time would."""
+    is dropped and redrawn."""
     batches, count = [], 0
     while count < 1000:
         draws = random_unimodulars(rng, 2 * (1000 - count))
@@ -264,23 +240,15 @@ def check_orthogonal_pair_overlap(rng):
 def check_axis_recovery(rng):
     """100 families of 5 rotations about an axis n, each followed by a
     half-turn about an axis orthogonal to n, conjugated by a Haar W: the
-    axis found for each family must be W's image of n, up to sign. The
-    families are drawn one operator at a time and built as stacks."""
-    axes, normals, draws, perps = [], [], [], []
-    for _ in range(100):  # per family: n, W, then per pair a rotation angle and a half-turn's axis
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        axes.append(axis)
-        normals.append(rng.normal(size=4))
-        for _ in range(5):
-            draws.append(rng.random())
-            raw = rng.normal(size=3)
-            perp = raw - np.dot(raw, axis) * axis
-            perps.append(perp / np.linalg.norm(perp))
-    axes = np.array(axes)
-    rotation_axes = np.stack([np.repeat(axes, 5, axis=0), perps], axis=1).reshape(-1, 3)
-    angles = np.stack([_uniform(0.3, 5.9, draws), np.full(len(draws), np.pi)], axis=1).reshape(-1)
-    ws = unimodular_matrices(haar_pairs(normals))
+    axis found for each family must be W's image of n, up to sign."""
+    axes = rng.normal(size=(100, 3))
+    axes /= dot_norms(axes)[:, None]
+    ws = unimodular_matrices(random_unimodulars(rng, 100))
+    raw = rng.normal(size=(100, 5, 3))
+    perps = raw - (raw @ axes[:, :, None]) * axes[:, None]
+    perps /= dot_norms(perps)[..., None]
+    rotation_axes = np.stack([np.broadcast_to(axes[:, None], perps.shape), perps], axis=2).reshape(-1, 3)
+    angles = np.stack([rng.uniform(0.3, 5.9, (100, 5)), np.full((100, 5), np.pi)], axis=2).reshape(-1)
     w_dags = ws.conj().swapaxes(-2, -1)
     us = unimodular_matrices(operators.from_axis_angles(rotation_axes, angles)).reshape(100, 10, 2, 2)
     conjugated = operators.pairs_from_matrices((ws[:, None] @ us @ w_dags[:, None]).reshape(-1, 2, 2))
@@ -313,15 +281,8 @@ def check_ledgers(rng):
     return True, "(2,2,2) / (2,2,1) / (2,2,1) / (1,1,1) on every branch"
 
 
-def _haar_rows(rng, count):
-    """``count`` Haar (U, psi) pairs, drawn U first, then psi, row by row,
-    as an (N, 2) stack of (a, b) pairs and one of states."""
-    normals = rng.normal(size=(count, 2, 4))
-    return haar_pairs(normals[:, 0]), haar_qubits(normals[:, 1])
-
-
 def check_universal_success_half(rng):
-    table = protocols.run_batch("universal221", *_haar_rows(rng, 100))
+    table = protocols.run_batch("universal221", random_unimodulars(rng, 100), random_qubits(rng, 100))
     p_success = np.sum(table.probability, axis=1, where=table.succeeded)
     return _at_most(DERIVED_TOL, "max |p - 1/2| =", np.abs(p_success - 0.5))
 
@@ -330,11 +291,7 @@ def _exact_with_ledger(protocol, rng, promised):
     """1000 runs alternating z rotations and off-diagonal operators, in one
     batch: every branch reaches fidelity 1 and carries the protocol's exact
     ledger."""
-    angles, psis = [], []
-    for _ in range(1000):  # per row: the operator's angle, psi
-        angles.append(rng.random())
-        psis.append(rng.normal(size=4))
-    us, psis = _in_set_pairs(np.arange(1000) % 2 == 0, angles), haar_qubits(psis)
+    us, psis = _in_set(rng, np.arange(1000) % 2 == 0), random_qubits(rng, 1000)
     promises = operators.classify_matrices(unimodular_matrices(us)) if promised else None
     table = protocols.run_batch(protocol, us, psis, promises)
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
@@ -364,7 +321,7 @@ def check_branch_conservation(rng):
 
 
 def check_failure_branch_identity(rng):
-    us, psis = _haar_rows(rng, 100)
+    us, psis = random_unimodulars(rng, 100), random_qubits(rng, 100)
     table = protocols.run_batch("universal221", us, psis)
     wrong = (unimodular_matrices(us) @ sigma_z @ psis[..., None])[..., 0]
     failed = np.array([record[-1][2] == "1" for record in table.records])
@@ -375,19 +332,9 @@ def check_failure_branch_identity(rng):
 def check_classification_consistency(rng):
     """The in-set rows run as one restricted batch; every general row must
     be refused on its own."""
-    haar, haar_normals, in_set_draws, psis = [], [], [], []
-    for _ in range(100):  # per row: the coin, a Haar operator or an in-set one (coin, angle), psi
-        haar.append(rng.random() < 0.5)
-        if haar[-1]:
-            haar_normals.append(rng.normal(size=4))
-        else:
-            in_set_draws.append((rng.random(), rng.random()))
-        psis.append(rng.normal(size=4))
-    haar, psis = np.array(haar), haar_qubits(psis)
-    us = np.empty((100, 2), dtype=complex)
-    us[haar] = haar_pairs(np.reshape(haar_normals, (-1, 4)))
-    coins, angles = np.reshape(in_set_draws, (-1, 2)).T
-    us[~haar] = _in_set_pairs(coins < 0.5, angles)
+    haar = rng.random((100, 1)) < 0.5
+    us = np.where(haar, random_unimodulars(rng, 100), _in_set(rng, rng.random(100) < 0.5))
+    psis = random_qubits(rng, 100)
     in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
     ran = np.zeros(len(us), dtype=bool)
     if in_set.any():
@@ -401,7 +348,7 @@ def check_classification_consistency(rng):
     admits_sz = common & (np.abs(v - sigma_z).max(axis=(1, 2)) <= CLASS_TOL)
     wrong = (ran != in_set) | (admits_sz != in_set)
     if wrong.any():
-        return False, f"inconsistent classification for {Unimodular(*us[np.argmax(wrong)].tolist())}"
+        return False, f"inconsistent classification for {_unimodular(us[np.argmax(wrong)])}"
     return True, "restricted run succeeds iff the operator is in-set"
 
 
@@ -415,7 +362,7 @@ def check_bloch_purity(rng):
 
 
 def check_bloch_covariance(rng):
-    us, psis = _haar_rows(rng, 200)
+    us, psis = random_unimodulars(rng, 200), random_qubits(rng, 200)
     m = unimodular_matrices(us)
     rotated = m @ bloch.pure_densities(psis) @ m.conj().swapaxes(1, 2)
     back = bloch.densities_from_bloch(bloch.bloch_vectors(rotated))
@@ -423,66 +370,29 @@ def check_bloch_covariance(rng):
 
 
 def check_restoration_classification(rng):
-    """Alternating 500 general and 500 in-set operators: in-set ones restore;
-    general ones fail on one of 10 inputs and share no correction with z
-    rotations. A general operator is redrawn until it classifies as general
-    and its inputs are drawn until one fails. A Haar draw almost always
-    passes both on the first draw, so each general row is drawn that way,
-    from the generator state saved before it, and the guesses are tested as
-    one stack afterwards. From the first row guessed wrong, the generator is
-    put back and that row is drawn one test at a time. The in-set
-    restorations and the common-correction tests also run as stacks, and a
-    failure is reported for the first operator, in draw order, that fails
-    any test."""
-    # per general row: the generator state before it, its draws, three z
-    # rotation angles; per in-set row: coin, angle, psi
-    general, in_set = [], []
-    drawn_alone, failures = set(), []  # indices into ``general``
-    while True:
-        for k in range(len(general) + len(in_set), 1000):
-            if k % 2:
-                in_set.append((rng.random(), rng.random(), rng.normal(size=4)))
-                continue
-            state = rng.bit_generator.state
-            if len(general) in drawn_alone:
-                u = _general_unimodular(rng)
-                if all(bloch.verify_restoration(u, random_qubit(rng)) for _ in range(10)):
-                    failures.append((k, f"general operator restored on 10 random inputs: {u}"))
-                    break
-            else:
-                u = rng.normal(size=8)  # a Haar operator, then its first input
-            general.append((state, u, rng.random(3)))
-        guessed = [j for j in range(len(general)) if j not in drawn_alone]
-        draws = np.reshape([general[j][1] for j in guessed], (-1, 8))
-        guesses = haar_pairs(draws[:, :4])
-        wrong = operators.classify_matrices(unimodular_matrices(guesses)) != GENERAL
-        wrong |= bloch.verify_restorations(guesses, haar_qubits(draws[:, 4:]))
-        if not wrong.any():
+    """500 general and 500 in-set operators: in-set ones restore; general
+    ones fail on one of 10 inputs and share no correction with z rotations.
+    A Haar draw that classifies as in-set is redrawn, and each input round
+    goes to the general operators that every input so far has restored."""
+    general = random_unimodulars(rng, 500)
+    while (redraw := operators.classify_matrices(unimodular_matrices(general)) != GENERAL).any():
+        general[redraw] = random_unimodulars(rng, int(redraw.sum()))
+    restored = np.ones(500, dtype=bool)  # by every input so far
+    for _ in range(10):
+        restored[restored] = bloch.verify_restorations(general[restored], random_qubits(rng, int(restored.sum())))
+        if not restored.any():
             break
-        j = guessed[int(np.argmax(wrong))]
-        rng.bit_generator.state = general[j][0]
-        del general[j:], in_set[j:], failures[:]
-        drawn_alone.add(j)
-    us = np.array([(u.a, u.b) if j in drawn_alone else (0, 0) for j, (_, u, _) in enumerate(general)], complex)
-    us = us.reshape(-1, 2)  # a row per general operator, also when there is none
-    us[guessed] = guesses
-    if in_set:
-        coins, angles, psis = zip(*in_set)
-        pairs = _in_set_pairs(np.array(coins) < 0.5, angles)
-        restored = bloch.verify_restorations(pairs, haar_qubits(psis))
-        failures += [
-            (2 * i + 1, f"in-set operator failed restoration: {_unimodular(pairs[i])}")
-            for i in np.flatnonzero(~restored)[:1]
-        ]
-    if general:
-        families = np.concatenate([_in_set_pairs(True, [z for *_, z in general]), us[:, None]], axis=1)
-        shared, _, _ = operators.common_corrections(families)
-        failures += [
-            (2 * i, f"general operator shares a correction with z rotations: {_unimodular(families[i, -1])}")
-            for i in np.flatnonzero(shared)[:1]
-        ]
-    if failures:
-        return False, min(failures)[1]
+    else:
+        return False, f"general operator restored on 10 random inputs: {_unimodular(general[np.argmax(restored)])}"
+    in_set = _in_set(rng, rng.random(500) < 0.5)
+    failed = ~bloch.verify_restorations(in_set, random_qubits(rng, 500))
+    if failed.any():
+        return False, f"in-set operator failed restoration: {_unimodular(in_set[np.argmax(failed)])}"
+    z_rotations = _in_set(rng, np.ones((500, 3), dtype=bool))
+    shared, _, _ = operators.common_corrections(np.concatenate([z_rotations, general[:, None]], axis=1))
+    if shared.any():
+        u = _unimodular(general[np.argmax(shared)])
+        return False, f"general operator shares a correction with z rotations: {u}"
     return True, "restoration holds exactly for in-set operators; 500 general operators witnessed"
 
 
@@ -493,10 +403,8 @@ def check_restoration_classification(rng):
 def check_operator_round_trip(rng):
     from . import cli
 
-    drifts = []
-    for _ in range(100):
-        u = random_unimodular(rng)
-        drifts.append(np.abs(u.matrix - cli.parse_operator(cli.render_operator(u)).matrix).max())
+    us = [_unimodular(pair) for pair in random_unimodulars(rng, 100)]
+    drifts = [np.abs(u.matrix - cli.parse_operator(cli.render_operator(u)).matrix).max() for u in us]
     return _at_most(ROUNDING_TOL, "max round-trip drift", drifts)
 
 
