@@ -43,6 +43,7 @@ from .protocols import (
     ProtocolConfig,
     ProtocolOutcome,
     ResourceLedger,
+    admissible,
     demo_cnot_reverse,
     demo_cp_capacity,
     demo_cp_entanglement,

@@ -139,6 +139,8 @@ def unit_rows(rows, floor: float) -> tuple[np.ndarray, np.ndarray]:
     hypots = _row_hypots(rows)
     norms = np.array(hypots)
     ok = norms >= floor
+    if ok.all() and max(hypots) < math.inf:  # every row divides as it is (a NaN norm fails ``ok``)
+        return rows / norms[:, None], ok
     unit = np.zeros(rows.shape, np.result_type(rows, float))
     np.divide(rows, norms[:, None], out=unit, where=(ok & (norms < math.inf))[:, None])
     for n, norm in enumerate(hypots):

@@ -123,10 +123,11 @@ IDENTITY = Unimodular(1, 0)
 
 
 def unimodular_residuals(pairs) -> np.ndarray:
-    """| |a|^2 + |b|^2 - 1 | for each row of an (..., 2) stack of pairs."""
+    """| |a|^2 + |b|^2 - 1 | for each row of an (..., 2) stack of pairs. A
+    square beyond the float range is inf, and numpy warns of the overflow
+    unless the caller runs this under ``np.errstate(over="ignore")``."""
     flat = np.ascontiguousarray(pairs, dtype=complex).view(float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a square beyond the float range is inf
-        return np.abs(np.add.reduce(flat * flat, axis=-1) - 1.0)
+    return np.abs(np.add.reduce(flat * flat, axis=-1) - 1.0)
 
 
 def as_pairs(us) -> np.ndarray:
@@ -141,7 +142,8 @@ def as_pairs(us) -> np.ndarray:
     pairs = np.asarray(us, dtype=complex)
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError(f"expected a stack of (a, b) pairs, got shape {pairs.shape}")
-    residuals = unimodular_residuals(pairs)
+    with np.errstate(over="ignore"):  # a square beyond the float range is inf, and fails
+        residuals = unimodular_residuals(pairs)
     bad = ~(residuals <= UNIMODULAR_TOL)
     if bad.any():
         row = tuple(np.argwhere(bad)[0].tolist())
@@ -198,13 +200,16 @@ def from_axis_angles(axes, thetas) -> np.ndarray:
             raise RowError(n, not_finite("axis", axes[n]) or f"non-unit axis (norm {norm!r})")
         if not math.isfinite(theta):
             raise RowError(n, not_finite("theta", thetas[n]))
-    half = thetas / 2
+    half = thetas / 2.0
     c, s = np.cos(half), np.sin(half)
     # (c, -s n_y) - i s (n_z, n_x) as complex products and differences, so
-    # that each row is what the one-rotation formula gave, signed zeros included
-    real = np.empty((len(axes), 2))
-    real[:, 0], real[:, 1] = c, -s * axes[:, 1]
-    return real - (1j * s)[:, None] * axes[:, 2::-2]
+    # that each row is what the one-rotation formula gave, signed zeros
+    # included; the real parts are cast to complex as they are stored, the
+    # cast the subtraction would make, and the difference is taken in place
+    pairs = np.empty((len(axes), 2), dtype=complex)
+    pairs[:, 0], pairs[:, 1] = c, -s * axes[:, 1]
+    pairs -= (1j * s)[:, None] * axes[:, 2::-2]
+    return pairs
 
 
 def from_axis_angle(axis, theta: float) -> Unimodular:

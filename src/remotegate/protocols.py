@@ -49,7 +49,6 @@ from .gates import (
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
-    GENERAL,
     Unimodular,
     commutation_norms,
     kinds_from_norms,
@@ -75,6 +74,7 @@ from .statevector import (
 )
 from .tolerances import (
     BRANCH_PRUNE,
+    CLASS_TOL,
     FACTOR_TOL,
     NORM_TOL,
     PROB_TOL,
@@ -124,9 +124,8 @@ class ProtocolOutcome(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class _Rows:
-    """N checked configurations as stacks: the black boxes (N, 2, 2), Bob's
-    unit states (N, 2) and each row's promise (an object array of None or
-    a class)."""
+    """N configurations as stacks: the black boxes (N, 2, 2), Bob's unit
+    states (N, 2) and each row's promise as its code (``_PROMISES``)."""
 
     u: np.ndarray
     psi: np.ndarray
@@ -142,20 +141,41 @@ class _Rows:
         """The class of each black box against the z axis."""
         return kinds_from_norms(*self.norms)
 
+    def take(self, index) -> "_Rows":
+        """The rows at ``index``, as a stack of their own."""
+        return type(self)(u=self.u[index], psi=self.psi[index], promise=self.promise[index])
 
-def _refuse(checks):
-    """Raise ``RowError`` for the first row that fails a check, with the
-    message of the first check it fails: what checking row by row, every
-    check on a row before the next row, reports. ``checks`` are pairs (rows
-    that pass, message for row n), in the order one row is checked."""
-    if not checks:
-        return
-    passed = checks[0][0]
-    for ok, _ in checks[1:]:
-        passed = passed & ok
-    if not passed.all():
-        row = int(np.argmin(passed))
-        raise RowError(row, next(message(row) for ok, message in checks if not ok[row]))
+
+#: The promises a row may carry, at their codes in ``_Rows.promise``; any
+#: other value has the code ``_UNKNOWN``.
+_PROMISES = (None, COMMUTING, ANTICOMMUTING)
+_NO_PROMISE, _COMMUTING, _ANTICOMMUTING, _UNKNOWN = range(4)
+
+
+def _promise_code(promise) -> int:
+    return _PROMISES.index(promise) if promise in _PROMISES else _UNKNOWN
+
+
+def _messages(checks, n_row: int) -> list[str | None]:
+    """For each of ``n_row`` rows, the message of the first of ``checks``
+    it fails, or None: what checking row by row reports. ``checks`` are
+    pairs (rows that pass, message for row n), in the order one row is
+    checked. A check every row passes costs one reduction; the messages are
+    built only for the rows that fail."""
+    messages = [None] * n_row
+    for ok, message in checks:
+        if not ok.all():
+            for n in np.flatnonzero(~ok).tolist():
+                if messages[n] is None:
+                    messages[n] = message(n)
+    return messages
+
+
+def _refuse(messages):
+    """Raise ``RowError`` for the first row with a message, if there is one."""
+    if any(messages):
+        row = next(n for n, message in enumerate(messages) if message)
+        raise RowError(row, messages[row])
 
 
 def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
@@ -174,56 +194,100 @@ def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
     return stack.reshape(-1, 2), one_qubit
 
 
-def _rows(us, psis, promise, precondition) -> _Rows:
-    """Stack and check N configurations. Each row gets every check, in
-    order: its rotation is finite and unimodular (a ``Unimodular`` or an
-    (a, b) pair) and its black box, as built, unitary; psi is one qubit's,
-    finite and nonzero (and is normalised); a promise names a class the
-    rotation has; then ``precondition``. ``promise`` is one value for every
-    row or a sequence of N. Raises ``RowError`` for the first bad row, with
-    the message of the first check it fails."""
+def _class_checks(rows: _Rows, given, precondition) -> list:
+    """The checks on rows whose values pass, in ``_messages``' form and in
+    order: a promise names a class (``given[n]`` is row n's as given) and
+    the rotation has it; then ``precondition``."""
+    checks = precondition(rows)
+    if any(p is not None for p in given):
+        comm, anti = rows.norms
+        # the norm the promised class needs within CLASS_TOL; a unitary
+        # black box cannot have both within it, so the anticommutator's
+        # alone decides ANTICOMMUTING
+        promised = np.where(rows.promise == _ANTICOMMUTING, anti, np.where(rows.promise == _COMMUTING, comm, 0.0))
+        checks[:0] = [
+            (rows.promise != _UNKNOWN, lambda n: f"unknown promise {given[n]!r}"),
+            (
+                promised <= CLASS_TOL,
+                lambda n: f"promise violation: operator classifies as {rows.kinds[n]}, promise says {given[n]}",
+            ),
+        ]
+    return checks
+
+
+def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
+    """Stack N configurations and check each row on its own. ``promise`` is
+    one value for every row or a sequence of N. Returns the rows and, for
+    each row, the message of the first check it fails, or None.
+
+    The checks on a row's values come first, in order: the rotation is
+    finite and unimodular (a ``Unimodular`` or an (a, b) pair) and its
+    black box, as built, unitary; psi is one qubit's, finite and nonzero
+    (and is normalised). The rows that pass them then get
+    ``_class_checks``. Stacks whose shapes do not fit are refused."""
     if not isinstance(us, np.ndarray):
         us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
     pairs = np.asarray(us, dtype=complex)
     psi, one_qubit = _state_rows(psis)
     n_row = len(pairs)
-    given = [promise] * n_row if promise is None or isinstance(promise, str) else list(promise)
-    promises = np.array(given + [None], dtype=object)[:-1]  # strings stay entries
-    if not n_row == len(psi) == len(promises):
-        raise ValueError(
-            f"{n_row} rotations, {len(psi)} states and {len(promises)} promises do not match"
-        )
+    if promise is None or isinstance(promise, str):
+        given, codes = [promise] * n_row, [_promise_code(promise)] * n_row
+    else:
+        given = list(promise)
+        codes = [_promise_code(p) for p in given]
+    if not n_row == len(psi) == len(given):
+        raise ValueError(f"{n_row} rotations, {len(psi)} states and {len(given)} promises do not match")
     if not n_row:
         raise ValueError("a batch needs at least one configuration")
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
-    residuals = unimodular_residuals(pairs)
-    u = unimodular_matrices(pairs)
     with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
-        unitary = np.abs(u.conj().swapaxes(1, 2) @ u - identity2).max(axis=(1, 2)) <= UNITARY_TOL
+        residuals = unimodular_residuals(pairs)
+        u = unimodular_matrices(pairs)
+        off = np.abs(u.conj().swapaxes(1, 2) @ u - identity2)
     unit, nonzero = unit_rows(psi, NORM_TOL)
-    rows = _Rows(u=u, psi=unit, promise=promises)
-    checks = [
-        (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
-        (unitary, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
-        (one_qubit, lambda n: "psi must be a single-qubit state"),
-        (np.isfinite(psi).all(axis=1), lambda n: not_finite("psi", psi[n])),
-        (nonzero, lambda n: "psi must be nonzero"),
-    ]
-    if any(p is not None for p in given):
-        none = np.array([p is None for p in given])
-        known = np.array([p in (COMMUTING, ANTICOMMUTING) for p in given])
-        checks += [
-            (none | known, lambda n: f"unknown promise {promises[n]!r}"),
-            (
-                none | (rows.kinds == promises),
-                lambda n: f"promise violation: operator classifies as {rows.kinds[n]}, "
-                f"promise says {promises[n]}",
-            ),
-        ]
-    _refuse(checks + precondition(rows))
+    rows = _Rows(u=u, psi=unit, promise=np.array(codes, dtype=np.intp))
+    # one reduction per check decides for the whole stack: ``nonzero`` is
+    # also False where psi is not one qubit's (a zero row) or not finite
+    if residuals.max() <= UNIMODULAR_TOL and off.max() <= UNITARY_TOL and nonzero.all():
+        return rows, _messages(_class_checks(rows, given, precondition), n_row)
+    messages = _messages(
+        [
+            (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
+            (off.max(axis=(1, 2)) <= UNITARY_TOL, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
+            (one_qubit, lambda n: "psi must be a single-qubit state"),
+            (np.isfinite(psi).all(axis=1), lambda n: not_finite("psi", psi[n])),
+            (nonzero, lambda n: "psi must be nonzero"),
+        ],
+        n_row,
+    )
+    # the class checks go to the rows whose values pass: the norms of a row
+    # that is not finite are not taken (they would warn)
+    index = [n for n, message in enumerate(messages) if message is None]
+    if index:
+        later = _class_checks(rows.take(index), [given[n] for n in index], precondition)
+        for n, message in zip(index, _messages(later, len(index))):
+            messages[n] = message
+    return rows, messages
+
+
+def _rows(us, psis, promise, precondition) -> _Rows:
+    """``_checked``'s rows, refused with ``RowError`` for the first bad row,
+    with the message of the first check it fails."""
+    rows, messages = _checked(us, psis, promise, precondition)
+    _refuse(messages)
     rows.psi.setflags(write=False)
     return rows
+
+
+def admissible(protocol: str, us, psis, promise=None) -> list[str | None]:
+    """For each row of a batch, the message a single run of it raises, the
+    one ``run_batch`` refuses the batch with (after ``row n: ``) when it is
+    the first bad row, or None for a row that runs. Stacks whose shapes do
+    not fit are refused as ``run_batch`` refuses them."""
+    if protocol not in _CIRCUITS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return _checked(us, psis, promise, _CIRCUITS[protocol][0])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,15 +350,20 @@ class BatchOutcome:
         Each state is a read-only view of ``bob_final``, built without a
         second check: ``_finish`` certified every final state once.
         """
-        kept = range(len(self.records)) if branches is None else branches
-        finals, register, records, ledger = self.bob_final[n], (self.bob_qubit,), self.records, self.ledger
+        register, ledger = (self.bob_qubit,), self.ledger
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
+        cells = zip(self.records, probs, list(self.bob_final[n]), fids, wins)
+        if branches is not None:
+            cells = list(cells)
+            cells = [cells[b] for b in branches]
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        new_state, new_outcome = object.__new__, tuple.__new__
         outcomes = []
-        for b in kept:
-            final = object.__new__(StateVector)
-            final.__dict__.update(amplitudes=finals[b], register=register)
-            # tuple.__new__ skips the named tuple's Python-level __new__
-            outcomes.append(tuple.__new__(ProtocolOutcome, (records[b], probs[b], final, fids[b], wins[b], ledger)))
+        for record, probability, amplitudes, fidelity, succeeded in cells:
+            final = new_state(StateVector)
+            fields = final.__dict__
+            fields["amplitudes"], fields["register"] = amplitudes, register
+            outcomes.append(new_outcome(ProtocolOutcome, (record, probability, final, fidelity, succeeded, ledger)))
         return outcomes
 
 
@@ -441,6 +510,14 @@ class _Run:
         return ResourceLedger(self.ebits, a_to_b, b_to_a)
 
 
+def _near_one(largest, smallest, tol: float) -> bool:
+    """Whether |x - 1| <= ``tol`` for every x from ``smallest`` to
+    ``largest``, a NaN failing: x - 1 rounds monotonically in x, and 1 - x
+    rounds to its negation, so the two ends decide what |x - 1| of each
+    value would."""
+    return largest - 1.0 <= tol and 1.0 - smallest <= tol
+
+
 def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: QubitId) -> BatchOutcome:
     """The table of the branches ``amps[n, b]`` of ``rows``, each shaped (2,
     R) as Bob's qubit and the rest of the register, and never renormalised.
@@ -448,24 +525,30 @@ def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: Qubit
     unitary), a branch below ``BRANCH_PRUNE`` of its row (the rows share
     every branch), a Bob's qubit that is entangled with the rest and a
     final state of Bob's that is not finite and unit within
-    ``STATE_NORM_TOL``. Normalises Bob's states in ``amps`` in place."""
+    ``STATE_NORM_TOL``. Normalises Bob's states in ``amps`` in place.
+
+    Each check decides for the whole table from a few extremes; the row and
+    branch that fail are looked for only when one does not pass."""
     n_row, n_branch = amps.shape[:2]
     probs = _squared_norms(amps.reshape(n_row, n_branch, -1))
     totals = probs.sum(axis=1)
-    off = np.abs(totals - 1.0)
-    if not off.max() <= PROB_TOL:  # NaN fails too
+    largest = totals.max()
+    if not _near_one(largest, totals.min(), PROB_TOL):
+        off = np.abs(totals - 1.0)
         n = int(np.argmax(~(off <= PROB_TOL)))
         raise InvariantViolation(
             f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
             "expected 1.0: a step was not unitary"
         )
-    small = probs < BRANCH_PRUNE * totals[:, None]
-    if small.any():
-        n, b = np.argwhere(small)[0]
-        branch = "/".join(outcome for _, _, outcome in records[b])
-        raise InvariantViolation(
-            f"row {n} drops branch {branch} (probability {probs[n, b]:.3e}), which every row keeps"
-        )
+    # no branch is below BRANCH_PRUNE of its row if none is below it of the largest row
+    if not probs.min() >= BRANCH_PRUNE * largest:
+        small = probs < BRANCH_PRUNE * totals[:, None]
+        if small.any():
+            n, b = np.argwhere(small)[0]
+            branch = "/".join(outcome for _, _, outcome in records[b])
+            raise InvariantViolation(
+                f"row {n} drops branch {branch} (probability {probs[n, b]:.3e}), which every row keeps"
+            )
     norms = np.sqrt(probs)
     if amps.shape[3] == 1:
         finals = amps[..., 0]
@@ -486,8 +569,9 @@ def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: Qubit
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
     # certified once here, so that ``BatchOutcome.row`` hands the states out unchecked
-    off = np.abs(_squared_norms(finals) - 1.0)
-    if not off.max() <= STATE_NORM_TOL:
+    squares = _squared_norms(finals)
+    if not _near_one(squares.max(), squares.min(), STATE_NORM_TOL):
+        off = np.abs(squares - 1.0)
         n, b = np.argwhere(~(off <= STATE_NORM_TOL))[0]
         branch = "/".join(outcome for _, _, outcome in records[b])
         raise InvariantViolation(
@@ -582,7 +666,7 @@ def _one11(promise: str) -> tuple[_Run, QubitId]:
     return run, _B1
 
 
-# Each precondition returns its checks on the rows, in ``_refuse``'s form.
+# Each precondition returns its checks on the rows, in ``_messages``' form.
 
 
 def _any_config(rows: _Rows):
@@ -591,14 +675,14 @@ def _any_config(rows: _Rows):
 
 
 def _no_promise(rows: _Rows):
-    return [(rows.promise == None, lambda n: "the universal protocol takes no promise")]  # noqa: E711
+    return [(rows.promise == _NO_PROMISE, lambda n: "the universal protocol takes no promise")]
 
 
 def _in_set_only(rows: _Rows):
     comm, anti = rows.norms
     return [
         (
-            rows.kinds != GENERAL,
+            np.fmin(comm, anti) <= CLASS_TOL,  # not GENERAL
             lambda n: "operator is neither commuting nor anticommuting with the z axis "
             f"(commutator norm {comm[n]:.3e}, anticommutator norm {anti[n]:.3e})",
         )
@@ -606,7 +690,7 @@ def _in_set_only(rows: _Rows):
 
 
 def _promised(rows: _Rows):
-    return [(rows.promise != None, lambda n: "the 1-1-1 protocol requires a promise")]  # noqa: E711
+    return [(rows.promise != _NO_PROMISE, lambda n: "the 1-1-1 protocol requires a promise")]
 
 
 #: Protocol name -> (precondition on the rows, circuit for a promise class).
@@ -672,7 +756,7 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
         # half spans its class's matrices only: the part of U off the
         # promised class, which the promise check admits within CLASS_TOL,
         # is dropped.
-        half = (rows.promise == ANTICOMMUTING).astype(np.intp)
+        half = (rows.promise == _ANTICOMMUTING).astype(np.intp)
         amps = amps.reshape(n_row, 2, -1)[np.arange(n_row), half]
     return _finish(amps.reshape(n_row, *inst.shape), rows, inst.records, inst.ledger, inst.bob_qubit)
 
@@ -680,7 +764,7 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     """One configuration, run as the one-row stack it holds."""
     with single_row:
-        _refuse(_CIRCUITS[protocol][0](cfg.rows))
+        _refuse(_messages(_CIRCUITS[protocol][0](cfg.rows), 1))
     table = _run_rows(protocol, cfg.rows)
     return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
 

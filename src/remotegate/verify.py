@@ -330,23 +330,19 @@ def check_failure_branch_identity(rng):
 
 
 def check_classification_consistency(rng):
-    """The in-set rows run as one restricted batch; every general row must
-    be refused on its own."""
+    """The restricted protocol must admit exactly the in-set rows, each as
+    ``run_batch`` would on its own, and run them exactly, as one batch."""
     haar = rng.random((100, 1)) < 0.5
     us = np.where(haar, random_unimodulars(rng, 100), _in_set(rng, rng.random(100) < 0.5))
     psis = random_qubits(rng, 100)
     in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
+    admitted = np.array([message is None for message in protocols.admissible("restricted221", us, psis)])
     ran = np.zeros(len(us), dtype=bool)
-    if in_set.any():
-        ran[in_set] = protocols.run_batch("restricted221", us[in_set], psis[in_set]).succeeded.all(axis=1)
-    for n in np.flatnonzero(~in_set):
-        try:
-            ran[n] = protocols.run_batch("restricted221", us[n : n + 1], psis[n : n + 1]).succeeded.all()
-        except ValueError:
-            ran[n] = False
+    if admitted.any():
+        ran[admitted] = protocols.run_batch("restricted221", us[admitted], psis[admitted]).succeeded.all(axis=1)
     common, v, _ = operators.common_corrections(us[:, None])
     admits_sz = common & (np.abs(v - sigma_z).max(axis=(1, 2)) <= CLASS_TOL)
-    wrong = (ran != in_set) | (admits_sz != in_set)
+    wrong = (admitted != in_set) | (ran != in_set) | (admits_sz != in_set)
     if wrong.any():
         return False, f"inconsistent classification for {_unimodular(us[np.argmax(wrong)])}"
     return True, "restricted run succeeds iff the operator is in-set"

@@ -11,6 +11,7 @@ with it row by row. In sampled mode it draws one branch per measurement as
 it goes, where the engine draws a path from its exact tree after the run.
 """
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from remotegate import (
     tensor,
     tolerances,
 )
+from remotegate.gates import RowError
 
 ORACLE_TOL = 1e-12
 
@@ -241,15 +243,16 @@ _COMPILED = [("bqst", None), ("universal221", None), ("restricted221", None),
              ("one11", COMMUTING), ("one11", ANTICOMMUTING)]
 
 
-def _leaky_row(monkeypatch, bad):
-    """Make the black box of row ``bad`` damp |1>. The stack is replaced as
-    the rows a run takes are stored (by ``ProtocolConfig`` for one
-    configuration, by ``run_batch`` for N), after every check on it."""
+def _leaky_row(monkeypatch, bad, gain=0.5):
+    """Make the black box of row ``bad`` scale |1> by ``gain`` (damp it, by
+    default). The stack is replaced as the rows a run takes are stored (by
+    ``ProtocolConfig`` for one configuration, by ``run_batch`` for N), after
+    every check on it."""
     rows = protocols._Rows
 
     def leaky(u, psi, promise):
         u = u.copy()
-        u[bad] = np.diag([1.0, 0.5])
+        u[bad] = np.diag([1.0, gain])
         return rows(u=u, psi=psi, promise=promise)
 
     monkeypatch.setattr(protocols, "_Rows", leaky)
@@ -264,31 +267,107 @@ def test_batch_non_unitary_row_is_named(monkeypatch, name):
         protocols.run_batch(name, us, [[0.6, 0.8]] * 6, promise)
 
 
-@pytest.mark.parametrize(
-    "name, us, psis, promise, message",
-    [
-        ("restricted221", [rz(0.3), rz(0.5), Unimodular(0.6, 0.8)], None, None, r"row 2: operator is neither"),
-        ("one11", [rz(0.3), rz(0.5)], None, [COMMUTING, ANTICOMMUTING], r"row 1: promise violation"),
-        ("universal221", [rz(0.3)] * 5, [[1, 0]] * 4 + [[np.nan, 1]], None, r"row 4: psi\[0\] is not finite"),
-        ("bqst", [rz(0.3)] * 3, [[1, 0], [0, 0], [0, 1]], None, r"row 1: psi must be nonzero"),
-        # (N, 2) arrays: a bad pair or state row is named as in a list
-        ("bqst", np.array([[1, 0], [0.6, 0.7], [1, 0]]), None, None, r"row 1: not unimodular: .* by 1\.500e-01$"),
-        ("universal221", np.array([[1, 0], [1, 0], [np.inf, 0]]), None, None, r"row 2: Unimodular\.a is not finite: inf$"),
-        ("bqst", np.array([[1, 0], [1, 0]]), np.array([[1, 0], [0, np.nan]]), None, r"row 1: psi\[1\] is not finite"),
-        ("one11", np.array([[1, 0]] * 3), np.array([[1, 0], [1, 0], [0, 0]]), COMMUTING, r"row 2: psi must be nonzero"),
-        ("bqst", [rz(0.3)] * 2, [[1, 0], [1, 0, 0, 0]], None, r"row 1: psi must be a single-qubit state"),
-        ("one11", [rz(0.3)] * 2, None, [COMMUTING, "sideways"], r"row 1: unknown promise 'sideways'"),
-        # the first bad row is named, with the first check it fails
-        ("bqst", [rz(0.3), (np.nan, 0)], [[1, 0], [0, 0]], None, r"row 1: Unimodular\.a is not finite"),
-        ("bqst", np.empty((0, 2)), np.empty((0, 2)), None, r"^a batch needs at least one configuration$"),
-        ("bqst", [], [], None, r"^a batch needs at least one configuration$"),
-        ("bqst", [rz(0.3)] * 2, [[1, 0]], None, r"^2 rotations, 1 states and 2 promises do not match$"),
-    ],
-)
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_batch_row_that_gains_probability_is_named(monkeypatch, name):
+    """A black box that amplifies |1>: row 3's probabilities sum to more
+    than 1, and every other row's to 1."""
+    _leaky_row(monkeypatch, 3, gain=1.5)
+    promise = COMMUTING if name == "one11" else None
+    message = r"^branch probabilities of row 3 sum to 1\.(8|79999)\d*, expected 1\.0: a step was not unitary$"
+    with pytest.raises(InvariantViolation, match=message):
+        protocols.run_batch(name, [rz(0.1 * k) for k in range(6)], [[0.6, 0.8]] * 6, promise)
+
+
+#: Batches ``run_batch`` refuses: (protocol, us, psis, promise, the error
+#: as a regex); psis of None is [0.6, 0.8] on every row.
+BATCH_INPUT_ERRORS = [
+    ("restricted221", [rz(0.3), rz(0.5), Unimodular(0.6, 0.8)], None, None, r"row 2: operator is neither"),
+    ("one11", [rz(0.3), rz(0.5)], None, [COMMUTING, ANTICOMMUTING], r"row 1: promise violation"),
+    ("universal221", [rz(0.3)] * 5, [[1, 0]] * 4 + [[np.nan, 1]], None, r"row 4: psi\[0\] is not finite"),
+    ("bqst", [rz(0.3)] * 3, [[1, 0], [0, 0], [0, 1]], None, r"row 1: psi must be nonzero"),
+    # (N, 2) arrays: a bad pair or state row is named as in a list
+    ("bqst", np.array([[1, 0], [0.6, 0.7], [1, 0]]), None, None, r"row 1: not unimodular: .* by 1\.500e-01$"),
+    ("universal221", np.array([[1, 0], [1, 0], [np.inf, 0]]), None, None, r"row 2: Unimodular\.a is not finite: inf$"),
+    ("bqst", np.array([[1, 0], [1, 0]]), np.array([[1, 0], [0, np.nan]]), None, r"row 1: psi\[1\] is not finite"),
+    ("one11", np.array([[1, 0]] * 3), np.array([[1, 0], [1, 0], [0, 0]]), COMMUTING, r"row 2: psi must be nonzero"),
+    ("bqst", [rz(0.3)] * 2, [[1, 0], [1, 0, 0, 0]], None, r"row 1: psi must be a single-qubit state"),
+    ("one11", [rz(0.3)] * 2, None, [COMMUTING, "sideways"], r"row 1: unknown promise 'sideways'"),
+    # the first bad row is named, with the first check it fails
+    ("bqst", [rz(0.3), (np.nan, 0)], [[1, 0], [0, 0]], None, r"row 1: Unimodular\.a is not finite"),
+    ("bqst", np.empty((0, 2)), np.empty((0, 2)), None, r"^a batch needs at least one configuration$"),
+    ("bqst", [], [], None, r"^a batch needs at least one configuration$"),
+    ("bqst", [rz(0.3)] * 2, [[1, 0]], None, r"^2 rotations, 1 states and 2 promises do not match$"),
+    ("universal221", [rz(0.3)] * 3, None, [None, None, COMMUTING], r"^row 2: the universal protocol takes no promise$"),
+    ("one11", [rz(0.3)] * 2, None, [COMMUTING, None], r"^row 1: the 1-1-1 protocol requires a promise$"),
+    # a class check on a row before a row whose values fail, and after it
+    ("restricted221", [rz(0.3), Unimodular(0.6, 0.8), (np.inf, 0)], None, None, r"^row 1: operator is neither"),
+    ("restricted221", [rz(0.3), (np.inf, 0), Unimodular(0.6, 0.8)], None, None, r"^row 1: Unimodular\.a is not finite"),
+    ("one11", [rz(0.3), (np.nan, 0), Unimodular(0.6, 0.8)], None, COMMUTING, r"^row 1: Unimodular\.a is not finite"),
+]
+
+
+@pytest.mark.parametrize("name, us, psis, promise, message", BATCH_INPUT_ERRORS)
 def test_batch_input_errors_name_the_row(name, us, psis, promise, message):
     psis = [[0.6, 0.8]] * len(us) if psis is None else psis
     with pytest.raises(ValueError, match=message):
         protocols.run_batch(name, us, psis, promise)
+
+
+def _batch_error(name, us, psis, promise) -> ValueError:
+    """The error ``run_batch`` refuses a bad batch with (psis of None as in ``BATCH_INPUT_ERRORS``)."""
+    psis = [[0.6, 0.8]] * len(us) if psis is None else psis
+    with pytest.raises(ValueError) as info:
+        protocols.run_batch(name, us, psis, promise)
+    return info.value
+
+
+@pytest.mark.parametrize("name, us, psis, promise, message", BATCH_INPUT_ERRORS)
+def test_admissible_gives_the_first_bad_row_its_batch_refusal(name, us, psis, promise, message):
+    """``admissible`` gives the row ``run_batch`` names the message it
+    refuses the batch with, after ``row n: ``, and None to the rows before
+    it; a batch whose shapes do not fit is refused alike."""
+    error = _batch_error(name, us, psis, promise)
+    psis = [[0.6, 0.8]] * len(us) if psis is None else psis
+    if not isinstance(error, RowError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            protocols.admissible(name, us, psis, promise)
+        return
+    messages = protocols.admissible(name, us, psis, promise)
+    assert len(messages) == len(us)
+    assert messages[: error.row + 1] == [None] * error.row + [error.message]
+
+
+@pytest.mark.parametrize(
+    "name, us, psis, promise, message", [case for case in BATCH_INPUT_ERRORS if case[-1].lstrip("^").startswith("row ")]
+)
+def test_single_call_refuses_as_its_batch_row(name, us, psis, promise, message):
+    """The configuration of the row ``run_batch`` names, built on its own
+    and run, raises a plain ``ValueError`` with the batch's message
+    without ``row n: ``."""
+    error = _batch_error(name, us, psis, promise)
+    n = error.row
+    given = promise if promise is None or isinstance(promise, str) else promise[n]
+    psi = [0.6, 0.8] if psis is None else psis[n]
+    with pytest.raises(ValueError) as info:
+        PROTOCOLS[name](ProtocolConfig(u=us[n], psi=psi, promise=given))
+    assert type(info.value) is ValueError and str(info.value) == error.message
+
+
+def test_admissible_checks_each_row_on_its_own():
+    """Every row gets the message its own single call raises, or None and
+    runs on its own."""
+    us = [rz(0.3), Unimodular(0.6, 0.8), (np.inf, 0), Unimodular(0, 1j), (0.6, 0.7), rz(0.1)]
+    psis = [[1, 0], [1, 0], [1, 0], [0, 0], [1, 0], [1, 1j]]
+    messages = protocols.admissible("restricted221", us, psis)
+    for u, psi, message in zip(us, psis, messages):
+        if message is None:
+            assert protocols.run_batch("restricted221", [u], [psi]).succeeded.all()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                protocols.run_restricted_221(ProtocolConfig(u=u, psi=psi))
+    assert [m is None for m in messages] == [True, False, False, False, False, True]
+    with pytest.raises(ValueError, match="^unknown protocol 'sideways'$"):
+        protocols.admissible("sideways", us, psis)
 
 
 def _damp_row_2(matrices):
@@ -315,6 +394,21 @@ def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, mess
     monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
     with pytest.raises(ValueError, match=message):
         protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
+
+
+@pytest.mark.parametrize(
+    "stack, spoil, message",
+    [
+        ("unimodular_matrices", lambda m: m @ np.diag([1.0, 0.5]), r"^gate 'u' is not unitary within 1e-10$"),
+        ("unimodular_residuals", lambda residuals: residuals + 0.25, r"^not unimodular: .* by 2\.500e-01$"),
+    ],
+)
+def test_single_call_refuses_what_its_stack_refuses(monkeypatch, stack, spoil, message):
+    build = getattr(protocols, stack)
+    monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    with pytest.raises(ValueError, match=message) as info:
+        protocols.run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8]))
+    assert type(info.value) is ValueError
 
 
 def _run_circuit(monkeypatch, circuit, psis, us=None):
@@ -640,6 +734,13 @@ def _same_outcomes(single, batched):
         assert np.array_equal(a.bob_final.amplitudes, b.bob_final.amplitudes)
 
 
+def test_row_gives_the_branches_asked_for_in_their_order():
+    table = protocols.run_batch("universal221", [rz(0.3), Unimodular(0.6, 0.8j)], [[0.6, 0.8], [1, 1j]])
+    for n in (0, 1):
+        every = table.row(n)
+        _same_outcomes(table.row(n, [5, 2, 5]), [every[5], every[2], every[5]])
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_single_call_is_row_zero_of_its_one_row_batch(name):
     """On 50 seeded configurations, a ``run_*`` call returns exactly what
@@ -687,5 +788,24 @@ def test_final_state_that_is_not_a_unit_vector_is_refused(monkeypatch):
 
     monkeypatch.setattr(np, "sqrt", damaged)
     message = rf"^row 1 branch {branch}: Bob's final state is not a unit vector \(norm\^2 off by 7\.500e-01\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        protocols.run_batch("universal221", us, psis)
+
+
+def test_final_state_that_is_too_long_is_refused(monkeypatch):
+    """As above with the norm of row 1, branch 5 halved: the state is twice
+    a unit vector, its norm^2 off by 3."""
+    us, psis, _ = _batch_rows("universal221", seed=4, count=3)
+    branch = "/".join(outcome for _, _, outcome in protocols._instrument("universal221", None).records[5])
+    sqrt = np.sqrt
+
+    def damaged(x, *args, **kwargs):
+        out = sqrt(x, *args, **kwargs)
+        if np.ndim(out) == 2:  # the (N, B) branch norms in _finish
+            out[1, 5] *= 0.5
+        return out
+
+    monkeypatch.setattr(np, "sqrt", damaged)
+    message = rf"^row 1 branch {branch}: Bob's final state is not a unit vector \(norm\^2 off by 3\.000e\+00\)$"
     with pytest.raises(InvariantViolation, match=message):
         protocols.run_batch("universal221", us, psis)

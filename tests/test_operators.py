@@ -325,7 +325,7 @@ class TestCommutationNorms:
         in_set = operators.unimodular_matrices(np.array(in_set, dtype=complex))
         matrices = np.concatenate((_haar_matrices(rng, 1000), in_set, _boundary_matrices()))
         count = len(matrices)
-        rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.full(count, None))
+        rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp))
         expected = operators.classify_matrices(matrices)
         assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
         assert np.array_equal(rows.kinds, expected)

@@ -63,6 +63,8 @@ def test_run_all_refuses_a_bad_seed_naming_it(seed):
 HOMES = {
     "random_unimodulars": verify,
     "random_qubits": verify,
+    "random_unimodular": verify,
+    "random_qubit": verify,
     "q_matrices": operators,
     "classify_matrices": operators,
     "orthogonal_pairs": operators,
@@ -74,12 +76,14 @@ HOMES = {
     "pure_densities": bloch,
     "bloch_vectors": bloch,
     "run_batch": protocols,
+    "admissible": protocols,
 }
 
 #: The sampler calls of a check that draws 100 Haar (U, psi) pairs.
 _HAAR = {"random_unimodulars": [(100,)], "random_qubits": [(100,)]}
 
-#: For each check that samples a stack, its calls of each stacked function
+#: For each check that samples a stack (or, for the two that check single
+#: runs, one configuration per draw), its calls of each stacked function
 #: named, in order, each as its arguments with an array given by its shape
 #: (and a sampler's generator left out).
 STACKS = {
@@ -98,16 +102,20 @@ STACKS = {
         "from_axis_angles": [((1000, 3), (1000,))],
         "find_common_axes": [((100, 10, 2),)],
     },
+    "protocols.ledgers": {"random_unimodular": [()], "random_qubit": [()]},
     "protocols.universal_success_half": {**_HAAR, "run_batch": [("universal221", (100, 2), (100, 2))]},
     "protocols.restricted_perfect": {
         "random_qubits": [(1000,)],
         "run_batch": [("restricted221", (1000, 2), (1000, 2), None)],
     },
     "protocols.one11_perfect": {"random_qubits": [(1000,)], "run_batch": [("one11", (1000, 2), (1000, 2), (1000,))]},
+    "protocols.branch_conservation": {"random_unimodular": [()] * 2, "random_qubit": [()] * 4},
     "protocols.failure_branch_identity": {**_HAAR, "run_batch": [("universal221", (100, 2), (100, 2))]},
     "protocols.classification_consistency": {
         **_HAAR,
         "classify_matrices": [((100, 2, 2),)],
+        "admissible": [("restricted221", (100, 2), (100, 2))],
+        "run_batch": [("restricted221", (51, 2), (51, 2))],
         "common_corrections": [((100, 1, 2),)],
     },
     "bloch.purity": {"random_qubits": [(200,)], "pure_densities": [((200, 2),)]},
@@ -157,18 +165,42 @@ def test_verify_stacks_draw_the_per_call_samples(monkeypatch, check):
     assert {name: [_shapes(args) for args in got] for name, got in calls.items()} == STACKS[check]
 
 
-def test_every_check_that_samples_a_stack_has_an_oracle(monkeypatch):
-    """A check that calls a sampler has its stacked calls pinned in STACKS."""
-    calls = _spy(monkeypatch, ["random_unimodulars", "random_qubits"])
+#: Checks that draw from their generator with no STACKS entry, and why.
+UNPINNED = dict.fromkeys(
+    [f"statevector.{name}" for name in ("norm_preservation", "branch_completeness", "product_state_entropy",
+                                        "measurement_idempotence", "entropy_bounds")],
+    "draws one register and state at a time, for the per-branch statevector kernels",
+)
+
+
+class _Recording:
+    """A generator that records the name of each method called on it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return recorded if callable(method) else method
+
+
+def test_every_check_that_samples_a_stack_has_an_oracle():
+    """A check that draws from its generator, through any of its methods,
+    has its stacked calls pinned in STACKS or is in UNPINNED."""
     sampling = set()
     for i, (name, fn) in enumerate(verify.registry()):
-        passed, detail = fn(np.random.default_rng([7, i]))
+        rng = _Recording(np.random.default_rng([7, i]))
+        passed, detail = fn(rng)
         assert passed, (name, detail)
-        if any(calls.values()):
+        if rng.calls:
             sampling.add(name)
-        for got in calls.values():
-            got.clear()
-    assert sampling and sampling <= set(STACKS), sorted(sampling - set(STACKS))
+    assert set(UNPINNED) <= sampling and not set(UNPINNED) & set(STACKS)
+    assert sampling <= set(STACKS) | set(UNPINNED), sorted(sampling - set(STACKS) - set(UNPINNED))
 
 
 def _in_set_where(matrices, n_sigma, original):
