@@ -62,6 +62,7 @@ from .statevector import (
     InvariantViolation,
     QubitId,
     StateVector,
+    _to_front,
     apply_gate,
     basis_state,
     bell_phi_plus,
@@ -294,7 +295,8 @@ def admissible(protocol: str, us, psis, promise=None) -> list[str | None]:
 class ProtocolConfig:
     """Inputs of a run: the black-box rotation, Bob's state, an optional
     promise about the rotation's class, and the execution mode. ``rows``
-    holds the configuration as the checked one-row stack a run takes."""
+    holds the configuration as the checked one-row stack a run takes. A
+    rotation given as an (a, b) pair is kept as its checked ``Unimodular``."""
 
     u: Unimodular
     psi: np.ndarray
@@ -312,6 +314,8 @@ class ProtocolConfig:
             raise ValueError("sampled mode requires a seed")
         if self.seed is not None:
             require_seed(self.seed)
+        if not isinstance(self.u, Unimodular):
+            object.__setattr__(self, "u", Unimodular(*rows.u[0, 0].tolist()))
         object.__setattr__(self, "psi", rows.psi[0])
         object.__setattr__(self, "rows", rows)
 
@@ -367,18 +371,9 @@ class BatchOutcome:
         return outcomes
 
 
-@functools.cache
-def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that moves qubit ``axes`` to positions 1, 2, ..., right
-    after the branch axis, the others keeping their order (what
-    ``np.moveaxis`` does, without its per-call cost), and its inverse."""
-    perm = (0,) + axes + tuple(a for a in range(1, ndim) if a not in axes)
-    return perm, tuple(np.argsort(perm).tolist())
-
-
 def _apply_matrix(matrix: np.ndarray, axes: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
     """``matrix`` on the given qubit axes of every branch."""
-    perm, inverse = _to_front(amps.ndim, axes)
+    perm, inverse = _to_front(amps.ndim, (0,) + axes)
     front = amps.transpose(perm)
     out = matrix @ front.reshape(len(front), len(matrix), 2 ** (front.ndim - 1 - len(axes)))
     return out.reshape(front.shape).transpose(inverse)
@@ -488,7 +483,7 @@ class _Run:
         vecs = _BASES.get((basis, k))
         if vecs is None:
             raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
-        front = self.amps.transpose(_to_front(self.amps.ndim, axes)[0])
+        front = self.amps.transpose(_to_front(self.amps.ndim, (0,) + axes)[0])
         n_branch, dim, rest = len(front), 2**k, front.shape[k + 1 :]
         coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
         child = _squared_norms(coeff)
@@ -623,9 +618,12 @@ def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId):
 
 _A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
 _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
-#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1).
+#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1). Both pairs
+#: together come from the normalising constructor, not from ``tensor``,
+#: which does not renormalise: the rounded 1/sqrt(2) squared is 0.5 plus
+#: one ulp, and the compiled instruments start from exactly 0.5.
 _ONE_PAIR = bell_phi_plus(_A1, _B1)
-_TWO_PAIRS = tensor(_ONE_PAIR, bell_phi_plus(_A2, _B2))
+_TWO_PAIRS = StateVector(np.kron(_ONE_PAIR.amplitudes, _ONE_PAIR.amplitudes), (_A1, _B1, _A2, _B2))
 
 
 def _bqst() -> tuple[_Run, QubitId]:
@@ -734,7 +732,7 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
         return commuting._replace(tensor=both)
     run, bob_qubit = _CIRCUITS[protocol][1](promise)
     axes = tuple(run._axes[q.owner, q.index] for q in (_R_OUT, _R_IN, _R_PSI, bob_qubit))
-    out = np.moveaxis(run.amps.transpose(_to_front(run.amps.ndim, axes)[0]), 0, 3)
+    out = np.moveaxis(run.amps.transpose(_to_front(run.amps.ndim, (0,) + axes)[0]), 0, 3)
     out = out.reshape(2, 2, 2, len(run.amps), 2, -1).copy()
     if promise is not None:
         out[np.eye(2, dtype=bool) == (promise == ANTICOMMUTING)] = 0

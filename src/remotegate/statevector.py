@@ -5,8 +5,11 @@ Conventions, used everywhere in this package:
 * The qubit at register position 0 is the most significant bit of the
   amplitude index, so ``tensor(s1, s2)`` is a plain Kronecker product with
   ``s1``'s register first.
-* States are stored normalized; every constructor normalizes on entry and
-  rejects (near-)zero vectors.
+* ``StateVector(...)`` normalizes on entry and rejects (near-)zero vectors.
+  The kernels build their output states without that second check and do
+  not renormalize: ``apply_gate`` returns ``G psi`` as computed, and a
+  measurement's post-state is its projected amplitudes divided by the
+  square root of the probability it reports.
 * Bell outcomes are ordered (phi+, phi-, psi+, psi-) and reported as the
   two-bit strings "00", "01", "10", "11" in that order.
 
@@ -17,6 +20,8 @@ random generator.
 
 from __future__ import annotations
 
+import functools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -38,6 +43,8 @@ BELL_VECTORS = (
     np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
 )
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+_BELL = np.array(BELL_VECTORS)
+_BELL_BRAS = _BELL.conj()
 
 
 class InvariantViolation(RuntimeError):
@@ -63,7 +70,9 @@ class QubitId:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over an ordered qubit register."""
+    """Complex amplitudes over an ordered qubit register, checked and
+    normalized on construction; the kernels' outputs skip both (see
+    ``_state``)."""
 
     amplitudes: np.ndarray
     register: tuple[QubitId, ...]
@@ -149,27 +158,49 @@ def bell_phi_plus(q1: QubitId, q2: QubitId) -> StateVector:
 # operations
 
 
+def _state(amplitudes: np.ndarray, register: tuple[QubitId, ...]) -> StateVector:
+    """A kernel's output, built without ``StateVector``'s checks, which it
+    holds by construction: the register is the checked input's, the length
+    follows from the shape, and the values are finite because the input's
+    are and every ``Gate`` is checked unitary. It is not renormalized."""
+    amplitudes.setflags(write=False)
+    state = object.__new__(StateVector)
+    fields = state.__dict__
+    fields["amplitudes"], fields["register"] = amplitudes, register
+    return state
+
+
 def tensor(s1: StateVector, s2: StateVector) -> StateVector:
     """Kronecker product; ``s1``'s register comes first."""
     overlap = set(s1.register) & set(s2.register)
     if overlap:
         names = ", ".join(sorted(str(q) for q in overlap))
         raise ValueError(f"register conflict: {names} present in both states")
-    return StateVector(np.kron(s1.amplitudes, s2.amplitudes), s1.register + s2.register)
+    return _state(np.multiply.outer(s1.amplitudes, s2.amplitudes).reshape(-1), s1.register + s2.register)
 
 
-def _targets_front(s: StateVector, targets) -> tuple[np.ndarray, list[int]]:
-    """Amplitude tensor with the target axes moved to the front, in order."""
-    targets = list(targets)
+@functools.cache
+def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that moves ``axes`` to the front, in order, the others
+    keeping theirs (what ``np.moveaxis`` does, without its per-call cost),
+    and its inverse."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(np.argsort(perm).tolist())
+
+
+def _targets_front(s: StateVector, targets) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Amplitude tensor with the target axes moved to the front, in order,
+    and the transpose that moves them back."""
+    targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate targets")
-    pos = [s.position(q) for q in targets]
-    psi = s.amplitudes.reshape([2] * s.n)
-    return np.moveaxis(psi, pos, range(len(pos))), pos
+    perm, inverse = _to_front(s.n, tuple(map(s.position, targets)))
+    return s.amplitudes.reshape((2,) * s.n).transpose(perm), inverse
 
 
 def apply_gate(s: StateVector, g: Gate, targets) -> StateVector:
-    """Apply ``g`` on the target qubits (identity elsewhere).
+    """Apply ``g`` on the target qubits (identity elsewhere), as computed:
+    the result is ``G psi``, not renormalized.
 
     For a two-qubit gate the first target is the more significant input,
     so ``apply_gate(s, CNOT, [control, target])`` reads naturally.
@@ -179,17 +210,34 @@ def apply_gate(s: StateVector, g: Gate, targets) -> StateVector:
         raise ValueError(
             f"gate {g.name!r} acts on {g.qubits} qubit(s), got {len(targets)} target(s)"
         )
-    psi, pos = _targets_front(s, targets)
-    k = len(targets)
-    mat = psi.reshape(2**k, -1)
-    out = (g.matrix @ mat).reshape([2] * s.n)
-    out = np.moveaxis(out, range(k), pos)
-    return StateVector(out.reshape(-1), s.register)
+    psi, inverse = _targets_front(s, targets)
+    out = g.matrix @ psi.reshape(len(g.matrix), -1)
+    return _state(out.reshape(psi.shape).transpose(inverse).reshape(-1), s.register)
+
+
+@functools.cache
+def _labels(k: int) -> tuple[str, ...]:
+    """The outcome bit strings of ``k`` qubits, in index order."""
+    return tuple(format(idx, f"0{k}b") for idx in range(2**k))
+
+
+def _branches(labels, probs, posts, shape, inverse, register) -> list[MeasurementBranch]:
+    """The branches at or above ``BRANCH_PRUNE``: each with its probability
+    and its post-state, the projected amplitudes ``posts[i]`` (target axes
+    first, as ``shape``) divided by the square root of that probability."""
+    branches = []
+    for label, prob, post in zip(labels, probs.tolist(), posts):
+        if prob < BRANCH_PRUNE:
+            continue
+        post = (post / math.sqrt(prob)).reshape(shape).transpose(inverse).reshape(-1)
+        branches.append(MeasurementBranch(label, prob, _state(post, register)))
+    return branches
 
 
 def measure(s: StateVector, targets, basis: str = "computational") -> list[MeasurementBranch]:
     """Exhaustive projective measurement: every branch with its exact
-    probability and renormalized post-state (zero-weight branches dropped).
+    probability and post-state, the projected amplitudes divided by the
+    square root of that probability (zero-weight branches dropped).
 
     ``basis`` is ``"computational"`` (any number of targets) or ``"bell"``
     (exactly two targets, outcomes ordered phi+, phi-, psi+, psi-).
@@ -198,46 +246,24 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
     if not targets:
         raise ValueError("empty target list")
     if basis == "computational":
-        psi, pos = _targets_front(s, targets)
+        psi, inverse = _targets_front(s, targets)
         k = len(targets)
         mat = psi.reshape(2**k, -1)
         probs = np.sum(np.abs(mat) ** 2, axis=1)
-        branches = []
-        for idx in range(2**k):
-            if probs[idx] < BRANCH_PRUNE:
-                continue
-            post = np.zeros_like(mat)
-            post[idx] = mat[idx]
-            post = np.moveaxis(post.reshape([2] * s.n), range(k), pos)
-            branches.append(
-                MeasurementBranch(
-                    outcome=format(idx, f"0{k}b"),
-                    probability=float(probs[idx]),
-                    post_state=StateVector(post.reshape(-1), s.register),
-                )
-            )
-        return branches
+        # post-state i is mat[i] in row i, zeros elsewhere: the rows
+        # 0, 2^k + 1, 2 (2^k + 1), ... of the (4^k, rest) reshape
+        posts = np.zeros((2**k,) + mat.shape, dtype=mat.dtype)
+        posts.reshape(4**k, -1)[:: 2**k + 1] = mat
+        return _branches(_labels(k), probs, posts, psi.shape, inverse, s.register)
     if basis == "bell":
         if len(targets) != 2:
             raise ValueError("bell basis requires exactly 2 targets")
-        psi, pos = _targets_front(s, targets)
-        mat = psi.reshape(4, -1)
-        branches = []
-        for idx, bell in enumerate(BELL_VECTORS):
-            coeff = bell.conj() @ mat
-            prob = float(np.sum(np.abs(coeff) ** 2))
-            if prob < BRANCH_PRUNE:
-                continue
-            post = np.outer(bell, coeff)
-            post = np.moveaxis(post.reshape([2] * s.n), range(2), pos)
-            branches.append(
-                MeasurementBranch(
-                    outcome=format(idx, "02b"),
-                    probability=prob,
-                    post_state=StateVector(post.reshape(-1), s.register),
-                )
-            )
-        return branches
+        psi, inverse = _targets_front(s, targets)
+        coeffs = _BELL_BRAS @ psi.reshape(4, -1)
+        probs = np.sum(np.abs(coeffs) ** 2, axis=1)
+        # post-state i is |bell_i> (x) coeffs[i]
+        posts = _BELL[:, :, None] * coeffs[:, None, :]
+        return _branches(_labels(2), probs, posts, psi.shape, inverse, s.register)
     raise ValueError(f"unknown basis {basis!r}")
 
 

@@ -1,7 +1,9 @@
 """The batched branch-tensor engine against the per-branch engine it replaced.
 
-``ReferenceRun`` keeps one renormalised ``StateVector`` per branch of a
-single configuration and drives ``apply_gate``, ``measure``,
+``ReferenceRun`` keeps one ``StateVector`` per branch of a single
+configuration, its post-state as ``measure`` gives it (the projected
+amplitudes divided by the square root of the branch's probability; no
+kernel renormalises), and drives ``apply_gate``, ``measure``,
 ``sample_branch`` and ``factor_qubit`` one branch at a time, and it counts
 its own ledger. It has the interface of ``protocols._Run``, so a protocol's
 circuit runs on it unchanged once it is patched in, except that its black
@@ -55,9 +57,10 @@ class _Branch:
 
 
 class ReferenceRun:
-    """Per-branch engine for one configuration: a list of normalised branch
-    states. Its ledger holds one e-bit per pair and the bits of each outcome
-    that a party other than the one who measured it reads."""
+    """Per-branch engine for one configuration: a list of branch states,
+    each as the kernels return it. Its ledger holds one e-bit per pair and
+    the bits of each outcome that a party other than the one who measured
+    it reads."""
 
     def __init__(self, pairs: StateVector, data: QubitId, cfg: ProtocolConfig, seed=None):
         """Bob's ``data`` qubit in ``cfg.psi`` beside the ``pairs``; with a

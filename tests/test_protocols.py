@@ -82,6 +82,16 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
             ProtocolConfig(u=rz(0.1), psi=[1, 0], mode=mode, seed=seed)
 
+    @pytest.mark.parametrize("u", [(1, 0), np.array([1, 0])], ids=["tuple", "array"])
+    def test_keeps_a_pair_as_its_unimodular(self, u):
+        cfg = ProtocolConfig(u=u, psi=[1, 0])
+        assert isinstance(cfg.u, Unimodular) and cfg.u == Unimodular(1, 0)
+        assert np.array_equal(cfg.u.as_gate().matrix, np.eye(2))
+
+    def test_keeps_a_unimodular_as_given(self):
+        u = rz(0.1)
+        assert ProtocolConfig(u=u, psi=[1, 0]).u is u
+
     def test_numpy_integer_seed_draws_as_its_int(self):
         runs = [
             run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8], mode="sampled", seed=seed))

@@ -1,8 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from remotegate import (
     CNOT,
+    Gate,
     H,
     InvariantViolation,
     QubitId,
@@ -24,6 +27,7 @@ from remotegate import (
     tensor,
 )
 from remotegate.statevector import sample_index
+from remotegate.tolerances import BRANCH_PRUNE
 
 A0, A1 = QubitId("alice", 0), QubitId("alice", 1)
 B0, B1 = QubitId("bob", 0), QubitId("bob", 1)
@@ -129,6 +133,15 @@ class TestApplyGate:
             s = apply_gate(s, CNOT, [B1, A0])
             assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-10
 
+    def test_output_is_not_renormalised(self):
+        # a CNOT scaled past Gate's unitarity check: its defect must show
+        leaky = object.__new__(Gate)
+        leaky.__dict__.update(matrix=CNOT.matrix * (1 + 1e-6), name="leaky")
+        rng = np.random.default_rng(12)
+        s = StateVector(rng.normal(size=8) + 1j * rng.normal(size=8), (A0, B0, B1))
+        out = apply_gate(s, leaky, [B1, A0])
+        assert abs(np.linalg.norm(out.amplitudes) - (1 + 1e-6)) < 1e-15
+
 
 class TestMeasure:
     def test_single_qubit_branches(self):
@@ -183,6 +196,123 @@ class TestMeasure:
     def test_bell_needs_two_targets(self):
         with pytest.raises(ValueError, match="bell"):
             measure(bell_phi_plus(A0, B0), [A0], basis="bell")
+
+
+# ---------------------------------------------------------------------------
+# every kernel against oracles built here from np.kron, basis-index
+# permutations and projectors, over every target order
+
+#: Registers of 1 to 4 qubits, owners mixed and indices out of order.
+REGISTERS = [
+    (QubitId("bob", 2), QubitId("alice", 0), QubitId("alice", 3), QubitId("bob", 0))[:n] for n in range(1, 5)
+]
+BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+PROJECTOR = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+def _front_permutation(pos, n):
+    """The permutation matrix taking each basis state |b_0 ... b_(n-1)> to
+    the one with the bits at ``pos`` first, in order, and the rest after."""
+    order = list(pos) + [q for q in range(n) if q not in pos]
+    perm = np.zeros((2**n, 2**n))
+    for index in range(2**n):
+        bits = format(index, f"0{n}b")
+        perm[int("".join(bits[q] for q in order), 2), index] = 1
+    return perm
+
+
+def _on_front(matrix, pos, n):
+    """``matrix`` acting on the qubits at ``pos`` (first the most
+    significant), identity on the others."""
+    perm = _front_permutation(pos, n)
+    return perm.T @ np.kron(matrix, np.eye(2 ** (n - len(pos)))) @ perm
+
+
+def _parity_states(n, rng):
+    """A random state, and phi+ on the first two qubits (on one qubit, |0>)
+    beside a random state of the rest, which drops branches when they are
+    measured."""
+    rand = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    sparse = np.kron(BELL_KETS[0], rand[: 2 ** (n - 2)]) if n >= 2 else np.array([1, 0])
+    return [StateVector(amps, REGISTERS[n - 1]) for amps in (rand, sparse)]
+
+
+def _assert_fresh(out, s):
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, s.amplitudes)
+
+
+def _assert_branches(branches, s, projectors):
+    """``branches`` against the ``projectors`` by outcome: the probability,
+    the post-state and the order, and every zero-weight outcome dropped."""
+    expected = []
+    for outcome, proj in projectors:
+        projected = proj @ s.amplitudes
+        prob = np.vdot(projected, projected).real
+        if prob >= BRANCH_PRUNE:
+            expected.append((outcome, prob, projected / np.sqrt(prob)))
+    assert [b.outcome for b in branches] == [outcome for outcome, _, _ in expected]
+    for branch, (_, prob, post) in zip(branches, expected):
+        assert abs(branch.probability - prob) <= 1e-15
+        assert np.abs(branch.post_state.amplitudes - post).max() <= 1e-12
+        assert branch.post_state.register == s.register
+        _assert_fresh(branch.post_state, s)
+
+
+class TestKernelParity:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_apply_gate_every_target_order(self, n):
+        rng = np.random.default_rng(40 + n)
+        reg = REGISTERS[n - 1]
+        gate = random_unimodular(rng).as_gate()
+        cases = [(gate, pos) for pos in permutations(range(n), 1)]
+        cases += [(CNOT, pos) for pos in permutations(range(n), 2)]
+        for s in _parity_states(n, rng):
+            for g, pos in cases:
+                out = apply_gate(s, g, [reg[p] for p in pos])
+                oracle = _on_front(g.matrix, pos, n) @ s.amplitudes
+                assert np.abs(out.amplitudes - oracle).max() <= 1e-12, pos
+                assert out.register == reg
+                _assert_fresh(out, s)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_computational_measure_every_target_order(self, n):
+        rng = np.random.default_rng(50 + n)
+        reg = REGISTERS[n - 1]
+        for s in _parity_states(n, rng):
+            for k in range(1, min(n, 3) + 1):
+                for pos in permutations(range(n), k):
+                    projectors = []
+                    for index in range(2**k):
+                        outcome = format(index, f"0{k}b")
+                        factors = [PROJECTOR[int(outcome[pos.index(q)])] if q in pos else np.eye(2) for q in range(n)]
+                        proj = np.ones((1, 1))
+                        for factor in factors:
+                            proj = np.kron(proj, factor)
+                        projectors.append((outcome, proj))
+                    _assert_branches(measure(s, [reg[p] for p in pos]), s, projectors)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_bell_measure_every_target_pair(self, n):
+        rng = np.random.default_rng(60 + n)
+        reg = REGISTERS[n - 1]
+        for s in _parity_states(n, rng):
+            for pos in permutations(range(n), 2):
+                projectors = [
+                    (format(i, "02b"), _on_front(np.outer(ket, ket), pos, n)) for i, ket in enumerate(BELL_KETS)
+                ]
+                _assert_branches(measure(s, [reg[p] for p in pos], "bell"), s, projectors)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_tensor_is_kron(self, n):
+        rng = np.random.default_rng(70 + n)
+        left = StateVector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n), REGISTERS[n - 1])
+        right = qubit_state(0.6, 0.8j, QubitId("alice", 9))
+        out = tensor(left, right)
+        assert np.array_equal(out.amplitudes, np.kron(left.amplitudes, right.amplitudes))
+        assert out.register == left.register + right.register
+        _assert_fresh(out, left)
+        _assert_fresh(out, right)
 
 
 class TestSampleBranch:

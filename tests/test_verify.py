@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remotegate import Unimodular, bloch, cli, operators, protocols, verify
+from remotegate import CNOT, Gate, Unimodular, bloch, cli, operators, protocols, verify
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_details.json").read_text())
 GOLDEN_TOL = 1e-12
@@ -54,6 +54,15 @@ def test_verify_lines_carry_each_checks_time(capsys):
 def test_run_all_refuses_a_bad_seed_naming_it(seed):
     with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
         verify.run_all(seed)
+
+
+def test_norm_preservation_sees_a_non_unitary_gate(monkeypatch):
+    """A CNOT scaled by 1 + 1e-6, slipped past Gate's unitarity check: the
+    kernel does not renormalise, so the check sees the defect."""
+    leaky = object.__new__(Gate)
+    leaky.__dict__.update(matrix=CNOT.matrix * (1 + 1e-6), name="leaky")
+    monkeypatch.setattr(verify, "CNOT", leaky)
+    assert verify.check_norm_preservation(np.random.default_rng(0)) == (False, "max norm deviation 1.00e-06")
 
 
 # ---------------------------------------------------------------------------
