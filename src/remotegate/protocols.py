@@ -58,10 +58,12 @@ from .operators import (
     unimodular_residuals,
 )
 from .statevector import (
-    BELL_VECTORS,
     InvariantViolation,
     QubitId,
     StateVector,
+    _apply_matrix,
+    _split,
+    _squared_norms,
     _to_front,
     apply_gate,
     basis_state,
@@ -323,13 +325,6 @@ class ProtocolConfig:
 # ---------------------------------------------------------------------------
 # branch tensor
 
-#: Measurement bases as rows of outcome vectors, keyed by (basis, qubits).
-_BASES = {
-    ("computational", 1): np.eye(2),
-    ("computational", 2): np.eye(4),
-    ("bell", 2): np.array(BELL_VECTORS),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class BatchOutcome:
@@ -369,20 +364,6 @@ class BatchOutcome:
             fields["amplitudes"], fields["register"] = amplitudes, register
             outcomes.append(new_outcome(ProtocolOutcome, (record, probability, final, fidelity, succeeded, ledger)))
         return outcomes
-
-
-def _apply_matrix(matrix: np.ndarray, axes: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-    """``matrix`` on the given qubit axes of every branch."""
-    perm, inverse = _to_front(amps.ndim, (0,) + axes)
-    front = amps.transpose(perm)
-    out = matrix @ front.reshape(len(front), len(matrix), 2 ** (front.ndim - 1 - len(axes)))
-    return out.reshape(front.shape).transpose(inverse)
-
-
-def _squared_norms(amps: np.ndarray) -> np.ndarray:
-    """Squared norm over the last axis, with no temporary the size of ``amps``."""
-    flat = np.ascontiguousarray(amps).view(float)
-    return np.einsum("...i,...i->...", flat, flat)
 
 
 _SWAP = Gate(np.eye(4)[[0, 2, 1, 3]], "swap")
@@ -479,21 +460,12 @@ class _Run:
         leave the register, and return the measurement's index for ``when``.
         A child below ``BRANCH_PRUNE`` of its parent is dropped."""
         party, axes = self._locate(targets, f"{basis} measurement")
-        k = len(axes)
-        vecs = _BASES.get((basis, k))
-        if vecs is None:
-            raise ValueError(f"cannot measure {k} qubit(s) in the {basis!r} basis")
-        front = self.amps.transpose(_to_front(self.amps.ndim, (0,) + axes)[0])
-        n_branch, dim, rest = len(front), 2**k, front.shape[k + 1 :]
-        coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
-        child = _squared_norms(coeff)
-        # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
-        keep = ~(child < BRANCH_PRUNE * child.sum(axis=1, keepdims=True)).reshape(-1)
-        self.amps = coeff.reshape(n_branch * dim, *rest)[keep]
+        children, _, kept = _split(self.amps, axes, basis)
+        self.amps = children[kept]
         self._set_register(tuple(q for i, q in enumerate(self.register, 1) if i not in axes))
-        kept = np.flatnonzero(keep)  # child index: parent branch * dim + outcome
-        self.outcomes = np.column_stack((self.outcomes[kept // dim], kept % dim))
-        self.log.append((party, basis, k))
+        parents, outcomes = np.nonzero(kept)
+        self.outcomes = np.column_stack((self.outcomes[parents], outcomes))
+        self.log.append((party, basis, len(axes)))
         return len(self.log) - 1
 
     @property

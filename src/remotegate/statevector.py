@@ -12,6 +12,11 @@ Conventions, used everywhere in this package:
   square root of the probability it reports.
 * Bell outcomes are ordered (phi+, phi-, psi+, psi-) and reported as the
   two-bit strings "00", "01", "10", "11" in that order.
+* A branch stack is an (N, 2, ..., 2) array, one state per branch and one
+  axis per qubit. Its primitives (``_apply_matrix``, ``_split``,
+  ``_entropies``) are what the protocols compile with and what the
+  ``statevector.*`` checks run on; ``reduced_density`` and
+  ``entanglement_entropy`` are their one-state case.
 
 All values are immutable after construction; operations return new values,
 so independent simulations can run concurrently as long as each owns its
@@ -155,7 +160,81 @@ def bell_phi_plus(q1: QubitId, q2: QubitId) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# operations
+# branch stacks: ``amps[b]`` is branch b, with one axis per qubit (so qubit
+# axes count from 1), the form the protocols compile on
+
+
+@functools.cache
+def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that moves ``axes`` to the front, in order, the others
+    keeping theirs (what ``np.moveaxis`` does, without its per-call cost),
+    and its inverse."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(np.argsort(perm).tolist())
+
+
+def _apply_matrix(matrix: np.ndarray, axes: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
+    """``matrix`` on the given qubit axes of every branch, or, for an (N, d,
+    d) stack of matrices, ``matrix[b]`` on branch b."""
+    perm, inverse = _to_front(amps.ndim, (0,) + axes)
+    front = amps.transpose(perm)
+    out = matrix @ front.reshape(len(front), matrix.shape[-1], 2 ** (front.ndim - 1 - len(axes)))
+    return out.reshape(front.shape).transpose(inverse)
+
+
+def _squared_norms(amps: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis, with no temporary the size of ``amps``."""
+    flat = np.ascontiguousarray(amps).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+#: The measurement bases by (name, qubit count): row o is outcome o's vector.
+_BASES = {
+    ("computational", 1): np.eye(2),
+    ("computational", 2): np.eye(4),
+    ("bell", 2): _BELL,
+}
+
+
+def _split(amps: np.ndarray, axes: tuple[int, ...], basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every branch split by measuring its qubit ``axes`` in ``basis``. The
+    children, (N, outcomes) + the unmeasured axes, are the basis bras
+    contracted with the measured axes, which they drop; with them come
+    each child's squared norm and whether it is kept, (N, outcomes) each:
+    a child below ``BRANCH_PRUNE`` of its parent is not."""
+    vecs = _BASES.get((basis, len(axes)))
+    if vecs is None:
+        raise ValueError(f"cannot measure {len(axes)} qubit(s) in the {basis!r} basis")
+    front = amps.transpose(_to_front(amps.ndim, (0,) + axes)[0])
+    n_branch, dim, rest = len(front), len(vecs), front.shape[len(axes) + 1 :]
+    coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
+    child = _squared_norms(coeff)
+    # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
+    kept = ~(child < BRANCH_PRUNE * child.sum(axis=1, keepdims=True))
+    return coeff.reshape(n_branch, dim, *rest), child, kept
+
+
+def _reduced_densities(amps: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The reduced density matrix of the qubit ``axes`` of every branch,
+    the other qubits traced out."""
+    front = amps.transpose(_to_front(amps.ndim, (0,) + axes)[0])
+    mat = front.reshape(len(front), 2 ** len(axes), 2 ** (front.ndim - 1 - len(axes)))
+    return mat @ mat.conj().swapaxes(1, 2)
+
+
+def _entropies(amps: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Von Neumann entropy (base 2), in bits, of every branch across the cut
+    between its qubit ``axes`` and the rest: each eigenvalue of
+    ``_reduced_densities`` above ``ENTROPY_CUTOFF`` adds -e log2 e, and a
+    sum below 0 reads 0 (a NaN stays NaN)."""
+    evals = np.linalg.eigvalsh(_reduced_densities(amps, axes))
+    kept = evals > ENTROPY_CUTOFF
+    logs = np.log2(evals, out=np.zeros_like(evals), where=kept)
+    return np.maximum(-(evals * logs).sum(axis=-1), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-branch kernels
 
 
 def _state(amplitudes: np.ndarray, register: tuple[QubitId, ...]) -> StateVector:
@@ -177,15 +256,6 @@ def tensor(s1: StateVector, s2: StateVector) -> StateVector:
         names = ", ".join(sorted(str(q) for q in overlap))
         raise ValueError(f"register conflict: {names} present in both states")
     return _state(np.multiply.outer(s1.amplitudes, s2.amplitudes).reshape(-1), s1.register + s2.register)
-
-
-@functools.cache
-def _to_front(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The transpose that moves ``axes`` to the front, in order, the others
-    keeping theirs (what ``np.moveaxis`` does, without its per-call cost),
-    and its inverse."""
-    perm = axes + tuple(a for a in range(ndim) if a not in axes)
-    return perm, tuple(np.argsort(perm).tolist())
 
 
 def _targets_front(s: StateVector, targets) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -287,26 +357,30 @@ def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:
     return branches[sample_index([b.probability for b in branches], rng)]
 
 
+def _one_state(s: StateVector, targets) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``s`` as a one-branch stack, and the axes of ``targets`` in it."""
+    targets = tuple(targets)
+    if len(set(targets)) != len(targets):
+        raise ValueError("duplicate targets")
+    return s.amplitudes.reshape((1,) + (2,) * s.n), tuple(1 + s.position(q) for q in targets)
+
+
 def reduced_density(s: StateVector, keep) -> np.ndarray:
-    """Reduced density matrix of the kept qubits (others traced out)."""
+    """Reduced density matrix of the kept qubits (others traced out):
+    ``_reduced_densities`` of one state."""
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be a nonempty subset of the register")
-    psi, _ = _targets_front(s, keep)
-    mat = psi.reshape(2 ** len(keep), -1)
-    return mat @ mat.conj().T
+    return _reduced_densities(*_one_state(s, keep))[0]
 
 
 def entanglement_entropy(s: StateVector, cut) -> float:
-    """Von Neumann entropy (base 2) of ``reduced_density(s, cut)``, in bits."""
+    """Von Neumann entropy (base 2) of ``reduced_density(s, cut)``, in bits:
+    ``_entropies`` of one state."""
     cut = list(cut)
     if len(cut) >= s.n:
         raise ValueError("cut must be a proper subset of the register")
-    rho = reduced_density(s, cut)
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > ENTROPY_CUTOFF]
-    entropy = float(-(evals * np.log2(evals)).sum())
-    return entropy if entropy > 0.0 else 0.0
+    return float(_entropies(*_one_state(s, cut))[0])
 
 
 def fidelity_up_to_phase(s1: StateVector, s2: StateVector) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, operators, protocols
-from .gates import CNOT, PAULIS, dot_norms, pauli_dot, require_seed, sigma_z
+from .gates import CNOT, PAULIS, dot_norms, pauli_dot, require_seed, sigma_z, unit_rows
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -28,20 +28,13 @@ from .operators import (
     rz,
     unimodular_matrices,
 )
-from .statevector import (
-    QubitId,
-    StateVector,
-    apply_gate,
-    entanglement_entropy,
-    measure,
-    qubit_state,
-    tensor,
-)
+from .statevector import _BASES, _apply_matrix, _entropies, _split, _squared_norms, _to_front
 from .tolerances import (
     AXIS_ANGLE_TOL,
     CLASS_TOL,
     DEGENERACY_TOL,
     DERIVED_TOL,
+    NORM_TOL,
     OPERATOR_EQ_TOL,
     PROB_TOL,
     ROUNDING_TOL,
@@ -78,14 +71,11 @@ def _at_least(bound, label, values):
     return worst >= bound, f"{label} {worst!r}"
 
 
-def _random_state(rng, qubits) -> StateVector:
-    amps = rng.normal(size=2 ** len(qubits)) + 1j * rng.normal(size=2 ** len(qubits))
-    return StateVector(amps, tuple(qubits))
-
-
-def _random_register(rng, n: int) -> tuple[QubitId, ...]:
-    owners = rng.choice(["alice", "bob"], size=n)
-    return tuple(QubitId(str(o), i) for i, o in enumerate(owners))
+def _random_states(rng, n: int) -> np.ndarray:
+    """50 random n-qubit states as a branch stack, (50, 2, ..., 2): complex
+    Gaussian amplitudes, each row normalised."""
+    amps = rng.normal(size=(50, 2**n)) + 1j * rng.normal(size=(50, 2**n))
+    return unit_rows(amps, NORM_TOL)[0].reshape((50,) + (2,) * n)
 
 
 def _in_set(rng, diagonal, span=2 * np.pi) -> np.ndarray:
@@ -105,59 +95,53 @@ def _unimodular(pair) -> Unimodular:
 
 
 def check_norm_preservation(rng):
-    deviations = []
-    for _ in range(50):
-        reg = _random_register(rng, 3)
-        s = _random_state(rng, reg)
-        s = apply_gate(s, random_unimodular(rng).as_gate(), [reg[1]])
-        s = apply_gate(s, CNOT, [reg[2], reg[0]])
-        deviations.append(abs(np.linalg.norm(s.amplitudes) - 1.0))
-    return _at_most(STATE_NORM_TOL, "max norm deviation", deviations)
+    """A per-state random gate on qubit 1 and then CNOT(2, 0), on 50 random
+    3-qubit states: the norms stay 1, since nothing renormalises them."""
+    gates = unimodular_matrices(random_unimodulars(rng, 50))
+    amps = _apply_matrix(CNOT.matrix, (3, 1), _apply_matrix(gates, (2,), _random_states(rng, 3)))
+    return _at_most(STATE_NORM_TOL, "max norm deviation", np.abs(np.sqrt(_squared_norms(amps.reshape(50, -1))) - 1.0))
 
 
 def check_branch_completeness(rng):
+    states = _random_states(rng, 3)
     deficits = []
-    for _ in range(50):
-        reg = _random_register(rng, 3)
-        s = _random_state(rng, reg)
-        for targets, basis in ([reg[0]], "computational"), (list(reg[:2]), "bell"):
-            deficits.append(abs(sum(b.probability for b in measure(s, targets, basis)) - 1.0))
+    for axes, basis in ((1,), "computational"), ((1, 2), "bell"):
+        _, probs, kept = _split(states, axes, basis)
+        deficits.append(np.abs(np.sum(probs, axis=1, where=kept) - 1.0))
     return _at_most(PROB_TOL, "max probability deficit", deficits)
 
 
 def check_product_state_entropy(rng):
-    entropies = []
-    for _ in range(50):
-        a = qubit_state(*random_qubit(rng), QubitId("alice", 0))
-        b = qubit_state(*random_qubit(rng), QubitId("bob", 0))
-        entropies.append(entanglement_entropy(tensor(a, b), [a.register[0]]))
-    return _at_most(DERIVED_TOL, "max product-state entropy", entropies)
+    a, b = random_qubits(rng, 50), random_qubits(rng, 50)
+    return _at_most(DERIVED_TOL, "max product-state entropy", _entropies(a[:, :, None] * b[:, None, :], (1,)))
 
 
 def check_measurement_idempotence(rng):
+    """Each kept child of a measurement, put back on the full register as
+    |v_o> (x) its normalised remainder, measured again, gives outcome o."""
+    states = _random_states(rng, 3)
     repeats = []
-    for _ in range(50):
-        reg = _random_register(rng, 3)
-        s = _random_state(rng, reg)
-        for targets, basis in ([reg[1]], "computational"), (list(reg[1:]), "bell"):
-            for br in measure(s, targets, basis):
-                again = {b.outcome: b.probability for b in measure(br.post_state, targets, basis)}
-                repeats.append(again.get(br.outcome, 0.0))
-    return _at_least(1.0 - PROB_TOL, "min repeat probability", repeats)
+    for axes, basis in ((2,), "computational"), ((2, 3), "bell"):
+        children, probs, kept = _split(states, axes, basis)
+        outcomes = np.nonzero(kept)[1]
+        posts = children[kept].reshape(len(outcomes), 1, -1) / np.sqrt(probs[kept])[:, None, None]
+        front = _BASES[basis, len(axes)][outcomes][:, :, None] * posts  # measured qubits first
+        again = front.reshape(len(outcomes), 2, 2, 2).transpose(_to_front(4, (0,) + axes)[1])
+        repeats.append(_split(again, axes, basis)[1][np.arange(len(outcomes)), outcomes])
+    return _at_least(1.0 - PROB_TOL, "min repeat probability", np.concatenate(repeats))
 
 
 def check_entropy_bounds(rng):
-    """0 <= S <= min(|cut|, n-|cut|) for random 4-qubit states and cuts,
-    reported as the largest excess over either bound beyond its tolerance:
-    at most 0, and the further below 0, the wider the margin."""
+    """0 <= S <= min(|cut|, n-|cut|) for 50 random 4-qubit states, each cut
+    after its first k qubits, k drawn from 1-3, reported as the largest
+    excess over either bound beyond its tolerance: at most 0, and the
+    further below 0, the wider the margin."""
+    states, ks = _random_states(rng, 4), rng.integers(1, 4, size=50)
     excess = []
-    for _ in range(50):
-        reg = _random_register(rng, 4)
-        s = _random_state(rng, reg)
-        k = int(rng.integers(1, 4))
-        ent = entanglement_entropy(s, list(reg[:k]))
-        excess.append(max(-ROUNDING_TOL - ent, ent - min(k, 4 - k) - DERIVED_TOL))
-    return _at_most(0.0, "max excess over 0 <= S <= min(|cut|, n-|cut|)", excess)
+    for k in (1, 2, 3):
+        ent = _entropies(states[ks == k], tuple(range(1, k + 1)))
+        excess.append(np.maximum(-ROUNDING_TOL - ent, ent - min(k, 4 - k) - DERIVED_TOL))
+    return _at_most(0.0, "max excess over 0 <= S <= min(|cut|, n-|cut|)", np.concatenate(excess))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from remotegate import (
     tolerances,
 )
 from remotegate.gates import RowError
+from remotegate.statevector import _split
 
 ORACLE_TOL = 1e-12
 
@@ -546,6 +547,24 @@ def test_ledger_counts_each_outcome_read_across_the_cut_once(steps, ledger):
     run = _hand_built_run()
     steps(run)
     assert run.ledger.as_tuple() == ledger
+
+
+def test_measure_keeps_the_shared_contractions_children():
+    """Each ``_Run.measure`` keeps ``statevector._split``'s kept children, in
+    order and bit for bit, and records their outcomes. A_0 stays |0>, so
+    its outcome 1 is dropped on every branch."""
+    rng = np.random.default_rng(23)
+    run = _hand_built_run()
+    for q in (A1, B0, B1):
+        run.apply(random_unimodular(rng).as_gate(), [q])
+    run.apply(protocols.CNOT, [B0, DATA])
+    for targets, basis in (([A0], "computational"), ([B1, B0], "bell"), ([A1], "computational")):
+        axes = tuple(run._axes[q.owner, q.index] for q in targets)
+        children, _, kept = _split(run.amps.copy(), axes, basis)
+        run.measure(targets, basis)
+        assert np.array_equal(run.amps, children[kept])
+        assert run.outcomes[:, -1].tolist() == np.nonzero(kept)[1].tolist()
+    assert run.outcomes[:, 0].tolist() == [0] * 8
 
 
 def test_when_reads_the_named_measurement(monkeypatch):

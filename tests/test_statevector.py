@@ -26,7 +26,8 @@ from remotegate import (
     sample_branch,
     tensor,
 )
-from remotegate.statevector import sample_index
+from remotegate.operators import random_unimodulars, unimodular_matrices
+from remotegate.statevector import _apply_matrix, _entropies, _split, sample_index
 from remotegate.tolerances import BRANCH_PRUNE
 
 A0, A1 = QubitId("alice", 0), QubitId("alice", 1)
@@ -313,6 +314,80 @@ class TestKernelParity:
         assert out.register == left.register + right.register
         _assert_fresh(out, left)
         _assert_fresh(out, right)
+
+
+# ---------------------------------------------------------------------------
+# the branch-stack primitives that the protocols compile with and the
+# statevector.* checks run on: against the kernels and oracles built here
+
+
+def _stack(states):
+    """States over one register as a branch stack, (N, 2, ..., 2)."""
+    return np.array([s.amplitudes for s in states]).reshape((len(states),) + (2,) * states[0].n)
+
+
+def _random_states(n, count, rng):
+    return [StateVector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n), REGISTERS[n - 1]) for _ in range(count)]
+
+
+class TestBranchStacks:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_apply_matrix_stack_is_one_call_per_branch(self, n):
+        """One matrix per branch equals that matrix on its branch alone, bit
+        for bit, and the ``np.kron`` oracle."""
+        rng = np.random.default_rng(80 + n)
+        states = _random_states(n, 6, rng)
+        amps, matrices = _stack(states), unimodular_matrices(random_unimodulars(rng, 6))
+        for axis in range(1, n + 1):
+            out = _apply_matrix(matrices, (axis,), amps)
+            for b, (matrix, s) in enumerate(zip(matrices, states)):
+                assert np.array_equal(out[b], _apply_matrix(matrix, (axis,), amps[b : b + 1])[0])
+                oracle = _on_front(matrix, (axis - 1,), n) @ s.amplitudes
+                assert np.abs(out[b].reshape(-1) - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_split_gives_the_kernels_branches(self, n):
+        """Each kept child, divided by the square root of its probability and
+        put back beside its basis vector, is ``measure``'s post-state, for
+        every ordered target tuple; the children ``measure`` drops are not
+        kept. A child is pruned relative to its parent, so states scaled far
+        below ``BRANCH_PRUNE`` keep the same children."""
+        rng = np.random.default_rng(90 + n)
+        reg, states = REGISTERS[n - 1], _parity_states(n, rng)
+        cases = [(pos, "computational") for k in (1, 2) for pos in permutations(range(n), k)]
+        cases += [(pos, "bell") for pos in permutations(range(n), 2)]
+        for pos, basis in cases:
+            vecs = BELL_KETS if basis == "bell" else np.eye(2 ** len(pos))
+            children, probs, kept = _split(_stack(states), tuple(1 + p for p in pos), basis)
+            assert np.array_equal(_split(1e-9 * _stack(states), tuple(1 + p for p in pos), basis)[2], kept)
+            for b, s in enumerate(states):
+                branches = measure(s, [reg[p] for p in pos], basis)
+                outcomes = np.flatnonzero(kept[b])
+                assert [format(o, f"0{len(pos)}b") for o in outcomes] == [br.outcome for br in branches]
+                for o, br in zip(outcomes, branches):
+                    assert abs(probs[b, o] - br.probability) <= 1e-15
+                    post = np.kron(vecs[o], children[b, o].reshape(-1)) / np.sqrt(probs[b, o])
+                    assert np.abs(post - _front_permutation(pos, n) @ br.post_state.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_entropies_match_entanglement_entropy_and_schmidt_coefficients(self, n):
+        """Over every ordered cut: each state's ``entanglement_entropy``, and
+        -sum p log2 p over its squared Schmidt coefficients (an SVD)."""
+        rng = np.random.default_rng(100 + n)
+        reg = REGISTERS[n - 1]
+        states = _parity_states(n, rng) + _random_states(n, 6, rng)
+        amps = _stack(states)
+        for k in range(1, n):
+            for pos in permutations(range(n), k):
+                got = _entropies(amps, tuple(1 + p for p in pos))
+                for s, entropy in zip(states, got):
+                    assert abs(entropy - entanglement_entropy(s, [reg[p] for p in pos])) <= 1e-14
+                    sing = np.linalg.svd((_front_permutation(pos, n) @ s.amplitudes).reshape(2**k, -1), compute_uv=False)
+                    p = sing[sing > 0] ** 2
+                    assert abs(entropy - -(p * np.log2(p)).sum()) <= 1e-14
+
+    def test_entropies_of_no_states(self):
+        assert _entropies(np.zeros((0, 2, 2, 2)), (1, 3)).shape == (0,)
 
 
 class TestSampleBranch:

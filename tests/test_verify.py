@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from remotegate import CNOT, Gate, Unimodular, bloch, cli, operators, protocols, verify
+from remotegate import CNOT, Gate, Unimodular, bloch, cli, operators, protocols, statevector, verify
+from remotegate.tolerances import PROB_TOL
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_details.json").read_text())
 GOLDEN_TOL = 1e-12
@@ -65,6 +66,55 @@ def test_norm_preservation_sees_a_non_unitary_gate(monkeypatch):
     assert verify.check_norm_preservation(np.random.default_rng(0)) == (False, "max norm deviation 1.00e-06")
 
 
+@pytest.mark.parametrize("key, row", [(("computational", 1), 1), (("bell", 2), 0)], ids=["computational", "bell"])
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
+def test_branch_completeness_sees_a_scaled_basis_row(monkeypatch, key, row, scale):
+    """One basis vector scaled: its outcome's probability is off by
+    |scale^2 - 1| of itself, so the branch sums miss 1."""
+    scaled = statevector._BASES[key].copy()
+    scaled[row] *= scale
+    monkeypatch.setitem(statevector._BASES, key, scaled)
+    passed, detail = verify.check_branch_completeness(np.random.default_rng(0))
+    assert not passed and PROB_TOL < float(detail.split()[-1]) <= abs(scale**2 - 1), detail
+
+
+@pytest.mark.parametrize("key, row", [(("computational", 1), 1), (("bell", 2), 0)], ids=["computational", "bell"])
+def test_measurement_idempotence_sees_a_shrunk_basis_row(monkeypatch, key, row):
+    """A basis vector scaled by 1 - 1e-6 both projects and rebuilds the
+    child, so its repeat probability reads (1 - 1e-6)^4. A vector scaled up
+    reads above 1, which this one-sided check cannot see (the completeness
+    check above does)."""
+    scaled = statevector._BASES[key].copy()
+    scaled[row] *= 1 - 1e-6
+    monkeypatch.setitem(statevector._BASES, key, scaled)
+    passed, detail = verify.check_measurement_idempotence(np.random.default_rng(0))
+    assert not passed and abs(float(detail.split()[-1]) - (1 - 1e-6) ** 4) <= 1e-12, detail
+
+
+def _rho_without_conjugate(amps, axes):
+    """``_reduced_densities`` with M M^T in place of M M^dag."""
+    front = amps.transpose(statevector._to_front(amps.ndim, (0,) + axes)[0])
+    mat = front.reshape(len(front), 2 ** len(axes), 2 ** (amps.ndim - 1 - len(axes)))
+    return mat @ mat.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("check", ["product_state_entropy", "entropy_bounds"])
+def test_entropy_checks_see_a_density_without_its_conjugate(monkeypatch, check):
+    monkeypatch.setattr(statevector, "_reduced_densities", _rho_without_conjugate)
+    passed, detail = getattr(verify, f"check_{check}")(np.random.default_rng(0))
+    assert not passed and float(detail.split()[-1]) > 0.1, detail
+
+
+@pytest.mark.parametrize("check", ["product_state_entropy", "entropy_bounds"])
+def test_entropy_checks_see_the_cutoff_filter_dropped(monkeypatch, check):
+    """Every eigenvalue enters -e log2 e, the zero and negative ones of the
+    rank-deficient densities too, whose logarithm is NaN or -inf."""
+    monkeypatch.setattr(statevector, "ENTROPY_CUTOFF", -np.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        passed, detail = getattr(verify, f"check_{check}")(np.random.default_rng(0))
+    assert not passed and detail.endswith(" nan"), detail
+
+
 # ---------------------------------------------------------------------------
 # the stacks each sampling check draws and hands on
 
@@ -86,6 +136,9 @@ HOMES = {
     "bloch_vectors": bloch,
     "run_batch": protocols,
     "admissible": protocols,
+    "_apply_matrix": verify,
+    "_split": verify,
+    "_entropies": verify,
 }
 
 #: The sampler calls of a check that draws 100 Haar (U, psi) pairs.
@@ -96,6 +149,25 @@ _HAAR = {"random_unimodulars": [(100,)], "random_qubits": [(100,)]}
 #: named, in order, each as its arguments with an array given by its shape
 #: (and a sampler's generator left out).
 STACKS = {
+    "statevector.norm_preservation": {
+        "random_unimodulars": [(50,)],
+        "_apply_matrix": [((50, 2, 2), (2,), (50, 2, 2, 2)), ((4, 4), (3, 1), (50, 2, 2, 2))],
+    },
+    "statevector.branch_completeness": {
+        "_split": [((50, 2, 2, 2), (1,), "computational"), ((50, 2, 2, 2), (1, 2), "bell")],
+    },
+    "statevector.product_state_entropy": {"random_qubits": [(50,)] * 2, "_entropies": [((50, 2, 2), (1,))]},
+    "statevector.measurement_idempotence": {
+        "_split": [
+            ((50, 2, 2, 2), (2,), "computational"),
+            ((100, 2, 2, 2), (2,), "computational"),
+            ((50, 2, 2, 2), (2, 3), "bell"),
+            ((200, 2, 2, 2), (2, 3), "bell"),
+        ],
+    },
+    "statevector.entropy_bounds": {  # rows grouped by the drawn cut, 1 to 3 qubits
+        "_entropies": [((17, 2, 2, 2, 2), (1,)), ((23, 2, 2, 2, 2), (1, 2)), ((10, 2, 2, 2, 2), (1, 2, 3))],
+    },
     "operators.unimodular_closure": {
         "random_unimodulars": [(400,)],
         "random_qubits": [(200,)],
@@ -174,14 +246,6 @@ def test_verify_stacks_draw_the_per_call_samples(monkeypatch, check):
     assert {name: [_shapes(args) for args in got] for name, got in calls.items()} == STACKS[check]
 
 
-#: Checks that draw from their generator with no STACKS entry, and why.
-UNPINNED = dict.fromkeys(
-    [f"statevector.{name}" for name in ("norm_preservation", "branch_completeness", "product_state_entropy",
-                                        "measurement_idempotence", "entropy_bounds")],
-    "draws one register and state at a time, for the per-branch statevector kernels",
-)
-
-
 class _Recording:
     """A generator that records the name of each method called on it."""
 
@@ -200,7 +264,7 @@ class _Recording:
 
 def test_every_check_that_samples_a_stack_has_an_oracle():
     """A check that draws from its generator, through any of its methods,
-    has its stacked calls pinned in STACKS or is in UNPINNED."""
+    has its stacked calls pinned in STACKS."""
     sampling = set()
     for i, (name, fn) in enumerate(verify.registry()):
         rng = _Recording(np.random.default_rng([7, i]))
@@ -208,8 +272,7 @@ def test_every_check_that_samples_a_stack_has_an_oracle():
         assert passed, (name, detail)
         if rng.calls:
             sampling.add(name)
-    assert set(UNPINNED) <= sampling and not set(UNPINNED) & set(STACKS)
-    assert sampling <= set(STACKS) | set(UNPINNED), sorted(sampling - set(STACKS) - set(UNPINNED))
+    assert sampling <= set(STACKS), sorted(sampling - set(STACKS))
 
 
 def _in_set_where(matrices, n_sigma, original):
