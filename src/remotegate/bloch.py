@@ -12,7 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import PAULIS, RowError, identity2, not_finite, require_finite, sigma_z, single_row, unit_rows, vector_norm
+from .gates import (
+    PAULIS,
+    RowError,
+    identity2,
+    matmul2,
+    not_finite,
+    require_finite,
+    sigma_z,
+    single_row,
+    unit_rows,
+    vector_norm,
+)
 from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
@@ -72,7 +83,7 @@ def bloch_vectors(rhos) -> np.ndarray:
     for ok, why in tests:
         if not ok.all():
             raise RowError(int(np.argmin(ok)), f"invalid density matrix: {why}")
-    return np.trace(rhos[:, None] @ _PAULI_STACK, axis1=2, axis2=3).real
+    return np.trace(matmul2(rhos[:, None], _PAULI_STACK), axis1=2, axis2=3).real
 
 
 def bloch_vector(rho) -> BlochVector:
@@ -123,9 +134,9 @@ def verify_restorations(us, psis) -> np.ndarray:
         raise ValueError(f"{len(pairs)} rotations and {len(rho)} states do not match")
     m = unimodular_matrices(pairs)
     m_dag = m.conj().swapaxes(1, 2)
-    mirrored = sigma_z @ rho @ sigma_z
-    restored = sigma_z @ (m @ mirrored @ m_dag) @ sigma_z
-    return np.abs(restored - m @ rho @ m_dag).max(axis=(1, 2)) <= RESTORE_TOL
+    mirrored = matmul2(matmul2(sigma_z, rho), sigma_z)
+    restored = matmul2(matmul2(sigma_z, matmul2(matmul2(m, mirrored), m_dag)), sigma_z)
+    return np.abs(restored - matmul2(matmul2(m, rho), m_dag)).max(axis=(1, 2)) <= RESTORE_TOL
 
 
 def verify_restoration(u: Unimodular, psi) -> bool:

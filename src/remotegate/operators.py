@@ -26,6 +26,7 @@ from .gates import (
     RowError,
     dot_norms,
     identity2,
+    matmul2,
     not_finite,
     pauli_dot,
     require_finite,
@@ -296,7 +297,7 @@ class OperatorClass:
 def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frobenius norms of [U, n.sigma] and {U, n.sigma} for each matrix U
     of a (..., 2, 2) stack."""
-    um, mu = matrices @ n_sigma, n_sigma @ matrices
+    um, mu = matmul2(matrices, n_sigma), matmul2(n_sigma, matrices)
     # commutators then anticommutators along the first axis: one (2, ..., 4) block
     both = np.concatenate((um - mu, um + mu)).reshape(2, *um.shape[:-2], 4)
     flat = both.view(float)
@@ -394,7 +395,7 @@ def solve_corrections(us) -> CorrectionSolution:
     one ``CorrectionSolution`` whose fields are stacks (``v`` of shape
     (N, 2, 2), ``delta`` (N,))."""
     m = unimodular_matrices(as_pairs(us))
-    return CorrectionSolution(v=m @ sigma_z @ m.conj().swapaxes(-2, -1), delta=np.zeros(len(m)))
+    return CorrectionSolution(v=matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1)), delta=np.zeros(len(m)))
 
 
 def solve_correction(u: Unimodular) -> CorrectionSolution:
@@ -427,7 +428,7 @@ def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     operators as (a, b) pairs: whether each set admits a common correction,
     its V (M, 2, 2) and its deltas (M, K), meaningful where it does."""
     m = unimodular_matrices(as_pairs(families))
-    ws = m @ sigma_z @ m.conj().swapaxes(-2, -1)
+    ws = matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
     base = ws[:, 0] * _canonical_signs(_pauli_vectors(ws[:, 0]))[:, None, None]
     same = np.linalg.norm(ws - base[:, None], axis=(-2, -1)) <= CLASS_TOL
     flipped = np.linalg.norm(ws + base[:, None], axis=(-2, -1)) <= CLASS_TOL

@@ -38,6 +38,7 @@ from .gates import (
     controlled,
     controlled_phase,
     identity2,
+    matmul2,
     not_finite,
     require_seed,
     sigma_x,
@@ -236,7 +237,7 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     if promise is None or isinstance(promise, str):
         given, codes = [promise] * n_row, [_promise_code(promise)] * n_row
     else:
-        given = list(promise)
+        given = promise.tolist() if isinstance(promise, np.ndarray) else list(promise)
         codes = [_promise_code(p) for p in given]
     if not n_row == len(psi) == len(given):
         raise ValueError(f"{n_row} rotations, {len(psi)} states and {len(given)} promises do not match")
@@ -247,7 +248,7 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
         residuals = unimodular_residuals(pairs)
         u = unimodular_matrices(pairs)
-        off = np.abs(u.conj().swapaxes(1, 2) @ u - identity2)
+        off = np.abs(matmul2(u.conj().swapaxes(1, 2), u) - identity2)
     unit, nonzero = unit_rows(psi, NORM_TOL)
     rows = _Rows(u=u, psi=unit, promise=np.array(codes, dtype=np.intp))
     # one reduction per check decides for the whole stack: ``nonzero`` is

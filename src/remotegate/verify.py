@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, operators, protocols
-from .gates import CNOT, PAULIS, dot_norms, pauli_dot, require_seed, sigma_z, unit_rows
+from .gates import CNOT, PAULIS, dot_norms, matmul2, pauli_dot, require_seed, sigma_z, unit_rows
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -118,7 +118,9 @@ def check_product_state_entropy(rng):
 
 def check_measurement_idempotence(rng):
     """Each kept child of a measurement, put back on the full register as
-    |v_o> (x) its normalised remainder, measured again, gives outcome o."""
+    |v_o> (x) its normalised remainder, measured again, gives outcome o
+    with probability 1 within PROB_TOL, from below and from above: a basis
+    vector scaled by s reads s^4."""
     states = _random_states(rng, 3)
     repeats = []
     for axes, basis in ((2,), "computational"), ((2, 3), "bell"):
@@ -128,7 +130,9 @@ def check_measurement_idempotence(rng):
         front = _BASES[basis, len(axes)][outcomes][:, :, None] * posts  # measured qubits first
         again = front.reshape(len(outcomes), 2, 2, 2).transpose(_to_front(4, (0,) + axes)[1])
         repeats.append(_split(again, axes, basis)[1][np.arange(len(outcomes)), outcomes])
-    return _at_least(1.0 - PROB_TOL, "min repeat probability", np.concatenate(repeats))
+    repeats = np.concatenate(repeats)
+    worst = float(repeats[np.argmax(np.abs(repeats - 1.0))])  # argmax keeps a NaN, which fails
+    return abs(worst - 1.0) <= PROB_TOL, f"repeat probability farthest from 1: {worst!r}"
 
 
 def check_entropy_bounds(rng):
@@ -185,14 +189,16 @@ def check_correction_identity(rng):
     us = random_unimodulars(rng, 500)
     sol = operators.solve_corrections(us)
     m = unimodular_matrices(us)
-    residuals = np.linalg.norm(sol.v @ m - np.exp(1j * sol.delta)[:, None, None] * (m @ sigma_z), axis=(1, 2))
+    residuals = np.linalg.norm(
+        matmul2(sol.v, m) - np.exp(1j * sol.delta)[:, None, None] * matmul2(m, sigma_z), axis=(1, 2)
+    )
     return _at_most(DERIVED_TOL, "max identity residual", residuals)
 
 
 def check_sign_flip_closure(rng):
     m = unimodular_matrices(_in_set(rng, rng.random(500) < 0.5))
     sign = np.where(operators.classify_matrices(m) == COMMUTING, 1.0, -1.0)[:, None, None]
-    residuals = np.abs(sigma_z @ m @ sigma_z - sign * m).max(axis=(1, 2))
+    residuals = np.abs(matmul2(matmul2(sigma_z, m), sigma_z) - sign * m).max(axis=(1, 2))
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
 
 
@@ -211,7 +217,7 @@ def check_orthogonal_pair_overlap(rng):
     u1, u2, lam, phi, phi_prime = map(np.concatenate, zip(*batches))
     overlap = np.sum(phi_prime.conj() * phi, axis=1)
     m1, m2 = unimodular_matrices(u1), unimodular_matrices(u2)
-    eigenphase = np.angle(np.linalg.eigvals(m2.conj().swapaxes(1, 2) @ m1)[:, 0])
+    eigenphase = np.angle(np.linalg.eigvals(matmul2(m2.conj().swapaxes(1, 2), m1))[:, 0])
     sin = np.sin(lam)
     residuals = [
         np.abs(np.abs(overlap) - np.abs(sin)),
@@ -307,7 +313,7 @@ def check_branch_conservation(rng):
 def check_failure_branch_identity(rng):
     us, psis = random_unimodulars(rng, 100), random_qubits(rng, 100)
     table = protocols.run_batch("universal221", us, psis)
-    wrong = (unimodular_matrices(us) @ sigma_z @ psis[..., None])[..., 0]
+    wrong = (matmul2(unimodular_matrices(us), sigma_z) @ psis[..., None])[..., 0]
     failed = np.array([record[-1][2] == "1" for record in table.records])
     fidelities = np.abs(table.bob_final @ wrong[..., None].conj())[..., 0] ** 2
     return _at_least(1.0 - DERIVED_TOL, "min fidelity to U sz|psi>", fidelities[:, failed])
@@ -344,7 +350,7 @@ def check_bloch_purity(rng):
 def check_bloch_covariance(rng):
     us, psis = random_unimodulars(rng, 200), random_qubits(rng, 200)
     m = unimodular_matrices(us)
-    rotated = m @ bloch.pure_densities(psis) @ m.conj().swapaxes(1, 2)
+    rotated = matmul2(matmul2(m, bloch.pure_densities(psis)), m.conj().swapaxes(1, 2))
     back = bloch.densities_from_bloch(bloch.bloch_vectors(rotated))
     return _at_most(DERIVED_TOL, "max reconstruction residual", np.abs(back - rotated).max(axis=(1, 2)))
 

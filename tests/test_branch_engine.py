@@ -374,6 +374,21 @@ def test_admissible_checks_each_row_on_its_own():
         protocols.admissible("sideways", us, psis)
 
 
+def test_an_unknown_promise_reads_the_same_from_an_array():
+    """An unknown promise is named as written whether the promises come as
+    an ndarray, a list or one ``ProtocolConfig``: an array's items are read
+    as Python strings, not as ``np.str_``."""
+    us, psis, given = [rz(0.3)] * 2, [[1, 0]] * 2, [COMMUTING, "sideways"]
+    with pytest.raises(ValueError) as info:
+        ProtocolConfig(u=rz(0.3), psi=[1, 0], promise="sideways")
+    single = str(info.value)
+    assert single == "unknown promise 'sideways'"
+    for promise in (np.array(given), given):
+        assert protocols.admissible("one11", us, psis, promise) == [None, single]
+        with pytest.raises(ValueError, match=f"^row 1: {re.escape(single)}$"):
+            protocols.run_batch("one11", us, psis, promise)
+
+
 def _damp_row_2(matrices):
     matrices[2] = matrices[2] @ np.diag([1.0, 0.5])
     return matrices

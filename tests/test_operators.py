@@ -33,7 +33,7 @@ from remotegate import (
     solve_correction,
     tolerances,
 )
-from remotegate.gates import RowError
+from remotegate.gates import RowError, matmul2
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -258,7 +258,7 @@ class TestClassify:
 def _stacked_norms(matrices, n_sigma):
     """The commutator and anticommutator norms as one ``np.stack`` of the
     two, the formula ``commutation_norms`` computes without the stack."""
-    um, mu = matrices @ n_sigma, n_sigma @ matrices
+    um, mu = matmul2(matrices, n_sigma), matmul2(n_sigma, matrices)
     both = np.stack([um - mu, um + mu])
     flat = both.reshape(*both.shape[:-2], 4).view(float)
     comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
@@ -413,7 +413,7 @@ class TestCorrection:
         sol = operators.solve_corrections(us)
         assert sol.v.shape == (len(us), 2, 2) and np.array_equal(sol.delta, np.zeros(len(us)))
         for u, v in zip(us, sol.v):
-            assert np.array_equal(u.matrix @ sigma_z @ u.matrix.conj().T, v)
+            assert np.array_equal(matmul2(matmul2(u.matrix, sigma_z), u.matrix.conj().T), v)
             one = solve_correction(u)
             assert np.array_equal(one.v, v) and one.delta == 0.0
 

@@ -81,14 +81,16 @@ def test_branch_completeness_sees_a_scaled_basis_row(monkeypatch, key, row, scal
 @pytest.mark.parametrize("key, row", [(("computational", 1), 1), (("bell", 2), 0)], ids=["computational", "bell"])
 def test_measurement_idempotence_sees_a_shrunk_basis_row(monkeypatch, key, row):
     """A basis vector scaled by 1 - 1e-6 both projects and rebuilds the
-    child, so its repeat probability reads (1 - 1e-6)^4. A vector scaled up
-    reads above 1, which this one-sided check cannot see (the completeness
-    check above does)."""
-    scaled = statevector._BASES[key].copy()
-    scaled[row] *= 1 - 1e-6
-    monkeypatch.setitem(statevector._BASES, key, scaled)
-    passed, detail = verify.check_measurement_idempotence(np.random.default_rng(0))
-    assert not passed and abs(float(detail.split()[-1]) - (1 - 1e-6) ** 4) <= 1e-12, detail
+    child, so its repeat probability reads (1 - 1e-6)^4. The check is
+    two-sided: a vector scaled up by 1 + 1e-6 reads (1 + 1e-6)^4 and fails
+    as well."""
+    original = statevector._BASES[key]
+    for scale in (1 - 1e-6, 1 + 1e-6):
+        scaled = original.copy()
+        scaled[row] *= scale
+        monkeypatch.setitem(statevector._BASES, key, scaled)
+        passed, detail = verify.check_measurement_idempotence(np.random.default_rng(0))
+        assert not passed and abs(float(detail.split()[-1]) - scale**4) <= 1e-12, (scale, detail)
 
 
 def _rho_without_conjugate(amps, axes):
