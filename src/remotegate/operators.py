@@ -500,7 +500,7 @@ def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
     firsts = axes[rows, moving.argmax(axis=1)]
     matrices = unimodular_matrices(pairs)
     fits = _fits(matrices, pauli_dot(firsts)[:, None])
-    firsts *= _canonical_signs(firsts)[:, None]
+    firsts = firsts * _canonical_signs(firsts)[:, None] + 0.0  # + 0.0 turns a -0.0 into 0.0
     found = []
     for m, (constrained, fit) in enumerate(zip(moving.any(axis=1).tolist(), fits.tolist())):
         if not constrained:
@@ -530,7 +530,7 @@ def _search_axis(matrices, axes) -> np.ndarray | None:
             continue
         seen.append(cand)
         if _fits(matrices, pauli_dot(cand)):
-            return _canonical_sign(cand)
+            return _canonical_sign(cand) + 0.0
     return None
 
 

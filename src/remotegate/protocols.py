@@ -289,9 +289,9 @@ def admissible(protocol: str, us, psis, promise=None) -> list[str | None]:
     one ``run_batch`` refuses the batch with (after ``row n: ``) when it is
     the first bad row, or None for a row that runs. Stacks whose shapes do
     not fit are refused as ``run_batch`` refuses them."""
-    if protocol not in _CIRCUITS:
+    if protocol not in _PRECONDITIONS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return _checked(us, psis, promise, _CIRCUITS[protocol][0])[1]
+    return _checked(us, psis, promise, _PRECONDITIONS[protocol])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,114 +368,151 @@ class BatchOutcome:
 
 
 _SWAP = Gate(np.eye(4)[[0, 2, 1, 3]], "swap")
-#: The comb's references: Bob's R_psi, paired with his data qubit, and Alice's R_in and R_out.
+#: The references of the protocol as a one-slot quantum comb (Chiribella,
+#: D'Ariano and Perinotti, PRL 101, 060401, 2008): Bob's R_psi, paired with
+#: his data qubit, and Alice's R_in and R_out, wired to the black box's slot.
+#: At (R_out, R_in, R_psi) = (i, j, m) a run holds the protocol's output for
+#: the box E_ij = |i><j| and Bob's state |m>.
 _R_PSI, _R_IN, _R_OUT = QubitId("bob", 3), QubitId("alice", 2), QubitId("alice", 3)
 
 
-class _Run:
-    """All branches of one protocol as one array: the protocol as a one-slot
-    quantum comb (Chiribella, D'Ariano and Perinotti, PRL 101, 060401, 2008).
-    Bob's data qubit is paired with a reference R_psi, and the black box is
-    a slot (``black_box``) wired to Alice's references R_in and R_out, so at
-    (R_out, R_in, R_psi) = (i, j, m) the run holds the protocol's output for
-    the box E_ij = |i><j| and Bob's state |m>, which ``_instrument`` reads.
+# ---------------------------------------------------------------------------
+# circuits as data, in the manner of OpenQASM 3's classically conditioned
+# gates (Cross et al., ACM Trans. Quantum Comput. 3, 12, 2022)
 
-    ``amps[b]`` is branch b, with one axis per register qubit not yet
-    measured. A measurement contracts its qubits with the basis vectors and
-    drops them from the register (deferred measurement); the outcomes go
-    onto the branch axis, parent branch first and outcome second, which
-    keeps the order of the branch tree. Each measurement is logged once, as
-    its party, basis and qubit count, beside its outcome on each branch; the
-    branch records and the ledger's bits follow from that log.
 
-    Each step acts for the party that owns its qubits, and a step across
-    the Alice|Bob cut is refused (LOCC: local operations and classical
-    communication). The ledger follows from the steps: one e-bit per shared
-    pair, and in each direction the bits of every outcome one party measured
-    and the other read, counted once however many steps read it.
-    """
+class Apply(NamedTuple):
+    """``gate`` on ``targets``, or, with ``when=(measure, value)``, on the
+    branches where the earlier ``Measure`` step ``measure`` gave ``value``."""
 
-    def __init__(self, pairs: StateVector, data: QubitId):
-        """The shared ``pairs`` beside three references, each at amplitude 1
-        on its basis states: |00> + |11> on (``data``, R_psi), |0> on R_in
-        and |0> + |1> on R_out."""
-        self.ebits = len(pairs.register) // 2
-        self._set_register(pairs.register + (data, _R_PSI, _R_IN, _R_OUT))
-        references = np.kron(np.kron([1, 0, 0, 1], [1, 0]), [1, 1])
-        self.amps = np.kron(pairs.amplitudes, references).reshape((1,) + (2,) * len(self.register))
-        #: per measurement, its (party, basis, qubit count)
-        self.log: list[tuple[str, str, int]] = []
-        #: ``outcomes[b, m]``: the outcome of measurement m on branch b
-        self.outcomes = np.zeros((1, 0), dtype=int)
-        #: measurements whose outcome the other party read
-        self.sent: set[int] = set()
+    gate: Gate
+    targets: tuple[QubitId, ...]
+    when: tuple[Measure, int] | None = None
 
-    def _set_register(self, register: tuple[QubitId, ...]):
-        self.register = register
-        #: (owner, index) -> the qubit's axis in ``amps``
-        self._axes = {(q.owner, q.index): 1 + i for i, q in enumerate(register)}
+    def __str__(self):
+        return f"gate {self.gate.name!r} on ({', '.join(map(str, self.targets))})"
 
-    def _locate(self, targets, step: str) -> tuple[str, tuple[int, ...]]:
-        """The one party that owns ``targets``, and their axes."""
-        keys = [(q.owner, q.index) for q in targets]
-        axes = tuple(map(self._axes.get, keys))
-        if len(set(keys)) != len(keys):
+
+class Measure(NamedTuple):
+    """Measure ``targets``, which leave the register, in ``basis``: no
+    circuit measures the same qubits twice, so the step names itself."""
+
+    targets: tuple[QubitId, ...]
+    basis: str
+
+    def __str__(self):
+        return f"{self.basis} measurement on ({', '.join(map(str, self.targets))})"
+
+
+class Slot(NamedTuple):
+    """Alice's black box on ``qubit``."""
+
+    qubit: QubitId
+
+
+class Circuit(NamedTuple):
+    """A protocol for one promise class: the shared ``pairs``, Bob's
+    ``data`` qubit that holds psi, the ``steps`` and Bob's ``output`` qubit."""
+
+    pairs: StateVector
+    data: QubitId
+    steps: tuple[Apply | Measure | Slot, ...]
+    output: QubitId
+
+
+class _Plan(NamedTuple):
+    """A circuit resolved by ``_plan``: each step's targets as their axes
+    and its ``when`` as (measurement index, value), each ``Slot`` as two
+    gates; the final axes of (R_out, R_in, R_psi, output); each
+    measurement's outcome labels; and the ledger."""
+
+    pairs: StateVector
+    steps: tuple[Apply | Measure, ...]
+    readout: tuple[int, ...]
+    labels: tuple[tuple[tuple[str, str, str], ...], ...]
+    ledger: ResourceLedger
+
+
+def _expand(steps):
+    """The steps with each ``Slot`` as the comb's slot: a SWAP moves its
+    qubit's state to R_in, and a CNOT gives the qubit R_out's."""
+    for step in steps:
+        yield from (Apply(_SWAP, (step.qubit, _R_IN)), Apply(CNOT, (_R_OUT, step.qubit))) if type(step) is Slot else (step,)
+
+
+def _plan(circuit: Circuit) -> _Plan:
+    """Resolve ``circuit`` on the comb before any amplitude is touched. Each
+    step acts for the party that owns its qubits, and a step across the
+    Alice|Bob cut is refused (LOCC: local operations and classical
+    communication), as are a target not in the register or repeated, a gate
+    given the wrong number of targets and a ``when`` that names no earlier
+    measurement. Each measurement is logged once, as its party, basis and
+    qubit count; the outcome labels and the ledger follow from that log: one
+    e-bit per shared pair, and in each direction the bits of every outcome
+    one party measured and the other read, once however many steps read it."""
+    register = list(circuit.pairs.register + (circuit.data, _R_PSI, _R_IN, _R_OUT))
+
+    def locate(qubits) -> tuple[int, ...]:  # qubit axes count from 1
+        for q in qubits:
+            if q not in register:
+                raise ValueError(f"qubit {q} not in register")
+        return tuple(1 + register.index(q) for q in qubits)
+
+    steps, log, measured, sent = [], [], {}, set()
+    for step in _expand(circuit.steps):
+        if len(set(step.targets)) != len(step.targets):
             raise ValueError("duplicate targets")
-        if None in axes:
-            raise ValueError(f"qubit {targets[axes.index(None)]} not in register")
-        owners = {owner for owner, _ in keys}
+        axes, owners = locate(step.targets), {q.owner for q in step.targets}
         if len(owners) > 1:
-            raise ValueError(f"{step} on ({', '.join(map(str, targets))}) crosses the Alice|Bob cut")
-        return (owners.pop() if owners else None), axes
+            raise ValueError(f"{step} crosses the Alice|Bob cut")
+        party = owners.pop() if owners else None
+        if type(step) is Measure:
+            measured[step] = len(log)
+            log.append((party, step.basis, len(axes)))
+            steps.append(Measure(axes, step.basis))
+            register = [q for q in register if q not in step.targets]
+            continue
+        if len(axes) != step.gate.qubits:
+            raise ValueError(f"gate {step.gate.name!r} acts on {step.gate.qubits} qubit(s), got {len(axes)} target(s)")
+        when = step.when
+        if when is not None:
+            if when[0] not in measured:
+                raise ValueError(f"{step} reads the {when[0]}, which is not earlier in the circuit")
+            when = (measured[when[0]], when[1])
+            if log[when[0]][0] != party:  # measured by the other party
+                sent.add(when[0])
+        steps.append(Apply(step.gate, axes, when))
+    readout = locate((_R_OUT, _R_IN, _R_PSI, circuit.output))
+    labels = tuple(tuple((party, basis, format(o, f"0{k}b")) for o in range(2**k)) for party, basis, k in log)
+    a_to_b, b_to_a = (sum(log[m][2] for m in sent if log[m][0] == side) for side in ("alice", "bob"))
+    return _Plan(circuit.pairs, tuple(steps), readout, labels, ResourceLedger(circuit.pairs.n // 2, a_to_b, b_to_a))
 
-    @property
-    def records(self) -> list[tuple[tuple[str, str, str], ...]]:
-        """Each branch's measurement record: (party, basis, outcome bits) per measurement."""
-        labels = [[(party, basis, format(o, f"0{k}b")) for o in range(2**k)] for party, basis, k in self.log]
-        return [tuple(labels[m][o] for m, o in enumerate(branch)) for branch in self.outcomes.tolist()]
 
-    def apply(self, gate: Gate, targets, when: tuple[int, int] | None = None):
-        """Apply ``gate`` on every branch, or, with ``when=(m, value)``, on
-        those where measurement m gave ``value``."""
-        party, axes = self._locate(targets, f"gate {gate.name!r}")
-        if len(axes) != gate.qubits:
-            raise ValueError(f"gate {gate.name!r} acts on {gate.qubits} qubit(s), got {len(axes)} target(s)")
-        if when is None:
-            self.amps = _apply_matrix(gate.matrix, axes, self.amps)
+def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """All branches of ``plan`` as one array, and ``outcomes[b, m]``, the
+    outcome of measurement m on branch b. ``amps[b]`` is branch b, with one
+    axis per register qubit not yet measured; it starts as the pairs beside
+    three references at amplitude 1 on their basis states: |00> + |11> on
+    (data, R_psi), |0> on R_in and |0> + |1> on R_out. A measurement
+    contracts its qubits with the basis vectors and drops them; the
+    outcomes go onto the branch axis, parent branch first and outcome
+    second, which keeps the order of the branch tree."""
+    references = np.kron(np.kron([1, 0, 0, 1], [1, 0]), [1, 1])
+    amps = np.kron(plan.pairs.amplitudes, references).reshape((1,) + (2,) * (plan.pairs.n + 4))
+    outcomes = np.zeros((1, 0), dtype=int)
+    for step in plan.steps:
+        if type(step) is Measure:
+            children, _, kept = _split(amps, step.targets, step.basis)
+            amps = children[kept]
+            parents, outcome = np.nonzero(kept)
+            outcomes = np.column_stack((outcomes[parents], outcome))
+        elif step.when is None:
+            amps = _apply_matrix(step.gate.matrix, step.targets, amps)
         else:
-            m, value = when
-            if self.log[m][0] != party:  # measured by the other party
-                self.sent.add(m)
-            hit = self.outcomes[:, m] == value
-            self.amps[hit] = _apply_matrix(gate.matrix, axes, self.amps[hit])
-
-    def black_box(self, q: QubitId):
-        """Alice's black box on ``q``, as the comb's slot: q's state moves to
-        R_in and q takes R_out's, which leaves the box E_ij at (R_out, R_in)
-        = (i, j)."""
-        self.apply(_SWAP, [q, _R_IN])
-        self.apply(CNOT, [_R_OUT, q])
-
-    def measure(self, targets, basis: str) -> int:
-        """Split every branch by the outcome of measuring ``targets``, which
-        leave the register, and return the measurement's index for ``when``.
-        A child below ``BRANCH_PRUNE`` of its parent is dropped."""
-        party, axes = self._locate(targets, f"{basis} measurement")
-        children, _, kept = _split(self.amps, axes, basis)
-        self.amps = children[kept]
-        self._set_register(tuple(q for i, q in enumerate(self.register, 1) if i not in axes))
-        parents, outcomes = np.nonzero(kept)
-        self.outcomes = np.column_stack((self.outcomes[parents], outcomes))
-        self.log.append((party, basis, len(axes)))
-        return len(self.log) - 1
-
-    @property
-    def ledger(self) -> ResourceLedger:
-        """One e-bit per shared pair and, in each direction, the bits of every
-        outcome one party measured and the other read."""
-        sent = [self.log[m] for m in self.sent]
-        a_to_b, b_to_a = (sum(k for p, _, k in sent if p == side) for side in ("alice", "bob"))
-        return ResourceLedger(self.ebits, a_to_b, b_to_a)
+            m, value = step.when
+            hit = outcomes[:, m] == value
+            amps[hit] = _apply_matrix(step.gate.matrix, step.targets, amps[hit])
+    return amps, outcomes
 
 
 def _near_one(largest, smallest, tol: float) -> bool:
@@ -549,45 +586,29 @@ def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: Qubit
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
         array.setflags(write=False)
-    return BatchOutcome(
-        records=records,
-        probability=probs,
-        fidelity=fids,
-        succeeded=succeeded,
-        bob_final=finals,
-        ledger=ledger,
-        bob_qubit=bob_qubit,
-    )
+    return BatchOutcome(records, probs, fids, succeeded, finals, ledger, bob_qubit)
 
 
-def _spread_amplitudes(run: _Run, alice_half: QubitId, bob_half: QubitId, data: QubitId):
+def _spread_amplitudes(alice_half: QubitId, bob_half: QubitId, data: QubitId) -> tuple[Apply | Measure, ...]:
     """Move Bob's amplitudes onto a shared pair: CNOT from his pair half onto
     the data qubit, measure the data qubit, send the outcome to Alice, and
     on outcome 1 both parties flip their halves. Leaves the pair in
     alpha|00> + beta|11>; Alice's flip costs one bit Bob -> Alice."""
-    run.apply(CNOT, [bob_half, data])
-    m = run.measure([data], "computational")
-    run.apply(X, [alice_half], when=(m, 1))
-    run.apply(X, [bob_half], when=(m, 1))
+    m = Measure((data,), "computational")
+    return (Apply(CNOT, (bob_half, data)), m, Apply(X, (alice_half,), (m, 1)), Apply(X, (bob_half,), (m, 1)))
 
 
-def _teleport(run: _Run, source: QubitId, source_half: QubitId, dest: QubitId):
+def _teleport(source: QubitId, source_half: QubitId, dest: QubitId) -> tuple[Apply | Measure, ...]:
     """Standard teleportation step: Bell-measure (source, source_half) and
     apply the Pauli fix-up on ``dest``, which reads the two outcome bits."""
-    m = run.measure([source, source_half], "bell")
-    for outcome, gate in BELL_CORRECTIONS.items():
-        if gate is not None:
-            run.apply(gate, [dest], when=(m, int(outcome, 2)))
+    m = Measure((source, source_half), "bell")
+    fixups = (Apply(gate, (dest,), (m, int(outcome, 2))) for outcome, gate in BELL_CORRECTIONS.items() if gate is not None)
+    return (m, *fixups)
 
 
 # ---------------------------------------------------------------------------
-# protocols
-#
-# Each protocol is a circuit on the comb for a promise class, which returns
-# the finished run and Bob's output qubit, plus a precondition on the rows.
-# The circuit runs once per promise class, to compile the protocol's
-# instrument; ``run_batch`` and each ``run_*`` function contract the
-# instrument with their rows.
+# protocols: a circuit per promise class, compiled once to an instrument
+# that ``run_batch`` and each ``run_*`` function contract with their rows
 
 _A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
 _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
@@ -597,47 +618,28 @@ _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
 #: one ulp, and the compiled instruments start from exactly 0.5.
 _ONE_PAIR = bell_phi_plus(_A1, _B1)
 _TWO_PAIRS = StateVector(np.kron(_ONE_PAIR.amplitudes, _ONE_PAIR.amplitudes), (_A1, _B1, _A2, _B2))
+#: Bob's data qubit beside one pair and beside two.
+_DATA1, _DATA2 = QubitId("bob", 1), QubitId("bob", 2)
 
+#: Bob's measurement of his first pair half, the last step of universal221.
+_BOB_HALF = Measure((_B1,), "computational")
+_UNIVERSAL = (*_spread_amplitudes(_A1, _B1, _DATA2), Slot(_A1), *_teleport(_A1, _A2, _B2), Apply(H, (_B1,)), _BOB_HALF)
+#: Alice's measurement of her pair half, whose outcome picks Bob's one11 fix-up.
+_ALICE_HALF = Measure((_A1,), "computational")
+_ONE11 = (*_spread_amplitudes(_A1, _B1, _DATA1), Slot(_A1), Apply(H, (_A1,)), _ALICE_HALF)
 
-def _bqst() -> tuple[_Run, QubitId]:
-    data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data)
-    _teleport(run, data, _B1, _A1)
-    run.black_box(_A1)
-    _teleport(run, _A1, _A2, _B2)
-    return run, _B2
-
-
-def _run_221(correct_failure: bool) -> tuple[_Run, QubitId]:
-    data = QubitId("bob", 2)
-    run = _Run(_TWO_PAIRS, data)
-    _spread_amplitudes(run, _A1, _B1, data)
-    run.black_box(_A1)
-    _teleport(run, _A1, _A2, _B2)
-    run.apply(H, [_B1])
-    m = run.measure([_B1], "computational")
-    if correct_failure:
-        run.apply(Z, [_B2], when=(m, 1))
-    return run, _B2
-
-
-def _one11(promise: str) -> tuple[_Run, QubitId]:
-    data = QubitId("bob", 1)
-    run = _Run(_ONE_PAIR, data)
-    _spread_amplitudes(run, _A1, _B1, data)
-    run.black_box(_A1)
-    run.apply(H, [_A1])
-    m = run.measure([_A1], "computational")
-    # Bob's fix-ups on outcomes 0 and 1: (1, sz) when commuting, (sx, sz sx) when anticommuting
-    if promise == COMMUTING:
-        run.apply(Z, [_B1], when=(m, 1))
-    else:
-        run.apply(X, [_B1], when=(m, 0))
-        run.apply(ZX, [_B1], when=(m, 1))
-    return run, _B1
-
-
-# Each precondition returns its checks on the rows, in ``_messages``' form.
+#: (protocol, promise class) -> its circuit. one11's class picks Bob's
+#: fix-ups on outcomes 0 and 1: (1, sz) when commuting, (sx, sz sx) when
+#: anticommuting; the other protocols have one circuit, under no promise.
+_CIRCUITS = {
+    ("bqst", None): Circuit(_TWO_PAIRS, _DATA2, (*_teleport(_DATA2, _B1, _A1), Slot(_A1), *_teleport(_A1, _A2, _B2)), _B2),
+    ("universal221", None): Circuit(_TWO_PAIRS, _DATA2, _UNIVERSAL, _B2),
+    ("restricted221", None): Circuit(_TWO_PAIRS, _DATA2, (*_UNIVERSAL, Apply(Z, (_B2,), (_BOB_HALF, 1))), _B2),
+    ("one11", COMMUTING): Circuit(_ONE_PAIR, _DATA1, (*_ONE11, Apply(Z, (_B1,), (_ALICE_HALF, 1))), _B1),
+    ("one11", ANTICOMMUTING): Circuit(
+        _ONE_PAIR, _DATA1, (*_ONE11, Apply(X, (_B1,), (_ALICE_HALF, 0)), Apply(ZX, (_B1,), (_ALICE_HALF, 1))), _B1
+    ),
+}
 
 
 def _any_config(rows: _Rows):
@@ -664,13 +666,8 @@ def _promised(rows: _Rows):
     return [(rows.promise != _NO_PROMISE, lambda n: "the 1-1-1 protocol requires a promise")]
 
 
-#: Protocol name -> (precondition on the rows, circuit for a promise class).
-_CIRCUITS = {
-    "bqst": (_any_config, lambda promise: _bqst()),
-    "universal221": (_no_promise, lambda promise: _run_221(correct_failure=False)),
-    "restricted221": (_in_set_only, lambda promise: _run_221(correct_failure=True)),
-    "one11": (_promised, _one11),
-}
+#: Protocol name -> its precondition, which returns its checks on the rows in ``_messages``' form.
+_PRECONDITIONS = {"bqst": _any_config, "universal221": _no_promise, "restricted221": _in_set_only, "one11": _promised}
 
 
 class _Instrument(NamedTuple):
@@ -688,54 +685,54 @@ class _Instrument(NamedTuple):
 
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
-    """Compile ``protocol`` for a promise class: run its circuit once on the
+    """Compile ``protocol`` for a promise class: play its circuit once on the
     comb and read row (i, j, m) at (R_out, R_in, R_psi) = (i, j, m). A class
     spans only its own E_ij (the diagonal ones commute with sz, the others
-    anticommute), so under a promise the other rows are zeroed: the part of
-    U off the promised class, which the promise check admits within
-    CLASS_TOL, is dropped.
-
-    ``one11`` takes a promise, so its instrument of no promise is instead
-    its two class tensors side by side, (8, 2 * B * 2 * R), commuting
-    first: one contraction serves a batch of both classes."""
-    if protocol == "one11" and promise is None:
+    anticommute), so under a promise the other rows are zeroed. A protocol
+    with a circuit per class (``one11``) has, under no promise, the sum of
+    its class tensors, which lie on disjoint rows."""
+    if promise is None and (protocol, None) not in _CIRCUITS:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
-        both = np.concatenate((commuting.tensor, anticommuting.tensor), axis=1)
+        both = commuting.tensor + anticommuting.tensor
         both.setflags(write=False)
         return commuting._replace(tensor=both)
-    run, bob_qubit = _CIRCUITS[protocol][1](promise)
-    axes = tuple(run._axes[q.owner, q.index] for q in (_R_OUT, _R_IN, _R_PSI, bob_qubit))
-    out = np.moveaxis(run.amps.transpose(_to_front(run.amps.ndim, (0,) + axes)[0]), 0, 3)
-    out = out.reshape(2, 2, 2, len(run.amps), 2, -1).copy()
+    circuit = _CIRCUITS[protocol, promise]
+    plan = _plan(circuit)
+    amps, outcomes = _play(plan)
+    out = np.moveaxis(amps.transpose(_to_front(amps.ndim, (0,) + plan.readout)[0]), 0, 3)
+    out = out.reshape(2, 2, 2, len(amps), 2, -1).copy()
     if promise is not None:
         out[np.eye(2, dtype=bool) == (promise == ANTICOMMUTING)] = 0
     tensor = out.reshape(8, -1)
     tensor.setflags(write=False)
-    return _Instrument(tensor, out.shape[3:], tuple(run.records), run.ledger, bob_qubit)
+    records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
+    return _Instrument(tensor, out.shape[3:], records, plan.ledger, circuit.output)
+
+
+#: Per promise code, the inputs (i, j, m), flattened, off its class: the
+#: off-diagonal E_ij when commuting, the diagonal ones when anticommuting.
+_OFF_CLASS = np.array([[0] * 8, [0, 0, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 1, 1], [0] * 8], dtype=bool)
 
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
     """``protocol`` on checked rows: each row's U[i, j] psi[m] contracted
-    with the instrument of its promise class, then finished."""
+    with the protocol's instrument, then finished."""
     n_row = len(rows.psi)
     inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
     inst = _instrument(protocol, None)
+    if (protocol, None) not in _CIRCUITS:
+        # one11: each row keeps the inputs of its promised class. The part
+        # of U off that class, which the promise check admits within
+        # CLASS_TOL, is dropped.
+        inputs[_OFF_CLASS[rows.promise]] = 0
     amps = inputs @ inst.tensor
-    if protocol == "one11":
-        # One circuit for both classes, so the two share records, ledger and
-        # Bob's qubit; each row keeps the half of its promised class. Each
-        # half spans its class's matrices only: the part of U off the
-        # promised class, which the promise check admits within CLASS_TOL,
-        # is dropped.
-        half = (rows.promise == _ANTICOMMUTING).astype(np.intp)
-        amps = amps.reshape(n_row, 2, -1)[np.arange(n_row), half]
     return _finish(amps.reshape(n_row, *inst.shape), rows, inst.records, inst.ledger, inst.bob_qubit)
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
     """One configuration, run as the one-row stack it holds."""
     with single_row:
-        _refuse(_messages(_CIRCUITS[protocol][0](cfg.rows), 1))
+        _refuse(_messages(_PRECONDITIONS[protocol](cfg.rows), 1))
     table = _run_rows(protocol, cfg.rows)
     return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
 
@@ -762,9 +759,9 @@ def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:
     checked as stacks, with every check a single run makes on its
     configuration, and an error names the first bad row.
     """
-    if protocol not in _CIRCUITS:
+    if protocol not in _PRECONDITIONS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    return _run_rows(protocol, _rows(us, psis, promise, _CIRCUITS[protocol][0]))
+    return _run_rows(protocol, _rows(us, psis, promise, _PRECONDITIONS[protocol]))
 
 
 def run_bqst(cfg: ProtocolConfig) -> list[ProtocolOutcome]:

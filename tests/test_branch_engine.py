@@ -1,16 +1,15 @@
 """The batched branch-tensor engine against the per-branch engine it replaced.
 
-``ReferenceRun`` keeps one ``StateVector`` per branch of a single
-configuration, its post-state as ``measure`` gives it (the projected
-amplitudes divided by the square root of the branch's probability; no
-kernel renormalises), and drives ``apply_gate``, ``measure``,
-``sample_branch`` and ``factor_qubit`` one branch at a time, and it counts
-its own ledger. It has the interface of ``protocols._Run``, so a protocol's
-circuit runs on it unchanged once it is patched in, except that its black
-box applies the configuration's real ``Gate(U)`` where the engine's is the
-comb's slot; the compiled runs (``run_*`` and ``run_batch``) are compared
-with it row by row. In sampled mode it draws one branch per measurement as
-it goes, where the engine draws a path from its exact tree after the run.
+``ReferenceRun`` plays the same ``Circuit`` values as the engine, a step at
+a time. It keeps one ``StateVector`` per branch of a single configuration,
+its post-state as ``measure`` gives it (the projected amplitudes divided by
+the square root of the branch's probability; no kernel renormalises),
+drives ``apply_gate``, ``measure``, ``sample_branch`` and ``factor_qubit``
+one branch at a time, and counts its own ledger. Its ``Slot`` applies the
+configuration's real ``Gate(U)`` where the engine's is the comb's slot; the
+compiled runs (``run_*`` and ``run_batch``) are compared with it row by
+row. In sampled mode it draws one branch per measurement as it goes, where
+the engine draws a path from its exact tree after the run.
 """
 
 import re
@@ -44,7 +43,9 @@ from remotegate import (
     tensor,
     tolerances,
 )
-from remotegate.gates import RowError
+from remotegate import statevector, verify
+from remotegate.gates import CNOT, H, RowError, X, Z
+from remotegate.protocols import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split
 
 ORACLE_TOL = 1e-12
@@ -63,32 +64,38 @@ class ReferenceRun:
     the bits of each outcome that a party other than the one who measured
     it reads."""
 
-    def __init__(self, pairs: StateVector, data: QubitId, cfg: ProtocolConfig, seed=None):
-        """Bob's ``data`` qubit in ``cfg.psi`` beside the ``pairs``; with a
-        ``seed``, one branch drawn per measurement."""
-        self.u, self.psi = cfg.u.as_gate(), cfg.psi
-        state = tensor(pairs, qubit_state(self.psi[0], self.psi[1], data))
+    def __init__(self, circuit: Circuit, cfg: ProtocolConfig, seed=None):
+        """Play ``circuit`` with Bob's data qubit in ``cfg.psi`` beside its
+        pairs; with a ``seed``, one branch drawn per measurement."""
+        self.u, self.psi, self.output = cfg.u.as_gate(), cfg.psi, circuit.output
+        state = tensor(circuit.pairs, qubit_state(self.psi[0], self.psi[1], circuit.data))
         self.branches = [_Branch(state, 1.0, ())]
         self.rng = None if seed is None else np.random.default_rng(seed)
-        self.pairs = pairs.n // 2
-        self.measured = []  # (party, bits) of each measurement
+        self.pairs = circuit.pairs.n // 2
+        self.measured = []  # (step, party, bits) of each measurement
         self.read_across = set()  # measurements the other party read
+        for step in circuit.steps:
+            if isinstance(step, Slot):
+                self.apply(self.u, [step.qubit])
+            elif isinstance(step, Measure):
+                self.measure(step)
+            else:
+                self.apply(step.gate, list(step.targets), step.when)
 
     def apply(self, gate, targets, when=None):
         if when is not None:
-            m, value = when
-            if self.measured[m][0] != targets[0].owner:
+            step, value = when
+            m = [measured for measured, _, _ in self.measured].index(step)
+            if self.measured[m][1] != targets[0].owner:
                 self.read_across.add(m)
         for br in self.branches:
             if when is None or int(br.record[m][2], 2) == value:
                 br.state = apply_gate(br.state, gate, targets)
 
-    def black_box(self, q: QubitId):
-        self.apply(self.u, [q])
-
-    def measure(self, targets, basis: str):
+    def measure(self, step: Measure):
+        targets, basis = list(step.targets), step.basis
         party = targets[0].owner
-        self.measured.append((party, len(targets)))
+        self.measured.append((step, party, len(targets)))
         expanded = []
         for br in self.branches:
             options = measure(br.state, targets, basis)
@@ -103,13 +110,13 @@ class ReferenceRun:
                     )
                 )
         self.branches = expanded
-        return len(self.measured) - 1
 
-    def result(self, bob_qubit: QubitId) -> list:
+    def result(self) -> list:
+        bob_qubit = self.output
         target = self.u.matrix @ self.psi
         sent = {"alice": 0, "bob": 0}
         for m in self.read_across:
-            party, bits = self.measured[m]
+            _, party, bits = self.measured[m]
             sent[party] += bits
         ledger = ResourceLedger(self.pairs, sent["alice"], sent["bob"])
         outcomes = []
@@ -129,18 +136,13 @@ class ReferenceRun:
         return outcomes
 
 
-def _reference(monkeypatch, name, cfg):
-    """The branches of ``cfg`` from the protocol's circuit run step by step
-    on ``ReferenceRun``, bypassing the compiled instrument (in sampled mode,
-    the one branch drawn as it went)."""
+def _reference(name, cfg):
+    """The branches of ``cfg`` from the protocol's circuit for its promise
+    class played step by step on ``ReferenceRun``, bypassing the compiled
+    instrument (in sampled mode, the one branch drawn as it went)."""
     seed = cfg.seed if cfg.mode == "sampled" else None
-    built = []
-    with monkeypatch.context() as patch:
-        patch.setattr(protocols, "_Run", lambda pairs, data: built.append(ReferenceRun(pairs, data, cfg, seed)) or built[-1])
-        run, bob_qubit = protocols._CIRCUITS[name][1](cfg.promise)
-        outcomes = run.result(bob_qubit)
-    assert built == [run]
-    return outcomes
+    circuit = protocols._CIRCUITS.get((name, cfg.promise)) or protocols._CIRCUITS[name, None]
+    return ReferenceRun(circuit, cfg, seed).result()
 
 
 def _in_set(rng, k):
@@ -164,11 +166,11 @@ def _configs(name, mode, seed, count=12):
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_branch_tensor_matches_per_branch_engine(monkeypatch, name, mode):
+def test_branch_tensor_matches_per_branch_engine(name, mode):
     run = PROTOCOLS[name]
     for cfg in _configs(name, mode, seed=sorted(PROTOCOLS).index(name) + 40):
         fast = run(cfg)
-        ref = _reference(monkeypatch, name, cfg)
+        ref = _reference(name, cfg)
         assert len(fast) == len(ref)
         assert mode == "exact" or len(fast) == 1
         for a, b in zip(fast, ref):
@@ -219,14 +221,14 @@ def _batch_rows(name, seed, count=64):
     return us, psis, promises
 
 
-def _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises):
+def _assert_batch_matches_per_branch_engine(name, us, psis, promises):
     table = protocols.run_batch(name, us, psis, promises)
     n_branch = len(table.records)
     for array in (table.probability, table.fidelity, table.succeeded):
         assert array.shape == (len(us), n_branch)
     assert table.bob_final.shape == (len(us), n_branch, 2)
     for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
-        ref = _reference(monkeypatch, name, ProtocolConfig(u=u, psi=psi, promise=promise))
+        ref = _reference(name, ProtocolConfig(u=u, psi=psi, promise=promise))
         assert list(table.records) == [o.measurement_record for o in ref]
         for b, o in enumerate(ref):
             assert table.ledger == o.ledger
@@ -237,9 +239,9 @@ def _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promise
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_run_batch_matches_per_branch_engine(monkeypatch, name):
+def test_run_batch_matches_per_branch_engine(name):
     us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
-    _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises)
+    _assert_batch_matches_per_branch_engine(name, us, psis, promises)
 
 
 #: Every (protocol, promise class) that is compiled.
@@ -431,27 +433,26 @@ def test_single_call_refuses_what_its_stack_refuses(monkeypatch, stack, spoil, m
 
 
 def _run_circuit(monkeypatch, circuit, psis, us=None):
-    """Run ``circuit``, a hand-built circuit on the comb that returns (run,
-    Bob's qubit), as ``run_batch`` runs a protocol: compiled once, then
-    contracted with the rows of ``psis``. The black box is 1 unless ``us``
-    are given; a circuit without a ``black_box`` step needs it to be."""
-    monkeypatch.setitem(protocols._CIRCUITS, "hand_built", (protocols._any_config, lambda promise: circuit()))
+    """Run ``circuit``, a hand-built ``Circuit``, as ``run_batch`` runs a
+    protocol: compiled once, then contracted with the rows of ``psis``. The
+    black box is 1 unless ``us`` are given; a circuit without a ``Slot``
+    needs it to be."""
+    monkeypatch.setitem(protocols._CIRCUITS, ("hand_built", None), circuit)
+    monkeypatch.setitem(protocols._PRECONDITIONS, "hand_built", protocols._any_config)
     protocols._instrument.cache_clear()
     return protocols.run_batch("hand_built", [Unimodular(1, 0)] * len(psis) if us is None else us, psis)
+
+
+#: One pair half each, (alice:0, bob:0) in |00>, and Bob's data qubit bob:1.
+_A, _B, _DATA = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
+_ONE_PAIR = basis_state("00", (_A, _B))
 
 
 def test_branch_is_dropped_only_when_every_row_drops_it(monkeypatch):
     """Both rows keep both outcomes of the data qubit; Alice's |0> half
     gives outcome 1 for no black box and no input, so the compile drops
     that child and it is in no row of the table."""
-    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-
-    def circuit():
-        run = protocols._Run(basis_state("00", (a, b)), data)
-        run.measure([data], "computational")
-        run.measure([a], "computational")
-        return run, b
-
+    circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Measure((_A,), "computational")), _B)
     table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8], [0.8, 0.6j]])
     assert table.probability.shape == (2, 2)
     assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0", "1/0"]] * 2
@@ -488,13 +489,7 @@ def test_every_row_keeps_every_branch_with_equal_weight(name):
 
 
 def test_entangled_output_names_the_row(monkeypatch):
-    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
-
-    def circuit():
-        run = protocols._Run(basis_state("00", (a, b)), data)
-        run.apply(protocols.CNOT, [data, b])
-        return run, b
-
+    circuit = Circuit(_ONE_PAIR, _DATA, (Apply(CNOT, (_DATA, _B)),), _B)
     with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
         _run_circuit(monkeypatch, circuit, [[1, 0], [1, 1]])
 
@@ -505,52 +500,83 @@ def test_entangled_output_names_the_row(monkeypatch):
 A0, A1, B0, B1, DATA = QubitId("alice", 0), QubitId("alice", 1), QubitId("bob", 0), QubitId("bob", 1), QubitId("bob", 2)
 
 
-def _hand_built_run():
-    """Alice's and Bob's pair halves in |0000> (two pairs, by count) and
-    Bob's data qubit, paired with the comb's reference R_psi."""
-    return protocols._Run(basis_state("0000", (A0, A1, B0, B1)), DATA)
+def _hand_built(*steps, output=DATA) -> Circuit:
+    """``steps`` on Alice's and Bob's pair halves in |0000> (two pairs, by
+    count) and Bob's data qubit, paired with the comb's reference R_psi."""
+    return Circuit(basis_state("0000", (A0, A1, B0, B1)), DATA, steps, output)
 
 
 @pytest.mark.parametrize(
     "step, message",
     [
-        (lambda run: run.apply(protocols.CNOT, [A0, B1]), r"gate 'cnot' on \(alice:0, bob:1\)"),
-        (lambda run: run.measure([A1, B0], "bell"), r"bell measurement on \(alice:1, bob:0\)"),
-        (lambda run: run.measure([DATA, A0], "computational"), r"computational measurement on \(bob:2, alice:0\)"),
+        (Apply(CNOT, (A0, B1)), r"gate 'cnot' on \(alice:0, bob:1\)"),
+        (Measure((A1, B0), "bell"), r"bell measurement on \(alice:1, bob:0\)"),
+        (Measure((DATA, A0), "computational"), r"computational measurement on \(bob:2, alice:0\)"),
     ],
     ids=["apply", "bell", "computational"],
 )
 def test_step_across_the_cut_is_refused(step, message):
     with pytest.raises(ValueError, match=message + r" crosses the Alice\|Bob cut"):
-        step(_hand_built_run())
+        protocols._plan(_hand_built(step))
 
 
-def _bob_reads_his_bit(run):
-    m = run.measure([B0], "computational")
-    run.apply(protocols.X, [DATA], when=(m, 1))
+def _untouchable(*args):
+    raise AssertionError("an amplitude was touched")
 
 
-def _bob_reads_alices_bit(run):
-    m = run.measure([A0], "computational")
-    run.apply(protocols.X, [DATA], when=(m, 1))
+def test_circuit_that_ends_across_the_cut_is_refused_before_any_amplitude(monkeypatch):
+    """The static pass refuses the last step, a CNOT across the cut, while
+    the branch-stack primitives that every step runs through raise."""
+    for module in (statevector, protocols):
+        monkeypatch.setattr(module, "_apply_matrix", _untouchable)
+        monkeypatch.setattr(module, "_split", _untouchable)
+    data = Measure((DATA,), "computational")
+    circuit = _hand_built(Apply(H, (B0,)), data, Apply(X, (A0,), (data, 1)), Apply(CNOT, (A0, B1)))
+    with pytest.raises(ValueError, match=r"^gate 'cnot' on \(alice:0, bob:1\) crosses the Alice\|Bob cut$"):
+        _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
 
 
-def _alice_reads_bobs_bit_twice(run):
-    m = run.measure([B0], "computational")
-    run.apply(protocols.X, [A0], when=(m, 0))
-    run.apply(protocols.Z, [A1], when=(m, 0))
+_LATER = Measure((A0,), "computational")
 
 
-def _bob_reads_one_bell_outcome_three_times(run):
-    m = run.measure([A0, A1], "bell")
-    for value, gate in ((1, protocols.Z), (2, protocols.X), (3, protocols.ZX)):
-        run.apply(gate, [DATA], when=(m, value))
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((Apply(X, (B0,), (_LATER, 1)), _LATER), r"gate 'x' on \(bob:0\) reads the computational measurement on \(alice:0\)"),
+        ((Measure((B0,), "computational"), Apply(Z, (A1,), (Measure((B1, B0), "bell"), 2))),
+         r"gate 'z' on \(alice:1\) reads the bell measurement on \(bob:1, bob:0\)"),
+    ],
+    ids=["later", "absent"],
+)
+def test_when_naming_no_earlier_measurement_is_refused(steps, message):
+    with pytest.raises(ValueError, match=f"^{message}, which is not earlier in the circuit$"):
+        protocols._plan(_hand_built(*steps))
+
+
+def _bob_reads_his_bit():
+    m = Measure((B0,), "computational")
+    return m, Apply(X, (DATA,), (m, 1))
+
+
+def _bob_reads_alices_bit():
+    m = Measure((A0,), "computational")
+    return m, Apply(X, (DATA,), (m, 1))
+
+
+def _alice_reads_bobs_bit_twice():
+    m = Measure((B0,), "computational")
+    return m, Apply(X, (A0,), (m, 0)), Apply(Z, (A1,), (m, 0))
+
+
+def _bob_reads_one_bell_outcome_three_times():
+    m = Measure((A0, A1), "bell")
+    return (m, *(Apply(gate, (DATA,), (m, value)) for value, gate in ((1, Z), (2, X), (3, protocols.ZX))))
 
 
 @pytest.mark.parametrize(
     "steps, ledger",
     [
-        (lambda run: None, (2, 0, 0)),
+        (lambda: (), (2, 0, 0)),
         (_bob_reads_his_bit, (2, 0, 0)),
         (_bob_reads_alices_bit, (2, 1, 0)),
         (_alice_reads_bobs_bit_twice, (2, 0, 1)),
@@ -559,81 +585,74 @@ def _bob_reads_one_bell_outcome_three_times(run):
     ids=["no_reads", "own_bit", "a_to_b", "b_to_a_twice", "bell_thrice"],
 )
 def test_ledger_counts_each_outcome_read_across_the_cut_once(steps, ledger):
-    run = _hand_built_run()
-    steps(run)
-    assert run.ledger.as_tuple() == ledger
+    assert protocols._plan(_hand_built(*steps())).ledger.as_tuple() == ledger
+
+
+@pytest.mark.parametrize("name, promise", _COMPILED)
+def test_each_circuits_static_ledger_is_its_expected_ledger(name, promise):
+    """Read from the steps alone, before any amplitude."""
+    assert protocols._plan(protocols._CIRCUITS[name, promise]).ledger.as_tuple() == verify.EXPECTED_LEDGERS[name]
 
 
 def test_measure_keeps_the_shared_contractions_children():
-    """Each ``_Run.measure`` keeps ``statevector._split``'s kept children, in
-    order and bit for bit, and records their outcomes. A_0 stays |0>, so
-    its outcome 1 is dropped on every branch."""
+    """Each measurement the interpreter plays keeps ``statevector._split``'s
+    kept children of the branches before it, in order and bit for bit, and
+    records their outcomes. A_0 stays |0>, so its outcome 1 is dropped on
+    every branch."""
     rng = np.random.default_rng(23)
-    run = _hand_built_run()
-    for q in (A1, B0, B1):
-        run.apply(random_unimodular(rng).as_gate(), [q])
-    run.apply(protocols.CNOT, [B0, DATA])
-    for targets, basis in (([A0], "computational"), ([B1, B0], "bell"), ([A1], "computational")):
-        axes = tuple(run._axes[q.owner, q.index] for q in targets)
-        children, _, kept = _split(run.amps.copy(), axes, basis)
-        run.measure(targets, basis)
-        assert np.array_equal(run.amps, children[kept])
-        assert run.outcomes[:, -1].tolist() == np.nonzero(kept)[1].tolist()
-    assert run.outcomes[:, 0].tolist() == [0] * 8
+    steps = [Apply(random_unimodular(rng).as_gate(), (q,)) for q in (A1, B0, B1)] + [Apply(CNOT, (B0, DATA))]
+    for targets, basis in (((A0,), "computational"), ((B1, B0), "bell"), ((A1,), "computational")):
+        amps, _ = protocols._play(protocols._plan(_hand_built(*steps)))
+        steps.append(Measure(targets, basis))
+        plan = protocols._plan(_hand_built(*steps))
+        children, _, kept = _split(amps.copy(), plan.steps[-1].targets, basis)
+        after, outcomes = protocols._play(plan)
+        assert np.array_equal(after, children[kept])
+        assert outcomes[:, -1].tolist() == np.nonzero(kept)[1].tolist()
+    assert outcomes[:, 0].tolist() == [0] * 8
 
 
 def test_when_reads_the_named_measurement(monkeypatch):
     """Bob flips bob:0 on the data outcome after a later measurement of
     alice:0, whose outcome is always 0; the flip must follow the data bit."""
-
-    def circuit():
-        run = _hand_built_run()
-        data = run.measure([DATA], "computational")
-        run.measure([A0], "computational")
-        run.apply(protocols.X, [B0], when=(data, 1))
-        return run, B0
-
+    data = Measure((DATA,), "computational")
+    circuit = _hand_built(data, Measure((A0,), "computational"), Apply(X, (B0,), (data, 1)), output=B0)
     table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
     assert [o.branch_id for o in table.row(0)] == ["0/0", "1/0"]
     assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
     assert table.ledger.as_tuple() == (2, 0, 0)
 
 
+_MEASURED = Measure((DATA,), "computational")
+
+
 @pytest.mark.parametrize(
-    "step, message",
+    "steps, message",
     [
-        (lambda run: run.apply(protocols.X, [QubitId("alice", 5)]), r"^qubit alice:5 not in register$"),
-        (lambda run: run.measure([B0, QubitId("bob", 7)], "bell"), r"^qubit bob:7 not in register$"),
-        (lambda run: run.apply(protocols.X, [DATA], when=(run.measure([DATA], "computational"), 1)),
-         r"^qubit bob:2 not in register$"),
-        (lambda run: run.apply(protocols.CNOT, [B0, B0]), r"^duplicate targets$"),
-        (lambda run: run.measure([A1, A1], "bell"), r"^duplicate targets$"),
+        ((Apply(X, (QubitId("alice", 5),)),), r"^qubit alice:5 not in register$"),
+        ((Measure((B0, QubitId("bob", 7)), "bell"),), r"^qubit bob:7 not in register$"),
+        ((_MEASURED, Apply(X, (DATA,), (_MEASURED, 1))), r"^qubit bob:2 not in register$"),
+        ((Apply(CNOT, (B0, B0)),), r"^duplicate targets$"),
+        ((Measure((A1, A1), "bell"),), r"^duplicate targets$"),
         # equal qubits that are distinct objects are the same register slot
-        (lambda run: run.apply(protocols.CNOT, [B0, QubitId("bob", 0)]), r"^duplicate targets$"),
-        (lambda run: run.measure([QubitId("alice", 1), QubitId("alice", 1)], "bell"), r"^duplicate targets$"),
+        ((Apply(CNOT, (B0, QubitId("bob", 0))),), r"^duplicate targets$"),
+        ((Measure((QubitId("alice", 1), QubitId("alice", 1)), "bell"),), r"^duplicate targets$"),
     ],
     ids=["apply_unknown", "measure_unknown", "measured_before", "apply_same", "measure_same",
          "apply_equal", "measure_equal"],
 )
-def test_engine_refuses_targets_outside_the_register_or_repeated(step, message):
+def test_engine_refuses_targets_outside_the_register_or_repeated(steps, message):
     with pytest.raises(ValueError, match=message):
-        step(_hand_built_run())
+        protocols._plan(_hand_built(*steps))
 
 
 def test_target_equal_to_a_register_qubit_resolves_to_its_axis(monkeypatch):
     """Steps naming fresh ``QubitId`` objects act on the register slots they
     equal: flip the data qubit, copy it onto bob:0 and read Bob's output."""
-
-    def circuit():
-        run = _hand_built_run()
-        data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
-        assert data is not DATA and bob0 is not B0
-        run.apply(protocols.X, [data])
-        run.apply(protocols.CNOT, [data, bob0])
-        run.measure([QubitId("bob", 0)], "computational")
-        return run, QubitId("bob", 2)
-
-    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
+    data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
+    assert data is not DATA and bob0 is not B0
+    steps = (Apply(X, (data,)), Apply(CNOT, (data, bob0)), Measure((QubitId("bob", 0),), "computational"))
+    table = _run_circuit(monkeypatch, _hand_built(*steps, output=QubitId("bob", 2)), [[0.6, 0.8]])
     assert table.records == ((("bob", "computational", "0"),), (("bob", "computational", "1"),))
     assert table.probability[0] == pytest.approx([0.64, 0.36], abs=ORACLE_TOL)
     assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
@@ -641,18 +660,17 @@ def test_target_equal_to_a_register_qubit_resolves_to_its_axis(monkeypatch):
 
 @pytest.mark.parametrize(
     "targets, basis, bits",
-    [([A0], "computational", 1), ([A0, A1], "bell", 2), ([A0, A1], "computational", 2)],
+    [((A0,), "computational", 1), ((A0, A1), "bell", 2), ((A0, A1), "computational", 2)],
     ids=["one_qubit", "bell", "two_qubit"],
 )
 def test_outcome_read_across_the_cut_costs_its_qubit_count(targets, basis, bits):
-    """The measurement log holds each measurement's qubit count once; the
-    record labels and the ledger's bits both follow from it."""
-    run = _hand_built_run()
-    m = run.measure(targets, basis)
-    assert run.log == [("alice", basis, bits)]
-    assert {len(record[m][2]) for record in run.records} == {bits}
-    run.apply(protocols.X, [DATA], when=(m, 0))
-    assert run.ledger.as_tuple() == (2, bits, 0)
+    """The static pass logs each measurement's qubit count once; the
+    outcome labels and the ledger's bits both follow from it."""
+    m = Measure(targets, basis)
+    plan = protocols._plan(_hand_built(m, Apply(X, (DATA,), (m, 0))))
+    assert [label[:2] for label in plan.labels[0]] == [("alice", basis)] * 2**bits
+    assert {len(label[2]) for label in plan.labels[0]} == {bits}
+    assert plan.ledger.as_tuple() == (2, bits, 0)
 
 
 def test_batch_memory_drops_measured_qubits(monkeypatch):
@@ -661,8 +679,8 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     Bob's output qubit and the comb's three references; kept, the four
     measured qubits would make each branch 16 times as large."""
     us, psis, _ = _batch_rows("restricted221", seed=7, count=1000)
-    built, engine = [], protocols._Run
-    monkeypatch.setattr(protocols, "_Run", lambda *args: built.append(engine(*args)) or built[-1])
+    played, play = [], protocols._play
+    monkeypatch.setattr(protocols, "_play", lambda plan: played.append((plan, play(plan))) or played[-1][1])
     protocols._instrument.cache_clear()
     tracemalloc.start()
     try:
@@ -671,9 +689,10 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    ((run,),) = [built]
-    assert run.amps.shape == (16, 2, 2, 2, 2)
-    assert run.register == (QubitId("bob", 1), protocols._R_PSI, protocols._R_IN, protocols._R_OUT)
+    ((plan, (amps, _)),) = played
+    assert amps.shape == (16, 2, 2, 2, 2)
+    # the register is (bob:1, R_psi, R_in, R_out): Bob's output on axis 1
+    assert plan.readout == (4, 3, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -681,28 +700,25 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_compiled_run_matches_the_step_by_step_circuit(monkeypatch, name):
+def test_compiled_run_matches_the_step_by_step_circuit(name):
     """``run_batch`` against the circuit run step by step, with the real
     black box, on ``ReferenceRun``: 40 seeded rows of z rotations, half
     turns and (where the protocol takes them) Haar rotations, both one11
     classes in one batch, on |0>, |1>, [1, 1e-9] and Haar states."""
     us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 80, count=40)
     psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
-    _assert_batch_matches_per_branch_engine(monkeypatch, name, us, psis, promises)
+    _assert_batch_matches_per_branch_engine(name, us, psis, promises)
 
 
 def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     """100 ``run_*`` calls, exact and sampled, over every protocol and both
-    one11 classes, build one engine per (protocol, promise class)."""
-    compiled, built = Counter(), []
-    for name, (precondition, circuit) in protocols._CIRCUITS.items():
-        def counted(promise, name=name, circuit=circuit):
-            compiled[name, promise] += 1
-            return circuit(promise)
-
-        monkeypatch.setitem(protocols._CIRCUITS, name, (precondition, counted))
-    engine = protocols._Run
-    monkeypatch.setattr(protocols, "_Run", lambda *args: built.append(engine(*args)) or built[-1])
+    one11 classes, resolve and play each (protocol, promise class) circuit
+    once."""
+    compiled, played = Counter(), []
+    names = {id(circuit): key for key, circuit in protocols._CIRCUITS.items()}
+    plan, play = protocols._plan, protocols._play
+    monkeypatch.setattr(protocols, "_plan", lambda circuit: compiled.update([names[id(circuit)]]) or plan(circuit))
+    monkeypatch.setattr(protocols, "_play", lambda p: played.append(p) or play(p))
     protocols._instrument.cache_clear()
     rng = np.random.default_rng(3)
     for k in range(100):
@@ -712,7 +728,7 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
                              mode="sampled" if k % 3 else "exact", seed=k)
         assert PROTOCOLS[name](cfg)
     assert compiled == Counter(_COMPILED)
-    assert len(built) == len(_COMPILED)
+    assert len(played) == len(_COMPILED)
 
 
 @pytest.mark.parametrize("promise", [COMMUTING, ANTICOMMUTING])
@@ -735,20 +751,29 @@ def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
     assert np.array_equal(a.bob_final, b.bob_final)
 
 
+def test_one11_class_tensors_lie_on_disjoint_rows_of_its_instrument():
+    """one11's two class circuits share records, ledger and Bob's qubit;
+    the commuting tensor is nonzero on the diagonal E_ij only and the
+    anticommuting one off it, and the instrument a run contracts with is
+    their sum, bit for bit, after zeroing each row's inputs off its class."""
+    commuting, anticommuting = (protocols._instrument("one11", c) for c in (COMMUTING, ANTICOMMUTING))
+    assert commuting._replace(tensor=None) == anticommuting._replace(tensor=None)
+    diagonal = np.repeat(np.eye(2, dtype=bool).reshape(4), 2)
+    assert not commuting.tensor[~diagonal].any() and commuting.tensor[diagonal].any()
+    assert not anticommuting.tensor[diagonal].any() and anticommuting.tensor[~diagonal].any()
+    summed = protocols._instrument("one11", None).tensor
+    assert np.array_equal(summed, np.where(diagonal[:, None], commuting.tensor, anticommuting.tensor))
+    # a run zeroes each row's inputs off its class
+    off = protocols._OFF_CLASS
+    assert (off[protocols._COMMUTING] == ~diagonal).all() and (off[protocols._ANTICOMMUTING] == diagonal).all()
+
+
 def test_branch_negligible_in_one_row_is_refused(monkeypatch):
     """Row 1 gives each outcome 1 probability 1e-7, and other boxes and
     inputs reach each child, so the compile keeps all four: branch 1/1 of
     row 1 holds 1e-14 of the row, where row 0 holds 1/4, and is refused."""
-    a, b, data = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
     t = np.arcsin(np.sqrt(1e-7))
-
-    def circuit():
-        run = protocols._Run(basis_state("00", (a, b)), data)
-        run.measure([data], "computational")
-        run.black_box(a)
-        run.measure([a], "computational")
-        return run, b
-
+    circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
     us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
     with pytest.raises(InvariantViolation, match=r"^row 1 drops branch 1/1 \(probability 1\.000e-14\), which every row keeps$"):
         _run_circuit(monkeypatch, circuit, [[1, 1], [np.cos(t), np.sin(t)]], us)
@@ -784,7 +809,7 @@ def test_single_call_is_row_zero_of_its_one_row_batch(name):
     ``run_batch`` returns for its one row: not within a tolerance, bit for
     bit. For one11 the rows alternate between the two promises, and one
     batch of all 50 rows must give each row as its single call does, which
-    pins the half of the side-by-side instrument each row keeps."""
+    pins the class inputs each row keeps of the summed instrument."""
     us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 90, count=50)
     for u, psi, promise in zip(us, psis, promises):
         single = PROTOCOLS[name](ProtocolConfig(u=u, psi=psi, promise=promise))

@@ -264,6 +264,24 @@ class TestMain:
         assert main(["axis", "--set", str(spec)]) == 0
         assert capsys.readouterr().out.strip() == "none"
 
+    @pytest.mark.parametrize(
+        "ops, printed",
+        [
+            ("rot:0,0,1,0.7\nrz:1.3\nsx\n", "0.0,0.0,1.0"),
+            ("rot:1,1,0,2.1\nrot:1,-1,0,3.141592653589793\nrot:1,1,0,0.4\n", "0.7071067811865475,0.7071067811865475,0.0"),
+            # the first operator's axis fails, and the search finds z
+            ("sx\nrot:0,0,1,0.7\nsy\n", "0.0,0.0,1.0"),
+        ],
+        ids=["z_first", "xy_first", "z_searched"],
+    )
+    def test_axis_prints_no_signed_zero(self, tmp_path, capsys, ops, printed):
+        """A zero component comes out as 0.0 whatever the sign of the pair
+        entries it is read from."""
+        spec = tmp_path / "ops.txt"
+        spec.write_text(ops)
+        assert main(["axis", "--set", str(spec)]) == 0
+        assert capsys.readouterr().out.strip() == printed
+
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -327,3 +327,22 @@ def test_axis_recovery_falls_back_one_family_at_a_time(monkeypatch, central_tol)
         assert not searched
     else:  # families whose first candidate fails: some keep a rotation, some only the half-turns
         assert len(searched) >= 10 and 5 in searched and max(searched) > 5, searched
+
+
+def test_axis_recovery_reads_a_tilt_of_1e_8(monkeypatch):
+    """Each found axis tilted by 1e-8 rad must read as 1e-8. The cosine of
+    1e-8 rounds to 1, so an angle read from the cosine alone shows its
+    rounding floor (about 2e-8 to 3e-8), not the tilt."""
+    find = operators.find_common_axes
+    tilt = 1e-8
+
+    def tilted(families):
+        found = np.array(find(families))
+        side = np.cross(found, np.eye(3)[np.argmin(np.abs(found), axis=1)])
+        side /= np.linalg.norm(side, axis=1)[:, None]
+        return list(np.cos(tilt) * found + np.sin(tilt) * side)
+
+    monkeypatch.setattr(operators, "find_common_axes", tilted)
+    passed, detail = verify.check_axis_recovery(np.random.default_rng(5))
+    (angle,) = _split(detail)[1]
+    assert passed and abs(angle - tilt) <= 1e-10, detail
