@@ -62,10 +62,10 @@ from .statevector import (
     InvariantViolation,
     QubitId,
     StateVector,
+    _BASES,
     _apply_matrix,
     _split,
     _squared_norms,
-    _to_front,
     apply_gate,
     basis_state,
     bell_phi_plus,
@@ -79,10 +79,9 @@ from .statevector import (
 from .tolerances import (
     BRANCH_PRUNE,
     CLASS_TOL,
-    FACTOR_TOL,
     NORM_TOL,
     PROB_TOL,
-    STATE_NORM_TOL,
+    ROUNDING_TOL,
     SUCCESS_TOL,
     UNIMODULAR_TOL,
     UNITARY_TOL,
@@ -346,10 +345,8 @@ class BatchOutcome:
 
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
-
-        Each state is a read-only view of ``bob_final``, built without a
-        second check: ``_finish`` certified every final state once.
-        """
+        Each state is a read-only view of ``bob_final``, unit by the compile's
+        certificate (``_certify``) and handed out unchecked."""
         register, ledger = (self.bob_qubit,), self.ledger
         probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
         cells = zip(self.records, probs, list(self.bob_final[n]), fids, wins)
@@ -444,12 +441,14 @@ def _plan(circuit: Circuit) -> _Plan:
     """Resolve ``circuit`` on the comb before any amplitude is touched. Each
     step acts for the party that owns its qubits, and a step across the
     Alice|Bob cut is refused (LOCC: local operations and classical
-    communication), as are a target not in the register or repeated, a gate
-    given the wrong number of targets and a ``when`` that names no earlier
-    measurement. Each measurement is logged once, as its party, basis and
-    qubit count; the outcome labels and the ledger follow from that log: one
-    e-bit per shared pair, and in each direction the bits of every outcome
-    one party measured and the other read, once however many steps read it."""
+    communication), as are a target not in the register or repeated, a
+    wrong gate arity or basis size, a ``when`` that names no earlier
+    measurement or a value outside its outcomes, and any qubit left
+    unmeasured but the output and the comb's references. Each measurement
+    is logged once, as its party, basis and qubit count; the outcome labels
+    and the ledger follow from that log: one e-bit per shared pair, and in
+    each direction the bits of every outcome one party measured and the
+    other read, once however many steps read it."""
     register = list(circuit.pairs.register + (circuit.data, _R_PSI, _R_IN, _R_OUT))
 
     def locate(qubits) -> tuple[int, ...]:  # qubit axes count from 1
@@ -467,6 +466,8 @@ def _plan(circuit: Circuit) -> _Plan:
             raise ValueError(f"{step} crosses the Alice|Bob cut")
         party = owners.pop() if owners else None
         if type(step) is Measure:
+            if (step.basis, len(axes)) not in _BASES:
+                raise ValueError(f"{step}: cannot measure {len(axes)} qubit(s) in the {step.basis!r} basis")
             measured[step] = len(log)
             log.append((party, step.basis, len(axes)))
             steps.append(Measure(axes, step.basis))
@@ -478,11 +479,17 @@ def _plan(circuit: Circuit) -> _Plan:
         if when is not None:
             if when[0] not in measured:
                 raise ValueError(f"{step} reads the {when[0]}, which is not earlier in the circuit")
-            when = (measured[when[0]], when[1])
-            if log[when[0]][0] != party:  # measured by the other party
-                sent.add(when[0])
+            m = measured[when[0]]
+            if when[1] not in range(2 ** log[m][2]):
+                raise ValueError(f"{step} reads outcome {when[1]!r} of the {when[0]}, which has {2 ** log[m][2]} outcomes")
+            when = (m, when[1])
+            if log[m][0] != party:  # measured by the other party
+                sent.add(m)
         steps.append(Apply(step.gate, axes, when))
     readout = locate((_R_OUT, _R_IN, _R_PSI, circuit.output))
+    left = [q for q in register if q not in (circuit.output, _R_PSI, _R_IN, _R_OUT)]
+    if left:
+        raise ValueError(f"unmeasured qubit(s) {', '.join(map(str, left))}: a circuit measures every qubit but its output")
     labels = tuple(tuple((party, basis, format(o, f"0{k}b")) for o in range(2**k)) for party, basis, k in log)
     a_to_b, b_to_a = (sum(log[m][2] for m in sent if log[m][0] == side) for side in ("alice", "bob"))
     return _Plan(circuit.pairs, tuple(steps), readout, labels, ResourceLedger(circuit.pairs.n // 2, a_to_b, b_to_a))
@@ -515,78 +522,30 @@ def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     return amps, outcomes
 
 
-def _near_one(largest, smallest, tol: float) -> bool:
-    """Whether |x - 1| <= ``tol`` for every x from ``smallest`` to
-    ``largest``, a NaN failing: x - 1 rounds monotonically in x, and 1 - x
-    rounds to its negation, so the two ends decide what |x - 1| of each
-    value would."""
-    return largest - 1.0 <= tol and 1.0 - smallest <= tol
-
-
-def _finish(amps, rows: _Rows, records, ledger: ResourceLedger, bob_qubit: QubitId) -> BatchOutcome:
-    """The table of the branches ``amps[n, b]`` of ``rows``, each shaped (2,
-    R) as Bob's qubit and the rest of the register, and never renormalised.
-    Refuses a row whose probabilities do not sum to 1 (a step was not
-    unitary), a branch below ``BRANCH_PRUNE`` of its row (the rows share
-    every branch), a Bob's qubit that is entangled with the rest and a
-    final state of Bob's that is not finite and unit within
-    ``STATE_NORM_TOL``. Normalises Bob's states in ``amps`` in place.
-
-    Each check decides for the whole table from a few extremes; the row and
-    branch that fail are looked for only when one does not pass."""
-    n_row, n_branch = amps.shape[:2]
-    probs = _squared_norms(amps.reshape(n_row, n_branch, -1))
+def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
+    """The table of the branches ``amps[n, b]``, Bob's unnormalised output
+    on row n, of ``rows``. The compile proved each branch's probability for
+    every admissible row (``_certify``); the one check left reads the run's
+    own amplitudes: each row's probabilities sum to 1 within ``PROB_TOL``,
+    or a step was not unitary and the first such row is named. Normalises
+    and phase-fixes Bob's states in ``amps`` in place."""
+    probs = _squared_norms(amps)
     totals = probs.sum(axis=1)
-    largest = totals.max()
-    if not _near_one(largest, totals.min(), PROB_TOL):
-        off = np.abs(totals - 1.0)
-        n = int(np.argmax(~(off <= PROB_TOL)))
-        raise InvariantViolation(
-            f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
-            "expected 1.0: a step was not unitary"
-        )
-    # no branch is below BRANCH_PRUNE of its row if none is below it of the largest row
-    if not probs.min() >= BRANCH_PRUNE * largest:
-        small = probs < BRANCH_PRUNE * totals[:, None]
-        if small.any():
-            n, b = np.argwhere(small)[0]
-            branch = "/".join(outcome for _, _, outcome in records[b])
-            raise InvariantViolation(
-                f"row {n} drops branch {branch} (probability {probs[n, b]:.3e}), which every row keeps"
-            )
-    norms = np.sqrt(probs)
-    if amps.shape[3] == 1:
-        finals = amps[..., 0]
-        finals /= norms[..., None]
-    else:
-        u, sing, _ = np.linalg.svd(amps, full_matrices=False)
-        # second Schmidt coefficient of the normalised branch <= FACTOR_TOL
-        entangled = ~(sing[..., 1] <= FACTOR_TOL * norms)
-        if entangled.any():
-            n, b = np.argwhere(entangled)[0]
-            raise InvariantViolation(
-                f"qubit {bob_qubit} is entangled in row {n} (second Schmidt "
-                f"coefficient {sing[n, b, 1] / norms[n, b]:.3e})"
-            )
-        finals = u[..., 0]
+    # x - 1 rounds monotonically in x, so the two ends decide every |x - 1|; a NaN fails
+    if not (totals.max() - 1.0 <= PROB_TOL and 1.0 - totals.min() <= PROB_TOL):
+        n = int(np.argmax(~(np.abs(totals - 1.0) <= PROB_TOL)))
+        message = f"branch probabilities of row {n} sum to {float(totals[n])!r}, expected 1.0: a step was not unitary"
+        raise InvariantViolation(message)
+    finals = np.divide(amps, np.sqrt(probs)[..., None], out=amps)
     # phase-fix: the larger component (the first on a tie) real and positive
     lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
-    # certified once here, so that ``BatchOutcome.row`` hands the states out unchecked
-    squares = _squared_norms(finals)
-    if not _near_one(squares.max(), squares.min(), STATE_NORM_TOL):
-        off = np.abs(squares - 1.0)
-        n, b = np.argwhere(~(off <= STATE_NORM_TOL))[0]
-        branch = "/".join(outcome for _, _, outcome in records[b])
-        raise InvariantViolation(
-            f"row {n} branch {branch}: Bob's final state is not a unit vector (norm^2 off by {off[n, b]:.3e})"
-        )
     fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
         array.setflags(write=False)
-    return BatchOutcome(records, probs, fids, succeeded, finals, ledger, bob_qubit)
+    return BatchOutcome(inst.records, probs, fids, succeeded, finals, inst.ledger, inst.bob_qubit)
 
 
 def _spread_amplitudes(alice_half: QubitId, bob_half: QubitId, data: QubitId) -> tuple[Apply | Measure, ...]:
@@ -672,25 +631,66 @@ _PRECONDITIONS = {"bqst": _any_config, "universal221": _no_promise, "restricted2
 
 class _Instrument(NamedTuple):
     """A protocol compiled for one promise class. Row (i, j, m) of
-    ``tensor`` is every branch's output, flattened from ``shape`` (B, 2, R),
-    for the black box E_ij and Bob's state |m>. A run is linear in both, so
-    its output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m)."""
+    ``tensor`` is every branch's output, flattened from (B, 2), for the
+    black box E_ij and Bob's state |m>. A run is linear in both, so its
+    output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m).
+    ``weights`` are the branch probabilities ``_certify`` proved."""
 
-    tensor: np.ndarray  # (8, B * 2 * R)
-    shape: tuple[int, int, int]
+    tensor: np.ndarray  # (8, B * 2)
     records: tuple[tuple[tuple[str, str, str], ...], ...]
+    weights: tuple[float, ...]
     ledger: ResourceLedger
     bob_qubit: QubitId
+
+
+#: Per promise class: the E_ij it spans, and pi[i], row i's column in its permutation Pi (1, or sx).
+_CLASSES = {None: (np.ones((2, 2), dtype=bool), (0, 1)), COMMUTING: (np.eye(2, dtype=bool), (0, 1)),
+            ANTICOMMUTING: (~np.eye(2, dtype=bool), (1, 0))}
+
+
+def _certify(maps: np.ndarray, promise: str | None, where: str, records) -> tuple[float, ...]:
+    """Prove once, for every row of the class, what a run would check row by
+    row; return the weights |c_b|^2. ``maps[b, i, j]`` is branch b's map
+    K_b(E_ij) of Bob's input to his output in the instrument ``where``; each
+    must be c_b V_b E W_b on the class, V_b and W_b unitary. With G_b =
+    K_b(Pi): G_b^dag G_b = |c_b|^2 1, and on the class's E_ij |K_b(E_ij)|^2 =
+    |c_b|^2 and K_b(E) K_b(E')^dag = K_b(E E'^dag Pi) G_b^dag, all within
+    ``ROUNDING_TOL``; the weights sum to 1 within ``PROB_TOL``. So p_b =
+    |c_b|^2 within |c_b|^2 UNIMODULAR_TOL + 20 ROUNDING_TOL on an admissible
+    row (README "Conventions"); a weight this bound could take under
+    ``BRANCH_PRUNE`` is refused."""
+    span, pi = _CLASSES[promise]
+    g = maps[:, 0, pi[0]] + maps[:, 1, pi[1]]
+    weights = _squared_norms(g.reshape(len(g), 4)) / 2
+    # K_b(E_ij) K_b(E_kl)^dag against delta_jl K_b(E_{i pi[k]}) G_b^dag, on the class's (i, j) and (k, l)
+    products = np.einsum("bijom,bklpm->bijklop", maps, maps.conj())
+    products -= np.einsum("jl,bikop->bijklop", np.eye(2), maps[:, :, pi] @ g.conj().swapaxes(1, 2)[:, None, None])
+    off = np.max([np.abs(g.conj().swapaxes(1, 2) @ g - weights[:, None, None] * identity2).max(axis=(1, 2)),
+                  np.abs(_squared_norms(maps.reshape(len(g), 2, 2, 4))[:, span] - weights[:, None]).max(axis=1),
+                  np.abs(products)[:, span[:, :, None, None] & span].max(axis=(1, 2, 3))], axis=0)
+    names = ["/".join(outcome for _, _, outcome in record) for record in records]
+    b = int(np.argmax(~(off <= ROUNDING_TOL)))  # the first that fails, or 0
+    if not off[b] <= ROUNDING_TOL:
+        raise InvariantViolation(f"{where} branch {names[b]} does not map the black box U as c V U W "
+                                 f"with V and W unitary (off by {off[b]:.3e})")
+    if not abs(weights.sum() - 1.0) <= PROB_TOL:
+        total = float(weights.sum())
+        raise InvariantViolation(f"{where} branch weights sum to {total!r}, expected 1.0: a step was not unitary")
+    b = int(np.argmin(weights))
+    if not weights[b] * (1.0 - UNIMODULAR_TOL) - 20 * ROUNDING_TOL >= BRANCH_PRUNE:
+        raise InvariantViolation(f"{where} branch {names[b]} has weight {weights[b]:.3e}, too close to BRANCH_PRUNE")
+    return tuple(weights.tolist())
 
 
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
     """Compile ``protocol`` for a promise class: play its circuit once on the
-    comb and read row (i, j, m) at (R_out, R_in, R_psi) = (i, j, m). A class
-    spans only its own E_ij (the diagonal ones commute with sz, the others
-    anticommute), so under a promise the other rows are zeroed. A protocol
-    with a circuit per class (``one11``) has, under no promise, the sum of
-    its class tensors, which lie on disjoint rows."""
+    comb, read row (i, j, m) at (R_out, R_in, R_psi) = (i, j, m), and
+    certify it (``_certify``). A class spans only its own E_ij (the diagonal
+    ones commute with sz, the others anticommute), so under a promise the
+    other rows are zeroed. A protocol with a circuit per class (``one11``)
+    has, under no promise, the sum of its class tensors, which lie on
+    disjoint rows and share records and weights."""
     if promise is None and (protocol, None) not in _CIRCUITS:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
         both = commuting.tensor + anticommuting.tensor
@@ -699,19 +699,20 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
     circuit = _CIRCUITS[protocol, promise]
     plan = _plan(circuit)
     amps, outcomes = _play(plan)
-    out = np.moveaxis(amps.transpose(_to_front(amps.ndim, (0,) + plan.readout)[0]), 0, 3)
-    out = out.reshape(2, 2, 2, len(amps), 2, -1).copy()
-    if promise is not None:
-        out[np.eye(2, dtype=bool) == (promise == ANTICOMMUTING)] = 0
+    # out[i, j, m, b, o]: branch b's output o for the box E_ij and Bob's |m>
+    out = amps.transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
+    out[~_CLASSES[promise][0]] = 0
+    records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
+    where = protocol if promise is None else f"{protocol} ({promise})"
+    weights = _certify(out.transpose(3, 0, 1, 4, 2), promise, where, records)
     tensor = out.reshape(8, -1)
     tensor.setflags(write=False)
-    records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
-    return _Instrument(tensor, out.shape[3:], records, plan.ledger, circuit.output)
+    return _Instrument(tensor, records, weights, plan.ledger, circuit.output)
 
 
 #: Per promise code, the inputs (i, j, m), flattened, off its class: the
 #: off-diagonal E_ij when commuting, the diagonal ones when anticommuting.
-_OFF_CLASS = np.array([[0] * 8, [0, 0, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 0, 1, 1], [0] * 8], dtype=bool)
+_OFF_CLASS = np.repeat([~_CLASSES[p][0].reshape(4) for p in _PROMISES + (None,)], 2, axis=1)
 
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
@@ -721,12 +722,11 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
     inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
     inst = _instrument(protocol, None)
     if (protocol, None) not in _CIRCUITS:
-        # one11: each row keeps the inputs of its promised class. The part
-        # of U off that class, which the promise check admits within
-        # CLASS_TOL, is dropped.
+        # one11: each row keeps the inputs of its promised class; the part of
+        # U off it, which the promise check admits within CLASS_TOL, is dropped
         inputs[_OFF_CLASS[rows.promise]] = 0
     amps = inputs @ inst.tensor
-    return _finish(amps.reshape(n_row, *inst.shape), rows, inst.records, inst.ledger, inst.bob_qubit)
+    return _finish(amps.reshape(n_row, len(inst.records), 2), rows, inst)
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:

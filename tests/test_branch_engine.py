@@ -44,7 +44,7 @@ from remotegate import (
     tolerances,
 )
 from remotegate import statevector, verify
-from remotegate.gates import CNOT, H, RowError, X, Z
+from remotegate.gates import CNOT, Gate, H, RowError, X, Z
 from remotegate.protocols import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split
 
@@ -434,13 +434,24 @@ def test_single_call_refuses_what_its_stack_refuses(monkeypatch, stack, spoil, m
 
 def _run_circuit(monkeypatch, circuit, psis, us=None):
     """Run ``circuit``, a hand-built ``Circuit``, as ``run_batch`` runs a
-    protocol: compiled once, then contracted with the rows of ``psis``. The
-    black box is 1 unless ``us`` are given; a circuit without a ``Slot``
-    needs it to be."""
+    protocol: compiled and certified once, then contracted with the rows of
+    ``psis``. The black box is 1 unless ``us`` are given."""
     monkeypatch.setitem(protocols._CIRCUITS, ("hand_built", None), circuit)
     monkeypatch.setitem(protocols._PRECONDITIONS, "hand_built", protocols._any_config)
     protocols._instrument.cache_clear()
     return protocols.run_batch("hand_built", [Unimodular(1, 0)] * len(psis) if us is None else us, psis)
+
+
+def _played(circuit, psi, u=np.eye(2)):
+    """``circuit`` resolved by ``_plan`` and played by ``_play``, read for
+    the black box ``u`` and Bob's ``psi``: each branch's unnormalised output,
+    (B, 2), and its outcomes, (B, measurements). A circuit whose branch
+    weights depend on psi is refused by the certificate, so it is read here,
+    before the compile certifies it."""
+    plan = protocols._plan(circuit)
+    amps, outcomes = protocols._play(plan)
+    maps = np.moveaxis(amps, plan.readout, (1, 2, 3, 4))  # [b, R_out, R_in, R_psi, output]
+    return np.einsum("bijmo,ij,m->bo", maps, u, psi), outcomes
 
 
 #: One pair half each, (alice:0, bob:0) in |00>, and Bob's data qubit bob:1.
@@ -448,15 +459,15 @@ _A, _B, _DATA = QubitId("alice", 0), QubitId("bob", 0), QubitId("bob", 1)
 _ONE_PAIR = basis_state("00", (_A, _B))
 
 
-def test_branch_is_dropped_only_when_every_row_drops_it(monkeypatch):
-    """Both rows keep both outcomes of the data qubit; Alice's |0> half
-    gives outcome 1 for no black box and no input, so the compile drops
-    that child and it is in no row of the table."""
+def test_branch_is_dropped_only_when_every_row_drops_it():
+    """Both inputs keep both outcomes of the data qubit; Alice's |0> half
+    gives outcome 1 for no black box and no input, so the play drops that
+    child and it is in no branch."""
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Measure((_A,), "computational")), _B)
-    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8], [0.8, 0.6j]])
-    assert table.probability.shape == (2, 2)
-    assert [[o.branch_id for o in table.row(n)] for n in (0, 1)] == [["0/0", "1/0"]] * 2
-    assert np.abs(table.probability - [[0.36, 0.64], [0.64, 0.36]]).max() <= ORACLE_TOL
+    for psi, probs in (([0.6, 0.8], [0.36, 0.64]), ([0.8, 0.6j], [0.64, 0.36])):
+        out, outcomes = _played(circuit, psi)
+        assert outcomes.tolist() == [[0, 0], [1, 0]]
+        assert np.abs((np.abs(out) ** 2).sum(axis=1) - probs).max() <= ORACLE_TOL
 
 
 #: Rotations at the edges of each protocol's domain, with their promises:
@@ -475,22 +486,35 @@ _EDGE_PSIS = [[1, 0], [0, 1], [1, 1], [1, 1e-9]]
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_every_row_keeps_every_branch_with_equal_weight(name):
     """The outcome statistics do not depend on the input: each branch has
-    probability 1/16 (1/4 for one11) in every row, so no row drops one."""
+    probability 1/16 (1/4 for one11) in every row, its instrument's
+    certified weight, so no row drops one; and each of Bob's final states is
+    a unit vector."""
     pairs = _EDGE_US
     if name in ("bqst", "universal221"):
         rng = np.random.default_rng(9)
         pairs = pairs + [(random_unimodular(rng), None) for _ in range(3)]
     configs = [(u, promise, psi) for u, promise in pairs for psi in _EDGE_PSIS]
     us, promises, psis = zip(*configs)
-    table = protocols.run_batch(name, us, psis, promises if name == "one11" else None)
+    promises = promises if name == "one11" else [None] * len(configs)
+    table = protocols.run_batch(name, us, psis, promises)
     n_branch = 4 if name == "one11" else 16
     assert table.probability.shape == (len(configs), n_branch)
     assert np.abs(table.probability - 1.0 / n_branch).max() <= protocols.PROB_TOL
+    weights = np.array([protocols._instrument(name, promise).weights for promise in promises])
+    assert np.abs(weights - 1.0 / n_branch).max() <= protocols.PROB_TOL
+    assert np.abs(table.probability - weights).max() <= protocols.PROB_TOL
+    norms = np.einsum("nbi,nbi->nb", table.bob_final, table.bob_final.conj()).real
+    assert np.abs(norms - 1.0).max() <= tolerances.STATE_NORM_TOL
 
 
 def test_entangled_output_names_the_row(monkeypatch):
+    """Bob's output copied onto his data qubit, which is left unmeasured
+    with Alice's pair half: the static pass refuses the circuit, naming
+    both, before any amplitude is touched."""
+    _no_amplitudes(monkeypatch)
     circuit = Circuit(_ONE_PAIR, _DATA, (Apply(CNOT, (_DATA, _B)),), _B)
-    with pytest.raises(InvariantViolation, match="bob:0 is entangled in row 1"):
+    message = r"^unmeasured qubit\(s\) alice:0, bob:1: a circuit measures every qubit but its output$"
+    with pytest.raises(ValueError, match=message):
         _run_circuit(monkeypatch, circuit, [[1, 0], [1, 1]])
 
 
@@ -502,8 +526,12 @@ A0, A1, B0, B1, DATA = QubitId("alice", 0), QubitId("alice", 1), QubitId("bob", 
 
 def _hand_built(*steps, output=DATA) -> Circuit:
     """``steps`` on Alice's and Bob's pair halves in |0000> (two pairs, by
-    count) and Bob's data qubit, paired with the comb's reference R_psi."""
-    return Circuit(basis_state("0000", (A0, A1, B0, B1)), DATA, steps, output)
+    count) and Bob's data qubit, paired with the comb's reference R_psi,
+    then each qubit they leave, but the output, measured in the
+    computational basis, as ``_plan`` requires; no step reads those."""
+    measured = {q for step in steps if isinstance(step, Measure) for q in step.targets}
+    rest = tuple(Measure((q,), "computational") for q in (A0, A1, B0, B1, DATA) if q not in measured and q != output)
+    return Circuit(basis_state("0000", (A0, A1, B0, B1)), DATA, steps + rest, output)
 
 
 @pytest.mark.parametrize(
@@ -524,12 +552,17 @@ def _untouchable(*args):
     raise AssertionError("an amplitude was touched")
 
 
-def test_circuit_that_ends_across_the_cut_is_refused_before_any_amplitude(monkeypatch):
-    """The static pass refuses the last step, a CNOT across the cut, while
-    the branch-stack primitives that every step runs through raise."""
+def _no_amplitudes(monkeypatch):
+    """Make the branch-stack primitives that every step runs through raise."""
     for module in (statevector, protocols):
         monkeypatch.setattr(module, "_apply_matrix", _untouchable)
         monkeypatch.setattr(module, "_split", _untouchable)
+
+
+def test_circuit_that_ends_across_the_cut_is_refused_before_any_amplitude(monkeypatch):
+    """The static pass refuses the last step, a CNOT across the cut, while
+    the branch-stack primitives that every step runs through raise."""
+    _no_amplitudes(monkeypatch)
     data = Measure((DATA,), "computational")
     circuit = _hand_built(Apply(H, (B0,)), data, Apply(X, (A0,), (data, 1)), Apply(CNOT, (A0, B1)))
     with pytest.raises(ValueError, match=r"^gate 'cnot' on \(alice:0, bob:1\) crosses the Alice\|Bob cut$"):
@@ -551,6 +584,32 @@ _LATER = Measure((A0,), "computational")
 def test_when_naming_no_earlier_measurement_is_refused(steps, message):
     with pytest.raises(ValueError, match=f"^{message}, which is not earlier in the circuit$"):
         protocols._plan(_hand_built(*steps))
+
+
+_BELL_A = Measure((A0, A1), "bell")
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((Measure((A0,), "bell"),), r"^bell measurement on \(alice:0\): cannot measure 1 qubit\(s\) in the 'bell' basis$"),
+        ((Measure((B0, B1, DATA), "computational"),),
+         r"^computational measurement on \(bob:0, bob:1, bob:2\): cannot measure 3 qubit\(s\) in the "
+         r"'computational' basis$"),
+        ((_LATER, Apply(X, (B0,), (_LATER, 2))),
+         r"^gate 'x' on \(bob:0\) reads outcome 2 of the computational measurement on \(alice:0\), which has 2 outcomes$"),
+        ((_LATER, Apply(X, (B0,), (_LATER, -1))), r"^gate 'x' on \(bob:0\) reads outcome -1 of the .*, which has 2 outcomes$"),
+        ((_BELL_A, Apply(Z, (B0,), (_BELL_A, 4))), r"reads outcome 4 of the bell .*, which has 4 outcomes$"),
+    ],
+    ids=["bell_on_one", "computational_on_three", "when_past_the_end", "when_negative", "when_past_bell"],
+)
+def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(monkeypatch, steps, message):
+    """A basis that does not fit its qubit count (``statevector._BASES``)
+    and a ``when`` value outside the measurement's outcomes are refused by
+    the static pass, while the primitives every step runs through raise."""
+    _no_amplitudes(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        _run_circuit(monkeypatch, _hand_built(*steps), [[0.6, 0.8]])
 
 
 def _bob_reads_his_bit():
@@ -601,26 +660,27 @@ def test_measure_keeps_the_shared_contractions_children():
     every branch."""
     rng = np.random.default_rng(23)
     steps = [Apply(random_unimodular(rng).as_gate(), (q,)) for q in (A1, B0, B1)] + [Apply(CNOT, (B0, DATA))]
-    for targets, basis in (((A0,), "computational"), ((B1, B0), "bell"), ((A1,), "computational")):
-        amps, _ = protocols._play(protocols._plan(_hand_built(*steps)))
-        steps.append(Measure(targets, basis))
-        plan = protocols._plan(_hand_built(*steps))
-        children, _, kept = _split(amps.copy(), plan.steps[-1].targets, basis)
-        after, outcomes = protocols._play(plan)
+    measures = [Measure((A0,), "computational"), Measure((B1, B0), "bell"), Measure((A1,), "computational")]
+    plan = protocols._plan(_hand_built(*steps, *measures))
+    assert len(plan.steps) == len(steps) + len(measures)
+    for k in range(len(steps), len(plan.steps)):
+        amps, _ = protocols._play(plan._replace(steps=plan.steps[:k]))
+        children, _, kept = _split(amps.copy(), plan.steps[k].targets, plan.steps[k].basis)
+        after, outcomes = protocols._play(plan._replace(steps=plan.steps[: k + 1]))
         assert np.array_equal(after, children[kept])
         assert outcomes[:, -1].tolist() == np.nonzero(kept)[1].tolist()
     assert outcomes[:, 0].tolist() == [0] * 8
 
 
-def test_when_reads_the_named_measurement(monkeypatch):
+def test_when_reads_the_named_measurement():
     """Bob flips bob:0 on the data outcome after a later measurement of
     alice:0, whose outcome is always 0; the flip must follow the data bit."""
     data = Measure((DATA,), "computational")
     circuit = _hand_built(data, Measure((A0,), "computational"), Apply(X, (B0,), (data, 1)), output=B0)
-    table = _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
-    assert [o.branch_id for o in table.row(0)] == ["0/0", "1/0"]
-    assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
-    assert table.ledger.as_tuple() == (2, 0, 0)
+    out, outcomes = _played(circuit, [0.6, 0.8])
+    assert outcomes[:, :2].tolist() == [[0, 0], [1, 0]]
+    assert np.abs(out - [[0.6, 0], [0, 0.8]]).max() <= ORACLE_TOL
+    assert protocols._plan(circuit).ledger.as_tuple() == (2, 0, 0)
 
 
 _MEASURED = Measure((DATA,), "computational")
@@ -646,16 +706,17 @@ def test_engine_refuses_targets_outside_the_register_or_repeated(steps, message)
         protocols._plan(_hand_built(*steps))
 
 
-def test_target_equal_to_a_register_qubit_resolves_to_its_axis(monkeypatch):
+def test_target_equal_to_a_register_qubit_resolves_to_its_axis():
     """Steps naming fresh ``QubitId`` objects act on the register slots they
     equal: flip the data qubit, copy it onto bob:0 and read Bob's output."""
     data, bob0 = QubitId("bob", 2), QubitId("bob", 0)
     assert data is not DATA and bob0 is not B0
     steps = (Apply(X, (data,)), Apply(CNOT, (data, bob0)), Measure((QubitId("bob", 0),), "computational"))
-    table = _run_circuit(monkeypatch, _hand_built(*steps, output=QubitId("bob", 2)), [[0.6, 0.8]])
-    assert table.records == ((("bob", "computational", "0"),), (("bob", "computational", "1"),))
-    assert table.probability[0] == pytest.approx([0.64, 0.36], abs=ORACLE_TOL)
-    assert table.bob_final[0].tolist() == [[1, 0], [0, 1]]
+    circuit = _hand_built(*steps, output=QubitId("bob", 2))
+    assert protocols._plan(circuit).labels[0] == (("bob", "computational", "0"), ("bob", "computational", "1"))
+    out, outcomes = _played(circuit, [0.6, 0.8])
+    assert outcomes[:, 0].tolist() == [0, 1]
+    assert np.abs(out - [[0.8, 0], [0, 0.6]]).max() <= ORACLE_TOL
 
 
 @pytest.mark.parametrize(
@@ -769,14 +830,46 @@ def test_one11_class_tensors_lie_on_disjoint_rows_of_its_instrument():
 
 
 def test_branch_negligible_in_one_row_is_refused(monkeypatch):
-    """Row 1 gives each outcome 1 probability 1e-7, and other boxes and
-    inputs reach each child, so the compile keeps all four: branch 1/1 of
-    row 1 holds 1e-14 of the row, where row 0 holds 1/4, and is refused."""
+    """Alice measures the qubit the black box wrote to, so each branch's
+    weight depends on the input: row 1 would give branch 1/1 1e-14 of the
+    row, where row 0 gives it 1/4. The compile refuses the circuit, naming
+    its first branch, whose map is |0><0| U |0><0|, not c V U W."""
     t = np.arcsin(np.sqrt(1e-7))
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
     us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
-    with pytest.raises(InvariantViolation, match=r"^row 1 drops branch 1/1 \(probability 1\.000e-14\), which every row keeps$"):
+    message = r"^hand_built branch 0/0 does not map the black box U as c V U W with V and W unitary \(off by 1\.000e\+00\)$"
+    with pytest.raises(InvariantViolation, match=message):
         _run_circuit(monkeypatch, circuit, [[1, 1], [np.cos(t), np.sin(t)]], us)
+
+
+def _scaled(gate, factor):
+    """``gate`` times ``factor``, built past ``Gate``'s unitarity check."""
+    scaled = object.__new__(Gate)
+    scaled.__dict__.update(gate.__dict__, matrix=gate.matrix * factor)
+    return scaled
+
+
+def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
+    """universal221 with Bob's Hadamard scaled by 1 + 1e-6: every branch
+    still maps U as c V U W, but the weights sum to (1 + 1e-6)^2, and the
+    compile refuses the circuit before any row is run."""
+    circuit = protocols._CIRCUITS["universal221", None]
+    scaled = _scaled(H, 1 + 1e-6)
+    steps = tuple(step._replace(gate=scaled) if isinstance(step, Apply) and step.gate is H else step for step in circuit.steps)
+    assert sum(isinstance(step, Apply) and step.gate.name == "h" for step in steps) == 1
+    message = r"^hand_built branch weights sum to 1\.000002\d*, expected 1\.0: a step was not unitary$"
+    with pytest.raises(InvariantViolation, match=message):
+        _run_circuit(monkeypatch, circuit._replace(steps=steps), [[0.6, 0.8]])
+
+
+def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
+    """With ``BRANCH_PRUNE`` raised above 1/16, universal221's first
+    branch could fall below it, and the compile refuses it by name."""
+    monkeypatch.setattr(protocols, "BRANCH_PRUNE", 0.1)
+    protocols._instrument.cache_clear()
+    message = r"^universal221 branch 0/00/0 has weight 6\.250e-02, too close to BRANCH_PRUNE$"
+    with pytest.raises(InvariantViolation, match=message):
+        protocols._instrument("universal221", None)
 
 
 # ---------------------------------------------------------------------------
@@ -831,43 +924,3 @@ def test_row_hands_out_read_only_states_of_bobs_qubit(name):
             assert not o.bob_final.amplitudes.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 o.bob_final.amplitudes[0] = 0.0
-
-
-def test_final_state_that_is_not_a_unit_vector_is_refused(monkeypatch):
-    """``_finish`` certifies Bob's final states once per table. Damage the
-    normalisation of row 1, branch 5 (``np.sqrt`` of the branch
-    probabilities doubled there): the state is a half-length vector, and
-    the refusal names the row and the branch."""
-    us, psis, _ = _batch_rows("universal221", seed=4, count=3)
-    branch = "/".join(outcome for _, _, outcome in protocols._instrument("universal221", None).records[5])
-    sqrt = np.sqrt
-
-    def damaged(x, *args, **kwargs):
-        out = sqrt(x, *args, **kwargs)
-        if np.ndim(out) == 2:  # the (N, B) branch norms in _finish
-            out[1, 5] *= 2.0
-        return out
-
-    monkeypatch.setattr(np, "sqrt", damaged)
-    message = rf"^row 1 branch {branch}: Bob's final state is not a unit vector \(norm\^2 off by 7\.500e-01\)$"
-    with pytest.raises(InvariantViolation, match=message):
-        protocols.run_batch("universal221", us, psis)
-
-
-def test_final_state_that_is_too_long_is_refused(monkeypatch):
-    """As above with the norm of row 1, branch 5 halved: the state is twice
-    a unit vector, its norm^2 off by 3."""
-    us, psis, _ = _batch_rows("universal221", seed=4, count=3)
-    branch = "/".join(outcome for _, _, outcome in protocols._instrument("universal221", None).records[5])
-    sqrt = np.sqrt
-
-    def damaged(x, *args, **kwargs):
-        out = sqrt(x, *args, **kwargs)
-        if np.ndim(out) == 2:  # the (N, B) branch norms in _finish
-            out[1, 5] *= 0.5
-        return out
-
-    monkeypatch.setattr(np, "sqrt", damaged)
-    message = rf"^row 1 branch {branch}: Bob's final state is not a unit vector \(norm\^2 off by 3\.000e\+00\)$"
-    with pytest.raises(InvariantViolation, match=message):
-        protocols.run_batch("universal221", us, psis)
