@@ -144,10 +144,6 @@ class _Rows:
         """The class of each black box against the z axis."""
         return kinds_from_norms(*self.norms)
 
-    def take(self, index) -> "_Rows":
-        """The rows at ``index``, as a stack of their own."""
-        return type(self)(u=self.u[index], psi=self.psi[index], promise=self.promise[index])
-
 
 #: The promises a row may carry, at their codes in ``_Rows.promise``; any
 #: other value has the code ``_UNKNOWN``.
@@ -198,9 +194,10 @@ def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_checks(rows: _Rows, given, precondition) -> list:
-    """The checks on rows whose values pass, in ``_messages``' form and in
-    order: a promise names a class (``given[n]`` is row n's as given) and
-    the rotation has it; then ``precondition``."""
+    """The checks on a row's class, in ``_messages``' form and in order: a
+    promise names a class (``given[n]`` is row n's as given) and the
+    rotation has it; then ``precondition``. They are taken on every row,
+    also one whose values fail, whose value message comes first."""
     checks = precondition(rows)
     if any(p is not None for p in given):
         comm, anti = rows.norms
@@ -226,8 +223,8 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     The checks on a row's values come first, in order: the rotation is
     finite and unimodular (a ``Unimodular`` or an (a, b) pair) and its
     black box, as built, unitary; psi is one qubit's, finite and nonzero
-    (and is normalised). The rows that pass them then get
-    ``_class_checks``. Stacks whose shapes do not fit are refused."""
+    (and is normalised). ``_class_checks`` follow, in the same pass over
+    every row. Stacks whose shapes do not fit are refused."""
     if not isinstance(us, np.ndarray):
         us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
     pairs = np.asarray(us, dtype=complex)
@@ -244,34 +241,24 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
         raise ValueError("a batch needs at least one configuration")
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite fail anyway
+    unit, nonzero = unit_rows(psi, NORM_TOL)
+    with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite fails a value check first,
+        # so its class norms, taken quietly here, are never read
         residuals = unimodular_residuals(pairs)
         u = unimodular_matrices(pairs)
         off = np.abs(matmul2(u.conj().swapaxes(1, 2), u) - identity2)
-    unit, nonzero = unit_rows(psi, NORM_TOL)
-    rows = _Rows(u=u, psi=unit, promise=np.array(codes, dtype=np.intp))
-    # one reduction per check decides for the whole stack: ``nonzero`` is
-    # also False where psi is not one qubit's (a zero row) or not finite
-    if residuals.max() <= UNIMODULAR_TOL and off.max() <= UNITARY_TOL and nonzero.all():
-        return rows, _messages(_class_checks(rows, given, precondition), n_row)
-    messages = _messages(
-        [
-            (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
-            (off.max(axis=(1, 2)) <= UNITARY_TOL, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
-            (one_qubit, lambda n: "psi must be a single-qubit state"),
-            (np.isfinite(psi).all(axis=1), lambda n: not_finite("psi", psi[n])),
-            (nonzero, lambda n: "psi must be nonzero"),
-        ],
-        n_row,
-    )
-    # the class checks go to the rows whose values pass: the norms of a row
-    # that is not finite are not taken (they would warn)
-    index = [n for n, message in enumerate(messages) if message is None]
-    if index:
-        later = _class_checks(rows.take(index), [given[n] for n in index], precondition)
-        for n, message in zip(index, _messages(later, len(index))):
-            messages[n] = message
-    return rows, messages
+        rows = _Rows(u=u, psi=unit, promise=np.array(codes, dtype=np.intp))
+        checks = _class_checks(rows, given, precondition)
+        # one reduction per check decides for the whole stack: ``nonzero``
+        # is also False where psi is not one qubit's (a zero row) or not finite
+        if not (residuals.max() <= UNIMODULAR_TOL and off.max() <= UNITARY_TOL and nonzero.all()):
+            checks[:0] = [
+                (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
+                (off.max(axis=(1, 2)) <= UNITARY_TOL, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
+                (nonzero, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if one_qubit[n]
+                 else "psi must be a single-qubit state"),
+            ]
+        return rows, _messages(checks, n_row)
 
 
 def _rows(us, psis, promise, precondition) -> _Rows:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from remotegate import (
     ANTICOMMUTING,
@@ -309,6 +310,11 @@ BATCH_INPUT_ERRORS = [
     ("restricted221", [rz(0.3), Unimodular(0.6, 0.8), (np.inf, 0)], None, None, r"^row 1: operator is neither"),
     ("restricted221", [rz(0.3), (np.inf, 0), Unimodular(0.6, 0.8)], None, None, r"^row 1: Unimodular\.a is not finite"),
     ("one11", [rz(0.3), (np.nan, 0), Unimodular(0.6, 0.8)], None, COMMUTING, r"^row 1: Unimodular\.a is not finite"),
+    # psi's one-qubit, finite and nonzero checks are one check, in that order
+    ("bqst", [rz(0.3)] * 2, [[1, 0], [np.nan, 0, 0]], None, r"^row 1: psi must be a single-qubit state$"),
+    ("bqst", [rz(0.3)] * 2, [[1, 0], [np.inf, 0]], None, r"^row 1: psi\[0\] is not finite: inf$"),
+    # a value check comes before the promise, which this row also violates
+    ("one11", [rz(0.3), Unimodular(0.6, 0.8)], [[1, 0], [np.nan, 1]], COMMUTING, r"^row 1: psi\[0\] is not finite: nan$"),
 ]
 
 
@@ -374,6 +380,49 @@ def test_admissible_checks_each_row_on_its_own():
     assert [m is None for m in messages] == [True, False, False, False, False, True]
     with pytest.raises(ValueError, match="^unknown protocol 'sideways'$"):
         protocols.admissible("sideways", us, psis)
+
+
+#: Rows to draw batches from: rotations, states and promises, good and bad.
+_POOL_US = [rz(0.3), Unimodular(0, 1j), Unimodular(0.6, 0.8), (np.nan, 0), (0, np.inf), (0.6, 0.7)]
+_POOL_PSIS = [[0.6, 0.8], [1, 1j], [0, 0], [np.nan, 1], [1, 0, 0]]
+_POOL_PROMISES = [None, COMMUTING, ANTICOMMUTING, "sideways"]
+
+
+def _single_call_error(name, u, psi, promise) -> str | None:
+    """The message of the ``ValueError`` a single call on one configuration
+    raises, or None when it runs."""
+    try:
+        PROTOCOLS[name](ProtocolConfig(u=u, psi=psi, promise=promise))
+    except ValueError as error:
+        assert type(error) is ValueError
+        return str(error)
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(PROTOCOLS)),
+    rows=st.lists(
+        st.tuples(*(st.sampled_from(pool) for pool in (_POOL_US, _POOL_PSIS, _POOL_PROMISES))), min_size=1, max_size=5
+    ),
+)
+# the two preconditions that refuse a row the draws above seldom reach
+@example(name="restricted221", rows=[((np.nan, 0), [1, 0], COMMUTING), (Unimodular(0.6, 0.8), [0.6, 0.8], None)])
+@example(name="universal221", rows=[(rz(0.3), [1, 1j], None), (rz(0.3), [0, 0], COMMUTING), (rz(0.3), [1, 0], COMMUTING)])
+def test_every_row_of_a_drawn_batch_is_admitted_as_its_single_call(name, rows):
+    """In a batch of good and bad rows, each row gets the message its own
+    single call raises, or None when that call runs, and ``run_batch``
+    refuses the batch naming its first bad row with that message."""
+    us, psis, promises = (list(column) for column in zip(*rows))
+    expected = [_single_call_error(name, *row) for row in rows]
+    assert protocols.admissible(name, us, psis, promises) == expected
+    bad = [n for n, message in enumerate(expected) if message is not None]
+    if not bad:
+        assert len(protocols.run_batch(name, us, psis, promises).probability) == len(us)
+        return
+    with pytest.raises(RowError) as info:
+        protocols.run_batch(name, us, psis, promises)
+    assert (info.value.row, info.value.message) == (bad[0], expected[bad[0]])
 
 
 def test_an_unknown_promise_reads_the_same_from_an_array():
