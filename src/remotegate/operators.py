@@ -418,11 +418,6 @@ def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
     return np.where(lead < -SIGN_TOL, -1.0, 1.0)
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the first component larger than SIGN_TOL is positive."""
-    return -vec if _canonical_signs(vec) < 0 else vec
-
-
 def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``check_common_correction`` over an (M, K, 2) stack of M sets of K
     operators as (a, b) pairs: whether each set admits a common correction,
@@ -530,7 +525,7 @@ def _search_axis(matrices, axes) -> np.ndarray | None:
             continue
         seen.append(cand)
         if _fits(matrices, pauli_dot(cand)):
-            return _canonical_sign(cand) + 0.0
+            return cand * _canonical_signs(cand) + 0.0
     return None
 
 

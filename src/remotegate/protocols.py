@@ -541,6 +541,7 @@ def _spread_amplitudes(alice_half: QubitId, bob_half: QubitId, data: QubitId) ->
     on outcome 1 both parties flip their halves. Leaves the pair in
     alpha|00> + beta|11>; Alice's flip costs one bit Bob -> Alice."""
     m = Measure((data,), "computational")
+    # Bob's X is the paper's spreading: in the 221 circuits a branch phase that _finish's phase fix removes; one11 needs it
     return (Apply(CNOT, (bob_half, data)), m, Apply(X, (alice_half,), (m, 1)), Apply(X, (bob_half,), (m, 1)))
 
 

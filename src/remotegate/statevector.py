@@ -49,7 +49,6 @@ BELL_VECTORS = (
 )
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _BELL = np.array(BELL_VECTORS)
-_BELL_BRAS = _BELL.conj()
 
 
 class InvariantViolation(RuntimeError):
@@ -285,29 +284,10 @@ def apply_gate(s: StateVector, g: Gate, targets) -> StateVector:
     return _state(out.reshape(psi.shape).transpose(inverse).reshape(-1), s.register)
 
 
-@functools.cache
-def _labels(k: int) -> tuple[str, ...]:
-    """The outcome bit strings of ``k`` qubits, in index order."""
-    return tuple(format(idx, f"0{k}b") for idx in range(2**k))
-
-
-def _branches(labels, probs, posts, shape, inverse, register) -> list[MeasurementBranch]:
-    """The branches at or above ``BRANCH_PRUNE``: each with its probability
-    and its post-state, the projected amplitudes ``posts[i]`` (target axes
-    first, as ``shape``) divided by the square root of that probability."""
-    branches = []
-    for label, prob, post in zip(labels, probs.tolist(), posts):
-        if prob < BRANCH_PRUNE:
-            continue
-        post = (post / math.sqrt(prob)).reshape(shape).transpose(inverse).reshape(-1)
-        branches.append(MeasurementBranch(label, prob, _state(post, register)))
-    return branches
-
-
 def measure(s: StateVector, targets, basis: str = "computational") -> list[MeasurementBranch]:
-    """Exhaustive projective measurement: every branch with its exact
-    probability and post-state, the projected amplitudes divided by the
-    square root of that probability (zero-weight branches dropped).
+    """Exhaustive projective measurement onto the basis vectors v_o: each
+    outcome o with p_o = |<v_o|psi>|^2 at or above ``BRANCH_PRUNE``, and its
+    post-state |v_o> (x) <v_o|psi> / sqrt(p_o), not renormalized.
 
     ``basis`` is ``"computational"`` (any number of targets) or ``"bell"``
     (exactly two targets, outcomes ordered phi+, phi-, psi+, psi-).
@@ -316,25 +296,24 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
     if not targets:
         raise ValueError("empty target list")
     if basis == "computational":
-        psi, inverse = _targets_front(s, targets)
-        k = len(targets)
-        mat = psi.reshape(2**k, -1)
-        probs = np.sum(np.abs(mat) ** 2, axis=1)
-        # post-state i is mat[i] in row i, zeros elsewhere: the rows
-        # 0, 2^k + 1, 2 (2^k + 1), ... of the (4^k, rest) reshape
-        posts = np.zeros((2**k,) + mat.shape, dtype=mat.dtype)
-        posts.reshape(4**k, -1)[:: 2**k + 1] = mat
-        return _branches(_labels(k), probs, posts, psi.shape, inverse, s.register)
-    if basis == "bell":
+        vecs = np.eye(2 ** len(targets))
+    elif basis == "bell":
         if len(targets) != 2:
             raise ValueError("bell basis requires exactly 2 targets")
-        psi, inverse = _targets_front(s, targets)
-        coeffs = _BELL_BRAS @ psi.reshape(4, -1)
-        probs = np.sum(np.abs(coeffs) ** 2, axis=1)
-        # post-state i is |bell_i> (x) coeffs[i]
-        posts = _BELL[:, :, None] * coeffs[:, None, :]
-        return _branches(_labels(2), probs, posts, psi.shape, inverse, s.register)
-    raise ValueError(f"unknown basis {basis!r}")
+        vecs = _BELL
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    psi, inverse = _targets_front(s, targets)
+    coeffs = vecs.conj() @ psi.reshape(len(vecs), -1)
+    probs = np.sum(np.abs(coeffs) ** 2, axis=1)
+    branches = []
+    for o, (prob, vec, coeff) in enumerate(zip(probs.tolist(), vecs, coeffs)):
+        if prob < BRANCH_PRUNE:
+            continue
+        post = np.multiply.outer(vec, coeff) / math.sqrt(prob)
+        post = post.reshape(psi.shape).transpose(inverse).reshape(-1)
+        branches.append(MeasurementBranch(format(o, f"0{len(targets)}b"), prob, _state(post, s.register)))
+    return branches
 
 
 def sample_index(probs, rng: np.random.Generator) -> int:

@@ -315,6 +315,8 @@ BATCH_INPUT_ERRORS = [
     ("bqst", [rz(0.3)] * 2, [[1, 0], [np.inf, 0]], None, r"^row 1: psi\[0\] is not finite: inf$"),
     # a value check comes before the promise, which this row also violates
     ("one11", [rz(0.3), Unimodular(0.6, 0.8)], [[1, 0], [np.nan, 1]], COMMUTING, r"^row 1: psi\[0\] is not finite: nan$"),
+    ("bogus", [rz(0.3)], None, None, r"^unknown protocol 'bogus'$"),
+    ("bqst", np.zeros((2, 3)), None, None, r"^rotations must be \(a, b\) pairs, got shape \(2, 3\)$"),
 ]
 
 
@@ -649,13 +651,15 @@ _BELL_A = Measure((A0, A1), "bell")
          r"^gate 'x' on \(bob:0\) reads outcome 2 of the computational measurement on \(alice:0\), which has 2 outcomes$"),
         ((_LATER, Apply(X, (B0,), (_LATER, -1))), r"^gate 'x' on \(bob:0\) reads outcome -1 of the .*, which has 2 outcomes$"),
         ((_BELL_A, Apply(Z, (B0,), (_BELL_A, 4))), r"reads outcome 4 of the bell .*, which has 4 outcomes$"),
+        ((Apply(CNOT, (B0,)),), r"^gate 'cnot' acts on 2 qubit\(s\), got 1 target\(s\)$"),
     ],
-    ids=["bell_on_one", "computational_on_three", "when_past_the_end", "when_negative", "when_past_bell"],
+    ids=["bell_on_one", "computational_on_three", "when_past_the_end", "when_negative", "when_past_bell", "cnot_on_one"],
 )
 def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(monkeypatch, steps, message):
-    """A basis that does not fit its qubit count (``statevector._BASES``)
-    and a ``when`` value outside the measurement's outcomes are refused by
-    the static pass, while the primitives every step runs through raise."""
+    """A basis that does not fit its qubit count (``statevector._BASES``),
+    a gate given the wrong number of targets and a ``when`` value outside
+    the measurement's outcomes are refused by the static pass, while the
+    primitives every step runs through raise."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=message):
         _run_circuit(monkeypatch, _hand_built(*steps), [[0.6, 0.8]])

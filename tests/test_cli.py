@@ -189,6 +189,15 @@ class TestMain:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_run_sampled_human_summary(self, capsys):
+        argv = ["run", "--protocol", "one11", "--u", "sz", "--psi", "+", "--promise", "commuting",
+                "--mode", "sampled", "--seed", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[0] == "protocol: one11   mode: sampled"
+        assert lines[1].startswith("  [ok ] p=")  # the one drawn branch
+        assert lines[2] == "sampled branch succeeded: True   ledger: 1 e-bits, 1 c-bits A->B, 1 c-bits B->A"
+
     def test_demo_entropy_line(self, capsys):
         assert main(["demo", "cp-entanglement"]) == 0
         assert "2.000000000000" in capsys.readouterr().out
@@ -324,6 +333,20 @@ class TestExitCodes:
     def test_negative_seed_is_named(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--u", "rot:0,0,0,1"], "bad spec 'rot:0,0,0,1': zero rotation axis"),
+            (["classify", "--u", "sz", "--axis", "0,0,0"], "bad axis '0,0,0': zero vector"),
+            (["classify", "--u", "rz:1,2"], "bad spec 'rz:1,2': expected 1 comma-separated numbers, got 2"),
+            (["ramsey", "--steps", "0"], "--steps must be at least 1"),
+        ],
+        ids=["zero_rotation_axis", "zero_axis", "field_count", "no_steps"],
+    )
+    def test_refusal_is_named(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_subcommand(self):
         assert main(["teleport"]) == 1

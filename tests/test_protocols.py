@@ -76,6 +76,10 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="promise"):
             ProtocolConfig(u=rz(0.1), psi=np.array([1, 0]), promise="diagonal")
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            ProtocolConfig(u=rz(0.1), psi=np.array([1, 0]), mode="bogus")
+
     @pytest.mark.parametrize("mode", ["sampled", "exact"])
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.int64(-2)], ids=repr)
     def test_rejects_a_bad_seed_naming_it(self, seed, mode):
@@ -323,6 +327,9 @@ class TestRamsey:
         thetas = np.linspace(0, 2 * np.pi, 17)
         for theta, p in ramsey_curve(thetas):
             assert p == pytest.approx((1 + np.cos(theta)) / 2, abs=1e-12)
+
+    def test_empty_grid(self):
+        assert ramsey_curve([]) == []
 
 
 class TestSerialization:
