@@ -23,7 +23,12 @@ or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process: argparse keeps no per-call state on a parser, and
 writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
-call time. ``build_parser`` returns a fresh parser on each call.
+call time. ``build_parser`` returns a fresh parser on each call. The top-level
+pass only picks the subcommand, so ``main`` parses a known subcommand's
+arguments with that subcommand's parser, built with the top-level one, and
+takes the top-level parse only for no arguments, a help flag, an unknown
+command or arguments the subcommand leaves over; every namespace, usage text,
+error line and exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
@@ -152,7 +157,8 @@ def _parse_axis(text: str) -> np.ndarray:
     return axis
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A fresh top-level parser, and the parser of each of its subcommands by name."""
     parser = argparse.ArgumentParser(
         prog="remotegate",
         description="Simulate remote implementation of single-qubit rotations "
@@ -187,13 +193,37 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.add_argument("--seed", type=int, default=20020923)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` uses, built together on first use."""
+    return _build_parsers()
+
+
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use."""
-    return build_parser()
+    """The top-level parser ``main`` uses."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with a known subcommand's arguments
+    parsed by that subcommand's parser alone. The top-level pass only picks
+    the subcommand, so its parse is taken only where it can differ: no
+    arguments, a help flag, an unknown command, or arguments the subcommand
+    leaves over, which only the top-level parser reports."""
+    subparser = _parsers()[1].get(argv[0]) if argv else None
+    if subparser is not None and "-h" not in argv and "--help" not in argv:
+        args, extra = subparser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
 
 
 #: a value argparse would read as an option flag: "-" then a digit, "." or
@@ -313,7 +343,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(_join_axis_values(argv))
+        args = _parse_args(_join_axis_values(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

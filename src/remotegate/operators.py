@@ -15,7 +15,6 @@ orthogonal input pair whose images overlap by i*sin(lambda).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -298,9 +297,14 @@ def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.nda
     """Frobenius norms of [U, n.sigma] and {U, n.sigma} for each matrix U
     of a (..., 2, 2) stack."""
     um, mu = matmul2(matrices, n_sigma), matmul2(n_sigma, matrices)
-    # commutators then anticommutators along the first axis: one (2, ..., 4) block
-    both = np.concatenate((um - mu, um + mu)).reshape(2, *um.shape[:-2], 4)
-    flat = both.view(float)
+    # commutators then anticommutators along the first axis: one block
+    return _bracket_norms(np.concatenate((um - mu, um + mu)).reshape(2, *um.shape))
+
+
+def _bracket_norms(both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of each matrix of a contiguous (2, ..., 2, 2) stack,
+    commutators then anticommutators: one sum over each matrix's eight floats."""
+    flat = both.reshape(*both.shape[:-2], 4).view(float)
     comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     return comm, anti
 
@@ -516,31 +520,51 @@ def _fits(matrices, n_sigma) -> np.ndarray:
 
 def _search_axis(matrices, axes) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
-    of the unit ``axes``, then their cross products, each skipped when
-    within DUPLICATE_AXIS_TOL of one already tried; the first that fits the
-    set of ``matrices``, sign-fixed, or None."""
-    seen = [axes[0]]
-    for cand in itertools.chain(axes[1:], _cross_axes(axes)):
-        if any(abs(np.dot(cand, s)) > 1.0 - DUPLICATE_AXIS_TOL for s in seen):
-            continue
-        seen.append(cand)
-        if _fits(matrices, pauli_dot(cand)):
-            return cand * _canonical_signs(cand) + 0.0
-    return None
+    of the unit ``axes`` as one stack, then, only if none of them fits,
+    their cross products as a second, each candidate dropped when within
+    DUPLICATE_AXIS_TOL of one kept before it. The first that fits the set of
+    ``matrices``, sign-fixed, or None."""
+    own = _distinct(axes[1:], axes[:1])
+    found = _first_fit(matrices, own)
+    if found is None:
+        found = _first_fit(matrices, _distinct(_cross_axes(axes), np.concatenate((axes[:1], own))))
+    return found
+
+
+def _distinct(cands, kept) -> np.ndarray:
+    """The rows of ``cands`` in order, each dropped when |cos| to a row of
+    ``kept``, or to a row of ``cands`` kept before it, exceeds 1 minus
+    DUPLICATE_AXIS_TOL; every cosine is read from one product of stacks."""
+    near = (np.abs(cands @ np.concatenate((kept, cands)).T) > 1.0 - DUPLICATE_AXIS_TOL).tolist()
+    offset, keep = len(kept), []
+    for n, row in enumerate(near):
+        if not (any(row[:offset]) or any(row[offset + k] for k in keep)):
+            keep.append(n)
+    return cands[keep]
+
+
+def _first_fit(matrices, cands) -> np.ndarray | None:
+    """The first row of ``cands`` that fits the set of ``matrices``,
+    sign-fixed, or None; one ``_fits`` pass decides for the whole stack."""
+    fits = _fits(matrices, pauli_dot(cands)[:, None])
+    if not fits.any():
+        return None
+    cand = cands[fits.argmax()]
+    return cand * _canonical_signs(cand) + 0.0
 
 
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _cross_axes(axes):
+def _cross_axes(axes) -> np.ndarray:
     """The normalized cross product of each pair of ``axes`` (i < j, in
-    order) that is longer than CROSS_TOL, built once the first is asked
-    for. The products and differences are ``np.cross``'s, in its order."""
+    order) that is longer than CROSS_TOL, as a stack. The products and
+    differences are ``np.cross``'s, in its order."""
     first, second = (axes[index] for index in np.triu_indices(len(axes), 1))
     crosses = first[:, _NEXT] * second[:, _AFTER] - first[:, _AFTER] * second[:, _NEXT]
     norms = dot_norms(crosses)
     long = norms > CROSS_TOL
-    yield from crosses[long] / norms[long, None]
+    return crosses[long] / norms[long, None]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from remotegate import (
     tensor,
     tolerances,
 )
-from remotegate import statevector, verify
+from remotegate import operators, statevector, verify
 from remotegate.gates import CNOT, Gate, H, RowError, X, Z
 from remotegate.protocols import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split
@@ -856,7 +856,7 @@ def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
     clean[:, off] = 0
     near = clean.copy()
     near[:, off] = 3e-10 * np.exp(2j * np.pi * rng.random(8))
-    comm, anti = protocols.commutation_norms(protocols.unimodular_matrices(near), protocols.sigma_z)
+    comm, anti = operators.commutation_norms(protocols.unimodular_matrices(near), protocols.sigma_z)
     norms = comm if promise == COMMUTING else anti
     assert (0.5 * tolerances.CLASS_TOL < norms).all() and (norms <= tolerances.CLASS_TOL).all()
     psis = [random_qubit(rng) for _ in range(8)]

@@ -53,6 +53,11 @@ class TestSharedParser:
             ["axis", "--set", str(spec)],
             ["demo", "cp-capacity"],
             ["classify", "--u", "sx", "--axis"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "extra"],
+            ["classify", "--u", "sz", "--bogus"],
+            ["run", "--protocol", "bqst"],
+            ["classify", "--u", "sz", "--ax=0,0,1"],
+            [],
         ]
 
     def test_no_parser_is_built_after_the_first_call(self, tmp_path, capsys, monkeypatch):
@@ -82,8 +87,38 @@ class TestSharedParser:
         shared = results()
         monkeypatch.setattr(cli, "_parser", build_parser)
         fresh = results()
-        assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
+        assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]
         assert shared == fresh
+
+    def test_a_subcommand_parse_is_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
+        """``main`` parses a known subcommand's arguments with that
+        subcommand's parser; with that dispatch bypassed, so that every argv
+        goes through ``_parser().parse_args``, each request gives the same
+        exit code, stdout and stderr. The top-level parse is taken only for
+        no arguments, a help flag and arguments the subcommand leaves over."""
+        def results():
+            out = []
+            for argv in self.requests(tmp_path):
+                code = main(argv)
+                out.append((code, *capsys.readouterr()))
+            return out
+
+        parser = cli._parser()
+        top_level = []
+        parse_args = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
+        dispatched = results()
+        assert top_level == [
+            ["--help"],
+            ["classify", "--help"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "extra"],
+            ["classify", "--u", "sz", "--bogus"],
+            [],
+        ]
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert results() == dispatched
+        assert len(top_level) == 5 + len(self.requests(tmp_path))
+        assert dispatched[10][2].endswith("remotegate: error: unrecognized arguments: extra\n")
 
     def test_help_reaches_the_current_stdout_every_time(self, capsys):
         for _ in range(2):

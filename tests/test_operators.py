@@ -330,6 +330,32 @@ class TestCommutationNorms:
         assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
         assert np.array_equal(rows.kinds, expected)
 
+    def test_rows_norms_are_the_sz_norms_bit_for_bit(self):
+        """``_Rows.norms``, one product with a sign stack, is
+        ``commutation_norms(u, sigma_z)`` byte for byte, on the stack and on
+        each row alone: on Haar rotations, on |b| or |a| within four ulps of
+        CLASS_TOL / sqrt(8), where its class begins, and on the exact Paulis."""
+        rng = np.random.default_rng(13)
+        edge = []
+        for phase in np.exp(1j * np.array([0.0, 0.3, 2.1, -1.2])):
+            x = tolerances.CLASS_TOL / np.sqrt(8)  # |[U, sz]| = sqrt(8)|b|, |{U, sz}| = sqrt(8)|a|
+            for _ in range(4):
+                x = np.nextafter(x, 0.0)
+            for _ in range(9):
+                big = np.sqrt(1.0 - x * x)
+                edge += [(big, x * phase), (x * phase, big)]
+                x = np.nextafter(x, 1.0)
+        paulis = [(1, 0), (-1, 0), (0, 1), (0, -1), (1j, 0), (-1j, 0), (0, 1j), (0, -1j)]
+        for pairs in (operators.random_unimodulars(rng, 1000), np.array(edge), np.array(paulis, dtype=complex)):
+            matrices = operators.unimodular_matrices(pairs)
+            count = len(matrices)
+            rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp))
+            want = operators.commutation_norms(matrices, sigma_z)
+            assert all(got.tobytes() == norm.tobytes() for got, norm in zip(rows.norms, want))
+            for n in range(count):
+                one = protocols._Rows(u=matrices[n : n + 1], psi=rows.psi[n : n + 1], promise=rows.promise[n : n + 1])
+                assert all(got.tobytes() == norm[n : n + 1].tobytes() for got, norm in zip(one.norms, want))
+
     def test_tags_are_those_of_the_string_formula(self):
         """The tags ``np.where`` takes as arrays give what it gave with the
         Python strings: the same tags, dtype and shape, NaN general."""
@@ -460,6 +486,14 @@ class TestCommonCorrection:
 
 AXIS_SEARCH_KINDS = ["common_axis", "half_turns_only", "central_only", "no_axis", "central_first"]
 
+#: Sets for the stacked search: Haar rotations, which mostly have no axis;
+#: half-turns about axes orthogonal to n, which only a cross product fits;
+#: rotations about a few axes, repeated and reversed; half-turn sets with
+#: +/-1 among them; a set led by a half-turn about an axis orthogonal to n;
+#: rotations and half-turns about axes 1e-10 apart, some with a small turn
+#: about an axis whose duplicate n is dropped.
+STACKED_SEARCH_KINDS = ["random", "cross_only", "repeated_axes", "with_central", "half_turn_first", "near_axes"]
+
 
 class TestCommonAxis:
     def test_z_rotations(self):
@@ -534,6 +568,32 @@ class TestCommonAxis:
             want = None if kind == "no_axis" else Z_AXIS
             assert all(got is None if want is None else np.array_equal(got, want) for got in found[0::2])
 
+    @pytest.mark.parametrize("kind", STACKED_SEARCH_KINDS)
+    def test_stacked_search_is_the_one_candidate_search(self, monkeypatch, kind):
+        """The search tries the remaining own axes as one stack, then the
+        cross products as another; the oracle tries one candidate at a
+        time, skipping each within DUPLICATE_AXIS_TOL of one tried before.
+        Both give the same axis, byte for byte, or both None."""
+        rng = np.random.default_rng(STACKED_SEARCH_KINDS.index(kind) + 90)
+        sets = [_stacked_search_set(rng, kind) for _ in range(60)]
+        found = [find_common_axis(ops) for ops in sets]
+        searched, skipped = [], []
+        monkeypatch.setattr(
+            operators, "_search_axis", lambda m, axes: searched.append(m) or _one_candidate_search(m, axes, skipped)
+        )
+        for ops, got in zip(sets, found):
+            want = find_common_axis(ops)
+            assert (got is None) == (want is None), kind
+            assert got is None or got.tobytes() == want.tobytes(), kind
+        assert searched, kind
+        assert bool(skipped) == (kind in ("repeated_axes", "near_axes")), kind
+        if kind == "random":
+            assert any(got is None for got in found)
+        elif kind == "near_axes":
+            assert any(got is None for got in found) and any(got is not None for got in found)
+        else:
+            assert all(got is not None for got in found)
+
     def test_a_stack_refusal_names_the_set_and_operator(self):
         families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
         families[1, 2] = (1.0, 0.5)
@@ -595,6 +655,77 @@ def _eager_common_axis(operators):
         if all(classify_operator(u, cand).kind != GENERAL for u in operators):
             lead = next((c for c in cand if abs(c) > tolerances.SIGN_TOL), 1.0)
             return -cand if lead < 0 else cand
+    return None
+
+
+def _stacked_search_set(rng, kind):
+    """A seeded set of one of ``STACKED_SEARCH_KINDS``, conjugated by a Haar
+    rotation; every kind but ``random`` has a common axis n."""
+    w = random_unimodular(rng)
+    size = int(rng.integers(3, 9))
+    if kind == "random":
+        return [random_unimodular(rng) for _ in range(size)]
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+
+    def perpendicular():
+        raw = rng.normal(size=3)
+        raw -= np.dot(raw, n) * n
+        return raw / np.linalg.norm(raw)
+
+    def generic():
+        return rng.uniform(0.3, 5.9)
+
+    if kind in ("cross_only", "with_central"):
+        ops = [from_axis_angle(perpendicular(), np.pi) for _ in range(size)]
+        if kind == "with_central":
+            for _ in range(int(rng.integers(1, 4))):
+                ops.insert(int(rng.integers(len(ops) + 1)), Unimodular(rng.choice([1.0, -1.0]), 0))
+    elif kind == "repeated_axes":
+        # half-turns about two axes orthogonal to n, the first one reversed
+        # at once, then those axes and n, each as given or reversed
+        halves = [perpendicular(), perpendicular()]
+        ops = [from_axis_angle(axis, np.pi) for axis in (halves[0], -halves[0], halves[1])]
+        for _ in range(size - 3):
+            sign = rng.choice([1.0, -1.0])
+            if rng.random() < 0.3:
+                ops.append(from_axis_angle(sign * n, generic()))
+            else:
+                ops.append(from_axis_angle(sign * halves[rng.integers(2)], np.pi))
+    elif kind == "half_turn_first":
+        ops = [from_axis_angle(perpendicular(), np.pi), from_axis_angle(n, generic())]
+        ops += [from_axis_angle(n, generic()) if rng.random() < 0.5 else from_axis_angle(perpendicular(), np.pi)
+                for _ in range(size - 2)]
+    else:  # near_axes
+
+        def near(axis, by=1e-10):
+            moved = axis + by * rng.normal(size=3)
+            return moved / np.linalg.norm(moved)
+
+        half = perpendicular()
+        ops = [from_axis_angle(near(half), np.pi), from_axis_angle(half, np.pi), from_axis_angle(n, generic())]
+        ops += [from_axis_angle(near(n), generic()) if rng.random() < 0.5 else from_axis_angle(near(half), np.pi)
+                for _ in range(size - 3)]
+        if rng.random() < 0.3:
+            # a turn of 1e-6 about an axis about 3e-5 from n, which fails
+            # where n fits and drops n as its duplicate
+            ops.insert(int(rng.integers(2)), from_axis_angle(near(n, 3e-5), 1e-6))
+    return [conjugate(w, u) for u in ops]
+
+
+def _one_candidate_search(matrices, axes, skipped):
+    """The axis search one candidate at a time: the rest of ``axes``, then
+    their cross products, each skipped (and appended to ``skipped``) when
+    within DUPLICATE_AXIS_TOL of one tried before, each tried by its own
+    ``_fits`` pass."""
+    seen = [axes[0]]
+    for cand in itertools.chain(axes[1:], operators._cross_axes(axes)):
+        if any(abs(np.dot(cand, s)) > 1.0 - tolerances.DUPLICATE_AXIS_TOL for s in seen):
+            skipped.append(cand)
+            continue
+        seen.append(cand)
+        if operators._fits(matrices, pauli_dot(cand)):
+            return cand * operators._canonical_signs(cand) + 0.0
     return None
 
 
