@@ -26,8 +26,8 @@ writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
 call time. ``build_parser`` returns a fresh parser on each call. The top-level
 pass only picks the subcommand, so ``main`` parses a known subcommand's
 arguments with that subcommand's parser, built with the top-level one, and
-takes the top-level parse only for no arguments, a help flag, an unknown
-command or arguments the subcommand leaves over; every namespace, usage text,
+takes the top-level parse only for no arguments, an unknown command or
+arguments the subcommand leaves over; every namespace, usage text, help,
 error line and exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
@@ -215,10 +215,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``_parser().parse_args(argv)``, with a known subcommand's arguments
     parsed by that subcommand's parser alone. The top-level pass only picks
     the subcommand, so its parse is taken only where it can differ: no
-    arguments, a help flag, an unknown command, or arguments the subcommand
-    leaves over, which only the top-level parser reports."""
+    arguments, an unknown command, or arguments the subcommand leaves over,
+    which only the top-level parser reports. A help flag after a known
+    command reaches the same subparser either way."""
     subparser = _parsers()[1].get(argv[0]) if argv else None
-    if subparser is not None and "-h" not in argv and "--help" not in argv:
+    if subparser is not None:
         args, extra = subparser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]

@@ -518,27 +518,40 @@ def _fits(matrices, n_sigma) -> np.ndarray:
     return (np.fmin(comm, anti) <= CLASS_TOL).all(axis=-1)
 
 
+#: candidates deduplicated and checked together; a search stops at the first
+#: block holding a fit, so its memory is O(block * candidates kept)
+_AXIS_BLOCK = 64
+
+
 def _search_axis(matrices, axes) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
-    of the unit ``axes`` as one stack, then, only if none of them fits,
-    their cross products as a second, each candidate dropped when within
-    DUPLICATE_AXIS_TOL of one kept before it. The first that fits the set of
-    ``matrices``, sign-fixed, or None."""
-    own = _distinct(axes[1:], axes[:1])
-    found = _first_fit(matrices, own)
-    if found is None:
-        found = _first_fit(matrices, _distinct(_cross_axes(axes), np.concatenate((axes[:1], own))))
-    return found
+    of the unit ``axes``, then, only if none of them fits, their cross
+    products, each dropped when within DUPLICATE_AXIS_TOL of one kept before
+    it. They are taken in blocks of _AXIS_BLOCK, one ``_fits`` pass a block;
+    the first that fits the set of ``matrices``, sign-fixed, or None."""
+    kept = axes[:1]
+    for stack in (axes[1:], None):
+        if stack is None:
+            stack = _cross_axes(axes)
+        for start in range(0, len(stack), _AXIS_BLOCK):
+            block = _distinct(stack[start : start + _AXIS_BLOCK], kept)
+            found = _first_fit(matrices, block)
+            if found is not None:
+                return found
+            kept = np.concatenate((kept, block))
+    return None
 
 
 def _distinct(cands, kept) -> np.ndarray:
     """The rows of ``cands`` in order, each dropped when |cos| to a row of
     ``kept``, or to a row of ``cands`` kept before it, exceeds 1 minus
-    DUPLICATE_AXIS_TOL; every cosine is read from one product of stacks."""
-    near = (np.abs(cands @ np.concatenate((kept, cands)).T) > 1.0 - DUPLICATE_AXIS_TOL).tolist()
-    offset, keep = len(kept), []
-    for n, row in enumerate(near):
-        if not (any(row[:offset]) or any(row[offset + k] for k in keep)):
+    DUPLICATE_AXIS_TOL."""
+    limit = 1.0 - DUPLICATE_AXIS_TOL
+    near_kept = (np.abs(cands @ kept.T) > limit).any(axis=1).tolist()
+    near = (np.abs(cands @ cands.T) > limit).tolist()
+    keep = []
+    for n, (dup, row) in enumerate(zip(near_kept, near)):
+        if not (dup or any(row[k] for k in keep)):
             keep.append(n)
     return cands[keep]
 
@@ -546,6 +559,8 @@ def _distinct(cands, kept) -> np.ndarray:
 def _first_fit(matrices, cands) -> np.ndarray | None:
     """The first row of ``cands`` that fits the set of ``matrices``,
     sign-fixed, or None; one ``_fits`` pass decides for the whole stack."""
+    if not len(cands):
+        return None
     fits = _fits(matrices, pauli_dot(cands)[:, None])
     if not fits.any():
         return None

@@ -85,7 +85,7 @@ class TestSharedParser:
             return out
 
         shared = results()
-        monkeypatch.setattr(cli, "_parser", build_parser)
+        monkeypatch.setattr(cli, "_parsers", cli._build_parsers)
         fresh = results()
         assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]
         assert shared == fresh
@@ -95,7 +95,8 @@ class TestSharedParser:
         subcommand's parser; with that dispatch bypassed, so that every argv
         goes through ``_parser().parse_args``, each request gives the same
         exit code, stdout and stderr. The top-level parse is taken only for
-        no arguments, a help flag and arguments the subcommand leaves over."""
+        no arguments, a top-level help flag and arguments the subcommand
+        leaves over."""
         def results():
             out = []
             for argv in self.requests(tmp_path):
@@ -110,14 +111,13 @@ class TestSharedParser:
         dispatched = results()
         assert top_level == [
             ["--help"],
-            ["classify", "--help"],
             ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "extra"],
             ["classify", "--u", "sz", "--bogus"],
             [],
         ]
         monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
         assert results() == dispatched
-        assert len(top_level) == 5 + len(self.requests(tmp_path))
+        assert len(top_level) == 4 + len(self.requests(tmp_path))
         assert dispatched[10][2].endswith("remotegate: error: unrecognized arguments: extra\n")
 
     def test_help_reaches_the_current_stdout_every_time(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,6 +594,39 @@ class TestCommonAxis:
             assert any(got is None for got in found) and any(got is not None for got in found)
         else:
             assert all(got is not None for got in found)
+
+    @pytest.mark.parametrize("kind", ["planar_half_turns", "few_half_turn_axes", "no_axis"])
+    def test_a_large_set_is_searched_in_bounded_memory(self, monkeypatch, kind):
+        """Sets whose candidates span several blocks: 200 half-turns about
+        axes in one plane, found only by the first cross product; 150 about
+        five axes in that plane, each given or reversed, so that duplicates
+        fall in later blocks; 24 generic rotations with no axis. The search
+        returns the one-candidate search's bytes, or None with it, without
+        building a cosine for every pair of candidates."""
+        rng = np.random.default_rng(["planar_half_turns", "few_half_turn_axes", "no_axis"].index(kind) + 130)
+        w = random_unimodular(rng)
+        if kind == "no_axis":
+            ops = [random_unimodular(rng) for _ in range(24)]
+        else:
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            raw = rng.normal(size=(200 if kind == "planar_half_turns" else 5, 3))
+            plane = raw - np.outer(raw @ n, n)
+            if kind == "few_half_turn_axes":
+                plane = rng.choice([1.0, -1.0], size=(150, 1)) * plane[rng.integers(5, size=150)]
+            ops = [from_axis_angle(axis / np.linalg.norm(axis), np.pi) for axis in plane]
+        ops = [conjugate(w, u) for u in ops]
+        tracemalloc.start()
+        try:
+            found = find_common_axis(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        monkeypatch.setattr(operators, "_search_axis", lambda m, axes: _one_candidate_search(m, axes, []))
+        want = find_common_axis(ops)
+        assert (found is None) == (want is None) == (kind == "no_axis"), kind
+        assert found is None or found.tobytes() == want.tobytes(), kind
 
     def test_a_stack_refusal_names_the_set_and_operator(self):
         families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
