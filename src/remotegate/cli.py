@@ -340,6 +340,16 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 2
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "classify": _cmd_classify,
+    "axis": _cmd_axis,
+    "demo": _cmd_demo,
+    "ramsey": _cmd_ramsey,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -348,17 +358,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "axis":
-            return _cmd_axis(args)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        if args.command == "ramsey":
-            return _cmd_ramsey(args)
-        return _cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

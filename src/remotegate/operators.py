@@ -42,7 +42,6 @@ from .tolerances import (
     CLASS_TOL,
     CROSS_TOL,
     DEGENERACY_TOL,
-    DUPLICATE_AXIS_TOL,
     SIGN_TOL,
     SPECIAL_UNITARY_TOL,
     STATE_NORM_TOL,
@@ -476,7 +475,9 @@ def find_common_axis(operators) -> np.ndarray | None:
     Candidate axes are read from the traceless parts of the operators plus
     pairwise cross products (for sets made purely of half-turns), the
     crosses only once every operator's own axis has failed; each candidate
-    is verified by classifying the whole set at once. Operators within
+    is verified by classifying the whole set at once. An axis that repeats
+    an earlier one exactly, up to sign, is tried once; candidates that are
+    only close are each tried. Operators within
     tolerance of +/-1 constrain nothing and are skipped; a set of only such
     operators is compatible with every axis and gets the z axis by
     convention. The axis is sign-fixed so that its first component larger
@@ -518,54 +519,37 @@ def _fits(matrices, n_sigma) -> np.ndarray:
     return (np.fmin(comm, anti) <= CLASS_TOL).all(axis=-1)
 
 
-#: candidates deduplicated and checked together; a search stops at the first
-#: block holding a fit, so its memory is O(block * candidates kept)
+#: candidates checked together; a search stops at the first block holding a
+#: fit, so its memory is O(block * operators)
 _AXIS_BLOCK = 64
 
 
 def _search_axis(matrices, axes) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
     of the unit ``axes``, then, only if none of them fits, their cross
-    products, each dropped when within DUPLICATE_AXIS_TOL of one kept before
-    it. They are taken in blocks of _AXIS_BLOCK, one ``_fits`` pass a block;
-    the first that fits the set of ``matrices``, sign-fixed, or None."""
-    kept = axes[:1]
-    for stack in (axes[1:], None):
-        if stack is None:
-            stack = _cross_axes(axes)
-        for start in range(0, len(stack), _AXIS_BLOCK):
-            block = _distinct(stack[start : start + _AXIS_BLOCK], kept)
-            found = _first_fit(matrices, block)
-            if found is not None:
-                return found
-            kept = np.concatenate((kept, block))
-    return None
-
-
-def _distinct(cands, kept) -> np.ndarray:
-    """The rows of ``cands`` in order, each dropped when |cos| to a row of
-    ``kept``, or to a row of ``cands`` kept before it, exceeds 1 minus
-    DUPLICATE_AXIS_TOL."""
-    limit = 1.0 - DUPLICATE_AXIS_TOL
-    near_kept = (np.abs(cands @ kept.T) > limit).any(axis=1).tolist()
-    near = (np.abs(cands @ cands.T) > limit).tolist()
-    keep = []
-    for n, (dup, row) in enumerate(zip(near_kept, near)):
-        if not (dup or any(row[k] for k in keep)):
-            keep.append(n)
-    return cands[keep]
+    products; the first that fits the set of ``matrices``, sign-fixed, or
+    None. An axis equal to an earlier one once both are sign-fixed is
+    dropped first: ``_fits`` decides the same for v and -v, and a cross
+    product with a repeated axis is +/- an earlier one, bit for bit."""
+    firsts = {}
+    for n, axis in enumerate((axes * _canonical_signs(axes)[:, None]).tolist()):
+        firsts.setdefault(tuple(axis), n)
+    axes = axes[list(firsts.values())]
+    found = _first_fit(matrices, axes[1:])
+    return _first_fit(matrices, _cross_axes(axes)) if found is None else found
 
 
 def _first_fit(matrices, cands) -> np.ndarray | None:
     """The first row of ``cands`` that fits the set of ``matrices``,
-    sign-fixed, or None; one ``_fits`` pass decides for the whole stack."""
-    if not len(cands):
-        return None
-    fits = _fits(matrices, pauli_dot(cands)[:, None])
-    if not fits.any():
-        return None
-    cand = cands[fits.argmax()]
-    return cand * _canonical_signs(cand) + 0.0
+    sign-fixed, or None; one ``_fits`` pass for each block of _AXIS_BLOCK
+    rows, up to the first block with a fit."""
+    for start in range(0, len(cands), _AXIS_BLOCK):
+        block = cands[start : start + _AXIS_BLOCK]
+        fits = _fits(matrices, pauli_dot(block)[:, None])
+        if fits.any():
+            cand = block[fits.argmax()]
+            return cand * _canonical_signs(cand) + 0.0
+    return None
 
 
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])

@@ -32,8 +32,6 @@ CENTRAL_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 #: Two axes whose cross product is shorter than this give no candidate axis.
 CROSS_TOL = 1e-6
-#: Candidate axes with |cos| above 1 minus this are the same axis.
-DUPLICATE_AXIS_TOL = 1e-9
 #: Components below this cannot fix the sign of an axis.
 SIGN_TOL = 1e-7
 

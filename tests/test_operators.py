@@ -34,6 +34,7 @@ from remotegate import (
     solve_correction,
     tolerances,
 )
+from remotegate.cli import parse_operator
 from remotegate.gates import RowError, matmul2
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -571,38 +572,80 @@ class TestCommonAxis:
 
     @pytest.mark.parametrize("kind", STACKED_SEARCH_KINDS)
     def test_stacked_search_is_the_one_candidate_search(self, monkeypatch, kind):
-        """The search tries the remaining own axes as one stack, then the
-        cross products as another; the oracle tries one candidate at a
-        time, skipping each within DUPLICATE_AXIS_TOL of one tried before.
-        Both give the same axis, byte for byte, or both None."""
+        """The search drops exactly repeated axes, then tries the remaining
+        own axes in blocks, then the cross products; the oracle tries every
+        candidate, one at a time. Both give the same axis, byte for byte,
+        or both None."""
         rng = np.random.default_rng(STACKED_SEARCH_KINDS.index(kind) + 90)
         sets = [_stacked_search_set(rng, kind) for _ in range(60)]
         found = [find_common_axis(ops) for ops in sets]
-        searched, skipped = [], []
+        searched = []
         monkeypatch.setattr(
-            operators, "_search_axis", lambda m, axes: searched.append(m) or _one_candidate_search(m, axes, skipped)
+            operators, "_search_axis", lambda m, axes: searched.append(m) or _one_candidate_search(m, axes)
         )
         for ops, got in zip(sets, found):
             want = find_common_axis(ops)
             assert (got is None) == (want is None), kind
             assert got is None or got.tobytes() == want.tobytes(), kind
         assert searched, kind
-        assert bool(skipped) == (kind in ("repeated_axes", "near_axes")), kind
         if kind == "random":
             assert any(got is None for got in found)
-        elif kind == "near_axes":
-            assert any(got is None for got in found) and any(got is not None for got in found)
         else:
             assert all(got is not None for got in found)
+
+    def test_a_failed_candidate_near_the_axis_does_not_hide_it(self):
+        """A turn of 1e-6 about an axis 3e-5 from z fails where z fits; z
+        is still tried, and found."""
+        ops = [parse_operator(spec) for spec in ("rot:0,1,0,3.141592653589793", "rot:3e-5,0,1,1e-6", "rot:0,0,1,1.1")]
+        assert all(classify_operator(u, Z_AXIS).kind != GENERAL for u in ops)
+        assert find_common_axis(ops).tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+
+    def test_an_axis_and_its_negative_are_one_candidate(self):
+        """For unit axes with exact zeros and components within SIGN_TOL of
+        0, ``_fits`` decides the same for v and -v, and both sign-fix to the
+        same bytes, so dropping an exact repeat changes no answer."""
+        rng = np.random.default_rng(150)
+        raw = rng.normal(size=(400, 3))
+        raw[rng.random(size=raw.shape) < 0.3] = 0.0
+        small = rng.random(size=raw.shape) < 0.2
+        raw[small] = tolerances.SIGN_TOL * rng.uniform(-1.0, 1.0, size=int(small.sum()))
+        raw[~raw.any(axis=1), 2] = 1.0
+        axes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        sets = [[random_unimodular(rng) for _ in range(5)]]
+        sets += [[from_axis_angle(axes[k], angle)] for k in range(0, 400, 20) for angle in (0.7, np.pi)]
+        decided = []
+        for ops in sets:
+            matrices = np.stack([u.matrix for u in ops])
+            fits = operators._fits(matrices, pauli_dot(axes)[:, None])
+            assert np.array_equal(fits, operators._fits(matrices, pauli_dot(-axes)[:, None]))
+            decided += fits.tolist()
+        assert True in decided and False in decided
+        signed = axes * operators._canonical_signs(axes)[:, None] + 0.0
+        flipped = -axes * operators._canonical_signs(-axes)[:, None] + 0.0
+        assert signed.tobytes() == flipped.tobytes()
+
+    def test_repeated_axes_are_tried_once(self, monkeypatch):
+        """200 operators drawn from two generic rotations, each as given or
+        as its inverse (the axis reversed), with no common axis: after the
+        first candidate, only the other axis and their cross product reach
+        ``_fits``."""
+        rng = np.random.default_rng(151)
+        pair = [random_unimodular(rng), random_unimodular(rng)]
+        picks = zip(rng.integers(2, size=200), rng.random(200) < 0.5)
+        ops = [pair[k] if given else pair[k].dagger() for k, given in picks]
+        tried, fits = [], operators._fits
+        monkeypatch.setattr(operators, "_fits", lambda m, n_sigma: tried.append(len(n_sigma)) or fits(m, n_sigma))
+        assert find_common_axis(ops) is None
+        assert tried[0] == 1 and sum(tried[1:]) <= 2, tried
 
     @pytest.mark.parametrize("kind", ["planar_half_turns", "few_half_turn_axes", "no_axis"])
     def test_a_large_set_is_searched_in_bounded_memory(self, monkeypatch, kind):
         """Sets whose candidates span several blocks: 200 half-turns about
         axes in one plane, found only by the first cross product; 150 about
-        five axes in that plane, each given or reversed, so that duplicates
-        fall in later blocks; 24 generic rotations with no axis. The search
-        returns the one-candidate search's bytes, or None with it, without
-        building a cosine for every pair of candidates."""
+        five axes in that plane, each given or reversed, so that repeats of
+        an axis fall in later blocks; 24 generic rotations with no axis. The search
+        returns the one-candidate search's bytes, or None with it, holding
+        one block of candidates at a time."""
         rng = np.random.default_rng(["planar_half_turns", "few_half_turn_axes", "no_axis"].index(kind) + 130)
         w = random_unimodular(rng)
         if kind == "no_axis":
@@ -623,7 +666,7 @@ class TestCommonAxis:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20, peak
-        monkeypatch.setattr(operators, "_search_axis", lambda m, axes: _one_candidate_search(m, axes, []))
+        monkeypatch.setattr(operators, "_search_axis", _one_candidate_search)
         want = find_common_axis(ops)
         assert (found is None) == (want is None) == (kind == "no_axis"), kind
         assert found is None or found.tobytes() == want.tobytes(), kind
@@ -681,11 +724,7 @@ def _eager_common_axis(operators):
             norm = np.linalg.norm(cross)
             if norm > tolerances.CROSS_TOL:
                 candidates.append(cross / norm)
-    seen = []
     for cand in candidates:
-        if any(abs(np.dot(cand, s)) > 1.0 - tolerances.DUPLICATE_AXIS_TOL for s in seen):
-            continue
-        seen.append(cand)
         if all(classify_operator(u, cand).kind != GENERAL for u in operators):
             lead = next((c for c in cand if abs(c) > tolerances.SIGN_TOL), 1.0)
             return -cand if lead < 0 else cand
@@ -742,22 +781,15 @@ def _stacked_search_set(rng, kind):
                 for _ in range(size - 3)]
         if rng.random() < 0.3:
             # a turn of 1e-6 about an axis about 3e-5 from n, which fails
-            # where n fits and drops n as its duplicate
+            # where n fits: n must still be tried
             ops.insert(int(rng.integers(2)), from_axis_angle(near(n, 3e-5), 1e-6))
     return [conjugate(w, u) for u in ops]
 
 
-def _one_candidate_search(matrices, axes, skipped):
+def _one_candidate_search(matrices, axes):
     """The axis search one candidate at a time: the rest of ``axes``, then
-    their cross products, each skipped (and appended to ``skipped``) when
-    within DUPLICATE_AXIS_TOL of one tried before, each tried by its own
-    ``_fits`` pass."""
-    seen = [axes[0]]
+    their cross products, every one tried by its own ``_fits`` pass."""
     for cand in itertools.chain(axes[1:], operators._cross_axes(axes)):
-        if any(abs(np.dot(cand, s)) > 1.0 - tolerances.DUPLICATE_AXIS_TOL for s in seen):
-            skipped.append(cand)
-            continue
-        seen.append(cand)
         if operators._fits(matrices, pauli_dot(cand)):
             return cand * operators._canonical_signs(cand) + 0.0
     return None
