@@ -15,6 +15,7 @@ orthogonal input pair whose images overlap by i*sin(lambda).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -553,13 +554,15 @@ def _first_fit(matrices, cands) -> np.ndarray | None:
 
 
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+#: ``np.triu_indices``, built once per set size; its arrays are shared by every call, so only read them
+_pair_indices = functools.lru_cache(maxsize=32)(np.triu_indices)
 
 
 def _cross_axes(axes) -> np.ndarray:
     """The normalized cross product of each pair of ``axes`` (i < j, in
     order) that is longer than CROSS_TOL, as a stack. The products and
     differences are ``np.cross``'s, in its order."""
-    first, second = (axes[index] for index in np.triu_indices(len(axes), 1))
+    first, second = (axes[index] for index in _pair_indices(len(axes), 1))
     crosses = first[:, _NEXT] * second[:, _AFTER] - first[:, _AFTER] * second[:, _NEXT]
     norms = dot_norms(crosses)
     long = norms > CROSS_TOL

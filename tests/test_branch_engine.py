@@ -14,6 +14,7 @@ the engine draws a path from its exact tree after the run.
 
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -462,10 +463,13 @@ def _residual_of_row_2(residuals):
     ],
 )
 def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, message):
+    """The rotations come as an (N, 2) array of pairs, which takes every
+    check; a stack of ``Unimodular`` is admitted on its construction proof."""
     build = getattr(protocols, stack)
     monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    pairs = np.array([(u.a, u.b) for u in (rz(0.1 * k) for k in range(4))])
     with pytest.raises(ValueError, match=message):
-        protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
+        protocols.run_batch("bqst", pairs, [[0.6, 0.8]] * 4)
 
 
 @pytest.mark.parametrize(
@@ -476,11 +480,103 @@ def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, mess
     ],
 )
 def test_single_call_refuses_what_its_stack_refuses(monkeypatch, stack, spoil, message):
+    """The rotation comes as an (a, b) pair, which takes every check."""
     build = getattr(protocols, stack)
     monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    u = rz(0.1)
     with pytest.raises(ValueError, match=message) as info:
-        protocols.run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8]))
+        protocols.run_bqst(ProtocolConfig(u=(u.a, u.b), psi=[0.6, 0.8]))
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("form", ["unimodular", "pairs", "array"])
+def test_a_unimodular_is_admitted_on_its_construction_proof(monkeypatch, form):
+    """A single call and ``run_batch`` on ``Unimodular`` rotations take
+    neither the residual nor the unitarity product; the same rotations as
+    (a, b) pairs, or as an (N, 2) array, take both. Every form, also given
+    as an iterator, runs to the same bytes."""
+    unimodulars = [rz(0.3), Unimodular(0, 1j), random_unimodular(np.random.default_rng(3))]
+    psis = [[0.6, 0.8], [1, 0], [0, 1j]]
+    want = protocols.run_batch("bqst", unimodulars, psis)
+    us = {
+        "unimodular": unimodulars,
+        "pairs": [(u.a, u.b) for u in unimodulars],
+        "array": np.array([(u.a, u.b) for u in unimodulars]),
+    }[form]
+    assert protocols.run_batch("bqst", iter(us), psis).bob_final.tobytes() == want.bob_final.tobytes()
+    calls = Counter()
+    for name in ("unimodular_residuals", "matmul2"):
+        original = getattr(protocols, name)
+        monkeypatch.setattr(protocols, name, lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+    single = protocols.run_bqst(ProtocolConfig(u=us[0], psi=psis[0]))
+    table = protocols.run_batch("bqst", us, psis)
+    assert dict(calls) == ({} if form == "unimodular" else {"unimodular_residuals": 2, "matmul2": 2})
+    assert table.bob_final.tobytes() == want.bob_final.tobytes()
+    assert table.probability.tobytes() == want.probability.tobytes()
+    assert [o.bob_final.amplitudes.tobytes() for o in single] == [a.tobytes() for a in want.bob_final[0]]
+
+
+def test_the_unitarity_product_reads_the_residual_within_an_ulp():
+    """On 100,000 seeded pairs whose squared norm lies within 1e-15 of
+    1 +- UNIMODULAR_TOL, the built black box's ``M^dag M`` reads the
+    residual within one ulp of 1, and the two tests decide alike but for a
+    residual within that ulp of the tolerance. There a ``Unimodular`` is
+    admitted as its constructor admitted it, whose residual test decides
+    as ``unimodular_residuals`` does, bit for bit."""
+    rng = np.random.default_rng(2601)
+    n, ulp, tol = 100_000, 2.3e-16, tolerances.UNIMODULAR_TOL
+    z = rng.normal(size=(n, 4))
+    squared = 1 + rng.choice([-1.0, 1.0], n) * tol * (1 + 1e-5 * rng.uniform(-1, 1, n))
+    z *= (np.sqrt(squared) / np.linalg.norm(z, axis=1))[:, None]
+    pairs = z[:, 0::2] + 1j * z[:, 1::2]
+    residuals = operators.unimodular_residuals(pairs)
+    admitted = residuals <= tol
+    u = operators.unimodular_matrices(pairs)
+    off = np.abs(protocols.matmul2(u.conj().swapaxes(1, 2), u) - protocols.identity2).max(axis=(1, 2))
+    assert np.abs(off - residuals).max() <= ulp
+    edge = np.abs(residuals - tol) <= ulp
+    assert 0 < admitted[edge].sum() < edge.sum()  # the draws straddle the tolerance's last ulp
+    assert ((off <= tolerances.UNITARY_TOL) == admitted)[~edge].all()
+    built = []
+    for a, b in pairs[edge].tolist():
+        try:
+            built.append(Unimodular(a, b) is not None)
+        except ValueError:
+            built.append(False)
+    assert built == admitted[edge].tolist()
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["run_batch", "single_call"])
+def test_a_damped_builder_on_unimodular_rows_fails_the_row_sum(monkeypatch, batch):
+    """A black box built wrong from a ``Unimodular`` passes admission, which
+    trusts the construction proof, and is caught by ``_finish``'s row-sum
+    test on the run's own amplitudes, naming the row."""
+    build = protocols.unimodular_matrices
+    row = 2 if batch else 0
+
+    def damped(pairs):
+        matrices = build(pairs)
+        matrices[row] = matrices[row] @ np.diag([1.0, 0.5])
+        return matrices
+
+    monkeypatch.setattr(protocols, "unimodular_matrices", damped)
+    pattern = rf"^branch probabilities of row {row} sum to 0\.5\d*, expected 1\.0: a step was not unitary$"
+    with pytest.raises(InvariantViolation, match=pattern) as info:
+        if batch:
+            protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
+        else:
+            protocols.run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8]))
+    assert info.traceback[-1].name == "_finish"
+
+
+@pytest.mark.parametrize(
+    "psi, message", [([np.nan, 0], r"^psi\[0\] is not finite: nan$"), ([0, 0], r"^psi must be nonzero$")]
+)
+def test_a_proved_rotation_with_a_bad_psi_is_refused_without_a_warning(psi, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig(u=rz(0.3), psi=psi)
 
 
 def _run_circuit(monkeypatch, circuit, psis, us=None):

@@ -35,7 +35,7 @@ from remotegate import (
     tolerances,
 )
 from remotegate.cli import parse_operator
-from remotegate.gates import RowError, matmul2
+from remotegate.gates import RowError, dot_norms, matmul2
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -671,6 +671,27 @@ class TestCommonAxis:
         assert (found is None) == (want is None) == (kind == "no_axis"), kind
         assert found is None or found.tobytes() == want.tobytes(), kind
 
+    def test_cached_pair_indices_keep_every_cross_product_and_answer(self, monkeypatch):
+        """``_cross_axes`` takes its index pairs from a cache keyed by set
+        size: on the seeded sets of every search kind, each call's products
+        are those of ``np.triu_indices`` and ``np.cross``, in their order,
+        byte for byte, and so is every ``find_common_axis`` answer."""
+        rng = np.random.default_rng(160)
+        sets = [_axis_search_set(rng, kind) for kind in AXIS_SEARCH_KINDS for _ in range(20)]
+        sets += [_stacked_search_set(rng, kind) for kind in STACKED_SEARCH_KINDS for _ in range(20)]
+        calls, cross = [], operators._cross_axes
+        monkeypatch.setattr(operators, "_cross_axes", lambda axes: calls.append((axes, cross(axes))) or calls[-1][1])
+        hits = operators._pair_indices.cache_info().hits
+        found = [find_common_axis(ops) for ops in sets]
+        assert len(calls) >= 50 and operators._pair_indices.cache_info().hits > hits
+        for axes, got in calls:
+            want = _triu_cross_axes(axes)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        monkeypatch.setattr(operators, "_cross_axes", _triu_cross_axes)
+        for ops, got in zip(sets, found):
+            want = find_common_axis(ops)
+            assert (got is None) == (want is None) and (got is None or got.tobytes() == want.tobytes())
+
     def test_a_stack_refusal_names_the_set_and_operator(self):
         families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
         families[1, 2] = (1.0, 0.5)
@@ -784,6 +805,17 @@ def _stacked_search_set(rng, kind):
             # where n fits: n must still be tried
             ops.insert(int(rng.integers(2)), from_axis_angle(near(n, 3e-5), 1e-6))
     return [conjugate(w, u) for u in ops]
+
+
+def _triu_cross_axes(axes):
+    """The cross products of ``axes`` as written out: every pair i < j from
+    ``np.triu_indices``, by ``np.cross``, the ones longer than CROSS_TOL
+    normalised."""
+    first, second = (axes[index] for index in np.triu_indices(len(axes), 1))
+    crosses = np.cross(first, second)
+    norms = dot_norms(crosses)
+    long = norms > tolerances.CROSS_TOL
+    return crosses[long] / norms[long, None]
 
 
 def _one_candidate_search(matrices, axes):

@@ -346,3 +346,89 @@ def test_axis_recovery_reads_a_tilt_of_1e_8(monkeypatch):
     passed, detail = verify.check_axis_recovery(np.random.default_rng(5))
     (angle,) = _split(detail)[1]
     assert passed and abs(angle - tilt) <= 1e-10, detail
+
+
+# ---------------------------------------------------------------------------
+# a witness for each check's failure return: a defect monkeypatched in, and
+# the check's own message
+
+
+def test_classification_trichotomy_sees_swapped_tags(monkeypatch):
+    """``classify_matrices`` with COMMUTING and ANTICOMMUTING swapped: the
+    first in-set draw, rz(phi), is tagged anticommuting."""
+    rng = np.random.default_rng(0)
+    operators.random_unimodulars(rng, 100)
+    first = Unimodular(*verify._in_set(rng, np.arange(40) < 20, span=6)[0].tolist())
+    classify = operators.classify_matrices
+    flip = {operators.COMMUTING: operators.ANTICOMMUTING, operators.ANTICOMMUTING: operators.COMMUTING}
+    monkeypatch.setattr(operators, "classify_matrices", lambda m: np.array([flip.get(k, k) for k in classify(m).tolist()]))
+    passed, detail = verify.check_classification_trichotomy(np.random.default_rng(0))
+    assert (passed, detail) == (False, f"operator {first} tagged anticommuting, norms say commuting")
+
+
+def test_axis_recovery_sees_a_family_with_no_axis(monkeypatch):
+    monkeypatch.setattr(operators, "find_common_axes", lambda families: [None] * len(families))
+    assert verify.check_axis_recovery(np.random.default_rng(0)) == (False, "no axis found for an in-set family")
+
+
+def test_ledgers_sees_a_branch_charged_the_baseline(monkeypatch):
+    """universal221's branches charged bqst's (2, 2, 2)."""
+    run = protocols.PROTOCOLS["universal221"]
+
+    def overcharged(cfg):
+        return [o._replace(ledger=protocols.ResourceLedger(2, 2, 2)) for o in run(cfg)]
+
+    monkeypatch.setitem(protocols.PROTOCOLS, "universal221", overcharged)
+    assert verify.check_ledgers(np.random.default_rng(0)) == (False, "universal221 ledger (2, 2, 2) != (2, 2, 1)")
+
+
+def test_classification_consistency_sees_every_row_refused(monkeypatch):
+    """``admissible`` refusing every row disagrees with the classes at the
+    first in-set row, which the message names."""
+    drawn = []
+    monkeypatch.setattr(protocols, "admissible", lambda protocol, us, psis: drawn.append(us) or ["refused"] * len(us))
+    passed, detail = verify.check_classification_consistency(np.random.default_rng(0))
+    (us,) = drawn
+    in_set = operators.classify_matrices(operators.unimodular_matrices(us)) != operators.GENERAL
+    first = Unimodular(*us[np.argmax(in_set)].tolist())
+    assert (passed, detail) == (False, f"inconsistent classification for {first}")
+
+
+def test_restoration_classification_sees_an_in_set_operator_not_restored(monkeypatch):
+    """With nothing ever restored, the general operators all fail in the
+    first round and the first in-set operator is named."""
+    rounds = []
+    monkeypatch.setattr(bloch, "verify_restorations", lambda us, psis: rounds.append(us) or np.zeros(len(us), bool))
+    passed, detail = verify.check_restoration_classification(np.random.default_rng(0))
+    _, in_set = rounds  # the general operators' one round, then the in-set operators
+    assert (passed, detail) == (False, f"in-set operator failed restoration: {Unimodular(*in_set[0].tolist())}")
+
+
+def test_restoration_classification_sees_a_shared_correction(monkeypatch):
+    """``common_corrections`` reporting that every set shares a correction:
+    the first general operator is named."""
+    common, calls = operators.common_corrections, []
+
+    def shared(families):
+        calls.append(families)
+        return (np.ones(len(families), dtype=bool), *common(families)[1:])
+
+    monkeypatch.setattr(operators, "common_corrections", shared)
+    passed, detail = verify.check_restoration_classification(np.random.default_rng(0))
+    (families,) = calls  # each set: three z rotations, then a general operator
+    first = Unimodular(*families[0, -1].tolist())
+    assert (passed, detail) == (False, f"general operator shares a correction with z rotations: {first}")
+
+
+def test_run_all_reports_a_crashing_check(monkeypatch):
+    """A check that raises fails with the exception's type and message, and
+    the checks after it still run."""
+
+    def broken(alphas, xis):
+        raise ValueError("q_matrices broke")
+
+    monkeypatch.setattr(operators, "q_matrices", broken)
+    results = {r.name: r for r in verify.run_all(7)}
+    crashed = {name for name, r in results.items() if not r.passed}
+    assert crashed == {"operators.unimodular_closure", "operators.q_symmetry"}
+    assert {results[name].detail for name in crashed} == {"raised ValueError: q_matrices broke"}
