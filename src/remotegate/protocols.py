@@ -331,36 +331,60 @@ class BatchOutcome:
     """Every branch of one protocol run over N configurations (rows).
 
     Branch b has the same measurement record in every row, and the ledger
-    is the same for every branch. The arrays are indexed ``[n, b]``; every
-    row has every branch.
+    is the same for every branch. Branches whose outputs are equal up to
+    sign share one finished output: branch b's is output ``group[b]`` of
+    the D distinct ones, whose arrays are indexed ``[n, d]``. The branch
+    arrays ``probability``, ``fidelity``, ``succeeded`` and ``bob_final``,
+    indexed ``[n, b]``, are spread from them on first access, read-only;
+    every row has every branch.
     """
 
     records: tuple[tuple[tuple[str, str, str], ...], ...]
-    probability: np.ndarray  # (N, B)
-    fidelity: np.ndarray  # (N, B), to U|psi>
-    succeeded: np.ndarray  # (N, B)
-    bob_final: np.ndarray  # (N, B, 2), phase-fixed unit vectors
+    group: tuple[int, ...]  # (B,), branch b -> its distinct output
+    distinct_probability: np.ndarray  # (N, D), of each branch of the output
+    distinct_fidelity: np.ndarray  # (N, D), to U|psi>
+    distinct_succeeded: np.ndarray  # (N, D)
+    distinct_final: np.ndarray  # (N, D, 2), phase-fixed unit vectors
     ledger: ResourceLedger
     bob_qubit: QubitId
 
+    def _spread(self, distinct: np.ndarray) -> np.ndarray:
+        branches = distinct.take(self.group, axis=1)
+        branches.setflags(write=False)
+        return branches
+
+    @functools.cached_property
+    def probability(self) -> np.ndarray:  # (N, B)
+        return self._spread(self.distinct_probability)
+
+    @functools.cached_property
+    def fidelity(self) -> np.ndarray:  # (N, B)
+        return self._spread(self.distinct_fidelity)
+
+    @functools.cached_property
+    def succeeded(self) -> np.ndarray:  # (N, B)
+        return self._spread(self.distinct_succeeded)
+
+    @functools.cached_property
+    def bob_final(self) -> np.ndarray:  # (N, B, 2)
+        return self._spread(self.distinct_final)
+
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
-        Each state is a read-only view of ``bob_final``, unit by the compile's
-        certificate (``_certify``) and handed out unchecked."""
-        register, ledger = (self.bob_qubit,), self.ledger
-        probs, fids, wins = (a[n].tolist() for a in (self.probability, self.fidelity, self.succeeded))
-        cells = zip(self.records, probs, list(self.bob_final[n]), fids, wins)
-        if branches is not None:
-            cells = list(cells)
-            cells = [cells[b] for b in branches]
+        Each state is a read-only view of ``distinct_final``, unit by the compile's
+        certificate (``_certify``) and handed out unchecked; the branch arrays are not built."""
+        register, ledger, records, group = (self.bob_qubit,), self.ledger, self.records, self.group
+        probs, fids, wins, finals = (self.distinct_probability[n].tolist(), self.distinct_fidelity[n].tolist(),
+                                     self.distinct_succeeded[n].tolist(), list(self.distinct_final[n]))
         # tuple.__new__ skips the named tuple's Python-level __new__
         new_state, new_outcome = object.__new__, tuple.__new__
         outcomes = []
-        for record, probability, amplitudes, fidelity, succeeded in cells:
+        for b in range(len(group)) if branches is None else branches:
+            d = group[b]
             final = new_state(StateVector)
             fields = final.__dict__
-            fields["amplitudes"], fields["register"] = amplitudes, register
-            outcomes.append(new_outcome(ProtocolOutcome, (record, probability, final, fidelity, succeeded, ledger)))
+            fields["amplitudes"], fields["register"] = finals[d], register
+            outcomes.append(new_outcome(ProtocolOutcome, (records[b], probs[d], final, fids[d], wins[d], ledger)))
         return outcomes
 
 
@@ -523,14 +547,16 @@ def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
-    """The table of the branches ``amps[n, b]``, Bob's unnormalised output
-    on row n, of ``rows``. The compile proved each branch's probability for
-    every admissible row (``_certify``); the one check left reads the run's
-    own amplitudes: each row's probabilities sum to 1 within ``PROB_TOL``,
-    or a step was not unitary and the first such row is named. Normalises
-    and phase-fixes Bob's states in ``amps`` in place."""
+    """The table of ``rows`` from ``amps[n, d]``, Bob's unnormalised output
+    on row n for the branches of group d of ``inst``, each of which gives
+    it up to sign. The compile proved each branch's probability for every
+    admissible row (``_certify``); the one check left reads the run's own
+    amplitudes: each row's probabilities, each distinct one times its
+    branch count, sum to 1 within ``PROB_TOL``, or a step was not unitary
+    and the first such row is named. Normalises and phase-fixes Bob's
+    states in ``amps`` in place."""
     probs = _squared_norms(amps)
-    totals = probs.sum(axis=1)
+    totals = probs.dot(inst.counts)
     # x - 1 rounds monotonically in x, so the two ends decide every |x - 1|; a NaN fails
     if not (totals.max() - 1.0 <= PROB_TOL and 1.0 - totals.min() <= PROB_TOL):
         n = int(np.argmax(~(np.abs(totals - 1.0) <= PROB_TOL)))
@@ -545,7 +571,7 @@ def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
         array.setflags(write=False)
-    return BatchOutcome(inst.records, probs, fids, succeeded, finals, inst.ledger, inst.bob_qubit)
+    return BatchOutcome(inst.records, inst.group, probs, fids, succeeded, finals, inst.ledger, inst.bob_qubit)
 
 
 def _spread_amplitudes(alice_half: QubitId, bob_half: QubitId, data: QubitId) -> tuple[Apply | Measure, ...]:
@@ -635,13 +661,19 @@ class _Instrument(NamedTuple):
     ``tensor`` is every branch's output, flattened from (B, 2), for the
     black box E_ij and Bob's state |m>. A run is linear in both, so its
     output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m).
-    ``weights`` are the branch probabilities ``_certify`` proved."""
+    ``weights`` are the branch probabilities ``_certify`` proved. The
+    branches fall into the groups of ``_groups``: branch b's is
+    ``group[b]``, and group d has ``counts[d]`` branches, the first of
+    them ``reps[d]``."""
 
     tensor: np.ndarray  # (8, B * 2)
     records: tuple[tuple[tuple[str, str, str], ...], ...]
     weights: tuple[float, ...]
     ledger: ResourceLedger
     bob_qubit: QubitId
+    group: tuple[int, ...]
+    reps: tuple[int, ...]
+    counts: tuple[int, ...]
 
 
 #: Per promise class: the E_ij it spans, and pi[i], row i's column in its permutation Pi (1, or sx).
@@ -683,6 +715,26 @@ def _certify(maps: np.ndarray, promise: str | None, where: str, records) -> tupl
     return tuple(weights.tolist())
 
 
+def _groups(tensor: np.ndarray) -> dict[str, tuple[int, ...]]:
+    """Group the branches of ``tensor`` whose columns, (8, 2) each, are
+    equal, or equal but for sign, entry by entry and with no tolerance: on
+    every row their outputs are then equal up to sign, and so are their
+    probability, finished state and fidelity. Groups are numbered in the
+    order of their first branch. Returns ``_Instrument``'s ``group``,
+    ``reps`` and ``counts``."""
+    columns = tensor.reshape(8, -1, 2).transpose(1, 0, 2)
+    group, reps = [], []
+    for b, column in enumerate(columns):
+        for d, r in enumerate(reps):
+            if np.array_equal(column, columns[r]) or np.array_equal(column, -columns[r]):
+                break
+        else:
+            d = len(reps)
+            reps.append(b)
+        group.append(d)
+    return {"group": tuple(group), "reps": tuple(reps), "counts": tuple(map(group.count, range(len(reps))))}
+
+
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
     """Compile ``protocol`` for a promise class: play its circuit once on the
@@ -691,12 +743,12 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
     ones commute with sz, the others anticommute), so under a promise the
     other rows are zeroed. A protocol with a circuit per class (``one11``)
     has, under no promise, the sum of its class tensors, which lie on
-    disjoint rows and share records and weights."""
+    disjoint rows and share records and weights, grouped anew."""
     if promise is None and (protocol, None) not in _CIRCUITS:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
         both = commuting.tensor + anticommuting.tensor
         both.setflags(write=False)
-        return commuting._replace(tensor=both)
+        return commuting._replace(tensor=both, **_groups(both))
     circuit = _CIRCUITS[protocol, promise]
     plan = _plan(circuit)
     amps, outcomes = _play(plan)
@@ -708,7 +760,7 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
     weights = _certify(out.transpose(3, 0, 1, 4, 2), promise, where, records)
     tensor = out.reshape(8, -1)
     tensor.setflags(write=False)
-    return _Instrument(tensor, records, weights, plan.ledger, circuit.output)
+    return _Instrument(tensor, records, weights, plan.ledger, circuit.output, **_groups(tensor))
 
 
 #: Per promise code, the inputs (i, j, m), flattened, off its class: the
@@ -718,7 +770,8 @@ _OFF_CLASS = np.repeat([~_CLASSES[p][0].reshape(4) for p in _PROMISES + (None,)]
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
     """``protocol`` on checked rows: each row's U[i, j] psi[m] contracted
-    with the protocol's instrument, then finished."""
+    with the protocol's whole instrument, as one product whatever the
+    groups, then each group's first branch finished."""
     n_row = len(rows.psi)
     inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
     inst = _instrument(protocol, None)
@@ -726,8 +779,8 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
         # one11: each row keeps the inputs of its promised class; the part of
         # U off it, which the promise check admits within CLASS_TOL, is dropped
         inputs[_OFF_CLASS[rows.promise]] = 0
-    amps = inputs @ inst.tensor
-    return _finish(amps.reshape(n_row, len(inst.records), 2), rows, inst)
+    amps = (inputs @ inst.tensor).reshape(n_row, len(inst.records), 2)
+    return _finish(amps.take(inst.reps, axis=1), rows, inst)
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
@@ -741,7 +794,8 @@ def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
 def _draw(table: BatchOutcome, rng) -> int:
     """One branch of row 0, drawn down the tree a measurement at a time: each
     outcome with its probability given those before it (the weight below it)."""
-    probs = table.probability[0].tolist()
+    distinct, group = table.distinct_probability[0].tolist(), table.group
+    probs = [distinct[d] for d in group]
     branches = list(range(len(table.records)))
     for level in range(len(table.records[0])):
         children = [list(c) for _, c in groupby(branches, lambda b: table.records[b][level])]

@@ -1022,6 +1022,152 @@ def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# each distinct branch output finished once
+
+
+#: Per compiled instrument, each branch's group: bqst and one11 leave Bob
+#: U psi on every branch up to sign, universal221 and restricted221 split
+#: by Bob's last outcome (U psi, and U sz psi or its fix-up sz U sz psi).
+_GROUPS = {
+    ("bqst", None): (0,) * 16,
+    ("universal221", None): (0, 1) * 8,
+    ("restricted221", None): (0, 1) * 8,
+    ("one11", COMMUTING): (0,) * 4,
+    ("one11", ANTICOMMUTING): (0,) * 4,
+    ("one11", None): (0,) * 4,
+}
+
+
+@pytest.mark.parametrize("key", list(_GROUPS), ids=str)
+def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
+    inst = protocols._instrument(*key)
+    assert inst.group == _GROUPS[key]
+    distinct = sorted(set(inst.group))
+    assert inst.reps == tuple(inst.group.index(d) for d in distinct)
+    assert inst.counts == tuple(inst.group.count(d) for d in distinct)
+    columns = inst.tensor.reshape(8, -1, 2)
+    for b, d in enumerate(inst.group):
+        rep = columns[:, inst.reps[d]]
+        assert np.array_equal(columns[:, b], rep) or np.array_equal(columns[:, b], -rep)
+
+
+def _every_branch_finished(name, us, psis, promises):
+    """The oracle: the table ``run_batch`` gives, with every branch
+    contracted from its own column of the instrument and finished on its
+    own, by the per-branch formula the engine used before it grouped
+    branches. Returns (probability, fidelity, succeeded, bob_final)."""
+    rows = protocols._rows(us, psis, promises, protocols._PRECONDITIONS[name])
+    inst = protocols._instrument(name, None)
+    inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(len(rows.psi), 8)
+    if name == "one11":
+        inputs[protocols._OFF_CLASS[rows.promise]] = 0
+    amps = (inputs @ inst.tensor).reshape(len(rows.psi), len(inst.records), 2)
+    probs = statevector._squared_norms(amps)
+    finals = amps / np.sqrt(probs)[..., None]
+    lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
+    finals *= (lead.conj() / np.abs(lead))[..., None]
+    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2
+    return probs, fids, fids >= 1.0 - tolerances.SUCCESS_TOL, finals
+
+
+def _assert_matches_every_branch_finished(name, us, psis, promises):
+    """Probabilities and ``succeeded`` bit for bit; Bob's states bit for
+    bit but for an amplitude that is exactly zero, which may carry the
+    other sign of zero on a branch whose column is its group's negation;
+    fidelities within 8 ulps, since the D outputs' overlaps are taken by
+    a product of another shape."""
+    table = protocols.run_batch(name, us, psis, promises)
+    probs, fids, succeeded, finals = _every_branch_finished(name, us, psis, promises)
+    assert table.probability.tobytes() == probs.tobytes()
+    assert table.succeeded.tobytes() == succeeded.tobytes()
+    assert np.array_equal(table.bob_final, finals)
+    bits, want = table.bob_final.view(np.uint64), finals.view(np.uint64)
+    assert ((bits == want) | (finals.view(float) == 0)).all()
+    np.testing.assert_array_max_ulp(table.fidelity, fids, maxulp=8)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_grouped_finish_matches_every_branch_finished(name):
+    """300 seeded rows of z rotations, half turns and (where the protocol
+    takes them) Haar rotations, on |0>, |1>, [1, 1e-9] and Haar states;
+    one11 with the two promises mixed in one batch."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 2701, count=300)
+    psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
+    if name == "one11":
+        assert {COMMUTING, ANTICOMMUTING} <= set(promises)
+    _assert_matches_every_branch_finished(name, us, psis, promises)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name):
+    """The last branch's column scaled by 1 + 2**-52 at compile: it is no
+    longer equal to any other column, so it gets a group of its own, and
+    the run still matches every branch finished on its own."""
+    play = protocols._play
+
+    def scaled(plan):
+        amps, outcomes = play(plan)
+        amps[-1] *= 1 + 2.0**-52
+        return amps, outcomes
+
+    monkeypatch.setattr(protocols, "_play", scaled)
+    protocols._instrument.cache_clear()
+    try:
+        inst = protocols._instrument(name, None)
+        want = _GROUPS[name, None]
+        assert inst.group == want[:-1] + (len(set(want)),)
+        us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 2711, count=40)
+        _assert_matches_every_branch_finished(name, us, psis, promises)
+    finally:
+        protocols._instrument.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("name", ["bqst", "one11"])
+def test_a_row_of_a_300_row_batch_is_its_single_call(name, mode):
+    """With one distinct output per row (D = 1), row n of a 300-row batch
+    is, bit for bit, what the single call on row n returns; in sampled
+    mode, the branch it draws."""
+    us, psis, promises = _batch_rows(name, seed=2721 + (name == "one11"), count=300)
+    table = protocols.run_batch(name, us, psis, promises)
+    for n in range(0, 300, 7):
+        cfg = ProtocolConfig(u=us[n], psi=psis[n], promise=promises[n], mode=mode, seed=n if mode == "sampled" else None)
+        single = PROTOCOLS[name](cfg)
+        branches = [table.records.index(o.measurement_record) for o in single]
+        _same_outcomes(single, table.row(n, branches))
+
+
+def test_branch_arrays_are_spread_once_and_read_only():
+    us, psis, _ = _batch_rows("universal221", seed=2731, count=20)
+    table = protocols.run_batch("universal221", us, psis)
+    for name in ("probability", "fidelity", "succeeded", "bob_final"):
+        spread = getattr(table, name)
+        assert getattr(table, name) is spread
+        assert not spread.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spread[0, 0] = 0
+        distinct = getattr(table, "distinct_final" if name == "bob_final" else f"distinct_{name}")
+        assert not distinct.flags.writeable
+        assert spread.shape[:2] == (20, 16)
+        assert spread.tobytes() == distinct[:, list(table.group)].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_single_call_builds_no_branch_arrays(monkeypatch, name):
+    """``row`` and the sampled draw read the distinct values: a single
+    call, exact or sampled, never spreads them onto the branches."""
+
+    def refuse(self, distinct):
+        raise AssertionError("branch arrays built")
+
+    monkeypatch.setattr(protocols.BatchOutcome, "_spread", refuse)
+    for cfg in _configs(name, "exact", seed=2741, count=4):
+        assert len(PROTOCOLS[name](cfg)) == (4 if name == "one11" else 16)
+    for cfg in _configs(name, "sampled", seed=2742, count=4):
+        assert len(PROTOCOLS[name](cfg)) == 1
+
+
+# ---------------------------------------------------------------------------
 # one configuration is the one-row case of the batch path
 
 

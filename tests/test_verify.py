@@ -394,6 +394,22 @@ def test_classification_consistency_sees_every_row_refused(monkeypatch):
     assert (passed, detail) == (False, f"inconsistent classification for {first}")
 
 
+def test_classification_consistency_sees_every_row_admitted(monkeypatch):
+    """``admissible`` admitting every row disagrees with the classes at the
+    first general row. The check compares the admission before it runs
+    the admitted rows, so it reports that row with its own message, and
+    ``run_all`` does not report the run's ``RowError``."""
+    drawn = []
+    monkeypatch.setattr(protocols, "admissible", lambda protocol, us, psis: drawn.append(us) or [None] * len(us))
+    passed, detail = verify.check_classification_consistency(np.random.default_rng(0))
+    (us,) = drawn
+    general = operators.classify_matrices(operators.unimodular_matrices(us)) == operators.GENERAL
+    first = Unimodular(*us[np.argmax(general)].tolist())
+    assert (passed, detail) == (False, f"inconsistent classification for {first}")
+    result = {r.name: r for r in verify.run_all(0)}["protocols.classification_consistency"]
+    assert not result.passed and result.detail.startswith("inconsistent classification for ")
+
+
 def test_restoration_classification_sees_an_in_set_operator_not_restored(monkeypatch):
     """With nothing ever restored, the general operators all fail in the
     first round and the first in-set operator is named."""
