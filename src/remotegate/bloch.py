@@ -28,6 +28,8 @@ from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
 _PAULI_STACK = np.array(PAULIS)
+#: sz X sz for a 2x2 X is X with its off-diagonal entries negated
+_SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,13 @@ def pure_density(psi) -> np.ndarray:
         return pure_densities(np.asarray(psi, dtype=complex)[None])[0]
 
 
+def _min_eigenvalues(hermitians) -> np.ndarray:
+    """The smaller eigenvalue tr/2 - hypot((h00 - h11)/2, |h01|) of each
+    matrix of an (N, 2, 2) Hermitian stack, read from its diagonal and upper entry."""
+    h00, h11 = hermitians[:, 0, 0].real, hermitians[:, 1, 1].real
+    return (h00 + h11) / 2 - np.hypot((h00 - h11) / 2, np.abs(hermitians[:, 0, 1]))
+
+
 def bloch_vectors(rhos) -> np.ndarray:
     """(Sx, Sy, Sz) of each valid density matrix of an (N, 2, 2) stack, as
     an (N, 3) array. Each test in turn (finite, Hermitian, unit trace,
@@ -78,7 +87,7 @@ def bloch_vectors(rhos) -> np.ndarray:
     tests = (
         (np.linalg.norm(rhos - rhos.conj().swapaxes(1, 2), axis=(1, 2)) <= DENSITY_TOL, "not Hermitian"),
         (np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= DENSITY_TOL, "trace differs from 1"),
-        (np.linalg.eigvalsh(rhos).min(axis=1) >= -DENSITY_TOL, "not positive semidefinite"),
+        (_min_eigenvalues(rhos) >= -DENSITY_TOL, "not positive semidefinite"),
     )
     for ok, why in tests:
         if not ok.all():
@@ -134,8 +143,7 @@ def verify_restorations(us, psis) -> np.ndarray:
         raise ValueError(f"{len(pairs)} rotations and {len(rho)} states do not match")
     m = unimodular_matrices(pairs)
     m_dag = m.conj().swapaxes(1, 2)
-    mirrored = matmul2(matmul2(sigma_z, rho), sigma_z)
-    restored = matmul2(matmul2(sigma_z, matmul2(matmul2(m, mirrored), m_dag)), sigma_z)
+    restored = matmul2(matmul2(m, rho * _SZ_SIGNS), m_dag) * _SZ_SIGNS
     return np.abs(restored - matmul2(matmul2(m, rho), m_dag)).max(axis=(1, 2)) <= RESTORE_TOL
 
 

@@ -589,7 +589,10 @@ def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     """``find_orthogonal_pair`` over two (N, 2) stacks of (a, b) pairs: one
     ``OrthogonalPair`` whose fields are stacks (``lam`` of shape (N,), the
     states (N, 2)), and |sin lam| of each row. Rows where that is below
-    DEGENERACY_TOL hold no pair."""
+    DEGENERACY_TOL hold no pair. For the axis n of U2^dag U1 (z where
+    degenerate), |lam-> is (1 + nz, nx + i ny) where nz >= 0, else
+    (nx - i ny, 1 - nz), over sqrt(2(1 + |nz|)); |lam+> is its
+    ``orthogonal_state``."""
     u1, u2 = as_pairs(u1), as_pairs(u2)
     (a1, b1), (a2, b2) = u1.T, u2.T
     # U2^dag U1 as a pair, and its Pauli decomposition p0*1 - i*pvec.sigma
@@ -598,11 +601,13 @@ def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     s = np.linalg.norm(pvec, axis=-1)
     ok = s >= DEGENERACY_TOL
     lam = np.arctan2(s, a.real)
-    # eigh of the Hermitian axis operator gives orthonormal eigenvectors;
-    # its -1 eigenvector carries the e^{+i lam} eigenvalue of the product.
-    axes = np.where(ok[:, None], pvec / np.where(ok, s, 1.0)[:, None], Z_AXIS)
-    _, evecs = np.linalg.eigh(np.einsum("np,pij->nij", axes, _PAULI_TRIPLE))
-    lam_plus, lam_minus = evecs[..., 0], evecs[..., 1]
+    # n.sigma's +1 eigenvector from the pole that keeps 1 +/- nz away from 0;
+    # it carries the product's e^{-i lam}, its orthogonal state e^{+i lam}
+    nx, ny, nz = np.where(ok[:, None], pvec / np.where(ok, s, 1.0)[:, None], Z_AXIS).T
+    up = nz >= 0
+    lam_minus = np.stack([np.where(up, 1 + nz, nx - 1j * ny), np.where(up, nx + 1j * ny, 1 - nz)], axis=-1)
+    lam_minus /= np.sqrt(2 * (1 + np.abs(nz)))[:, None]
+    lam_plus = orthogonal_state(lam_minus)
     psi = (lam_plus + lam_minus) / _SQRT2
     psi_perp = (lam_plus - lam_minus) / _SQRT2
     pair = OrthogonalPair(

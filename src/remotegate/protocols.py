@@ -568,6 +568,7 @@ def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
     fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
+    np.minimum(fids, 1.0, out=fids)  # both vectors are unit only to rounding
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
         array.setflags(write=False)

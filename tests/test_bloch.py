@@ -15,8 +15,10 @@ from remotegate import (
     rz,
     verify_restoration,
 )
-from remotegate.gates import PAULIS, dot_norms
+from remotegate import bloch, operators
+from remotegate.gates import PAULIS, dot_norms, matmul2, sigma_z
 from remotegate.bloch import bloch_vectors, densities_from_bloch, pure_densities, verify_restorations
+from remotegate.tolerances import DENSITY_TOL, RESTORE_TOL
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -109,6 +111,35 @@ class TestStackForms:
         rhos[row] = bad
         with pytest.raises(ValueError, match=message):
             bloch_vectors(rhos)
+
+    @pytest.mark.parametrize("seed", [0, 28])
+    def test_min_eigenvalues_are_eigvalsh_s(self, seed):
+        """The closed form against LAPACK on 1,000 seeded Hermitian matrices
+        at scales 1e-6, 1 and 1e6, diagonal ones and ones with equal
+        eigenvalues among them, within 8 ulps of the larger |eigenvalue|."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+        h = (a + a.conj().swapaxes(1, 2)) / 2 * np.repeat([1e-6, 1.0, 1e6], [300, 400, 300])[:, None, None]
+        h[:50, 0, 1] = h[:50, 1, 0] = 0
+        h[50:100] = rng.normal(size=(50, 1, 1)) * np.eye(2)
+        eigs = np.linalg.eigvalsh(h)
+        scale = np.abs(eigs).max(axis=1)
+        assert (np.abs(bloch._min_eigenvalues(h) - eigs[:, 0]) <= 8 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("eps, refused", [(2 * DENSITY_TOL, True), (DENSITY_TOL / 2, False)], ids=["past", "within"])
+    def test_a_negative_eigenvalue_is_read_against_the_tolerance(self, eps, refused):
+        """(1 + eps)|psi><psi| - eps|psi_perp><psi_perp| has unit trace and
+        the eigenvalue -eps; on a general psi every entry counts. Row 3 is
+        refused by row and message past DENSITY_TOL, and admitted within it."""
+        rng = np.random.default_rng(32)
+        rhos = self._densities(rng, 3)
+        psi = random_qubit(rng)
+        rhos[3] = (1 + eps) * pure_density(psi) - eps * pure_density(operators.orthogonal_state(psi))
+        if refused:
+            with pytest.raises(ValueError, match=r"^row 3: invalid density matrix: not positive semidefinite$"):
+                bloch_vectors(rhos)
+        else:
+            assert bloch_vectors(rhos).shape == (6, 3)
 
     @pytest.mark.parametrize(
         "rhos", [np.eye(2) / 2, np.zeros((2, 3, 3)), np.zeros((1, 2, 2, 2))], ids=["one_matrix", "3x3", "4d"]
@@ -206,6 +237,34 @@ class TestRestoration:
     def test_stacks_of_unequal_length_are_refused(self, count, psis, message):
         with pytest.raises(ValueError, match=message):
             verify_restorations([rz(0.1)] * count, psis)
+
+    @staticmethod
+    def _restorations_by_products(us, psis):
+        """``verify_restorations`` with each conjugation by sz written as two ``matmul2`` products."""
+        m = operators.unimodular_matrices(operators.as_pairs(us))
+        m_dag, rho = m.conj().swapaxes(1, 2), pure_densities(psis)
+        mirrored = matmul2(matmul2(sigma_z, rho), sigma_z)
+        restored = matmul2(matmul2(sigma_z, matmul2(matmul2(m, mirrored), m_dag)), sigma_z)
+        return np.abs(restored - matmul2(matmul2(m, rho), m_dag)).max(axis=(1, 2)) <= RESTORE_TOL
+
+    @pytest.mark.parametrize("seed", [0, 28])
+    def test_the_sign_mask_is_the_sz_conjugation(self, seed):
+        """On seeded Haar, z-rotation and off-diagonal operators, with |0>,
+        |1> and |+> among Haar states: the mask negates the off-diagonal
+        entries of each density matrix as sz X sz does, equal up to the sign
+        of a zero, and the verdicts are the two-product form's."""
+        rng = np.random.default_rng(seed)
+        phases, diagonal = np.exp(1j * rng.uniform(0, 2 * np.pi, 400)), rng.random(400) < 0.5
+        in_set = np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
+        us = np.concatenate([operators.random_unimodulars(rng, 400), in_set])
+        psis = operators.random_qubits(rng, 800)
+        psis[::7], psis[1::7], psis[2::7] = [1, 0], [0, 1], np.array([1, 1]) / np.sqrt(2)
+        rho = pure_densities(psis)
+        masked, conjugated = rho * bloch._SZ_SIGNS, matmul2(matmul2(sigma_z, rho), sigma_z)
+        assert np.array_equal(masked, conjugated)
+        differ = masked.view(np.uint64) != conjugated.view(np.uint64)
+        assert (masked.view(float)[differ] == 0).all()
+        assert np.array_equal(verify_restorations(us, psis), self._restorations_by_products(us, psis))
 
     def test_z_rotation_restores(self):
         rng = np.random.default_rng(4)

@@ -1075,7 +1075,7 @@ def _assert_matches_every_branch_finished(name, us, psis, promises):
     bit but for an amplitude that is exactly zero, which may carry the
     other sign of zero on a branch whose column is its group's negation;
     fidelities within 8 ulps, since the D outputs' overlaps are taken by
-    a product of another shape."""
+    a product of another shape, and none above 1."""
     table = protocols.run_batch(name, us, psis, promises)
     probs, fids, succeeded, finals = _every_branch_finished(name, us, psis, promises)
     assert table.probability.tobytes() == probs.tobytes()
@@ -1084,6 +1084,7 @@ def _assert_matches_every_branch_finished(name, us, psis, promises):
     bits, want = table.bob_final.view(np.uint64), finals.view(np.uint64)
     assert ((bits == want) | (finals.view(float) == 0)).all()
     np.testing.assert_array_max_ulp(table.fidelity, fids, maxulp=8)
+    assert table.fidelity.max() <= 1.0
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

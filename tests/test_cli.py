@@ -214,6 +214,16 @@ class TestMain:
         assert total == pytest.approx(0.5, abs=1e-9)
         assert records[0]["ledger"] == {"ebits": 2, "cbits_ab": 2, "cbits_ba": 1}
 
+    def test_no_fidelity_exceeds_one(self, capsys):
+        """Bob's state and U|psi> are unit only to rounding, and on this
+        configuration their overlap squared rounds above 1 on every branch;
+        each fidelity is clipped at 1, and every branch still succeeds."""
+        argv = ["run", "--protocol", "bqst", "--u", "rot:0,0,1,0.0", "--psi", "+", "--format", "structured"]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(records) == 16 and all(r["succeeded"] for r in records)
+        assert max(r["fidelity"] for r in records) == 1.0
+
     def test_structured_output_is_deterministic(self, capsys):
         argv = ["run", "--protocol", "one11", "--u", "rz:0.9", "--psi", "amp:0.6,0,0,0.8",
                 "--promise", "commuting", "--mode", "sampled", "--seed", "31",

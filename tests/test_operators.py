@@ -859,6 +859,48 @@ class TestOrthogonalPair:
             np.testing.assert_allclose(pair.phi, u1.matrix @ pair.psi, atol=1e-12)
             np.testing.assert_allclose(pair.phi_prime, u2.matrix @ pair.psi_perp, atol=1e-12)
 
+    #: both poles, an axis on the equator, and the two sides of it by less than an ulp of 1
+    SPECIAL_AXES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1e-17), (1.0, 0.0, -1e-17)]
+
+    @pytest.mark.parametrize("seed", [0, 28])
+    def test_eigenvectors_are_the_closed_form_of_the_axis_operator(self, seed):
+        """U2 = W and U1 = W R(n, theta) give U2^dag U1 = R(n, theta), whose
+        axis operator n.sigma has |lam-> = (psi - psi_perp)/sqrt(2) as its +1
+        eigenvector and |lam+> = (psi + psi_perp)/sqrt(2) as its -1 one; W is
+        Haar for 300 seeded axes and 1 for the special ones, so that their
+        nz reaches the formula unrounded. The pair is orthonormal, and
+        |lam->'s first component is real and positive where nz >= 0, its
+        second where nz < 0."""
+        rng = np.random.default_rng(seed)
+        seeded = rng.normal(size=(300, 3))
+        axes = np.concatenate([seeded / dot_norms(seeded)[:, None], self.SPECIAL_AXES])
+        ws = np.concatenate([operators.random_unimodulars(rng, 300), [(1, 0)] * len(self.SPECIAL_AXES)])
+        rotations = operators.from_axis_angles(axes, rng.uniform(0.3, 5.9, len(axes)))
+        u1 = operators.pairs_from_matrices(
+            matmul2(operators.unimodular_matrices(ws), operators.unimodular_matrices(rotations))
+        )
+        pair, _ = operators.orthogonal_pairs(u1, ws)
+        lam_plus, lam_minus = (pair.psi + pair.psi_perp) / np.sqrt(2), (pair.psi - pair.psi_perp) / np.sqrt(2)
+        h = pauli_dot(axes)
+        assert np.abs((h @ lam_minus[..., None])[..., 0] - lam_minus).max() <= 1e-15
+        assert np.abs((h @ lam_plus[..., None])[..., 0] + lam_plus).max() <= 1e-15
+        assert np.abs(np.sum(pair.psi.conj() * pair.psi_perp, axis=1)).max() <= 1e-15
+        for states in (pair.psi, pair.psi_perp):
+            assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-15
+        lead = np.where(axes[:, 2] >= 0, lam_minus[:, 0], lam_minus[:, 1])
+        assert np.abs(lead.imag).max() <= 1e-15 and (lead.real > 0).all()
+
+    @pytest.mark.parametrize("axis", SPECIAL_AXES, ids=["+z", "-z", "x", "x+1e-17z", "x-1e-17z"])
+    def test_each_special_axis_gives_its_pole_eigenvector(self, axis):
+        """|lam-> is (1 + nz, nx + i ny) / sqrt(2(1 + |nz|)) where nz >= 0,
+        else (nx - i ny, 1 - nz) over the same norm, and the images overlap
+        by i sin(lam)."""
+        nx, ny, nz = axis
+        pair = find_orthogonal_pair(from_axis_angle(axis, 1.1), IDENTITY)
+        want = np.array([1 + nz, nx + 1j * ny] if nz >= 0 else [nx - 1j * ny, 1 - nz]) / np.sqrt(2 * (1 + abs(nz)))
+        np.testing.assert_allclose((pair.psi - pair.psi_perp) / np.sqrt(2), want, rtol=0, atol=1e-15)
+        assert abs(np.vdot(pair.phi_prime, pair.phi) - 1j * np.sin(pair.lam)) <= 1e-15
+
 
 class TestDiagFormDecompose:
     def test_same_operator_gives_zero(self):
