@@ -206,13 +206,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return _build_parsers()
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The top-level parser ``main`` uses."""
-    return _parsers()[0]
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with a known subcommand's arguments
+    """``_parsers()[0].parse_args(argv)``, with a known subcommand's arguments
     parsed by that subcommand's parser alone. The top-level pass only picks
     the subcommand, so its parse is taken only where it can differ: no
     arguments, an unknown command, or arguments the subcommand leaves over,
@@ -224,7 +219,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not extra:
             args.command = argv[0]
             return args
-    return _parser().parse_args(argv)
+    return _parsers()[0].parse_args(argv)
 
 
 #: a value argparse would read as an option flag: "-" then a digit, "." or

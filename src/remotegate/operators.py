@@ -130,20 +130,32 @@ def unimodular_residuals(pairs) -> np.ndarray:
     return np.abs(np.add.reduce(flat * flat, axis=-1) - 1.0)
 
 
+def _pair_rows(us) -> tuple[np.ndarray, np.ndarray | None]:
+    """A sequence of ``Unimodular``, a list of (a, b) pairs or an array of
+    them as a complex array, with each row's ``unimodular_residuals``; None
+    in their place for ``Unimodular`` values only, admitted on their
+    construction proof. Every other form takes the one residual test in
+    the order the constructor takes it (README, Conventions)."""
+    if not isinstance(us, np.ndarray):
+        us = list(us)
+        if all(isinstance(u, Unimodular) for u in us):
+            return np.array([(u.a, u.b) for u in us], dtype=complex), None
+        us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
+    pairs = np.asarray(us, dtype=complex)
+    with np.errstate(over="ignore"):  # a square beyond the float range is inf, and fails
+        return pairs, unimodular_residuals(pairs)
+
+
 def as_pairs(us) -> np.ndarray:
     """A sequence of ``Unimodular`` (or an array of (a, b) pairs) as a
     complex (..., 2) stack. Pairs not read from ``Unimodular`` values are
-    refused unless every row is unimodular within UNIMODULAR_TOL; the error
-    names the first bad row."""
-    if not isinstance(us, np.ndarray):
-        if all(isinstance(u, Unimodular) for u in us):  # unimodular by construction
-            return np.array([(u.a, u.b) for u in us], dtype=complex).reshape(-1, 2)
-        us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
-    pairs = np.asarray(us, dtype=complex)
+    refused unless every row passes ``_pair_rows``' residual test; the
+    error names the first bad row."""
+    pairs, residuals = _pair_rows(us)
+    if residuals is None:
+        return pairs.reshape(-1, 2)
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError(f"expected a stack of (a, b) pairs, got shape {pairs.shape}")
-    with np.errstate(over="ignore"):  # a square beyond the float range is inf, and fails
-        residuals = unimodular_residuals(pairs)
     bad = ~(residuals <= UNIMODULAR_TOL)
     if bad.any():
         row = tuple(np.argwhere(bad)[0].tolist())

@@ -38,7 +38,6 @@ from .gates import (
     controlled,
     controlled_phase,
     identity2,
-    matmul2,
     not_finite,
     require_seed,
     sigma_x,
@@ -52,11 +51,11 @@ from .operators import (
     COMMUTING,
     Unimodular,
     _bracket_norms,
+    _pair_rows,
     kinds_from_norms,
     rz,
     unimodular_error,
     unimodular_matrices,
-    unimodular_residuals,
 )
 from .statevector import (
     InvariantViolation,
@@ -84,7 +83,6 @@ from .tolerances import (
     ROUNDING_TOL,
     SUCCESS_TOL,
     UNIMODULAR_TOL,
-    UNITARY_TOL,
 )
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
@@ -227,17 +225,12 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     each row, the message of the first check it fails, or None.
 
     The checks on a row's values come first, in order: the rotation is
-    finite and unimodular and its black box, as built, unitary; psi is one
+    finite and unimodular (``operators._pair_rows``' residual test, which a
+    stack of ``Unimodular`` only skips on its construction proof); psi is one
     qubit's, finite and nonzero (and is normalised). ``_class_checks``
     follow, in the same pass over every row. Stacks whose shapes do not fit
-    are refused. A stack of ``Unimodular`` only is admitted on its
-    construction proof (README, Conventions): no rotation check, no errstate."""
-    proved = False
-    if not isinstance(us, np.ndarray):
-        us = list(us)
-        proved = all(isinstance(u, Unimodular) for u in us)
-        us = [(u.a, u.b) if isinstance(u, Unimodular) else u for u in us]
-    pairs = np.asarray(us, dtype=complex)
+    are refused."""
+    pairs, residuals = _pair_rows(us)
     psi, one_qubit = _state_rows(psis)
     n_row = len(pairs)
     if promise is None or isinstance(promise, str):
@@ -252,23 +245,19 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
     unit, nonzero = unit_rows(psi, NORM_TOL)
-    u = unimodular_matrices(pairs)
-    rows = _Rows(u=u, psi=unit, promise=np.array(codes, dtype=np.intp))
+    rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp))
     # ``nonzero`` is also False where psi is not one qubit's (a zero row) or not finite
     psi_check = (nonzero, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if one_qubit[n]
                  else "psi must be a single-qubit state")
-    if proved:
+    if residuals is None:
         return rows, _messages([psi_check, *_class_checks(rows, given, precondition)], n_row)
     with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite fails a value check first,
         # so its class norms, taken quietly here, are never read
-        residuals = unimodular_residuals(pairs)
-        off = np.abs(matmul2(u.conj().swapaxes(1, 2), u) - identity2)
         checks = _class_checks(rows, given, precondition)
         # one reduction per check decides for the whole stack
-        if not (residuals.max() <= UNIMODULAR_TOL and off.max() <= UNITARY_TOL and nonzero.all()):
+        if not (residuals.max() <= UNIMODULAR_TOL and nonzero.all()):
             checks[:0] = [
                 (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
-                (off.max(axis=(1, 2)) <= UNITARY_TOL, lambda n: f"gate 'u' is not unitary within {UNITARY_TOL}"),
                 psi_check,
             ]
         return rows, _messages(checks, n_row)
@@ -298,7 +287,8 @@ class ProtocolConfig:
     """Inputs of a run: the black-box rotation, Bob's state, an optional
     promise about the rotation's class, and the execution mode. ``rows``
     holds the checked one-row stack a run takes: a ``Unimodular`` is admitted
-    on its construction proof, an (a, b) pair checked and kept as one."""
+    on its construction proof, an (a, b) pair on the residual test that proof
+    takes, and kept as one."""
 
     u: Unimodular
     psi: np.ndarray

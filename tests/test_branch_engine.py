@@ -45,7 +45,7 @@ from remotegate import (
     tensor,
     tolerances,
 )
-from remotegate import operators, statevector, verify
+from remotegate import gates, operators, statevector, verify
 from remotegate.gates import CNOT, Gate, H, RowError, X, Z
 from remotegate.protocols import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split
@@ -443,11 +443,6 @@ def test_an_unknown_promise_reads_the_same_from_an_array():
             protocols.run_batch("one11", us, psis, promise)
 
 
-def _damp_row_2(matrices):
-    matrices[2] = matrices[2] @ np.diag([1.0, 0.5])
-    return matrices
-
-
 def _residual_of_row_2(residuals):
     residuals[2] = 0.25
     return residuals
@@ -456,17 +451,16 @@ def _residual_of_row_2(residuals):
 @pytest.mark.parametrize(
     "stack, spoil, message",
     [
-        # the black boxes are checked as built, not only as (a, b) pairs
-        ("unimodular_matrices", _damp_row_2, r"^row 2: gate 'u' is not unitary within 1e-10$"),
         # the stacked residual decides, and the error quotes it
         ("unimodular_residuals", _residual_of_row_2, r"^row 2: not unimodular: .* by 2\.500e-01$"),
     ],
 )
 def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, message):
-    """The rotations come as an (N, 2) array of pairs, which takes every
-    check; a stack of ``Unimodular`` is admitted on its construction proof."""
-    build = getattr(protocols, stack)
-    monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    """The rotations come as an (N, 2) array of pairs, which takes the
+    residual test; a stack of ``Unimodular`` is admitted on its construction
+    proof."""
+    build = getattr(operators, stack)
+    monkeypatch.setattr(operators, stack, lambda pairs: spoil(build(pairs)))
     pairs = np.array([(u.a, u.b) for u in (rz(0.1 * k) for k in range(4))])
     with pytest.raises(ValueError, match=message):
         protocols.run_batch("bqst", pairs, [[0.6, 0.8]] * 4)
@@ -475,82 +469,95 @@ def test_batch_refuses_the_row_its_stack_refuses(monkeypatch, stack, spoil, mess
 @pytest.mark.parametrize(
     "stack, spoil, message",
     [
-        ("unimodular_matrices", lambda m: m @ np.diag([1.0, 0.5]), r"^gate 'u' is not unitary within 1e-10$"),
         ("unimodular_residuals", lambda residuals: residuals + 0.25, r"^not unimodular: .* by 2\.500e-01$"),
     ],
 )
 def test_single_call_refuses_what_its_stack_refuses(monkeypatch, stack, spoil, message):
-    """The rotation comes as an (a, b) pair, which takes every check."""
-    build = getattr(protocols, stack)
-    monkeypatch.setattr(protocols, stack, lambda pairs: spoil(build(pairs)))
+    """The rotation comes as an (a, b) pair, which takes the residual test."""
+    build = getattr(operators, stack)
+    monkeypatch.setattr(operators, stack, lambda pairs: spoil(build(pairs)))
     u = rz(0.1)
     with pytest.raises(ValueError, match=message) as info:
         protocols.run_bqst(ProtocolConfig(u=(u.a, u.b), psi=[0.6, 0.8]))
     assert type(info.value) is ValueError
 
 
+def _rotation_form(unimodulars, form):
+    """The rotations as given: ``Unimodular`` values, (a, b) pairs or an (N, 2) array."""
+    pairs = [(u.a, u.b) for u in unimodulars]
+    return {"unimodular": unimodulars, "pairs": pairs, "array": np.array(pairs)}[form]
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or original(*args))
+
+
 @pytest.mark.parametrize("form", ["unimodular", "pairs", "array"])
 def test_a_unimodular_is_admitted_on_its_construction_proof(monkeypatch, form):
-    """A single call and ``run_batch`` on ``Unimodular`` rotations take
-    neither the residual nor the unitarity product; the same rotations as
-    (a, b) pairs, or as an (N, 2) array, take both. Every form, also given
-    as an iterator, runs to the same bytes."""
+    """A single call and ``run_batch`` on ``Unimodular`` rotations skip the
+    residual test; the same rotations as (a, b) pairs, or as an (N, 2)
+    array, take it once per call. No form builds a ``matmul2`` product.
+    Every form, also given as an iterator, runs to the same bytes."""
     unimodulars = [rz(0.3), Unimodular(0, 1j), random_unimodular(np.random.default_rng(3))]
     psis = [[0.6, 0.8], [1, 0], [0, 1j]]
     want = protocols.run_batch("bqst", unimodulars, psis)
-    us = {
-        "unimodular": unimodulars,
-        "pairs": [(u.a, u.b) for u in unimodulars],
-        "array": np.array([(u.a, u.b) for u in unimodulars]),
-    }[form]
+    us = _rotation_form(unimodulars, form)
     assert protocols.run_batch("bqst", iter(us), psis).bob_final.tobytes() == want.bob_final.tobytes()
     calls = Counter()
-    for name in ("unimodular_residuals", "matmul2"):
-        original = getattr(protocols, name)
-        monkeypatch.setattr(protocols, name, lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+    _count_calls(monkeypatch, calls, operators, "unimodular_residuals")
+    for module in (gates, operators):
+        _count_calls(monkeypatch, calls, module, "matmul2")
     single = protocols.run_bqst(ProtocolConfig(u=us[0], psi=psis[0]))
     table = protocols.run_batch("bqst", us, psis)
-    assert dict(calls) == ({} if form == "unimodular" else {"unimodular_residuals": 2, "matmul2": 2})
+    assert dict(calls) == ({} if form == "unimodular" else {"unimodular_residuals": 2})
+    assert not hasattr(protocols, "matmul2")
     assert table.bob_final.tobytes() == want.bob_final.tobytes()
     assert table.probability.tobytes() == want.probability.tobytes()
     assert [o.bob_final.amplitudes.tobytes() for o in single] == [a.tobytes() for a in want.bob_final[0]]
 
 
-def test_the_unitarity_product_reads_the_residual_within_an_ulp():
+def _admitted(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_rotation_form_is_admitted_alike():
     """On 100,000 seeded pairs whose squared norm lies within 1e-15 of
-    1 +- UNIMODULAR_TOL, the built black box's ``M^dag M`` reads the
-    residual within one ulp of 1, and the two tests decide alike but for a
-    residual within that ulp of the tolerance. There a ``Unimodular`` is
-    admitted as its constructor admitted it, whose residual test decides
-    as ``unimodular_residuals`` does, bit for bit."""
+    1 +- UNIMODULAR_TOL, ``Unimodular(a, b)`` constructs exactly where
+    ``admissible`` admits the row given as a list of pairs and as an (N, 2)
+    array, and where ``as_pairs`` takes it (the admitted rows as one stack,
+    each row within an ulp of the tolerance on its own): every form takes
+    the one residual test, in the constructor's order. The draws straddle
+    the tolerance's last ulp, where a second test summed in another order
+    would decide differently."""
     rng = np.random.default_rng(2601)
     n, ulp, tol = 100_000, 2.3e-16, tolerances.UNIMODULAR_TOL
     z = rng.normal(size=(n, 4))
     squared = 1 + rng.choice([-1.0, 1.0], n) * tol * (1 + 1e-5 * rng.uniform(-1, 1, n))
     z *= (np.sqrt(squared) / np.linalg.norm(z, axis=1))[:, None]
     pairs = z[:, 0::2] + 1j * z[:, 1::2]
-    residuals = operators.unimodular_residuals(pairs)
-    admitted = residuals <= tol
-    u = operators.unimodular_matrices(pairs)
-    off = np.abs(protocols.matmul2(u.conj().swapaxes(1, 2), u) - protocols.identity2).max(axis=(1, 2))
-    assert np.abs(off - residuals).max() <= ulp
-    edge = np.abs(residuals - tol) <= ulp
-    assert 0 < admitted[edge].sum() < edge.sum()  # the draws straddle the tolerance's last ulp
-    assert ((off <= tolerances.UNITARY_TOL) == admitted)[~edge].all()
-    built = []
-    for a, b in pairs[edge].tolist():
-        try:
-            built.append(Unimodular(a, b) is not None)
-        except ValueError:
-            built.append(False)
-    assert built == admitted[edge].tolist()
+    built = np.array([_admitted(Unimodular, a, b) for a, b in pairs.tolist()])
+    edge = np.abs(operators.unimodular_residuals(pairs) - tol) <= ulp
+    assert 0 < built[edge].sum() < edge.sum()  # the draws straddle the tolerance's last ulp
+    psis = np.tile([1.0, 0.0], (n, 1))
+    for us in (pairs.tolist(), pairs):
+        admitted = np.array([message is None for message in protocols.admissible("bqst", us, psis)])
+        assert np.array_equal(admitted, built)
+    operators.as_pairs(pairs[built])
+    assert [_admitted(operators.as_pairs, pairs[k:k + 1]) for k in np.flatnonzero(edge)] == built[edge].tolist()
 
 
+@pytest.mark.parametrize("form", ["unimodular", "pairs", "array"])
 @pytest.mark.parametrize("batch", [True, False], ids=["run_batch", "single_call"])
-def test_a_damped_builder_on_unimodular_rows_fails_the_row_sum(monkeypatch, batch):
-    """A black box built wrong from a ``Unimodular`` passes admission, which
-    trusts the construction proof, and is caught by ``_finish``'s row-sum
-    test on the run's own amplitudes, naming the row."""
+def test_a_damped_builder_on_unimodular_rows_fails_the_row_sum(monkeypatch, batch, form):
+    """A black box built wrong passes admission, which tests the rotation
+    and not the box built from it, and is caught by ``_finish``'s row-sum
+    test on the run's own amplitudes, naming the row, whatever form the
+    rotations came in."""
     build = protocols.unimodular_matrices
     row = 2 if batch else 0
 
@@ -559,13 +566,14 @@ def test_a_damped_builder_on_unimodular_rows_fails_the_row_sum(monkeypatch, batc
         matrices[row] = matrices[row] @ np.diag([1.0, 0.5])
         return matrices
 
+    us = _rotation_form([rz(0.1 * k) for k in range(4)], form)
     monkeypatch.setattr(protocols, "unimodular_matrices", damped)
     pattern = rf"^branch probabilities of row {row} sum to 0\.5\d*, expected 1\.0: a step was not unitary$"
     with pytest.raises(InvariantViolation, match=pattern) as info:
         if batch:
-            protocols.run_batch("bqst", [rz(0.1 * k) for k in range(4)], [[0.6, 0.8]] * 4)
+            protocols.run_batch("bqst", us, [[0.6, 0.8]] * 4)
         else:
-            protocols.run_bqst(ProtocolConfig(u=rz(0.1), psi=[0.6, 0.8]))
+            protocols.run_bqst(ProtocolConfig(u=us[0], psi=[0.6, 0.8]))
     assert info.traceback[-1].name == "_finish"
 
 

@@ -93,7 +93,7 @@ class TestSharedParser:
     def test_a_subcommand_parse_is_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
         """``main`` parses a known subcommand's arguments with that
         subcommand's parser; with that dispatch bypassed, so that every argv
-        goes through ``_parser().parse_args``, each request gives the same
+        goes through ``_parsers()[0].parse_args``, each request gives the same
         exit code, stdout and stderr. The top-level parse is taken only for
         no arguments, a top-level help flag and arguments the subcommand
         leaves over."""
@@ -104,7 +104,7 @@ class TestSharedParser:
                 out.append((code, *capsys.readouterr()))
             return out
 
-        parser = cli._parser()
+        parser = cli._parsers()[0]
         top_level = []
         parse_args = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))

@@ -105,6 +105,15 @@ class TestUnimodular:
         with pytest.raises(RowError, match=r"^row 2: not unimodular: .* by 5\.000e-01$"):
             operators.as_pairs(pairs)
 
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unimodular", "mixed"])
+    def test_an_iterator_is_read_once(self, mixed):
+        """An iterator gives the stack its list gives, also one that mixes
+        ``Unimodular`` values and pairs: no row is lost to the form test."""
+        us = [rz(0.1), (0.6, 0.8j) if mixed else Unimodular(0.6, 0.8j), rz(0.2)]
+        want = operators.as_pairs(us)
+        assert want.shape == (3, 2)
+        assert operators.as_pairs(iter(us)).tobytes() == want.tobytes()
+
     def test_from_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         u = random_unimodular(rng)
