@@ -63,12 +63,10 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def unimodular_error(a: complex, b: complex, residual: float) -> str:
     """Why the pair (a, b), whose | |a|^2 + |b|^2 - 1 | is ``residual``, is
-    not unimodular: an entry that is not finite, or the residual."""
-    return (
-        not_finite("Unimodular.a", a)
-        or not_finite("Unimodular.b", b)
-        or f"not unimodular: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
-    )
+    not unimodular: an entry that is not finite, or the residual. A finite
+    residual proves both entries finite, so they are read only when it is not."""
+    message = None if math.isfinite(residual) else not_finite("Unimodular.a", a) or not_finite("Unimodular.b", b)
+    return message or f"not unimodular: |a|^2 + |b|^2 deviates from 1 by {residual:.3e}"
 
 
 @dataclass(frozen=True)

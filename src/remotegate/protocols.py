@@ -30,6 +30,7 @@ import numpy as np
 
 from .gates import (
     CNOT,
+    PAULIS,
     Gate,
     H,
     RowError,
@@ -131,11 +132,13 @@ _SZ_BRACKETS = np.array([[[0.0, -2.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, -2.0]]])[
 @dataclass(frozen=True, eq=False)
 class _Rows:
     """N configurations as stacks: the black boxes (N, 2, 2), Bob's unit
-    states (N, 2) and each row's promise as its code (``_PROMISES``)."""
+    states (N, 2), each row's promise as its code (``_PROMISES``) and the
+    admitted (a, b) pairs (N, 2) the black boxes are built from."""
 
     u: np.ndarray
     psi: np.ndarray
     promise: np.ndarray
+    pairs: np.ndarray
 
     @functools.cached_property
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +248,7 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
     unit, nonzero = unit_rows(psi, NORM_TOL)
-    rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp))
+    rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp), pairs=pairs)
     # ``nonzero`` is also False where psi is not one qubit's (a zero row) or not finite
     psi_check = (nonzero, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if one_qubit[n]
                  else "psi must be a single-qubit state")
@@ -362,7 +365,7 @@ class BatchOutcome:
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
         Each state is a read-only view of ``distinct_final``, unit by the compile's
-        certificate (``_certify``) and handed out unchecked; the branch arrays are not built."""
+        frame fit (``_instrument``) and handed out unchecked; the branch arrays are not built."""
         register, ledger, records, group = (self.bob_qubit,), self.ledger, self.records, self.group
         probs, fids, wins, finals = (self.distinct_probability[n].tolist(), self.distinct_fidelity[n].tolist(),
                                      self.distinct_succeeded[n].tolist(), list(self.distinct_final[n]))
@@ -539,19 +542,24 @@ def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
 def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     """The table of ``rows`` from ``amps[n, d]``, Bob's unnormalised output
     on row n for the branches of group d of ``inst``, each of which gives
-    it up to sign. The compile proved each branch's probability for every
-    admissible row (``_certify``); the one check left reads the run's own
-    amplitudes: each row's probabilities, each distinct one times its
-    branch count, sum to 1 within ``PROB_TOL``, or a step was not unitary
-    and the first such row is named. Normalises and phase-fixes Bob's
-    states in ``amps`` in place."""
+    it up to sign. The compile fixed each branch's map as c V U W
+    (``_instrument``); the one check left reads the run's own amplitudes:
+    each row's probabilities, each distinct one times its branch count, sum
+    within ``PROB_TOL`` to 1 or to the row's own |a|^2 + |b|^2, read from
+    its admitted pair, or a step was not unitary and the first such row is
+    named. Normalises and phase-fixes Bob's states in ``amps`` in place."""
     probs = _squared_norms(amps)
     totals = probs.dot(inst.counts)
     # x - 1 rounds monotonically in x, so the two ends decide every |x - 1|; a NaN fails
     if not (totals.max() - 1.0 <= PROB_TOL and 1.0 - totals.min() <= PROB_TOL):
-        n = int(np.argmax(~(np.abs(totals - 1.0) <= PROB_TOL)))
-        message = f"branch probabilities of row {n} sum to {float(totals[n])!r}, expected 1.0: a step was not unitary"
-        raise InvariantViolation(message)
+        # the frames make a row's total |a|^2 + |b|^2, which admission lets be off 1 by UNIMODULAR_TOL
+        own = _squared_norms(rows.pairs)
+        bad = ~(np.abs(totals - 1.0) <= PROB_TOL) & ~(np.abs(totals - own) <= PROB_TOL)
+        if bad.any():
+            n = int(np.argmax(bad))
+            message = (f"branch probabilities of row {n} sum to {float(totals[n])!r}, "
+                       f"expected {float(own[n])!r}: a step was not unitary")
+            raise InvariantViolation(message)
     finals = np.divide(amps, np.sqrt(probs)[..., None], out=amps)
     # phase-fix: the larger component (the first on a tie) real and positive
     lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
@@ -652,13 +660,14 @@ class _Instrument(NamedTuple):
     ``tensor`` is every branch's output, flattened from (B, 2), for the
     black box E_ij and Bob's state |m>. A run is linear in both, so its
     output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m).
-    ``weights`` are the branch probabilities ``_certify`` proved. The
-    branches fall into the groups of ``_groups``: branch b's is
-    ``group[b]``, and group d has ``counts[d]`` branches, the first of
-    them ``reps[d]``."""
+    Branch b maps the black box as c_b V_b E W_b, with (V_b, W_b) =
+    ``frames[b]`` as indices into (1, sx, sy, sz) and ``weights[b]`` =
+    |c_b|^2. Branch b's group is ``group[b]``, and group d has
+    ``counts[d]`` branches, the first of them ``reps[d]``."""
 
     tensor: np.ndarray  # (8, B * 2)
     records: tuple[tuple[tuple[str, str, str], ...], ...]
+    frames: tuple[tuple[int, int], ...]
     weights: tuple[float, ...]
     ledger: ResourceLedger
     bob_qubit: QubitId
@@ -667,96 +676,86 @@ class _Instrument(NamedTuple):
     counts: tuple[int, ...]
 
 
-#: Per promise class: the E_ij it spans, and pi[i], row i's column in its permutation Pi (1, or sx).
-_CLASSES = {None: (np.ones((2, 2), dtype=bool), (0, 1)), COMMUTING: (np.eye(2, dtype=bool), (0, 1)),
-            ANTICOMMUTING: (~np.eye(2, dtype=bool), (1, 0))}
+#: Per promise class, the E_ij it spans.
+_CLASSES = {None: np.ones((2, 2), dtype=bool), COMMUTING: np.eye(2, dtype=bool), ANTICOMMUTING: ~np.eye(2, dtype=bool)}
+#: The 16 ordered Pauli pairs (V, W), pair 4 v + w for V and W the v-th and
+#: w-th of (1, sx, sy, sz), as maps of the black box:
+#: _FRAMES[p, i, j, o, m] = (V E_ij W)[o, m] = V[o, i] W[j, m].
+_FRAMES = np.einsum("voi,wjm->vwijom", (identity2, *PAULIS), (identity2, *PAULIS)).reshape(16, 2, 2, 2, 2)
 
 
-def _certify(maps: np.ndarray, promise: str | None, where: str, records) -> tuple[float, ...]:
-    """Prove once, for every row of the class, what a run would check row by
-    row; return the weights |c_b|^2. ``maps[b, i, j]`` is branch b's map
-    K_b(E_ij) of Bob's input to his output in the instrument ``where``; each
-    must be c_b V_b E W_b on the class, V_b and W_b unitary. With G_b =
-    K_b(Pi): G_b^dag G_b = |c_b|^2 1, and on the class's E_ij |K_b(E_ij)|^2 =
-    |c_b|^2 and K_b(E) K_b(E')^dag = K_b(E E'^dag Pi) G_b^dag, all within
-    ``ROUNDING_TOL``; the weights sum to 1 within ``PROB_TOL``. So p_b =
-    |c_b|^2 within |c_b|^2 UNIMODULAR_TOL + 20 ROUNDING_TOL on an admissible
-    row (README "Conventions"); a weight this bound could take under
-    ``BRANCH_PRUNE`` is refused."""
-    span, pi = _CLASSES[promise]
-    g = maps[:, 0, pi[0]] + maps[:, 1, pi[1]]
-    weights = _squared_norms(g.reshape(len(g), 4)) / 2
-    # K_b(E_ij) K_b(E_kl)^dag against delta_jl K_b(E_{i pi[k]}) G_b^dag, on the class's (i, j) and (k, l)
-    products = np.einsum("bijom,bklpm->bijklop", maps, maps.conj())
-    products -= np.einsum("jl,bikop->bijklop", np.eye(2), maps[:, :, pi] @ g.conj().swapaxes(1, 2)[:, None, None])
-    off = np.max([np.abs(g.conj().swapaxes(1, 2) @ g - weights[:, None, None] * identity2).max(axis=(1, 2)),
-                  np.abs(_squared_norms(maps.reshape(len(g), 2, 2, 4))[:, span] - weights[:, None]).max(axis=1),
-                  np.abs(products)[:, span[:, :, None, None] & span].max(axis=(1, 2, 3))], axis=0)
-    names = ["/".join(outcome for _, _, outcome in record) for record in records]
-    b = int(np.argmax(~(off <= ROUNDING_TOL)))  # the first that fails, or 0
-    if not off[b] <= ROUNDING_TOL:
-        raise InvariantViolation(f"{where} branch {names[b]} does not map the black box U as c V U W "
-                                 f"with V and W unitary (off by {off[b]:.3e})")
-    if not abs(weights.sum() - 1.0) <= PROB_TOL:
-        total = float(weights.sum())
-        raise InvariantViolation(f"{where} branch weights sum to {total!r}, expected 1.0: a step was not unitary")
-    b = int(np.argmin(weights))
-    if not weights[b] * (1.0 - UNIMODULAR_TOL) - 20 * ROUNDING_TOL >= BRANCH_PRUNE:
-        raise InvariantViolation(f"{where} branch {names[b]} has weight {weights[b]:.3e}, too close to BRANCH_PRUNE")
-    return tuple(weights.tolist())
-
-
-def _groups(tensor: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """Group the branches of ``tensor`` whose columns, (8, 2) each, are
-    equal, or equal but for sign, entry by entry and with no tolerance: on
-    every row their outputs are then equal up to sign, and so are their
-    probability, finished state and fidelity. Groups are numbered in the
-    order of their first branch. Returns ``_Instrument``'s ``group``,
-    ``reps`` and ``counts``."""
-    columns = tensor.reshape(8, -1, 2).transpose(1, 0, 2)
-    group, reps = [], []
-    for b, column in enumerate(columns):
-        for d, r in enumerate(reps):
-            if np.array_equal(column, columns[r]) or np.array_equal(column, -columns[r]):
-                break
-        else:
-            d = len(reps)
-            reps.append(b)
-        group.append(d)
-    return {"group": tuple(group), "reps": tuple(reps), "counts": tuple(map(group.count, range(len(reps))))}
+def _grouped(keys) -> dict[str, tuple[int, ...]]:
+    """``_Instrument``'s ``group``, ``reps`` and ``counts`` for branches
+    whose ``keys`` are equal within a group, numbered in the order of their
+    first branch."""
+    first = {}
+    group = [first.setdefault(key, len(first)) for key in keys]
+    return {"group": tuple(group), "reps": tuple(map(group.index, range(len(first)))),
+            "counts": tuple(map(group.count, range(len(first))))}
 
 
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
     """Compile ``protocol`` for a promise class: play its circuit once on the
-    comb, read row (i, j, m) at (R_out, R_in, R_psi) = (i, j, m), and
-    certify it (``_certify``). A class spans only its own E_ij (the diagonal
-    ones commute with sz, the others anticommute), so under a promise the
-    other rows are zeroed. A protocol with a circuit per class (``one11``)
-    has, under no promise, the sum of its class tensors, which lie on
-    disjoint rows and share records and weights, grouped anew."""
+    comb and read branch b's map K_b(E_ij) of Bob's |m> at (R_out, R_in,
+    R_psi) = (i, j, m), on the E_ij the class spans (the diagonal ones
+    commute with sz, the others anticommute). Each branch must be c_b V_b E
+    W_b there (Gottesman and Chuang, Nature 402, 390, 1999): (V_b, W_b) is
+    the first of the 16 ordered Pauli pairs that fits within
+    ``ROUNDING_TOL``, c_b read off the class's first E_ij, where V E W has
+    one unit entry. The weights |c_b|^2 must sum to 1 within ``PROB_TOL``,
+    and none may come near ``BRANCH_PRUNE`` on an admissible row. The tensor
+    is rebuilt from the frames, its rows off the class zero, so a run
+    contracts with what was certified. Branches with the same frame and c_b
+    up to sign give the same output up to sign on every row, and form a
+    group. A protocol with a circuit per class (``one11``) has, under no
+    promise, the sum of its class tensors, which lie on disjoint rows and
+    share records, frames and weights, grouped on its pairs of class groups."""
     if promise is None and (protocol, None) not in _CIRCUITS:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
         both = commuting.tensor + anticommuting.tensor
         both.setflags(write=False)
-        return commuting._replace(tensor=both, **_groups(both))
+        return commuting._replace(tensor=both, **_grouped(zip(commuting.group, anticommuting.group)))
     circuit = _CIRCUITS[protocol, promise]
     plan = _plan(circuit)
     amps, outcomes = _play(plan)
-    # out[i, j, m, b, o]: branch b's output o for the box E_ij and Bob's |m>
-    out = amps.transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
-    out[~_CLASSES[promise][0]] = 0
     records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
+    names = ["/".join(outcome for _, _, outcome in record) for record in records]
     where = protocol if promise is None else f"{protocol} ({promise})"
-    weights = _certify(out.transpose(3, 0, 1, 4, 2), promise, where, records)
-    tensor = out.reshape(8, -1)
+    span = _CLASSES[promise]
+    r_out, r_in, r_psi, output = plan.readout
+    # maps[b, s, o, m] and models[p, s, o, m]: branch b's and pair p's output o for |m> and the class's s-th E_ij
+    maps, models = amps.transpose(0, r_out, r_in, output, r_psi)[:, span], _FRAMES[:, span]
+    c = np.einsum("pom,bom->bp", models[:, 0].conj(), maps[:, 0])  # one unit times an entry: exact
+    off = np.abs(maps[:, None] - c[..., None, None, None] * models[None]).max(axis=(2, 3, 4))
+    fits = off <= ROUNDING_TOL
+    b = int(np.argmin(fits.any(axis=1)))  # the first branch no pair fits, or 0
+    if not fits[b].any():
+        raise InvariantViolation(f"{where} branch {names[b]} does not map the black box U as c V U W "
+                                 f"with V and W Paulis (off by {off[b].min():.3e})")
+    frames = fits.argmax(axis=1)
+    c = c[np.arange(len(c)), frames]
+    weights = np.abs(c) ** 2
+    if not abs(weights.sum() - 1.0) <= PROB_TOL:
+        total = float(weights.sum())
+        raise InvariantViolation(f"{where} branch weights sum to {total!r}, expected 1.0: a step was not unitary")
+    # a run's p_b is |c_b|^2 (|a|^2 + |b|^2) to its own rounding
+    b = int(np.argmin(weights))
+    if not weights[b] * (1.0 - UNIMODULAR_TOL) - 2 * ROUNDING_TOL >= BRANCH_PRUNE:
+        raise InvariantViolation(f"{where} branch {names[b]} has weight {weights[b]:.3e}, too close to BRANCH_PRUNE")
+    tensor = np.zeros((2, 2, 2, len(c), 2), dtype=complex)  # [i, j, m, b, o]
+    # + 0.0 turns the -0.0 that a negative c_b makes of a zero into the played tensor's 0.0
+    tensor[span] = (c[:, None, None, None] * models[frames]).transpose(1, 3, 0, 2) + 0.0
+    tensor = tensor.reshape(8, -1)
     tensor.setflags(write=False)
-    return _Instrument(tensor, records, weights, plan.ledger, circuit.output, **_groups(tensor))
+    keys = zip(frames.tolist(), (frozenset((x, -x)) for x in c.tolist()))  # c_b up to sign
+    return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), tuple(weights.tolist()),
+                       plan.ledger, circuit.output, **_grouped(keys))
 
 
 #: Per promise code, the inputs (i, j, m), flattened, off its class: the
 #: off-diagonal E_ij when commuting, the diagonal ones when anticommuting.
-_OFF_CLASS = np.repeat([~_CLASSES[p][0].reshape(4) for p in _PROMISES + (None,)], 2, axis=1)
+_OFF_CLASS = np.repeat([~_CLASSES[p].reshape(4) for p in _PROMISES + (None,)], 2, axis=1)
 
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:

@@ -258,10 +258,10 @@ def _leaky_row(monkeypatch, bad, gain=0.5):
     every check on it."""
     rows = protocols._Rows
 
-    def leaky(u, psi, promise):
+    def leaky(u, psi, promise, pairs):
         u = u.copy()
         u[bad] = np.diag([1.0, gain])
-        return rows(u=u, psi=psi, promise=promise)
+        return rows(u=u, psi=psi, promise=promise, pairs=pairs)
 
     monkeypatch.setattr(protocols, "_Rows", leaky)
 
@@ -549,6 +549,37 @@ def test_every_rotation_form_is_admitted_alike():
         assert np.array_equal(admitted, built)
     operators.as_pairs(pairs[built])
     assert [_admitted(operators.as_pairs, pairs[k:k + 1]) for k in np.flatnonzero(edge)] == built[edge].tolist()
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_every_admitted_rotation_at_the_tolerance_edge_runs(name):
+    """2,000 seeded pairs whose |a|^2 + |b|^2 lies within 1e-15 of 1 +-
+    UNIMODULAR_TOL, in the protocol's domain (for restricted221 and one11,
+    (a, 0) with its commuting promise and (0, b) with its anticommuting
+    one): every row ``admissible`` admits runs, in one batch and alone, and
+    its probabilities sum to its own |a|^2 + |b|^2 within ``PROB_TOL``,
+    which is off 1 by up to ``UNIMODULAR_TOL``."""
+    rng = np.random.default_rng(3002 + sorted(PROTOCOLS).index(name))
+    n, tol = 2000, tolerances.UNIMODULAR_TOL
+    z = rng.normal(size=(n, 4))
+    promises = [None] * n
+    if name in ("restricted221", "one11"):
+        z[0::2, 2:] = 0
+        z[1::2, :2] = 0
+        promises = [COMMUTING, ANTICOMMUTING] * (n // 2) if name == "one11" else promises
+    squared = 1 + rng.choice([-1.0, 1.0], n) * tol * (1 + 1e-5 * rng.uniform(-1, 1, n))
+    z *= (np.sqrt(squared) / np.linalg.norm(z, axis=1))[:, None]
+    pairs = z[:, 0::2] + 1j * z[:, 1::2]
+    psis = operators.random_qubits(rng, n)
+    admitted = np.array([m is None for m in protocols.admissible(name, pairs, psis, promises)])
+    assert 0 < admitted.sum() < n
+    us, psis, promises = pairs[admitted], psis[admitted], [p for p, ok in zip(promises, admitted) if ok]
+    own = statevector._squared_norms(us)
+    assert np.abs(own - 1.0).max() > 0.99 * tol
+    table = protocols.run_batch(name, us, psis, promises)
+    assert np.abs(table.probability.sum(axis=1) - own).max() <= tolerances.PROB_TOL
+    worst = int(np.argmax(np.abs(own - 1.0)))
+    assert PROTOCOLS[name](ProtocolConfig(u=us[worst], psi=psis[worst], promise=promises[worst]))
 
 
 @pytest.mark.parametrize("form", ["unimodular", "pairs", "array"])
@@ -990,11 +1021,12 @@ def test_branch_negligible_in_one_row_is_refused(monkeypatch):
     """Alice measures the qubit the black box wrote to, so each branch's
     weight depends on the input: row 1 would give branch 1/1 1e-14 of the
     row, where row 0 gives it 1/4. The compile refuses the circuit, naming
-    its first branch, whose map is |0><0| U |0><0|, not c V U W."""
+    its first branch, whose map is |0><0| U |0><0|, a Pauli frame's
+    V U W by no c."""
     t = np.arcsin(np.sqrt(1e-7))
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
     us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
-    message = r"^hand_built branch 0/0 does not map the black box U as c V U W with V and W unitary \(off by 1\.000e\+00\)$"
+    message = r"^hand_built branch 0/0 does not map the black box U as c V U W with V and W Paulis \(off by 1\.000e\+00\)$"
     with pytest.raises(InvariantViolation, match=message):
         _run_circuit(monkeypatch, circuit, [[1, 1], [np.cos(t), np.sin(t)]], us)
 
@@ -1017,6 +1049,22 @@ def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
     message = r"^hand_built branch weights sum to 1\.000002\d*, expected 1\.0: a step was not unitary$"
     with pytest.raises(InvariantViolation, match=message):
         _run_circuit(monkeypatch, circuit._replace(steps=steps), [[0.6, 0.8]])
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
+    """restricted221's sz fix-up times diag(1, e^{i eps}): its failure
+    branches then map U eps/4 off c sz U sz, entry by entry, and off every
+    other Pauli frame by more, so the compile refuses the circuit, naming
+    the first of them. ``verify`` passes this mutant below eps = 6.5e-5."""
+    circuit = protocols._CIRCUITS["restricted221", None]
+    *steps, fixup = circuit.steps
+    assert fixup.gate is Z and fixup.when[1] == 1
+    shifted = fixup._replace(gate=Gate(Z.matrix @ np.diag([1, np.exp(1j * eps)]), "z_eps"))
+    off = re.escape(f"{eps / 4:.3e}")
+    message = rf"^hand_built branch 0/00/1 does not map the black box U as c V U W with V and W Paulis \(off by {off}\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        _run_circuit(monkeypatch, circuit._replace(steps=(*steps, shifted)), [[0.6, 0.8]])
 
 
 def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
@@ -1046,10 +1094,45 @@ _GROUPS = {
 }
 
 
+#: Per compiled instrument, the paper's Pauli frame (V_b, W_b) of each
+#: branch, as indices into (1, sx, sy, sz), where Bob's last outcome is 0
+#: and where it is 1, and each branch's weight |c_b|^2: Bob holds U psi, or
+#: U sz psi where universal221 fails, which restricted221's fix-up makes
+#: sz U sz psi, +-U psi on both sets.
+_I, _SZ = 0, 3
+_PAPER_FRAMES = {
+    ("bqst", None): ((_I, _I), (_I, _I), 1 / 16),
+    ("universal221", None): ((_I, _I), (_I, _SZ), 1 / 16),
+    ("restricted221", None): ((_I, _I), (_SZ, _SZ), 1 / 16),
+    ("one11", COMMUTING): ((_I, _I), (_I, _I), 1 / 4),
+    ("one11", ANTICOMMUTING): ((_I, _I), (_I, _I), 1 / 4),
+    ("one11", None): ((_I, _I), (_I, _I), 1 / 4),
+}
+
+
+def _played_tensor(protocol, promise):
+    """The instrument tensor as the comb plays it, before the frame fit:
+    (8, B * 2), its rows off the class zero, one11's classes summed."""
+    if promise is None and protocol == "one11":
+        return sum(_played_tensor(protocol, c) for c in (COMMUTING, ANTICOMMUTING))
+    plan = protocols._plan(protocols._CIRCUITS[protocol, promise])
+    amps, _ = protocols._play(plan)
+    out = amps.transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
+    out[~protocols._CLASSES[promise]] = 0
+    return out.reshape(8, -1)
+
+
 @pytest.mark.parametrize("key", list(_GROUPS), ids=str)
 def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
+    """Each branch's frame and weight are the paper's, and the tensor
+    rebuilt from the frames is the played one, bit for bit, signed zeros
+    included; the groups follow from the frames."""
     inst = protocols._instrument(*key)
     assert inst.group == _GROUPS[key]
+    on_zero, on_one, weight = _PAPER_FRAMES[key]
+    assert inst.frames == tuple(on_one if record[-1][2] == "1" else on_zero for record in inst.records)
+    assert np.abs(np.array(inst.weights) - weight).max() <= tolerances.ROUNDING_TOL
+    assert inst.tensor.tobytes() == _played_tensor(*key).tobytes()
     distinct = sorted(set(inst.group))
     assert inst.reps == tuple(inst.group.index(d) for d in distinct)
     assert inst.counts == tuple(inst.group.count(d) for d in distinct)

@@ -76,6 +76,18 @@ class TestUnimodular:
         with pytest.raises(ValueError, match="deviates from 1 by inf"):
             Unimodular(1e200, 0)
 
+    def test_a_finite_residual_is_named_without_reading_the_entries(self, monkeypatch):
+        """A finite residual proves a and b finite, so ``not_finite`` reads
+        them only when the residual is not; the messages are those of
+        reading both entries first."""
+        calls, original = [], operators.not_finite
+        monkeypatch.setattr(operators, "not_finite", lambda *args: calls.append(args) or original(*args))
+        assert operators.unimodular_error(0.6, 0.81, 1.61e-2) == "not unimodular: |a|^2 + |b|^2 deviates from 1 by 1.610e-02"
+        assert calls == []
+        assert operators.unimodular_error(1e200, 0, np.inf) == "not unimodular: |a|^2 + |b|^2 deviates from 1 by inf"
+        assert operators.unimodular_error(0, complex(np.nan, 1), np.nan) == "Unimodular.b is not finite: (nan+1j)"
+        assert len(calls) == 4
+
     @pytest.mark.parametrize(
         "pairs, row, message",
         [
@@ -336,7 +348,8 @@ class TestCommutationNorms:
         in_set = operators.unimodular_matrices(np.array(in_set, dtype=complex))
         matrices = np.concatenate((_haar_matrices(rng, 1000), in_set, _boundary_matrices()))
         count = len(matrices)
-        rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp))
+        rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp),
+                               pairs=matrices[:, 0])
         expected = operators.classify_matrices(matrices)
         assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
         assert np.array_equal(rows.kinds, expected)
@@ -360,11 +373,13 @@ class TestCommutationNorms:
         for pairs in (operators.random_unimodulars(rng, 1000), np.array(edge), np.array(paulis, dtype=complex)):
             matrices = operators.unimodular_matrices(pairs)
             count = len(matrices)
-            rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp))
+            rows = protocols._Rows(u=matrices, psi=np.tile([1.0, 0.0], (count, 1)), promise=np.zeros(count, dtype=np.intp),
+                                   pairs=matrices[:, 0])
             want = operators.commutation_norms(matrices, sigma_z)
             assert all(got.tobytes() == norm.tobytes() for got, norm in zip(rows.norms, want))
             for n in range(count):
-                one = protocols._Rows(u=matrices[n : n + 1], psi=rows.psi[n : n + 1], promise=rows.promise[n : n + 1])
+                one = protocols._Rows(u=matrices[n : n + 1], psi=rows.psi[n : n + 1], promise=rows.promise[n : n + 1],
+                                      pairs=matrices[n : n + 1, 0])
                 assert all(got.tobytes() == norm[n : n + 1].tobytes() for got, norm in zip(one.norms, want))
 
     def test_tags_are_those_of_the_string_formula(self):
