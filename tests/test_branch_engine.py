@@ -1021,8 +1021,8 @@ def test_branch_negligible_in_one_row_is_refused(monkeypatch):
     """Alice measures the qubit the black box wrote to, so each branch's
     weight depends on the input: row 1 would give branch 1/1 1e-14 of the
     row, where row 0 gives it 1/4. The compile refuses the circuit, naming
-    its first branch, whose map is |0><0| U |0><0|, a Pauli frame's
-    V U W by no c."""
+    its first branch, whose map |0><0| U |0><0| is c V U W for no Pauli
+    pair (V, W)."""
     t = np.arcsin(np.sqrt(1e-7))
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
     us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
@@ -1114,7 +1114,7 @@ def _played_tensor(protocol, promise):
     """The instrument tensor as the comb plays it, before the frame fit:
     (8, B * 2), its rows off the class zero, one11's classes summed."""
     if promise is None and protocol == "one11":
-        return sum(_played_tensor(protocol, c) for c in (COMMUTING, ANTICOMMUTING))
+        return _played_tensor(protocol, COMMUTING) + _played_tensor(protocol, ANTICOMMUTING)
     plan = protocols._plan(protocols._CIRCUITS[protocol, promise])
     amps, _ = protocols._play(plan)
     out = amps.transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
