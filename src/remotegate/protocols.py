@@ -335,7 +335,7 @@ class BatchOutcome:
     records: tuple[tuple[tuple[str, str, str], ...], ...]
     group: tuple[int, ...]  # (B,), branch b -> its distinct output
     distinct_probability: np.ndarray  # (N, D), of each branch of the output
-    distinct_fidelity: np.ndarray  # (N, D), to U|psi>
+    distinct_fidelity: np.ndarray  # (N, D), to U|psi> / |U|psi>|
     distinct_succeeded: np.ndarray  # (N, D)
     distinct_final: np.ndarray  # (N, D, 2), phase-fixed unit vectors
     ledger: ResourceLedger
@@ -365,7 +365,7 @@ class BatchOutcome:
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
         Each state is a read-only view of ``distinct_final``, unit by the compile's
-        frame fit (``_instrument``) and handed out unchecked; the branch arrays are not built."""
+        frame fit (``_compile``) and handed out unchecked; the branch arrays are not built."""
         register, ledger, records, group = (self.bob_qubit,), self.ledger, self.records, self.group
         probs, fids, wins, finals = (self.distinct_probability[n].tolist(), self.distinct_fidelity[n].tolist(),
                                      self.distinct_succeeded[n].tolist(), list(self.distinct_final[n]))
@@ -543,7 +543,7 @@ def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     """The table of ``rows`` from ``amps[n, d]``, Bob's unnormalised output
     on row n for the branches of group d of ``inst``, each of which gives
     it up to sign. The compile fixed each branch's map as c V U W
-    (``_instrument``); the one check left reads the run's own amplitudes:
+    (``_compile``); the one check left reads the run's own amplitudes:
     each row's probabilities, each distinct one times its branch count, sum
     within ``PROB_TOL`` to 1 or to the row's own |a|^2 + |b|^2, read from
     its admitted pair, or a step was not unitary and the first such row is
@@ -565,7 +565,8 @@ def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
-    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2  # to U|psi>
+    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2
+    fids /= totals[:, None]  # to U|psi> / |U|psi>|: the frames make a row's total |U|psi>|^2
     np.minimum(fids, 1.0, out=fids)  # both vectors are unit only to rounding
     succeeded = fids >= 1.0 - SUCCESS_TOL
     for array in (probs, fids, succeeded, finals):
@@ -694,34 +695,25 @@ def _grouped(keys) -> dict[str, tuple[int, ...]]:
             "counts": tuple(map(group.count, range(len(first))))}
 
 
-@functools.cache
-def _instrument(protocol: str, promise: str | None) -> _Instrument:
-    """Compile ``protocol`` for a promise class: play its circuit once on the
-    comb and read branch b's map K_b(E_ij) of Bob's |m> at (R_out, R_in,
-    R_psi) = (i, j, m), on the E_ij the class spans (the diagonal ones
-    commute with sz, the others anticommute). Each branch must be c_b V_b E
-    W_b there (Gottesman and Chuang, Nature 402, 390, 1999): (V_b, W_b) is
-    the first of the 16 ordered Pauli pairs that fits within
-    ``ROUNDING_TOL``, c_b read off the class's first E_ij, where V E W has
-    one unit entry. The weights |c_b|^2 must sum to 1 within ``PROB_TOL``,
-    and none may come near ``BRANCH_PRUNE`` on an admissible row. The tensor
-    is rebuilt from the frames, its rows off the class zero, so a run
-    contracts with what was certified. Branches with the same frame and c_b
-    up to sign give the same output up to sign on every row, and form a
-    group. A protocol with a circuit per class (``one11``) has, under no
-    promise, the sum of its class tensors, which lie on disjoint rows and
-    share records, frames and weights, grouped on its pairs of class groups."""
-    if promise is None and (protocol, None) not in _CIRCUITS:
-        commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
-        both = commuting.tensor + anticommuting.tensor
-        both.setflags(write=False)
-        return commuting._replace(tensor=both, **_grouped(zip(commuting.group, anticommuting.group)))
-    circuit = _CIRCUITS[protocol, promise]
+def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
+    """Compile ``circuit`` for a promise class: play it once on the comb and
+    read branch b's map K_b(E_ij) of Bob's |m> at (R_out, R_in, R_psi) =
+    (i, j, m), on the E_ij the class spans (the diagonal ones commute with
+    sz, the others anticommute). Each branch must be c_b V_b E W_b there
+    (Gottesman and Chuang, Nature 402, 390, 1999): (V_b, W_b) is the first
+    of the 16 ordered Pauli pairs that fits within ``ROUNDING_TOL``, c_b
+    read off the class's first E_ij, where V E W has one unit entry. The
+    weights |c_b|^2 must sum to 1 within ``PROB_TOL``, and none may come
+    near ``BRANCH_PRUNE`` on an admissible row; a refusal names the circuit
+    as ``where``. The tensor is rebuilt from the frames, its rows off the
+    class zero, so a run contracts with what was certified. Branches with
+    the same frame and c_b up to sign give the same output up to sign on
+    every row, and form a group. Not cached: ``_instrument`` caches the
+    protocols' circuits."""
     plan = _plan(circuit)
     amps, outcomes = _play(plan)
     records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
     names = ["/".join(outcome for _, _, outcome in record) for record in records]
-    where = protocol if promise is None else f"{protocol} ({promise})"
     span = _CLASSES[promise]
     r_out, r_in, r_psi, output = plan.readout
     # maps[b, s, o, m] and models[p, s, o, m]: branch b's and pair p's output o for |m> and the class's s-th E_ij
@@ -751,6 +743,20 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
     keys = zip(frames.tolist(), (frozenset((x, -x)) for x in c.tolist()))  # c_b up to sign
     return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), tuple(weights.tolist()),
                        plan.ledger, circuit.output, **_grouped(keys))
+
+
+@functools.cache
+def _instrument(protocol: str, promise: str | None) -> _Instrument:
+    """``protocol``'s circuit for a promise class, compiled once. A protocol
+    with a circuit per class (``one11``) has, under no promise, the sum of
+    its class tensors, which lie on disjoint rows and share records, frames
+    and weights, grouped on its pairs of class groups."""
+    if promise is None and (protocol, None) not in _CIRCUITS:
+        commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
+        both = commuting.tensor + anticommuting.tensor
+        both.setflags(write=False)
+        return commuting._replace(tensor=both, **_grouped(zip(commuting.group, anticommuting.group)))
+    return _compile(_CIRCUITS[protocol, promise], promise, protocol if promise is None else f"{protocol} ({promise})")
 
 
 #: Per promise code, the inputs (i, j, m), flattened, off its class: the

@@ -558,7 +558,9 @@ def test_every_admitted_rotation_at_the_tolerance_edge_runs(name):
     (a, 0) with its commuting promise and (0, b) with its anticommuting
     one): every row ``admissible`` admits runs, in one batch and alone, and
     its probabilities sum to its own |a|^2 + |b|^2 within ``PROB_TOL``,
-    which is off 1 by up to ``UNIMODULAR_TOL``."""
+    which is off 1 by up to ``UNIMODULAR_TOL``. Each branch that succeeds
+    (all but universal221's U sz psi) has fidelity 1 within
+    ``ROUNDING_TOL``, taken against U psi / |U psi|."""
     rng = np.random.default_rng(3002 + sorted(PROTOCOLS).index(name))
     n, tol = 2000, tolerances.UNIMODULAR_TOL
     z = rng.normal(size=(n, 4))
@@ -578,6 +580,7 @@ def test_every_admitted_rotation_at_the_tolerance_edge_runs(name):
     assert np.abs(own - 1.0).max() > 0.99 * tol
     table = protocols.run_batch(name, us, psis, promises)
     assert np.abs(table.probability.sum(axis=1) - own).max() <= tolerances.PROB_TOL
+    assert np.abs(table.fidelity[table.succeeded] - 1.0).max() <= tolerances.ROUNDING_TOL
     worst = int(np.argmax(np.abs(own - 1.0)))
     assert PROTOCOLS[name](ProtocolConfig(u=us[worst], psi=psis[worst], promise=promises[worst]))
 
@@ -616,16 +619,6 @@ def test_a_proved_rotation_with_a_bad_psi_is_refused_without_a_warning(psi, mess
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             ProtocolConfig(u=rz(0.3), psi=psi)
-
-
-def _run_circuit(monkeypatch, circuit, psis, us=None):
-    """Run ``circuit``, a hand-built ``Circuit``, as ``run_batch`` runs a
-    protocol: compiled and certified once, then contracted with the rows of
-    ``psis``. The black box is 1 unless ``us`` are given."""
-    monkeypatch.setitem(protocols._CIRCUITS, ("hand_built", None), circuit)
-    monkeypatch.setitem(protocols._PRECONDITIONS, "hand_built", protocols._any_config)
-    protocols._instrument.cache_clear()
-    return protocols.run_batch("hand_built", [Unimodular(1, 0)] * len(psis) if us is None else us, psis)
 
 
 def _played(circuit, psi, u=np.eye(2)):
@@ -701,7 +694,7 @@ def test_entangled_output_names_the_row(monkeypatch):
     circuit = Circuit(_ONE_PAIR, _DATA, (Apply(CNOT, (_DATA, _B)),), _B)
     message = r"^unmeasured qubit\(s\) alice:0, bob:1: a circuit measures every qubit but its output$"
     with pytest.raises(ValueError, match=message):
-        _run_circuit(monkeypatch, circuit, [[1, 0], [1, 1]])
+        protocols._compile(circuit, None, "hand_built")
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +745,7 @@ def test_circuit_that_ends_across_the_cut_is_refused_before_any_amplitude(monkey
     data = Measure((DATA,), "computational")
     circuit = _hand_built(Apply(H, (B0,)), data, Apply(X, (A0,), (data, 1)), Apply(CNOT, (A0, B1)))
     with pytest.raises(ValueError, match=r"^gate 'cnot' on \(alice:0, bob:1\) crosses the Alice\|Bob cut$"):
-        _run_circuit(monkeypatch, circuit, [[0.6, 0.8]])
+        protocols._compile(circuit, None, "hand_built")
 
 
 _LATER = Measure((A0,), "computational")
@@ -797,7 +790,7 @@ def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(m
     primitives every step runs through raise."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        _run_circuit(monkeypatch, _hand_built(*steps), [[0.6, 0.8]])
+        protocols._compile(_hand_built(*steps), None, "hand_built")
 
 
 def _bob_reads_his_bit():
@@ -980,6 +973,20 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     assert len(played) == len(_COMPILED)
 
 
+@pytest.mark.parametrize("key", list(protocols._CIRCUITS), ids=str)
+def test_compile_of_a_table_circuit_is_its_cached_instrument(key):
+    """``_compile`` on a ``_CIRCUITS`` entry gives what ``_instrument``
+    caches for its key, field for field and the tensor byte for byte, and
+    neither reads nor fills that cache."""
+    cached = protocols._instrument(*key)
+    info = protocols._instrument.cache_info()
+    compiled = protocols._compile(protocols._CIRCUITS[key], key[1], "table")
+    assert protocols._instrument.cache_info() == info
+    assert compiled.tensor.shape == cached.tensor.shape and not compiled.tensor.flags.writeable
+    assert compiled.tensor.tobytes() == cached.tensor.tobytes()
+    assert compiled._replace(tensor=None) == cached._replace(tensor=None)
+
+
 @pytest.mark.parametrize("promise", [COMMUTING, ANTICOMMUTING])
 def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
     """Rotations 3e-10 off the promised class, at the ``CLASS_TOL`` edge,
@@ -1017,18 +1024,17 @@ def test_one11_class_tensors_lie_on_disjoint_rows_of_its_instrument():
     assert (off[protocols._COMMUTING] == ~diagonal).all() and (off[protocols._ANTICOMMUTING] == diagonal).all()
 
 
-def test_branch_negligible_in_one_row_is_refused(monkeypatch):
+def test_branch_negligible_in_one_row_is_refused():
     """Alice measures the qubit the black box wrote to, so each branch's
-    weight depends on the input: row 1 would give branch 1/1 1e-14 of the
-    row, where row 0 gives it 1/4. The compile refuses the circuit, naming
-    its first branch, whose map |0><0| U |0><0| is c V U W for no Pauli
-    pair (V, W)."""
-    t = np.arcsin(np.sqrt(1e-7))
+    weight depends on the input: (a, b) = psi = (cos t, sin t) with
+    sin(t)^2 = 1e-7 would give branch 1/1 1e-14 of the row, where a =
+    b = 1/sqrt(2) on psi = |+> gives it 1/4. The compile refuses the
+    circuit before any row, naming its first branch, whose map |0><0| U
+    |0><0| is c V U W for no Pauli pair (V, W)."""
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
-    us = [(np.cos(np.pi / 4), np.sin(np.pi / 4)), (np.cos(t), np.sin(t))]
     message = r"^hand_built branch 0/0 does not map the black box U as c V U W with V and W Paulis \(off by 1\.000e\+00\)$"
     with pytest.raises(InvariantViolation, match=message):
-        _run_circuit(monkeypatch, circuit, [[1, 1], [np.cos(t), np.sin(t)]], us)
+        protocols._compile(circuit, None, "hand_built")
 
 
 def _scaled(gate, factor):
@@ -1038,7 +1044,7 @@ def _scaled(gate, factor):
     return scaled
 
 
-def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
+def test_step_that_is_not_unitary_is_refused_at_compile():
     """universal221 with Bob's Hadamard scaled by 1 + 1e-6: every branch
     still maps U as c V U W, but the weights sum to (1 + 1e-6)^2, and the
     compile refuses the circuit before any row is run."""
@@ -1048,11 +1054,11 @@ def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
     assert sum(isinstance(step, Apply) and step.gate.name == "h" for step in steps) == 1
     message = r"^hand_built branch weights sum to 1\.000002\d*, expected 1\.0: a step was not unitary$"
     with pytest.raises(InvariantViolation, match=message):
-        _run_circuit(monkeypatch, circuit._replace(steps=steps), [[0.6, 0.8]])
+        protocols._compile(circuit._replace(steps=steps), None, "hand_built")
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-10])
-def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
+def test_a_fixup_off_by_a_phase_is_refused_at_compile(eps):
     """restricted221's sz fix-up times diag(1, e^{i eps}): its failure
     branches then map U eps/4 off c sz U sz, entry by entry, and off every
     other Pauli frame by more, so the compile refuses the circuit, naming
@@ -1064,17 +1070,16 @@ def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
     off = re.escape(f"{eps / 4:.3e}")
     message = rf"^hand_built branch 0/00/1 does not map the black box U as c V U W with V and W Paulis \(off by {off}\)$"
     with pytest.raises(InvariantViolation, match=message):
-        _run_circuit(monkeypatch, circuit._replace(steps=(*steps, shifted)), [[0.6, 0.8]])
+        protocols._compile(circuit._replace(steps=(*steps, shifted)), None, "hand_built")
 
 
 def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
     """With ``BRANCH_PRUNE`` raised above 1/16, universal221's first
     branch could fall below it, and the compile refuses it by name."""
     monkeypatch.setattr(protocols, "BRANCH_PRUNE", 0.1)
-    protocols._instrument.cache_clear()
     message = r"^universal221 branch 0/00/0 has weight 6\.250e-02, too close to BRANCH_PRUNE$"
     with pytest.raises(InvariantViolation, match=message):
-        protocols._instrument("universal221", None)
+        protocols._compile(protocols._CIRCUITS["universal221", None], None, "universal221")
 
 
 # ---------------------------------------------------------------------------
@@ -1157,7 +1162,7 @@ def _every_branch_finished(name, us, psis, promises):
     finals = amps / np.sqrt(probs)[..., None]
     lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
     finals *= (lead.conj() / np.abs(lead))[..., None]
-    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2
+    fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2 / probs.sum(axis=1)[:, None]
     return probs, fids, fids >= 1.0 - tolerances.SUCCESS_TOL, finals
 
 
