@@ -19,6 +19,7 @@ from .gates import (
     matmul2,
     not_finite,
     require_finite,
+    require_finite_rows,
     sigma_z,
     single_row,
     unit_rows,
@@ -80,10 +81,7 @@ def bloch_vectors(rhos) -> np.ndarray:
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1:] != (2, 2):
         raise ValueError(f"expected an (N, 2, 2) stack of density matrices, got shape {rhos.shape}")
-    finite = np.isfinite(rhos).all(axis=(1, 2))
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise RowError(n, not_finite("rho", rhos[n]))
+    require_finite_rows("rho", rhos)
     tests = (
         (np.linalg.norm(rhos - rhos.conj().swapaxes(1, 2), axis=(1, 2)) <= DENSITY_TOL, "not Hermitian"),
         (np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= DENSITY_TOL, "trace differs from 1"),
@@ -106,10 +104,12 @@ def bloch_vector(rho) -> BlochVector:
 
 def densities_from_bloch(vecs) -> np.ndarray:
     """Reconstruction (1 + S.sigma)/2 of each Bloch vector of an (N, 3)
-    stack, as an (N, 2, 2) stack."""
+    stack, as an (N, 2, 2) stack; the first row that is not finite is
+    refused, naming it."""
     vecs = np.asarray(vecs, dtype=float)
     if vecs.ndim != 2 or vecs.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) stack of Bloch vectors, got shape {vecs.shape}")
+    require_finite_rows("S", vecs)
     out = np.repeat(identity2[None], len(vecs), axis=0)
     for s, p in zip(vecs.T, PAULIS):
         out += s[:, None, None] * p
@@ -118,7 +118,8 @@ def densities_from_bloch(vecs) -> np.ndarray:
 
 def density_from_bloch(vec: BlochVector) -> np.ndarray:
     """Reconstruction (1 + S.sigma)/2 of a Bloch vector: ``densities_from_bloch`` of one."""
-    return densities_from_bloch(vec.as_array()[None])[0]
+    with single_row:
+        return densities_from_bloch(vec.as_array()[None])[0]
 
 
 def mirror_state(psi) -> np.ndarray:

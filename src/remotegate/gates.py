@@ -3,10 +3,11 @@
 Module-level constants hold the raw 2x2 Pauli / Hadamard matrices (used by
 the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
 instances for the statevector engine, plus the input helpers the other
-modules share (``require_finite``, ``require_seed`` and the overflow-safe
-norms ``vector_norm``/``unit_vector``, with ``row_norms``/``unit_rows``
-applying them to each row of a stack, and ``dot_norms``, ``np.linalg.norm``
-of each row of a stack), and ``matmul2``, the product of 2x2 matrix stacks.
+modules share (``require_finite``, ``require_finite_rows``,
+``require_natural`` and the overflow-safe norms ``vector_norm``/
+``unit_vector``, with ``row_norms``/``unit_rows`` applying them to each row
+of a stack, and ``dot_norms``, ``np.linalg.norm`` of each row of a stack),
+and ``matmul2``, the product of 2x2 matrix stacks.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ def require_finite(name: str, values) -> None:
         raise ValueError(message)
 
 
-def require_seed(seed) -> None:
-    """Raise ValueError, naming ``seed``, unless it is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def require_natural(name: str, value) -> None:
+    """Raise ValueError, naming ``value`` as ``name``, unless it is a
+    non-negative integer (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 class RowError(ValueError):
@@ -69,6 +71,15 @@ class RowError(ValueError):
     def __init__(self, row, message: str):
         super().__init__(f"row {row}: {message}")
         self.row, self.message = row, message
+
+
+def require_finite_rows(name: str, rows: np.ndarray) -> None:
+    """Raise ``RowError`` with ``not_finite``'s message for the first row
+    (along the first axis) of ``rows`` that holds a NaN or infinite entry."""
+    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise RowError(n, not_finite(name, rows[n]))
 
 
 class _SingleRow:

@@ -30,6 +30,7 @@ from .gates import (
     not_finite,
     pauli_dot,
     require_finite,
+    require_finite_rows,
     row_norms,
     sigma_x,
     sigma_y,
@@ -354,15 +355,18 @@ def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
 def q_matrices(alphas, xis) -> np.ndarray:
     """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for each row of an
     (N,) stack of angles and an (N, 2) stack of normalized states, as (N, 2)
-    pairs; refused, naming the row, unless each xi is a normalized qubit
-    state and each matrix special-unitary, and refused unless there are as
-    many angles as states."""
+    pairs; refused unless there are as many angles as states, and refused,
+    naming the row, unless each alpha is finite, each xi finite, each xi a
+    normalized qubit state and each matrix special-unitary, each test in
+    turn on every row."""
     alphas = np.asarray(alphas, dtype=float)
     xis = np.asarray(xis, dtype=complex)
     if xis.ndim != 2 or xis.shape[1] != 2:
         raise RowError(0, "xi must be a single-qubit state")
     if alphas.shape != (len(xis),):
         raise ValueError(f"{alphas.size} angles and {len(xis)} states do not match")
+    require_finite_rows("alpha", alphas)
+    require_finite_rows("xi", xis)
     norms = row_norms(xis)
     bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)
     if bad.any():

@@ -40,7 +40,8 @@ from .gates import (
     controlled_phase,
     identity2,
     not_finite,
-    require_seed,
+    require_finite,
+    require_natural,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -308,7 +309,7 @@ class ProtocolConfig:
         if self.mode == "sampled" and self.seed is None:
             raise ValueError("sampled mode requires a seed")
         if self.seed is not None:
-            require_seed(self.seed)
+            require_natural("seed", self.seed)
         if not isinstance(self.u, Unimodular):
             object.__setattr__(self, "u", Unimodular(*rows.u[0, 0].tolist()))
         object.__setattr__(self, "psi", rows.psi[0])
@@ -940,6 +941,7 @@ def ramsey_curve(thetas) -> list[tuple[float, float]]:
     thetas = [float(theta) for theta in thetas]
     if not thetas:
         return []
+    require_finite("theta", thetas)
     plus = np.array([1, 1])
     table = run_batch("one11", [rz(theta / 2.0) for theta in thetas], [plus] * len(thetas), COMMUTING)
     overlap = table.bob_final @ plus_state(_B1).amplitudes.conj()

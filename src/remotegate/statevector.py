@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import Gate, unit_vector
+from .gates import Gate, require_natural, unit_vector
 from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL
 
 PARTIES = ("alice", "bob")
@@ -65,8 +65,7 @@ class QubitId:
     def __post_init__(self):
         if self.owner not in PARTIES:
             raise ValueError(f"unknown party {self.owner!r}, expected one of {PARTIES}")
-        if self.index < 0:
-            raise ValueError("qubit index must be nonnegative")
+        require_natural("qubit index", self.index)
 
     def __str__(self):
         return f"{self.owner}:{self.index}"
@@ -200,10 +199,9 @@ def _split(amps: np.ndarray, axes: tuple[int, ...], basis: str) -> tuple[np.ndar
     children, (N, outcomes) + the unmeasured axes, are the basis bras
     contracted with the measured axes, which they drop; with them come
     each child's squared norm and whether it is kept, (N, outcomes) each:
-    a child below ``BRANCH_PRUNE`` of its parent is not."""
-    vecs = _BASES.get((basis, len(axes)))
-    if vecs is None:
-        raise ValueError(f"cannot measure {len(axes)} qubit(s) in the {basis!r} basis")
+    a child below ``BRANCH_PRUNE`` of its parent is not. ``basis`` must fit
+    the number of axes, which ``protocols._plan`` checks."""
+    vecs = _BASES[basis, len(axes)]
     front = amps.transpose(_to_front(amps.ndim, (0,) + axes)[0])
     n_branch, dim, rest = len(front), len(vecs), front.shape[len(axes) + 1 :]
     coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))

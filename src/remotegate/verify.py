@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, operators, protocols
-from .gates import CNOT, dot_norms, matmul2, pauli_dot, require_seed, sigma_z, unit_rows
+from .gates import CNOT, dot_norms, matmul2, pauli_dot, require_natural, sigma_z, unit_rows
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -463,7 +463,7 @@ def registry() -> list:
 
 def run_all(seed: int = 20020923) -> list[CheckResult]:
     """Run every check, the i-th with generator ``default_rng([seed, i])``."""
-    require_seed(seed)
+    require_natural("seed", seed)
     results = []
     for i, (name, fn) in enumerate(registry()):
         rng = np.random.default_rng([seed, i])

@@ -153,6 +153,26 @@ class TestStackForms:
         with pytest.raises(ValueError, match=r"^expected an \(N, 3\) stack of Bloch vectors, got shape "):
             densities_from_bloch(vecs)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: densities_from_bloch([[0, 0, 1], [0, np.inf, 0]]), r"^row 1: S\[1\] is not finite: inf$"),
+            (lambda: densities_from_bloch([[np.nan, 0, 1], [0, np.inf, 0]]), r"^row 0: S\[0\] is not finite: nan$"),
+            (lambda: density_from_bloch(BlochVector(np.nan, 0, 0)), r"^S\[0\] is not finite: nan$"),
+            (lambda: density_from_bloch(BlochVector(0, 0, -np.inf)), r"^S\[2\] is not finite: -inf$"),
+        ],
+        ids=["stack_inf", "stack_first_row", "one_nan", "one_minus_inf"],
+    )
+    def test_a_vector_that_is_not_finite_is_refused_by_name(self, call, message):
+        """Refused before any arithmetic: tier-1 errors on any warning, so
+        a product with inf or nan taken first fails here."""
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_one_matrix_that_is_not_2x2_is_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a 2x2 density matrix, got shape \(3, 3\)$"):
+            bloch_vector(np.eye(3) / 3)
+
 
 def test_pure_density_of_huge_state():
     np.testing.assert_allclose(pure_density([1e200, 0]), [[1, 0], [0, 0]])

@@ -1071,6 +1071,9 @@ def test_a_fixup_off_by_a_phase_is_refused_at_compile(eps):
     message = rf"^hand_built branch 0/00/1 does not map the black box U as c V U W with V and W Paulis \(off by {off}\)$"
     with pytest.raises(InvariantViolation, match=message):
         protocols._compile(circuit._replace(steps=(*steps, shifted)), None, "hand_built")
+    # the mutant was compiled by value: the table's circuit still compiles
+    assert protocols._CIRCUITS["restricted221", None] is circuit
+    protocols._compile(circuit, None, "restricted221")
 
 
 def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
@@ -1220,12 +1223,13 @@ def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
-@pytest.mark.parametrize("name", ["bqst", "one11"])
+@pytest.mark.parametrize("name", ["bqst", "one11", "universal221", "restricted221"])
 def test_a_row_of_a_300_row_batch_is_its_single_call(name, mode):
-    """With one distinct output per row (D = 1), row n of a 300-row batch
-    is, bit for bit, what the single call on row n returns; in sampled
-    mode, the branch it draws."""
-    us, psis, promises = _batch_rows(name, seed=2721 + (name == "one11"), count=300)
+    """Row n of a 300-row batch is, bit for bit, what the single call on
+    row n returns; in sampled mode, the branch it draws. bqst and one11
+    have one distinct output per row (D = 1), the 221 protocols more."""
+    seed = {"bqst": 2721, "one11": 2722, "universal221": 2723, "restricted221": 2724}[name]
+    us, psis, promises = _batch_rows(name, seed=seed, count=300)
     table = protocols.run_batch(name, us, psis, promises)
     for n in range(0, 300, 7):
         cfg = ProtocolConfig(u=us[n], psi=psis[n], promise=promises[n], mode=mode, seed=n if mode == "sampled" else None)
@@ -1278,7 +1282,7 @@ def _same_outcomes(single, batched):
         assert a.succeeded == b.succeeded
         assert a.ledger == b.ledger
         assert a.bob_final.register == b.bob_final.register
-        assert np.array_equal(a.bob_final.amplitudes, b.bob_final.amplitudes)
+        assert a.bob_final.amplitudes.tobytes() == b.bob_final.amplitudes.tobytes()
 
 
 def test_row_gives_the_branches_asked_for_in_their_order():

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -269,6 +270,11 @@ class TestMain:
         assert main(["classify", "--u", "rot:1,0,0,0.7", "--axis", "1,0,0"]) == 0
         assert capsys.readouterr().out.strip() == "commuting(1,0,0)"
 
+    def test_classify_general_about_a_custom_axis(self, capsys):
+        """A turn about (1, 0, 1) neither commutes nor anticommutes with the y axis."""
+        assert main(["classify", "--u", "rot:1,0,1,0.7", "--axis=0,1,0"]) == 0
+        assert capsys.readouterr() == ("general\n", "")
+
     @pytest.mark.parametrize("axis", ["-1,0,0", "-.5,0,1", "-0.1,0,1", "-inf,0,1", "-nan,0,1", "-Infinity,0,1"])
     def test_classify_negative_axis_both_forms(self, axis, capsys):
         finite = np.isfinite(float(axis.split(",")[0]))
@@ -325,16 +331,53 @@ class TestMain:
             ("rot:1,1,0,2.1\nrot:1,-1,0,3.141592653589793\nrot:1,1,0,0.4\n", "0.7071067811865475,0.7071067811865475,0.0"),
             # the first operator's axis fails, and the search finds z
             ("sx\nrot:0,0,1,0.7\nsy\n", "0.0,0.0,1.0"),
+            ("rz:0.4\nrot:0,0,1,2.1\nsx\n", "0.0,0.0,1.0"),
+            # no candidate fits: the own axes and the cross products are both tried
+            ("rot:0,0,1,0.7\nrot:1,0,1,0.7\nrot:0,1,0,1.1\n", "none"),
+            # three half-turns in the xy plane: only a cross product fits
+            ("rot:1,0,0,3.141592653589793\nrot:0,1,0,3.141592653589793\nrot:1,1,0,3.141592653589793\n", "0.0,0.0,1.0"),
+            # a failed candidate 3e-5 rad from z does not hide z
+            ("rot:0,1,0,3.141592653589793\nrot:3e-5,0,1,1e-6\nrot:0,0,1,1.1\n", "0.0,0.0,1.0"),
         ],
-        ids=["z_first", "xy_first", "z_searched"],
+        ids=["z_first", "xy_first", "z_searched", "z_turns_and_sx", "none_fits", "cross_product_only", "near_failed_candidate"],
     )
     def test_axis_prints_no_signed_zero(self, tmp_path, capsys, ops, printed):
         """A zero component comes out as 0.0 whatever the sign of the pair
-        entries it is read from."""
+        entries it is read from; a set no axis fits prints none."""
         spec = tmp_path / "ops.txt"
         spec.write_text(ops)
         assert main(["axis", "--set", str(spec)]) == 0
         assert capsys.readouterr().out.strip() == printed
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "sampled", "--seed", "1"]], ids=["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "protocol, success, ledger",
+        [
+            (["bqst"], "1.000000000000", "2 e-bits, 2 c-bits A->B, 2 c-bits B->A"),
+            (["universal221"], "0.500000000000", "2 e-bits, 2 c-bits A->B, 1 c-bits B->A"),
+            (["restricted221"], "1.000000000000", "2 e-bits, 2 c-bits A->B, 1 c-bits B->A"),
+            (["one11", "--promise", "commuting"], "1.000000000000", "1 e-bits, 1 c-bits A->B, 1 c-bits B->A"),
+        ],
+        ids=["bqst", "universal221", "restricted221", "one11"],
+    )
+    def test_a_z_rotation_runs_through_each_protocol(self, capsys, protocol, success, ledger, mode):
+        """Each protocol on one z rotation and |+>: the exact run prints its
+        success probability and ledger, the sampled run its drawn branch's
+        verdict (seed 1 draws a success on each)."""
+        assert main(["run", "--protocol", *protocol, "--u", "rot:0,0,1,0.7", "--psi", "+", *mode]) == 0
+        out, err = capsys.readouterr()
+        verdict = "sampled branch succeeded: True" if mode else f"success probability: {success}"
+        assert err == "" and out.splitlines()[-1] == f"{verdict}   ledger: {ledger}"
+
+    def test_an_admitted_rotation_below_unit_norm_prints_fidelity_one(self, capsys):
+        """|a|^2 + |b|^2 about 1e-10 below 1 is admitted; the branch
+        probabilities sum to that norm, and each fidelity, taken against
+        U psi / |U psi|, prints as 1."""
+        u = "mat:0.7059025442092081,0.3480365654004425,-0.41866040627209367,0.453095587424239"
+        assert main(["run", "--protocol", "bqst", "--u", u, "--psi", "0"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"fidelity=(\S+)", out) == ["1.000000000000"] * 16
+        assert out.splitlines()[-1].startswith("success probability: 0.999999999900   ")
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -386,8 +429,21 @@ class TestExitCodes:
             (["classify", "--u", "sz", "--axis", "0,0,0"], "bad axis '0,0,0': zero vector"),
             (["classify", "--u", "rz:1,2"], "bad spec 'rz:1,2': expected 1 comma-separated numbers, got 2"),
             (["ramsey", "--steps", "0"], "--steps must be at least 1"),
+            (
+                ["run", "--protocol", "restricted221", "--u", "rot:1,0,1,0.7", "--psi", "+"],
+                "operator is neither commuting nor anticommuting with the z axis"
+                " (commutator norm 6.858e-01, anticommutator norm 2.744e+00)",
+            ),
+            (
+                ["run", "--protocol", "one11", "--u", "sx", "--psi", "+", "--promise", "commuting"],
+                "promise violation: operator classifies as anticommuting, promise says commuting",
+            ),
+            (
+                ["run", "--protocol", "universal221", "--u", "sz", "--psi", "+", "--promise", "commuting"],
+                "the universal protocol takes no promise",
+            ),
         ],
-        ids=["zero_rotation_axis", "zero_axis", "field_count", "no_steps"],
+        ids=["zero_rotation_axis", "zero_axis", "field_count", "no_steps", "general_in_restricted", "broken_promise", "promise_to_universal"],
     )
     def test_refusal_is_named(self, argv, message, capsys):
         assert main(argv) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from remotegate.gates import matmul2, sigma_z
+from remotegate.gates import Gate, matmul2, pauli_dot, sigma_z
 
 EPS = np.finfo(float).eps
 
@@ -56,3 +56,18 @@ def test_a_nan_stays_in_its_row():
     for got in (matmul2(a, sigma_z), matmul2(sigma_z, a), matmul2(a, a.conj().swapaxes(1, 2))):
         assert np.isfinite(got[clean]).all()
         assert np.isnan(got[17]).any()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pauli_dot([1.0, 0.0]), r"^expected a 3-vector, got shape \(2,\)$"),
+        (lambda: pauli_dot(np.zeros((2, 4))), r"^expected a 3-vector, got shape \(2, 4\)$"),
+        (lambda: Gate(np.eye(3), "three"), r"^gate must be 2x2 or 4x4, got shape \(3, 3\)$"),
+        (lambda: Gate(np.eye(2)[None], "stack"), r"^gate must be 2x2 or 4x4, got shape \(1, 2, 2\)$"),
+    ],
+    ids=["pauli_dot_2_vector", "pauli_dot_4_vectors", "gate_3x3", "gate_stack"],
+)
+def test_a_value_of_the_wrong_shape_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

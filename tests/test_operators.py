@@ -135,6 +135,18 @@ class TestUnimodular:
         with pytest.raises(ValueError, match="special-unitary"):
             Unimodular.from_matrix(sigma_z)  # det -1
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Unimodular.from_matrix(np.eye(3)), r"^expected a 2x2 matrix, got shape \(3, 3\)$"),
+            (lambda: operators.as_pairs(np.array([1, 0], dtype=complex)), r"^expected a stack of \(a, b\) pairs, got shape \(2,\)$"),
+        ],
+        ids=["from_matrix_3x3", "as_pairs_1d"],
+    )
+    def test_a_value_of_the_wrong_shape_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_dagger_inverts(self):
         u = random_unimodular(np.random.default_rng(1))
         np.testing.assert_allclose((u @ u.dagger()).matrix, np.eye(2), atol=1e-12)
@@ -442,6 +454,26 @@ class TestQOperator:
     def test_stacks_of_unequal_length_are_refused(self, alphas, xis, message):
         with pytest.raises(ValueError, match=message):
             operators.q_matrices(alphas, xis)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: operators.q_matrices([0.3, np.inf], [[1, 0], [0, 1]]), r"^row 1: alpha is not finite: inf$"),
+            (lambda: operators.q_matrices([0.3, np.nan], [[1, 0], [0, 1]]), r"^row 1: alpha is not finite: nan$"),
+            (lambda: operators.q_matrices([0.3], [[np.nan, 0]]), r"^row 0: xi\[0\] is not finite: nan$"),
+            (lambda: operators.q_matrices([0.3, 0.4], [[1, 0], [0, -np.inf]]), r"^row 1: xi\[1\] is not finite: -inf$"),
+            # the finite test is taken on every row before the norm test
+            (lambda: operators.q_matrices([0.3, np.nan], [[1, 1], [1, 0]]), r"^row 1: alpha is not finite: nan$"),
+            (lambda: q_operator(np.inf, [1, 0]), r"^alpha is not finite: inf$"),
+            (lambda: q_operator(0.3, [0, np.nan]), r"^xi\[1\] is not finite: nan$"),
+        ],
+        ids=["inf_alpha", "nan_alpha", "nan_xi", "minus_inf_xi", "before_the_norm_test", "one_alpha", "one_xi"],
+    )
+    def test_a_value_that_is_not_finite_is_refused_by_name(self, call, message):
+        """Refused before any arithmetic: tier-1 errors on any warning, so
+        a product with inf or nan taken first fails here."""
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestCorrection:
@@ -918,12 +950,18 @@ class TestOrthogonalPair:
     def test_each_special_axis_gives_its_pole_eigenvector(self, axis):
         """|lam-> is (1 + nz, nx + i ny) / sqrt(2(1 + |nz|)) where nz >= 0,
         else (nx - i ny, 1 - nz) over the same norm, and the images overlap
-        by i sin(lam)."""
+        by i sin(lam). With U2 a seeded Haar W in place of 1, U2^dag U1 is
+        the rotation only to rounding, and the pair is still orthogonal and
+        its images still overlap by i sin(lam), within 1e-12."""
         nx, ny, nz = axis
         pair = find_orthogonal_pair(from_axis_angle(axis, 1.1), IDENTITY)
         want = np.array([1 + nz, nx + 1j * ny] if nz >= 0 else [nx - 1j * ny, 1 - nz]) / np.sqrt(2 * (1 + abs(nz)))
         np.testing.assert_allclose((pair.psi - pair.psi_perp) / np.sqrt(2), want, rtol=0, atol=1e-15)
         assert abs(np.vdot(pair.phi_prime, pair.phi) - 1j * np.sin(pair.lam)) <= 1e-15
+        w = random_unimodular(np.random.default_rng(28))
+        pair = find_orthogonal_pair(w @ from_axis_angle(axis, 1.1), w)
+        assert abs(np.vdot(pair.phi_prime, pair.phi) - 1j * np.sin(pair.lam)) <= 1e-12
+        assert abs(np.vdot(pair.psi, pair.psi_perp)) <= 1e-12
 
 
 class TestDiagFormDecompose:

@@ -328,6 +328,15 @@ class TestRamsey:
         for theta, p in ramsey_curve(thetas):
             assert p == pytest.approx((1 + np.cos(theta)) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "thetas, message",
+        [([0.1, np.nan], r"^theta\[1\] is not finite: nan$"), ([np.inf, np.nan], r"^theta\[0\] is not finite: inf$")],
+        ids=["nan", "first_of_two"],
+    )
+    def test_an_angle_that_is_not_finite_is_refused_by_name(self, thetas, message):
+        with pytest.raises(ValueError, match=message):
+            ramsey_curve(thetas)
+
     def test_empty_grid(self):
         assert ramsey_curve([]) == []
 

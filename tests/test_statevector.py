@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -61,6 +62,14 @@ class TestConstruction:
         for owner in ("eve", "blackbox"):  # the parties are Alice and Bob only
             with pytest.raises(ValueError, match="party"):
                 QubitId(owner, 0)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None, -1], ids=["fraction", "float", "bool", "str", "none", "negative"])
+    def test_qubit_index_must_be_a_non_negative_integer(self, index):
+        with pytest.raises(ValueError, match=rf"^qubit index must be a non-negative integer, got {re.escape(repr(index))}$"):
+            QubitId("alice", index)
+
+    def test_qubit_index_takes_a_numpy_integer(self):
+        assert str(QubitId("bob", np.int64(2))) == "bob:2"
 
     def test_amplitudes_immutable(self):
         s = plus_state(B0)
@@ -514,3 +523,21 @@ class TestFactorQubit:
     def test_rejects_entangled_qubit(self):
         with pytest.raises(InvariantViolation, match="entangled"):
             factor_qubit(bell_phi_plus(A0, B0), A0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateVector([np.nan, 1], (B0,)), r"^amplitudes must be finite$"),
+        (lambda: basis_state("2", (B0,)), r"^bad basis label '2' for 1 qubits$"),
+        (lambda: basis_state("01", (B0,)), r"^bad basis label '01' for 1 qubits$"),
+        (lambda: apply_gate(tensor(plus_state(A0), plus_state(B0)), CNOT, [B0, B0]), r"^duplicate targets$"),
+        (lambda: reduced_density(tensor(plus_state(A0), plus_state(B0)), [B0, B0]), r"^duplicate targets$"),
+        (lambda: measure(plus_state(B0), [B0], "hadamard"), r"^unknown basis 'hadamard'$"),
+        (lambda: sample_index([], np.random.default_rng(0)), r"^no branches to sample$"),
+    ],
+    ids=["amplitude_not_finite", "label_digit", "label_length", "apply_gate_repeat", "reduced_density_repeat", "unknown_basis", "no_probabilities"],
+)
+def test_refusal_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
