@@ -100,11 +100,12 @@ class Unimodular:
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
     def dagger(self) -> "Unimodular":
-        return Unimodular(self.a.conjugate(), -self.b)
+        """``daggers`` of one."""
+        return Unimodular(*daggers([(self.a, self.b)])[0].tolist())
 
     def __matmul__(self, other: "Unimodular") -> "Unimodular":
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return Unimodular(a1 * a2 - b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
+        """``products`` of one pair: the stack's row, bit for bit."""
+        return Unimodular(*products([(self.a, self.b)], [(other.a, other.b)])[0].tolist())
 
     def as_gate(self, name: str = "u") -> Gate:
         return Gate(self.matrix, name)
@@ -169,6 +170,29 @@ def unimodular_matrices(pairs) -> np.ndarray:
     m[..., 1, 0] = -pairs[..., 1].conj()
     m[..., 1, 1] = pairs[..., 0].conj()
     return m
+
+
+def products(p, q) -> np.ndarray:
+    """The pair of U V, (a1 a2 - b1 b2*, a1 b2 + b1 a2*), for each row U =
+    (a1, b1) of ``p`` and V = (a2, b2) of ``q``, two (..., 2) stacks of
+    pairs with ordinary broadcasting over the leading axes. The pairs are
+    taken as given: a product of unimodular pairs drifts from |a|^2 + |b|^2
+    = 1 by rounding only, and the closure check reads that drift."""
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    a1, b1, a2, b2 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    a = a1 * a2 - b1 * b2.conj()
+    out = np.empty(a.shape + (2,), dtype=complex)
+    out[..., 0], out[..., 1] = a, a1 * b2 + b1 * a2.conj()
+    return out
+
+
+def daggers(p) -> np.ndarray:
+    """The pair of U^dag, (a*, -b), for each row U = (a, b) of an (..., 2)
+    stack of pairs."""
+    p = np.asarray(p, dtype=complex)
+    out = p.conj()
+    out[..., 1] = -p[..., 1]
+    return out
 
 
 def pairs_from_matrices(m) -> np.ndarray:

@@ -158,10 +158,15 @@ class _Rows:
 #: other value has the code ``_UNKNOWN``.
 _PROMISES = (None, COMMUTING, ANTICOMMUTING)
 _NO_PROMISE, _COMMUTING, _ANTICOMMUTING, _UNKNOWN = range(4)
+_CODES = {promise: code for code, promise in enumerate(_PROMISES)}
 
 
 def _promise_code(promise) -> int:
-    return _PROMISES.index(promise) if promise in _PROMISES else _UNKNOWN
+    """``promise``'s code: one dict lookup."""
+    try:
+        return _CODES.get(promise, _UNKNOWN)
+    except TypeError:  # unhashable, such as a list: no promise
+        return _UNKNOWN
 
 
 def _messages(checks, n_row: int) -> list[str | None]:
@@ -202,13 +207,14 @@ def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
     return stack.reshape(-1, 2), one_qubit
 
 
-def _class_checks(rows: _Rows, given, precondition) -> list:
+def _class_checks(rows: _Rows, given, codes, precondition) -> list:
     """The checks on a row's class, in ``_messages``' form and in order: a
-    promise names a class (``given[n]`` is row n's as given) and the
-    rotation has it; then ``precondition``. They are taken on every row,
-    also one whose values fail, whose value message comes first."""
+    promise names a class (``given[n]`` is row n's as given, ``codes[n]``
+    its code, ``_NO_PROMISE`` (0) where none is given) and the rotation has
+    it; then ``precondition``. They are taken on every row, also one whose
+    values fail, whose value message comes first."""
     checks = precondition(rows)
-    if any(p is not None for p in given):
+    if any(codes):
         comm, anti = rows.norms
         # per promise code, the norm the promised class needs within
         # CLASS_TOL (a unitary black box cannot have both within it, so the
@@ -217,7 +223,7 @@ def _class_checks(rows: _Rows, given, precondition) -> list:
         promised = np.choose(rows.promise, (0.0, comm, anti, np.inf))
         checks.insert(0, (
             promised <= CLASS_TOL,
-            lambda n: f"unknown promise {given[n]!r}" if rows.promise[n] == _UNKNOWN
+            lambda n: f"unknown promise {given[n]!r}" if codes[n] == _UNKNOWN
             else f"promise violation: operator classifies as {rows.kinds[n]}, promise says {given[n]}",
         ))
     return checks
@@ -241,7 +247,7 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
         given, codes = [promise] * n_row, [_promise_code(promise)] * n_row
     else:
         given = promise.tolist() if isinstance(promise, np.ndarray) else list(promise)
-        codes = [_promise_code(p) for p in given]
+        codes = list(map(_promise_code, given))
     if not n_row == len(psi) == len(given):
         raise ValueError(f"{n_row} rotations, {len(psi)} states and {len(given)} promises do not match")
     if not n_row:
@@ -254,10 +260,10 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     psi_check = (nonzero, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if one_qubit[n]
                  else "psi must be a single-qubit state")
     if residuals is None:
-        return rows, _messages([psi_check, *_class_checks(rows, given, precondition)], n_row)
+        return rows, _messages([psi_check, *_class_checks(rows, given, codes, precondition)], n_row)
     with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite fails a value check first,
         # so its class norms, taken quietly here, are never read
-        checks = _class_checks(rows, given, precondition)
+        checks = _class_checks(rows, given, codes, precondition)
         # one reduction per check decides for the whole stack
         if not (residuals.max() <= UNIMODULAR_TOL and nonzero.all()):
             checks[:0] = [

@@ -153,10 +153,11 @@ def check_entropy_bounds(rng):
 
 
 def check_unimodular_closure(rng):
-    us = [_unimodular(pair) for pair in random_unimodulars(rng, 400)]
-    products = [w for u, v in zip(us[0::2], us[1::2]) for w in (u @ v, u.dagger())]
+    """200 products of Haar pairs, the daggers of their left factors and
+    200 Q operators stay unimodular within UNIMODULAR_TOL."""
+    us = random_unimodulars(rng, 400)
     q = operators.q_matrices(rng.uniform(0.1, 3.0, 200), random_qubits(rng, 200))
-    pairs = np.concatenate([operators.as_pairs(products), q])
+    pairs = np.concatenate([operators.products(us[0::2], us[1::2]), operators.daggers(us[0::2]), q])
     drifts = np.abs(np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2 - 1.0)
     return _at_most(UNIMODULAR_TOL, "max unimodularity drift", drifts)
 

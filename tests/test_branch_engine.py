@@ -443,6 +443,23 @@ def test_an_unknown_promise_reads_the_same_from_an_array():
             protocols.run_batch("one11", us, psis, promise)
 
 
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_an_unhashable_or_numpy_string_promise_is_read_as_its_single_call(name):
+    """A row whose promise is unhashable (a list) or an ``np.str_`` is
+    refused or admitted as its single call is, and ``run_batch`` names the
+    row that single call refuses, with its message."""
+    us = [rz(0.3), rz(0.5), Unimodular(0, 1j), rz(0.7)]
+    promises = [np.str_(COMMUTING), [COMMUTING], np.str_(ANTICOMMUTING), None]
+    psis = [[0.6, 0.8]] * len(us)
+    expected = [_single_call_error(name, u, psi, promise) for u, psi, promise in zip(us, psis, promises)]
+    assert expected[1] == "unknown promise ['commuting']"
+    assert protocols.admissible(name, us, psis, promises) == expected
+    first = next(n for n, message in enumerate(expected) if message is not None)
+    with pytest.raises(RowError) as info:
+        protocols.run_batch(name, us, psis, promises)
+    assert (info.value.row, info.value.message) == (first, expected[first])
+
+
 def _residual_of_row_2(residuals):
     residuals[2] = 0.25
     return residuals

@@ -1,9 +1,14 @@
-"""``gates.matmul2``, the 2x2 product of the stack paths, against ``@``."""
+"""``gates.matmul2``, the 2x2 product of the stack paths, against ``@``;
+the row norms against their one-vector forms."""
+
+import math
 
 import numpy as np
 import pytest
 
-from remotegate.gates import Gate, matmul2, pauli_dot, sigma_z
+from remotegate import gates
+from remotegate.gates import Gate, matmul2, pauli_dot, row_norms, sigma_z, unit_rows, unit_vector, vector_norm
+from remotegate.tolerances import NORM_TOL
 
 EPS = np.finfo(float).eps
 
@@ -71,3 +76,68 @@ def test_a_nan_stays_in_its_row():
 def test_a_value_of_the_wrong_shape_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# row norms: each row as its one-vector form, bit for bit
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _norm_rows(kind: str, rng) -> np.ndarray:
+    """Stacks of complex (N, 2) or real (N, 3) rows: 0 rows, 1 row, 1,000
+    seeded rows, and rows holding 1e200, inf, nan or only zeros."""
+    width = {"complex": 2, "real": 3}[kind]
+
+    def draw(n):
+        if kind == "real":
+            return rng.normal(size=(n, width))
+        return rng.normal(size=(n, width)) + 1j * rng.normal(size=(n, width))
+
+    edge = draw(7)
+    edge[0] = 1e200
+    edge[1, 0] = -1e200
+    edge[2, -1] = np.inf
+    edge[3, 0] = np.nan
+    edge[4, 1] = -np.inf
+    edge[5] = 0
+    return {"0 rows": draw(0), "1 row": draw(1), "1,000 rows": draw(1000), "edge rows": edge}
+
+
+NORM_CASES = [(kind, name) for kind in ("complex", "real") for name in ("0 rows", "1 row", "1,000 rows", "edge rows")]
+
+
+@pytest.mark.parametrize("kind, name", NORM_CASES, ids=[f"{k}-{n}" for k, n in NORM_CASES])
+def test_row_norms_are_each_rows_vector_norm_bit_for_bit(kind, name):
+    rows = _norm_rows(kind, np.random.default_rng(36))[name]
+    want = np.array([vector_norm(row) for row in rows], dtype=float)
+    assert np.array_equal(_bits(row_norms(rows)), _bits(want))
+
+
+@pytest.mark.parametrize("kind, name", NORM_CASES, ids=[f"{k}-{n}" for k, n in NORM_CASES])
+def test_unit_rows_are_each_rows_unit_vector_bit_for_bit(kind, name):
+    """A finite row is its ``unit_vector``, or zeros and not ok where that
+    is None; a row holding inf or nan is zeros and not ok."""
+    rows = _norm_rows(kind, np.random.default_rng(36))[name]
+    unit, ok = unit_rows(rows, NORM_TOL)
+    want_unit, want_ok = np.zeros_like(rows), np.zeros(len(rows), dtype=bool)
+    for n, row in enumerate(rows):
+        one = unit_vector(row, NORM_TOL) if np.isfinite(row).all() else None
+        if one is not None:
+            want_unit[n], want_ok[n] = one, True
+    assert unit.dtype == rows.dtype and unit.shape == rows.shape
+    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(_bits(unit), _bits(want_unit))
+    if name == "edge rows":
+        assert ok.tolist() == [True, True, False, False, False, False, True]
+
+
+def test_row_hypots_give_the_per_row_comprehensions_bytes():
+    """``_row_hypots``' map over the columns gives the bytes of one
+    ``math.hypot(*row)`` per row on 100,000 seeded rows."""
+    rng = np.random.default_rng(37)
+    rows = rng.normal(size=(100_000, 2)) + 1j * rng.normal(size=(100_000, 2))
+    per_row = [math.hypot(*row) for row in rows.view(float).tolist()]
+    assert np.array(gates._row_hypots(rows)).tobytes() == np.array(per_row).tobytes()

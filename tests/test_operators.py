@@ -164,6 +164,45 @@ class TestUnimodular:
         np.testing.assert_allclose((u @ v).matrix, u.matrix @ v.matrix, atol=1e-12)
 
 
+def _bits(pairs) -> np.ndarray:
+    return np.ascontiguousarray(pairs, dtype=complex).view(np.uint64)
+
+
+class TestPairStacks:
+    """``products`` and ``daggers``, the pair forms of U V and U^dag."""
+
+    @pytest.mark.parametrize(
+        "p_shape, q_shape", [((10_000, 2), (10_000, 2)), ((100, 1, 2), (1, 100, 2))], ids=["rows", "broadcast"]
+    )
+    def test_products_are_the_matrix_products(self, p_shape, q_shape):
+        """10,000 products, row against row or each of 100 against each of
+        100, within ROUNDING_TOL of ``matmul2`` of their matrices."""
+        rng = np.random.default_rng(33)
+        p = operators.random_unimodulars(rng, int(np.prod(p_shape[:-1]))).reshape(p_shape)
+        q = operators.random_unimodulars(rng, int(np.prod(q_shape[:-1]))).reshape(q_shape)
+        got = operators.products(p, q)
+        assert got.shape == (*np.broadcast_shapes(p_shape[:-1], q_shape[:-1]), 2)
+        want = matmul2(operators.unimodular_matrices(p), operators.unimodular_matrices(q))
+        assert np.abs(operators.unimodular_matrices(got) - want).max() <= tolerances.ROUNDING_TOL
+
+    def test_daggers_are_the_conjugate_transposes(self):
+        p = operators.random_unimodulars(np.random.default_rng(34), 10_000)
+        want = operators.unimodular_matrices(p).conj().swapaxes(-2, -1)
+        assert np.abs(operators.unimodular_matrices(operators.daggers(p)) - want).max() <= tolerances.ROUNDING_TOL
+
+    def test_the_operator_methods_are_a_row_of_the_stack_bit_for_bit(self):
+        """``u @ v`` and ``u.dagger()`` are the N = 1 case: each equals its
+        row of a 1,000-row stack, bit for bit."""
+        rng = np.random.default_rng(35)
+        p, q = operators.random_unimodulars(rng, 1000), operators.random_unimodulars(rng, 1000)
+        prods, dags = operators.products(p, q), operators.daggers(p)
+        for n, (u, v) in enumerate(zip(p.tolist(), q.tolist())):
+            u, v = Unimodular(*u), Unimodular(*v)
+            w, d = u @ v, u.dagger()
+            assert np.array_equal(_bits([w.a, w.b]), _bits(prods[n])), n
+            assert np.array_equal(_bits([d.a, d.b]), _bits(dags[n])), n
+
+
 class TestAxisAngle:
     def test_z_rotation_is_diagonal(self):
         phi = 0.37

@@ -127,6 +127,8 @@ HOMES = {
     "random_unimodular": verify,
     "random_qubit": verify,
     "q_matrices": operators,
+    "products": operators,
+    "daggers": operators,
     "classify_matrices": operators,
     "orthogonal_pairs": operators,
     "common_corrections": operators,
@@ -174,6 +176,8 @@ STACKS = {
         "random_unimodulars": [(400,)],
         "random_qubits": [(200,)],
         "q_matrices": [((200,), (200, 2))],
+        "products": [((200, 2), (200, 2))],
+        "daggers": [((200, 2),)],
     },
     "operators.classification_trichotomy": {"random_unimodulars": [(100,)], "classify_matrices": [((140, 2, 2),)]},
     "operators.q_symmetry": {"random_qubits": [(1000,)], "q_matrices": [((1000,), (1000, 2))] * 2},
@@ -351,6 +355,15 @@ def test_axis_recovery_reads_a_tilt_of_1e_8(monkeypatch):
 # ---------------------------------------------------------------------------
 # a witness for each check's failure return: a defect monkeypatched in, and
 # the check's own message
+
+
+def test_unimodular_closure_sees_products_scaled_off_the_sphere(monkeypatch):
+    """``products`` scaled by 1 + 1e-6 drifts by about 2e-6: the check fails
+    on its drift detail, not on a raise."""
+    products = operators.products
+    monkeypatch.setattr(operators, "products", lambda p, q: products(p, q) * (1 + 1e-6))
+    passed, detail = verify.check_unimodular_closure(np.random.default_rng(0))
+    assert (passed, detail) == (False, "max unimodularity drift 2.00e-06")
 
 
 def test_classification_trichotomy_sees_swapped_tags(monkeypatch):
