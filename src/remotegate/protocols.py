@@ -372,18 +372,22 @@ class BatchOutcome:
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
         Each state is a read-only view of ``distinct_final``, unit by the compile's
-        frame fit (``_compile``) and handed out unchecked; the branch arrays are not built."""
+        frame fit (``_compile``) and handed out unchecked, one per distinct output
+        picked, which its branches share; the branch arrays are not built."""
         register, ledger, records, group = (self.bob_qubit,), self.ledger, self.records, self.group
         probs, fids, wins, finals = (self.distinct_probability[n].tolist(), self.distinct_fidelity[n].tolist(),
-                                     self.distinct_succeeded[n].tolist(), list(self.distinct_final[n]))
+                                     self.distinct_succeeded[n].tolist(), self.distinct_final[n])
         # tuple.__new__ skips the named tuple's Python-level __new__
         new_state, new_outcome = object.__new__, tuple.__new__
+        states = [None] * len(probs)
         outcomes = []
         for b in range(len(group)) if branches is None else branches:
             d = group[b]
-            final = new_state(StateVector)
-            fields = final.__dict__
-            fields["amplitudes"], fields["register"] = finals[d], register
+            final = states[d]
+            if final is None:
+                final = states[d] = new_state(StateVector)
+                fields = final.__dict__
+                fields["amplitudes"], fields["register"] = finals[d], register
             outcomes.append(new_outcome(ProtocolOutcome, (records[b], probs[d], final, fids[d], wins[d], ledger)))
         return outcomes
 

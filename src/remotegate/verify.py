@@ -203,10 +203,24 @@ def check_sign_flip_closure(rng):
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
 
 
+def _eigenphases(matrices) -> np.ndarray:
+    """The phase of the root (m00 + m11)/2 + sqrt(((m00 - m11)/2)^2 + m01 m10)
+    of each characteristic polynomial of an (N, 2, 2) stack: one eigenvalue's
+    phase per matrix, in closed form, with no LAPACK call."""
+    m00, m01, m10, m11 = matrices.reshape(-1, 4).T
+    half_diff = (m00 - m11) / 2
+    return np.angle((m00 + m11) / 2 + np.sqrt(half_diff * half_diff + m01 * m10))
+
+
 def check_orthogonal_pair_overlap(rng):
-    """<phi'|phi> = i sin(lam), and |<phi'|phi>| also matches an eigenphase
-    of U2^dag U1 from an independent eigendecomposition. A degenerate draw
-    is dropped and redrawn."""
+    """<phi'|phi> = i sin(lam), and |<phi'|phi>| also matches the sine of an
+    eigenphase of U2^dag U1. That eigenphase is read apart from
+    ``orthogonal_pairs``: from the product ``matmul2`` forms of the two
+    matrices, by the quadratic formula in ``_eigenphases`` (diagonal
+    half-difference, off-diagonal product, complex square root), not from
+    the Pauli vector's norm and ``arctan2``. ``tests/test_verify.py`` holds
+    ``_eigenphases`` to ``np.linalg.eigvals``, so LAPACK runs there, once
+    per test session, not here. A degenerate draw is dropped and redrawn."""
     batches, count = [], 0
     while count < 1000:
         draws = random_unimodulars(rng, 2 * (1000 - count))
@@ -218,7 +232,7 @@ def check_orthogonal_pair_overlap(rng):
     u1, u2, lam, phi, phi_prime = map(np.concatenate, zip(*batches))
     overlap = np.sum(phi_prime.conj() * phi, axis=1)
     m1, m2 = unimodular_matrices(u1), unimodular_matrices(u2)
-    eigenphase = np.angle(np.linalg.eigvals(matmul2(m2.conj().swapaxes(1, 2), m1))[:, 0])
+    eigenphase = _eigenphases(matmul2(m2.conj().swapaxes(1, 2), m1))
     sin = np.sin(lam)
     residuals = [
         np.abs(np.abs(overlap) - np.abs(sin)),

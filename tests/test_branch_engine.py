@@ -1309,6 +1309,33 @@ def test_row_gives_the_branches_asked_for_in_their_order():
         _same_outcomes(table.row(n, [5, 2, 5]), [every[5], every[2], every[5]])
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_row_shares_one_state_per_distinct_output(name, mode):
+    """A single call, row 0 of its one-row batch, against a per-branch
+    oracle read from the spread branch arrays, byte for byte. In exact mode
+    the D distinct outputs give D state objects, and two branches share one
+    exactly when they share a group."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 3501, count=6)
+    for k, (u, psi, promise) in enumerate(zip(us, psis, promises)):
+        table = protocols.run_batch(name, [u], [psi], [promise])
+        cfg = ProtocolConfig(u=u, psi=psi, promise=promise, mode=mode, seed=k if mode == "sampled" else None)
+        got = PROTOCOLS[name](cfg)
+        branches = [table.records.index(o.measurement_record) for o in got]
+        assert branches == list(range(len(table.records))) if mode == "exact" else len(branches) == 1
+        for o, b in zip(got, branches):
+            assert np.float64(o.probability).tobytes() == table.probability[0, b].tobytes()
+            assert np.float64(o.target_fidelity).tobytes() == table.fidelity[0, b].tobytes()
+            assert o.succeeded is bool(table.succeeded[0, b])
+            assert o.ledger == table.ledger and o.bob_final.register == (table.bob_qubit,)
+            assert o.bob_final.amplitudes.tobytes() == table.bob_final[0, b].tobytes()
+        if mode == "exact":
+            finals = [o.bob_final for o in got]
+            assert len({id(final) for final in finals}) == table.distinct_final.shape[1]
+            for b, c in np.ndindex(len(got), len(got)):
+                assert (finals[b] is finals[c]) == (table.group[b] == table.group[c])
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_single_call_is_row_zero_of_its_one_row_batch(name):
     """On 50 seeded configurations, a ``run_*`` call returns exactly what

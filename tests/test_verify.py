@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from remotegate import CNOT, Gate, Unimodular, bloch, cli, operators, protocols, statevector, verify
-from remotegate.tolerances import PROB_TOL
+from remotegate.gates import matmul2
+from remotegate.tolerances import DEGENERACY_TOL, DERIVED_TOL, PROB_TOL, ROUNDING_TOL
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_details.json").read_text())
 GOLDEN_TOL = 1e-12
@@ -131,6 +132,7 @@ HOMES = {
     "daggers": operators,
     "classify_matrices": operators,
     "orthogonal_pairs": operators,
+    "_eigenphases": verify,
     "common_corrections": operators,
     "solve_corrections": operators,
     "from_axis_angles": operators,
@@ -183,7 +185,11 @@ STACKS = {
     "operators.q_symmetry": {"random_qubits": [(1000,)], "q_matrices": [((1000,), (1000, 2))] * 2},
     "operators.correction_identity": {"random_unimodulars": [(500,)], "solve_corrections": [((500, 2),)]},
     "operators.sign_flip_closure": {"classify_matrices": [((500, 2, 2),)]},
-    "operators.orthogonal_pair_overlap": {"random_unimodulars": [(2000,)], "orthogonal_pairs": [((1000, 2),) * 2]},
+    "operators.orthogonal_pair_overlap": {
+        "random_unimodulars": [(2000,)],
+        "orthogonal_pairs": [((1000, 2),) * 2],
+        "_eigenphases": [((1000, 2, 2),)],
+    },
     "operators.axis_recovery": {
         "random_unimodulars": [(100,)],
         "from_axis_angles": [((1000, 3), (1000,))],
@@ -352,6 +358,38 @@ def test_axis_recovery_reads_a_tilt_of_1e_8(monkeypatch):
     assert passed and abs(angle - tilt) <= 1e-10, detail
 
 
+@pytest.mark.parametrize("seed", [35, 36])
+def test_eigenphases_are_eigvals_s(seed):
+    """The closed form against LAPACK on 10,000 seeded products U2^dag U1,
+    formed as the orthogonal-pair check forms them: 6,000 of Haar pairs,
+    1,000 diagonal, 1,000 off-diagonal, 1,000 rotations R with sin(lam)
+    just above DEGENERACY_TOL, half of them near +1 and half near -1
+    (U1 = U2 R), and 1,000 near lam = pi/2, 100 of them with lam exactly
+    pi/2 in R. |sin| must agree within ROUNDING_TOL, and no phase is NaN."""
+    rng = np.random.default_rng(seed)
+    u1, u2 = operators.random_unimodulars(rng, 10_000), operators.random_unimodulars(rng, 10_000)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 2000)))
+    u1[6000:8000] = np.stack([phases[0], np.zeros(2000)], axis=-1)
+    u2[6000:7000] = np.stack([phases[1, :1000], np.zeros(1000)], axis=-1)  # diagonal products
+    u2[7000:8000] = np.stack([np.zeros(1000), phases[1, 1000:]], axis=-1)  # off-diagonal products
+    axes = rng.normal(size=(2000, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    half = 2 * np.arcsin(DEGENERACY_TOL * rng.uniform(1.01, 2.0, 1000))
+    thetas = np.concatenate([half[:500], 2 * np.pi - half[500:], np.pi + rng.uniform(-1e-3, 1e-3, 1000)])
+    thetas[-100:] = np.pi
+    u1[8000:] = operators.products(u2[8000:], operators.from_axis_angles(axes, thetas))
+    m1, m2 = operators.unimodular_matrices(u1), operators.unimodular_matrices(u2)
+    products = matmul2(m2.conj().swapaxes(1, 2), m1)
+    sines = operators.orthogonal_pairs(u1, u2)[1][8000:9000]
+    assert ((sines >= DEGENERACY_TOL) & (sines <= 2.1 * DEGENERACY_TOL)).all()
+    assert (products[8000:8500, 0, 0].real > 0).all() and (products[8500:9000, 0, 0].real < 0).all()
+    assert (products[6000:7000, 0, 1] == 0).all() and (products[7000:8000, 0, 0] == 0).all()
+    got = verify._eigenphases(products)
+    assert not np.isnan(got).any()
+    want = np.angle(np.linalg.eigvals(products)[:, 0])
+    assert (np.abs(np.abs(np.sin(got)) - np.abs(np.sin(want))) <= ROUNDING_TOL).all()
+
+
 # ---------------------------------------------------------------------------
 # a witness for each check's failure return: a defect monkeypatched in, and
 # the check's own message
@@ -377,6 +415,32 @@ def test_classification_trichotomy_sees_swapped_tags(monkeypatch):
     monkeypatch.setattr(operators, "classify_matrices", lambda m: np.array([flip.get(k, k) for k in classify(m).tolist()]))
     passed, detail = verify.check_classification_trichotomy(np.random.default_rng(0))
     assert (passed, detail) == (False, f"operator {first} tagged anticommuting, norms say commuting")
+
+
+def test_orthogonal_pair_overlap_sees_pairs_of_the_wrong_product(monkeypatch):
+    """``orthogonal_pairs`` building its pairs for U1 and the next row's U2:
+    the fields agree with each other, so <phi'|phi> = i sin(lam) still
+    holds, but not with the eigenphases of the U2^dag U1 drawn. The check
+    fails on its residual detail, not on a raise."""
+    pairs = operators.orthogonal_pairs
+    monkeypatch.setattr(operators, "orthogonal_pairs", lambda u1, u2: pairs(u1, np.roll(u2, 1, axis=0)))
+    passed, detail = verify.check_orthogonal_pair_overlap(np.random.default_rng(0))
+    words, (residual,) = _split(detail)
+    assert not passed and words[0] == "max overlap residual " and residual > 1e6 * DERIVED_TOL, detail
+
+
+def test_orthogonal_pair_overlap_calls_no_lapack_eigensolver(monkeypatch):
+    """With ``np.linalg.eigvals`` raising, the check and every other check
+    of ``run_all`` still pass: the cross-check's eigenphases are in closed form."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    passed, detail = verify.check_orthogonal_pair_overlap(np.random.default_rng(0))
+    assert passed, detail
+    failed = [(r.name, r.detail) for r in verify.run_all() if not r.passed]
+    assert not failed, failed
 
 
 def test_axis_recovery_sees_a_family_with_no_axis(monkeypatch):
