@@ -11,8 +11,7 @@ import numpy as np
 
 from remotegate import (
     ProtocolConfig,
-    fidelity_up_to_phase,
-    from_amplitudes,
+    StateVector,
     random_qubit,
     random_unimodular,
     run_bqst,
@@ -46,9 +45,9 @@ for out in outs:
 print(f"\ntotal success probability: {success_probability(outs):.12f}")
 
 # The failed branches are not garbage: they hold U sz|psi> exactly.
-mirror_target = from_amplitudes(u.matrix @ sigma_z @ psi, outs[0].bob_final.register)
+mirror_target = StateVector(u.matrix @ sigma_z @ psi, outs[0].bob_final.register)
 worst = min(
-    fidelity_up_to_phase(out.bob_final, mirror_target)
+    abs(np.vdot(out.bob_final.amplitudes, mirror_target.amplitudes)) ** 2
     for out in outs
     if not out.succeeded
 )

@@ -9,28 +9,22 @@ the geometric picture behind the final correction step.
 """
 
 from .bloch import BlochVector, bloch_vector, density_from_bloch, mirror_state, pure_density, verify_restoration
-from .gates import CNOT, Gate, H, X, Y, Z, controlled, controlled_phase, hadamard_matrix, identity2, pauli_dot, sigma_x, sigma_y, sigma_z
+from .gates import CNOT, Gate, H, X, Z, controlled, controlled_phase, hadamard_matrix, identity2, pauli_dot, sigma_x, sigma_y, sigma_z
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
     GENERAL,
-    IDENTITY,
     CommonCorrection,
     CorrectionSolution,
     OperatorClass,
     OrthogonalPair,
     Unimodular,
-    X_AXIS,
-    Y_AXIS,
     Z_AXIS,
     check_common_correction,
     classify_operator,
-    diag_form_decompose,
     find_common_axis,
-    find_orthogonal_pair,
     from_axis_angle,
     orthogonal_state,
-    q_operator,
     random_qubit,
     random_unimodular,
     rz,
@@ -57,7 +51,6 @@ from .protocols import (
     success_probability,
 )
 from .statevector import (
-    BELL_LABELS,
     BELL_VECTORS,
     InvariantViolation,
     MeasurementBranch,
@@ -68,14 +61,11 @@ from .statevector import (
     bell_phi_plus,
     entanglement_entropy,
     factor_qubit,
-    fidelity_up_to_phase,
-    from_amplitudes,
     measure,
     minus_state,
     plus_state,
     qubit_state,
     reduced_density,
-    sample_branch,
     tensor,
 )
 

@@ -23,12 +23,11 @@ or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process: argparse keeps no per-call state on a parser, and
 writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
-call time. ``build_parser`` returns a fresh parser on each call. The top-level
-pass only picks the subcommand, so ``main`` parses a known subcommand's
-arguments with that subcommand's parser, built with the top-level one, and
-takes the top-level parse only for no arguments, an unknown command or
-arguments the subcommand leaves over; every namespace, usage text, help,
-error line and exit code is the top-level parse's.
+call time. The top-level pass only picks the subcommand, so ``main`` parses
+a known subcommand's arguments with that subcommand's parser, built with the
+top-level one, and takes the top-level parse only for no arguments, an
+unknown command or arguments the subcommand leaves over; every namespace,
+usage text, help, error line and exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
@@ -194,10 +193,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     verify.add_argument("--seed", type=int, default=20020923)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
 
 
 @functools.cache

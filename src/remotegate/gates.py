@@ -239,7 +239,6 @@ def controlled_phase(phi: float) -> Gate:
 
 
 X = Gate(sigma_x, "x")
-Y = Gate(sigma_y, "y")
 Z = Gate(sigma_z, "z")
 H = Gate(hadamard_matrix, "h")
 CNOT = Gate(cnot_matrix, "cnot")

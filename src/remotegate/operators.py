@@ -57,8 +57,6 @@ COMMUTING = "commuting"
 ANTICOMMUTING = "anticommuting"
 GENERAL = "general"
 
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -99,23 +97,8 @@ class Unimodular:
         a, b = self.a, self.b
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
-    def dagger(self) -> "Unimodular":
-        """``daggers`` of one."""
-        return Unimodular(*daggers([(self.a, self.b)])[0].tolist())
-
-    def __matmul__(self, other: "Unimodular") -> "Unimodular":
-        """``products`` of one pair: the stack's row, bit for bit."""
-        return Unimodular(*products([(self.a, self.b)], [(other.a, other.b)])[0].tolist())
-
     def as_gate(self, name: str = "u") -> Gate:
         return Gate(self.matrix, name)
-
-    def pauli_decompose(self) -> tuple[float, np.ndarray]:
-        """Real (u0, uvec) with U = u0*1 - i*uvec.sigma and u0^2+|uvec|^2 = 1."""
-        return self.a.real, np.array([-self.b.imag, -self.b.real, -self.a.imag])
-
-
-IDENTITY = Unimodular(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +384,6 @@ def q_matrices(alphas, xis) -> np.ndarray:
     return pairs_from_matrices(phase * proj + phase.conj() * (identity2 - proj))
 
 
-def q_operator(alpha: float, xi) -> Unimodular:
-    """``q_matrices`` of one angle and state.
-
-    Satisfies Q(alpha, xi) == Q(-alpha, xi_perp). Proportional to the
-    identity when alpha is a multiple of pi, so only other values probe
-    anything.
-    """
-    with single_row:
-        return Unimodular(*q_matrices([alpha], [xi])[0])
-
-
 # ---------------------------------------------------------------------------
 # correction operators
 
@@ -624,13 +596,16 @@ class OrthogonalPair:
 
 
 def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
-    """``find_orthogonal_pair`` over two (N, 2) stacks of (a, b) pairs: one
-    ``OrthogonalPair`` whose fields are stacks (``lam`` of shape (N,), the
-    states (N, 2)), and |sin lam| of each row. Rows where that is below
-    DEGENERACY_TOL hold no pair. For the axis n of U2^dag U1 (z where
-    degenerate), |lam-> is (1 + nz, nx + i ny) where nz >= 0, else
-    (nx - i ny, 1 - nz), over sqrt(2(1 + |nz|)); |lam+> is its
-    ``orthogonal_state``."""
+    """The orthogonal input pair of each row U1 of ``u1`` and U2 of ``u2``,
+    two (N, 2) stacks of (a, b) pairs: with U2^dag U1 = e^{+/- i lam} on
+    |lam+/->, psi = (|lam+> + |lam->)/sqrt(2) and psi_perp = (|lam+> -
+    |lam->)/sqrt(2). Returns one ``OrthogonalPair`` whose fields are stacks
+    (``lam`` of shape (N,), the states (N, 2)), and |sin lam| of each row.
+    Rows where that is below DEGENERACY_TOL hold no pair: U2 is U1 up to
+    phase there, and the images are orthogonal instead. For the axis n of
+    U2^dag U1 (z where degenerate), |lam-> is (1 + nz, nx + i ny) where
+    nz >= 0, else (nx - i ny, 1 - nz), over sqrt(2(1 + |nz|)); |lam+> is
+    its ``orthogonal_state``."""
     u1, u2 = as_pairs(u1), as_pairs(u2)
     (a1, b1), (a2, b2) = u1.T, u2.T
     # U2^dag U1 as a pair, and its Pauli decomposition p0*1 - i*pvec.sigma
@@ -657,34 +632,3 @@ def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     )
     return pair, s
 
-
-def find_orthogonal_pair(u1: Unimodular, u2: Unimodular) -> OrthogonalPair:
-    """Diagonalize U2^dag U1 = e^{+/- i lam} on |lam+/->, set
-    psi = (|lam+> + |lam->)/sqrt(2) and psi_perp = (|lam+> - |lam->)/sqrt(2):
-    ``orthogonal_pairs`` of one pair.
-
-    Raises for a degenerate product (U2 proportional to U1 up to phase),
-    where lam is a multiple of pi and the images are orthogonal instead.
-    """
-    pair, (s,) = orthogonal_pairs([u1], [u2])
-    if not s >= DEGENERACY_TOL:
-        raise ValueError(
-            "degenerate pair: U2^dag U1 is proportional to the identity "
-            f"(|sin| = {s:.3e})"
-        )
-    return OrthogonalPair(
-        psi=pair.psi[0],
-        psi_perp=pair.psi_perp[0],
-        phi=pair.phi[0],
-        phi_prime=pair.phi_prime[0],
-        lam=float(pair.lam[0]),
-    )
-
-
-def diag_form_decompose(u: Unimodular, u0: Unimodular) -> float | None:
-    """Angle beta in (-pi, pi] with u = u0 diag(e^{i beta}, e^{-i beta}),
-    or None when u0^dag u is not diagonal within tolerance."""
-    d = u0.dagger() @ u
-    if abs(d.b) > CLASS_TOL:
-        return None
-    return float(np.angle(d.a))

@@ -47,7 +47,6 @@ BELL_VECTORS = (
     np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,
     np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
 )
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _BELL = np.array(BELL_VECTORS)
 
 
@@ -122,11 +121,6 @@ class MeasurementBranch:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def from_amplitudes(amps, register) -> StateVector:
-    """State from raw amplitudes (normalized on entry)."""
-    return StateVector(np.asarray(amps, dtype=complex), tuple(register))
 
 
 def basis_state(bits: str, register) -> StateVector:
@@ -328,12 +322,6 @@ def sample_index(probs, rng: np.random.Generator) -> int:
     return min(bisect_left(sums, r), len(sums) - 1)
 
 
-def sample_branch(branches, rng: np.random.Generator) -> MeasurementBranch:
-    """Draw one branch with its probability; deterministic for a fixed seed."""
-    branches = list(branches)
-    return branches[sample_index([b.probability for b in branches], rng)]
-
-
 def _one_state(s: StateVector, targets) -> tuple[np.ndarray, tuple[int, ...]]:
     """``s`` as a one-branch stack, and the axes of ``targets`` in it."""
     targets = tuple(targets)
@@ -358,13 +346,6 @@ def entanglement_entropy(s: StateVector, cut) -> float:
     if len(cut) >= s.n:
         raise ValueError("cut must be a proper subset of the register")
     return float(_entropies(*_one_state(s, cut))[0])
-
-
-def fidelity_up_to_phase(s1: StateVector, s2: StateVector) -> float:
-    """|<s1|s2>|^2, insensitive to global phase."""
-    if len(s1.amplitudes) != len(s2.amplitudes):
-        raise ValueError("dimension mismatch")
-    return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
 
 
 def factor_qubit(s: StateVector, qubit: QubitId) -> np.ndarray:

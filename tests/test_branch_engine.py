@@ -4,11 +4,11 @@
 a time. It keeps one ``StateVector`` per branch of a single configuration,
 its post-state as ``measure`` gives it (the projected amplitudes divided by
 the square root of the branch's probability; no kernel renormalises),
-drives ``apply_gate``, ``measure``, ``sample_branch`` and ``factor_qubit``
-one branch at a time, and counts its own ledger. Its ``Slot`` applies the
-configuration's real ``Gate(U)`` where the engine's is the comb's slot; the
-compiled runs (``run_*`` and ``run_batch``) are compared with it row by
-row. In sampled mode it draws one branch per measurement as it goes, where
+drives ``apply_gate``, ``measure`` and ``factor_qubit`` one branch at a
+time, draws a branch with ``sample_index`` and counts its own ledger. Its
+``Slot`` applies the configuration's real ``Gate(U)`` where the engine's is
+the comb's slot; the compiled runs (``run_*`` and ``run_batch``) are
+compared with it row by row. In sampled mode it draws one branch per measurement as it goes, where
 the engine draws a path from its exact tree after the run.
 """
 
@@ -41,14 +41,13 @@ from remotegate import (
     random_qubit,
     random_unimodular,
     rz,
-    sample_branch,
     tensor,
     tolerances,
 )
 from remotegate import gates, operators, statevector, verify
 from remotegate.gates import CNOT, Gate, H, RowError, X, Z
 from remotegate.protocols import Apply, Circuit, Measure, Slot
-from remotegate.statevector import _split
+from remotegate.statevector import _split, sample_index
 
 ORACLE_TOL = 1e-12
 
@@ -102,7 +101,7 @@ class ReferenceRun:
         for br in self.branches:
             options = measure(br.state, targets, basis)
             if self.rng is not None:
-                options = [sample_branch(options, self.rng)]
+                options = [options[sample_index([o.probability for o in options], self.rng)]]
             for opt in options:
                 expanded.append(
                     _Branch(

@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import remotegate
 from remotegate import cli, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
-from remotegate.cli import build_parser, main, parse_operator, parse_state, render_operator
+from remotegate.cli import main, parse_operator, parse_state, render_operator
 
 
 class TestParser:
     def test_run_arguments(self):
-        args = build_parser().parse_args(
+        args = cli._build_parsers()[0].parse_args(
             ["run", "--protocol", "universal221", "--u", "rz:0.5", "--psi", "+"]
         )
         assert args.command == "run"
@@ -28,10 +28,10 @@ class TestParser:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--protocol", "bogus", "--u", "id", "--psi", "0"])
+            cli._build_parsers()[0].parse_args(["run", "--protocol", "bogus", "--u", "id", "--psi", "0"])
 
     def test_demo_names(self):
-        args = build_parser().parse_args(["demo", "cp-capacity"])
+        args = cli._build_parsers()[0].parse_args(["demo", "cp-capacity"])
         assert args.name == "cp-capacity"
 
 
@@ -74,7 +74,7 @@ class TestSharedParser:
         for argv in 2 * self.requests(tmp_path):
             main(argv)
         assert built == []
-        build_parser()
+        cli._build_parsers()
         assert built  # the count sees every parser construction
 
     def test_same_results_as_a_fresh_parser_per_call(self, tmp_path, capsys, monkeypatch):

@@ -10,21 +10,16 @@ from remotegate import (
     ANTICOMMUTING,
     COMMUTING,
     GENERAL,
-    IDENTITY,
     Unimodular,
-    X_AXIS,
     Z_AXIS,
     check_common_correction,
     classify_operator,
-    diag_form_decompose,
     find_common_axis,
-    find_orthogonal_pair,
     from_axis_angle,
     operators,
     orthogonal_state,
     pauli_dot,
     protocols,
-    q_operator,
     random_qubit,
     random_unimodular,
     rz,
@@ -148,24 +143,22 @@ class TestUnimodular:
             call()
 
     def test_dagger_inverts(self):
-        u = random_unimodular(np.random.default_rng(1))
-        np.testing.assert_allclose((u @ u.dagger()).matrix, np.eye(2), atol=1e-12)
+        u = operators.random_unimodulars(np.random.default_rng(1), 1)
+        np.testing.assert_allclose(operators.products(u, operators.daggers(u)), [(1, 0)], atol=1e-12)
 
     @given(st.floats(-8, 8), st.floats(-8, 8), st.floats(0, 2), st.floats(0, 2))
     def test_products_stay_unimodular(self, t1, t2, x1, x2):
         n1 = np.array([np.sin(x1), 0.0, np.cos(x1)])
         n2 = np.array([0.0, np.sin(x2), np.cos(x2)])
-        w = from_axis_angle(n1, t1) @ from_axis_angle(n2, t2)
-        assert abs(abs(w.a) ** 2 + abs(w.b) ** 2 - 1) < 1e-10
+        a, b = operators.products(operators.from_axis_angles([n1], [t1]), operators.from_axis_angles([n2], [t2]))[0]
+        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1) < 1e-10
 
     def test_matmul_matches_matrix_product(self):
-        rng = np.random.default_rng(2)
-        u, v = random_unimodular(rng), random_unimodular(rng)
-        np.testing.assert_allclose((u @ v).matrix, u.matrix @ v.matrix, atol=1e-12)
-
-
-def _bits(pairs) -> np.ndarray:
-    return np.ascontiguousarray(pairs, dtype=complex).view(np.uint64)
+        """``products`` of one pair is the product of their matrices."""
+        u, v = operators.random_unimodulars(np.random.default_rng(2), 2)
+        (got,) = operators.unimodular_matrices(operators.products([u], [v]))
+        m_u, m_v = operators.unimodular_matrices(np.array([u, v]))
+        np.testing.assert_allclose(got, m_u @ m_v, atol=1e-12)
 
 
 class TestPairStacks:
@@ -190,18 +183,6 @@ class TestPairStacks:
         want = operators.unimodular_matrices(p).conj().swapaxes(-2, -1)
         assert np.abs(operators.unimodular_matrices(operators.daggers(p)) - want).max() <= tolerances.ROUNDING_TOL
 
-    def test_the_operator_methods_are_a_row_of_the_stack_bit_for_bit(self):
-        """``u @ v`` and ``u.dagger()`` are the N = 1 case: each equals its
-        row of a 1,000-row stack, bit for bit."""
-        rng = np.random.default_rng(35)
-        p, q = operators.random_unimodulars(rng, 1000), operators.random_unimodulars(rng, 1000)
-        prods, dags = operators.products(p, q), operators.daggers(p)
-        for n, (u, v) in enumerate(zip(p.tolist(), q.tolist())):
-            u, v = Unimodular(*u), Unimodular(*v)
-            w, d = u @ v, u.dagger()
-            assert np.array_equal(_bits([w.a, w.b]), _bits(prods[n])), n
-            assert np.array_equal(_bits([d.a, d.b]), _bits(dags[n])), n
-
 
 class TestAxisAngle:
     def test_z_rotation_is_diagonal(self):
@@ -217,7 +198,7 @@ class TestAxisAngle:
 
     def test_x_half_turn(self):
         # cos(pi/2) 1 - i sin(pi/2) sx = -i sx
-        np.testing.assert_allclose(from_axis_angle(X_AXIS, np.pi).matrix, -1j * sigma_x, atol=1e-12)
+        np.testing.assert_allclose(from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi).matrix, -1j * sigma_x, atol=1e-12)
 
     def test_commutes_with_own_axis(self):
         rng = np.random.default_rng(4)
@@ -239,7 +220,7 @@ class TestAxisAngle:
     def test_axis_of_wrong_shape_rejected(self, axis):
         """Refused by name, by the constructor and by the classifier alike."""
         shape = re.escape(str(np.shape(axis)))
-        for call in (lambda: from_axis_angle(axis, 0.3), lambda: classify_operator(IDENTITY, axis)):
+        for call in (lambda: from_axis_angle(axis, 0.3), lambda: classify_operator(Unimodular(1, 0), axis)):
             with pytest.raises(ValueError, match=rf"^expected a 3-vector, got shape {shape}$"):
                 call()
 
@@ -289,7 +270,7 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match=r"^expected an \(N, 3\) stack of axes, got shape \(3,\)$"):
             operators.from_axis_angles(Z_AXIS, [0.5])
         with pytest.raises(ValueError, match="^1 angles and 2 axes do not match$"):
-            operators.from_axis_angles([Z_AXIS, X_AXIS], [0.5])
+            operators.from_axis_angles([Z_AXIS, np.array([1.0, 0.0, 0.0])], [0.5])
 
     def test_rz_convention(self):
         np.testing.assert_allclose(rz(0.5).matrix, np.diag([np.exp(0.5j), np.exp(-0.5j)]))
@@ -317,12 +298,12 @@ class TestClassify:
         pool += [rz(rng.uniform(0, 6)) for _ in range(10)]
         pool += [Unimodular(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(10)]
         for u in pool:
-            kinds = [classify_operator(u, ax).kind for ax in (X_AXIS, Z_AXIS)]
+            kinds = [classify_operator(u, ax).kind for ax in (np.array([1.0, 0.0, 0.0]), Z_AXIS)]
             assert all(k in (COMMUTING, ANTICOMMUTING, GENERAL) for k in kinds)
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError, match="non-unit axis"):
-            classify_operator(IDENTITY, np.array([0.0, 0.0, 2.0]))
+            classify_operator(Unimodular(1, 0), np.array([0.0, 0.0, 2.0]))
 
     def test_axis_must_be_finite(self):
         with pytest.raises(ValueError, match=r"axis\[0\] is not finite: nan"):
@@ -377,7 +358,7 @@ class TestCommutationNorms:
         rng = np.random.default_rng(11)
         haar = _haar_matrices(rng, 1000)
         boundary = _boundary_matrices()
-        axes = [Z_AXIS, X_AXIS, rng.normal(size=3)]
+        axes = [Z_AXIS, np.array([1.0, 0.0, 0.0]), rng.normal(size=3)]
         for matrices in (haar, boundary, haar.reshape(10, 100, 2, 2), haar[0], boundary[0]):
             for axis in axes:
                 n_sigma = pauli_dot(axis / np.linalg.norm(axis))
@@ -447,32 +428,37 @@ class TestCommutationNorms:
         assert str(operators.kinds_from_norms(np.array(1.0), np.array(0.0))) == ANTICOMMUTING
 
 
+def _q_matrices(alphas, xis) -> np.ndarray:
+    """The matrices of ``q_matrices``' pairs."""
+    return operators.unimodular_matrices(operators.q_matrices(alphas, xis))
+
+
 class TestQOperator:
     def test_projector_on_zero(self):
-        q = q_operator(0.4, np.array([1, 0]))
-        np.testing.assert_allclose(q.matrix, np.diag([np.exp(0.4j), np.exp(-0.4j)]))
+        q = _q_matrices([0.4], [[1, 0]])[0]
+        np.testing.assert_allclose(q, np.diag([np.exp(0.4j), np.exp(-0.4j)]))
 
     def test_pi_gives_minus_identity(self):
         xi = random_qubit(np.random.default_rng(6))
-        np.testing.assert_allclose(q_operator(np.pi, xi).matrix, -np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(_q_matrices([np.pi], [xi])[0], -np.eye(2), atol=1e-12)
 
     def test_symmetry_under_orthogonal_swap(self):
+        """Q(alpha, xi) = Q(-alpha, xi_perp) on 1,000 seeded rows."""
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            alpha = rng.uniform(-3, 3)
-            xi = random_qubit(rng)
-            lhs = q_operator(alpha, xi).matrix
-            rhs = q_operator(-alpha, orthogonal_state(xi)).matrix
-            assert np.abs(lhs - rhs).max() < 1e-10
+        draws = [(rng.uniform(-3, 3), random_qubit(rng)) for _ in range(1000)]
+        alphas, xis = np.array([alpha for alpha, _ in draws]), np.array([xi for _, xi in draws])
+        lhs = _q_matrices(alphas, xis)
+        rhs = _q_matrices(-alphas, orthogonal_state(xis))
+        assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            q_operator(0.5, np.array([1.0, 1.0]))
+            operators.q_matrices([0.5], [[1.0, 1.0]])
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: q_operator(0.3, [1, 0, 0]), r"^xi must be a single-qubit state$"),
+            (lambda: operators.q_matrices([0.3], [[1, 0, 0]]), r"^row 0: xi must be a single-qubit state$"),
             (lambda: operators.q_matrices([0.3, 0.4], [[1, 0, 0], [0, 1, 0]]), r"^row 0: xi must be a single-qubit state$"),
         ],
         ids=["one", "stack"],
@@ -503,8 +489,8 @@ class TestQOperator:
             (lambda: operators.q_matrices([0.3, 0.4], [[1, 0], [0, -np.inf]]), r"^row 1: xi\[1\] is not finite: -inf$"),
             # the finite test is taken on every row before the norm test
             (lambda: operators.q_matrices([0.3, np.nan], [[1, 1], [1, 0]]), r"^row 1: alpha is not finite: nan$"),
-            (lambda: q_operator(np.inf, [1, 0]), r"^alpha is not finite: inf$"),
-            (lambda: q_operator(0.3, [0, np.nan]), r"^xi\[1\] is not finite: nan$"),
+            (lambda: operators.q_matrices([np.inf], [[1, 0]]), r"^row 0: alpha is not finite: inf$"),
+            (lambda: operators.q_matrices([0.3], [[0, np.nan]]), r"^row 0: xi\[1\] is not finite: nan$"),
         ],
         ids=["inf_alpha", "nan_alpha", "nan_xi", "minus_inf_xi", "before_the_norm_test", "one_alpha", "one_xi"],
     )
@@ -522,7 +508,7 @@ class TestCorrection:
         assert sol.delta == 0.0
 
     def test_identity_gives_sigma_z(self):
-        sol = solve_correction(IDENTITY)
+        sol = solve_correction(Unimodular(1, 0))
         np.testing.assert_allclose(sol.v, sigma_z, atol=1e-12)
 
     def test_anticommuting_gives_minus_sigma_z(self):
@@ -532,7 +518,7 @@ class TestCorrection:
 
     def test_stack_is_the_one_operator_formula_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        us = [random_unimodular(rng) for _ in range(200)] + [rz(0.9), IDENTITY, Unimodular(0, 1)]
+        us = [random_unimodular(rng) for _ in range(200)] + [rz(0.9), Unimodular(1, 0), Unimodular(0, 1)]
         sol = operators.solve_corrections(us)
         assert sol.v.shape == (len(us), 2, 2) and np.array_equal(sol.delta, np.zeros(len(us)))
         for u, v in zip(us, sol.v):
@@ -567,7 +553,7 @@ class TestCommonCorrection:
     def test_general_operator_breaks_the_set(self):
         rng = np.random.default_rng(11)
         ops = [rz(rng.uniform(0, 6)) for _ in range(5)]
-        ops.append(from_axis_angle(X_AXIS, np.pi / 3))
+        ops.append(from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi / 3))
         assert check_common_correction(ops) is None
 
     def test_empty_set_rejected(self):
@@ -610,7 +596,7 @@ class TestCommonAxis:
         assert np.arccos(min(abs(np.dot(found, expected)), 1.0)) < 1e-6
 
     def test_incompatible_pair_has_no_axis(self):
-        assert find_common_axis([from_axis_angle(X_AXIS, np.pi / 3), rz(np.pi / 5)]) is None
+        assert find_common_axis([from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi / 3), rz(np.pi / 5)]) is None
 
     def test_half_turns_in_a_plane_share_its_normal(self):
         # no member's own axis works here; only the plane normal does
@@ -622,7 +608,7 @@ class TestCommonAxis:
         np.testing.assert_allclose(find_common_axis(ops), Z_AXIS, atol=1e-9)
 
     def test_identity_only_set_is_unconstrained(self):
-        found = find_common_axis([IDENTITY, Unimodular(-1, 0)])
+        found = find_common_axis([Unimodular(1, 0), Unimodular(-1, 0)])
         np.testing.assert_allclose(found, Z_AXIS)
 
     def test_empty_set_rejected(self):
@@ -727,7 +713,7 @@ class TestCommonAxis:
         rng = np.random.default_rng(151)
         pair = [random_unimodular(rng), random_unimodular(rng)]
         picks = zip(rng.integers(2, size=200), rng.random(200) < 0.5)
-        ops = [pair[k] if given else pair[k].dagger() for k, given in picks]
+        ops = [pair[k] if given else Unimodular(pair[k].a.conjugate(), -pair[k].b) for k, given in picks]
         tried, fits = [], operators._fits
         monkeypatch.setattr(operators, "_fits", lambda m, n_sigma: tried.append(len(n_sigma)) or fits(m, n_sigma))
         assert find_common_axis(ops) is None
@@ -827,7 +813,7 @@ def _eager_common_axis(operators):
     operator's own axis, then every pairwise cross product."""
     axes = []
     for u in operators:
-        _, vec = u.pauli_decompose()
+        vec = np.array([-u.b.imag, -u.b.real, -u.a.imag])
         norm = np.linalg.norm(vec)
         if norm > tolerances.CENTRAL_TOL:
             axes.append(vec / norm)
@@ -925,34 +911,32 @@ def _one_candidate_search(matrices, axes):
 class TestOrthogonalPair:
     def test_quarter_turn_example(self):
         # U2^dag U1 = i sz has eigenvalues e^{+-i pi/2}.
-        pair = find_orthogonal_pair(Unimodular(1j, 0), IDENTITY)
-        assert pair.lam == pytest.approx(np.pi / 2, abs=1e-12)
-        assert np.vdot(pair.phi_prime, pair.phi) == pytest.approx(1j, abs=1e-9)
+        pair, (s,) = operators.orthogonal_pairs([(1j, 0)], [(1, 0)])
+        assert s >= tolerances.DEGENERACY_TOL
+        assert pair.lam[0] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert np.vdot(pair.phi_prime[0], pair.phi[0]) == pytest.approx(1j, abs=1e-9)
 
     def test_degenerate_pair_rejected(self):
-        u = random_unimodular(np.random.default_rng(14))
-        with pytest.raises(ValueError, match="degenerate"):
-            find_orthogonal_pair(u, u)
+        """U2 = U1 holds no pair: its |sin lam| is below DEGENERACY_TOL."""
+        u = operators.random_unimodulars(np.random.default_rng(14), 1)
+        _, (s,) = operators.orthogonal_pairs(u, u)
+        assert s < tolerances.DEGENERACY_TOL
 
     def test_overlap_identity_for_random_pairs(self):
-        rng = np.random.default_rng(15)
-        done = 0
-        while done < 1000:
-            u1, u2 = random_unimodular(rng), random_unimodular(rng)
-            try:
-                pair = find_orthogonal_pair(u1, u2)
-            except ValueError:
-                continue
-            done += 1
+        draws = operators.random_unimodulars(np.random.default_rng(15), 2000)
+        u1, u2 = draws[0::2], draws[1::2]
+        pair, s = operators.orthogonal_pairs(u1, u2)
+        assert (s >= tolerances.DEGENERACY_TOL).all()
+        for n, (m1, m2) in enumerate(zip(operators.unimodular_matrices(u1), operators.unimodular_matrices(u2))):
             # independent oracle: lam off the raw eigenvalues of U2^dag U1
-            evals = np.linalg.eigvals(u2.dagger().matrix @ u1.matrix)
+            evals = np.linalg.eigvals(m2.conj().T @ m1)
             lam_ref = abs(np.angle(evals[0]))
-            overlap = np.vdot(pair.phi_prime, pair.phi)
+            overlap = np.vdot(pair.phi_prime[n], pair.phi[n])
             assert abs(abs(overlap) - abs(np.sin(lam_ref))) < 1e-9
-            assert abs(overlap - 1j * np.sin(pair.lam)) < 1e-9
-            assert abs(np.vdot(pair.psi, pair.psi_perp)) < 1e-10
-            np.testing.assert_allclose(pair.phi, u1.matrix @ pair.psi, atol=1e-12)
-            np.testing.assert_allclose(pair.phi_prime, u2.matrix @ pair.psi_perp, atol=1e-12)
+            assert abs(overlap - 1j * np.sin(pair.lam[n])) < 1e-9
+            assert abs(np.vdot(pair.psi[n], pair.psi_perp[n])) < 1e-10
+            np.testing.assert_allclose(pair.phi[n], m1 @ pair.psi[n], atol=1e-12)
+            np.testing.assert_allclose(pair.phi_prime[n], m2 @ pair.psi_perp[n], atol=1e-12)
 
     #: both poles, an axis on the equator, and the two sides of it by less than an ulp of 1
     SPECIAL_AXES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1e-17), (1.0, 0.0, -1e-17)]
@@ -993,32 +977,40 @@ class TestOrthogonalPair:
         the rotation only to rounding, and the pair is still orthogonal and
         its images still overlap by i sin(lam), within 1e-12."""
         nx, ny, nz = axis
-        pair = find_orthogonal_pair(from_axis_angle(axis, 1.1), IDENTITY)
+        rotation = operators.from_axis_angles([axis], [1.1])
+        pair, _ = operators.orthogonal_pairs(rotation, [(1, 0)])
         want = np.array([1 + nz, nx + 1j * ny] if nz >= 0 else [nx - 1j * ny, 1 - nz]) / np.sqrt(2 * (1 + abs(nz)))
-        np.testing.assert_allclose((pair.psi - pair.psi_perp) / np.sqrt(2), want, rtol=0, atol=1e-15)
-        assert abs(np.vdot(pair.phi_prime, pair.phi) - 1j * np.sin(pair.lam)) <= 1e-15
-        w = random_unimodular(np.random.default_rng(28))
-        pair = find_orthogonal_pair(w @ from_axis_angle(axis, 1.1), w)
-        assert abs(np.vdot(pair.phi_prime, pair.phi) - 1j * np.sin(pair.lam)) <= 1e-12
-        assert abs(np.vdot(pair.psi, pair.psi_perp)) <= 1e-12
+        np.testing.assert_allclose((pair.psi[0] - pair.psi_perp[0]) / np.sqrt(2), want, rtol=0, atol=1e-15)
+        assert abs(np.vdot(pair.phi_prime[0], pair.phi[0]) - 1j * np.sin(pair.lam[0])) <= 1e-15
+        w = operators.random_unimodulars(np.random.default_rng(28), 1)
+        pair, _ = operators.orthogonal_pairs(operators.products(w, rotation), w)
+        assert abs(np.vdot(pair.phi_prime[0], pair.phi[0]) - 1j * np.sin(pair.lam[0])) <= 1e-12
+        assert abs(np.vdot(pair.psi[0], pair.psi_perp[0])) <= 1e-12
 
 
 class TestDiagFormDecompose:
+    """The diagonal form U = U0 diag(e^{i beta}, e^{-i beta}): U0^dag U is
+    diagonal, with e^{i beta} as its a, exactly when U has that form."""
+
     def test_same_operator_gives_zero(self):
-        u = random_unimodular(np.random.default_rng(16))
-        assert diag_form_decompose(u, u) == pytest.approx(0.0, abs=1e-12)
+        u = operators.random_unimodulars(np.random.default_rng(16), 1)
+        ((a, b),) = operators.products(operators.daggers(u), u)
+        assert abs(b) <= tolerances.CLASS_TOL and np.angle(a) == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(17)
-        for beta in rng.uniform(-np.pi + 0.01, np.pi, size=20):
-            u0 = random_unimodular(rng)
-            u = u0 @ rz(beta)
-            assert diag_form_decompose(u, u0) == pytest.approx(beta, abs=1e-9)
+        betas = rng.uniform(-np.pi + 0.01, np.pi, size=20)
+        u0 = operators.random_unimodulars(rng, 20)
+        u = operators.products(u0, np.stack([np.exp(1j * betas), np.zeros(20)], axis=-1))
+        d = operators.products(operators.daggers(u0), u)
+        assert np.abs(d[:, 1]).max() <= tolerances.CLASS_TOL
+        np.testing.assert_allclose(np.angle(d[:, 0]), betas, rtol=0, atol=1e-9)
 
     def test_off_diagonal_gives_none(self):
-        u0 = random_unimodular(np.random.default_rng(18))
-        u = from_axis_angle(X_AXIS, 1.0) @ u0
-        assert diag_form_decompose(u, u0) is None
+        u0 = operators.random_unimodulars(np.random.default_rng(18), 1)
+        u = operators.products(operators.from_axis_angles([[1.0, 0.0, 0.0]], [1.0]), u0)
+        ((_, b),) = operators.products(operators.daggers(u0), u)
+        assert abs(b) > tolerances.CLASS_TOL
 
 
 def test_orthogonal_state_is_orthogonal():

@@ -1,0 +1,59 @@
+"""Package-wide rules on the public surface: one form per operation, so a
+public name that only tests call is a second form of something ``src/``
+already does, and it goes."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "remotegate"
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The public names a module-level statement defines: a function, a
+    class or the targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Every name a statement reads: a ``Name`` or ``Attribute`` that it
+    does not assign, an import alias, or a string constant (a binding made
+    by name, as ``bench/tracing.py`` makes them)."""
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """Each public module-level function, class and constant of
+    ``src/remotegate`` is read by the package, a demo or the benchmark,
+    outside the statement that defines it. ``__init__.py`` only re-exports,
+    so it calls nothing."""
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    definitions, readers = {}, {}
+    for path in files:
+        for n, stmt in enumerate(ast.parse(path.read_text(), str(path)).body):
+            where = (path, n)
+            if path.parent == PACKAGE:
+                for name in _defined(stmt):
+                    definitions[f"{path.stem}.{name}"] = (name, where)
+            for name in _referenced(stmt):
+                readers.setdefault(name, set()).add(where)
+    unread = sorted(qual for qual, (name, where) in definitions.items() if not readers.get(name, set()) - {where})
+    assert not unread, f"public names that only tests read: {unread}"

@@ -17,14 +17,11 @@ from remotegate import (
     bell_phi_plus,
     entanglement_entropy,
     factor_qubit,
-    fidelity_up_to_phase,
-    from_amplitudes,
     measure,
     plus_state,
     qubit_state,
     random_unimodular,
     reduced_density,
-    sample_branch,
     tensor,
 )
 from remotegate.operators import random_unimodulars, unimodular_matrices
@@ -47,7 +44,7 @@ class TestConstruction:
     @pytest.mark.parametrize("scale", [1e200, 1.5e308])
     def test_huge_entries_normalise(self, scale):
         # the squared norm overflows, and at 1.5e308 so does the norm itself
-        s = from_amplitudes([scale, 1j * scale], (B0,))
+        s = StateVector([scale, 1j * scale], (B0,))
         np.testing.assert_allclose(s.amplitudes, np.array([1, 1j]) / np.sqrt(2), atol=1e-15)
 
     def test_rejects_wrong_length(self):
@@ -399,27 +396,30 @@ class TestBranchStacks:
         assert _entropies(np.zeros((0, 2, 2, 2)), (1, 3)).shape == (0,)
 
 
+def _probabilities(state: StateVector) -> list[float]:
+    """The probability of each kept branch of measuring ``state``'s first qubit."""
+    return [b.probability for b in measure(state, state.register[:1])]
+
+
 class TestSampleBranch:
+    """``sample_index``, the draw every sampled run makes."""
+
     def test_certain_branch(self):
-        branches = measure(basis_state("0", (B0,)), [B0])
-        chosen = sample_branch(branches, np.random.default_rng(0))
-        assert chosen is branches[0]
+        assert sample_index(_probabilities(basis_state("0", (B0,))), np.random.default_rng(0)) == 0
 
     def test_seed_reproducibility(self):
-        branches = measure(plus_state(B0), [B0])
-        seq1 = [sample_branch(branches, np.random.default_rng(42)).outcome for _ in range(10)]
+        probs = _probabilities(plus_state(B0))
+        seq1 = [sample_index(probs, np.random.default_rng(42)) for _ in range(10)]
         rng = np.random.default_rng(42)
-        seq2 = [sample_branch(branches, rng).outcome for _ in range(1)]
+        seq2 = [sample_index(probs, rng) for _ in range(1)]
         assert seq1[0] == seq2[0]
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        assert [sample_branch(branches, rng_a).outcome for _ in range(20)] == [
-            sample_branch(branches, rng_b).outcome for _ in range(20)
-        ]
+        assert [sample_index(probs, rng_a) for _ in range(20)] == [sample_index(probs, rng_b) for _ in range(20)]
 
     def test_law_of_large_numbers(self):
-        branches = measure(plus_state(B0), [B0])
+        probs = _probabilities(plus_state(B0))
         rng = np.random.default_rng(123)
-        hits = sum(sample_branch(branches, rng).outcome == "0" for _ in range(100_000))
+        hits = sum(sample_index(probs, rng) == 0 for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     @pytest.mark.parametrize("size", range(1, 8))
@@ -444,10 +444,9 @@ class TestSampleBranch:
             assert rng.random() == ref.random()
 
     def test_degenerate_probabilities(self):
-        branches = measure(plus_state(B0), [B0])
-        bad = [branches[0]]
+        probs = _probabilities(plus_state(B0))
         with pytest.raises(ValueError, match="degenerate"):
-            sample_branch(bad, np.random.default_rng(0))
+            sample_index(probs[:1], np.random.default_rng(0))
 
 
 class TestReducedDensity:
@@ -492,25 +491,6 @@ class TestEntropy:
     def test_invalid_cut(self):
         with pytest.raises(ValueError, match="proper subset"):
             entanglement_entropy(bell_phi_plus(A0, B0), [A0, B0])
-
-
-class TestFidelity:
-    def test_global_phase_invariance(self):
-        rng = np.random.default_rng(10)
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        s1 = StateVector(amps, (B0,))
-        s2 = StateVector(np.exp(0.7j) * amps, (B0,))
-        assert fidelity_up_to_phase(s1, s2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert fidelity_up_to_phase(basis_state("0", (B0,)), basis_state("1", (B0,))) == 0.0
-
-    def test_plus_zero_half(self):
-        assert fidelity_up_to_phase(plus_state(B0), basis_state("0", (B0,))) == pytest.approx(0.5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            fidelity_up_to_phase(plus_state(B0), bell_phi_plus(A0, B1))
 
 
 class TestFactorQubit:
