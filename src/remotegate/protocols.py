@@ -65,6 +65,8 @@ from .statevector import (
     StateVector,
     _BASES,
     _apply_matrix,
+    _exact_form,
+    _root2_powers,
     _split,
     _squared_norms,
     apply_gate,
@@ -77,15 +79,7 @@ from .statevector import (
     sample_index,
     tensor,
 )
-from .tolerances import (
-    BRANCH_PRUNE,
-    CLASS_TOL,
-    NORM_TOL,
-    PROB_TOL,
-    ROUNDING_TOL,
-    SUCCESS_TOL,
-    UNIMODULAR_TOL,
-)
+from .tolerances import CLASS_TOL, NORM_TOL, PROB_TOL, SUCCESS_TOL, UNIMODULAR_TOL
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
 BELL_CORRECTIONS = {
@@ -437,7 +431,9 @@ class Slot(NamedTuple):
 
 class Circuit(NamedTuple):
     """A protocol for one promise class: the shared ``pairs``, Bob's
-    ``data`` qubit that holds psi, the ``steps`` and Bob's ``output`` qubit."""
+    ``data`` qubit that holds psi, the ``steps`` and Bob's ``output`` qubit.
+    The compile plays it exactly, so its pairs and gates need exact forms
+    (``_exact_form``): stabilizer states and Clifford gates have them."""
 
     pairs: StateVector
     data: QubitId
@@ -446,12 +442,12 @@ class Circuit(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A circuit resolved by ``_plan``: each step's targets as their axes
-    and its ``when`` as (measurement index, value), each ``Slot`` as two
-    gates; the final axes of (R_out, R_in, R_psi, output); each
-    measurement's outcome labels; and the ledger."""
+    """A circuit resolved by ``_plan``: the pairs (an axis per qubit), gates
+    and bases as exact forms (k, e), targets as axes, each ``when`` as
+    (measurement index, value) and each ``Slot`` as two gates; the final axes
+    of (R_out, R_in, R_psi, output); the outcome labels; and the ledger."""
 
-    pairs: StateVector
+    pairs: tuple[np.ndarray, int]
     steps: tuple[Apply | Measure, ...]
     readout: tuple[int, ...]
     labels: tuple[tuple[tuple[str, str, str], ...], ...]
@@ -472,12 +468,15 @@ def _plan(circuit: Circuit) -> _Plan:
     communication), as are a target not in the register or repeated, a
     wrong gate arity or basis size, a ``when`` that names no earlier
     measurement or a value outside its outcomes, and any qubit left
-    unmeasured but the output and the comb's references. Each measurement
-    is logged once, as its party, basis and qubit count; the outcome labels
-    and the ledger follow from that log: one e-bit per shared pair, and in
-    each direction the bits of every outcome one party measured and the
-    other read, once however many steps read it."""
-    register = list(circuit.pairs.register + (circuit.data, _R_PSI, _R_IN, _R_OUT))
+    unmeasured but the output and the comb's references, and pairs or a
+    gate with no exact form. Each measurement is logged once, as its party,
+    basis and qubit count; the outcome labels and the ledger follow from
+    that log: one e-bit per shared pair, and in each direction the bits of
+    every outcome one party measured and the other read, once however many
+    steps read it."""
+    shared = circuit.pairs
+    register = list(shared.register + (circuit.data, _R_PSI, _R_IN, _R_OUT))
+    pairs = _exact_form(shared.amplitudes.reshape((2,) * shared.n), f"the pairs on {', '.join(map(str, shared.register))}")
 
     def locate(qubits) -> tuple[int, ...]:  # qubit axes count from 1
         for q in qubits:
@@ -498,7 +497,7 @@ def _plan(circuit: Circuit) -> _Plan:
                 raise ValueError(f"{step}: cannot measure {len(axes)} qubit(s) in the {step.basis!r} basis")
             measured[step] = len(log)
             log.append((party, step.basis, len(axes)))
-            steps.append(Measure(axes, step.basis))
+            steps.append(Measure(axes, _exact_form(_BASES[step.basis, len(axes)], step)))
             register = [q for q in register if q not in step.targets]
             continue
         if len(axes) != step.gate.qubits:
@@ -513,41 +512,44 @@ def _plan(circuit: Circuit) -> _Plan:
             when = (m, when[1])
             if log[m][0] != party:  # measured by the other party
                 sent.add(m)
-        steps.append(Apply(step.gate, axes, when))
+        steps.append(Apply(_exact_form(step.gate.matrix, step), axes, when))
     readout = locate((_R_OUT, _R_IN, _R_PSI, circuit.output))
     left = [q for q in register if q not in (circuit.output, _R_PSI, _R_IN, _R_OUT)]
     if left:
         raise ValueError(f"unmeasured qubit(s) {', '.join(map(str, left))}: a circuit measures every qubit but its output")
     labels = tuple(tuple((party, basis, format(o, f"0{k}b")) for o in range(2**k)) for party, basis, k in log)
     a_to_b, b_to_a = (sum(log[m][2] for m in sent if log[m][0] == side) for side in ("alice", "bob"))
-    return _Plan(circuit.pairs, tuple(steps), readout, labels, ResourceLedger(circuit.pairs.n // 2, a_to_b, b_to_a))
+    return _Plan(pairs, tuple(steps), readout, labels, ResourceLedger(shared.n // 2, a_to_b, b_to_a))
 
 
-def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """All branches of ``plan`` as one array, and ``outcomes[b, m]``, the
-    outcome of measurement m on branch b. ``amps[b]`` is branch b, with one
-    axis per register qubit not yet measured; it starts as the pairs beside
-    three references at amplitude 1 on their basis states: |00> + |11> on
-    (data, R_psi), |0> on R_in and |0> + |1> on R_out. A measurement
-    contracts its qubits with the basis vectors and drops them; the
-    outcomes go onto the branch axis, parent branch first and outcome
-    second, which keeps the order of the branch tree."""
-    references = np.kron(np.kron([1, 0, 0, 1], [1, 0]), [1, 1])
-    amps = np.kron(plan.pairs.amplitudes, references).reshape((1,) + (2,) * (plan.pairs.n + 4))
+def _play(plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All branches of ``plan`` on the integer grid: ``amps[b]``, branch b's
+    Gaussian integers over sqrt(2)**powers[b], with one axis per register
+    qubit not yet measured, and ``outcomes[b, m]``, the outcome of
+    measurement m on branch b. ``amps`` starts as the pairs beside three
+    references at 1 on their basis states: |00> + |11> on (data, R_psi), |0>
+    on R_in and |0> + |1> on R_out; each step adds its e to the branches it
+    acts on. A measurement contracts its qubits with the unnormalised bras,
+    drops them and keeps each child that is not zero; the outcomes go onto
+    the branch axis, parent branch first and outcome second, which keeps
+    the order of the branch tree."""
+    pairs, power = plan.pairs
+    references = np.kron(np.kron([1, 0, 0, 1], [1, 0]), [1, 1]).reshape(2, 2, 2, 2)
+    amps, powers = np.multiply.outer(pairs, references)[None], np.full(1, power)
     outcomes = np.zeros((1, 0), dtype=int)
     for step in plan.steps:
         if type(step) is Measure:
-            children, _, kept = _split(amps, step.targets, step.basis)
-            amps = children[kept]
-            parents, outcome = np.nonzero(kept)
+            bras, e = step.basis
+            children, norms = _split(amps, step.targets, bras)
+            parents, outcome = np.nonzero(norms)  # a sum of squared integers is 0 only for a zero child
+            amps, powers = children[parents, outcome], powers[parents] + e
             outcomes = np.column_stack((outcomes[parents], outcome))
-        elif step.when is None:
-            amps = _apply_matrix(step.gate.matrix, step.targets, amps)
         else:
-            m, value = step.when
-            hit = outcomes[:, m] == value
-            amps[hit] = _apply_matrix(step.gate.matrix, step.targets, amps[hit])
-    return amps, outcomes
+            matrix, e = step.gate
+            hit = slice(None) if step.when is None else outcomes[:, step.when[0]] == step.when[1]
+            amps[hit] = _apply_matrix(matrix, step.targets, amps[hit])
+            powers[hit] += e
+    return amps, powers, outcomes
 
 
 def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
@@ -609,12 +611,10 @@ def _teleport(source: QubitId, source_half: QubitId, dest: QubitId) -> tuple[App
 
 _A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
 _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
-#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1). Both pairs
-#: together come from the normalising constructor, not from ``tensor``,
-#: which does not renormalise: the rounded 1/sqrt(2) squared is 0.5 plus
-#: one ulp, and the compiled instruments start from exactly 0.5.
-_ONE_PAIR = bell_phi_plus(_A1, _B1)
-_TWO_PAIRS = StateVector(np.kron(_ONE_PAIR.amplitudes, _ONE_PAIR.amplitudes), (_A1, _B1, _A2, _B2))
+#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1), normalised from
+#: integers, so that their amplitudes, 1/sqrt(2) and 1/2, have exact forms.
+_ONE_PAIR = StateVector([1, 0, 0, 1], (_A1, _B1))
+_TWO_PAIRS = StateVector(np.kron([1, 0, 0, 1], [1, 0, 0, 1]), (_A1, _B1, _A2, _B2))
 #: Bob's data qubit beside one pair and beside two.
 _DATA1, _DATA2 = QubitId("bob", 1), QubitId("bob", 2)
 
@@ -674,7 +674,7 @@ class _Instrument(NamedTuple):
     output on (U, psi) is the sum of U[i, j] psi[m] times row (i, j, m).
     Branch b maps the black box as c_b V_b E W_b, with (V_b, W_b) =
     ``frames[b]`` as indices into (1, sx, sy, sz) and ``weights[b]`` =
-    |c_b|^2. Branch b's group is ``group[b]``, and group d has
+    |c_b|^2 exactly. Branch b's group is ``group[b]``, and group d has
     ``counts[d]`` branches, the first of them ``reps[d]``."""
 
     tensor: np.ndarray  # (8, B * 2)
@@ -707,51 +707,50 @@ def _grouped(keys) -> dict[str, tuple[int, ...]]:
 
 
 def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
-    """Compile ``circuit`` for a promise class: play it once on the comb and
-    read branch b's map K_b(E_ij) of Bob's |m> at (R_out, R_in, R_psi) =
-    (i, j, m), on the E_ij the class spans (the diagonal ones commute with
-    sz, the others anticommute). Each branch must be c_b V_b E W_b there
-    (Gottesman and Chuang, Nature 402, 390, 1999): (V_b, W_b) is the first
-    of the 16 ordered Pauli pairs that fits within ``ROUNDING_TOL``, c_b
-    read off the class's first E_ij, where V E W has one unit entry. The
-    weights |c_b|^2 must sum to 1 within ``PROB_TOL``, and none may come
-    near ``BRANCH_PRUNE`` on an admissible row; a refusal names the circuit
-    as ``where``. The tensor is rebuilt from the frames, its rows off the
-    class zero, so a run contracts with what was certified. Branches with
-    the same frame and c_b up to sign give the same output up to sign on
-    every row, and form a group. Not cached: ``_instrument`` caches the
-    protocols' circuits."""
+    """Compile ``circuit`` for a promise class: play it once on the comb, on
+    the integer grid (``_play``), and read branch b's map K_b(E_ij) of Bob's
+    |m> at (R_out, R_in, R_psi) = (i, j, m), on the E_ij the class spans (the
+    diagonal ones commute with sz, the others anticommute). Each branch must
+    be c_b V_b E W_b there (Gottesman and Chuang, Nature 402, 390, 1999):
+    (V_b, W_b) is the first of the 16 ordered Pauli pairs that fits by
+    equality, c_b read off the class's first E_ij, where V E W has one unit
+    entry, as a Gaussian integer over sqrt(2)**e_b. The weights |c_b|^2
+    2^-e_b must sum to exactly 1, and none may be 0; a refusal names the
+    circuit as ``where``. The tensor is the played grid over sqrt(2)**e_b,
+    its rows off the class zero, so a run contracts with what was
+    certified. Branches with the same frame and c_b up to sign give the
+    same output up to sign on every row, and form a group. Not cached:
+    ``_instrument`` caches the protocols' circuits."""
     plan = _plan(circuit)
-    amps, outcomes = _play(plan)
+    amps, powers, outcomes = _play(plan)
     records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
     names = ["/".join(outcome for _, _, outcome in record) for record in records]
     span = _CLASSES[promise]
     r_out, r_in, r_psi, output = plan.readout
     # maps[b, s, o, m] and models[p, s, o, m]: branch b's and pair p's output o for |m> and the class's s-th E_ij
     maps, models = amps.transpose(0, r_out, r_in, output, r_psi)[:, span], _FRAMES[:, span]
-    c = np.einsum("pom,bom->bp", models[:, 0].conj(), maps[:, 0])  # one unit times an entry: exact
-    off = np.abs(maps[:, None] - c[..., None, None, None] * models[None]).max(axis=(2, 3, 4))
-    fits = off <= ROUNDING_TOL
+    c = np.einsum("pom,bom->bp", models[:, 0].conj(), maps[:, 0])  # one unit times an integer
+    fits = (maps[:, None] == c[..., None, None, None] * models[None]).all(axis=(2, 3, 4))
     b = int(np.argmin(fits.any(axis=1)))  # the first branch no pair fits, or 0
     if not fits[b].any():
+        off = np.abs(maps[b] - c[b, :, None, None, None] * models).max(axis=(1, 2, 3)).min() / _root2_powers(powers[b])
         raise InvariantViolation(f"{where} branch {names[b]} does not map the black box U as c V U W "
-                                 f"with V and W Paulis (off by {off[b].min():.3e})")
+                                 f"with V and W Paulis (off by {off:.3e})")
     frames = fits.argmax(axis=1)
     c = c[np.arange(len(c)), frames]
-    weights = np.abs(c) ** 2
-    if not abs(weights.sum() - 1.0) <= PROB_TOL:
+    weights = np.ldexp((c.conj() * c).real, -powers)  # |c_b|^2 2^-e_b, exact for Gaussian integers c_b
+    if weights.sum() != 1.0:
         total = float(weights.sum())
         raise InvariantViolation(f"{where} branch weights sum to {total!r}, expected 1.0: a step was not unitary")
-    # a run's p_b is |c_b|^2 (|a|^2 + |b|^2) to its own rounding
     b = int(np.argmin(weights))
-    if not weights[b] * (1.0 - UNIMODULAR_TOL) - 2 * ROUNDING_TOL >= BRANCH_PRUNE:
-        raise InvariantViolation(f"{where} branch {names[b]} has weight {weights[b]:.3e}, too close to BRANCH_PRUNE")
-    tensor = np.zeros((2, 2, 2, len(c), 2), dtype=complex)  # [i, j, m, b, o]
-    # + 0.0 turns the -0.0 that a negative c_b makes of a zero into the played tensor's 0.0
-    tensor[span] = (c[:, None, None, None] * models[frames]).transpose(1, 3, 0, 2) + 0.0
+    if weights[b] == 0:
+        raise InvariantViolation(f"{where} branch {names[b]} has weight 0 on its class")
+    scales = _root2_powers(powers)
+    tensor = (amps / scales[:, None, None, None, None]).transpose(r_out, r_in, r_psi, 0, output)  # [i, j, m, b, o]
+    tensor[~span] = 0
     tensor = tensor.reshape(8, -1)
     tensor.setflags(write=False)
-    keys = zip(frames.tolist(), (frozenset((x, -x)) for x in c.tolist()))  # c_b up to sign
+    keys = zip(frames.tolist(), (frozenset((x, -x)) for x in (c / scales).tolist()))  # c_b up to sign
     return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), tuple(weights.tolist()),
                        plan.ledger, circuit.output, **_grouped(keys))
 

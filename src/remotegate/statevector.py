@@ -188,21 +188,36 @@ _BASES = {
 }
 
 
-def _split(amps: np.ndarray, axes: tuple[int, ...], basis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every branch split by measuring its qubit ``axes`` in ``basis``. The
-    children, (N, outcomes) + the unmeasured axes, are the basis bras
-    contracted with the measured axes, which they drop; with them come
-    each child's squared norm and whether it is kept, (N, outcomes) each:
-    a child below ``BRANCH_PRUNE`` of its parent is not. ``basis`` must fit
-    the number of axes, which ``protocols._plan`` checks."""
-    vecs = _BASES[basis, len(axes)]
+def _split(amps: np.ndarray, axes: tuple[int, ...], bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every branch split by measuring its qubit ``axes`` against ``bras``,
+    row o outcome o's vector (``_BASES`` holds the bases by name). The
+    children, (N, outcomes) + the unmeasured axes, are the bras contracted
+    with the measured axes, which they drop; with them comes each child's
+    squared norm, (N, outcomes). Every child is returned, a zero one too."""
     front = amps.transpose(_to_front(amps.ndim, (0,) + axes)[0])
-    n_branch, dim, rest = len(front), len(vecs), front.shape[len(axes) + 1 :]
-    coeff = vecs.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
-    child = _squared_norms(coeff)
-    # child / parent < BRANCH_PRUNE, written so that a zero parent divides nothing
-    kept = ~(child < BRANCH_PRUNE * child.sum(axis=1, keepdims=True))
-    return coeff.reshape(n_branch, dim, *rest), child, kept
+    n_branch, dim, rest = len(front), len(bras), front.shape[len(axes) + 1 :]
+    coeff = bras.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
+    return coeff.reshape(n_branch, dim, *rest), _squared_norms(coeff)
+
+
+def _root2_powers(e):
+    """sqrt(2)**e as exact forms read it: 2**(e // 2), times the rounded
+    sqrt(2) where e is odd."""
+    return np.ldexp(_SQRT2 ** (e % 2), e // 2)
+
+
+def _exact_form(values: np.ndarray, what) -> tuple[np.ndarray, int]:
+    """``values`` on the integer grid: Gaussian integers k, held as floats,
+    and the least e below 32 with values == k / ``_root2_powers(e)`` bit for
+    bit (H is [[1, 1], [1, -1]] over e = 1). Sums and products of such k are
+    exact while they stay below 2**53. Refuses ``values`` with no such form,
+    naming them as ``str(what)``, formatted only then."""
+    for e in range(32):
+        scale = _root2_powers(e)
+        k = np.round(values * scale)
+        if (k / scale == values).all():
+            return k, e
+    raise ValueError(f"{what} has no exact form k / sqrt(2)**e with k Gaussian integers: it cannot be played exactly")
 
 
 def _reduced_densities(amps: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

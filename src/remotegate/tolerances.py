@@ -37,8 +37,8 @@ SIGN_TOL = 1e-7
 
 # -- measurement --------------------------------------------------------------
 
-#: Measurement branches below this probability are dropped: their
-#: post-states carry no weight and cannot be renormalized.
+#: ``measure`` drops branches below this probability: their post-states
+#: carry no weight and cannot be renormalized. The compile reads no tolerance.
 BRANCH_PRUNE = 1e-12
 #: How far an exact probability (a branch sum, a repeated outcome) may be from 1.
 PROB_TOL = 1e-10

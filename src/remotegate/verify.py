@@ -106,8 +106,7 @@ def check_branch_completeness(rng):
     states = _random_states(rng, 3)
     deficits = []
     for axes, basis in ((1,), "computational"), ((1, 2), "bell"):
-        _, probs, kept = _split(states, axes, basis)
-        deficits.append(np.abs(np.sum(probs, axis=1, where=kept) - 1.0))
+        deficits.append(np.abs(_split(states, axes, _BASES[basis, len(axes)])[1].sum(axis=1) - 1.0))
     return _at_most(PROB_TOL, "max probability deficit", deficits)
 
 
@@ -117,19 +116,20 @@ def check_product_state_entropy(rng):
 
 
 def check_measurement_idempotence(rng):
-    """Each kept child of a measurement, put back on the full register as
-    |v_o> (x) its normalised remainder, measured again, gives outcome o
-    with probability 1 within PROB_TOL, from below and from above: a basis
+    """Each child of a measurement, put back on the full register as |v_o>
+    (x) its normalised remainder, measured again, gives outcome o with
+    probability 1 within PROB_TOL, from below and from above: a basis
     vector scaled by s reads s^4."""
     states = _random_states(rng, 3)
     repeats = []
     for axes, basis in ((2,), "computational"), ((2, 3), "bell"):
-        children, probs, kept = _split(states, axes, basis)
-        outcomes = np.nonzero(kept)[1]
-        posts = children[kept].reshape(len(outcomes), 1, -1) / np.sqrt(probs[kept])[:, None, None]
-        front = _BASES[basis, len(axes)][outcomes][:, :, None] * posts  # measured qubits first
+        bras = _BASES[basis, len(axes)]
+        children, probs = _split(states, axes, bras)
+        outcomes = np.tile(np.arange(len(bras)), len(states))
+        posts = children.reshape(len(outcomes), 1, -1) / np.sqrt(probs.reshape(-1))[:, None, None]
+        front = bras[outcomes][:, :, None] * posts  # measured qubits first
         again = front.reshape(len(outcomes), 2, 2, 2).transpose(_to_front(4, (0,) + axes)[1])
-        repeats.append(_split(again, axes, basis)[1][np.arange(len(outcomes)), outcomes])
+        repeats.append(_split(again, axes, bras)[1][np.arange(len(outcomes)), outcomes])
     repeats = np.concatenate(repeats)
     worst = float(repeats[np.argmax(np.abs(repeats - 1.0))])  # argmax keeps a NaN, which fails
     return abs(worst - 1.0) <= PROB_TOL, f"repeat probability farthest from 1: {worst!r}"

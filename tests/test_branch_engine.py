@@ -34,6 +34,7 @@ from remotegate import (
     Unimodular,
     apply_gate,
     basis_state,
+    bell_phi_plus,
     factor_qubit,
     measure,
     protocols,
@@ -637,6 +638,11 @@ def test_a_proved_rotation_with_a_bad_psi_is_refused_without_a_warning(psi, mess
             ProtocolConfig(u=rz(0.3), psi=psi)
 
 
+def _grid_values(amps, powers):
+    """The played integer grid times 2^(-e/2), each branch by its own e."""
+    return amps * (2.0 ** (-powers / 2)).reshape((-1,) + (1,) * (amps.ndim - 1))
+
+
 def _played(circuit, psi, u=np.eye(2)):
     """``circuit`` resolved by ``_plan`` and played by ``_play``, read for
     the black box ``u`` and Bob's ``psi``: each branch's unnormalised output,
@@ -644,8 +650,8 @@ def _played(circuit, psi, u=np.eye(2)):
     weights depend on psi is refused by the certificate, so it is read here,
     before the compile certifies it."""
     plan = protocols._plan(circuit)
-    amps, outcomes = protocols._play(plan)
-    maps = np.moveaxis(amps, plan.readout, (1, 2, 3, 4))  # [b, R_out, R_in, R_psi, output]
+    amps, powers, outcomes = protocols._play(plan)
+    maps = np.moveaxis(_grid_values(amps, powers), plan.readout, (1, 2, 3, 4))  # [b, R_out, R_in, R_psi, output]
     return np.einsum("bijmo,ij,m->bo", maps, u, psi), outcomes
 
 
@@ -851,22 +857,26 @@ def test_each_circuits_static_ledger_is_its_expected_ledger(name, promise):
 
 
 def test_measure_keeps_the_shared_contractions_children():
-    """Each measurement the interpreter plays keeps ``statevector._split``'s
-    kept children of the branches before it, in order and bit for bit, and
-    records their outcomes. A_0 stays |0>, so its outcome 1 is dropped on
-    every branch."""
-    rng = np.random.default_rng(23)
-    steps = [Apply(random_unimodular(rng).as_gate(), (q,)) for q in (A1, B0, B1)] + [Apply(CNOT, (B0, DATA))]
+    """Each measurement the interpreter plays keeps the children of
+    ``statevector._split`` that are not zero, on the integer grid of the
+    branches before it, in order and bit for bit; it records their outcomes
+    and adds the bras' power of sqrt 2 (1 for the Bell bras) to each. A_0
+    stays |0>, so its outcome 1 is dropped on every branch."""
+    steps = [Apply(H, (q,)) for q in (A1, B0, B1)] + [Apply(CNOT, (B0, DATA))]
     measures = [Measure((A0,), "computational"), Measure((B1, B0), "bell"), Measure((A1,), "computational")]
     plan = protocols._plan(_hand_built(*steps, *measures))
     assert len(plan.steps) == len(steps) + len(measures)
     for k in range(len(steps), len(plan.steps)):
-        amps, _ = protocols._play(plan._replace(steps=plan.steps[:k]))
-        children, _, kept = _split(amps.copy(), plan.steps[k].targets, plan.steps[k].basis)
-        after, outcomes = protocols._play(plan._replace(steps=plan.steps[: k + 1]))
-        assert np.array_equal(after, children[kept])
-        assert outcomes[:, -1].tolist() == np.nonzero(kept)[1].tolist()
+        amps, powers, _ = protocols._play(plan._replace(steps=plan.steps[:k]))
+        bras, e = plan.steps[k].basis
+        children, norms = _split(amps.copy(), plan.steps[k].targets, bras)
+        parents, kept = np.nonzero(norms)
+        after, after_powers, outcomes = protocols._play(plan._replace(steps=plan.steps[: k + 1]))
+        assert np.array_equal(after, children[parents, kept])
+        assert after_powers.tolist() == (powers[parents] + e).tolist()
+        assert outcomes[:, -1].tolist() == kept.tolist()
     assert outcomes[:, 0].tolist() == [0] * 8
+    assert after_powers.tolist() == [4] * 8  # three Hadamards and the Bell bras
 
 
 def test_when_reads_the_named_measurement():
@@ -878,6 +888,18 @@ def test_when_reads_the_named_measurement():
     assert outcomes[:, :2].tolist() == [[0, 0], [1, 0]]
     assert np.abs(out - [[0.6, 0], [0, 0.8]]).max() <= ORACLE_TOL
     assert protocols._plan(circuit).ledger.as_tuple() == (2, 0, 0)
+
+
+def test_a_conditional_gate_adds_its_power_only_where_it_acts():
+    """Bob's Hadamard on bob:0 where his data qubit read 1: that branch is
+    over sqrt(2)**1 and the other over sqrt(2)**0, and each reads as the
+    circuit's output, |0> psi[0] and |+> psi[1]."""
+    data = Measure((DATA,), "computational")
+    circuit = _hand_built(data, Apply(H, (B0,), (data, 1)), output=B0)
+    assert protocols._play(protocols._plan(circuit))[1].tolist() == [0, 1]
+    out, outcomes = _played(circuit, [0.6, 0.8])
+    assert outcomes[:, 0].tolist() == [0, 1]
+    assert np.abs(out - [[0.6, 0], [0.8 / np.sqrt(2), 0.8 / np.sqrt(2)]]).max() <= ORACLE_TOL
 
 
 _MEASURED = Measure((DATA,), "computational")
@@ -947,7 +969,7 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    ((plan, (amps, _)),) = played
+    ((plan, (amps, _, _)),) = played
     assert amps.shape == (16, 2, 2, 2, 2)
     # the register is (bob:1, R_psi, R_in, R_out): Bob's output on axis 1
     assert plan.readout == (4, 3, 2, 1)
@@ -1060,45 +1082,93 @@ def _scaled(gate, factor):
     return scaled
 
 
-def test_step_that_is_not_unitary_is_refused_at_compile():
-    """universal221 with Bob's Hadamard scaled by 1 + 1e-6: every branch
-    still maps U as c V U W, but the weights sum to (1 + 1e-6)^2, and the
-    compile refuses the circuit before any row is run."""
+def _no_exact_form(step):
+    """The refusal ``_plan`` gives a step with no exact form."""
+    return rf"^{step} has no exact form k / sqrt\(2\)\*\*e with k Gaussian integers: it cannot be played exactly$"
+
+
+def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
+    """universal221 with Bob's Hadamard scaled by 1 + 1e-6. ``_scaled``
+    copies H's fields, so only its matrix can tell: that has no exact form,
+    and ``_plan`` refuses the circuit, naming the gate, before any
+    amplitude is touched."""
     circuit = protocols._CIRCUITS["universal221", None]
     scaled = _scaled(H, 1 + 1e-6)
     steps = tuple(step._replace(gate=scaled) if isinstance(step, Apply) and step.gate is H else step for step in circuit.steps)
     assert sum(isinstance(step, Apply) and step.gate.name == "h" for step in steps) == 1
-    message = r"^hand_built branch weights sum to 1\.000002\d*, expected 1\.0: a step was not unitary$"
-    with pytest.raises(InvariantViolation, match=message):
+    _no_amplitudes(monkeypatch)
+    with pytest.raises(ValueError, match=_no_exact_form(r"gate 'h' on \(bob:0\)")):
         protocols._compile(circuit._replace(steps=steps), None, "hand_built")
 
 
+def test_step_scaled_on_the_grid_is_refused_by_the_weight_sum():
+    """universal221 with Alice's spreading X scaled by 2: it has an exact
+    form, so the circuit plays, and every branch still maps U as c V U W,
+    but the eight branches where Bob's data qubit read 1 weigh 4/16 each.
+    The weights sum to exactly 2.5, and the compile refuses the circuit."""
+    circuit = protocols._CIRCUITS["universal221", None]
+    steps = list(circuit.steps)
+    k = next(k for k, step in enumerate(steps) if isinstance(step, Apply) and step.gate is X)
+    assert steps[k].targets == (A0,) and steps[k].when[1] == 1
+    steps[k] = steps[k]._replace(gate=_scaled(X, 2.0))
+    circuit = circuit._replace(steps=tuple(steps))
+    message = r"^hand_built branch weights sum to 2\.5, expected 1\.0: a step was not unitary$"
+    with pytest.raises(InvariantViolation, match=message):
+        protocols._compile(circuit, None, "hand_built")
+
+
 @pytest.mark.parametrize("eps", [1e-6, 1e-10])
-def test_a_fixup_off_by_a_phase_is_refused_at_compile(eps):
+def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
     """restricted221's sz fix-up times diag(1, e^{i eps}): its failure
-    branches then map U eps/4 off c sz U sz, entry by entry, and off every
-    other Pauli frame by more, so the compile refuses the circuit, naming
-    the first of them. ``verify`` passes this mutant below eps = 6.5e-5."""
+    branches would map U eps/4 off c sz U sz, entry by entry. The gate has
+    no exact form, so ``_plan`` refuses the circuit, naming it, before any
+    amplitude is touched. ``verify`` passes this mutant below eps = 6.5e-5."""
     circuit = protocols._CIRCUITS["restricted221", None]
     *steps, fixup = circuit.steps
     assert fixup.gate is Z and fixup.when[1] == 1
     shifted = fixup._replace(gate=Gate(Z.matrix @ np.diag([1, np.exp(1j * eps)]), "z_eps"))
-    off = re.escape(f"{eps / 4:.3e}")
-    message = rf"^hand_built branch 0/00/1 does not map the black box U as c V U W with V and W Paulis \(off by {off}\)$"
-    with pytest.raises(InvariantViolation, match=message):
+    _no_amplitudes(monkeypatch)
+    with pytest.raises(ValueError, match=_no_exact_form(r"gate 'z_eps' on \(bob:1\)")):
         protocols._compile(circuit._replace(steps=(*steps, shifted)), None, "hand_built")
+    monkeypatch.undo()
     # the mutant was compiled by value: the table's circuit still compiles
     assert protocols._CIRCUITS["restricted221", None] is circuit
     protocols._compile(circuit, None, "restricted221")
 
 
-def test_branch_weight_near_branch_prune_is_refused(monkeypatch):
-    """With ``BRANCH_PRUNE`` raised above 1/16, universal221's first
-    branch could fall below it, and the compile refuses it by name."""
-    monkeypatch.setattr(protocols, "BRANCH_PRUNE", 0.1)
-    message = r"^universal221 branch 0/00/0 has weight 6\.250e-02, too close to BRANCH_PRUNE$"
-    with pytest.raises(InvariantViolation, match=message):
-        protocols._compile(protocols._CIRCUITS["universal221", None], None, "universal221")
+@pytest.mark.parametrize(
+    "circuit, step",
+    [
+        (Circuit(bell_phi_plus(A0, B0), DATA, (Measure((A0,), "computational"),), B0), "the pairs on alice:0, bob:0"),
+        (_hand_built(Apply(random_unimodular(np.random.default_rng(23)).as_gate(), (B0,))), r"gate 'u' on \(bob:0\)"),
+    ],
+    ids=["bell_phi_plus_pairs", "seeded_rotation"],
+)
+def test_a_step_with_no_exact_form_is_refused_before_any_amplitude(monkeypatch, circuit, step):
+    """``bell_phi_plus`` normalises its amplitude to one ulp above
+    1/sqrt(2), which is off the grid, and a seeded rotation has no exact
+    form: ``_plan`` refuses each, naming it, before any amplitude is
+    touched."""
+    _no_amplitudes(monkeypatch)
+    with pytest.raises(ValueError, match=_no_exact_form(step)):
+        protocols._compile(circuit, None, "hand_built")
+
+
+def test_branch_of_weight_zero_on_its_class_is_refused():
+    """Alice copies her pair half's bit onto alice:1 before the slot and
+    again after it, so her measurement of alice:1 reads whether the black
+    box E_ij flipped the bit, i != j. On the commuting class, which spans
+    E_00 and E_11, the branches that read 1 are zero, though the play keeps
+    them for E_01 and E_10: they fit every frame with c_b = 0, the other
+    branches' weights sum to exactly 1, and the compile refuses the first
+    zero one by name, since ``_finish`` could not normalise it."""
+    parity = Measure((A1,), "computational")
+    alice = Measure((A0,), "computational")
+    steps = (*protocols._spread_amplitudes(A0, B0, DATA), Apply(CNOT, (A0, A1)), Slot(A0), Apply(CNOT, (A0, A1)),
+             parity, Apply(H, (A0,)), alice, Apply(Z, (B0,), (alice, 1)), Measure((B1,), "computational"))
+    circuit = Circuit(StateVector(np.kron([1, 0, 0, 1], [1, 0, 0, 0]), (A0, B0, A1, B1)), DATA, steps, B0)
+    with pytest.raises(InvariantViolation, match=r"^hand_built branch 0/1/0/0 has weight 0 on its class$"):
+        protocols._compile(circuit, COMMUTING, "hand_built")
 
 
 # ---------------------------------------------------------------------------
@@ -1136,26 +1206,31 @@ _PAPER_FRAMES = {
 
 def _played_tensor(protocol, promise):
     """The instrument tensor as the comb plays it, before the frame fit:
-    (8, B * 2), its rows off the class zero, one11's classes summed."""
+    the integer grid times 2^(-e/2), (8, B * 2), its rows off the class
+    zero, one11's classes summed."""
     if promise is None and protocol == "one11":
         return _played_tensor(protocol, COMMUTING) + _played_tensor(protocol, ANTICOMMUTING)
     plan = protocols._plan(protocols._CIRCUITS[protocol, promise])
-    amps, _ = protocols._play(plan)
-    out = amps.transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
+    amps, powers, _ = protocols._play(plan)
+    out = _grid_values(amps, powers).transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
     out[~protocols._CLASSES[promise]] = 0
     return out.reshape(8, -1)
 
 
 @pytest.mark.parametrize("key", list(_GROUPS), ids=str)
 def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
-    """Each branch's frame and weight are the paper's, and the tensor
-    rebuilt from the frames is the played one, bit for bit, signed zeros
-    included; the groups follow from the frames."""
+    """Each branch's frame and weight are the paper's, exactly: every
+    nonzero entry of the tensor is c_b = +-1/4 (+-1/2 for one11) bit for
+    bit, since the frames here are 1 and sz, the weights are 1/16 (1/4) and
+    they sum to exactly 1. The tensor is the played grid times 2^(-e/2),
+    byte for byte, signed zeros included; the groups follow from the frames."""
     inst = protocols._instrument(*key)
     assert inst.group == _GROUPS[key]
     on_zero, on_one, weight = _PAPER_FRAMES[key]
     assert inst.frames == tuple(on_one if record[-1][2] == "1" else on_zero for record in inst.records)
-    assert np.abs(np.array(inst.weights) - weight).max() <= tolerances.ROUNDING_TOL
+    assert inst.weights == (weight,) * len(inst.records) and sum(inst.weights) == 1.0
+    nonzero = inst.tensor[inst.tensor != 0]
+    assert not nonzero.imag.any() and set(np.abs(nonzero.real).tolist()) == {0.5 if key[0] == "one11" else 0.25}
     assert inst.tensor.tobytes() == _played_tensor(*key).tobytes()
     distinct = sorted(set(inst.group))
     assert inst.reps == tuple(inst.group.index(d) for d in distinct)
@@ -1164,6 +1239,13 @@ def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
     for b, d in enumerate(inst.group):
         rep = columns[:, inst.reps[d]]
         assert np.array_equal(columns[:, b], rep) or np.array_equal(columns[:, b], -rep)
+
+
+def test_universal221_succeeds_with_probability_exactly_one_half():
+    """The weights of universal221's (1, 1)-frame branches, where Bob holds
+    U psi, sum to exactly 1/2, the paper's success probability."""
+    inst = protocols._instrument("universal221", None)
+    assert sum(w for w, frame in zip(inst.weights, inst.frames) if frame == (_I, _I)) == 0.5
 
 
 def _every_branch_finished(name, us, psis, promises):
@@ -1222,9 +1304,9 @@ def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name
     play = protocols._play
 
     def scaled(plan):
-        amps, outcomes = play(plan)
+        amps, powers, outcomes = play(plan)
         amps[-1] *= 1 + 2.0**-52
-        return amps, outcomes
+        return amps, powers, outcomes
 
     monkeypatch.setattr(protocols, "_play", scaled)
     protocols._instrument.cache_clear()

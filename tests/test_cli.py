@@ -215,6 +215,14 @@ class TestMain:
         assert total == pytest.approx(0.5, abs=1e-9)
         assert records[0]["ledger"] == {"ebits": 2, "cbits_ab": 2, "cbits_ba": 1}
 
+    def test_run_structured_universal221_prints_exact_branch_probabilities(self, capsys):
+        """The compile certifies each branch's weight as exactly 1/16, so a
+        run on a z rotation and |0> prints 0.0625 on every branch."""
+        argv = ["run", "--protocol", "universal221", "--u", "rz:0.3", "--psi", "0", "--format", "structured"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 16 and all('"probability": 0.0625,' in line for line in lines)
+
     def test_no_fidelity_exceeds_one(self, capsys):
         """Bob's state and U|psi> are unit only to rounding, and on this
         configuration their overlap squared rounds above 1 on every branch;

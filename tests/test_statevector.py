@@ -353,22 +353,25 @@ class TestBranchStacks:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_split_gives_the_kernels_branches(self, n):
-        """Each kept child, divided by the square root of its probability and
-        put back beside its basis vector, is ``measure``'s post-state, for
-        every ordered target tuple; the children ``measure`` drops are not
-        kept. A child is pruned relative to its parent, so states scaled far
-        below ``BRANCH_PRUNE`` keep the same children."""
+        """Every child comes back, a zero one too. ``measure``'s branches
+        are the children whose probability it keeps, at or above
+        ``BRANCH_PRUNE`` (a child that is zero in exact arithmetic may come
+        back as 1e-34 here, since the contraction may round through fused
+        multiply-adds), in order; each of them, divided by the square root of
+        its probability and put back beside its basis vector, is
+        ``measure``'s post-state, for every ordered target tuple."""
         rng = np.random.default_rng(90 + n)
         reg, states = REGISTERS[n - 1], _parity_states(n, rng)
         cases = [(pos, "computational") for k in (1, 2) for pos in permutations(range(n), k)]
         cases += [(pos, "bell") for pos in permutations(range(n), 2)]
         for pos, basis in cases:
             vecs = BELL_KETS if basis == "bell" else np.eye(2 ** len(pos))
-            children, probs, kept = _split(_stack(states), tuple(1 + p for p in pos), basis)
-            assert np.array_equal(_split(1e-9 * _stack(states), tuple(1 + p for p in pos), basis)[2], kept)
+            children, probs = _split(_stack(states), tuple(1 + p for p in pos), vecs)
+            assert children.shape == (len(states), len(vecs)) + (2,) * (n - len(pos))
+            assert probs.shape == (len(states), len(vecs))
             for b, s in enumerate(states):
                 branches = measure(s, [reg[p] for p in pos], basis)
-                outcomes = np.flatnonzero(kept[b])
+                outcomes = np.flatnonzero(probs[b] >= BRANCH_PRUNE)
                 assert [format(o, f"0{len(pos)}b") for o in outcomes] == [br.outcome for br in branches]
                 for o, br in zip(outcomes, branches):
                     assert abs(probs[b, o] - br.probability) <= 1e-15

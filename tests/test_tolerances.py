@@ -1,6 +1,7 @@
 """The tolerance table stays single: every threshold is named in
 ``remotegate.tolerances`` and written nowhere else in the package."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -48,6 +49,27 @@ def test_modules_still_bind_the_constants_they_defined():
     for module, names in homes.items():
         for name in names:
             assert getattr(module, name) == getattr(tolerances, name), f"{module.__name__}.{name}"
+
+
+def test_the_compile_reads_no_tolerance():
+    """The compile is exact: ``_plan``, ``_play`` and ``_compile``, the
+    exact-form helpers and ``statevector._split`` read no name that
+    ``remotegate.tolerances`` defines, and ``protocols`` imports neither
+    ``ROUNDING_TOL`` nor ``BRANCH_PRUNE``."""
+    table = {name for name in vars(tolerances) if name.isupper()}
+    reads = {}
+    for module, functions in ((protocols, ("_plan", "_play", "_compile")),
+                              (statevector, ("_split", "_exact_form", "_root2_powers"))):
+        tree = ast.parse(Path(module.__file__).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for function in functions:
+            nodes = list(ast.walk(defs[function]))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            reads[f"{module.__name__}.{function}"] = sorted(names & table)
+    assert reads == dict.fromkeys(reads, [])
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"ROUNDING_TOL", "BRANCH_PRUNE"}
 
 
 def test_readme_conventions_list_the_table_in_order():

@@ -160,15 +160,15 @@ STACKS = {
         "_apply_matrix": [((50, 2, 2), (2,), (50, 2, 2, 2)), ((4, 4), (3, 1), (50, 2, 2, 2))],
     },
     "statevector.branch_completeness": {
-        "_split": [((50, 2, 2, 2), (1,), "computational"), ((50, 2, 2, 2), (1, 2), "bell")],
+        "_split": [((50, 2, 2, 2), (1,), (2, 2)), ((50, 2, 2, 2), (1, 2), (4, 4))],
     },
     "statevector.product_state_entropy": {"random_qubits": [(50,)] * 2, "_entropies": [((50, 2, 2), (1,))]},
     "statevector.measurement_idempotence": {
         "_split": [
-            ((50, 2, 2, 2), (2,), "computational"),
-            ((100, 2, 2, 2), (2,), "computational"),
-            ((50, 2, 2, 2), (2, 3), "bell"),
-            ((200, 2, 2, 2), (2, 3), "bell"),
+            ((50, 2, 2, 2), (2,), (2, 2)),
+            ((100, 2, 2, 2), (2,), (2, 2)),
+            ((50, 2, 2, 2), (2, 3), (4, 4)),
+            ((200, 2, 2, 2), (2, 3), (4, 4)),
         ],
     },
     "statevector.entropy_bounds": {  # rows grouped by the drawn cut, 1 to 3 qubits
