@@ -56,7 +56,7 @@ common = check_common_correction(family)
 print(f"  common V =\n{np.round(common.v.real, 6)}")
 print(f"  per-element phases: {['0' if d == 0 else 'pi' for d in common.deltas]}")
 print(f"  single-operator solve on rz(0.8): V = U sz U^dag =\n"
-      f"{np.round(solve_correction(rz(0.8)).v.real, 6)}")
+      f"{np.round(solve_correction(rz(0.8)).real, 6)}")
 
 print("\n=== the family structure survives a change of basis ===")
 w = random_unimodular(rng)

@@ -15,7 +15,6 @@ from .operators import (
     COMMUTING,
     GENERAL,
     CommonCorrection,
-    CorrectionSolution,
     OperatorClass,
     OrthogonalPair,
     Unimodular,

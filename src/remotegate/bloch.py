@@ -42,10 +42,6 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.sx, self.sy, self.sz])
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
 
 def pure_densities(psis) -> np.ndarray:
     """|psi><psi| for each row of an (N, 2) stack of states, each normalized

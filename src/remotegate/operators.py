@@ -15,14 +15,12 @@ orthogonal input pair whose images overlap by i*sin(lambda).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import (
-    Gate,
     RowError,
     dot_norms,
     identity2,
@@ -96,9 +94,6 @@ class Unimodular:
     def matrix(self) -> np.ndarray:
         a, b = self.a, self.b
         return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
-
-    def as_gate(self, name: str = "u") -> Gate:
-        return Gate(self.matrix, name)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +384,6 @@ def q_matrices(alphas, xis) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CorrectionSolution:
-    """Unitary V and phase delta with V U = e^{i delta} U sigma_z."""
-
-    v: np.ndarray
-    delta: float
-
-
-@dataclass(frozen=True, eq=False)
 class CommonCorrection:
     """A single V working for a whole set, with one phase per element."""
 
@@ -404,18 +391,17 @@ class CommonCorrection:
     deltas: tuple[float, ...]
 
 
-def solve_corrections(us) -> CorrectionSolution:
-    """``solve_correction`` for each row of an (N, 2) stack of (a, b) pairs:
-    one ``CorrectionSolution`` whose fields are stacks (``v`` of shape
-    (N, 2, 2), ``delta`` (N,))."""
+def solve_corrections(us) -> np.ndarray:
+    """``solve_correction`` for each row of an (N, 2) stack of (a, b) pairs,
+    as an (N, 2, 2) stack."""
     m = unimodular_matrices(as_pairs(us))
-    return CorrectionSolution(v=matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1)), delta=np.zeros(len(m)))
+    return matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
 
 
-def solve_correction(u: Unimodular) -> CorrectionSolution:
-    """The correction for one operator: V = U sigma_z U^dag, delta = 0;
-    ``solve_corrections`` of one."""
-    return CorrectionSolution(v=solve_corrections([u]).v[0], delta=0.0)
+def solve_correction(u: Unimodular) -> np.ndarray:
+    """The correction V = U sigma_z U^dag of one operator, with V U = U
+    sigma_z exactly: ``solve_corrections`` of one."""
+    return solve_corrections([u])[0]
 
 
 def _pauli_vectors(hermitian_traceless: np.ndarray) -> np.ndarray:
@@ -471,7 +457,10 @@ def find_common_axes(families) -> list[np.ndarray | None]:
 
     Each set's first candidate, the axis of its first operator beyond
     CENTRAL_TOL, is tried for every set at once; only a set it fails goes
-    on to the remaining candidates, one set at a time.
+    on to the remaining candidates, one set at a time. A fitting axis that
+    is no operator's own anticommutes with the operators that move: they are
+    half-turns about axes orthogonal to it (the paper's second set), so only
+    half-turns' axes give cross products.
     """
     pairs = as_pairs(families)
     if pairs.ndim != 3 or not pairs.shape[1]:
@@ -484,15 +473,17 @@ def find_common_axis(operators) -> np.ndarray | None:
     ``find_common_axes`` of one set.
 
     Candidate axes are read from the traceless parts of the operators plus
-    pairwise cross products (for sets made purely of half-turns), the
-    crosses only once every operator's own axis has failed; each candidate
-    is verified by classifying the whole set at once. An axis that repeats
-    an earlier one exactly, up to sign, is tried once; candidates that are
-    only close are each tried. Operators within
-    tolerance of +/-1 constrain nothing and are skipped; a set of only such
-    operators is compatible with every axis and gets the z axis by
-    convention. The axis is sign-fixed so that its first component larger
-    than SIGN_TOL is positive. Returns None when no axis fits.
+    the pairwise cross products of the half-turns' axes (|Re a| within
+    CLASS_TOL of 0), the crosses only once every operator's own axis has
+    failed; each candidate is verified by classifying the whole set at
+    once. Against an axis orthogonal to its own axis v, an operator that
+    moves has a commutator of norm 2 sqrt(2)|v| > CLASS_TOL: only a
+    half-turn fits it. An axis that repeats an earlier one exactly, up to
+    sign, is tried once; candidates that are only close are each tried.
+    Operators within tolerance of +/-1 constrain nothing and are skipped; a
+    set of only such operators is compatible with every axis and gets the z
+    axis by convention. The axis is sign-fixed so that its first component
+    larger than SIGN_TOL is positive. Returns None when no axis fits.
     """
     operators = list(operators)
     if not operators:
@@ -507,6 +498,7 @@ def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
     norms = dot_norms(vecs)
     moving = norms > CENTRAL_TOL
     axes = vecs / np.maximum(norms, CENTRAL_TOL)[..., None]  # a central operator's row is not used
+    half = np.abs(pairs[..., 0].real) <= CLASS_TOL  # u0 = Re a within CLASS_TOL of 0: a half-turn
     rows = np.arange(len(pairs))
     firsts = axes[rows, moving.argmax(axis=1)]
     matrices = unimodular_matrices(pairs)
@@ -519,7 +511,7 @@ def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
         elif fit:
             found.append(firsts[m])
         else:
-            found.append(_search_axis(matrices[m], axes[m, moving[m]]))
+            found.append(_search_axis(matrices[m], axes[m, moving[m]], half[m, moving[m]]))
     return found
 
 
@@ -535,19 +527,31 @@ def _fits(matrices, n_sigma) -> np.ndarray:
 _AXIS_BLOCK = 64
 
 
-def _search_axis(matrices, axes) -> np.ndarray | None:
+def _search_axis(matrices, axes, half) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
-    of the unit ``axes``, then, only if none of them fits, their cross
-    products; the first that fits the set of ``matrices``, sign-fixed, or
-    None. An axis equal to an earlier one once both are sign-fixed is
-    dropped first: ``_fits`` decides the same for v and -v, and a cross
-    product with a repeated axis is +/- an earlier one, bit for bit."""
+    of the unit ``axes``, then, only if none of them fits, the cross products
+    of the half-turns' axes (where ``half``), one row of the pair order at a
+    time; the first that fits the set of ``matrices``, sign-fixed, or None.
+    An axis equal to an earlier one once both are sign-fixed is dropped
+    first: ``_fits`` decides the same for v and -v, and a cross product with
+    a repeated axis is +/- an earlier one, bit for bit. The crosses of other
+    axes cannot fit: against n orthogonal to v, U = u0*1 - i*v.sigma has
+    [U, n.sigma] of norm 2 sqrt(2)|v| > CLASS_TOL and {U, n.sigma} 2 sqrt(2)|u0|."""
     firsts = {}
     for n, axis in enumerate((axes * _canonical_signs(axes)[:, None]).tolist()):
         firsts.setdefault(tuple(axis), n)
-    axes = axes[list(firsts.values())]
+    kept = list(firsts.values())
+    axes, half = axes[kept], half[kept]
     found = _first_fit(matrices, axes[1:])
-    return _first_fit(matrices, _cross_axes(axes)) if found is None else found
+    halves = axes[half]
+    for i in range(len(halves) - 1):
+        if found is not None:
+            break
+        crosses = np.cross(halves[i], halves[i + 1 :])
+        norms = dot_norms(crosses)
+        long = norms > CROSS_TOL
+        found = _first_fit(matrices, crosses[long] / norms[long, None])
+    return found
 
 
 def _first_fit(matrices, cands) -> np.ndarray | None:
@@ -561,22 +565,6 @@ def _first_fit(matrices, cands) -> np.ndarray | None:
             cand = block[fits.argmax()]
             return cand * _canonical_signs(cand) + 0.0
     return None
-
-
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
-#: ``np.triu_indices``, built once per set size; its arrays are shared by every call, so only read them
-_pair_indices = functools.lru_cache(maxsize=32)(np.triu_indices)
-
-
-def _cross_axes(axes) -> np.ndarray:
-    """The normalized cross product of each pair of ``axes`` (i < j, in
-    order) that is longer than CROSS_TOL, as a stack. The products and
-    differences are ``np.cross``'s, in its order."""
-    first, second = (axes[index] for index in _pair_indices(len(axes), 1))
-    crosses = first[:, _NEXT] * second[:, _AFTER] - first[:, _AFTER] * second[:, _NEXT]
-    norms = dot_norms(crosses)
-    long = norms > CROSS_TOL
-    return crosses[long] / norms[long, None]
 
 
 # ---------------------------------------------------------------------------

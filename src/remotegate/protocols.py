@@ -328,9 +328,9 @@ class BatchOutcome:
     is the same for every branch. Branches whose outputs are equal up to
     sign share one finished output: branch b's is output ``group[b]`` of
     the D distinct ones, whose arrays are indexed ``[n, d]``. The branch
-    arrays ``probability``, ``fidelity``, ``succeeded`` and ``bob_final``,
-    indexed ``[n, b]``, are spread from them on first access, read-only;
-    every row has every branch.
+    arrays ``probability``, ``succeeded`` and ``bob_final``, indexed
+    ``[n, b]``, are spread from them on first access, read-only; every row
+    has every branch.
     """
 
     records: tuple[tuple[tuple[str, str, str], ...], ...]
@@ -350,10 +350,6 @@ class BatchOutcome:
     @functools.cached_property
     def probability(self) -> np.ndarray:  # (N, B)
         return self._spread(self.distinct_probability)
-
-    @functools.cached_property
-    def fidelity(self) -> np.ndarray:  # (N, B)
-        return self._spread(self.distinct_fidelity)
 
     @functools.cached_property
     def succeeded(self) -> np.ndarray:  # (N, B)

@@ -49,7 +49,7 @@ class TestBlochVector:
         rng = np.random.default_rng(2)
         for _ in range(100):
             vec = bloch_vector(pure_density(random_qubit(rng)))
-            assert vec.norm == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(vec.as_array()) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -86,7 +86,7 @@ class TestStackForms:
         for rho, vec in zip(rhos, vecs):
             assert np.array_equal([float(np.trace(rho @ p).real) for p in PAULIS], vec)
             assert np.array_equal(bloch_vector(rho).as_array(), vec)
-        assert np.array_equal(dot_norms(vecs), [BlochVector(*vec).norm for vec in vecs])
+        assert np.array_equal(dot_norms(vecs), [np.linalg.norm(vec) for vec in vecs])
         back = densities_from_bloch(vecs)
         assert back.shape == (200, 2, 2)
         for vec, rho in zip(vecs, back):

@@ -69,7 +69,7 @@ class ReferenceRun:
     def __init__(self, circuit: Circuit, cfg: ProtocolConfig, seed=None):
         """Play ``circuit`` with Bob's data qubit in ``cfg.psi`` beside its
         pairs; with a ``seed``, one branch drawn per measurement."""
-        self.u, self.psi, self.output = cfg.u.as_gate(), cfg.psi, circuit.output
+        self.u, self.psi, self.output = Gate(cfg.u.matrix, "u"), cfg.psi, circuit.output
         state = tensor(circuit.pairs, qubit_state(self.psi[0], self.psi[1], circuit.data))
         self.branches = [_Branch(state, 1.0, ())]
         self.rng = None if seed is None else np.random.default_rng(seed)
@@ -226,7 +226,8 @@ def _batch_rows(name, seed, count=64):
 def _assert_batch_matches_per_branch_engine(name, us, psis, promises):
     table = protocols.run_batch(name, us, psis, promises)
     n_branch = len(table.records)
-    for array in (table.probability, table.fidelity, table.succeeded):
+    fidelity = table.distinct_fidelity.take(table.group, axis=1)
+    for array in (table.probability, fidelity, table.succeeded):
         assert array.shape == (len(us), n_branch)
     assert table.bob_final.shape == (len(us), n_branch, 2)
     for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
@@ -236,7 +237,7 @@ def _assert_batch_matches_per_branch_engine(name, us, psis, promises):
             assert table.ledger == o.ledger
             assert table.succeeded[n, b] == o.succeeded
             assert abs(table.probability[n, b] - o.probability) <= ORACLE_TOL
-            assert abs(table.fidelity[n, b] - o.target_fidelity) <= ORACLE_TOL
+            assert abs(fidelity[n, b] - o.target_fidelity) <= ORACLE_TOL
             assert np.abs(table.bob_final[n, b] - o.bob_final.amplitudes).max() <= ORACLE_TOL
 
 
@@ -597,7 +598,7 @@ def test_every_admitted_rotation_at_the_tolerance_edge_runs(name):
     assert np.abs(own - 1.0).max() > 0.99 * tol
     table = protocols.run_batch(name, us, psis, promises)
     assert np.abs(table.probability.sum(axis=1) - own).max() <= tolerances.PROB_TOL
-    assert np.abs(table.fidelity[table.succeeded] - 1.0).max() <= tolerances.ROUNDING_TOL
+    assert np.abs(table.distinct_fidelity[table.distinct_succeeded] - 1.0).max() <= tolerances.ROUNDING_TOL
     worst = int(np.argmax(np.abs(own - 1.0)))
     assert PROTOCOLS[name](ProtocolConfig(u=us[worst], psi=psis[worst], promise=promises[worst]))
 
@@ -1140,7 +1141,7 @@ def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
     "circuit, step",
     [
         (Circuit(bell_phi_plus(A0, B0), DATA, (Measure((A0,), "computational"),), B0), "the pairs on alice:0, bob:0"),
-        (_hand_built(Apply(random_unimodular(np.random.default_rng(23)).as_gate(), (B0,))), r"gate 'u' on \(bob:0\)"),
+        (_hand_built(Apply(Gate(random_unimodular(np.random.default_rng(23)).matrix, "u"), (B0,))), r"gate 'u' on \(bob:0\)"),
     ],
     ids=["bell_phi_plus_pairs", "seeded_rotation"],
 )
@@ -1280,8 +1281,9 @@ def _assert_matches_every_branch_finished(name, us, psis, promises):
     assert np.array_equal(table.bob_final, finals)
     bits, want = table.bob_final.view(np.uint64), finals.view(np.uint64)
     assert ((bits == want) | (finals.view(float) == 0)).all()
-    np.testing.assert_array_max_ulp(table.fidelity, fids, maxulp=8)
-    assert table.fidelity.max() <= 1.0
+    fidelity = table.distinct_fidelity.take(table.group, axis=1)
+    np.testing.assert_array_max_ulp(fidelity, fids, maxulp=8)
+    assert fidelity.max() <= 1.0
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
@@ -1339,7 +1341,8 @@ def test_a_row_of_a_300_row_batch_is_its_single_call(name, mode):
 def test_branch_arrays_are_spread_once_and_read_only():
     us, psis, _ = _batch_rows("universal221", seed=2731, count=20)
     table = protocols.run_batch("universal221", us, psis)
-    for name in ("probability", "fidelity", "succeeded", "bob_final"):
+    assert not table.distinct_fidelity.flags.writeable
+    for name in ("probability", "succeeded", "bob_final"):
         spread = getattr(table, name)
         assert getattr(table, name) is spread
         assert not spread.flags.writeable
@@ -1406,7 +1409,7 @@ def test_row_shares_one_state_per_distinct_output(name, mode):
         assert branches == list(range(len(table.records))) if mode == "exact" else len(branches) == 1
         for o, b in zip(got, branches):
             assert np.float64(o.probability).tobytes() == table.probability[0, b].tobytes()
-            assert np.float64(o.target_fidelity).tobytes() == table.fidelity[0, b].tobytes()
+            assert np.float64(o.target_fidelity).tobytes() == table.distinct_fidelity[0, table.group[b]].tobytes()
             assert o.succeeded is bool(table.succeeded[0, b])
             assert o.ledger == table.ledger and o.bob_final.register == (table.bob_qubit,)
             assert o.bob_final.amplitudes.tobytes() == table.bob_final[0, b].tobytes()

@@ -503,35 +503,29 @@ class TestQOperator:
 
 class TestCorrection:
     def test_diagonal_gives_sigma_z(self):
-        sol = solve_correction(rz(0.9))
-        np.testing.assert_allclose(sol.v, sigma_z, atol=1e-12)
-        assert sol.delta == 0.0
+        np.testing.assert_allclose(solve_correction(rz(0.9)), sigma_z, atol=1e-12)
 
     def test_identity_gives_sigma_z(self):
-        sol = solve_correction(Unimodular(1, 0))
-        np.testing.assert_allclose(sol.v, sigma_z, atol=1e-12)
+        np.testing.assert_allclose(solve_correction(Unimodular(1, 0)), sigma_z, atol=1e-12)
 
     def test_anticommuting_gives_minus_sigma_z(self):
         # U sz U^dag for U = [[0,1],[-1,0]] is -sz by direct product.
-        sol = solve_correction(Unimodular(0, 1))
-        np.testing.assert_allclose(sol.v, -sigma_z, atol=1e-12)
+        np.testing.assert_allclose(solve_correction(Unimodular(0, 1)), -sigma_z, atol=1e-12)
 
     def test_stack_is_the_one_operator_formula_bit_for_bit(self):
         rng = np.random.default_rng(9)
         us = [random_unimodular(rng) for _ in range(200)] + [rz(0.9), Unimodular(1, 0), Unimodular(0, 1)]
-        sol = operators.solve_corrections(us)
-        assert sol.v.shape == (len(us), 2, 2) and np.array_equal(sol.delta, np.zeros(len(us)))
-        for u, v in zip(us, sol.v):
+        vs = operators.solve_corrections(us)
+        assert vs.shape == (len(us), 2, 2)
+        for u, v in zip(us, vs):
             assert np.array_equal(matmul2(matmul2(u.matrix, sigma_z), u.matrix.conj().T), v)
-            one = solve_correction(u)
-            assert np.array_equal(one.v, v) and one.delta == 0.0
+            assert np.array_equal(solve_correction(u), v)
 
     def test_identity_holds_for_random_operators(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
             u = random_unimodular(rng)
-            sol = solve_correction(u)
-            residual = sol.v @ u.matrix - np.exp(1j * sol.delta) * u.matrix @ sigma_z
+            residual = solve_correction(u) @ u.matrix - u.matrix @ sigma_z
             assert np.linalg.norm(residual) < 1e-9
 
 
@@ -568,6 +562,9 @@ class TestCommonCorrection:
 
 
 AXIS_SEARCH_KINDS = ["common_axis", "half_turns_only", "central_only", "no_axis", "central_first"]
+#: ``AXIS_SEARCH_KINDS`` and the sets near the search's thresholds
+#: (``_edge_operator``), each with its number of seeded sets.
+EAGER_SEARCH_SETS = dict.fromkeys(AXIS_SEARCH_KINDS, 40) | {"edge": 150}
 
 #: Sets for the stacked search: Haar rotations, which mostly have no axis;
 #: half-turns about axes orthogonal to n, which only a cross product fits;
@@ -615,13 +612,14 @@ class TestCommonAxis:
         with pytest.raises(ValueError, match="empty"):
             find_common_axis([])
 
-    @pytest.mark.parametrize("kind", AXIS_SEARCH_KINDS)
+    @pytest.mark.parametrize("kind", EAGER_SEARCH_SETS)
     def test_lazy_crosses_match_the_eager_search(self, kind):
         """The search builds a cross-product candidate only once every
-        operator's own axis has failed; the oracle builds every candidate
-        first. Both must return the same axis, bit for bit, or both None."""
-        rng = np.random.default_rng(AXIS_SEARCH_KINDS.index(kind) + 70)
-        for _ in range(40):
+        operator's own axis has failed, and only from half-turns' axes; the
+        oracle builds every candidate first. Both must return the same axis,
+        bit for bit, or both None."""
+        rng = np.random.default_rng(list(EAGER_SEARCH_SETS).index(kind) + 70)
+        for _ in range(EAGER_SEARCH_SETS[kind]):
             ops = _axis_search_set(rng, kind)
             found, want = find_common_axis(ops), _eager_common_axis(ops)
             assert (found is None) == (want is None), kind
@@ -639,7 +637,7 @@ class TestCommonAxis:
         rng = np.random.default_rng(AXIS_SEARCH_KINDS.index(kind) + 40)
         sets = [_axis_search_set(rng, k, size=6) for _ in range(15) for k in (kind, "common_axis")]
         searched, search = [], operators._search_axis
-        monkeypatch.setattr(operators, "_search_axis", lambda m, axes: searched.append(m) or search(m, axes))
+        monkeypatch.setattr(operators, "_search_axis", lambda m, axes, half: searched.append(m) or search(m, axes, half))
         found = operators.find_common_axes([[(u.a, u.b) for u in ops] for ops in sets])
         assert len(searched) == (15 if self.SEARCHED[kind] else 0)
         monkeypatch.setattr(operators, "_search_axis", search)
@@ -654,15 +652,15 @@ class TestCommonAxis:
     @pytest.mark.parametrize("kind", STACKED_SEARCH_KINDS)
     def test_stacked_search_is_the_one_candidate_search(self, monkeypatch, kind):
         """The search drops exactly repeated axes, then tries the remaining
-        own axes in blocks, then the cross products; the oracle tries every
-        candidate, one at a time. Both give the same axis, byte for byte,
-        or both None."""
+        own axes in blocks, then the half-turns' cross products row by row;
+        the oracle tries every candidate, one at a time. Both give the same
+        axis, byte for byte, or both None."""
         rng = np.random.default_rng(STACKED_SEARCH_KINDS.index(kind) + 90)
         sets = [_stacked_search_set(rng, kind) for _ in range(60)]
         found = [find_common_axis(ops) for ops in sets]
         searched = []
         monkeypatch.setattr(
-            operators, "_search_axis", lambda m, axes: searched.append(m) or _one_candidate_search(m, axes)
+            operators, "_search_axis", lambda m, axes, half: searched.append(m) or _one_candidate_search(m, axes, half)
         )
         for ops, got in zip(sets, found):
             want = find_common_axis(ops)
@@ -676,10 +674,16 @@ class TestCommonAxis:
 
     def test_a_failed_candidate_near_the_axis_does_not_hide_it(self):
         """A turn of 1e-6 about an axis 3e-5 from z fails where z fits; z
-        is still tried, and found."""
-        ops = [parse_operator(spec) for spec in ("rot:0,1,0,3.141592653589793", "rot:3e-5,0,1,1e-6", "rot:0,0,1,1.1")]
-        assert all(classify_operator(u, Z_AXIS).kind != GENERAL for u in ops)
-        assert find_common_axis(ops).tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+        is still tried, and found: as a later operator's own axis, or as the
+        cross product of the axes of two half-turns, which no cross with
+        the first axis, the small turn's, gives."""
+        for specs in (
+            ("rot:0,1,0,3.141592653589793", "rot:3e-5,0,1,1e-6", "rot:0,0,1,1.1"),
+            ("rot:3e-5,0,1,1e-6", "rot:1,0,0,3.141592653589793", "rot:0,1,0,3.141592653589793"),
+        ):
+            ops = [parse_operator(spec) for spec in specs]
+            assert all(classify_operator(u, Z_AXIS).kind != GENERAL for u in ops)
+            assert find_common_axis(ops).tobytes() == np.array([0.0, 0.0, 1.0]).tobytes(), specs
 
     def test_an_axis_and_its_negative_are_one_candidate(self):
         """For unit axes with exact zeros and components within SIGN_TOL of
@@ -706,18 +710,22 @@ class TestCommonAxis:
         assert signed.tobytes() == flipped.tobytes()
 
     def test_repeated_axes_are_tried_once(self, monkeypatch):
-        """200 operators drawn from two generic rotations, each as given or
-        as its inverse (the axis reversed), with no common axis: after the
-        first candidate, only the other axis and their cross product reach
-        ``_fits``."""
+        """200 operators with no common axis and no half-turn, so no cross
+        product is tried: drawn from two generic rotations, each as given or
+        as its inverse (the axis reversed), only the other axis reaches
+        ``_fits`` after the first candidate; 200 Haar rotations try their
+        200 own axes, and no more."""
         rng = np.random.default_rng(151)
         pair = [random_unimodular(rng), random_unimodular(rng)]
         picks = zip(rng.integers(2, size=200), rng.random(200) < 0.5)
-        ops = [pair[k] if given else Unimodular(pair[k].a.conjugate(), -pair[k].b) for k, given in picks]
-        tried, fits = [], operators._fits
-        monkeypatch.setattr(operators, "_fits", lambda m, n_sigma: tried.append(len(n_sigma)) or fits(m, n_sigma))
-        assert find_common_axis(ops) is None
-        assert tried[0] == 1 and sum(tried[1:]) <= 2, tried
+        repeated = [pair[k] if given else Unimodular(pair[k].a.conjugate(), -pair[k].b) for k, given in picks]
+        haar = [random_unimodular(rng) for _ in range(200)]
+        fits = operators._fits
+        for ops, most in ((repeated, 1), (haar, 199)):
+            tried = []
+            monkeypatch.setattr(operators, "_fits", lambda m, n_sigma: tried.append(len(n_sigma)) or fits(m, n_sigma))
+            assert find_common_axis(ops) is None
+            assert tried[0] == 1 and sum(tried[1:]) <= most, tried
 
     @pytest.mark.parametrize("kind", ["planar_half_turns", "few_half_turn_axes", "no_axis"])
     def test_a_large_set_is_searched_in_bounded_memory(self, monkeypatch, kind):
@@ -752,27 +760,6 @@ class TestCommonAxis:
         assert (found is None) == (want is None) == (kind == "no_axis"), kind
         assert found is None or found.tobytes() == want.tobytes(), kind
 
-    def test_cached_pair_indices_keep_every_cross_product_and_answer(self, monkeypatch):
-        """``_cross_axes`` takes its index pairs from a cache keyed by set
-        size: on the seeded sets of every search kind, each call's products
-        are those of ``np.triu_indices`` and ``np.cross``, in their order,
-        byte for byte, and so is every ``find_common_axis`` answer."""
-        rng = np.random.default_rng(160)
-        sets = [_axis_search_set(rng, kind) for kind in AXIS_SEARCH_KINDS for _ in range(20)]
-        sets += [_stacked_search_set(rng, kind) for kind in STACKED_SEARCH_KINDS for _ in range(20)]
-        calls, cross = [], operators._cross_axes
-        monkeypatch.setattr(operators, "_cross_axes", lambda axes: calls.append((axes, cross(axes))) or calls[-1][1])
-        hits = operators._pair_indices.cache_info().hits
-        found = [find_common_axis(ops) for ops in sets]
-        assert len(calls) >= 50 and operators._pair_indices.cache_info().hits > hits
-        for axes, got in calls:
-            want = _triu_cross_axes(axes)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        monkeypatch.setattr(operators, "_cross_axes", _triu_cross_axes)
-        for ops, got in zip(sets, found):
-            want = find_common_axis(ops)
-            assert (got is None) == (want is None) and (got is None or got.tobytes() == want.tobytes())
-
     def test_a_stack_refusal_names_the_set_and_operator(self):
         families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
         families[1, 2] = (1.0, 0.5)
@@ -783,9 +770,10 @@ class TestCommonAxis:
 
 
 def _axis_search_set(rng, kind, size=None):
-    """A seeded operator set of one of ``AXIS_SEARCH_KINDS``, conjugated by a
-    Haar rotation; ``central_first`` is a common-axis set led by -1, so that
-    its first candidate is a half-turn's axis."""
+    """A seeded operator set of one of ``AXIS_SEARCH_KINDS`` or ``edge``,
+    conjugated by a Haar rotation; ``central_first`` is a common-axis set
+    led by -1, so that its first candidate is a half-turn's axis, and an
+    ``edge`` set is drawn by ``_edge_operator``."""
     w = random_unimodular(rng)
     size = int(rng.integers(2, 11)) if size is None else size
     axis = rng.normal(size=3)
@@ -794,6 +782,8 @@ def _axis_search_set(rng, kind, size=None):
         return [Unimodular(rng.choice([1.0, -1.0]), 0) for _ in range(size)]
     if kind == "no_axis":
         return [random_unimodular(rng) for _ in range(size)]
+    if kind == "edge":
+        return [conjugate(w, _edge_operator(rng, axis)) for _ in range(size)]
     ops = []
     for k in range(size):
         raw = rng.normal(size=3)
@@ -806,6 +796,28 @@ def _axis_search_set(rng, kind, size=None):
     if kind == "central_first":
         ops[0] = Unimodular(-1, 0)
     return [conjugate(w, u) for u in ops]
+
+
+def _edge_operator(rng, n):
+    """An operator near a threshold of the search against the unit axis
+    ``n``: a turn of 1e-6 or 5e-9 rad about an axis up to 3e-5 off ``n``; a
+    half-turn about an axis orthogonal to ``n``, or 1e-10 off that plane, by
+    pi, pi +/- 1e-10, 3e-10, 1e-9 or 1e-8; a generic turn about ``n``; +/-1;
+    or, rarely, a Haar rotation."""
+    pick = rng.choice(5, p=[0.3, 0.45, 0.15, 0.07, 0.03])
+    if pick == 0:
+        near = n + rng.choice([0.0, 1e-10, 1e-6, 3e-5]) * rng.normal(size=3)
+        return from_axis_angle(near / np.linalg.norm(near), rng.choice([1e-6, 5e-9]))
+    if pick == 1:
+        raw = rng.normal(size=3)
+        perp = raw - np.dot(raw, n) * n + rng.choice([0.0, 1e-10]) * n
+        angle = np.pi + rng.choice([-1.0, 1.0]) * rng.choice([0.0, 1e-10, 3e-10, 1e-9, 1e-8], p=[0.4, 0.2, 0.2, 0.1, 0.1])
+        return from_axis_angle(perp / np.linalg.norm(perp), angle)
+    if pick == 2:
+        return from_axis_angle(n, rng.uniform(0.3, 5.9))
+    if pick == 3:
+        return Unimodular(rng.choice([1.0, -1.0]), 0)
+    return random_unimodular(rng)
 
 
 def _eager_common_axis(operators):
@@ -899,10 +911,12 @@ def _triu_cross_axes(axes):
     return crosses[long] / norms[long, None]
 
 
-def _one_candidate_search(matrices, axes):
+def _one_candidate_search(matrices, axes, half):
     """The axis search one candidate at a time: the rest of ``axes``, then
-    their cross products, every one tried by its own ``_fits`` pass."""
-    for cand in itertools.chain(axes[1:], operators._cross_axes(axes)):
+    every one of their cross products, each tried by its own ``_fits``
+    pass. ``half`` is not read: this is the search without the half-turn
+    filter."""
+    for cand in itertools.chain(axes[1:], _triu_cross_axes(axes)):
         if operators._fits(matrices, pauli_dot(cand)):
             return cand * operators._canonical_signs(cand) + 0.0
     return None

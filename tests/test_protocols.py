@@ -9,6 +9,7 @@ from remotegate import (
     ANTICOMMUTING,
     COMMUTING,
     BatchOutcome,
+    Gate,
     ProtocolConfig,
     QubitId,
     ResourceLedger,
@@ -90,7 +91,7 @@ class TestProtocolConfig:
     def test_keeps_a_pair_as_its_unimodular(self, u):
         cfg = ProtocolConfig(u=u, psi=[1, 0])
         assert isinstance(cfg.u, Unimodular) and cfg.u == Unimodular(1, 0)
-        assert np.array_equal(cfg.u.as_gate().matrix, np.eye(2))
+        assert np.array_equal(Gate(cfg.u.matrix, "u").matrix, np.eye(2))
 
     def test_keeps_a_unimodular_as_given(self):
         u = rz(0.1)

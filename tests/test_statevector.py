@@ -136,7 +136,7 @@ class TestApplyGate:
         for _ in range(25):
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
             s = StateVector(amps, (A0, B0, B1))
-            s = apply_gate(s, random_unimodular(rng).as_gate(), [B0])
+            s = apply_gate(s, Gate(random_unimodular(rng).matrix, "u"), [B0])
             s = apply_gate(s, CNOT, [B1, A0])
             assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-10
 
@@ -271,7 +271,7 @@ class TestKernelParity:
     def test_apply_gate_every_target_order(self, n):
         rng = np.random.default_rng(40 + n)
         reg = REGISTERS[n - 1]
-        gate = random_unimodular(rng).as_gate()
+        gate = Gate(random_unimodular(rng).matrix, "u")
         cases = [(gate, pos) for pos in permutations(range(n), 1)]
         cases += [(CNOT, pos) for pos in permutations(range(n), 2)]
         for s in _parity_states(n, rng):

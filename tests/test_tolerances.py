@@ -72,6 +72,15 @@ def test_the_compile_reads_no_tolerance():
     assert not imported & {"ROUNDING_TOL", "BRANCH_PRUNE"}
 
 
+def test_only_half_turns_fit_a_cross_product_of_their_axes():
+    """The axis search skips every cross product with the axis of an
+    operator that is not a half-turn. Against an axis n orthogonal to its
+    own v, U = u0*1 - i*v.sigma has a commutator of norm 2 sqrt(2)|v| and
+    an anticommutator of norm 2 sqrt(2)|u0|; the commutator fails for
+    every |v| > CENTRAL_TOL only while this holds."""
+    assert 2 * np.sqrt(2) * tolerances.CENTRAL_TOL > tolerances.CLASS_TOL
+
+
 def test_readme_conventions_list_the_table_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = [(name, float(value)) for name, value in re.findall(r"^ *\| `([A-Z_]+)` \| (\S+) \|", readme, re.M)]

@@ -330,7 +330,7 @@ def test_axis_recovery_falls_back_one_family_at_a_time(monkeypatch, central_tol)
     if central_tol is not None:
         monkeypatch.setattr(operators, "CENTRAL_TOL", central_tol)
     searched, search = [], operators._search_axis
-    monkeypatch.setattr(operators, "_search_axis", lambda m, axes: searched.append(len(axes)) or search(m, axes))
+    monkeypatch.setattr(operators, "_search_axis", lambda m, axes, half: searched.append(len(axes)) or search(m, axes, half))
     passed, detail = verify.check_axis_recovery(np.random.default_rng(19))
     assert passed, detail
     if central_tol is None:
