@@ -26,7 +26,6 @@ from .gates import (
     identity2,
     matmul2,
     not_finite,
-    pauli_dot,
     require_finite,
     require_finite_rows,
     row_norms,
@@ -49,6 +48,7 @@ from .tolerances import (
 )
 
 _SQRT2 = np.sqrt(2.0)
+_2SQRT2 = 2.0 * _SQRT2
 _PAULI_TRIPLE = (sigma_x, sigma_y, sigma_z)
 
 COMMUTING = "commuting"
@@ -306,20 +306,20 @@ class OperatorClass:
         return f"{self.kind}({ax})"
 
 
-def commutation_norms(matrices: np.ndarray, n_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frobenius norms of [U, n.sigma] and {U, n.sigma} for each matrix U
-    of a (..., 2, 2) stack."""
-    um, mu = matmul2(matrices, n_sigma), matmul2(n_sigma, matrices)
-    # commutators then anticommutators along the first axis: one block
-    return _bracket_norms(np.concatenate((um - mu, um + mu)).reshape(2, *um.shape))
-
-
-def _bracket_norms(both: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frobenius norms of each matrix of a contiguous (2, ..., 2, 2) stack,
-    commutators then anticommutators: one sum over each matrix's eight floats."""
-    flat = both.reshape(*both.shape[:-2], 4).view(float)
-    comm, anti = np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    return comm, anti
+def commutation_norms(pairs, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of [U, n.sigma] = 2 (v x n).sigma and {U, n.sigma} =
+    2 u0 n.sigma - 2i (v.n) 1, 2 sqrt(2)|v x n| and 2 sqrt(2) hypot(u0, v.n),
+    for each U = u0*1 - i*v.sigma of an (..., 2) stack of pairs and unit n of
+    an (..., 3) stack of axes, broadcast; elementwise, so a row alone gives
+    its row of the stack. |v x n| is hypot(hypot(cx, cy), cz), not
+    sqrt(|v|^2 - (v.n)^2), which can read above CLASS_TOL against U's own axis."""
+    pairs, n = np.asarray(pairs, dtype=complex), np.asarray(axes, dtype=float)
+    a, b = pairs[..., 0], pairs[..., 1]
+    u0, vx, vy, vz = a.real, b.imag, b.real, a.imag  # v up to a sign neither norm reads
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    comm = np.hypot(np.hypot(vy * nz - vz * ny, vz * nx - vx * nz), vx * ny - vy * nx)
+    anti = np.hypot(u0, vx * nx + vy * ny + vz * nz)
+    return _2SQRT2 * comm, _2SQRT2 * anti
 
 
 # The tags as 0-d arrays, converted once: np.where converts a Python str on every call.
@@ -336,21 +336,21 @@ def kinds_from_norms(comm, anti) -> np.ndarray:
     )
 
 
-def classify_matrices(matrices, axis=Z_AXIS) -> np.ndarray:
-    """The tag of each matrix of a (..., 2, 2) stack against ``axis``:
+def classify_pairs(pairs, axis=Z_AXIS) -> np.ndarray:
+    """The tag of each row of an (..., 2) stack of pairs against ``axis``:
     COMMUTING, ANTICOMMUTING or GENERAL.
 
     Exactly one tag applies: [U, n.sigma] and {U, n.sigma} cannot both vanish
     for a unitary U.
     """
-    return kinds_from_norms(*commutation_norms(np.asarray(matrices), pauli_dot(_unit_axis(axis))))
+    return kinds_from_norms(*commutation_norms(pairs, _unit_axis(axis)))
 
 
 def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
     """Tag ``u`` as commuting, anticommuting or general against ``axis``:
-    ``classify_matrices`` of one matrix."""
+    ``classify_pairs`` of its own pair."""
     axis = _unit_axis(axis)
-    kind = str(kinds_from_norms(*commutation_norms(u.matrix, pauli_dot(axis))))
+    kind = str(classify_pairs((u.a, u.b), axis))
     return OperatorClass(kind, None if kind == GENERAL else axis)
 
 
@@ -501,8 +501,7 @@ def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
     half = np.abs(pairs[..., 0].real) <= CLASS_TOL  # u0 = Re a within CLASS_TOL of 0: a half-turn
     rows = np.arange(len(pairs))
     firsts = axes[rows, moving.argmax(axis=1)]
-    matrices = unimodular_matrices(pairs)
-    fits = _fits(matrices, pauli_dot(firsts)[:, None])
+    fits = _fits(pairs, firsts[:, None])
     firsts = firsts * _canonical_signs(firsts)[:, None] + 0.0  # + 0.0 turns a -0.0 into 0.0
     found = []
     for m, (constrained, fit) in enumerate(zip(moving.any(axis=1).tolist(), fits.tolist())):
@@ -511,14 +510,15 @@ def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
         elif fit:
             found.append(firsts[m])
         else:
-            found.append(_search_axis(matrices[m], axes[m, moving[m]], half[m, moving[m]]))
+            found.append(_search_axis(pairs[m], axes[m, moving[m]], half[m, moving[m]]))
     return found
 
 
-def _fits(matrices, n_sigma) -> np.ndarray:
-    """Whether no matrix of each (..., K, 2, 2) set is GENERAL against its
-    n.sigma (``kinds_from_norms``' tags, from the same norms)."""
-    comm, anti = commutation_norms(matrices, n_sigma)
+def _fits(pairs, axes) -> np.ndarray:
+    """Whether no operator of each (..., K, 2) set of pairs is GENERAL
+    against its unit axis of an (..., 1, 3) stack (``kinds_from_norms``'
+    tags, from the same norms)."""
+    comm, anti = commutation_norms(pairs, axes)
     return (np.fmin(comm, anti) <= CLASS_TOL).all(axis=-1)
 
 
@@ -527,11 +527,11 @@ def _fits(matrices, n_sigma) -> np.ndarray:
 _AXIS_BLOCK = 64
 
 
-def _search_axis(matrices, axes, half) -> np.ndarray | None:
+def _search_axis(pairs, axes, half) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
     of the unit ``axes``, then, only if none of them fits, the cross products
     of the half-turns' axes (where ``half``), one row of the pair order at a
-    time; the first that fits the set of ``matrices``, sign-fixed, or None.
+    time; the first that fits the set of ``pairs``, sign-fixed, or None.
     An axis equal to an earlier one once both are sign-fixed is dropped
     first: ``_fits`` decides the same for v and -v, and a cross product with
     a repeated axis is +/- an earlier one, bit for bit. The crosses of other
@@ -542,7 +542,7 @@ def _search_axis(matrices, axes, half) -> np.ndarray | None:
         firsts.setdefault(tuple(axis), n)
     kept = list(firsts.values())
     axes, half = axes[kept], half[kept]
-    found = _first_fit(matrices, axes[1:])
+    found = _first_fit(pairs, axes[1:])
     halves = axes[half]
     for i in range(len(halves) - 1):
         if found is not None:
@@ -550,17 +550,17 @@ def _search_axis(matrices, axes, half) -> np.ndarray | None:
         crosses = np.cross(halves[i], halves[i + 1 :])
         norms = dot_norms(crosses)
         long = norms > CROSS_TOL
-        found = _first_fit(matrices, crosses[long] / norms[long, None])
+        found = _first_fit(pairs, crosses[long] / norms[long, None])
     return found
 
 
-def _first_fit(matrices, cands) -> np.ndarray | None:
-    """The first row of ``cands`` that fits the set of ``matrices``,
+def _first_fit(pairs, cands) -> np.ndarray | None:
+    """The first row of ``cands`` that fits the set of ``pairs``,
     sign-fixed, or None; one ``_fits`` pass for each block of _AXIS_BLOCK
     rows, up to the first block with a fit."""
     for start in range(0, len(cands), _AXIS_BLOCK):
         block = cands[start : start + _AXIS_BLOCK]
-        fits = _fits(matrices, pauli_dot(block)[:, None])
+        fits = _fits(pairs, block[:, None])
         if fits.any():
             cand = block[fits.argmax()]
             return cand * _canonical_signs(cand) + 0.0

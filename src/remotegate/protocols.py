@@ -51,9 +51,10 @@ from .gates import (
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
+    Z_AXIS,
     Unimodular,
-    _bracket_norms,
     _pair_rows,
+    commutation_norms,
     kinds_from_norms,
     rz,
     unimodular_error,
@@ -119,11 +120,6 @@ class ProtocolOutcome(NamedTuple):
         return "/".join(outcome for _, _, outcome in self.measurement_record)
 
 
-#: [U, sz] and {U, sz} as U times these entrywise, since sz is diagonal:
-#: U_ij (s_j - s_i) and U_ij (s_j + s_i) for sz = diag(s)
-_SZ_BRACKETS = np.array([[[0.0, -2.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, -2.0]]])[:, None]
-
-
 @dataclass(frozen=True, eq=False)
 class _Rows:
     """N configurations as stacks: the black boxes (N, 2, 2), Bob's unit
@@ -137,14 +133,12 @@ class _Rows:
 
     @functools.cached_property
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Commutator and anticommutator norms of each black box with sz:
-        ``operators.commutation_norms(self.u, sigma_z)``, bit for bit on finite rows,
-        from one product with ``_SZ_BRACKETS`` in place of two ``matmul2``."""
-        return _bracket_norms(self.u * _SZ_BRACKETS)
+        """Commutator and anticommutator norms of each rotation with sz."""
+        return commutation_norms(self.pairs, Z_AXIS)
 
     @functools.cached_property
     def kinds(self) -> np.ndarray:
-        """The class of each black box against the z axis."""
+        """The class of each rotation against the z axis."""
         return kinds_from_norms(*self.norms)
 
 

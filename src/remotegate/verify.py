@@ -169,7 +169,7 @@ def check_classification_trichotomy(rng):
     m = unimodular_matrices(pool)
     comm = np.linalg.norm(m @ sigma_z - sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
     anti = np.linalg.norm(m @ sigma_z + sigma_z @ m, axis=(1, 2)) <= CLASS_TOL
-    kinds = operators.classify_matrices(m)
+    kinds = operators.classify_pairs(pool)
     expected = np.where(comm, COMMUTING, np.where(anti, ANTICOMMUTING, GENERAL))
     wrong = (kinds != expected) | (comm & anti)
     if wrong.any():
@@ -194,8 +194,9 @@ def check_correction_identity(rng):
 
 
 def check_sign_flip_closure(rng):
-    m = unimodular_matrices(_in_set(rng, rng.random(500) < 0.5))
-    sign = np.where(operators.classify_matrices(m) == COMMUTING, 1.0, -1.0)[:, None, None]
+    us = _in_set(rng, rng.random(500) < 0.5)
+    m = unimodular_matrices(us)
+    sign = np.where(operators.classify_pairs(us) == COMMUTING, 1.0, -1.0)[:, None, None]
     residuals = np.abs(matmul2(matmul2(sigma_z, m), sigma_z) - sign * m).max(axis=(1, 2))
     return _at_most(DERIVED_TOL, "max closure residual", residuals)
 
@@ -294,7 +295,7 @@ def _exact_with_ledger(protocol, rng, promised):
     batch: every branch reaches fidelity 1 and carries the protocol's exact
     ledger."""
     us, psis = _in_set(rng, np.arange(1000) % 2 == 0), random_qubits(rng, 1000)
-    promises = operators.classify_matrices(unimodular_matrices(us)) if promised else None
+    promises = operators.classify_pairs(us) if promised else None
     table = protocols.run_batch(protocol, us, psis, promises)
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
     passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.distinct_fidelity)
@@ -339,7 +340,7 @@ def check_classification_consistency(rng):
     haar = rng.random((100, 1)) < 0.5
     us = np.where(haar, random_unimodulars(rng, 100), _in_set(rng, rng.random(100) < 0.5))
     psis = random_qubits(rng, 100)
-    in_set = operators.classify_matrices(unimodular_matrices(us)) != GENERAL
+    in_set = operators.classify_pairs(us) != GENERAL
     admitted = np.array([message is None for message in protocols.admissible("restricted221", us, psis)])
     wrong = admitted != in_set
     if not wrong.any():
@@ -377,7 +378,7 @@ def check_restoration_classification(rng):
     A Haar draw that classifies as in-set is redrawn, and each input round
     goes to the general operators that every input so far has restored."""
     general = random_unimodulars(rng, 500)
-    while (redraw := operators.classify_matrices(unimodular_matrices(general)) != GENERAL).any():
+    while (redraw := operators.classify_pairs(general) != GENERAL).any():
         general[redraw] = random_unimodulars(rng, int(redraw.sum()))
     restored = np.ones(500, dtype=bool)  # by every input so far
     for _ in range(10):

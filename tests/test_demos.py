@@ -1,11 +1,16 @@
-"""Smoke test: each narrative script in demos/ runs to completion."""
+"""Each narrative script in demos/ runs to completion and prints, byte for
+byte, the output recorded in tests/data/demos/<script>.txt. The demos are
+seeded, so their output is deterministic; after an intended change to a
+demo, rerun it as ``python demos/<script>.py > tests/data/demos/<script>.txt``."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+RECORDED = ROOT / "tests" / "data" / "demos"
 
 
 @pytest.mark.parametrize(
@@ -20,4 +25,5 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 )
 def test_demo_runs(script, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.encode() == (RECORDED / script).with_suffix(".txt").read_bytes()

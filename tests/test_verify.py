@@ -130,7 +130,7 @@ HOMES = {
     "q_matrices": operators,
     "products": operators,
     "daggers": operators,
-    "classify_matrices": operators,
+    "classify_pairs": operators,
     "orthogonal_pairs": operators,
     "_eigenphases": verify,
     "common_corrections": operators,
@@ -181,10 +181,10 @@ STACKS = {
         "products": [((200, 2), (200, 2))],
         "daggers": [((200, 2),)],
     },
-    "operators.classification_trichotomy": {"random_unimodulars": [(100,)], "classify_matrices": [((140, 2, 2),)]},
+    "operators.classification_trichotomy": {"random_unimodulars": [(100,)], "classify_pairs": [((140, 2),)]},
     "operators.q_symmetry": {"random_qubits": [(1000,)], "q_matrices": [((1000,), (1000, 2))] * 2},
     "operators.correction_identity": {"random_unimodulars": [(500,)], "solve_corrections": [((500, 2),)]},
-    "operators.sign_flip_closure": {"classify_matrices": [((500, 2, 2),)]},
+    "operators.sign_flip_closure": {"classify_pairs": [((500, 2),)]},
     "operators.orthogonal_pair_overlap": {
         "random_unimodulars": [(2000,)],
         "orthogonal_pairs": [((1000, 2),) * 2],
@@ -206,7 +206,7 @@ STACKS = {
     "protocols.failure_branch_identity": {**_HAAR, "run_batch": [("universal221", (100, 2), (100, 2))]},
     "protocols.classification_consistency": {
         **_HAAR,
-        "classify_matrices": [((100, 2, 2),)],
+        "classify_pairs": [((100, 2),)],
         "admissible": [("restricted221", (100, 2), (100, 2))],
         "run_batch": [("restricted221", (51, 2), (51, 2))],
         "common_corrections": [((100, 1, 2),)],
@@ -221,7 +221,7 @@ STACKS = {
     "bloch.restoration_classification": {
         "random_unimodulars": [(500,)],
         "random_qubits": [(500,)] * 2,
-        "classify_matrices": [((500, 2, 2),)],
+        "classify_pairs": [((500, 2),)],
         "verify_restorations": [((500, 2), (500, 2))] * 2,
         "common_corrections": [((500, 4, 2),)],
     },
@@ -287,10 +287,10 @@ def test_every_check_that_samples_a_stack_has_an_oracle():
     assert sampling <= set(STACKS), sorted(sampling - set(STACKS))
 
 
-def _in_set_where(matrices, n_sigma, original):
+def _in_set_where(pairs, axes, original):
     """commutation_norms with a zero commutator wherever Re a > 0.95."""
-    comm, anti = original(matrices, n_sigma)
-    return np.where(np.real(matrices[..., 0, 0]) > 0.95, 0.0, comm), anti
+    comm, anti = original(pairs, axes)
+    return np.where(np.real(pairs[..., 0]) > 0.95, 0.0, comm), anti
 
 
 @pytest.mark.parametrize("everywhere", [False, True], ids=["passes", "restored_on_10"])
@@ -300,13 +300,13 @@ def test_restoration_check_redraws_each_wrong_guess_one_test_at_a_time(monkeypat
     operators need a second input round. With ``restored_on_10`` every input
     restores, and the check fails after exactly 10 rounds."""
     norms, restorations = operators.commutation_norms, bloch.verify_restorations
-    monkeypatch.setattr(operators, "commutation_norms", lambda m, n: _in_set_where(m, n, norms))
+    monkeypatch.setattr(operators, "commutation_norms", lambda pairs, axes: _in_set_where(pairs, axes, norms))
     monkeypatch.setattr(
         bloch, "verify_restorations", lambda us, psis: restorations(us, psis) | (psis[:, 0].real > 0.9) | everywhere
     )
-    calls = _spy(monkeypatch, ["classify_matrices", "verify_restorations", "common_corrections"])
+    calls = _spy(monkeypatch, ["classify_pairs", "verify_restorations", "common_corrections"])
     passed, detail = verify.check_restoration_classification(np.random.default_rng(17))
-    assert len(calls["classify_matrices"]) > 1  # some draws were in-set and redrawn
+    assert len(calls["classify_pairs"]) > 1  # some draws were in-set and redrawn
     rounds = [len(us) for us, _ in calls["verify_restorations"]]
     if everywhere:
         first = Unimodular(*calls["verify_restorations"][0][0][0].tolist())
@@ -405,14 +405,14 @@ def test_unimodular_closure_sees_products_scaled_off_the_sphere(monkeypatch):
 
 
 def test_classification_trichotomy_sees_swapped_tags(monkeypatch):
-    """``classify_matrices`` with COMMUTING and ANTICOMMUTING swapped: the
+    """``classify_pairs`` with COMMUTING and ANTICOMMUTING swapped: the
     first in-set draw, rz(phi), is tagged anticommuting."""
     rng = np.random.default_rng(0)
     operators.random_unimodulars(rng, 100)
     first = Unimodular(*verify._in_set(rng, np.arange(40) < 20, span=6)[0].tolist())
-    classify = operators.classify_matrices
+    classify = operators.classify_pairs
     flip = {operators.COMMUTING: operators.ANTICOMMUTING, operators.ANTICOMMUTING: operators.COMMUTING}
-    monkeypatch.setattr(operators, "classify_matrices", lambda m: np.array([flip.get(k, k) for k in classify(m).tolist()]))
+    monkeypatch.setattr(operators, "classify_pairs", lambda us: np.array([flip.get(k, k) for k in classify(us).tolist()]))
     passed, detail = verify.check_classification_trichotomy(np.random.default_rng(0))
     assert (passed, detail) == (False, f"operator {first} tagged anticommuting, norms say commuting")
 
@@ -466,7 +466,7 @@ def test_classification_consistency_sees_every_row_refused(monkeypatch):
     monkeypatch.setattr(protocols, "admissible", lambda protocol, us, psis: drawn.append(us) or ["refused"] * len(us))
     passed, detail = verify.check_classification_consistency(np.random.default_rng(0))
     (us,) = drawn
-    in_set = operators.classify_matrices(operators.unimodular_matrices(us)) != operators.GENERAL
+    in_set = operators.classify_pairs(us) != operators.GENERAL
     first = Unimodular(*us[np.argmax(in_set)].tolist())
     assert (passed, detail) == (False, f"inconsistent classification for {first}")
 
@@ -480,7 +480,7 @@ def test_classification_consistency_sees_every_row_admitted(monkeypatch):
     monkeypatch.setattr(protocols, "admissible", lambda protocol, us, psis: drawn.append(us) or [None] * len(us))
     passed, detail = verify.check_classification_consistency(np.random.default_rng(0))
     (us,) = drawn
-    general = operators.classify_matrices(operators.unimodular_matrices(us)) == operators.GENERAL
+    general = operators.classify_pairs(us) == operators.GENERAL
     first = Unimodular(*us[np.argmax(general)].tolist())
     assert (passed, detail) == (False, f"inconsistent classification for {first}")
     result = {r.name: r for r in verify.run_all(0)}["protocols.classification_consistency"]
