@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (
-    PAULIS,
     RowError,
     identity2,
     matmul2,
     not_finite,
+    pauli_dot,
+    pauli_vectors,
     require_finite,
     require_finite_rows,
     sigma_z,
@@ -28,7 +29,6 @@ from .gates import (
 from .operators import Unimodular, as_pairs, unimodular_matrices
 from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
 
-_PAULI_STACK = np.array(PAULIS)
 #: sz X sz for a 2x2 X is X with its off-diagonal entries negated
 _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -86,7 +86,7 @@ def bloch_vectors(rhos) -> np.ndarray:
     for ok, why in tests:
         if not ok.all():
             raise RowError(int(np.argmin(ok)), f"invalid density matrix: {why}")
-    return np.trace(matmul2(rhos[:, None], _PAULI_STACK), axis1=2, axis2=3).real
+    return 2.0 * pauli_vectors(rhos)
 
 
 def bloch_vector(rho) -> BlochVector:
@@ -106,10 +106,7 @@ def densities_from_bloch(vecs) -> np.ndarray:
     if vecs.ndim != 2 or vecs.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) stack of Bloch vectors, got shape {vecs.shape}")
     require_finite_rows("S", vecs)
-    out = np.repeat(identity2[None], len(vecs), axis=0)
-    for s, p in zip(vecs.T, PAULIS):
-        out += s[:, None, None] * p
-    return out / 2.0
+    return (identity2 + pauli_dot(vecs)) / 2.0
 
 
 def density_from_bloch(vec: BlochVector) -> np.ndarray:

@@ -195,6 +195,15 @@ def pauli_dot(vec) -> np.ndarray:
     return v[..., 0, None, None] * sigma_x + v[..., 1, None, None] * sigma_y + v[..., 2, None, None] * sigma_z
 
 
+def pauli_vectors(m) -> np.ndarray:
+    """Re (tr(M sx), tr(M sy), tr(M sz)) / 2 for each M of a (..., 2, 2)
+    stack, as (..., 3): with off = m10 + m01*, (Re off, Im off, Re(m00 -
+    m11)) / 2, read from the entries. ``pauli_dot``'s inverse."""
+    m = np.asarray(m, dtype=complex)
+    off = m[..., 1, 0] + m[..., 0, 1].conj()
+    return np.stack([off.real, off.imag, (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A 1- or 2-qubit unitary, checked against G†G = 1 on construction."""

@@ -26,11 +26,10 @@ from .gates import (
     identity2,
     matmul2,
     not_finite,
+    pauli_vectors,
     require_finite,
     require_finite_rows,
     row_norms,
-    sigma_x,
-    sigma_y,
     sigma_z,
     single_row,
     vector_norm,
@@ -49,7 +48,6 @@ from .tolerances import (
 
 _SQRT2 = np.sqrt(2.0)
 _2SQRT2 = 2.0 * _SQRT2
-_PAULI_TRIPLE = (sigma_x, sigma_y, sigma_z)
 
 COMMUTING = "commuting"
 ANTICOMMUTING = "anticommuting"
@@ -337,20 +335,20 @@ def kinds_from_norms(comm, anti) -> np.ndarray:
 
 
 def classify_pairs(pairs, axis=Z_AXIS) -> np.ndarray:
-    """The tag of each row of an (..., 2) stack of pairs against ``axis``:
-    COMMUTING, ANTICOMMUTING or GENERAL.
+    """The tag of each row of an (..., 2) stack of pairs, checked by
+    ``as_pairs``, against ``axis``: COMMUTING, ANTICOMMUTING or GENERAL.
 
     Exactly one tag applies: [U, n.sigma] and {U, n.sigma} cannot both vanish
     for a unitary U.
     """
-    return kinds_from_norms(*commutation_norms(pairs, _unit_axis(axis)))
+    return kinds_from_norms(*commutation_norms(as_pairs(pairs), _unit_axis(axis)))
 
 
 def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
     """Tag ``u`` as commuting, anticommuting or general against ``axis``:
-    ``classify_pairs`` of its own pair."""
+    ``classify_pairs``' tag of its own pair, checked when ``u`` was built."""
     axis = _unit_axis(axis)
-    kind = str(classify_pairs((u.a, u.b), axis))
+    kind = str(kinds_from_norms(*commutation_norms((u.a, u.b), axis)))
     return OperatorClass(kind, None if kind == GENERAL else axis)
 
 
@@ -392,8 +390,8 @@ class CommonCorrection:
 
 
 def solve_corrections(us) -> np.ndarray:
-    """``solve_correction`` for each row of an (N, 2) stack of (a, b) pairs,
-    as an (N, 2, 2) stack."""
+    """``solve_correction`` for each row of an (..., 2) stack of (a, b)
+    pairs, as a (..., 2, 2) stack."""
     m = unimodular_matrices(as_pairs(us))
     return matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
 
@@ -402,11 +400,6 @@ def solve_correction(u: Unimodular) -> np.ndarray:
     """The correction V = U sigma_z U^dag of one operator, with V U = U
     sigma_z exactly: ``solve_corrections`` of one."""
     return solve_corrections([u])[0]
-
-
-def _pauli_vectors(hermitian_traceless: np.ndarray) -> np.ndarray:
-    """(tr(H sx), tr(H sy), tr(H sz)) / 2 for each H of a (..., 2, 2) stack."""
-    return np.einsum("...ij,pji->...p", hermitian_traceless, _PAULI_TRIPLE).real / 2.0
 
 
 def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
@@ -421,10 +414,10 @@ def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
 def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``check_common_correction`` over an (M, K, 2) stack of M sets of K
     operators as (a, b) pairs: whether each set admits a common correction,
-    its V (M, 2, 2) and its deltas (M, K), meaningful where it does."""
-    m = unimodular_matrices(as_pairs(families))
-    ws = matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
-    base = ws[:, 0] * _canonical_signs(_pauli_vectors(ws[:, 0]))[:, None, None]
+    its V (M, 2, 2) and its deltas (M, K), meaningful where it does; refused
+    as ``find_common_axes`` refuses."""
+    ws = solve_corrections(_operator_sets(families))
+    base = ws[:, 0] * _canonical_signs(pauli_vectors(ws[:, 0]))[:, None, None]
     same = np.linalg.norm(ws - base[:, None], axis=(-2, -1)) <= CLASS_TOL
     flipped = np.linalg.norm(ws + base[:, None], axis=(-2, -1)) <= CLASS_TOL
     return (same | flipped).all(axis=1), base, np.where(same, 0.0, np.pi)
@@ -450,6 +443,14 @@ def check_common_correction(operators) -> CommonCorrection | None:
 # axis search
 
 
+def _operator_sets(families) -> np.ndarray:
+    """``as_pairs`` of an (M, K, 2) stack of M sets of K > 0 operators, or a refusal naming its shape."""
+    pairs = as_pairs(families)
+    if pairs.ndim != 3 or not pairs.shape[1]:
+        raise ValueError(f"expected an (M, K, 2) stack of nonempty operator sets, got shape {pairs.shape}")
+    return pairs
+
+
 def find_common_axes(families) -> list[np.ndarray | None]:
     """``find_common_axis`` of each set of an (M, K, 2) stack of M sets of K
     operators as (a, b) pairs; refused unless K > 0 and every pair is
@@ -462,10 +463,7 @@ def find_common_axes(families) -> list[np.ndarray | None]:
     half-turns about axes orthogonal to it (the paper's second set), so only
     half-turns' axes give cross products.
     """
-    pairs = as_pairs(families)
-    if pairs.ndim != 3 or not pairs.shape[1]:
-        raise ValueError(f"expected an (M, K, 2) stack of nonempty operator sets, got shape {pairs.shape}")
-    return _common_axes(pairs)
+    return _common_axes(_operator_sets(families))
 
 
 def find_common_axis(operators) -> np.ndarray | None:
@@ -595,9 +593,8 @@ def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     nz >= 0, else (nx - i ny, 1 - nz), over sqrt(2(1 + |nz|)); |lam+> is
     its ``orthogonal_state``."""
     u1, u2 = as_pairs(u1), as_pairs(u2)
-    (a1, b1), (a2, b2) = u1.T, u2.T
     # U2^dag U1 as a pair, and its Pauli decomposition p0*1 - i*pvec.sigma
-    a, b = a2.conj() * a1 + b2 * b1.conj(), a2.conj() * b1 - b2 * a1.conj()
+    a, b = products(daggers(u2), u1).T
     pvec = np.stack([-b.imag, -b.real, -a.imag], axis=-1)
     s = np.linalg.norm(pvec, axis=-1)
     ok = s >= DEGENERACY_TOL
@@ -611,12 +608,7 @@ def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     lam_plus = orthogonal_state(lam_minus)
     psi = (lam_plus + lam_minus) / _SQRT2
     psi_perp = (lam_plus - lam_minus) / _SQRT2
-    pair = OrthogonalPair(
-        psi=psi,
-        psi_perp=psi_perp,
-        phi=(unimodular_matrices(u1) @ psi[..., None])[..., 0],
-        phi_prime=(unimodular_matrices(u2) @ psi_perp[..., None])[..., 0],
-        lam=lam,
-    )
-    return pair, s
+    phi = (unimodular_matrices(u1) @ psi[..., None])[..., 0]
+    phi_prime = (unimodular_matrices(u2) @ psi_perp[..., None])[..., 0]
+    return OrthogonalPair(psi, psi_perp, phi, phi_prime, lam), s
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch, operators, protocols
-from .gates import CNOT, dot_norms, matmul2, pauli_dot, require_natural, sigma_z, unit_rows
+from .gates import CNOT, dot_norms, matmul2, pauli_dot, pauli_vectors, require_natural, sigma_z, unit_rows
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
@@ -258,7 +258,7 @@ def check_axis_recovery(rng):
     found = operators.find_common_axes(conjugated.reshape(100, 10, 2))
     if any(f is None for f in found):
         return False, "no axis found for an in-set family"
-    expected = operators._pauli_vectors(matmul2(matmul2(ws, pauli_dot(axes)), w_dags))
+    expected = pauli_vectors(matmul2(matmul2(ws, pauli_dot(axes)), w_dags))
     # the angle from its sine and cosine: arccos of a cosine within ulps of 1 reads only its rounding
     cosines = np.abs((np.array(found)[:, None, :] @ expected[:, :, None])[:, 0, 0])
     return _at_most(AXIS_ANGLE_TOL, "max angular error", np.arctan2(dot_norms(np.cross(found, expected)), cosines))

@@ -16,7 +16,7 @@ from remotegate import (
     verify_restoration,
 )
 from remotegate import bloch, operators
-from remotegate.gates import PAULIS, dot_norms, matmul2, sigma_z
+from remotegate.gates import PAULIS, dot_norms, identity2, matmul2, pauli_dot, pauli_vectors, sigma_z
 from remotegate.bloch import bloch_vectors, densities_from_bloch, pure_densities, verify_restorations
 from remotegate.tolerances import DENSITY_TOL, RESTORE_TOL
 
@@ -95,6 +95,14 @@ class TestStackForms:
                 want += s * p
             assert np.array_equal(want / 2.0, rho)
             assert np.array_equal(density_from_bloch(BlochVector(*vec)), rho)
+
+    def test_vectors_and_densities_are_the_gates_formulas_byte_for_byte(self):
+        """``bloch_vectors`` is 2 ``pauli_vectors`` and ``densities_from_bloch``
+        (1 + ``pauli_dot``)/2: the Bloch module keeps no Pauli formula of its own."""
+        rhos = self._densities(np.random.default_rng(32), 100)
+        vecs = bloch_vectors(rhos)
+        assert vecs.tobytes() == (2 * pauli_vectors(rhos)).tobytes()
+        assert densities_from_bloch(vecs).tobytes() == ((identity2 + pauli_dot(vecs)) / 2).tobytes()
 
     @pytest.mark.parametrize(
         "row, bad, message",

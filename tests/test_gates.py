@@ -1,5 +1,6 @@
 """``gates.matmul2``, the 2x2 product of the stack paths, against ``@``;
-the row norms against their one-vector forms."""
+``pauli_vectors`` against traces and ``pauli_dot``; the row norms against
+their one-vector forms."""
 
 import math
 
@@ -7,7 +8,18 @@ import numpy as np
 import pytest
 
 from remotegate import gates
-from remotegate.gates import Gate, matmul2, pauli_dot, row_norms, sigma_z, unit_rows, unit_vector, vector_norm
+from remotegate.gates import (
+    PAULIS,
+    Gate,
+    matmul2,
+    pauli_dot,
+    pauli_vectors,
+    row_norms,
+    sigma_z,
+    unit_rows,
+    unit_vector,
+    vector_norm,
+)
 from remotegate.tolerances import NORM_TOL
 
 EPS = np.finfo(float).eps
@@ -61,6 +73,40 @@ def test_a_nan_stays_in_its_row():
     for got in (matmul2(a, sigma_z), matmul2(sigma_z, a), matmul2(a, a.conj().swapaxes(1, 2))):
         assert np.isfinite(got[clean]).all()
         assert np.isnan(got[17]).any()
+
+
+# ---------------------------------------------------------------------------
+# Pauli vectors: matrix -> vector, the inverse of pauli_dot
+
+
+def test_pauli_vectors_are_the_traces_against_the_paulis():
+    """Re tr(M s) / 2 per Pauli, the trace taken in the test, within 1e-15 on
+    1,000 seeded complex matrices with entries in the unit square: not
+    Hermitian, not traceless."""
+    rng = np.random.default_rng(40)
+    m = rng.uniform(-1, 1, (1000, 2, 2)) + 1j * rng.uniform(-1, 1, (1000, 2, 2))
+    want = np.array([[np.trace(one @ p).real / 2 for p in PAULIS] for one in m])
+    got = pauli_vectors(m)
+    assert got.shape == (1000, 3) and got.dtype == float
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_each_pauli_vector_is_its_matrix_alone_bit_for_bit():
+    rng = np.random.default_rng(41)
+    m = _complex(rng, (20, 10, 2, 2))
+    stack = pauli_vectors(m)
+    assert stack.shape == (20, 10, 3)
+    for index in np.ndindex(m.shape[:-2]):
+        assert np.array_equal(_bits(pauli_vectors(m[index])), _bits(stack[index])), index
+
+
+def test_pauli_vectors_invert_pauli_dot():
+    """Back to v within 2 ulps of its largest component, on 1,000 seeded
+    vectors and the signed unit vectors."""
+    rng = np.random.default_rng(42)
+    vecs = np.concatenate([rng.normal(size=(1000, 3)), np.eye(3), -np.eye(3)])
+    back = pauli_vectors(pauli_dot(vecs))
+    assert (np.abs(back - vecs).max(axis=1) <= 2 * EPS * np.abs(vecs).max(axis=1)).all()
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from remotegate import (
     tolerances,
 )
 from remotegate.cli import parse_operator
-from remotegate.gates import RowError, dot_norms, matmul2
+from remotegate.gates import RowError, dot_norms, matmul2, pauli_vectors
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -309,6 +309,31 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"axis\[0\] is not finite: nan"):
             classify_operator(Unimodular(0, 1j), np.array([np.nan, 0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(np.nan, 0)], r"^row 0: Unimodular\.a is not finite: nan$"),
+            ([(2, 0)], r"^row 0: not unimodular: \|a\|\^2 \+ \|b\|\^2 deviates from 1 by 3\.000e\+00$"),
+        ],
+        ids=["nan", "off_sphere"],
+    )
+    def test_a_stack_row_that_is_not_unimodular_is_refused(self, pairs, message):
+        """As every other stack form refuses it, through ``as_pairs``."""
+        with pytest.raises(RowError, match=message):
+            operators.classify_pairs(pairs)
+
+    def test_one_operator_checks_its_axis_once(self, monkeypatch):
+        """``classify_operator`` reads its own pair, checked when the
+        ``Unimodular`` was built, and validates the axis in one pass; its tag
+        is ``classify_pairs``'."""
+        calls, unit_axis = [], operators._unit_axis
+        monkeypatch.setattr(operators, "_unit_axis", lambda axis: calls.append(axis) or unit_axis(axis))
+        for u, axis in [(HADAMARD_LIKE, Z_AXIS), (rz(0.3), Z_AXIS), (Unimodular(0, 1), (0.6, 0.0, 0.8))]:
+            calls.clear()
+            tag = classify_operator(u, axis)
+            assert len(calls) == 1
+            assert tag.kind == str(operators.classify_pairs([(u.a, u.b)], axis)[0])
+
 
 def _matrix_norms(pairs, axes):
     """The oracle: the Frobenius norms of [U, n.sigma] and {U, n.sigma}
@@ -555,6 +580,31 @@ class TestCommonCorrection:
         found = check_common_correction(ops)
         np.testing.assert_allclose(found.v, sigma_z, atol=1e-9)
         assert found.deltas == (np.pi, 0.0)
+
+    def test_v_is_the_first_operators_sign_fixed_correction(self):
+        """Each set's V is ``solve_corrections`` of its first operator, its
+        sign fixed by its Pauli vector, bit for bit: on Haar sets, which
+        mostly share no correction, and on z rotations mixed with (0, e^{i phi})."""
+        rng = np.random.default_rng(43)
+        phases, diagonal = np.exp(1j * rng.uniform(0, 6, (100, 4))), rng.random((100, 4)) < 0.5
+        in_set = np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
+        for families in (operators.random_unimodulars(rng, 400).reshape(100, 4, 2), in_set):
+            ok, v, _ = operators.common_corrections(families)
+            first = operators.solve_corrections(families[:, 0])
+            signs = operators._canonical_signs(pauli_vectors(first))
+            assert np.array_equal(v, first * signs[:, None, None])
+        assert ok.all()
+
+    @pytest.mark.parametrize("shape", [(1, 0, 2), (5, 2), (2, 1, 2, 2)], ids=str)
+    def test_a_stack_that_is_not_of_operator_sets_is_refused(self, shape):
+        """In ``find_common_axes``' words: an empty set, one set given as
+        rows, or sets of pairs of pairs."""
+        families = np.zeros(shape, dtype=complex)
+        families[..., 0] = 1
+        message = rf"^expected an \(M, K, 2\) stack of nonempty operator sets, got shape {re.escape(str(shape))}$"
+        for search in (operators.common_corrections, operators.find_common_axes):
+            with pytest.raises(ValueError, match=message):
+                search(families)
 
 
 AXIS_SEARCH_KINDS = ["common_axis", "half_turns_only", "central_only", "no_axis", "central_first"]
@@ -926,6 +976,21 @@ class TestOrthogonalPair:
         assert s >= tolerances.DEGENERACY_TOL
         assert pair.lam[0] == pytest.approx(np.pi / 2, abs=1e-12)
         assert np.vdot(pair.phi_prime[0], pair.phi[0]) == pytest.approx(1j, abs=1e-9)
+
+    def test_relative_pair_is_the_written_out_product(self, monkeypatch):
+        """``orthogonal_pairs`` reads U2^dag U1 off ``products(daggers(u2),
+        u1)``; on 1,000 Haar rows that pair equals the product written out,
+        (a2* a1 + b2 b1*, a2* b1 - b2 a1*), and so do the sines taken from it."""
+        draws = operators.random_unimodulars(np.random.default_rng(44), 2000)
+        u1, u2 = draws[0::2], draws[1::2]
+        (a1, b1), (a2, b2) = u1.T, u2.T
+        a, b = a2.conj() * a1 + b2 * b1.conj(), a2.conj() * b1 - b2 * a1.conj()
+        seen, products = [], operators.products
+        monkeypatch.setattr(operators, "products", lambda p, q: seen.append(products(p, q)) or seen[-1])
+        _, s = operators.orthogonal_pairs(u1, u2)
+        (relative,) = seen
+        assert np.array_equal(relative, np.stack([a, b], axis=-1))
+        assert np.array_equal(s, np.linalg.norm(np.stack([-b.imag, -b.real, -a.imag], axis=-1), axis=-1))
 
     def test_degenerate_pair_rejected(self):
         """U2 = U1 holds no pair: its |sin lam| is below DEGENERACY_TOL."""
