@@ -48,7 +48,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .gates import unit_vector
-from .operators import Unimodular, classify_operator, find_common_axis, from_axis_angle, rz
+from .operators import Unimodular, classify_operator, find_common_axis, from_axis_angle, from_axis_angles, rz
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
@@ -113,11 +113,7 @@ def parse_operator(spec: str) -> Unimodular:
         (phi,) = _split_floats(spec, spec[3:], 3, 1)
         return rz(phi)
     if spec.startswith("rot:"):
-        nx, ny, nz, theta = _split_floats(spec, spec[4:], 4, 4)
-        axis = unit_vector([nx, ny, nz], ZERO_AXIS_NORM)
-        if axis is None:
-            raise ValueError(f"bad spec {spec!r}: zero rotation axis")
-        return from_axis_angle(axis, theta)
+        return from_axis_angle(*_axis_angle(spec))
     if spec.startswith("mat:"):
         are, aim, bre, bim = _split_floats(spec, spec[4:], 4, 4)
         try:
@@ -127,6 +123,37 @@ def parse_operator(spec: str) -> Unimodular:
     raise ValueError(
         f"bad operator spec {spec!r}: expected id|sx|sy|sz|h, rz:..., rot:... or mat:..."
     )
+
+
+def _axis_angle(spec: str) -> tuple[np.ndarray, float]:
+    """The unit axis and the angle of a stripped ``rot:`` spec."""
+    nx, ny, nz, theta = _split_floats(spec, spec[4:], 4, 4)
+    axis = unit_vector([nx, ny, nz], ZERO_AXIS_NORM)
+    if axis is None:
+        raise ValueError(f"bad spec {spec!r}: zero rotation axis")
+    return axis, theta
+
+
+def parse_operators(specs) -> np.ndarray:
+    """``parse_operator`` of each spec as one (N, 2) stack of (a, b) pairs,
+    bit for bit: the ``rot:`` specs through one ``from_axis_angles``, every
+    other spec through ``parse_operator`` itself. Specs are read in order,
+    so a refusal is the first bad spec's, in ``parse_operator``'s words."""
+    pairs = np.empty((len(specs), 2), dtype=complex)
+    rows, axes, thetas = [], [], []
+    for n, spec in enumerate(specs):
+        spec = spec.strip()
+        if spec.startswith("rot:"):
+            axis, theta = _axis_angle(spec)
+            rows.append(n)
+            axes.append(axis)
+            thetas.append(theta)
+        else:
+            u = parse_operator(spec)
+            pairs[n] = u.a, u.b
+    if rows:
+        pairs[rows] = from_axis_angles(axes, thetas)
+    return pairs
 
 
 def render_operator(u: Unimodular) -> str:
@@ -288,8 +315,7 @@ def _cmd_classify(args) -> int:
 def _cmd_axis(args) -> int:
     with open(args.set_file) as fh:
         specs = [line.strip() for line in fh]
-    operators = [parse_operator(s) for s in specs if s and not s.startswith("#")]
-    found = find_common_axis(operators)
+    found = find_common_axis(parse_operators([s for s in specs if s and not s.startswith("#")]))
     if found is None:
         print("none")
     else:

@@ -389,11 +389,16 @@ class CommonCorrection:
     deltas: tuple[float, ...]
 
 
+def _corrections(pairs: np.ndarray) -> np.ndarray:
+    """U sz U^dag for each row U of an (..., 2) stack of checked pairs."""
+    m = unimodular_matrices(pairs)
+    return matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
+
+
 def solve_corrections(us) -> np.ndarray:
     """``solve_correction`` for each row of an (..., 2) stack of (a, b)
-    pairs, as a (..., 2, 2) stack."""
-    m = unimodular_matrices(as_pairs(us))
-    return matmul2(matmul2(m, sigma_z), m.conj().swapaxes(-2, -1))
+    pairs, checked by ``as_pairs``, as a (..., 2, 2) stack."""
+    return _corrections(as_pairs(us))
 
 
 def solve_correction(u: Unimodular) -> np.ndarray:
@@ -415,8 +420,8 @@ def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``check_common_correction`` over an (M, K, 2) stack of M sets of K
     operators as (a, b) pairs: whether each set admits a common correction,
     its V (M, 2, 2) and its deltas (M, K), meaningful where it does; refused
-    as ``find_common_axes`` refuses."""
-    ws = solve_corrections(_operator_sets(families))
+    as ``find_common_axes`` refuses, with the pairs checked once."""
+    ws = _corrections(_operator_sets(families))
     base = ws[:, 0] * _canonical_signs(pauli_vectors(ws[:, 0]))[:, None, None]
     same = np.linalg.norm(ws - base[:, None], axis=(-2, -1)) <= CLASS_TOL
     flipped = np.linalg.norm(ws + base[:, None], axis=(-2, -1)) <= CLASS_TOL
@@ -468,7 +473,8 @@ def find_common_axes(families) -> list[np.ndarray | None]:
 
 def find_common_axis(operators) -> np.ndarray | None:
     """A unit axis against which every operator is commuting or anticommuting:
-    ``find_common_axes`` of one set.
+    ``find_common_axes`` of one set, a sequence of ``Unimodular`` or an
+    (N, 2) stack of pairs, checked by ``as_pairs``.
 
     Candidate axes are read from the traceless parts of the operators plus
     the pairwise cross products of the half-turns' axes (|Re a| within
@@ -483,10 +489,10 @@ def find_common_axis(operators) -> np.ndarray | None:
     axis by convention. The axis is sign-fixed so that its first component
     larger than SIGN_TOL is positive. Returns None when no axis fits.
     """
-    operators = list(operators)
-    if not operators:
+    pairs = as_pairs(operators)
+    if not len(pairs):
         raise ValueError("empty operator set")
-    return _common_axes(as_pairs(operators)[None])[0]
+    return _common_axes(pairs[None])[0]
 
 
 def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:
@@ -528,8 +534,9 @@ _AXIS_BLOCK = 64
 def _search_axis(pairs, axes, half) -> np.ndarray | None:
     """The candidates after ``axes[0]``, which has failed, in order: the rest
     of the unit ``axes``, then, only if none of them fits, the cross products
-    of the half-turns' axes (where ``half``), one row of the pair order at a
-    time; the first that fits the set of ``pairs``, sign-fixed, or None.
+    of the half-turns' axes (where ``half``) in the pair order, whole rows
+    of it gathered into blocks of at least _AXIS_BLOCK (or to the last
+    row); the first that fits the set of ``pairs``, sign-fixed, or None.
     An axis equal to an earlier one once both are sign-fixed is dropped
     first: ``_fits`` decides the same for v and -v, and a cross product with
     a repeated axis is +/- an earlier one, bit for bit. The crosses of other
@@ -542,13 +549,18 @@ def _search_axis(pairs, axes, half) -> np.ndarray | None:
     axes, half = axes[kept], half[kept]
     found = _first_fit(pairs, axes[1:])
     halves = axes[half]
+    block, size = [], 0
     for i in range(len(halves) - 1):
         if found is not None:
             break
         crosses = np.cross(halves[i], halves[i + 1 :])
         norms = dot_norms(crosses)
         long = norms > CROSS_TOL
-        found = _first_fit(pairs, crosses[long] / norms[long, None])
+        block.append(crosses[long] / norms[long, None])
+        size += len(block[-1])
+        if size >= _AXIS_BLOCK or i == len(halves) - 2:
+            found = _first_fit(pairs, np.concatenate(block))
+            block, size = [], 0
     return found
 
 

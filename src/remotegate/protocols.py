@@ -657,6 +657,15 @@ def _promised(rows: _Rows):
 _PRECONDITIONS = {"bqst": _any_config, "universal221": _no_promise, "restricted221": _in_set_only, "one11": _promised}
 
 
+class _Node(NamedTuple):
+    """One measurement's outcomes below a record prefix: child k has the
+    conditional weight ``weights[k]`` and is ``children[k]``, the node of
+    the next measurement or, below the last one, a branch index."""
+
+    weights: tuple[float, ...]
+    children: tuple[_Node | int, ...]
+
+
 class _Instrument(NamedTuple):
     """A protocol compiled for one promise class. Row (i, j, m) of
     ``tensor`` is every branch's output, flattened from (B, 2), for the
@@ -665,7 +674,8 @@ class _Instrument(NamedTuple):
     Branch b maps the black box as c_b V_b E W_b, with (V_b, W_b) =
     ``frames[b]`` as indices into (1, sx, sy, sz) and ``weights[b]`` =
     |c_b|^2 exactly. Branch b's group is ``group[b]``, and group d has
-    ``counts[d]`` branches, the first of them ``reps[d]``."""
+    ``counts[d]`` branches, the first of them ``reps[d]``. ``tree`` is the
+    branch tree that a sampled run draws down (``_draw_tree``)."""
 
     tensor: np.ndarray  # (8, B * 2)
     records: tuple[tuple[tuple[str, str, str], ...], ...]
@@ -676,6 +686,7 @@ class _Instrument(NamedTuple):
     group: tuple[int, ...]
     reps: tuple[int, ...]
     counts: tuple[int, ...]
+    tree: _Node | int
 
 
 #: Per promise class, the E_ij it spans.
@@ -694,6 +705,26 @@ def _grouped(keys) -> dict[str, tuple[int, ...]]:
     group = [first.setdefault(key, len(first)) for key in keys]
     return {"group": tuple(group), "reps": tuple(map(group.index, range(len(first)))),
             "counts": tuple(map(group.count, range(len(first))))}
+
+
+def _draw_tree(records, weights, branches=None, level=0) -> _Node | int:
+    """The tree of ``branches`` (all by default) by their outcomes from
+    measurement ``level`` on, read off the ``records`` and exact
+    ``weights`` alone, with no amplitudes. ``_play`` keeps the branches of
+    one record prefix together, parent first and outcome second, so each
+    node's children are runs of equal outcomes, in that order, and the
+    leaves come in branch order. A child's conditional weight is its
+    branches' weight over its parent's; on the table circuits these are
+    exact dyadics, 1/2 or 1/4, that sum to exactly 1."""
+    branches = range(len(records)) if branches is None else branches
+    if level == len(records[0]):
+        (branch,) = branches
+        return branch
+    children = [list(child) for _, child in groupby(branches, lambda b: records[b][level])]
+    masses = [sum(weights[b] for b in child) for child in children]
+    total = sum(masses)
+    return _Node(tuple(mass / total for mass in masses),
+                 tuple(_draw_tree(records, weights, child, level + 1) for child in children))
 
 
 def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
@@ -741,16 +772,17 @@ def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
     tensor = tensor.reshape(8, -1)
     tensor.setflags(write=False)
     keys = zip(frames.tolist(), (frozenset((x, -x)) for x in (c / scales).tolist()))  # c_b up to sign
-    return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), tuple(weights.tolist()),
-                       plan.ledger, circuit.output, **_grouped(keys))
+    weights = tuple(weights.tolist())
+    return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), weights,
+                       plan.ledger, circuit.output, **_grouped(keys), tree=_draw_tree(records, weights))
 
 
 @functools.cache
 def _instrument(protocol: str, promise: str | None) -> _Instrument:
     """``protocol``'s circuit for a promise class, compiled once. A protocol
     with a circuit per class (``one11``) has, under no promise, the sum of
-    its class tensors, which lie on disjoint rows and share records, frames
-    and weights, grouped on its pairs of class groups."""
+    its class tensors, which lie on disjoint rows and share records, frames,
+    weights and draw tree, grouped on its pairs of class groups."""
     if promise is None and (protocol, None) not in _CIRCUITS:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
         both = commuting.tensor + anticommuting.tensor
@@ -780,24 +812,24 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:
-    """One configuration, run as the one-row stack it holds."""
+    """One configuration, run as the one-row stack it holds. In sampled
+    mode one branch is drawn, after ``_run_rows``' row-sum test, down the
+    instrument's draw tree: one ``sample_index`` per measurement from a
+    generator seeded with ``cfg.seed``, on the compiled weights. The draw
+    is exact: on an admitted row each branch's probability is its weight
+    times one factor common to the row (|a|^2 + |b|^2, or for one11 the
+    norm of the kept class), so the row's float probabilities, walked the
+    same way, pick another branch only within rounding of a boundary. The
+    branch returned carries the row's own probability and fidelity."""
     with single_row:
         _refuse(_messages(_PRECONDITIONS[protocol](cfg.rows), 1))
     table = _run_rows(protocol, cfg.rows)
-    return table.row(0, [_draw(table, np.random.default_rng(cfg.seed))] if cfg.mode == "sampled" else None)
-
-
-def _draw(table: BatchOutcome, rng) -> int:
-    """One branch of row 0, drawn down the tree a measurement at a time: each
-    outcome with its probability given those before it (the weight below it)."""
-    distinct, group = table.distinct_probability[0].tolist(), table.group
-    probs = [distinct[d] for d in group]
-    branches = list(range(len(table.records)))
-    for level in range(len(table.records[0])):
-        children = [list(c) for _, c in groupby(branches, lambda b: table.records[b][level])]
-        weights = [sum(probs[b] for b in child) for child in children]
-        branches = children[sample_index([w / sum(weights) for w in weights], rng)]
-    return branches[0]
+    if cfg.mode == "exact":
+        return table.row(0)
+    rng, node = np.random.default_rng(cfg.seed), _instrument(protocol, None).tree
+    while type(node) is _Node:
+        node = node.children[sample_index(node.weights, rng)]
+    return table.row(0, [node])
 
 
 def run_batch(protocol: str, us, psis, promise=None) -> BatchOutcome:

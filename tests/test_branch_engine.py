@@ -9,14 +9,16 @@ time, draws a branch with ``sample_index`` and counts its own ledger. Its
 ``Slot`` applies the configuration's real ``Gate(U)`` where the engine's is
 the comb's slot; the compiled runs (``run_*`` and ``run_batch``) are
 compared with it row by row. In sampled mode it draws one branch per measurement as it goes, where
-the engine draws a path from its exact tree after the run.
+the engine draws a path down its instrument's tree of exact weights after the run.
 """
 
+import math
 import re
 import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -1448,3 +1450,89 @@ def test_row_hands_out_read_only_states_of_bobs_qubit(name):
             assert not o.bob_final.amplitudes.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 o.bob_final.amplitudes[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the sampled draw: down each instrument's tree of exact weights
+
+
+def _tree_leaves(node, path=()):
+    """(branch, path) for each leaf of a draw tree, in tree order, the path
+    as (child index, conditional weight) per measurement."""
+    if type(node) is not protocols._Node:
+        yield node, path
+        return
+    for k, (weight, child) in enumerate(zip(node.weights, node.children)):
+        yield from _tree_leaves(child, path + ((k, weight),))
+
+
+def _tree_nodes(node):
+    if type(node) is protocols._Node:
+        yield node
+        for child in node.children:
+            yield from _tree_nodes(child)
+
+
+@pytest.mark.parametrize("key", list(protocols._CIRCUITS), ids=str)
+def test_each_instruments_draw_tree_holds_its_exact_weights(key):
+    """Every node's conditional weights are nonzero and sum to exactly 1;
+    the leaves are the branches in ``_play``'s order, one per record; two
+    leaves share their path down to a level exactly when their records
+    share the outcomes down to it; and the product of the conditional
+    weights down to leaf b is ``weights[b]``, compared with ``==``. one11's
+    class instruments share records, weights and tree, and its summed
+    instrument, which sampled runs draw from, has that tree."""
+    inst = protocols._instrument(*key)
+    for node in _tree_nodes(inst.tree):
+        assert len(node.weights) == len(node.children) > 1
+        assert sum(node.weights) == 1.0 and 0.0 not in node.weights
+    leaves = list(_tree_leaves(inst.tree))
+    assert [b for b, _ in leaves] == list(range(len(inst.records)))
+    for b, path in leaves:
+        assert len(path) == len(inst.records[b])
+        assert math.prod(weight for _, weight in path) == inst.weights[b]
+    for level in range(len(inst.records[0]) + 1):
+        prefixes = {(inst.records[b][:level], tuple(k for k, _ in path[:level])) for b, path in leaves}
+        assert len(prefixes) == len({p for p, _ in prefixes}) == len({k for _, k in prefixes})
+    if key[0] == "one11":
+        commuting, anticommuting = (protocols._instrument("one11", c) for c in (COMMUTING, ANTICOMMUTING))
+        assert (commuting.records, commuting.weights) == (anticommuting.records, anticommuting.weights)
+        assert commuting.tree == anticommuting.tree == protocols._instrument("one11", None).tree
+
+
+def _float_walk(table, rng, n=0) -> int:
+    """The draw a sampled run made before the draw tree: one branch of row
+    n, drawn down the tree a measurement at a time, each outcome with its
+    probability given those before it (the weight below it), summed from
+    the row's float probabilities."""
+    distinct, group = table.distinct_probability[n].tolist(), table.group
+    probs = [distinct[d] for d in group]
+    branches = list(range(len(table.records)))
+    for level in range(len(table.records[0])):
+        children = [list(c) for _, c in groupby(branches, lambda b: table.records[b][level])]
+        weights = [sum(probs[b] for b in child) for child in children]
+        branches = children[sample_index([w / sum(weights) for w in weights], rng)]
+    return branches[0]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_the_tree_draw_is_the_float_walk(monkeypatch, name):
+    """2,000 seeded sampled calls per protocol, on z rotations, half turns
+    and (where the protocol takes them) Haar rotations, one11 under both
+    promises: each draws the branch that the float walk on its row draws
+    with the same seed, and leaves its generator where the walk leaves its
+    own, so their next draws are equal. On an admitted row each branch's
+    probability is its weight times one factor of the row, so the two can
+    differ only where a draw falls within rounding of a boundary."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 4101, count=2000)
+    table = protocols.run_batch(name, us, psis, promises)
+    generators, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: generators.append(default_rng(seed)) or generators[-1])
+    mismatches = 0
+    for n, (u, psi, promise) in enumerate(zip(us, psis, promises)):
+        (got,) = PROTOCOLS[name](ProtocolConfig(u=u, psi=psi, promise=promise, mode="sampled", seed=n))
+        walk = default_rng(n)
+        mismatches += got.measurement_record != table.records[_float_walk(table, walk, n)]
+        assert generators[-1].random() == walk.random()
+    assert len(generators) == len(us)
+    assert mismatches == 0

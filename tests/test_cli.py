@@ -176,6 +176,107 @@ class TestParseOperator:
             assert np.abs(u.matrix - again.matrix).max() <= 1e-12
 
 
+def _mixed_specs(rng, count):
+    """Seeded operator specs of every form: the named ones, some padded;
+    ``rz:``; ``mat:`` of Haar pairs; and ``rot:`` with zero components of
+    either sign, angles 0, -0, +-pi and 2 pi among generic ones, and axes
+    up to 1e307, whose squared norm overflows."""
+    specs = []
+    for _ in range(count):
+        form = rng.integers(6)
+        if form == 0:
+            specs.append(str(rng.choice(["id", "sx", "sy", "sz", "h", " sx ", "h\t"])))
+        elif form == 1:
+            specs.append(f"rz:{float(rng.normal()) * 4!r}")
+        elif form == 2:
+            u = random_unimodular(rng)
+            specs.append(render_operator(u))
+        else:
+            axis = rng.normal(size=3)
+            zero = rng.random(3) < 0.3
+            axis[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+            if not axis.any():
+                axis[rng.integers(3)] = rng.choice([1.0, -1.0])
+            axis *= rng.choice([1.0, 1.0, 1e-3, 1e200, 1e307])
+            theta = rng.choice([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 10 * float(rng.normal())])
+            specs.append("rot:" + ",".join(repr(float(v)) for v in [*axis, theta]))
+    return specs
+
+
+class TestParseOperators:
+    """``parse_operators``, the stack form that ``axis --set`` reads a file
+    with, against ``parse_operator`` one spec at a time."""
+
+    def test_a_mixed_file_is_its_specs_parsed_one_at_a_time(self):
+        """Byte for byte, as uint64 views: signed zeros included."""
+        rng = np.random.default_rng(4101)
+        for count in (1, 2, 40, 2000):
+            specs = _mixed_specs(rng, count)
+            want = np.array([(u.a, u.b) for u in map(parse_operator, specs)], dtype=complex)
+            got = cli.parse_operators(specs)
+            assert got.shape == (count, 2)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert cli.parse_operators([]).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            ["sx", "rot:0,0,0,1", "mat:2,0,0,0"],
+            ["rot:1,0,0,0.5", "mat:0.6,0,0.8,0.1", "rot:0,0,0,1"],
+            ["rz:0.3", "rot:1,0,x,1", "paulix"],
+            ["rot:0,0,1,nan", "rot:0,0,0,1"],
+            ["rot:1,0,0,1", "rz:inf", "rot:1,0"],
+            ["id", "rot:1,0,0", "rz:nan"],
+        ],
+        ids=["zero_axis_then_mat", "mat_then_zero_axis", "column_then_form", "nan_angle", "rz_then_rot", "field_count"],
+    )
+    def test_a_files_first_bad_spec_is_refused_in_its_own_words(self, tmp_path, capsys, specs):
+        """The first bad spec's refusal, as ``parse_operator`` words it,
+        though a later spec is also bad; and ``axis --set`` prints it."""
+        first_bad = next(spec for spec in specs if not _parses(spec))
+        with pytest.raises(ValueError) as single:
+            parse_operator(first_bad)
+        with pytest.raises(ValueError) as stacked:
+            cli.parse_operators(specs)
+        assert str(stacked.value) == str(single.value)
+        path = tmp_path / "ops.txt"
+        path.write_text("\n".join(specs) + "\n")
+        assert main(["axis", "--set", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {single.value}\n"
+
+    def test_axis_set_prints_the_search_on_its_specs_one_at_a_time(self, tmp_path, capsys):
+        """On seeded files, with comments and blank lines: rotations about
+        one axis mixed with half-turns about axes orthogonal to it, half-turns
+        only, and Haar sets."""
+        rng = np.random.default_rng(4102)
+        for k in range(30):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            specs = []
+            for _ in range(int(rng.integers(1, 12))):
+                if k % 3 == 2:
+                    specs.append(render_operator(random_unimodular(rng)))
+                    continue
+                perp = np.cross(axis, rng.normal(size=3))
+                turn = k % 3 == 0 and rng.random() < 0.5
+                along, theta = (axis, float(rng.uniform(0.3, 5.9))) if turn else (perp, np.pi)
+                specs.append("rot:" + ",".join(repr(float(v)) for v in [*along, theta]))
+            path = tmp_path / "ops.txt"
+            path.write_text("# a set\n\n" + "\n".join(specs) + "\n")
+            assert main(["axis", "--set", str(path)]) == 0
+            found = remotegate.find_common_axis([parse_operator(spec) for spec in specs])
+            want = "none" if found is None else ",".join(repr(float(c)) for c in found)
+            assert capsys.readouterr().out == want + "\n"
+
+
+def _parses(spec) -> bool:
+    try:
+        parse_operator(spec)
+    except ValueError:
+        return False
+    return True
+
+
 class TestParseState:
     def test_plus(self):
         np.testing.assert_allclose(

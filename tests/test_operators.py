@@ -595,6 +595,26 @@ class TestCommonCorrection:
             assert np.array_equal(v, first * signs[:, None, None])
         assert ok.all()
 
+    def test_one_call_checks_its_pairs_once(self, monkeypatch):
+        """``common_corrections`` runs ``as_pairs`` once, in
+        ``_operator_sets``, and gives, byte for byte, what it gave when its
+        W came from ``solve_corrections``, which checks the pairs again."""
+        rng = np.random.default_rng(45)
+        phases, diagonal = np.exp(1j * rng.uniform(0, 6, (100, 4))), rng.random((100, 4)) < 0.5
+        in_set = np.stack([np.where(diagonal, phases, 0), np.where(diagonal, 0, phases)], axis=-1)
+        calls, as_pairs, corrections = [], operators.as_pairs, operators._corrections
+        monkeypatch.setattr(operators, "as_pairs", lambda us: calls.append(1) or as_pairs(us))
+        for families in (operators.random_unimodulars(rng, 400).reshape(100, 4, 2), in_set):
+            del calls[:]
+            got = operators.common_corrections(families)
+            assert len(calls) == 1
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "_corrections", lambda pairs: corrections(operators.as_pairs(pairs)))
+                want = operators.common_corrections(families)
+            assert len(calls) == 3
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 0, 2), (5, 2), (2, 1, 2, 2)], ids=str)
     def test_a_stack_that_is_not_of_operator_sets_is_refused(self, shape):
         """In ``find_common_axes``' words: an empty set, one set given as
@@ -657,6 +677,12 @@ class TestCommonAxis:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             find_common_axis([])
+
+    def test_an_empty_iterator_or_stack_is_refused_as_an_empty_list(self):
+        """The set is read through ``as_pairs``, which takes a stack as it is."""
+        for empty in (iter([]), np.zeros((0, 2), dtype=complex)):
+            with pytest.raises(ValueError, match="^empty operator set$"):
+                find_common_axis(empty)
 
     @pytest.mark.parametrize("kind", EAGER_SEARCH_SETS)
     def test_lazy_crosses_match_the_eager_search(self, kind):
@@ -805,6 +831,40 @@ class TestCommonAxis:
         want = find_common_axis(ops)
         assert (found is None) == (want is None) == (kind == "no_axis"), kind
         assert found is None or found.tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("kind", ["no_axis", "cross_only"])
+    def test_half_turn_crosses_are_tried_in_blocks_of_rows(self, monkeypatch, kind):
+        """Seeded sets of 3 to 40 half-turns, about generic axes (no common
+        axis) or about axes orthogonal to one n (only a cross product fits):
+        the search returns, byte for byte, what the row-by-row search
+        returned, and 10 half-turns with no axis take 3 ``_fits`` passes
+        (the first candidate, the other own axes, one block of 45 crosses),
+        where the row-by-row search took 11."""
+        rng = np.random.default_rng(["no_axis", "cross_only"].index(kind) + 160)
+        sets = []
+        for size in [10] * 5 + rng.integers(3, 41, size=40).tolist():
+            raw = rng.normal(size=(size, 3))
+            if kind == "cross_only":
+                n = rng.normal(size=3)
+                raw -= np.outer(raw @ n, n) / (n @ n)
+            sets.append([from_axis_angle(axis / np.linalg.norm(axis), np.pi) for axis in raw])
+        passes, fits = [], operators._fits
+        monkeypatch.setattr(operators, "_fits", lambda m, n_sigma: passes.append(len(n_sigma)) or fits(m, n_sigma))
+        found = []
+        for ops in sets:
+            del passes[:]
+            found.append(find_common_axis(ops))
+            if len(ops) == 10 and kind == "no_axis":
+                assert passes == [1, 9, 45]
+        assert all((got is None) == (kind == "no_axis") for got in found)
+        monkeypatch.setattr(operators, "_search_axis", _row_by_row_search)
+        for ops, got in zip(sets, found):
+            del passes[:]
+            want = find_common_axis(ops)
+            if len(ops) == 10 and kind == "no_axis":
+                assert len(passes) == 11
+            assert (got is None) == (want is None)
+            assert got is None or got.tobytes() == want.tobytes()
 
     def test_a_stack_refusal_names_the_set_and_operator(self):
         families = np.tile([1.0 + 0j, 0j], (2, 3, 1))
@@ -956,6 +1016,26 @@ def _triu_cross_axes(axes):
     norms = dot_norms(crosses)
     long = norms > tolerances.CROSS_TOL
     return crosses[long] / norms[long, None]
+
+
+def _row_by_row_search(pairs, axes, half):
+    """The axis search with one ``_first_fit`` per row of the half-turns'
+    cross products, as it was before the rows were gathered into blocks."""
+    firsts = {}
+    for n, axis in enumerate((axes * operators._canonical_signs(axes)[:, None]).tolist()):
+        firsts.setdefault(tuple(axis), n)
+    kept = list(firsts.values())
+    axes, half = axes[kept], half[kept]
+    found = operators._first_fit(pairs, axes[1:])
+    halves = axes[half]
+    for i in range(len(halves) - 1):
+        if found is not None:
+            break
+        crosses = np.cross(halves[i], halves[i + 1 :])
+        norms = dot_norms(crosses)
+        long = norms > tolerances.CROSS_TOL
+        found = operators._first_fit(pairs, crosses[long] / norms[long, None])
+    return found
 
 
 def _one_candidate_search(pairs, axes, half):
