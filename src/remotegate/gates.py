@@ -5,8 +5,8 @@ the operator-algebra and Bloch modules) alongside ready-made :class:`Gate`
 instances for the statevector engine, plus the input helpers the other
 modules share (``require_finite``, ``require_finite_rows``,
 ``require_natural`` and the overflow-safe norms ``vector_norm``/
-``unit_vector``, with ``row_norms``/``unit_rows`` applying them to each row
-of a stack by one ``map`` of ``math.hypot`` over its columns, and
+``unit_vector``, with ``_row_hypots``/``unit_rows`` applying them to each
+row of a stack by one ``map`` of ``math.hypot`` over its columns, and
 ``dot_norms``, ``np.linalg.norm`` of each row of a stack), and ``matmul2``,
 the product of 2x2 matrix stacks.
 """
@@ -117,14 +117,6 @@ def _row_hypots(rows: np.ndarray) -> list[float]:
     1.6-1.8 us)."""
     flat = np.ascontiguousarray(rows, dtype=complex).view(float)
     return list(map(math.hypot, *flat.T.tolist()))
-
-
-def row_norms(rows) -> np.ndarray:
-    """``vector_norm`` of each row (last axis) of ``rows``: ``_row_hypots``'
-    one ``math.hypot`` per row, which on rows of a few entries costs less
-    than scaling in numpy."""
-    rows = np.asarray(rows)
-    return np.array(_row_hypots(rows.reshape(-1, rows.shape[-1]))).reshape(rows.shape[:-1])
 
 
 def dot_norms(rows) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .gates import (
     RowError,
+    _row_hypots,
     dot_norms,
     identity2,
     matmul2,
@@ -29,7 +30,6 @@ from .gates import (
     pauli_vectors,
     require_finite,
     require_finite_rows,
-    row_norms,
     sigma_z,
     single_row,
     vector_norm,
@@ -197,29 +197,35 @@ def _unit_axis(axis) -> np.ndarray:
 def from_axis_angles(axes, thetas) -> np.ndarray:
     """The rotation exp(-i theta n.sigma / 2) for each row of an (N, 3)
     stack of unit axes n and an (N,) stack of angles, as (N, 2) pairs;
-    refused, naming the row, unless each axis is a finite unit 3-vector and
-    each angle finite, and refused unless there are as many angles as axes."""
+    refused unless there are as many angles as axes, and refused, naming
+    the row, unless each axis is a finite unit 3-vector, each angle finite
+    and each pair passes ``Unimodular``'s residual test: an axis is taken as
+    given, and near theta = pi one within ``AXIS_NORM_TOL`` of 1 can fail it."""
     axes = np.asarray(axes, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     if axes.ndim != 2 or axes.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) stack of axes, got shape {axes.shape}")
     if thetas.shape != (len(axes),):
         raise ValueError(f"{thetas.size} angles and {len(axes)} axes do not match")
-    for n, (axis, theta) in enumerate(zip(axes.tolist(), thetas.tolist())):  # _unit_axis, then require_finite
-        norm = math.hypot(*axis)
+    half = thetas / 2.0
+    with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite is refused below
+        c, s = np.cos(half), np.sin(half)
+        # (c, -s n_y) - i s (n_z, n_x) as complex products and differences, so
+        # that each row is what the one-rotation formula gave, signed zeros
+        # included; the real parts are cast to complex as they are stored, the
+        # cast the subtraction would make, and the difference is taken in place
+        pairs = np.empty((len(axes), 2), dtype=complex)
+        pairs[:, 0], pairs[:, 1] = c, -s * axes[:, 1]
+        pairs -= (1j * s)[:, None] * axes[:, 2::-2]
+        residuals = unimodular_residuals(pairs).tolist()
+    for n, (axis, theta, residual) in enumerate(zip(axes.tolist(), thetas.tolist(), residuals)):
+        norm = math.hypot(*axis)  # as _unit_axis, then require_finite, then Unimodular
         if not abs(norm - 1.0) <= AXIS_NORM_TOL:
             raise RowError(n, not_finite("axis", axes[n]) or f"non-unit axis (norm {norm!r})")
         if not math.isfinite(theta):
             raise RowError(n, not_finite("theta", thetas[n]))
-    half = thetas / 2.0
-    c, s = np.cos(half), np.sin(half)
-    # (c, -s n_y) - i s (n_z, n_x) as complex products and differences, so
-    # that each row is what the one-rotation formula gave, signed zeros
-    # included; the real parts are cast to complex as they are stored, the
-    # cast the subtraction would make, and the difference is taken in place
-    pairs = np.empty((len(axes), 2), dtype=complex)
-    pairs[:, 0], pairs[:, 1] = c, -s * axes[:, 1]
-    pairs -= (1j * s)[:, None] * axes[:, 2::-2]
+        if not residual <= UNIMODULAR_TOL:
+            raise RowError(n, f"non-unit axis (norm {norm!r})")
     return pairs
 
 
@@ -367,7 +373,7 @@ def q_matrices(alphas, xis) -> np.ndarray:
         raise ValueError(f"{alphas.size} angles and {len(xis)} states do not match")
     require_finite_rows("alpha", alphas)
     require_finite_rows("xi", xis)
-    norms = row_norms(xis)
+    norms = np.array(_row_hypots(xis))
     bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)
     if bad.any():
         n = int(np.argmax(bad))

@@ -70,6 +70,7 @@ from .statevector import (
     _root2_powers,
     _split,
     _squared_norms,
+    _state,
     apply_gate,
     basis_state,
     bell_phi_plus,
@@ -89,8 +90,6 @@ BELL_CORRECTIONS = {
     "10": X,
     "11": Gate(sigma_x @ sigma_z, "xz"),
 }
-
-ZX = Gate(sigma_z @ sigma_x, "zx")
 
 
 @dataclass(frozen=True)
@@ -356,22 +355,19 @@ class BatchOutcome:
     def row(self, n: int, branches=None) -> list[ProtocolOutcome]:
         """Row n as a single run returns it: one outcome per branch (or per one in ``branches``).
         Each state is a read-only view of ``distinct_final``, unit by the compile's
-        frame fit (``_compile``) and handed out unchecked, one per distinct output
-        picked, which its branches share; the branch arrays are not built."""
+        frame fit (``_compile``) and built unchecked by ``statevector._state``, one per
+        distinct output picked, which its branches share; the branch arrays are not built."""
         register, ledger, records, group = (self.bob_qubit,), self.ledger, self.records, self.group
         probs, fids, wins, finals = (self.distinct_probability[n].tolist(), self.distinct_fidelity[n].tolist(),
                                      self.distinct_succeeded[n].tolist(), self.distinct_final[n])
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        new_state, new_outcome = object.__new__, tuple.__new__
+        new_outcome = tuple.__new__  # skips the named tuple's Python-level __new__
         states = [None] * len(probs)
         outcomes = []
         for b in range(len(group)) if branches is None else branches:
             d = group[b]
             final = states[d]
             if final is None:
-                final = states[d] = new_state(StateVector)
-                fields = final.__dict__
-                fields["amplitudes"], fields["register"] = finals[d], register
+                final = states[d] = _state(finals[d], register)
             outcomes.append(new_outcome(ProtocolOutcome, (records[b], probs[d], final, fids[d], wins[d], ledger)))
         return outcomes
 
@@ -614,18 +610,19 @@ _UNIVERSAL = (*_spread_amplitudes(_A1, _B1, _DATA2), Slot(_A1), *_teleport(_A1, 
 #: Alice's measurement of her pair half, whose outcome picks Bob's one11 fix-up.
 _ALICE_HALF = Measure((_A1,), "computational")
 _ONE11 = (*_spread_amplitudes(_A1, _B1, _DATA1), Slot(_A1), Apply(H, (_A1,)), _ALICE_HALF)
+#: Bob's sz on Alice's outcome 1, one11's fix-up under either promise.
+_ONE11_FIXUP = Apply(Z, (_B1,), (_ALICE_HALF, 1))
 
 #: (protocol, promise class) -> its circuit. one11's class picks Bob's
 #: fix-ups on outcomes 0 and 1: (1, sz) when commuting, (sx, sz sx) when
-#: anticommuting; the other protocols have one circuit, under no promise.
+#: anticommuting, the commuting circuit after a sx Bob applies because he
+#: knows the class; the other protocols have one circuit, under no promise.
 _CIRCUITS = {
     ("bqst", None): Circuit(_TWO_PAIRS, _DATA2, (*_teleport(_DATA2, _B1, _A1), Slot(_A1), *_teleport(_A1, _A2, _B2)), _B2),
     ("universal221", None): Circuit(_TWO_PAIRS, _DATA2, _UNIVERSAL, _B2),
     ("restricted221", None): Circuit(_TWO_PAIRS, _DATA2, (*_UNIVERSAL, Apply(Z, (_B2,), (_BOB_HALF, 1))), _B2),
-    ("one11", COMMUTING): Circuit(_ONE_PAIR, _DATA1, (*_ONE11, Apply(Z, (_B1,), (_ALICE_HALF, 1))), _B1),
-    ("one11", ANTICOMMUTING): Circuit(
-        _ONE_PAIR, _DATA1, (*_ONE11, Apply(X, (_B1,), (_ALICE_HALF, 0)), Apply(ZX, (_B1,), (_ALICE_HALF, 1))), _B1
-    ),
+    ("one11", COMMUTING): Circuit(_ONE_PAIR, _DATA1, (*_ONE11, _ONE11_FIXUP), _B1),
+    ("one11", ANTICOMMUTING): Circuit(_ONE_PAIR, _DATA1, (*_ONE11, Apply(X, (_B1,)), _ONE11_FIXUP), _B1),
 }
 
 

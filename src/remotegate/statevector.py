@@ -16,7 +16,8 @@ Conventions, used everywhere in this package:
   axis per qubit. Its primitives (``_apply_matrix``, ``_split``,
   ``_entropies``) are what the protocols compile with and what the
   ``statevector.*`` checks run on; ``reduced_density`` and
-  ``entanglement_entropy`` are their one-state case.
+  ``entanglement_entropy`` are their one-state case, on the state as
+  ``_targets_front``, the kernels' one target resolver, orders it.
 
 All values are immutable after construction; operations return new values,
 so independent simulations can run concurrently as long as each owns its
@@ -247,7 +248,8 @@ def _state(amplitudes: np.ndarray, register: tuple[QubitId, ...]) -> StateVector
     """A kernel's output, built without ``StateVector``'s checks, which it
     holds by construction: the register is the checked input's, the length
     follows from the shape, and the values are finite because the input's
-    are and every ``Gate`` is checked unitary. It is not renormalized."""
+    are and every ``Gate`` is checked unitary. It is not renormalized.
+    ``BatchOutcome.row`` builds Bob's unit outputs with it too."""
     amplitudes.setflags(write=False)
     state = object.__new__(StateVector)
     fields = state.__dict__
@@ -337,30 +339,22 @@ def sample_index(probs, rng: np.random.Generator) -> int:
     return min(bisect_left(sums, r), len(sums) - 1)
 
 
-def _one_state(s: StateVector, targets) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``s`` as a one-branch stack, and the axes of ``targets`` in it."""
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate targets")
-    return s.amplitudes.reshape((1,) + (2,) * s.n), tuple(1 + s.position(q) for q in targets)
-
-
 def reduced_density(s: StateVector, keep) -> np.ndarray:
     """Reduced density matrix of the kept qubits (others traced out):
-    ``_reduced_densities`` of one state."""
+    ``_reduced_densities`` of one state, as ``_targets_front`` orders it."""
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be a nonempty subset of the register")
-    return _reduced_densities(*_one_state(s, keep))[0]
+    return _reduced_densities(_targets_front(s, keep)[0][None], tuple(range(1, len(keep) + 1)))[0]
 
 
 def entanglement_entropy(s: StateVector, cut) -> float:
     """Von Neumann entropy (base 2) of ``reduced_density(s, cut)``, in bits:
-    ``_entropies`` of one state."""
+    ``_entropies`` of one state, as ``_targets_front`` orders it."""
     cut = list(cut)
     if len(cut) >= s.n:
         raise ValueError("cut must be a proper subset of the register")
-    return float(_entropies(*_one_state(s, cut))[0])
+    return float(_entropies(_targets_front(s, cut)[0][None], tuple(range(1, len(cut) + 1)))[0])
 
 
 def factor_qubit(s: StateVector, qubit: QubitId) -> np.ndarray:

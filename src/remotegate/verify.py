@@ -290,16 +290,18 @@ def check_universal_success_half(rng):
     return _at_most(DERIVED_TOL, "max |p - 1/2| =", np.abs(p_success - 0.5))
 
 
-def _exact_with_ledger(protocol, rng, promised):
-    """1000 runs alternating z rotations and off-diagonal operators, in one
-    batch: every branch reaches fidelity 1 and carries the protocol's exact
-    ledger."""
-    us, psis = _in_set(rng, np.arange(1000) % 2 == 0), random_qubits(rng, 1000)
-    promises = operators.classify_pairs(us) if promised else None
-    table = protocols.run_batch(protocol, us, psis, promises)
+def _perfect(protocol, table):
+    """Every distinct output of ``table`` at fidelity 1, within SUCCESS_TOL, and ``protocol``'s exact ledger."""
     ledgers_ok = table.ledger.as_tuple() == EXPECTED_LEDGERS[protocol]
     passed, detail = _at_least(1.0 - SUCCESS_TOL, "min branch fidelity", table.distinct_fidelity)
     return passed and ledgers_ok, f"{detail}, ledgers exact: {ledgers_ok}"
+
+
+def _exact_with_ledger(protocol, rng, promised):
+    """1000 runs alternating z rotations and off-diagonal operators, in one batch: ``_perfect``."""
+    us, psis = _in_set(rng, np.arange(1000) % 2 == 0), random_qubits(rng, 1000)
+    promises = operators.classify_pairs(us) if promised else None
+    return _perfect(protocol, protocols.run_batch(protocol, us, psis, promises))
 
 
 def check_restricted_perfect(rng):
@@ -308,6 +310,11 @@ def check_restricted_perfect(rng):
 
 def check_one11_perfect(rng):
     return _exact_with_ledger("one11", rng, promised=True)
+
+
+def check_bqst_perfect(rng):
+    """100 Haar (U, psi) rows of the baseline in one batch: ``_perfect``."""
+    return _perfect("bqst", protocols.run_batch("bqst", random_unimodulars(rng, 100), random_qubits(rng, 100)))
 
 
 def check_branch_conservation(rng):
@@ -460,12 +467,14 @@ CHECKS = [
     ("cli.operator_round_trip", check_operator_round_trip),
 ]
 
-#: Run after CHECKS. A separate list because the benchmark's traced run
-#: reports one declared metric per CHECKS entry and refuses undeclared ones.
+#: Run after CHECKS: the demos, and a protocol result check appended last to keep
+#: every other check's generator. A separate list, until the two are one, because the
+#: benchmark's traced run reports one declared metric per CHECKS entry, no other.
 DEMO_CHECKS = [
     ("protocols.cp_entanglement", check_cp_entanglement),
     ("protocols.capacity_demos", check_capacity_demos),
     ("protocols.ramsey_fringe", check_ramsey_fringe),
+    ("protocols.bqst_perfect", check_bqst_perfect),
 ]
 
 

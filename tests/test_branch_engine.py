@@ -833,9 +833,13 @@ def _alice_reads_bobs_bit_twice():
     return m, Apply(X, (A0,), (m, 0)), Apply(Z, (A1,), (m, 0))
 
 
+#: sz sx as one gate.
+_ZX = Gate(gates.sigma_z @ gates.sigma_x, "zx")
+
+
 def _bob_reads_one_bell_outcome_three_times():
     m = Measure((A0, A1), "bell")
-    return (m, *(Apply(gate, (DATA,), (m, value)) for value, gate in ((1, Z), (2, X), (3, protocols.ZX))))
+    return (m, *(Apply(gate, (DATA,), (m, value)) for value, gate in ((1, Z), (2, X), (3, _ZX))))
 
 
 @pytest.mark.parametrize(
@@ -1046,6 +1050,31 @@ def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
     a, b = (protocols.run_batch("one11", us, psis, promise) for us in (near, clean))
     assert np.array_equal(a.probability, b.probability)
     assert np.array_equal(a.bob_final, b.bob_final)
+
+
+def _assert_same_instrument(got, want):
+    assert got.tensor.tobytes() == want.tensor.tobytes() and not got.tensor.flags.writeable
+    assert got._replace(tensor=None) == want._replace(tensor=None)
+
+
+def test_one11s_anticommuting_circuit_is_the_circuit_with_bobs_sx_and_sz_sx_fix_ups(monkeypatch):
+    """The anticommuting circuit, the commuting one after Bob's unconditioned
+    sx, compiles to what Bob's fix-ups sx and sz sx, as two gates on Alice's
+    outcomes 0 and 1, give, in every field and the tensor byte for byte;
+    with that circuit in the table, one11's summed instrument is the same."""
+    key = ("one11", ANTICOMMUTING)
+    bob, alice = protocols._B1, protocols._ALICE_HALF
+    steps = (*protocols._ONE11, Apply(X, (bob,), (alice, 0)), Apply(_ZX, (bob,), (alice, 1)))
+    by_outcome = protocols._CIRCUITS[key]._replace(steps=steps)
+    anticommuting, summed = protocols._instrument(*key), protocols._instrument("one11", None)
+    _assert_same_instrument(protocols._compile(by_outcome, ANTICOMMUTING, "one11 (anticommuting)"), anticommuting)
+    monkeypatch.setitem(protocols._CIRCUITS, key, by_outcome)
+    protocols._instrument.cache_clear()
+    try:
+        _assert_same_instrument(protocols._instrument(*key), anticommuting)
+        _assert_same_instrument(protocols._instrument("one11", None), summed)
+    finally:
+        protocols._instrument.cache_clear()
 
 
 def test_one11_class_tensors_lie_on_disjoint_rows_of_its_instrument():
@@ -1322,6 +1351,27 @@ def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name
         _assert_matches_every_branch_finished(name, us, psis, promises)
     finally:
         protocols._instrument.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_rows_states_are_built_by_state_once_per_distinct_output(monkeypatch, name):
+    """``BatchOutcome.row`` builds Bob's states with the ``_state`` that
+    ``protocols`` binds, one call per distinct output the branches it picks
+    (all of them, or a list) fall in, and hands out the objects it built."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 2731, count=6)
+    table = protocols.run_batch(name, us, psis, promises)
+    built, state = [], protocols._state
+    monkeypatch.setattr(protocols, "_state", lambda amps, register: built.append(state(amps, register)) or built[-1])
+    last = len(table.group) - 1
+    for n, branches in enumerate([None, [0], [last, 0, last], list(range(last, -1, -1))]):
+        built.clear()
+        outcomes = table.row(n, branches)
+        picked = range(len(table.group)) if branches is None else branches
+        assert len(built) == len({table.group[b] for b in picked})
+        assert {id(o.bob_final) for o in outcomes} == set(map(id, built))
+        for b, outcome in zip(picked, outcomes):
+            assert outcome.bob_final.register == (table.bob_qubit,)
+            assert outcome.bob_final.amplitudes.tobytes() == table.distinct_final[n, table.group[b]].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])

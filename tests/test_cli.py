@@ -492,7 +492,7 @@ class TestMain:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "26/26 checks passed" in out
+        assert "27/27 checks passed" in out
 
 
 class TestExitCodes:

@@ -266,6 +266,42 @@ class TestAxisAngle:
         with pytest.raises(ValueError, match=rf"^{message}$"):
             from_axis_angle(axis, theta)
 
+    def test_an_admitted_axis_whose_half_turn_is_not_unimodular_is_refused_as_non_unit(self):
+        """A norm 5e-10 over 1 is within ``AXIS_NORM_TOL``, but at theta = pi
+        its pair's |a|^2 + |b|^2 is 1e-9 over 1, beyond ``UNIMODULAR_TOL``:
+        the row is refused as a non-unit axis, before a later bad row, and
+        the one-row form says the same without the row."""
+        axis = [1 + 5e-10, 0.0, 0.0]
+        message = r"non-unit axis \(norm 1\.0000000005\)"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            from_axis_angle(axis, np.pi)
+        axes, thetas = np.tile(Z_AXIS, (4, 1)), np.ones(4)
+        axes[1], thetas[1] = axis, np.pi
+        axes[3], thetas[3] = [2.0, 0.0, 0.0], np.nan
+        with pytest.raises(RowError, match=rf"^row 1: {message}$"):
+            operators.from_axis_angles(axes, thetas)
+        with pytest.raises(RowError, match=rf"^row 0: {message}$"):
+            operators.from_axis_angles([axis], [np.pi])
+
+    def test_every_pair_it_returns_is_one_as_pairs_admits(self):
+        """Seeded unit axes scaled off 1 by up to ``AXIS_NORM_TOL``, at angles
+        near 0, near pi and in between: a row is refused, or its pair passes
+        ``as_pairs``; near 0 the pair stays unimodular and the row passes."""
+        rng = np.random.default_rng(38)
+        axes = rng.normal(size=(3000, 3))
+        axes *= (1 + rng.uniform(-1, 1, 3000) * tolerances.AXIS_NORM_TOL)[:, None] / dot_norms(axes)[:, None]
+        thetas = np.concatenate([rng.uniform(-0.1, 0.1, 1000), np.pi + rng.uniform(-0.1, 0.1, 1000), rng.uniform(-8, 8, 1000)])
+        refused = 0
+        for axis, theta in zip(axes, thetas):
+            try:
+                pair = operators.from_axis_angles([axis], [theta])
+            except RowError as exc:
+                assert exc.message.startswith("non-unit axis (norm ") and abs(theta) > 0.1, (axis, theta)
+                refused += 1
+                continue
+            assert np.array_equal(operators.as_pairs(pair), pair)
+        assert 0 < refused < 2000
+
     def test_a_stack_of_the_wrong_shape_is_refused(self):
         with pytest.raises(ValueError, match=r"^expected an \(N, 3\) stack of axes, got shape \(3,\)$"):
             operators.from_axis_angles(Z_AXIS, [0.5])

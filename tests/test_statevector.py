@@ -24,8 +24,9 @@ from remotegate import (
     reduced_density,
     tensor,
 )
+from remotegate import statevector
 from remotegate.operators import random_unimodulars, unimodular_matrices
-from remotegate.statevector import _apply_matrix, _entropies, _split, sample_index
+from remotegate.statevector import _apply_matrix, _entropies, _reduced_densities, _split, sample_index
 from remotegate.tolerances import BRANCH_PRUNE
 
 A0, A1 = QubitId("alice", 0), QubitId("alice", 1)
@@ -397,6 +398,53 @@ class TestBranchStacks:
 
     def test_entropies_of_no_states(self):
         assert _entropies(np.zeros((0, 2, 2, 2)), (1, 3)).shape == (0,)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_one_state_cases_are_the_untransposed_stack_bit_for_bit(self, n):
+        """``reduced_density`` and ``entanglement_entropy``, on the state as
+        ``_targets_front`` orders it, give the bytes of the primitives on
+        the state as it is, its targets at axes 1 + their positions, for
+        every ordered target tuple of seeded states."""
+        rng = np.random.default_rng(120 + n)
+        reg = REGISTERS[n - 1]
+        for s in _parity_states(n, rng) + _random_states(n, 4, rng):
+            stack = s.amplitudes.reshape((1,) + (2,) * n)
+            for k in range(1, n + 1):
+                for pos in permutations(range(n), k):
+                    targets, axes = [reg[p] for p in pos], tuple(1 + p for p in pos)
+                    assert reduced_density(s, targets).tobytes() == _reduced_densities(stack, axes)[0].tobytes()
+                    if k < n:
+                        got = np.float64(entanglement_entropy(s, targets))
+                        assert got.tobytes() == np.float64(_entropies(stack, axes)[0]).tobytes()
+
+    def test_kernels_do_not_call_the_primitives_they_check(self, monkeypatch):
+        """The kernels stay the engine's independent oracle: with
+        ``_apply_matrix`` and ``_split`` made to raise, ``apply_gate``,
+        ``measure``, ``tensor`` and ``factor_qubit`` give what they give
+        with them, bit for bit."""
+        rng = np.random.default_rng(130)
+        reg = REGISTERS[3]
+        s = _random_states(4, 1, rng)[0]
+        gate = Gate(random_unimodular(rng).matrix, "u")
+        extra = qubit_state(0.6, 0.8j, QubitId("alice", 9))
+        bases = (([reg[1]], "computational"), ([reg[3], reg[0]], "computational"), ([reg[2], reg[1]], "bell"))
+
+        def results():
+            out = [apply_gate(s, gate, [reg[2]]).amplitudes, apply_gate(s, CNOT, [reg[3], reg[0]]).amplitudes]
+            for targets, basis in bases:
+                for branch in measure(s, targets, basis):
+                    out += [branch.outcome, branch.probability, branch.post_state.amplitudes]
+            out += [tensor(s, extra).amplitudes, factor_qubit(tensor(extra, s), extra.register[0])]
+            return [np.asarray(x).tobytes() for x in out]
+
+        want = results()
+
+        def refuse(*args):
+            raise AssertionError("a kernel called a branch-stack primitive")
+
+        monkeypatch.setattr(statevector, "_apply_matrix", refuse)
+        monkeypatch.setattr(statevector, "_split", refuse)
+        assert results() == want
 
 
 def _probabilities(state: StateVector) -> list[float]:

@@ -226,6 +226,7 @@ STACKS = {
         "common_corrections": [((500, 4, 2),)],
     },
     "cli.operator_round_trip": {"random_unimodulars": [(100,)]},
+    "protocols.bqst_perfect": {**_HAAR, "run_batch": [("bqst", (100, 2), (100, 2))]},
 }
 
 
@@ -457,6 +458,23 @@ def test_ledgers_sees_a_branch_charged_the_baseline(monkeypatch):
 
     monkeypatch.setitem(protocols.PROTOCOLS, "universal221", overcharged)
     assert verify.check_ledgers(np.random.default_rng(0)) == (False, "universal221 ledger (2, 2, 2) != (2, 2, 1)")
+
+
+def test_bqst_perfect_sees_bqst_with_its_first_fix_up_dropped(monkeypatch):
+    """The first teleport's first fix-up dropped from bqst's circuit: Bell
+    outcome 01 then leaves U sz psi, and the check fails on its fidelity,
+    the ledger still (2, 2, 2)."""
+    key = ("bqst", None)
+    circuit = protocols._CIRCUITS[key]
+    assert str(circuit.steps[1]) == "gate 'z' on (alice:0)"
+    monkeypatch.setitem(protocols._CIRCUITS, key, circuit._replace(steps=circuit.steps[:1] + circuit.steps[2:]))
+    protocols._instrument.cache_clear()
+    try:
+        passed, detail = verify.check_bqst_perfect(np.random.default_rng(0))
+    finally:
+        protocols._instrument.cache_clear()
+    assert not passed
+    assert detail.endswith(", ledgers exact: True") and float(detail.split()[3].rstrip(",")) < 0.5, detail
 
 
 def test_classification_consistency_sees_every_row_refused(monkeypatch):
