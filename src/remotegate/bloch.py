@@ -12,22 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import (
-    RowError,
-    identity2,
-    matmul2,
-    not_finite,
-    pauli_dot,
-    pauli_vectors,
-    require_finite,
-    require_finite_rows,
-    sigma_z,
-    single_row,
-    unit_rows,
-    vector_norm,
-)
+from .gates import _require_rows, identity2, matmul2, pauli_dot, pauli_vectors, require_finite_rows, sigma_z, single_row
 from .operators import Unimodular, as_pairs, unimodular_matrices
-from .tolerances import DENSITY_TOL, NORM_TOL, RESTORE_TOL, STATE_NORM_TOL
+from .statevector import _given_unit, _qubit_rows, _unit_qubits
+from .tolerances import DENSITY_TOL, RESTORE_TOL
 
 #: sz X sz for a 2x2 X is X with its off-diagonal entries negated
 _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -44,23 +32,17 @@ class BlochVector:
 
 
 def pure_densities(psis) -> np.ndarray:
-    """|psi><psi| for each row of an (N, 2) stack of states, each normalized
-    first; the first row that is not finite, or is zero, is refused, naming it,
-    and so is a stack whose rows are not single-qubit states."""
-    psis = np.asarray(psis, dtype=complex)
-    if psis.ndim != 2 or psis.shape[1] != 2:
-        raise RowError(0, "psi must be a single-qubit state")
-    unit, ok = unit_rows(psis, NORM_TOL)
-    if not ok.all():
-        n = int(np.argmin(ok))
-        raise RowError(n, not_finite("psi", psis[n]) or "psi must be nonzero")
+    """|psi><psi| for each row of a stack of states, normalized on entry as a protocol
+    run admits Bob's (README, Conventions); the first bad row is refused, naming it."""
+    unit, check = _unit_qubits(psis)
+    _require_rows(*check)
     return unit[:, :, None] * unit[:, None, :].conj()
 
 
 def pure_density(psi) -> np.ndarray:
     """|psi><psi| for a (normalized) single-qubit state: ``pure_densities`` of one."""
     with single_row:
-        return pure_densities(np.asarray(psi, dtype=complex)[None])[0]
+        return pure_densities([psi])[0]
 
 
 def _min_eigenvalues(hermitians) -> np.ndarray:
@@ -84,8 +66,7 @@ def bloch_vectors(rhos) -> np.ndarray:
         (_min_eigenvalues(rhos) >= -DENSITY_TOL, "not positive semidefinite"),
     )
     for ok, why in tests:
-        if not ok.all():
-            raise RowError(int(np.argmin(ok)), f"invalid density matrix: {why}")
+        _require_rows(ok, lambda n: f"invalid density matrix: {why}")
     return 2.0 * pauli_vectors(rhos)
 
 
@@ -116,15 +97,13 @@ def density_from_bloch(vec: BlochVector) -> np.ndarray:
 
 
 def mirror_state(psi) -> np.ndarray:
-    """sigma_z|psi>: same Sz, opposite equatorial projection."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("psi must be a single-qubit state")
-    require_finite("psi", psi)
-    norm = vector_norm(psi)
-    if not abs(norm - 1.0) <= STATE_NORM_TOL:
-        raise ValueError(f"state is not normalized (norm {norm!r})")
-    return sigma_z @ psi
+    """sigma_z|psi>: same Sz, opposite equatorial projection, for a
+    single-qubit psi given normalized (README, Conventions)."""
+    psi, check = _qubit_rows([psi], "psi")
+    with single_row:
+        _require_rows(*check)
+        _given_unit("psi", psi)
+    return sigma_z @ psi[0]
 
 
 def verify_restorations(us, psis) -> np.ndarray:
@@ -149,4 +128,4 @@ def verify_restoration(u: Unimodular, psi) -> bool:
     a general U except at special inputs.
     """
     with single_row:
-        return bool(verify_restorations([u], np.asarray(psi, dtype=complex)[None])[0])
+        return bool(verify_restorations([u], [psi])[0])

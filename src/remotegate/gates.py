@@ -74,13 +74,17 @@ class RowError(ValueError):
         self.row, self.message = row, message
 
 
+def _require_rows(ok: np.ndarray, message) -> None:
+    """Raise ``RowError`` with ``message(n)`` for the first row n that ``ok`` fails, if any."""
+    if not ok.all():
+        n = int(np.argmin(ok))
+        raise RowError(n, message(n))
+
+
 def require_finite_rows(name: str, rows: np.ndarray) -> None:
     """Raise ``RowError`` with ``not_finite``'s message for the first row
     (along the first axis) of ``rows`` that holds a NaN or infinite entry."""
-    finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise RowError(n, not_finite(name, rows[n]))
+    _require_rows(np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))), lambda n: not_finite(name, rows[n]))
 
 
 class _SingleRow:

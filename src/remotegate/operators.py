@@ -22,7 +22,7 @@ import numpy as np
 
 from .gates import (
     RowError,
-    _row_hypots,
+    _require_rows,
     dot_norms,
     identity2,
     matmul2,
@@ -34,6 +34,7 @@ from .gates import (
     single_row,
     vector_norm,
 )
+from .statevector import _given_unit, _qubit_rows
 from .tolerances import (
     AXIS_NORM_TOL,
     CENTRAL_TOL,
@@ -42,7 +43,6 @@ from .tolerances import (
     DEGENERACY_TOL,
     SIGN_TOL,
     SPECIAL_UNITARY_TOL,
-    STATE_NORM_TOL,
     UNIMODULAR_TOL,
 )
 
@@ -176,9 +176,8 @@ def pairs_from_matrices(m) -> np.ndarray:
     every matrix is special-unitary; the error names the first bad row."""
     m = np.asarray(m, dtype=complex)
     pairs = as_pairs(m[:, 0])
-    bad = ~(np.abs(unimodular_matrices(pairs) - m).max(axis=(1, 2)) <= SPECIAL_UNITARY_TOL)
-    if bad.any():
-        raise RowError(int(np.argmax(bad)), "matrix is not special-unitary (det must be 1)")
+    near = np.abs(unimodular_matrices(pairs) - m).max(axis=(1, 2)) <= SPECIAL_UNITARY_TOL
+    _require_rows(near, lambda n: "matrix is not special-unitary (det must be 1)")
     return pairs
 
 
@@ -360,24 +359,17 @@ def classify_operator(u: Unimodular, axis=Z_AXIS) -> OperatorClass:
 
 def q_matrices(alphas, xis) -> np.ndarray:
     """e^{i alpha}|xi><xi| + e^{-i alpha}(1 - |xi><xi|) for each row of an
-    (N,) stack of angles and an (N, 2) stack of normalized states, as (N, 2)
-    pairs; refused unless there are as many angles as states, and refused,
-    naming the row, unless each alpha is finite, each xi finite, each xi a
-    normalized qubit state and each matrix special-unitary, each test in
-    turn on every row."""
+    (N,) stack of angles and an (N, 2) stack of states given normalized, as
+    (N, 2) pairs. Each test in turn, on every row, refuses the first row that
+    fails it: xi is one qubit's; as many angles as states (no row named);
+    alpha is finite; xi is finite and normalized; the matrix is special-unitary."""
     alphas = np.asarray(alphas, dtype=float)
-    xis = np.asarray(xis, dtype=complex)
-    if xis.ndim != 2 or xis.shape[1] != 2:
-        raise RowError(0, "xi must be a single-qubit state")
+    xis, check = _qubit_rows(xis, "xi")
+    _require_rows(*check)
     if alphas.shape != (len(xis),):
         raise ValueError(f"{alphas.size} angles and {len(xis)} states do not match")
     require_finite_rows("alpha", alphas)
-    require_finite_rows("xi", xis)
-    norms = np.array(_row_hypots(xis))
-    bad = ~(np.abs(norms - 1.0) <= STATE_NORM_TOL)
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise RowError(n, f"xi is not normalized (norm {float(norms[n])!r})")
+    _given_unit("xi", xis)
     proj = xis[:, :, None] * xis[:, None, :].conj()
     phase = np.exp(1j * alphas)[:, None, None]
     return pairs_from_matrices(phase * proj + phase.conj() * (identity2 - proj))
@@ -601,16 +593,18 @@ class OrthogonalPair:
 
 def orthogonal_pairs(u1, u2) -> tuple[OrthogonalPair, np.ndarray]:
     """The orthogonal input pair of each row U1 of ``u1`` and U2 of ``u2``,
-    two (N, 2) stacks of (a, b) pairs: with U2^dag U1 = e^{+/- i lam} on
-    |lam+/->, psi = (|lam+> + |lam->)/sqrt(2) and psi_perp = (|lam+> -
-    |lam->)/sqrt(2). Returns one ``OrthogonalPair`` whose fields are stacks
-    (``lam`` of shape (N,), the states (N, 2)), and |sin lam| of each row.
-    Rows where that is below DEGENERACY_TOL hold no pair: U2 is U1 up to
-    phase there, and the images are orthogonal instead. For the axis n of
-    U2^dag U1 (z where degenerate), |lam-> is (1 + nz, nx + i ny) where
-    nz >= 0, else (nx - i ny, 1 - nz), over sqrt(2(1 + |nz|)); |lam+> is
-    its ``orthogonal_state``."""
+    two (N, 2) stacks of (a, b) pairs, refused unless equally long: with
+    U2^dag U1 = e^{+/- i lam} on |lam+/->, psi = (|lam+> + |lam->)/sqrt(2)
+    and psi_perp = (|lam+> - |lam->)/sqrt(2). Returns one ``OrthogonalPair``
+    whose fields are stacks (``lam`` of shape (N,), the states (N, 2)), and
+    |sin lam| of each row. Rows where that is below DEGENERACY_TOL hold no
+    pair: U2 is U1 up to phase there, and the images are orthogonal instead.
+    For the axis n of U2^dag U1 (z where degenerate), |lam-> is
+    (1 + nz, nx + i ny) where nz >= 0, else (nx - i ny, 1 - nz), over
+    sqrt(2(1 + |nz|)); |lam+> is its ``orthogonal_state``."""
     u1, u2 = as_pairs(u1), as_pairs(u2)
+    if len(u1) != len(u2):
+        raise ValueError(f"{len(u1)} rotations U1 and {len(u2)} rotations U2 do not match")
     # U2^dag U1 as a pair, and its Pauli decomposition p0*1 - i*pvec.sigma
     a, b = products(daggers(u2), u1).T
     pvec = np.stack([-b.imag, -b.real, -a.imag], axis=-1)

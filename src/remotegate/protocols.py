@@ -39,14 +39,12 @@ from .gates import (
     controlled,
     controlled_phase,
     identity2,
-    not_finite,
     require_finite,
     require_natural,
     sigma_x,
     sigma_y,
     sigma_z,
     single_row,
-    unit_rows,
 )
 from .operators import (
     ANTICOMMUTING,
@@ -71,6 +69,7 @@ from .statevector import (
     _split,
     _squared_norms,
     _state,
+    _unit_qubits,
     apply_gate,
     basis_state,
     bell_phi_plus,
@@ -81,7 +80,7 @@ from .statevector import (
     sample_index,
     tensor,
 )
-from .tolerances import CLASS_TOL, NORM_TOL, PROB_TOL, SUCCESS_TOL, UNIMODULAR_TOL
+from .tolerances import CLASS_TOL, PROB_TOL, SUCCESS_TOL, UNIMODULAR_TOL
 
 #: Pauli fix-up on the receiving qubit, keyed by Bell outcome.
 BELL_CORRECTIONS = {
@@ -178,22 +177,6 @@ def _refuse(messages):
         raise RowError(row, messages[row])
 
 
-def _state_rows(psis) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's states as an (N, 2) stack, and which rows are one qubit's."""
-    if not isinstance(psis, np.ndarray):
-        psis = [p.amplitudes if isinstance(p, StateVector) else p for p in psis]
-    try:
-        stack = np.asarray(psis, dtype=complex)
-    except ValueError:  # rows of several lengths
-        stack = None
-    if stack is not None and stack.ndim >= 1 and stack.size == 2 * len(stack):
-        return stack.reshape(len(stack), 2), np.ones(len(stack), dtype=bool)
-    rows = [np.asarray(p, dtype=complex).reshape(-1) for p in psis]
-    one_qubit = np.array([row.shape == (2,) for row in rows], dtype=bool)
-    stack = np.array([row if ok else np.zeros(2) for row, ok in zip(rows, one_qubit)])
-    return stack.reshape(-1, 2), one_qubit
-
-
 def _class_checks(rows: _Rows, given, codes, precondition) -> list:
     """The checks on a row's class, in ``_messages``' form and in order: a
     promise names a class (``given[n]`` is row n's as given, ``codes[n]``
@@ -224,35 +207,31 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     The checks on a row's values come first, in order: the rotation is
     finite and unimodular (``operators._pair_rows``' residual test, which a
     stack of ``Unimodular`` only skips on its construction proof); psi is one
-    qubit's, finite and nonzero (and is normalised). ``_class_checks``
-    follow, in the same pass over every row. Stacks whose shapes do not fit
-    are refused."""
+    qubit's, finite and nonzero (``statevector._unit_qubits``, which
+    normalises it). ``_class_checks`` follow, in the same pass over every
+    row. Stacks whose shapes do not fit are refused."""
     pairs, residuals = _pair_rows(us)
-    psi, one_qubit = _state_rows(psis)
+    unit, psi_check = _unit_qubits(psis)
     n_row = len(pairs)
     if promise is None or isinstance(promise, str):
         given, codes = [promise] * n_row, [_promise_code(promise)] * n_row
     else:
         given = promise.tolist() if isinstance(promise, np.ndarray) else list(promise)
         codes = list(map(_promise_code, given))
-    if not n_row == len(psi) == len(given):
-        raise ValueError(f"{n_row} rotations, {len(psi)} states and {len(given)} promises do not match")
+    if not n_row == len(unit) == len(given):
+        raise ValueError(f"{n_row} rotations, {len(unit)} states and {len(given)} promises do not match")
     if not n_row:
         raise ValueError("a batch needs at least one configuration")
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
-    unit, nonzero = unit_rows(psi, NORM_TOL)
     rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp), pairs=pairs)
-    # ``nonzero`` is also False where psi is not one qubit's (a zero row) or not finite
-    psi_check = (nonzero, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if one_qubit[n]
-                 else "psi must be a single-qubit state")
     if residuals is None:
         return rows, _messages([psi_check, *_class_checks(rows, given, codes, precondition)], n_row)
     with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite fails a value check first,
         # so its class norms, taken quietly here, are never read
         checks = _class_checks(rows, given, codes, precondition)
         # one reduction per check decides for the whole stack
-        if not (residuals.max() <= UNIMODULAR_TOL and nonzero.all()):
+        if not (residuals.max() <= UNIMODULAR_TOL and psi_check[0].all()):
             checks[:0] = [
                 (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
                 psi_check,

@@ -34,8 +34,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import Gate, require_natural, unit_vector
-from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL
+from .gates import Gate, _require_rows, _row_hypots, not_finite, require_finite_rows, require_natural, unit_rows, unit_vector
+from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL, STATE_NORM_TOL
 
 PARTIES = ("alice", "bob")
 
@@ -109,6 +109,49 @@ class StateVector:
     def __repr__(self):
         reg = ",".join(str(q) for q in self.register)
         return f"StateVector([{reg}], dim={len(self.amplitudes)})"
+
+
+# ---------------------------------------------------------------------------
+# a single-qubit state on entry (README, Conventions)
+
+
+def _amplitudes(values) -> np.ndarray:
+    """``values`` as a complex array, or an empty one for rows of several lengths."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except ValueError:
+        return np.empty(0, dtype=complex)
+
+
+def _qubit_rows(states, name: str) -> tuple[np.ndarray, tuple]:
+    """An (N, 2) array or a sequence of amplitude pairs and one-qubit ``StateVector``s as an
+    (N, 2) stack, and the check (rows that pass, message for row n) that a row is two amplitudes."""
+    if not isinstance(states, np.ndarray):
+        states = [s.amplitudes if isinstance(s, StateVector) else s for s in states]
+    stack = _amplitudes(states)
+    fits = np.ones(len(stack), dtype=bool)
+    if stack.shape[1:] != (2,):  # read row by row; a row that is not two amplitudes reads as zeros
+        rows = list(map(_amplitudes, states))
+        fits = np.array([row.shape == (2,) for row in rows], dtype=bool)
+        stack = np.array([row if ok else (0, 0) for row, ok in zip(rows, fits)], dtype=complex).reshape(-1, 2)
+    return stack, (fits, lambda n: f"{name} must be a single-qubit state")
+
+
+def _unit_qubits(states) -> tuple[np.ndarray, tuple]:
+    """States normalized on entry: ``_qubit_rows``' stack by ``unit_rows`` at
+    ``NORM_TOL``, and the check that a row is one qubit's, finite and nonzero."""
+    psi, (fits, misfit) = _qubit_rows(states, "psi")
+    unit, ok = unit_rows(psi, NORM_TOL)  # a row read as zeros fails
+    return unit, (ok, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if fits[n] else misfit(n))
+
+
+def _given_unit(name: str, states: np.ndarray) -> None:
+    """Refuse the first row of an (N, 2) stack given normalized that is not finite,
+    then the first whose ``_row_hypots`` norm is off 1 by more than ``STATE_NORM_TOL``."""
+    require_finite_rows(name, states)
+    norms = _row_hypots(states)
+    off = np.abs(np.array(norms) - 1.0)
+    _require_rows(off <= STATE_NORM_TOL, lambda n: f"{name} is not normalized (norm {norms[n]!r})")
 
 
 @dataclass(frozen=True, eq=False)

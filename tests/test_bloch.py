@@ -16,8 +16,9 @@ from remotegate import (
     verify_restoration,
 )
 from remotegate import bloch, operators
-from remotegate.gates import PAULIS, dot_norms, identity2, matmul2, pauli_dot, pauli_vectors, sigma_z
+from remotegate.gates import PAULIS, RowError, dot_norms, identity2, matmul2, pauli_dot, pauli_vectors, sigma_z
 from remotegate.bloch import bloch_vectors, densities_from_bloch, pure_densities, verify_restorations
+from remotegate.protocols import admissible, run_batch
 from remotegate.tolerances import DENSITY_TOL, RESTORE_TOL
 
 HADAMARD_LIKE = Unimodular(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -218,6 +219,56 @@ def test_pure_density_of_huge_state():
 def test_pure_density_names_a_bad_psi(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+#: Bob's states as a batch, with its first bad row and the message each
+#: admission of a single-qubit state gives it, or (None, None) where every
+#: row is admitted
+BAD_STATES = {
+    "ragged": ([[1, 0], [1, 0, 0]], 1, "psi must be a single-qubit state"),
+    "three_amplitudes": ([[1, 0, 0], [0, 1, 0]], 0, "psi must be a single-qubit state"),
+    "one_amplitude": ([[1], [0]], 0, "psi must be a single-qubit state"),
+    "nested_row": ([[1, 0], [[0, 1]]], 1, "psi must be a single-qubit state"),
+    "nested_stack": ([[[1, 0]], [[0, 1]]], 0, "psi must be a single-qubit state"),
+    "ragged_row": ([[1, 0], [[1], [0, 0]]], 1, "psi must be a single-qubit state"),
+    "nan": ([[1, 0], [np.nan, 0]], 1, "psi[0] is not finite: nan"),
+    "inf": ([[0, np.inf]], 0, "psi[1] is not finite: inf"),
+    "minus_inf": ([[1, 0], [1, 0], [-np.inf, 1]], 2, "psi[0] is not finite: -inf"),
+    "zero": ([[1, 0], [0, 0]], 1, "psi must be nonzero"),
+    "huge": ([[1e200, 0], [0, 1]], None, None),
+}
+MISSHAPEN = [case for case, (_, _, message) in BAD_STATES.items() if message == "psi must be a single-qubit state"]
+
+
+@pytest.mark.parametrize("case", BAD_STATES)
+def test_every_admission_of_bobs_states_names_the_same_row_alike(case):
+    """``admissible``'s first message is the ``RowError`` of ``run_batch``,
+    ``pure_densities`` and ``verify_restorations``, row and words, on each
+    bad batch; a row of norm 1e200 is admitted by all four."""
+    psis, row, message = BAD_STATES[case]
+    us = [rz(0.3)] * len(psis)
+    messages = admissible("bqst", us, psis)
+    assert next((n for n, m in enumerate(messages) if m), None) == row
+    calls = (lambda: run_batch("bqst", us, psis), lambda: pure_densities(psis), lambda: verify_restorations(us, psis))
+    for call in calls:
+        if row is None:
+            call()
+            continue
+        with pytest.raises(RowError) as refused:
+            call()
+        assert (refused.value.row, refused.value.message) == (row, messages[row]) == (row, message)
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_a_misshapen_state_is_named_as_not_one_qubits_by_the_given_normalized_admission(case):
+    """``q_matrices`` names a row that is not two amplitudes as its xi, and
+    ``mirror_state`` refuses that row alone as its psi, ragged or nested."""
+    psis, row, _ = BAD_STATES[case]
+    with pytest.raises(RowError) as refused:
+        operators.q_matrices([0.1] * len(psis), psis)
+    assert (refused.value.row, refused.value.message) == (row, "xi must be a single-qubit state")
+    with pytest.raises(ValueError, match=r"^psi must be a single-qubit state$"):
+        mirror_state(psis[row])
 
 
 class TestMirrorState:

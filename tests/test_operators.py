@@ -1108,6 +1108,14 @@ class TestOrthogonalPair:
         assert np.array_equal(relative, np.stack([a, b], axis=-1))
         assert np.array_equal(s, np.linalg.norm(np.stack([-b.imag, -b.real, -a.imag], axis=-1), axis=-1))
 
+    @pytest.mark.parametrize("n1, n2", [(1, 3), (2, 3)], ids=["one_row_against_three", "two_rows_against_three"])
+    def test_stacks_of_unequal_length_are_refused(self, n1, n2):
+        """One row of U1 is not spread over three of U2, and two against
+        three are refused in the package's words, not numpy's."""
+        u = operators.random_unimodulars(np.random.default_rng(45), n1 + n2)
+        with pytest.raises(ValueError, match=rf"^{n1} rotations U1 and {n2} rotations U2 do not match$"):
+            operators.orthogonal_pairs(u[:n1], u[n1:])
+
     def test_degenerate_pair_rejected(self):
         """U2 = U1 holds no pair: its |sin lam| is below DEGENERACY_TOL."""
         u = operators.random_unimodulars(np.random.default_rng(14), 1)

@@ -92,3 +92,19 @@ def test_every_public_name_has_a_caller_outside_tests():
         if not {unit for unit in readers.get(name, set()) if unit[: len(where)] != where}
     )
     assert not unread, f"public names that only tests read: {unread}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name a module of ``src/remotegate`` binds by an import is read
+    as a name in that module, so a moved check leaves no import behind.
+    ``__init__.py`` only re-exports, and ``from __future__`` binds nothing."""
+    unread = []
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert not unread, f"imported names that are never read: {unread}"
