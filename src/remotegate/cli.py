@@ -23,11 +23,22 @@ or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process: argparse keeps no per-call state on a parser, and
 writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
-call time. The top-level pass only picks the subcommand, so ``main`` parses
-a known subcommand's arguments with that subcommand's parser, built with the
-top-level one, and takes the top-level parse only for no arguments, an
-unknown command or arguments the subcommand leaves over; every namespace,
-usage text, help, error line and exit code is the top-level parse's.
+call time. The top-level pass only picks the subcommand. A known
+subcommand's arguments are first read straight from the actions its
+parser's ``add_argument`` returned, through their public attributes: each
+long option given once, exactly, its value the next token or after ``=``,
+converted by its ``type``, checked against its ``choices``, every absent
+option at its default and every required one present. That reader gives
+the namespace argparse would, and declines every other form: help flags,
+``--``, abbreviations, repeated options, unknown tokens, a missing value, a
+"-"-led one other than "-", a ``type`` or ``choices`` failure, positionals,
+and a string default that ``type`` converts. The reader is there for speed:
+argparse's generic loop was about a quarter of a ``run`` request's time. It
+words nothing, so argparse stays the one producer of usage text, help and
+error lines: a declined request goes to the subcommand's parser, and to the
+top-level parse only for no arguments, an unknown command or arguments the
+subcommand leaves over. Every namespace, usage text, help, error line and
+exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
@@ -183,14 +194,45 @@ def _parse_axis(text: str) -> np.ndarray:
     return axis
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser that keeps, as ``add_argument`` returns them,
+    the options ``_read_plain`` reads: each plain store of one value, by its
+    long option strings in ``options`` and in order in ``stores``. ``plain``
+    turns False once an argument is added that would put a value in the
+    namespace the reader cannot give: a positional, a flag, a store that
+    takes other than one value, a string default that ``type`` converts,
+    or a suppressed default."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        self.stores: list[argparse.Action] = []
+        self.plain = True
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if (
+            kwargs.get("action") in (None, "store")
+            and action.option_strings
+            and action.nargs is None
+            and not (action.type is not None and isinstance(action.default, str))
+            and action.default is not argparse.SUPPRESS
+        ):
+            self.options.update((s, action) for s in action.option_strings if s.startswith("--"))
+            self.stores.append(action)
+        elif action.default is not argparse.SUPPRESS or action.required:
+            self.plain = False
+        return action
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     """A fresh top-level parser, and the parser of each of its subcommands by name."""
     parser = argparse.ArgumentParser(
         prog="remotegate",
         description="Simulate remote implementation of single-qubit rotations "
         "over shared entanglement and classical messages.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="run a protocol on an operator and a state")
     run.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
@@ -223,24 +265,69 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     """The parsers ``main`` uses, built together on first use."""
     return _build_parsers()
 
 
+def _read_plain(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_known_args(tokens)``'s namespace when ``tokens`` are
+    ``parser``'s own long options, each given once, exactly, with its value
+    as the next token or after "=", every value passing the option's
+    ``type`` and ``choices``, and every required option given; None for any
+    other form, which argparse reads. A next token that starts with "-" is
+    left to argparse, which may read it as an option, except "-" itself,
+    which it always reads as a value (the "-" state spec). A "--" value is
+    left to it too: Python 3.10-3.12 read ``--u=--`` as ``u=[]``, 3.13 as
+    ``u="--"``."""
+    if not parser.plain:
+        return None
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        action = parser.options.get(option)
+        if action is None or action.dest in given:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                return None
+        if value == "--":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse words as an error
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    values = {}
+    for action in parser.stores:
+        if action.required and action.dest not in given:
+            return None
+        values[action.dest] = given.get(action.dest, action.default)
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``_parsers()[0].parse_args(argv)``, with a known subcommand's arguments
-    parsed by that subcommand's parser alone. The top-level pass only picks
-    the subcommand, so its parse is taken only where it can differ: no
-    arguments, an unknown command, or arguments the subcommand leaves over,
-    which only the top-level parser reports. A help flag after a known
-    command reaches the same subparser either way."""
+    read by ``_read_plain``, or failing that parsed by that subcommand's
+    parser alone. The top-level pass only picks the subcommand, so its parse
+    is taken only where it can differ: no arguments, an unknown command, or
+    arguments the subcommand leaves over, which only the top-level parser
+    reports. A help flag after a known command reaches the same subparser
+    either way."""
     subparser = _parsers()[1].get(argv[0]) if argv else None
     if subparser is not None:
-        args, extra = subparser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
+        args = _read_plain(subparser, argv[1:])
+        if args is None:
+            args, extra = subparser.parse_known_args(argv[1:])
+            if extra:
+                return _parsers()[0].parse_args(argv)
+        args.command = argv[0]
+        return args
     return _parsers()[0].parse_args(argv)
 
 
@@ -315,7 +402,7 @@ def _cmd_classify(args) -> int:
 def _cmd_axis(args) -> int:
     with open(args.set_file) as fh:
         specs = [line.strip() for line in fh]
-    found = find_common_axis(parse_operators([s for s in specs if s and not s.startswith("#")]))
+    found = find_common_axis(parse_operators([s for s in specs if s and not s.startswith("#")]), admitted=True)
     if found is None:
         print("none")
     else:

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import remotegate
-from remotegate import cli, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
+from remotegate import cli, operators, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import main, parse_operator, parse_state, render_operator
 
 
@@ -59,6 +60,18 @@ class TestSharedParser:
             ["run", "--protocol", "bqst"],
             ["classify", "--u", "sz", "--ax=0,0,1"],
             [],
+            # edge forms: an abbreviation, a repeat, an empty value, "--", help,
+            # a "-" state, "-"-led and bad seeds and a choices miss
+            ["run", "--prot", "bqst", "--u", "sz", "--psi", "+"],
+            ["classify", "--u", "sx", "--u", "sz"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "--out="],
+            ["run", "--protocol", "bqst", "--u", "sz", "--", "--psi", "+"],
+            ["run", "--protocol", "bqst", "-h"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "-"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "--mode", "sampled", "--seed", "-5"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "--mode", "sampled", "--seed=abc"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "--mode", "sampled", "--seed=-1"],
+            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "--mode", "fast"],
         ]
 
     def test_no_parser_is_built_after_the_first_call(self, tmp_path, capsys, monkeypatch):
@@ -88,7 +101,7 @@ class TestSharedParser:
         shared = results()
         monkeypatch.setattr(cli, "_parsers", cli._build_parsers)
         fresh = results()
-        assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1]
+        assert [r[0] for r in shared] == [0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1]
         assert shared == fresh
 
     def test_a_subcommand_parse_is_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
@@ -127,6 +140,116 @@ class TestSharedParser:
             captured = capsys.readouterr()
             assert captured.out.startswith("usage: remotegate")
             assert captured.err == ""
+
+
+SAMPLED_PATHS = json.loads((Path(__file__).parent / "data" / "sampled_paths.json").read_text())
+
+#: values drawn for any option: specs, choices and integers, valid for some
+#: options and not for others, and forms argparse reads in its own way
+READER_VALUES = [
+    "sz", "rz:0.3", "rot:1,0,0,0.7", "mat:0.6,0.8,0,0", "nope", "+", "amp:0.6,0,0,0.8",
+    "0,0,1", "-0.6,0,0.8", "5", "0", "-5", "abc", "4.5", " 7", "out.txt", "bqst", "bogus",
+    "-", "--", "-h", "", "-1", "a b", "=",
+]
+
+
+def _option_values(action) -> list[str]:
+    """Values an option takes, and some it refuses or argparse reads in its own way."""
+    if action.choices:
+        return [*map(str, action.choices), "bogus", "--"]
+    if action.type is int:
+        return ["5", "0", " 7", "abc", "-1", "--"]
+    return ["sz", "+", "rot:1,0,0,0.7", "-0.6,0,0.8", "-", "a b", "", "--", "-h"]
+
+
+@st.composite
+def _reader_argvs(draw, parser):
+    """A subcommand's arguments as chunks in a drawn order: often every
+    required option, then options with one of their values, and option strings,
+    their abbreviations and help flags alone, with any value token or with
+    an ``=`` value, or a value alone."""
+    options = sorted(parser.options)
+    forms = options + [o[:k] for o in options for k in range(3, len(o))] + ["-h", "--help"]
+    values = READER_VALUES + sorted({v for a in parser.stores for v in _option_values(a)})
+
+    def option(action):
+        form, value = draw(st.sampled_from(action.option_strings)), draw(st.sampled_from(_option_values(action)))
+        return draw(st.sampled_from([[form, value], [f"{form}={value}"]]))
+
+    chunks = [option(a) for a in parser.stores if a.required] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 4))):
+        if parser.stores and draw(st.integers(0, 2)):
+            chunks.append(option(draw(st.sampled_from(parser.stores))))
+        else:
+            form, value = draw(st.sampled_from(forms)), draw(st.sampled_from(values))
+            chunks.append(draw(st.sampled_from([[form, value], [f"{form}={value}"], [form], [value]])))
+    return [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+@pytest.mark.parametrize("name", sorted(cli._build_parsers()[1]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_plain_reader_gives_argparses_namespace_or_declines(name, data):
+    """``_read_plain`` gives no namespace that a subcommand's parser would
+    not: where argparse exits, with its output captured, or leaves
+    arguments over, the reader returns None."""
+    parser = cli._parsers()[1][name]
+    tokens = data.draw(_reader_argvs(parser))
+    got = cli._read_plain(parser, tokens)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = parser.parse_known_args(tokens)
+        except SystemExit:
+            want = None
+    if got is not None:
+        assert want is not None and want[1] == []
+        assert vars(got) == vars(want[0])
+
+
+class TestPlainReader:
+    """``_read_plain`` reads a well-formed request without argparse's loop."""
+
+    def test_well_formed_requests_never_reach_argparse(self, tmp_path, capsys, monkeypatch):
+        """With every parser's parse made to raise, the pinned sampled runs
+        give their recorded records, and the other requests the output they
+        give through the top-level parse (verify's seconds aside)."""
+        spec = tmp_path / "ops.txt"
+        spec.write_text("# z turns and an x half-turn\nrz:0.3\nrot:0,0,1,0.7\nrot:1,0,0,3.141592653589793\n")
+        requests = [
+            ["classify", "--u", "rot:0.6,0,0.8,3.141592653589793", "--axis", "-0.6,0,0.8"],
+            ["axis", "--set", str(spec)],
+            ["ramsey", "--steps", "4"],
+            ["verify", "--seed", "1"],
+        ]
+
+        def results():
+            out = []
+            for argv in requests:
+                code = main(argv)
+                out.append((code, *(re.sub(r"\(\d+\.\d+ s\)", "", text) for text in capsys.readouterr())))
+            return out
+
+        top, subparsers = cli._parsers()
+        with monkeypatch.context() as undo:
+            undo.setattr(cli, "_parsers", lambda: (top, {}))
+            recorded = results()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"argparse parsed {args}")
+
+        monkeypatch.setattr(top, "parse_args", refuse)
+        for subparser in subparsers.values():
+            monkeypatch.setattr(subparser, "parse_known_args", refuse)
+        assert results() == recorded
+        assert [r[0] for r in recorded] == [0, 0, 0, 0]
+        out = tmp_path / "out.txt"
+        for case in SAMPLED_PATHS:
+            assert main(case["argv"] + ["--out", str(out)]) == 0
+            got, want = json.loads(out.read_text().splitlines()[1]), case["record"]
+            for key in ("protocol", "branch_id", "measurement_record", "ledger", "succeeded"):
+                assert got[key] == want[key], key
+            for key in ("probability", "fidelity"):
+                assert abs(got[key] - want[key]) <= 1e-12, key
 
 
 class TestParseOperator:
@@ -267,6 +390,28 @@ class TestParseOperators:
             found = remotegate.find_common_axis([parse_operator(spec) for spec in specs])
             want = "none" if found is None else ",".join(repr(float(c)) for c in found)
             assert capsys.readouterr().out == want + "\n"
+
+    def test_an_axis_request_tests_residuals_only_inside_from_axis_angles(self, tmp_path, capsys, monkeypatch):
+        """``parse_operators`` admits each row once, so the search takes the
+        stack without ``as_pairs``' second residual test; an empty set is
+        still refused."""
+        callers = []
+        residuals = operators.unimodular_residuals
+
+        def spy(pairs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return residuals(pairs)
+
+        monkeypatch.setattr(operators, "unimodular_residuals", spy)
+        path = tmp_path / "ops.txt"
+        path.write_text("rot:0,0,1,0.7\nrz:1.3\nmat:0.6,0.8,0,0\nsx\nrot:1,1,0,3.141592653589793\n")
+        assert main(["axis", "--set", str(path)]) == 0
+        assert capsys.readouterr().out == "0.0,0.0,1.0\n"
+        assert callers == ["from_axis_angles"]
+        path.write_text("# no operators\n\n")
+        assert main(["axis", "--set", str(path)]) == 1
+        assert capsys.readouterr().err == "error: empty operator set\n"
+        assert callers == ["from_axis_angles"]
 
 
 def _parses(spec) -> bool:

@@ -108,3 +108,24 @@ def test_no_module_imports_a_name_it_never_reads():
                 bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert not unread, f"imported names that are never read: {unread}"
+
+
+def test_the_cli_reads_no_private_name():
+    """``cli.py`` reads argparse, and everything else, through public names
+    only: no ``argparse._*`` import or attribute, no ``._actions``,
+    ``._option_string_actions`` or ``._registries``, and no private name
+    given to ``getattr``. Private names change between Python versions, and
+    the package runs on any Python from 3.10 on."""
+    path = PACKAGE / "cli.py"
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("getattr", "hasattr"):
+            names = [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)]
+        else:
+            continue
+        private += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_") and not name.endswith("__")]
+    assert not private, f"private names read: {private}"
