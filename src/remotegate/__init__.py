@@ -9,6 +9,7 @@ the geometric picture behind the final correction step.
 """
 
 from .bloch import BlochVector, bloch_vector, density_from_bloch, mirror_state, pure_density, verify_restoration
+from .circuits import ResourceLedger
 from .gates import CNOT, Gate, H, X, Z, controlled, controlled_phase, hadamard_matrix, identity2, pauli_dot, sigma_x, sigma_y, sigma_z
 from .operators import (
     ANTICOMMUTING,
@@ -35,7 +36,6 @@ from .protocols import (
     BatchOutcome,
     ProtocolConfig,
     ProtocolOutcome,
-    ResourceLedger,
     admissible,
     demo_cnot_reverse,
     demo_cp_capacity,

@@ -318,7 +318,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     is taken only where it can differ: no arguments, an unknown command, or
     arguments the subcommand leaves over, which only the top-level parser
     reports. A help flag after a known command reaches the same subparser
-    either way."""
+    either way. A one-value store that argparse reads as a list (``--u=--``
+    on Python 3.10-3.12) is refused by the subparser's ``error``."""
     subparser = _parsers()[1].get(argv[0]) if argv else None
     if subparser is not None:
         args = _read_plain(subparser, argv[1:])
@@ -326,6 +327,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             args, extra = subparser.parse_known_args(argv[1:])
             if extra:
                 return _parsers()[0].parse_args(argv)
+            for action in subparser.stores:
+                if isinstance(getattr(args, action.dest), list):
+                    subparser.error(str(argparse.ArgumentError(action, "expected one argument")))
         args.command = argv[0]
         return args
     return _parsers()[0].parse_args(argv)

@@ -14,7 +14,7 @@ Conventions, used everywhere in this package:
   two-bit strings "00", "01", "10", "11" in that order.
 * A branch stack is an (N, 2, ..., 2) array, one state per branch and one
   axis per qubit. Its primitives (``_apply_matrix``, ``_split``,
-  ``_entropies``) are what the protocols compile with and what the
+  ``_entropies``) are what ``circuits`` compiles with and what the
   ``statevector.*`` checks run on; ``reduced_density`` and
   ``entanglement_entropy`` are their one-state case, on the state as
   ``_targets_front``, the kernels' one target resolver, orders it.
@@ -242,26 +242,6 @@ def _split(amps: np.ndarray, axes: tuple[int, ...], bras: np.ndarray) -> tuple[n
     n_branch, dim, rest = len(front), len(bras), front.shape[len(axes) + 1 :]
     coeff = bras.conj() @ front.reshape(n_branch, dim, 2 ** len(rest))
     return coeff.reshape(n_branch, dim, *rest), _squared_norms(coeff)
-
-
-def _root2_powers(e):
-    """sqrt(2)**e as exact forms read it: 2**(e // 2), times the rounded
-    sqrt(2) where e is odd."""
-    return np.ldexp(_SQRT2 ** (e % 2), e // 2)
-
-
-def _exact_form(values: np.ndarray, what) -> tuple[np.ndarray, int]:
-    """``values`` on the integer grid: Gaussian integers k, held as floats,
-    and the least e below 32 with values == k / ``_root2_powers(e)`` bit for
-    bit (H is [[1, 1], [1, -1]] over e = 1). Sums and products of such k are
-    exact while they stay below 2**53. Refuses ``values`` with no such form,
-    naming them as ``str(what)``, formatted only then."""
-    for e in range(32):
-        scale = _root2_powers(e)
-        k = np.round(values * scale)
-        if (k / scale == values).all():
-            return k, e
-    raise ValueError(f"{what} has no exact form k / sqrt(2)**e with k Gaussian integers: it cannot be played exactly")
 
 
 def _reduced_densities(amps: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

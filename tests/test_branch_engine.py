@@ -47,9 +47,9 @@ from remotegate import (
     tensor,
     tolerances,
 )
-from remotegate import gates, operators, statevector, verify
+from remotegate import circuits, gates, operators, statevector, verify
 from remotegate.gates import CNOT, Gate, H, RowError, X, Z
-from remotegate.protocols import Apply, Circuit, Measure, Slot
+from remotegate.circuits import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split, sample_index
 
 ORACLE_TOL = 1e-12
@@ -652,8 +652,8 @@ def _played(circuit, psi, u=np.eye(2)):
     (B, 2), and its outcomes, (B, measurements). A circuit whose branch
     weights depend on psi is refused by the certificate, so it is read here,
     before the compile certifies it."""
-    plan = protocols._plan(circuit)
-    amps, powers, outcomes = protocols._play(plan)
+    plan = circuits._plan(circuit)
+    amps, powers, outcomes = circuits._play(plan)
     maps = np.moveaxis(_grid_values(amps, powers), plan.readout, (1, 2, 3, 4))  # [b, R_out, R_in, R_psi, output]
     return np.einsum("bijmo,ij,m->bo", maps, u, psi), outcomes
 
@@ -719,7 +719,7 @@ def test_entangled_output_names_the_row(monkeypatch):
     circuit = Circuit(_ONE_PAIR, _DATA, (Apply(CNOT, (_DATA, _B)),), _B)
     message = r"^unmeasured qubit\(s\) alice:0, bob:1: a circuit measures every qubit but its output$"
     with pytest.raises(ValueError, match=message):
-        protocols._compile(circuit, None, "hand_built")
+        circuits._compile(circuit, None, "hand_built")
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +749,7 @@ def _hand_built(*steps, output=DATA) -> Circuit:
 )
 def test_step_across_the_cut_is_refused(step, message):
     with pytest.raises(ValueError, match=message + r" crosses the Alice\|Bob cut"):
-        protocols._plan(_hand_built(step))
+        circuits._plan(_hand_built(step))
 
 
 def _untouchable(*args):
@@ -758,7 +758,7 @@ def _untouchable(*args):
 
 def _no_amplitudes(monkeypatch):
     """Make the branch-stack primitives that every step runs through raise."""
-    for module in (statevector, protocols):
+    for module in (statevector, circuits):
         monkeypatch.setattr(module, "_apply_matrix", _untouchable)
         monkeypatch.setattr(module, "_split", _untouchable)
 
@@ -770,7 +770,7 @@ def test_circuit_that_ends_across_the_cut_is_refused_before_any_amplitude(monkey
     data = Measure((DATA,), "computational")
     circuit = _hand_built(Apply(H, (B0,)), data, Apply(X, (A0,), (data, 1)), Apply(CNOT, (A0, B1)))
     with pytest.raises(ValueError, match=r"^gate 'cnot' on \(alice:0, bob:1\) crosses the Alice\|Bob cut$"):
-        protocols._compile(circuit, None, "hand_built")
+        circuits._compile(circuit, None, "hand_built")
 
 
 _LATER = Measure((A0,), "computational")
@@ -787,7 +787,7 @@ _LATER = Measure((A0,), "computational")
 )
 def test_when_naming_no_earlier_measurement_is_refused(steps, message):
     with pytest.raises(ValueError, match=f"^{message}, which is not earlier in the circuit$"):
-        protocols._plan(_hand_built(*steps))
+        circuits._plan(_hand_built(*steps))
 
 
 _BELL_A = Measure((A0, A1), "bell")
@@ -815,7 +815,7 @@ def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(m
     primitives every step runs through raise."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        protocols._compile(_hand_built(*steps), None, "hand_built")
+        circuits._compile(_hand_built(*steps), None, "hand_built")
 
 
 def _bob_reads_his_bit():
@@ -854,13 +854,13 @@ def _bob_reads_one_bell_outcome_three_times():
     ids=["no_reads", "own_bit", "a_to_b", "b_to_a_twice", "bell_thrice"],
 )
 def test_ledger_counts_each_outcome_read_across_the_cut_once(steps, ledger):
-    assert protocols._plan(_hand_built(*steps())).ledger.as_tuple() == ledger
+    assert circuits._plan(_hand_built(*steps())).ledger.as_tuple() == ledger
 
 
 @pytest.mark.parametrize("name, promise", _COMPILED)
 def test_each_circuits_static_ledger_is_its_expected_ledger(name, promise):
     """Read from the steps alone, before any amplitude."""
-    assert protocols._plan(protocols._CIRCUITS[name, promise]).ledger.as_tuple() == verify.EXPECTED_LEDGERS[name]
+    assert circuits._plan(protocols._CIRCUITS[name, promise]).ledger.as_tuple() == verify.EXPECTED_LEDGERS[name]
 
 
 def test_measure_keeps_the_shared_contractions_children():
@@ -871,14 +871,14 @@ def test_measure_keeps_the_shared_contractions_children():
     stays |0>, so its outcome 1 is dropped on every branch."""
     steps = [Apply(H, (q,)) for q in (A1, B0, B1)] + [Apply(CNOT, (B0, DATA))]
     measures = [Measure((A0,), "computational"), Measure((B1, B0), "bell"), Measure((A1,), "computational")]
-    plan = protocols._plan(_hand_built(*steps, *measures))
+    plan = circuits._plan(_hand_built(*steps, *measures))
     assert len(plan.steps) == len(steps) + len(measures)
     for k in range(len(steps), len(plan.steps)):
-        amps, powers, _ = protocols._play(plan._replace(steps=plan.steps[:k]))
+        amps, powers, _ = circuits._play(plan._replace(steps=plan.steps[:k]))
         bras, e = plan.steps[k].basis
         children, norms = _split(amps.copy(), plan.steps[k].targets, bras)
         parents, kept = np.nonzero(norms)
-        after, after_powers, outcomes = protocols._play(plan._replace(steps=plan.steps[: k + 1]))
+        after, after_powers, outcomes = circuits._play(plan._replace(steps=plan.steps[: k + 1]))
         assert np.array_equal(after, children[parents, kept])
         assert after_powers.tolist() == (powers[parents] + e).tolist()
         assert outcomes[:, -1].tolist() == kept.tolist()
@@ -894,7 +894,7 @@ def test_when_reads_the_named_measurement():
     out, outcomes = _played(circuit, [0.6, 0.8])
     assert outcomes[:, :2].tolist() == [[0, 0], [1, 0]]
     assert np.abs(out - [[0.6, 0], [0, 0.8]]).max() <= ORACLE_TOL
-    assert protocols._plan(circuit).ledger.as_tuple() == (2, 0, 0)
+    assert circuits._plan(circuit).ledger.as_tuple() == (2, 0, 0)
 
 
 def test_a_conditional_gate_adds_its_power_only_where_it_acts():
@@ -903,7 +903,7 @@ def test_a_conditional_gate_adds_its_power_only_where_it_acts():
     circuit's output, |0> psi[0] and |+> psi[1]."""
     data = Measure((DATA,), "computational")
     circuit = _hand_built(data, Apply(H, (B0,), (data, 1)), output=B0)
-    assert protocols._play(protocols._plan(circuit))[1].tolist() == [0, 1]
+    assert circuits._play(circuits._plan(circuit))[1].tolist() == [0, 1]
     out, outcomes = _played(circuit, [0.6, 0.8])
     assert outcomes[:, 0].tolist() == [0, 1]
     assert np.abs(out - [[0.6, 0], [0.8 / np.sqrt(2), 0.8 / np.sqrt(2)]]).max() <= ORACLE_TOL
@@ -929,7 +929,7 @@ _MEASURED = Measure((DATA,), "computational")
 )
 def test_engine_refuses_targets_outside_the_register_or_repeated(steps, message):
     with pytest.raises(ValueError, match=message):
-        protocols._plan(_hand_built(*steps))
+        circuits._plan(_hand_built(*steps))
 
 
 def test_target_equal_to_a_register_qubit_resolves_to_its_axis():
@@ -939,7 +939,7 @@ def test_target_equal_to_a_register_qubit_resolves_to_its_axis():
     assert data is not DATA and bob0 is not B0
     steps = (Apply(X, (data,)), Apply(CNOT, (data, bob0)), Measure((QubitId("bob", 0),), "computational"))
     circuit = _hand_built(*steps, output=QubitId("bob", 2))
-    assert protocols._plan(circuit).labels[0] == (("bob", "computational", "0"), ("bob", "computational", "1"))
+    assert circuits._plan(circuit).labels[0] == (("bob", "computational", "0"), ("bob", "computational", "1"))
     out, outcomes = _played(circuit, [0.6, 0.8])
     assert outcomes[:, 0].tolist() == [0, 1]
     assert np.abs(out - [[0.8, 0], [0, 0.6]]).max() <= ORACLE_TOL
@@ -954,7 +954,7 @@ def test_outcome_read_across_the_cut_costs_its_qubit_count(targets, basis, bits)
     """The static pass logs each measurement's qubit count once; the
     outcome labels and the ledger's bits both follow from it."""
     m = Measure(targets, basis)
-    plan = protocols._plan(_hand_built(m, Apply(X, (DATA,), (m, 0))))
+    plan = circuits._plan(_hand_built(m, Apply(X, (DATA,), (m, 0))))
     assert [label[:2] for label in plan.labels[0]] == [("alice", basis)] * 2**bits
     assert {len(label[2]) for label in plan.labels[0]} == {bits}
     assert plan.ledger.as_tuple() == (2, bits, 0)
@@ -966,8 +966,8 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
     Bob's output qubit and the comb's three references; kept, the four
     measured qubits would make each branch 16 times as large."""
     us, psis, _ = _batch_rows("restricted221", seed=7, count=1000)
-    played, play = [], protocols._play
-    monkeypatch.setattr(protocols, "_play", lambda plan: played.append((plan, play(plan))) or played[-1][1])
+    played, play = [], circuits._play
+    monkeypatch.setattr(circuits, "_play", lambda plan: played.append((plan, play(plan))) or played[-1][1])
     protocols._instrument.cache_clear()
     tracemalloc.start()
     try:
@@ -1003,9 +1003,9 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     once."""
     compiled, played = Counter(), []
     names = {id(circuit): key for key, circuit in protocols._CIRCUITS.items()}
-    plan, play = protocols._plan, protocols._play
-    monkeypatch.setattr(protocols, "_plan", lambda circuit: compiled.update([names[id(circuit)]]) or plan(circuit))
-    monkeypatch.setattr(protocols, "_play", lambda p: played.append(p) or play(p))
+    plan, play = circuits._plan, circuits._play
+    monkeypatch.setattr(circuits, "_plan", lambda circuit: compiled.update([names[id(circuit)]]) or plan(circuit))
+    monkeypatch.setattr(circuits, "_play", lambda p: played.append(p) or play(p))
     protocols._instrument.cache_clear()
     rng = np.random.default_rng(3)
     for k in range(100):
@@ -1025,7 +1025,7 @@ def test_compile_of_a_table_circuit_is_its_cached_instrument(key):
     neither reads nor fills that cache."""
     cached = protocols._instrument(*key)
     info = protocols._instrument.cache_info()
-    compiled = protocols._compile(protocols._CIRCUITS[key], key[1], "table")
+    compiled = circuits._compile(protocols._CIRCUITS[key], key[1], "table")
     assert protocols._instrument.cache_info() == info
     assert compiled.tensor.shape == cached.tensor.shape and not compiled.tensor.flags.writeable
     assert compiled.tensor.tobytes() == cached.tensor.tobytes()
@@ -1067,7 +1067,7 @@ def test_one11s_anticommuting_circuit_is_the_circuit_with_bobs_sx_and_sz_sx_fix_
     steps = (*protocols._ONE11, Apply(X, (bob,), (alice, 0)), Apply(_ZX, (bob,), (alice, 1)))
     by_outcome = protocols._CIRCUITS[key]._replace(steps=steps)
     anticommuting, summed = protocols._instrument(*key), protocols._instrument("one11", None)
-    _assert_same_instrument(protocols._compile(by_outcome, ANTICOMMUTING, "one11 (anticommuting)"), anticommuting)
+    _assert_same_instrument(circuits._compile(by_outcome, ANTICOMMUTING, "one11 (anticommuting)"), anticommuting)
     monkeypatch.setitem(protocols._CIRCUITS, key, by_outcome)
     protocols._instrument.cache_clear()
     try:
@@ -1104,7 +1104,7 @@ def test_branch_negligible_in_one_row_is_refused():
     circuit = Circuit(_ONE_PAIR, _DATA, (Measure((_DATA,), "computational"), Slot(_A), Measure((_A,), "computational")), _B)
     message = r"^hand_built branch 0/0 does not map the black box U as c V U W with V and W Paulis \(off by 1\.000e\+00\)$"
     with pytest.raises(InvariantViolation, match=message):
-        protocols._compile(circuit, None, "hand_built")
+        circuits._compile(circuit, None, "hand_built")
 
 
 def _scaled(gate, factor):
@@ -1130,7 +1130,7 @@ def test_step_that_is_not_unitary_is_refused_at_compile(monkeypatch):
     assert sum(isinstance(step, Apply) and step.gate.name == "h" for step in steps) == 1
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=_no_exact_form(r"gate 'h' on \(bob:0\)")):
-        protocols._compile(circuit._replace(steps=steps), None, "hand_built")
+        circuits._compile(circuit._replace(steps=steps), None, "hand_built")
 
 
 def test_step_scaled_on_the_grid_is_refused_by_the_weight_sum():
@@ -1146,7 +1146,7 @@ def test_step_scaled_on_the_grid_is_refused_by_the_weight_sum():
     circuit = circuit._replace(steps=tuple(steps))
     message = r"^hand_built branch weights sum to 2\.5, expected 1\.0: a step was not unitary$"
     with pytest.raises(InvariantViolation, match=message):
-        protocols._compile(circuit, None, "hand_built")
+        circuits._compile(circuit, None, "hand_built")
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-10])
@@ -1161,11 +1161,11 @@ def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
     shifted = fixup._replace(gate=Gate(Z.matrix @ np.diag([1, np.exp(1j * eps)]), "z_eps"))
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=_no_exact_form(r"gate 'z_eps' on \(bob:1\)")):
-        protocols._compile(circuit._replace(steps=(*steps, shifted)), None, "hand_built")
+        circuits._compile(circuit._replace(steps=(*steps, shifted)), None, "hand_built")
     monkeypatch.undo()
     # the mutant was compiled by value: the table's circuit still compiles
     assert protocols._CIRCUITS["restricted221", None] is circuit
-    protocols._compile(circuit, None, "restricted221")
+    circuits._compile(circuit, None, "restricted221")
 
 
 @pytest.mark.parametrize(
@@ -1183,7 +1183,7 @@ def test_a_step_with_no_exact_form_is_refused_before_any_amplitude(monkeypatch, 
     touched."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=_no_exact_form(step)):
-        protocols._compile(circuit, None, "hand_built")
+        circuits._compile(circuit, None, "hand_built")
 
 
 def test_branch_of_weight_zero_on_its_class_is_refused():
@@ -1200,7 +1200,7 @@ def test_branch_of_weight_zero_on_its_class_is_refused():
              parity, Apply(H, (A0,)), alice, Apply(Z, (B0,), (alice, 1)), Measure((B1,), "computational"))
     circuit = Circuit(StateVector(np.kron([1, 0, 0, 1], [1, 0, 0, 0]), (A0, B0, A1, B1)), DATA, steps, B0)
     with pytest.raises(InvariantViolation, match=r"^hand_built branch 0/1/0/0 has weight 0 on its class$"):
-        protocols._compile(circuit, COMMUTING, "hand_built")
+        circuits._compile(circuit, COMMUTING, "hand_built")
 
 
 # ---------------------------------------------------------------------------
@@ -1242,10 +1242,10 @@ def _played_tensor(protocol, promise):
     zero, one11's classes summed."""
     if promise is None and protocol == "one11":
         return _played_tensor(protocol, COMMUTING) + _played_tensor(protocol, ANTICOMMUTING)
-    plan = protocols._plan(protocols._CIRCUITS[protocol, promise])
-    amps, powers, _ = protocols._play(plan)
+    plan = circuits._plan(protocols._CIRCUITS[protocol, promise])
+    amps, powers, _ = circuits._play(plan)
     out = _grid_values(amps, powers).transpose(*plan.readout[:3], 0, plan.readout[3]).copy()
-    out[~protocols._CLASSES[promise]] = 0
+    out[~circuits._CLASSES[promise]] = 0
     return out.reshape(8, -1)
 
 
@@ -1334,14 +1334,14 @@ def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name
     """The last branch's column scaled by 1 + 2**-52 at compile: it is no
     longer equal to any other column, so it gets a group of its own, and
     the run still matches every branch finished on its own."""
-    play = protocols._play
+    play = circuits._play
 
     def scaled(plan):
         amps, powers, outcomes = play(plan)
         amps[-1] *= 1 + 2.0**-52
         return amps, powers, outcomes
 
-    monkeypatch.setattr(protocols, "_play", scaled)
+    monkeypatch.setattr(circuits, "_play", scaled)
     protocols._instrument.cache_clear()
     try:
         inst = protocols._instrument(name, None)
@@ -1509,7 +1509,7 @@ def test_row_hands_out_read_only_states_of_bobs_qubit(name):
 def _tree_leaves(node, path=()):
     """(branch, path) for each leaf of a draw tree, in tree order, the path
     as (child index, conditional weight) per measurement."""
-    if type(node) is not protocols._Node:
+    if type(node) is not circuits._Node:
         yield node, path
         return
     for k, (weight, child) in enumerate(zip(node.weights, node.children)):
@@ -1517,7 +1517,7 @@ def _tree_leaves(node, path=()):
 
 
 def _tree_nodes(node):
-    if type(node) is protocols._Node:
+    if type(node) is circuits._Node:
         yield node
         for child in node.children:
             yield from _tree_nodes(child)

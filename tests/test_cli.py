@@ -252,6 +252,54 @@ class TestPlainReader:
                 assert abs(got[key] - want[key]) <= 1e-12, key
 
 
+#: A well-formed request of each subcommand with long store options, which
+#: gives every one of them, run in a directory that holds ``ops.txt``.
+_DASHED_BASES = {
+    "run": ["--protocol", "one11", "--u", "sz", "--psi", "+", "--promise", "commuting", "--mode", "sampled",
+            "--seed", "3", "--format", "structured", "--out", "out.txt"],
+    "classify": ["--u", "sx", "--axis", "0,0,1"],
+    "axis": ["--set", "ops.txt"],
+    "ramsey": ["--steps", "2", "--out", "out.txt"],
+    "verify": ["--seed", "1"],
+}
+_DASHED = [(name, option) for name in _DASHED_BASES for option in sorted(cli._build_parsers()[1][name].options)]
+
+
+def _argparse_reads_dashes_as_a_list() -> bool:
+    """Whether this Python's argparse reads ``--v=--`` as ``v=[]`` (3.10-3.12) rather than ``v="--"``."""
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--v")
+    return probe.parse_args(["--v=--"]).v == []
+
+
+@pytest.mark.parametrize("name, option", _DASHED, ids=[f"{name} {option}" for name, option in _DASHED])
+def test_an_option_given_dashes_after_equals_is_refused_or_read_as_dashes(name, option, tmp_path, monkeypatch, capsys):
+    """Each long store option given as ``--opt=--``, the others as in a
+    well-formed request; ``main`` returns, so no exception escapes. Where
+    argparse reads the value as an empty list, the subparser refuses it as
+    a missing value: exit 1, nothing on stdout, and its usage and error line
+    on stderr. Where it reads "--", an option with a ``type`` or ``choices``
+    refuses it, and any other gives what the command gives on "--"."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ops.txt").write_text("rz:0.3\n")
+    base = _DASHED_BASES[name]
+    argv = [name, *(t for pair in zip(base[::2], base[1::2]) if pair[0] != option for t in pair), f"{option}=--"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    action = cli._parsers()[1][name].options[option]
+    if _argparse_reads_dashes_as_a_list():
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: remotegate {name} ")
+        assert err.endswith(f"error: argument {option}: expected one argument\n")
+    elif action.type is not None or action.choices is not None:
+        assert code == 1 and f"error: argument {option}: invalid" in err
+    else:
+        args = cli._parse_args([name, *base])
+        setattr(args, action.dest, "--")
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: args)
+        assert (code, out, err) == (main(argv), *capsys.readouterr())
+
+
 class TestParseOperator:
     def test_rz(self):
         np.testing.assert_allclose(

@@ -129,3 +129,46 @@ def test_the_cli_reads_no_private_name():
             continue
         private += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_") and not name.endswith("__")]
     assert not private, f"private names read: {private}"
+
+
+#: The modules of ``src/remotegate`` in import order: each may import only
+#: the modules before it.
+LAYERS = ("tolerances", "gates", "statevector", "operators", "circuits", "protocols", "bloch", "verify", "cli")
+#: (module, function, imported module): imports made inside a function, after
+#: every module has loaded, that may name a later layer.
+LATE_IMPORTS = {("verify", "check_operator_round_trip", "cli")}
+
+
+def _package_imports(tree: ast.Module):
+    """(enclosing function or None, module) for each import in ``tree`` of a
+    module of this package: ``from .x import ...``, ``from . import x``,
+    and the same spelled from ``remotegate``."""
+    stack = [(None, stmt) for stmt in tree.body]
+    while stack:
+        function, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = function or node.name
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("remotegate" if node.level else None, node.module))).split(".")
+            if base[0] == "remotegate":
+                yield from ((function, name) for name in base[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            yield from ((function, alias.name.split(".")[1]) for alias in node.names if alias.name.startswith("remotegate."))
+        stack.extend((function, child) for child in ast.iter_child_nodes(node))
+
+
+def test_each_module_imports_only_earlier_layers():
+    """Each module of ``src/remotegate`` is in ``LAYERS`` and imports only
+    modules before it there, so the imports have no cycle and, for one,
+    ``circuits`` cannot read the protocol table. The entry points
+    ``__init__.py`` and ``__main__.py`` are exempt, as are the
+    ``LATE_IMPORTS`` made inside a function."""
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "__main__.py"))
+    assert sorted(p.stem for p in files) == sorted(LAYERS)
+    upward = [
+        f"{path.stem} imports {name}" + (f" in {function}" if function else "")
+        for path in files
+        for function, name in _package_imports(ast.parse(path.read_text(), str(path)))
+        if (path.stem, function, name) not in LATE_IMPORTS and LAYERS.index(name) >= LAYERS.index(path.stem)
+    ]
+    assert not upward, f"imports of a later or the same layer: {upward}"

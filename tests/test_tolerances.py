@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import remotegate
-from remotegate import Gate, Unimodular, bloch, gates, operators, protocols, statevector, tolerances
+from remotegate import Gate, Unimodular, bloch, circuits, gates, operators, protocols, statevector, tolerances
 
 LITERAL = re.compile(r"[0-9]e-[0-9]+")
 RELATIVE = re.compile(r"\b(allclose|isclose)\(")
@@ -51,21 +51,40 @@ def test_modules_still_bind_the_constants_they_defined():
             assert getattr(module, name) == getattr(tolerances, name), f"{module.__name__}.{name}"
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` binds or reads: as a name, an attribute, an
+    argument, a definition, an import or its alias, or a string constant
+    (a name given to ``getattr``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
 def test_the_compile_reads_no_tolerance():
-    """The compile is exact: ``_plan``, ``_play`` and ``_compile``, the
-    exact-form helpers and ``statevector._split`` read no name that
-    ``remotegate.tolerances`` defines, and ``protocols`` imports neither
+    """The compile is exact: ``circuits.py``, which holds the circuit
+    language, the integer grid and the compile, binds and reads no name
+    that ``remotegate.tolerances`` defines, anywhere in the module; neither
+    do the branch-stack primitives it plays with, ``statevector._split``
+    and ``_apply_matrix``; and ``protocols`` imports neither
     ``ROUNDING_TOL`` nor ``BRANCH_PRUNE``."""
     table = {name for name in vars(tolerances) if name.isupper()}
-    reads = {}
-    for module, functions in ((protocols, ("_plan", "_play", "_compile")),
-                              (statevector, ("_split", "_exact_form", "_root2_powers"))):
-        tree = ast.parse(Path(module.__file__).read_text())
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        for function in functions:
-            nodes = list(ast.walk(defs[function]))
-            names = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-            reads[f"{module.__name__}.{function}"] = sorted(names & table)
+    reads = {"circuits": sorted(_names(ast.parse(Path(circuits.__file__).read_text())) & table)}
+    tree = ast.parse(Path(statevector.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for function in ("_split", "_apply_matrix"):
+        reads[f"statevector.{function}"] = sorted(_names(defs[function]) & table)
     assert reads == dict.fromkeys(reads, [])
     tree = ast.parse(Path(protocols.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
