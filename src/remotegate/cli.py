@@ -23,22 +23,20 @@ or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process: argparse keeps no per-call state on a parser, and
 writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
-call time. The top-level pass only picks the subcommand. A known
-subcommand's arguments are first read straight from the actions its
-parser's ``add_argument`` returned, through their public attributes: each
-long option given once, exactly, its value the next token or after ``=``,
-converted by its ``type``, checked against its ``choices``, every absent
-option at its default and every required one present. That reader gives
+call time. A known subcommand's arguments are first read straight from
+the actions its parser's ``add_argument`` returned, through their public
+attributes: each long option given once, exactly, its value the next token
+or after ``=``, converted by its ``type``, checked against its ``choices``,
+every absent option at its default and every required one present. That reader gives
 the namespace argparse would, and declines every other form: help flags,
 ``--``, abbreviations, repeated options, unknown tokens, a missing value, a
 "-"-led one other than "-", a ``type`` or ``choices`` failure, positionals,
 and a string default that ``type`` converts. The reader is there for speed:
 argparse's generic loop was about a quarter of a ``run`` request's time. It
 words nothing, so argparse stays the one producer of usage text, help and
-error lines: a declined request goes to the subcommand's parser, and to the
-top-level parse only for no arguments, an unknown command or arguments the
-subcommand leaves over. Every namespace, usage text, help, error line and
-exit code is the top-level parse's.
+error lines: a declined request goes to the top-level parse, which hands
+its arguments to the same subcommand parser. Every namespace, usage text,
+help, error line and exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
@@ -264,10 +262,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
-    """The parsers ``main`` uses, built together on first use."""
-    return _build_parsers()
+_parsers = functools.cache(_build_parsers)  # the parsers ``main`` uses, built on first use
 
 
 def _read_plain(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None:
@@ -312,27 +307,25 @@ def _read_plain(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parsers()[0].parse_args(argv)``, with a known subcommand's arguments
-    read by ``_read_plain``, or failing that parsed by that subcommand's
-    parser alone. The top-level pass only picks the subcommand, so its parse
-    is taken only where it can differ: no arguments, an unknown command, or
-    arguments the subcommand leaves over, which only the top-level parser
-    reports. A help flag after a known command reaches the same subparser
-    either way. A one-value store that argparse reads as a list (``--u=--``
-    on Python 3.10-3.12) is refused by the subparser's ``error``."""
-    subparser = _parsers()[1].get(argv[0]) if argv else None
+    """``_parsers()[0].parse_args(argv)``: a known subcommand's arguments read
+    by ``_read_plain``, and every request it declines parsed once by the
+    top-level parser, which hands ``argv[1:]`` to the same subcommand parser.
+    A one-value store that argparse reads as a list (``--u=--`` on Python
+    3.10-3.12) is then refused by that subcommand parser's ``error``."""
+    top, subparsers = _parsers()
+    subparser = subparsers.get(argv[0]) if argv else None
     if subparser is not None:
         args = _read_plain(subparser, argv[1:])
-        if args is None:
-            args, extra = subparser.parse_known_args(argv[1:])
-            if extra:
-                return _parsers()[0].parse_args(argv)
-            for action in subparser.stores:
-                if isinstance(getattr(args, action.dest), list):
-                    subparser.error(str(argparse.ArgumentError(action, "expected one argument")))
-        args.command = argv[0]
-        return args
-    return _parsers()[0].parse_args(argv)
+        if args is not None:
+            args.command = argv[0]
+            return args
+    args = top.parse_args(argv)
+    subparser = subparsers.get(args.command)
+    if subparser is not None:
+        for action in subparser.stores:
+            if isinstance(getattr(args, action.dest), list):
+                subparser.error(str(argparse.ArgumentError(action, "expected one argument")))
+    return args
 
 
 #: a value argparse would read as an option flag: "-" then a digit, "." or

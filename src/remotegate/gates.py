@@ -227,7 +227,8 @@ class Gate:
         return 1 if self.dimension == 2 else 2
 
     def __repr__(self):
-        return f"Gate({self.name or self.dimension}x{self.dimension})"
+        size = f"{self.dimension}x{self.dimension}"
+        return f"Gate({self.name!r}, {size})" if self.name else f"Gate({size})"
 
 
 def controlled(u: np.ndarray, name: str = "") -> Gate:

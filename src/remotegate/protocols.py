@@ -113,8 +113,10 @@ class _Rows:
 
     @functools.cached_property
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Commutator and anticommutator norms of each rotation with sz."""
-        return commutation_norms(self.pairs, Z_AXIS)
+        """Commutator and anticommutator norms of each rotation with sz, taken quietly:
+        a row that is not finite fails a value check first, so no message reads its norms."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return commutation_norms(self.pairs, Z_AXIS)
 
     @functools.cached_property
     def kinds(self) -> np.ndarray:
@@ -159,39 +161,18 @@ def _refuse(messages):
         raise RowError(row, messages[row])
 
 
-def _class_checks(rows: _Rows, given, codes, precondition) -> list:
-    """The checks on a row's class, in ``_messages``' form and in order: a
-    promise names a class (``given[n]`` is row n's as given, ``codes[n]``
-    its code, ``_NO_PROMISE`` (0) where none is given) and the rotation has
-    it; then ``precondition``. They are taken on every row, also one whose
-    values fail, whose value message comes first."""
-    checks = precondition(rows)
-    if any(codes):
-        comm, anti = rows.norms
-        # per promise code, the norm the promised class needs within
-        # CLASS_TOL (a unitary black box cannot have both within it, so the
-        # anticommutator's alone decides ANTICOMMUTING); no norm meets an
-        # unknown promise's inf
-        promised = np.choose(rows.promise, (0.0, comm, anti, np.inf))
-        checks.insert(0, (
-            promised <= CLASS_TOL,
-            lambda n: f"unknown promise {given[n]!r}" if codes[n] == _UNKNOWN
-            else f"promise violation: operator classifies as {rows.kinds[n]}, promise says {given[n]}",
-        ))
-    return checks
-
-
 def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     """Stack N configurations and check each row on its own. ``promise`` is
     one value for every row or a sequence of N. Returns the rows and, for
     each row, the message of the first check it fails, or None.
 
-    The checks on a row's values come first, in order: the rotation is
-    finite and unimodular (``operators._pair_rows``' residual test, which a
-    stack of ``Unimodular`` only skips on its construction proof); psi is one
-    qubit's, finite and nonzero (``statevector._unit_qubits``, which
-    normalises it). ``_class_checks`` follow, in the same pass over every
-    row. Stacks whose shapes do not fit are refused."""
+    The checks, in order, each on every row: the rotation is finite and
+    unimodular (``operators._pair_rows``' residual test, which a stack of
+    ``Unimodular`` only skips on its construction proof); psi is one qubit's,
+    finite and nonzero (``statevector._unit_qubits``, which normalises it);
+    a promise (``given[n]``, coded ``codes[n]``, 0 for none) names a class
+    and the rotation has it; then ``precondition``. Stacks whose shapes do
+    not fit are refused."""
     pairs, residuals = _pair_rows(us)
     unit, psi_check = _unit_qubits(psis)
     n_row = len(pairs)
@@ -207,18 +188,23 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
     rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp), pairs=pairs)
-    if residuals is None:
-        return rows, _messages([psi_check, *_class_checks(rows, given, codes, precondition)], n_row)
-    with np.errstate(invalid="ignore", over="ignore"):  # a row that is not finite fails a value check first,
-        # so its class norms, taken quietly here, are never read
-        checks = _class_checks(rows, given, codes, precondition)
-        # one reduction per check decides for the whole stack
-        if not (residuals.max() <= UNIMODULAR_TOL and psi_check[0].all()):
-            checks[:0] = [
-                (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n])),
-                psi_check,
-            ]
-        return rows, _messages(checks, n_row)
+    checks = [] if residuals is None else [
+        (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n]))
+    ]
+    checks.append(psi_check)
+    if any(codes):
+        comm, anti = rows.norms
+        # per promise code, the norm the promised class needs within
+        # CLASS_TOL (a unitary black box cannot have both within it, so the
+        # anticommutator's alone decides ANTICOMMUTING); no norm meets an
+        # unknown promise's inf
+        promised = np.choose(rows.promise, (0.0, comm, anti, np.inf))
+        checks.append((
+            promised <= CLASS_TOL,
+            lambda n: f"unknown promise {given[n]!r}" if codes[n] == _UNKNOWN
+            else f"promise violation: operator classifies as {rows.kinds[n]}, promise says {given[n]}",
+        ))
+    return rows, _messages(checks + precondition(rows), n_row)
 
 
 def _rows(us, psis, promise, precondition) -> _Rows:

@@ -321,6 +321,11 @@ BATCH_INPUT_ERRORS = [
     ("one11", [rz(0.3), Unimodular(0.6, 0.8)], [[1, 0], [np.nan, 1]], COMMUTING, r"^row 1: psi\[0\] is not finite: nan$"),
     ("bogus", [rz(0.3)], None, None, r"^unknown protocol 'bogus'$"),
     ("bqst", np.zeros((2, 3)), None, None, r"^rotations must be \(a, b\) pairs, got shape \(2, 3\)$"),
+    # the promise comes before the precondition, which this row also fails, in a list and in an array
+    ("restricted221", [rz(0.3), Unimodular(0.6, 0.8)], None, COMMUTING,
+     r"^row 1: promise violation: operator classifies as general, promise says commuting$"),
+    ("restricted221", np.array([[np.exp(0.3j), 0], [0.6, 0.8]]), None, COMMUTING,
+     r"^row 1: promise violation: operator classifies as general, promise says commuting$"),
 ]
 
 

@@ -105,12 +105,11 @@ class TestSharedParser:
         assert shared == fresh
 
     def test_a_subcommand_parse_is_the_top_level_parse(self, tmp_path, capsys, monkeypatch):
-        """``main`` parses a known subcommand's arguments with that
-        subcommand's parser; with that dispatch bypassed, so that every argv
-        goes through ``_parsers()[0].parse_args``, each request gives the same
-        exit code, stdout and stderr. The top-level parse is taken only for
-        no arguments, a top-level help flag and arguments the subcommand
-        leaves over."""
+        """``main`` takes the top-level parse, once, for exactly the requests
+        that ``_read_plain`` declines, and for none that it reads; with the
+        reader's dispatch bypassed, so that every argv goes through
+        ``_parsers()[0].parse_args``, each request gives the same exit code,
+        stdout and stderr."""
         def results():
             out = []
             for argv in self.requests(tmp_path):
@@ -123,15 +122,15 @@ class TestSharedParser:
         parse_args = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
         dispatched = results()
-        assert top_level == [
-            ["--help"],
-            ["run", "--protocol", "bqst", "--u", "sz", "--psi", "+", "extra"],
-            ["classify", "--u", "sz", "--bogus"],
-            [],
-        ]
+        requests = [cli._join_axis_values(argv) for argv in self.requests(tmp_path)]
+        read = [0, 1, 3, 4, 7, 17, 20, 23]
+        subparsers = cli._parsers()[1]
+        assert [n for n, argv in enumerate(requests) if argv and argv[0] in subparsers
+                and cli._read_plain(subparsers[argv[0]], argv[1:]) is not None] == read
+        assert top_level == [argv for n, argv in enumerate(requests) if n not in read]
         monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
         assert results() == dispatched
-        assert len(top_level) == 4 + len(self.requests(tmp_path))
+        assert len(top_level) == 17 + len(requests)
         assert dispatched[10][2].endswith("remotegate: error: unrecognized arguments: extra\n")
 
     def test_help_reaches_the_current_stdout_every_time(self, capsys):

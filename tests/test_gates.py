@@ -1,6 +1,6 @@
 """``gates.matmul2``, the 2x2 product of the stack paths, against ``@``;
 ``pauli_vectors`` against traces and ``pauli_dot``; the row norms against
-their one-vector forms."""
+their one-vector forms; ``Gate``'s repr."""
 
 import math
 
@@ -9,8 +9,10 @@ import pytest
 
 from remotegate import gates
 from remotegate.gates import (
+    CNOT,
     PAULIS,
     Gate,
+    H,
     matmul2,
     pauli_dot,
     pauli_vectors,
@@ -186,3 +188,7 @@ def test_row_hypots_give_the_per_row_comprehensions_bytes():
     rows = rng.normal(size=(100_000, 2)) + 1j * rng.normal(size=(100_000, 2))
     per_row = [math.hypot(*row) for row in rows.view(float).tolist()]
     assert np.array(gates._row_hypots(rows)).tobytes() == np.array(per_row).tobytes()
+
+
+def test_a_gate_repr_gives_its_name_apart_from_its_size():
+    assert [repr(H), repr(CNOT), repr(Gate(sigma_z))] == ["Gate('h', 2x2)", "Gate('cnot', 4x4)", "Gate(2x2)"]

@@ -34,6 +34,10 @@ B0, B1 = QubitId("bob", 0), QubitId("bob", 1)
 
 
 class TestConstruction:
+    def test_repr_gives_the_register_and_the_dimension(self):
+        assert repr(bell_phi_plus(A0, B0)) == "StateVector([alice:0,bob:0], dim=4)"
+        assert repr(plus_state(B1)) == "StateVector([bob:1], dim=2)"
+
     def test_normalizes_on_entry(self):
         s = StateVector(np.array([3.0, 4.0]), (B0,))
         np.testing.assert_allclose(s.amplitudes, [0.6, 0.8])
