@@ -130,20 +130,28 @@ def _expand(steps):
 
 
 def _plan(circuit: Circuit) -> _Plan:
-    """Resolve ``circuit`` on the comb before any amplitude is touched. Each
-    step acts for the party that owns its qubits, and a step across the
-    Alice|Bob cut is refused (LOCC: local operations and classical
-    communication), as are a target not in the register or repeated, a
-    wrong gate arity or basis size, a ``when`` that names no earlier
-    measurement or a value outside its outcomes, and any qubit left
-    unmeasured but the output and the comb's references, and pairs or a
-    gate with no exact form. Each measurement is logged once, as its party,
-    basis and qubit count; the outcome labels and the ledger follow from
-    that log: one e-bit per shared pair, and in each direction the bits of
-    every outcome one party measured and the other read, once however many
-    steps read it."""
+    """Resolve ``circuit`` on the comb before any amplitude is touched. A
+    qubit named twice among the pairs, the data qubit and the comb's
+    references, an output that is one of those references, and a data or
+    output qubit that is not Bob's are refused by name. Each step acts for
+    the party that owns its qubits, and a step across the Alice|Bob cut is
+    refused (LOCC: local operations and classical communication), as are a
+    target not in the register or repeated, a wrong gate arity or basis
+    size, a ``when`` that names no earlier measurement or a value outside
+    its outcomes, and any qubit left unmeasured but the output and the
+    comb's references, and pairs or a gate with no exact form. Each
+    measurement is logged once, as its party, basis and qubit count; the
+    outcome labels and the ledger follow from that log: one e-bit per
+    shared pair, and in each direction the bits of every outcome one party
+    measured and the other read, once however many steps read it."""
     shared = circuit.pairs
     register = list(shared.register + (circuit.data, _R_PSI, _R_IN, _R_OUT))
+    for n, q in enumerate(register):
+        if q in register[:n] or q == circuit.output and q in (_R_PSI, _R_IN, _R_OUT):
+            raise ValueError(f"register conflict: {q} named twice among the pairs, the data and output qubits and the comb's references")
+    for role, q in (("data", circuit.data), ("output", circuit.output)):
+        if q.owner != "bob":
+            raise ValueError(f"the {role} qubit {q} is not Bob's")
     pairs = _exact_form(shared.amplitudes.reshape((2,) * shared.n), f"the pairs on {', '.join(map(str, shared.register))}")
 
     def locate(qubits) -> tuple[int, ...]:  # qubit axes count from 1

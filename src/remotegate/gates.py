@@ -26,11 +26,6 @@ sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 sigma_z = np.array([[1, 0], [0, -1]], dtype=complex)
 hadamard_matrix = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-# Control qubit is the first (most significant) of the two targets.
-cnot_matrix = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
 PAULIS = (sigma_x, sigma_y, sigma_z)
 
 
@@ -247,4 +242,5 @@ def controlled_phase(phi: float) -> Gate:
 X = Gate(sigma_x, "x")
 Z = Gate(sigma_z, "z")
 H = Gate(hadamard_matrix, "h")
-CNOT = Gate(cnot_matrix, "cnot")
+# Control qubit is the first (most significant) of the two targets.
+CNOT = Gate(np.eye(4)[[0, 1, 3, 2]], "cnot")

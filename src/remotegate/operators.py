@@ -250,35 +250,23 @@ def orthogonal_state(psi) -> np.ndarray:
     return np.stack([-psi[..., 1].conj(), psi[..., 0].conj()], axis=-1)
 
 
-def haar_pairs(normals) -> np.ndarray:
-    """The Haar-random SU(2) element (uniform on the unit 3-sphere) made from
-    each row v of an (..., 4) stack of standard normal draws, as the pair
-    (v0 + i v1, v2 + i v3) / |v|. Each norm is ``dot_norms``', so a row
-    comes out as it would on its own, bit for bit."""
-    v = np.asarray(normals, dtype=float)
+def random_unimodulars(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random SU(2) elements (uniform on the unit 3-sphere) as an
+    (n, 2) stack of pairs: each row v of ``rng.normal(size=(n, 4))`` gives
+    (v0 + i v1, v2 + i v3) / |v|. Each norm is ``dot_norms``', so the draws,
+    and the values, are those of ``n`` calls of ``random_unimodular``."""
+    v = rng.normal(size=(n, 4))
     return (v / dot_norms(v)[..., None]).view(complex)
 
 
-def haar_qubits(normals) -> np.ndarray:
-    """The Haar-random single-qubit state (uniform on the Bloch sphere) U|0>
-    = (a, -b*) of each ``haar_pairs`` element U = (a, b)."""
-    psis = haar_pairs(normals)
+def random_qubits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random single-qubit states (uniform on the Bloch sphere) as
+    an (n, 2) stack: U|0> = (a, -b*) of each row U = (a, b) of
+    ``random_unimodulars(rng, n)``, with the same draws, and the values, of
+    ``n`` calls of ``random_qubit``."""
+    psis = random_unimodulars(rng, n)
     psis[..., 1] = -psis[..., 1].conj()
     return psis
-
-
-def random_unimodulars(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` Haar-random SU(2) elements as an (n, 2) stack of pairs, from
-    ``rng.normal(size=(n, 4))``: the draws, and the values, of ``n`` calls
-    of ``random_unimodular``."""
-    return haar_pairs(rng.normal(size=(n, 4)))
-
-
-def random_qubits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` Haar-random single-qubit states as an (n, 2) stack, from
-    ``rng.normal(size=(n, 4))``: the draws, and the values, of ``n`` calls
-    of ``random_qubit``."""
-    return haar_qubits(rng.normal(size=(n, 4)))
 
 
 def random_unimodular(rng: np.random.Generator) -> Unimodular:

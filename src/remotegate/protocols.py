@@ -113,10 +113,10 @@ class _Rows:
 
     @functools.cached_property
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Commutator and anticommutator norms of each rotation with sz, taken quietly:
-        a row that is not finite fails a value check first, so no message reads its norms."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            return commutation_norms(self.pairs, Z_AXIS)
+        """Commutator and anticommutator norms of each rotation with sz. Every
+        pair is finite and unimodular, or (0, 0) in place of one that fails the
+        residual test, so no norm warns."""
+        return commutation_norms(self.pairs, Z_AXIS)
 
     @functools.cached_property
     def kinds(self) -> np.ndarray:
@@ -187,10 +187,12 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
         raise ValueError("a batch needs at least one configuration")
     if pairs.shape != (n_row, 2):
         raise ValueError(f"rotations must be (a, b) pairs, got shape {pairs.shape}")
+    checks = []
+    if residuals is not None:  # the rows built below read a row that fails as (0, 0), so no norm warns
+        given_pairs, admitted = pairs, residuals <= UNIMODULAR_TOL
+        checks.append((admitted, lambda n: unimodular_error(*given_pairs[n].tolist(), residuals[n])))
+        pairs = np.where(admitted[:, None], pairs, 0)
     rows = _Rows(u=unimodular_matrices(pairs), psi=unit, promise=np.array(codes, dtype=np.intp), pairs=pairs)
-    checks = [] if residuals is None else [
-        (residuals <= UNIMODULAR_TOL, lambda n: unimodular_error(*pairs[n].tolist(), residuals[n]))
-    ]
     checks.append(psi_check)
     if any(codes):
         comm, anti = rows.norms
@@ -566,17 +568,22 @@ def _controlled_pauli_steps(c: QubitId, cp: QubitId, target: QubitId):
     ]
 
 
+def _controlled_pauli(controls: StateVector) -> StateVector:
+    """The controlled-Pauli gate on Alice's ``controls`` (on ``_A1, _A2``)
+    tensored with Bob's (|00> + |11>)/sqrt(2) on ``_B1, _B2``, targeting ``_B1``."""
+    state = tensor(controls, bell_phi_plus(_B1, _B2))
+    for gate, targets in _controlled_pauli_steps(_A1, _A2, _B1):
+        state = apply_gate(state, gate, targets)
+    return state
+
+
 def demo_cp_entanglement() -> tuple[StateVector, float]:
     """Run the controlled-Pauli gate on |+>|+> (Alice) and a shared-format
     pair on Bob's side, and return the output state with its entanglement
     entropy across the Alice|Bob cut. The output holds the four Bell states
     tagged by Alice's basis states, i.e. exactly 2 e-bits."""
-    c, cp = QubitId("alice", 0), QubitId("alice", 1)
-    t1, t2 = QubitId("bob", 0), QubitId("bob", 1)
-    state = tensor(tensor(plus_state(c), plus_state(cp)), bell_phi_plus(t1, t2))
-    for gate, targets in _controlled_pauli_steps(c, cp, t1):
-        state = apply_gate(state, gate, targets)
-    return state, entanglement_entropy(state, [c, cp])
+    state = _controlled_pauli(tensor(plus_state(_A1), plus_state(_A2)))
+    return state, entanglement_entropy(state, [_A1, _A2])
 
 
 #: Bell outcome of Bob's pair -> two-bit message, for the capacity demo.
@@ -592,12 +599,8 @@ def demo_cp_capacity(message: str) -> str:
     """
     if message not in ("00", "01", "10", "11"):
         raise ValueError(f"message must be two bits, got {message!r}")
-    c, cp = QubitId("alice", 0), QubitId("alice", 1)
-    t1, t2 = QubitId("bob", 0), QubitId("bob", 1)
-    state = tensor(basis_state(message, (c, cp)), bell_phi_plus(t1, t2))
-    for gate, targets in _controlled_pauli_steps(c, cp, t1):
-        state = apply_gate(state, gate, targets)
-    branches = measure(state, [t1, t2], "bell")
+    state = _controlled_pauli(basis_state(message, (_A1, _A2)))
+    branches = measure(state, [_B1, _B2], "bell")
     top = max(branches, key=lambda b: b.probability)
     return _CAPACITY_DECODE[top.outcome]
 
@@ -608,13 +611,10 @@ def demo_cnot_reverse(bob_bit: int) -> int:
     |->, which she reads out in the +/- basis."""
     if bob_bit not in (0, 1):
         raise ValueError(f"bob_bit must be 0 or 1, got {bob_bit!r}")
-    c = QubitId("alice", 0)
-    t = QubitId("bob", 0)
-    bob = plus_state(t) if bob_bit == 0 else minus_state(t)
-    state = tensor(plus_state(c), bob)
-    state = apply_gate(state, CNOT, [c, t])
-    state = apply_gate(state, H, [c])
-    branches = measure(state, [c], "computational")
+    state = tensor(plus_state(_A1), plus_state(_B1) if bob_bit == 0 else minus_state(_B1))
+    state = apply_gate(state, CNOT, [_A1, _B1])
+    state = apply_gate(state, H, [_A1])
+    branches = measure(state, [_A1], "computational")
     top = max(branches, key=lambda b: b.probability)
     return int(top.outcome)
 

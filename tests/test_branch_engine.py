@@ -823,6 +823,43 @@ def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(m
         circuits._compile(_hand_built(*steps), None, "hand_built")
 
 
+#: The comb's references R_psi, R_in and R_out, as the circuits module names them.
+_R_PSI, _R_IN, _R_OUT = QubitId("bob", 3), QubitId("alice", 2), QubitId("alice", 3)
+_PAIR_A0_B0 = StateVector([1, 0, 0, 1], (A0, B0))
+_TWICE = "named twice among the pairs, the data and output qubits and the comb's references"
+
+
+@pytest.mark.parametrize(
+    "circuit, message",
+    [
+        (Circuit(_PAIR_A0_B0, B0, (Slot(A0), Measure((A0,), "computational")), B0), f"register conflict: bob:0 {_TWICE}"),
+        (Circuit(_PAIR_A0_B0, _R_PSI, (Slot(A0), Measure((A0,), "computational")), B0), f"register conflict: bob:3 {_TWICE}"),
+        (Circuit(StateVector([1, 0, 0, 1], (_R_IN, B0)), DATA, (Slot(_R_IN), Measure((DATA,), "computational")), B0),
+         f"register conflict: alice:2 {_TWICE}"),
+        (Circuit(StateVector([1, 0, 0, 1], (_R_OUT, B0)), DATA, (Slot(_R_OUT), Measure((DATA,), "computational")), B0),
+         f"register conflict: alice:3 {_TWICE}"),
+        (Circuit(_PAIR_A0_B0, DATA, (Slot(A0), Measure((A0,), "computational"), Measure((DATA,), "computational")), _R_PSI),
+         f"register conflict: bob:3 {_TWICE}"),
+        # Bob teleports psi to nowhere and Alice's slot qubit is read as the output: with no bit
+        # sent this would compile, ledger (1, 0, 0), and report success 1/4 on every row
+        (Circuit(_PAIR_A0_B0, DATA, (Measure((DATA, B0), "bell"), Slot(A0)), A0), "the output qubit alice:0 is not Bob's"),
+        (Circuit(_PAIR_A0_B0, A1, (Measure((A1, A0), "bell"), Measure((B0,), "computational")), B0),
+         "the data qubit alice:1 is not Bob's"),
+    ],
+    ids=["data_is_a_pair_half", "data_is_r_psi", "pair_half_is_r_in", "pair_half_is_r_out", "output_is_r_psi",
+         "output_is_alices", "data_is_alices"],
+)
+def test_register_clash_or_qubit_not_bobs_is_refused_before_any_amplitude(monkeypatch, circuit, message):
+    """A qubit named twice among the pairs, Bob's data qubit and the comb's
+    references, or an output that is one of those references, would give
+    the register two axes for one qubit; psi starts on Bob's data qubit and
+    the rotated state must end on Bob's output qubit. The static pass
+    refuses each by name, while the primitives every step runs through raise."""
+    _no_amplitudes(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        circuits._compile(circuit, None, "hand_built")
+
+
 def _bob_reads_his_bit():
     m = Measure((B0,), "computational")
     return m, Apply(X, (DATA,), (m, 1))
