@@ -457,13 +457,10 @@ def find_common_axes(families) -> list[np.ndarray | None]:
     return _common_axes(_operator_sets(families))
 
 
-def find_common_axis(operators, *, admitted: bool = False) -> np.ndarray | None:
+def find_common_axis(operators) -> np.ndarray | None:
     """A unit axis against which every operator is commuting or anticommuting:
     ``find_common_axes`` of one set, a sequence of ``Unimodular`` or an
-    (N, 2) stack of pairs, checked by ``as_pairs`` unless ``admitted``: a
-    complex (N, 2) stack whose rows were each admitted already, on
-    ``Unimodular``'s construction proof or by ``from_axis_angles``, is
-    searched without a second residual test.
+    (N, 2) stack of pairs, checked by ``as_pairs``.
 
     Candidate axes are read from the traceless parts of the operators plus
     the pairwise cross products of the half-turns' axes (|Re a| within
@@ -478,7 +475,7 @@ def find_common_axis(operators, *, admitted: bool = False) -> np.ndarray | None:
     axis by convention. The axis is sign-fixed so that its first component
     larger than SIGN_TOL is positive. Returns None when no axis fits.
     """
-    pairs = operators if admitted else as_pairs(operators)
+    pairs = as_pairs(operators)
     if not len(pairs):
         raise ValueError("empty operator set")
     return _common_axes(pairs[None])[0]

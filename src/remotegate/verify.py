@@ -43,6 +43,8 @@ from .tolerances import (
     UNIMODULAR_TOL,
 )
 
+#: ``run_all``'s seed when none is given, and ``remotegate verify``'s
+DEFAULT_SEED = 20020923
 EXPECTED_LEDGERS = {
     "bqst": (2, 2, 2),
     "universal221": (2, 2, 1),
@@ -483,7 +485,7 @@ def registry() -> list:
     return CHECKS + DEMO_CHECKS
 
 
-def run_all(seed: int = 20020923) -> list[CheckResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every check, the i-th with generator ``default_rng([seed, i])``."""
     require_natural("seed", seed)
     results = []

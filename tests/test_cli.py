@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import remotegate
-from remotegate import cli, operators, random_unimodular, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
+from remotegate import cli, operators, random_unimodular, verify, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import main, parse_operator, parse_state, render_operator
 
 
@@ -438,10 +439,10 @@ class TestParseOperators:
             want = "none" if found is None else ",".join(repr(float(c)) for c in found)
             assert capsys.readouterr().out == want + "\n"
 
-    def test_an_axis_request_tests_residuals_only_inside_from_axis_angles(self, tmp_path, capsys, monkeypatch):
-        """``parse_operators`` admits each row once, so the search takes the
-        stack without ``as_pairs``' second residual test; an empty set is
-        still refused."""
+    def test_an_axis_request_tests_residuals_in_from_axis_angles_and_as_pairs(self, tmp_path, capsys, monkeypatch):
+        """``from_axis_angles`` checks the rows it builds, and the search
+        admits the whole stack through ``as_pairs`` as every other caller's;
+        an empty set is still refused."""
         callers = []
         residuals = operators.unimodular_residuals
 
@@ -454,11 +455,27 @@ class TestParseOperators:
         path.write_text("rot:0,0,1,0.7\nrz:1.3\nmat:0.6,0.8,0,0\nsx\nrot:1,1,0,3.141592653589793\n")
         assert main(["axis", "--set", str(path)]) == 0
         assert capsys.readouterr().out == "0.0,0.0,1.0\n"
-        assert callers == ["from_axis_angles"]
+        assert callers == ["from_axis_angles", "_pair_rows"]
+        callers.clear()
         path.write_text("# no operators\n\n")
         assert main(["axis", "--set", str(path)]) == 1
         assert capsys.readouterr().err == "error: empty operator set\n"
-        assert callers == ["from_axis_angles"]
+        assert callers == ["_pair_rows"]
+
+    def test_an_axis_request_refuses_a_stack_row_off_the_unit_sphere(self, tmp_path, capsys, monkeypatch):
+        """A row that ``parse_operators`` hands over off |a|^2 + |b|^2 = 1
+        is refused by the search's own admission, in ``as_pairs``' words,
+        and nothing is printed on stdout."""
+        build = cli.from_axis_angles
+        monkeypatch.setattr(cli, "from_axis_angles", lambda axes, thetas: build(axes, thetas) * (1 + 1e-6))
+        specs = ["rot:0,0,1,0.7", "rz:1.3"]
+        path = tmp_path / "ops.txt"
+        path.write_text("\n".join(specs) + "\n")
+        with pytest.raises(ValueError) as refused:
+            operators.as_pairs(cli.parse_operators(specs))
+        assert str(refused.value).startswith("row 0: not unimodular: ")
+        assert main(["axis", "--set", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 def _parses(spec) -> bool:
@@ -679,6 +696,10 @@ class TestMain:
         out = capsys.readouterr().out
         assert re.findall(r"fidelity=(\S+)", out) == ["1.000000000000"] * 16
         assert out.splitlines()[-1].startswith("success probability: 0.999999999900   ")
+
+    def test_verify_seed_defaults_to_run_alls(self):
+        seed = cli._build_parsers()[1]["verify"].parse_args([]).seed
+        assert seed == inspect.signature(verify.run_all).parameters["seed"].default
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
