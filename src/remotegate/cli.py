@@ -20,23 +20,27 @@ for an axis-angle rotation (axis normalized on entry), and raw
 ``mat:<a_re>,<a_im>,<b_re>,<b_im>``. State specs: ``0``, ``1``, ``+``, ``-``
 or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
 
-``main`` builds its argument parser on its first call and reuses it for every
-later call in the process: argparse keeps no per-call state on a parser, and
-writes usage, help and errors to the ``sys.stdout``/``sys.stderr`` current at
-call time. A known subcommand's arguments are first read straight from
-the actions its parser's ``add_argument`` returned, through their public
-attributes: each long option given once, exactly, its value the next token
-or after ``=``, converted by its ``type``, checked against its ``choices``,
-every absent option at its default and every required one present. That reader gives
+The subcommands, their help, handlers and arguments are declared once, in
+``_SUBCOMMANDS``, each argument as ``add_argument``'s flag and keywords.
+``main`` builds its argument parsers from that table on its first call and
+reuses them for every later call in the process: argparse keeps no
+per-call state on a parser, and writes usage, help and errors to the
+``sys.stdout``/``sys.stderr`` current at call time. The arguments of a
+subcommand with no positional argument are first read straight from the
+actions ``add_argument`` returned, through their public attributes: each
+long option given once, exactly, its value the next token or after ``=``,
+converted by its ``type``, checked against its ``choices``, every absent
+option at its default and every required one present. That reader gives
 the namespace argparse would, and declines every other form: help flags,
 ``--``, abbreviations, repeated options, unknown tokens, a missing value, a
-"-"-led one other than "-", a ``type`` or ``choices`` failure, positionals,
-and a string default that ``type`` converts. The reader is there for speed:
-argparse's generic loop was about a quarter of a ``run`` request's time. It
-words nothing, so argparse stays the one producer of usage text, help and
-error lines: a declined request goes to the top-level parse, which hands
-its arguments to the same subcommand parser. Every namespace, usage text,
-help, error line and exit code is the top-level parse's.
+"-"-led one other than "-", and a ``type`` or ``choices`` failure. It reads
+only long options that store one value, which every such subcommand
+declares (a tier-1 test holds the table to that). The reader is there for
+speed: argparse's generic loop was about a quarter of a ``run`` request's
+time. It words nothing, so argparse stays the one producer of usage text,
+help and error lines: a declined request goes to the top-level parse,
+which hands its arguments to the same subcommand parser. Every namespace,
+usage text, help, error line and exit code is the top-level parse's.
 
 Exit codes: 0 success, 1 parse or precondition error, 2 internal invariant
 violation. Structured output opens with a ``schema: 1`` line followed by one
@@ -57,7 +61,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .gates import unit_vector
-from .operators import Unimodular, classify_operator, find_common_axis, from_axis_angle, from_axis_angles, rz
+from .operators import ANTICOMMUTING, COMMUTING, Unimodular, classify_operator, find_common_axis, from_axis_angle, from_axis_angles, rz
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
@@ -192,96 +196,45 @@ def _parse_axis(text: str) -> np.ndarray:
     return axis
 
 
-class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser that keeps, as ``add_argument`` returns them,
-    the options ``_read_plain`` reads: each plain store of one value, by its
-    long option strings in ``options`` and in order in ``stores``. ``plain``
-    turns False once an argument is added that would put a value in the
-    namespace the reader cannot give: a positional, a flag, a store that
-    takes other than one value, a string default that ``type`` converts,
-    or a suppressed default."""
-
-    def __init__(self, *args, **kwargs):
-        self.options: dict[str, argparse.Action] = {}
-        self.stores: list[argparse.Action] = []
-        self.plain = True
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if (
-            kwargs.get("action") in (None, "store")
-            and action.option_strings
-            and action.nargs is None
-            and not (action.type is not None and isinstance(action.default, str))
-            and action.default is not argparse.SUPPRESS
-        ):
-            self.options.update((s, action) for s in action.option_strings if s.startswith("--"))
-            self.stores.append(action)
-        elif action.default is not argparse.SUPPRESS or action.required:
-            self.plain = False
-        return action
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
-    """A fresh top-level parser, and the parser of each of its subcommands by name."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict, dict[str, tuple[dict, list]]]:
+    """A fresh top-level parser built from ``_SUBCOMMANDS``, the parser of
+    each of its subcommands by name, and, for each subcommand with no
+    positional argument, the actions its ``add_argument`` calls returned,
+    by long option string and in order: what ``_read_plain`` reads."""
     parser = argparse.ArgumentParser(
         prog="remotegate",
         description="Simulate remote implementation of single-qubit rotations "
         "over shared entanglement and classical messages.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    run = sub.add_parser("run", help="run a protocol on an operator and a state")
-    run.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
-    run.add_argument("--u", required=True, help="operator spec")
-    run.add_argument("--psi", required=True, help="Bob's input state spec")
-    run.add_argument("--promise", choices=["commuting", "anticommuting"])
-    run.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    run.add_argument("--seed", type=int, help="required for sampled mode")
-    run.add_argument("--format", choices=["human", "structured"], default="human")
-    run.add_argument("--out", help="write output to this path instead of stdout")
-
-    classify = sub.add_parser("classify", help="commutation class of an operator")
-    classify.add_argument("--u", required=True, help="operator spec")
-    classify.add_argument("--axis", default="0,0,1", help="axis as x,y,z")
-
-    axis = sub.add_parser("axis", help="common axis for a file of operator specs")
-    axis.add_argument("--set", required=True, dest="set_file", help="spec file, one per line")
-
-    demo = sub.add_parser("demo", help="resource lower-bound demonstrations")
-    demo.add_argument("name", choices=["cp-entanglement", "cp-capacity", "cnot-reverse"])
-
-    ramsey = sub.add_parser("ramsey", help="fringe sweep through the 1-1-1 protocol")
-    ramsey.add_argument("--steps", type=int, default=64)
-    ramsey.add_argument("--out", help="write CSV to this path instead of stdout")
-
-    verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-
-    return parser, sub.choices
+    sub = parser.add_subparsers(dest="command", required=True)
+    readers = {}
+    for name, (help_text, _, arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        stores = [subparser.add_argument(flag, **keywords) for flag, keywords in arguments]
+        if all(action.option_strings for action in stores):
+            readers[name] = {s: a for a in stores for s in a.option_strings if s.startswith("--")}, stores
+    return parser, sub.choices, readers
 
 
 _parsers = functools.cache(_build_parsers)  # the parsers ``main`` uses, built on first use
 
 
-def _read_plain(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None:
-    """``parser.parse_known_args(tokens)``'s namespace when ``tokens`` are
-    ``parser``'s own long options, each given once, exactly, with its value
-    as the next token or after "=", every value passing the option's
-    ``type`` and ``choices``, and every required option given; None for any
-    other form, which argparse reads. A next token that starts with "-" is
+def _read_plain(options: dict, stores: list, tokens: list[str]) -> argparse.Namespace | None:
+    """A subcommand parser's ``parse_known_args(tokens)`` namespace, read
+    from the actions ``_build_parsers`` kept for it, when ``tokens`` are its
+    own long options, each given once, exactly, with its value as the next
+    token or after "=", every value passing the option's ``type`` and
+    ``choices``, and every required option given; None for any other form,
+    which argparse reads. A next token that starts with "-" is
     left to argparse, which may read it as an option, except "-" itself,
     which it always reads as a value (the "-" state spec). A "--" value is
     left to it too: Python 3.10-3.12 read ``--u=--`` as ``u=[]``, 3.13 as
     ``u="--"``."""
-    if not parser.plain:
-        return None
     given = {}
     tokens = iter(tokens)
     for token in tokens:
         option, eq, value = token.partition("=")
-        action = parser.options.get(option)
+        action = options.get(option)
         if action is None or action.dest in given:
             return None
         if not eq:
@@ -299,7 +252,7 @@ def _read_plain(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None
             return None
         given[action.dest] = value
     values = {}
-    for action in parser.stores:
+    for action in stores:
         if action.required and action.dest not in given:
             return None
         values[action.dest] = given.get(action.dest, action.default)
@@ -312,19 +265,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     top-level parser, which hands ``argv[1:]`` to the same subcommand parser.
     A one-value store that argparse reads as a list (``--u=--`` on Python
     3.10-3.12) is then refused by that subcommand parser's ``error``."""
-    top, subparsers = _parsers()
-    subparser = subparsers.get(argv[0]) if argv else None
-    if subparser is not None:
-        args = _read_plain(subparser, argv[1:])
+    top, subparsers, readers = _parsers()
+    if argv and argv[0] in readers:
+        args = _read_plain(*readers[argv[0]], argv[1:])
         if args is not None:
             args.command = argv[0]
             return args
     args = top.parse_args(argv)
-    subparser = subparsers.get(args.command)
-    if subparser is not None:
-        for action in subparser.stores:
-            if isinstance(getattr(args, action.dest), list):
-                subparser.error(str(argparse.ArgumentError(action, "expected one argument")))
+    for action in readers[args.command][1] if args.command in readers else ():
+        if isinstance(getattr(args, action.dest), list):
+            subparsers[args.command].error(str(argparse.ArgumentError(action, "expected one argument")))
     return args
 
 
@@ -440,13 +390,36 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 2
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "classify": _cmd_classify,
-    "axis": _cmd_axis,
-    "demo": _cmd_demo,
-    "ramsey": _cmd_ramsey,
-    "verify": _cmd_verify,
+#: The CLI, declared once: each subcommand's help, handler and arguments,
+#: each argument as ``add_argument``'s flag and keywords.
+_SUBCOMMANDS = {
+    "run": ("run a protocol on an operator and a state", _cmd_run, [
+        ("--protocol", {"required": True, "choices": sorted(PROTOCOLS)}),
+        ("--u", {"required": True, "help": "operator spec"}),
+        ("--psi", {"required": True, "help": "Bob's input state spec"}),
+        ("--promise", {"choices": [COMMUTING, ANTICOMMUTING]}),
+        ("--mode", {"choices": ["exact", "sampled"], "default": "exact"}),
+        ("--seed", {"type": int, "help": "required for sampled mode"}),
+        ("--format", {"choices": ["human", "structured"], "default": "human"}),
+        ("--out", {"help": "write output to this path instead of stdout"}),
+    ]),
+    "classify": ("commutation class of an operator", _cmd_classify, [
+        ("--u", {"required": True, "help": "operator spec"}),
+        ("--axis", {"default": "0,0,1", "help": "axis as x,y,z"}),
+    ]),
+    "axis": ("common axis for a file of operator specs", _cmd_axis, [
+        ("--set", {"required": True, "dest": "set_file", "help": "spec file, one per line"}),
+    ]),
+    "demo": ("resource lower-bound demonstrations", _cmd_demo, [
+        ("name", {"choices": ["cp-entanglement", "cp-capacity", "cnot-reverse"]}),
+    ]),
+    "ramsey": ("fringe sweep through the 1-1-1 protocol", _cmd_ramsey, [
+        ("--steps", {"type": int, "default": 64}),
+        ("--out", {"help": "write CSV to this path instead of stdout"}),
+    ]),
+    "verify": ("run the full invariant suite", _cmd_verify, [
+        ("--seed", {"type": int, "default": verify_mod.DEFAULT_SEED}),
+    ]),
 }
 
 
@@ -458,7 +431,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

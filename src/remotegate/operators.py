@@ -407,7 +407,12 @@ def common_corrections(families) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     operators as (a, b) pairs: whether each set admits a common correction,
     its V (M, 2, 2) and its deltas (M, K), meaningful where it does; refused
     as ``find_common_axes`` refuses, with the pairs checked once."""
-    ws = _corrections(_operator_sets(families))
+    return _common_corrections(_operator_sets(as_pairs(families)))
+
+
+def _common_corrections(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``common_corrections`` of an (M, K, 2) stack of checked pairs."""
+    ws = _corrections(pairs)
     base = ws[:, 0] * _canonical_signs(pauli_vectors(ws[:, 0]))[:, None, None]
     same = np.linalg.norm(ws - base[:, None], axis=(-2, -1)) <= CLASS_TOL
     flipped = np.linalg.norm(ws + base[:, None], axis=(-2, -1)) <= CLASS_TOL
@@ -423,10 +428,10 @@ def check_common_correction(operators) -> CommonCorrection | None:
     V is sign-fixed so its Pauli vector has a positive leading component,
     and deltas[i] is 0 where W_i = V and pi where W_i = -V.
     """
-    operators = list(operators)
-    if not operators:
+    pairs = as_pairs(operators)
+    if not len(pairs):
         raise ValueError("empty operator set")
-    (ok,), (v,), (deltas,) = common_corrections(as_pairs(operators)[None])
+    (ok,), (v,), (deltas,) = _common_corrections(_operator_sets(pairs[None]))
     return CommonCorrection(v=v, deltas=tuple(deltas.tolist())) if ok else None
 
 
@@ -434,9 +439,8 @@ def check_common_correction(operators) -> CommonCorrection | None:
 # axis search
 
 
-def _operator_sets(families) -> np.ndarray:
-    """``as_pairs`` of an (M, K, 2) stack of M sets of K > 0 operators, or a refusal naming its shape."""
-    pairs = as_pairs(families)
+def _operator_sets(pairs: np.ndarray) -> np.ndarray:
+    """An (M, K, 2) stack of checked pairs, M sets of K > 0 operators, or a refusal naming its shape."""
     if pairs.ndim != 3 or not pairs.shape[1]:
         raise ValueError(f"expected an (M, K, 2) stack of nonempty operator sets, got shape {pairs.shape}")
     return pairs
@@ -454,7 +458,7 @@ def find_common_axes(families) -> list[np.ndarray | None]:
     half-turns about axes orthogonal to it (the paper's second set), so only
     half-turns' axes give cross products.
     """
-    return _common_axes(_operator_sets(families))
+    return _common_axes(_operator_sets(as_pairs(families)))
 
 
 def find_common_axis(operators) -> np.ndarray | None:
@@ -478,7 +482,7 @@ def find_common_axis(operators) -> np.ndarray | None:
     pairs = as_pairs(operators)
     if not len(pairs):
         raise ValueError("empty operator set")
-    return _common_axes(pairs[None])[0]
+    return _common_axes(_operator_sets(pairs[None]))[0]
 
 
 def _common_axes(pairs: np.ndarray) -> list[np.ndarray | None]:

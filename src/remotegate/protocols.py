@@ -169,10 +169,10 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
     The checks, in order, each on every row: the rotation is finite and
     unimodular (``operators._pair_rows``' residual test, which a stack of
     ``Unimodular`` only skips on its construction proof); psi is one qubit's,
-    finite and nonzero (``statevector._unit_qubits``, which normalises it);
-    a promise (``given[n]``, coded ``codes[n]``, 0 for none) names a class
-    and the rotation has it; then ``precondition``. Stacks whose shapes do
-    not fit are refused."""
+    finite and nonzero (``statevector._unit_qubits``, which normalises it
+    unless it is a ``StateVector``); a promise (``given[n]``, coded
+    ``codes[n]``, 0 for none) names a class and the rotation has it; then
+    ``precondition``. Stacks whose shapes do not fit are refused."""
     pairs, residuals = _pair_rows(us)
     unit, psi_check = _unit_qubits(psis)
     n_row = len(pairs)

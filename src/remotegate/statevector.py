@@ -139,9 +139,15 @@ def _qubit_rows(states, name: str) -> tuple[np.ndarray, tuple]:
 
 def _unit_qubits(states) -> tuple[np.ndarray, tuple]:
     """States normalized on entry: ``_qubit_rows``' stack by ``unit_rows`` at
-    ``NORM_TOL``, and the check that a row is one qubit's, finite and nonzero."""
+    ``NORM_TOL``, and the check that a row is one qubit's, finite and nonzero.
+    A one-qubit ``StateVector`` is taken as it is, on its construction proof:
+    normalizing it again need not give back its bits."""
     psi, (fits, misfit) = _qubit_rows(states, "psi")
     unit, ok = unit_rows(psi, NORM_TOL)  # a row read as zeros fails
+    if not isinstance(states, np.ndarray):
+        for n, state in enumerate(states):
+            if isinstance(state, StateVector) and fits[n]:
+                unit[n] = psi[n]
     return unit, (ok, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if fits[n] else misfit(n))
 
 

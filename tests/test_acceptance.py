@@ -9,11 +9,9 @@ import numpy as np
 
 from remotegate import verify
 
-SEED = 20020923
-
 
 def _check(criterion: str, name: str, offset: int = 0):
-    passed, detail = dict(verify.registry())[name](np.random.default_rng(SEED + offset))
+    passed, detail = dict(verify.registry())[name](np.random.default_rng(verify.DEFAULT_SEED + offset))
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
     assert passed, f"{criterion}: {detail}"
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import remotegate
 from remotegate import cli, operators, random_unimodular, verify, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import main, parse_operator, parse_state, render_operator
+from remotegate.protocols import PROTOCOLS, ProtocolConfig, outcome_record
 
 
 class TestParser:
@@ -125,11 +126,11 @@ class TestSharedParser:
         dispatched = results()
         requests = [cli._join_axis_values(argv) for argv in self.requests(tmp_path)]
         read = [0, 1, 3, 4, 7, 17, 20, 23]
-        subparsers = cli._parsers()[1]
-        assert [n for n, argv in enumerate(requests) if argv and argv[0] in subparsers
-                and cli._read_plain(subparsers[argv[0]], argv[1:]) is not None] == read
+        readers = cli._parsers()[2]
+        assert [n for n, argv in enumerate(requests) if argv and argv[0] in readers
+                and cli._read_plain(*readers[argv[0]], argv[1:]) is not None] == read
         assert top_level == [argv for n, argv in enumerate(requests) if n not in read]
-        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}, {}))
         assert results() == dispatched
         assert len(top_level) == 17 + len(requests)
         assert dispatched[10][2].endswith("remotegate: error: unrecognized arguments: extra\n")
@@ -163,23 +164,22 @@ def _option_values(action) -> list[str]:
 
 
 @st.composite
-def _reader_argvs(draw, parser):
+def _reader_argvs(draw, options, stores):
     """A subcommand's arguments as chunks in a drawn order: often every
     required option, then options with one of their values, and option strings,
     their abbreviations and help flags alone, with any value token or with
     an ``=`` value, or a value alone."""
-    options = sorted(parser.options)
-    forms = options + [o[:k] for o in options for k in range(3, len(o))] + ["-h", "--help"]
-    values = READER_VALUES + sorted({v for a in parser.stores for v in _option_values(a)})
+    forms = sorted(options) + [o[:k] for o in sorted(options) for k in range(3, len(o))] + ["-h", "--help"]
+    values = READER_VALUES + sorted({v for a in stores for v in _option_values(a)})
 
     def option(action):
         form, value = draw(st.sampled_from(action.option_strings)), draw(st.sampled_from(_option_values(action)))
         return draw(st.sampled_from([[form, value], [f"{form}={value}"]]))
 
-    chunks = [option(a) for a in parser.stores if a.required] if draw(st.booleans()) else []
+    chunks = [option(a) for a in stores if a.required] if draw(st.booleans()) else []
     for _ in range(draw(st.integers(0, 4))):
-        if parser.stores and draw(st.integers(0, 2)):
-            chunks.append(option(draw(st.sampled_from(parser.stores))))
+        if stores and draw(st.integers(0, 2)):
+            chunks.append(option(draw(st.sampled_from(stores))))
         else:
             form, value = draw(st.sampled_from(forms)), draw(st.sampled_from(values))
             chunks.append(draw(st.sampled_from([[form, value], [f"{form}={value}"], [form], [value]])))
@@ -192,10 +192,12 @@ def _reader_argvs(draw, parser):
 def test_the_plain_reader_gives_argparses_namespace_or_declines(name, data):
     """``_read_plain`` gives no namespace that a subcommand's parser would
     not: where argparse exits, with its output captured, or leaves
-    arguments over, the reader returns None."""
-    parser = cli._parsers()[1][name]
-    tokens = data.draw(_reader_argvs(parser))
-    got = cli._read_plain(parser, tokens)
+    arguments over, the reader returns None. A subcommand with a positional
+    argument has no reader, so argparse reads every request of it."""
+    _, subparsers, readers = cli._parsers()
+    parser, reader = subparsers[name], readers.get(name)
+    tokens = data.draw(_reader_argvs(*reader or ({}, [])))
+    got = cli._read_plain(*reader, tokens) if reader else None
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             want = parser.parse_known_args(tokens)
@@ -204,6 +206,25 @@ def test_the_plain_reader_gives_argparses_namespace_or_declines(name, data):
     if got is not None:
         assert want is not None and want[1] == []
         assert vars(got) == vars(want[0])
+
+
+def test_the_plain_reader_reads_only_long_options_storing_one_value():
+    """Every argument of a subcommand that ``_read_plain`` reads is declared
+    in ``_SUBCOMMANDS`` as one long option that stores one value, kept by
+    its option string and in order: no flag, no ``nargs``, no string
+    default that its ``type`` converts and no suppressed default, none of
+    which the reader's namespace would give as argparse does. Only ``demo``,
+    whose argument is positional, has no reader."""
+    readers = cli._build_parsers()[2]
+    assert list(readers) == [name for name in cli._SUBCOMMANDS if name != "demo"]
+    for name, (options, stores) in readers.items():
+        arguments = cli._SUBCOMMANDS[name][2]
+        assert len(options) == len(stores) == len(arguments)
+        for (flag, keywords), action in zip(arguments, stores):
+            assert flag.startswith("--") and action.option_strings == [flag] and options[flag] is action, (name, flag)
+            assert keywords.get("action", "store") == "store" and action.nargs is None, (name, flag)
+            assert not (action.type is not None and isinstance(action.default, str)), (name, flag)
+            assert action.default is not argparse.SUPPRESS, (name, flag)
 
 
 class TestPlainReader:
@@ -229,9 +250,9 @@ class TestPlainReader:
                 out.append((code, *(re.sub(r"\(\d+\.\d+ s\)", "", text) for text in capsys.readouterr())))
             return out
 
-        top, subparsers = cli._parsers()
+        top, subparsers, _ = cli._parsers()
         with monkeypatch.context() as undo:
-            undo.setattr(cli, "_parsers", lambda: (top, {}))
+            undo.setattr(cli, "_parsers", lambda: (top, {}, {}))
             recorded = results()
 
         def refuse(*args, **kwargs):
@@ -262,7 +283,7 @@ _DASHED_BASES = {
     "ramsey": ["--steps", "2", "--out", "out.txt"],
     "verify": ["--seed", "1"],
 }
-_DASHED = [(name, option) for name in _DASHED_BASES for option in sorted(cli._build_parsers()[1][name].options)]
+_DASHED = [(name, option) for name in _DASHED_BASES for option in sorted(cli._build_parsers()[2][name][0])]
 
 
 def _argparse_reads_dashes_as_a_list() -> bool:
@@ -286,7 +307,7 @@ def test_an_option_given_dashes_after_equals_is_refused_or_read_as_dashes(name, 
     argv = [name, *(t for pair in zip(base[::2], base[1::2]) if pair[0] != option for t in pair), f"{option}=--"]
     code = main(argv)
     out, err = capsys.readouterr()
-    action = cli._parsers()[1][name].options[option]
+    action = cli._parsers()[2][name][0][option]
     if _argparse_reads_dashes_as_a_list():
         assert (code, out) == (1, "")
         assert err.startswith(f"usage: remotegate {name} ")
@@ -511,6 +532,28 @@ class TestParseState:
 
 
 class TestMain:
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_a_run_prints_the_library_calls_records(self, protocol, capsys):
+        """``run --format structured`` prints, byte for byte, the records of
+        the library call on the same numbers: U as parsed and psi as the
+        spec's amplitudes, on seeded ``amp:`` specs and the four named
+        states. ``parse_state``'s ``StateVector`` is admitted as it is, not
+        normalized a second time, which need not give back its bits."""
+        rng = np.random.default_rng(50)
+        states = dict(cli._NAMED_STATES)
+        for re0, im0, re1, im1 in rng.normal(size=(40, 4)).tolist():
+            states[f"amp:{re0!r},{im0!r},{re1!r},{im1!r}"] = (complex(re0, im0), complex(re1, im1))
+        for n, (spec, amplitudes) in enumerate(states.items()):
+            phase, u, promise = rng.uniform(0, 2 * np.pi), random_unimodular(rng), None
+            if protocol in ("restricted221", "one11"):  # in the set: a z turn or a half-turn about an axis in xy
+                u, kind = (rz(phase), "commuting") if n % 2 else (operators.Unimodular(0, np.exp(1j * phase)), "anticommuting")
+                promise = kind if protocol == "one11" else None
+            argv = ["run", "--protocol", protocol, "--u", render_operator(u), "--psi", spec, "--format", "structured"]
+            assert main(argv + (["--promise", promise] if promise else [])) == 0
+            outcomes = PROTOCOLS[protocol](ProtocolConfig(u=u, psi=np.array(amplitudes), promise=promise))
+            want = [json.dumps(outcome_record(protocol, o), sort_keys=True) for o in outcomes]
+            assert capsys.readouterr().out.splitlines() == ["schema: 1", *want], spec
+
     def test_run_structured_success_probability(self, capsys):
         code = main(
             ["run", "--protocol", "universal221", "--u", "rot:1,0,0,1.0472",

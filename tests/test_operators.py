@@ -632,8 +632,7 @@ class TestCommonCorrection:
         assert ok.all()
 
     def test_one_call_checks_its_pairs_once(self, monkeypatch):
-        """``common_corrections`` runs ``as_pairs`` once, in
-        ``_operator_sets``, and gives, byte for byte, what it gave when its
+        """``common_corrections`` runs ``as_pairs`` once and gives, byte for byte, what it gave when its
         W came from ``solve_corrections``, which checks the pairs again."""
         rng = np.random.default_rng(45)
         phases, diagonal = np.exp(1j * rng.uniform(0, 6, (100, 4))), rng.random((100, 4)) < 0.5
@@ -650,6 +649,33 @@ class TestCommonCorrection:
             assert len(calls) == 3
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_one_set_is_admitted_once(self, monkeypatch):
+        """``check_common_correction`` runs the residual test once on a set
+        given as (a, b) pairs and not at all on ``Unimodular`` values,
+        admitted on their construction proof; V and the deltas are, byte
+        for byte, ``common_corrections``' of the set's pairs."""
+        rng = np.random.default_rng(50)
+        us = [rz(phi) for phi in rng.uniform(0, 6, 4)] + [Unimodular(0, np.exp(1j * phi)) for phi in rng.uniform(0, 6, 4)]
+        pairs = operators.as_pairs(us)
+        _, (v,), (deltas,) = operators.common_corrections(pairs[None])
+        calls, residuals = [], operators.unimodular_residuals
+        monkeypatch.setattr(operators, "unimodular_residuals", lambda p: calls.append(p.shape) or residuals(p))
+        for given, admitted in ((pairs, [(8, 2)]), (us, [])):
+            del calls[:]
+            found = check_common_correction(given)
+            assert calls == admitted
+            assert found.v.tobytes() == v.tobytes() and found.deltas == tuple(deltas.tolist())
+
+    def test_a_set_that_is_not_of_operators_is_refused(self):
+        """A single-set search given a stack of sets is refused in
+        ``find_common_axes``' words, naming the shape it was read as."""
+        families = np.zeros((2, 3, 2), dtype=complex)
+        families[..., 0] = 1
+        message = r"^expected an \(M, K, 2\) stack of nonempty operator sets, got shape \(1, 2, 3, 2\)$"
+        for search in (check_common_correction, operators.find_common_axis):
+            with pytest.raises(ValueError, match=message):
+                search(families)
 
     @pytest.mark.parametrize("shape", [(1, 0, 2), (5, 2), (2, 1, 2, 2)], ids=str)
     def test_a_stack_that_is_not_of_operator_sets_is_refused(self, shape):
