@@ -60,11 +60,12 @@ def bloch_vectors(rhos) -> np.ndarray:
     if rhos.ndim != 3 or rhos.shape[1:] != (2, 2):
         raise ValueError(f"expected an (N, 2, 2) stack of density matrices, got shape {rhos.shape}")
     require_finite_rows("rho", rhos)
-    tests = (
-        (np.linalg.norm(rhos - rhos.conj().swapaxes(1, 2), axis=(1, 2)) <= DENSITY_TOL, "not Hermitian"),
-        (np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= DENSITY_TOL, "trace differs from 1"),
-        (_min_eigenvalues(rhos) >= -DENSITY_TOL, "not positive semidefinite"),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry near the float range gives inf or nan, which fails
+        tests = (
+            (np.linalg.norm(rhos - rhos.conj().swapaxes(1, 2), axis=(1, 2)) <= DENSITY_TOL, "not Hermitian"),
+            (np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0) <= DENSITY_TOL, "trace differs from 1"),
+            (_min_eigenvalues(rhos) >= -DENSITY_TOL, "not positive semidefinite"),
+        )
     for ok, why in tests:
         _require_rows(ok, lambda n: f"invalid density matrix: {why}")
     return 2.0 * pauli_vectors(rhos)

@@ -316,8 +316,13 @@ def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
     its rows off the class zero, so a run contracts with what was
     certified. Branches with the same frame and c_b up to sign give the
     same output up to sign on every row, and form a group. Not cached:
-    ``_instrument`` caches the protocols' circuits."""
+    ``_instrument`` caches the protocols' circuits. A circuit without
+    exactly one ``Slot`` is refused after ``_plan``, naming the count,
+    before any amplitude: the box is used once per run."""
     plan = _plan(circuit)
+    slots = sum(type(step) is Slot for step in circuit.steps)
+    if slots != 1:
+        raise ValueError(f"{where} has {slots} black-box slots: a circuit uses the black box exactly once")
     amps, powers, outcomes = _play(plan)
     records = tuple(tuple(plan.labels[m][o] for m, o in enumerate(branch)) for branch in outcomes.tolist())
     names = ["/".join(outcome for _, _, outcome in record) for record in records]

@@ -18,7 +18,8 @@ i.e. i times the Pauli or Hadamard matrix so the determinant stays 1),
 ``rz:<phi>`` for diag(e^{i phi}, e^{-i phi}), ``rot:<nx>,<ny>,<nz>,<theta>``
 for an axis-angle rotation (axis normalized on entry), and raw
 ``mat:<a_re>,<a_im>,<b_re>,<b_im>``. State specs: ``0``, ``1``, ``+``, ``-``
-or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry). Angles are radians.
+or ``amp:<re0>,<im0>,<re1>,<im1>`` (normalized on entry, a named state from
+its integer amplitudes, as the library's). Angles are radians.
 
 The subcommands, their help, handlers and arguments are declared once, in
 ``_SUBCOMMANDS``, each argument as ``add_argument``'s flag and keywords.
@@ -88,8 +89,8 @@ _NAMED_OPERATORS = {
 _NAMED_STATES = {
     "0": (1, 0),
     "1": (0, 1),
-    "+": (1 / _SQRT2, 1 / _SQRT2),
-    "-": (1 / _SQRT2, -1 / _SQRT2),
+    "+": (1, 1),
+    "-": (1, -1),
 }
 
 

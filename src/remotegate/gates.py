@@ -197,7 +197,9 @@ def pauli_vectors(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A 1- or 2-qubit unitary, checked against G†G = 1 on construction."""
+    """A 1- or 2-qubit unitary, checked against G†G = 1 on construction. A
+    non-finite entry is refused by name, and an entry above 1 + UNITARY_TOL
+    in magnitude, which no unitary has, as not unitary before G†G is formed."""
 
     matrix: np.ndarray
     name: str = ""
@@ -206,8 +208,9 @@ class Gate:
         m = np.array(self.matrix, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"gate must be 2x2 or 4x4, got shape {m.shape}")
+        require_finite("Gate.matrix", m)
         dim = m.shape[0]
-        if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARY_TOL:
+        if not np.abs(m).max() <= 1 + UNITARY_TOL or not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARY_TOL:
             raise ValueError(f"gate {self.name!r} is not unitary within {UNITARY_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -235,7 +238,8 @@ def controlled(u: np.ndarray, name: str = "") -> Gate:
 
 
 def controlled_phase(phi: float) -> Gate:
-    """diag(1, 1, 1, e^{i phi}) on a qubit pair."""
+    """diag(1, 1, 1, e^{i phi}) on a qubit pair; ``phi`` must be finite."""
+    require_finite("phi", phi)
     return Gate(np.diag([1, 1, 1, np.exp(1j * phi)]), f"cphase({phi:g})")
 
 

@@ -34,7 +34,7 @@ from .gates import (
     single_row,
     vector_norm,
 )
-from .statevector import _given_unit, _qubit_rows
+from .statevector import _SQRT2, _given_unit, _qubit_rows
 from .tolerances import (
     AXIS_NORM_TOL,
     CENTRAL_TOL,
@@ -46,7 +46,6 @@ from .tolerances import (
     UNIMODULAR_TOL,
 )
 
-_SQRT2 = np.sqrt(2.0)
 _2SQRT2 = 2.0 * _SQRT2
 
 COMMUTING = "commuting"

@@ -118,11 +118,6 @@ class _Rows:
         residual test, so no norm warns."""
         return commutation_norms(self.pairs, Z_AXIS)
 
-    @functools.cached_property
-    def kinds(self) -> np.ndarray:
-        """The class of each rotation against the z axis."""
-        return kinds_from_norms(*self.norms)
-
 
 #: The promises a row may carry, at their codes in ``_Rows.promise``; any
 #: other value has the code ``_UNKNOWN``.
@@ -204,7 +199,7 @@ def _checked(us, psis, promise, precondition) -> tuple[_Rows, list[str | None]]:
         checks.append((
             promised <= CLASS_TOL,
             lambda n: f"unknown promise {given[n]!r}" if codes[n] == _UNKNOWN
-            else f"promise violation: operator classifies as {rows.kinds[n]}, promise says {given[n]}",
+            else f"promise violation: operator classifies as {kinds_from_norms(comm[n], anti[n])}, promise says {given[n]}",
         ))
     return rows, _messages(checks + precondition(rows), n_row)
 
@@ -380,9 +375,9 @@ def _teleport(source: QubitId, source_half: QubitId, dest: QubitId) -> tuple[App
 
 _A1, _A2 = QubitId("alice", 0), QubitId("alice", 1)
 _B1, _B2 = QubitId("bob", 0), QubitId("bob", 1)
-#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1), normalised from
-#: integers, so that their amplitudes, 1/sqrt(2) and 1/2, have exact forms.
-_ONE_PAIR = StateVector([1, 0, 0, 1], (_A1, _B1))
+#: The shared pairs (alice:0, bob:0) and (alice:1, bob:1), each normalised once
+#: from integers, so that their amplitudes, 1/sqrt(2) and 1/2, have exact forms.
+_ONE_PAIR = bell_phi_plus(_A1, _B1)
 _TWO_PAIRS = StateVector(np.kron([1, 0, 0, 1], [1, 0, 0, 1]), (_A1, _B1, _A2, _B2))
 #: Bob's data qubit beside one pair and beside two.
 _DATA1, _DATA2 = QubitId("bob", 1), QubitId("bob", 2)

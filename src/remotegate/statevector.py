@@ -5,7 +5,8 @@ Conventions, used everywhere in this package:
 * The qubit at register position 0 is the most significant bit of the
   amplitude index, so ``tensor(s1, s2)`` is a plain Kronecker product with
   ``s1``'s register first.
-* ``StateVector(...)`` normalizes on entry and rejects (near-)zero vectors.
+* ``StateVector(...)`` normalizes on entry and rejects (near-)zero vectors;
+  every named state is normalized once, from integer amplitudes.
   The kernels build their output states without that second check and do
   not renormalize: ``apply_gate`` returns ``G psi`` as computed, and a
   measurement's post-state is its projected amplitudes divided by the
@@ -34,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gates import Gate, _require_rows, _row_hypots, not_finite, require_finite_rows, require_natural, unit_rows, unit_vector
+from .gates import Gate, _require_rows, _row_hypots, not_finite, require_finite, require_finite_rows, require_natural, unit_rows, unit_vector
 from .tolerances import BRANCH_PRUNE, ENTROPY_CUTOFF, FACTOR_TOL, NORM_TOL, SAMPLE_SUM_TOL, STATE_NORM_TOL
 
 PARTIES = ("alice", "bob")
@@ -48,7 +49,6 @@ BELL_VECTORS = (
     np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,
     np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
 )
-_BELL = np.array(BELL_VECTORS)
 
 
 class InvariantViolation(RuntimeError):
@@ -87,8 +87,7 @@ class StateVector:
             raise ValueError("register conflict: duplicate qubit ids")
         if len(amps) != 2 ** len(reg):
             raise ValueError(f"expected {2 ** len(reg)} amplitudes for {len(reg)} qubits, got {len(amps)}")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
+        require_finite("amplitudes", amps)
         amps = unit_vector(amps, NORM_TOL)
         if amps is None:
             raise ValueError("cannot normalize a zero state vector")
@@ -197,8 +196,8 @@ def minus_state(qubit: QubitId) -> StateVector:
 
 
 def bell_phi_plus(q1: QubitId, q2: QubitId) -> StateVector:
-    """The shared pair (|00> + |11>)/sqrt(2), one e-bit of entanglement."""
-    return StateVector(BELL_VECTORS[0], (q1, q2))
+    """The shared pair (|00> + |11>)/sqrt(2), one e-bit, normalised from integers."""
+    return StateVector([1, 0, 0, 1], (q1, q2))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ def _squared_norms(amps: np.ndarray) -> np.ndarray:
 _BASES = {
     ("computational", 1): np.eye(2),
     ("computational", 2): np.eye(4),
-    ("bell", 2): _BELL,
+    ("bell", 2): np.array(BELL_VECTORS),
 }
 
 
@@ -331,16 +330,14 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
     (exactly two targets, outcomes ordered phi+, phi-, psi+, psi-).
     """
     targets = list(targets)
-    if not targets:
+    n = len(targets)
+    if not n:
         raise ValueError("empty target list")
-    if basis == "computational":
-        vecs = np.eye(2 ** len(targets))
-    elif basis == "bell":
-        if len(targets) != 2:
-            raise ValueError("bell basis requires exactly 2 targets")
-        vecs = _BELL
-    else:
+    if basis not in ("computational", "bell"):
         raise ValueError(f"unknown basis {basis!r}")
+    if basis == "bell" and n != 2:
+        raise ValueError("bell basis requires exactly 2 targets")
+    vecs = _BASES[basis, n] if n < 3 else np.eye(2**n)  # ``_BASES``, or the identity on three or more qubits
     psi, inverse = _targets_front(s, targets)
     coeffs = vecs.conj() @ psi.reshape(len(vecs), -1)
     probs = np.sum(np.abs(coeffs) ** 2, axis=1)
@@ -350,17 +347,22 @@ def measure(s: StateVector, targets, basis: str = "computational") -> list[Measu
             continue
         post = np.multiply.outer(vec, coeff) / math.sqrt(prob)
         post = post.reshape(psi.shape).transpose(inverse).reshape(-1)
-        branches.append(MeasurementBranch(format(o, f"0{len(targets)}b"), prob, _state(post, s.register)))
+        branches.append(MeasurementBranch(format(o, f"0{n}b"), prob, _state(post, s.register)))
     return branches
 
 
 def sample_index(probs, rng: np.random.Generator) -> int:
     """Index drawn with probability ``probs[i]``: the first whose running
     sum reaches ``rng.random() * sum(probs)``, the sum being the last running
-    sum. Consumes one draw, so a fixed seed gives a fixed sequence."""
-    sums = list(accumulate(map(float, probs)))
-    if not sums:
+    sum. A negative entry is refused, named. Consumes one draw, so a fixed
+    seed gives a fixed sequence."""
+    probs = list(map(float, probs))
+    if not probs:
         raise ValueError("no branches to sample")
+    if min(probs) < 0:
+        n = next(n for n, p in enumerate(probs) if p < 0)
+        raise ValueError(f"probs[{n}] is negative: {probs[n]!r}")
+    sums = list(accumulate(probs))
     total = sums[-1]
     if not abs(total - 1.0) <= SAMPLE_SUM_TOL:
         raise ValueError(f"degenerate probability vector (sums to {total!r})")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,29 @@ class TestStackForms:
         rhos[row] = bad
         with pytest.raises(ValueError, match=message):
             bloch_vectors(rhos)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1e308, 0], [0, 1e308]], "trace differs from 1"),
+            ([[0.5, 1e308], [1e308, 0.5]], "not positive semidefinite"),
+            ([[0.5, 1e200], [-1e200, 0.5]], "not Hermitian"),
+            ([[1e308, 1e308], [1e308, -1e308]], "trace differs from 1"),
+        ],
+        ids=["trace_past_the_float_range", "off_diagonal_1e308", "anti_hermitian_1e200", "difference_past_the_float_range"],
+    )
+    def test_an_oversized_row_is_refused_by_its_test_without_a_warning(self, bad, message):
+        """A finite entry near the float range overflows a test to inf or
+        nan, which fails it: the row gets the message of the first test it
+        fails, and nothing warns."""
+        rhos = self._densities(np.random.default_rng(31), 2)
+        rhos[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^row 1: invalid density matrix: {message}$"):
+                bloch_vectors(rhos)
+            with pytest.raises(ValueError, match=rf"^invalid density matrix: {message}$"):
+                bloch_vector(bad)
 
     @pytest.mark.parametrize("seed", [0, 28])
     def test_min_eigenvalues_are_eigvalsh_s(self, seed):

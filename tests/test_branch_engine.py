@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from remotegate import (
     ANTICOMMUTING,
+    BELL_VECTORS,
     COMMUTING,
     PROTOCOLS,
     InvariantViolation,
@@ -39,6 +40,8 @@ from remotegate import (
     bell_phi_plus,
     factor_qubit,
     measure,
+    minus_state,
+    plus_state,
     protocols,
     qubit_state,
     random_qubit,
@@ -47,7 +50,7 @@ from remotegate import (
     tensor,
     tolerances,
 )
-from remotegate import circuits, gates, operators, statevector, verify
+from remotegate import circuits, cli, gates, operators, statevector, verify
 from remotegate.gates import CNOT, Gate, H, RowError, X, Z
 from remotegate.circuits import Apply, Circuit, Measure, Slot
 from remotegate.statevector import _split, sample_index
@@ -810,14 +813,19 @@ _BELL_A = Measure((A0, A1), "bell")
         ((_LATER, Apply(X, (B0,), (_LATER, -1))), r"^gate 'x' on \(bob:0\) reads outcome -1 of the .*, which has 2 outcomes$"),
         ((_BELL_A, Apply(Z, (B0,), (_BELL_A, 4))), r"reads outcome 4 of the bell .*, which has 4 outcomes$"),
         ((Apply(CNOT, (B0,)),), r"^gate 'cnot' acts on 2 qubit\(s\), got 1 target\(s\)$"),
+        ((), r"^hand_built has 0 black-box slots: a circuit uses the black box exactly once$"),
+        ((Slot(A0), Slot(A0)), r"^hand_built has 2 black-box slots: a circuit uses the black box exactly once$"),
     ],
-    ids=["bell_on_one", "computational_on_three", "when_past_the_end", "when_negative", "when_past_bell", "cnot_on_one"],
+    ids=["bell_on_one", "computational_on_three", "when_past_the_end", "when_negative", "when_past_bell", "cnot_on_one",
+         "no_slot", "two_slots"],
 )
 def test_measurement_and_when_that_do_not_fit_are_refused_before_any_amplitude(monkeypatch, steps, message):
     """A basis that does not fit its qubit count (``statevector._BASES``),
     a gate given the wrong number of targets and a ``when`` value outside
-    the measurement's outcomes are refused by the static pass, while the
-    primitives every step runs through raise."""
+    the measurement's outcomes are refused by the static pass, and a
+    circuit with no ``Slot`` or two (the box is used exactly once per run)
+    by the compile after it, while the primitives every step runs through
+    raise."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=message):
         circuits._compile(_hand_built(*steps), None, "hand_built")
@@ -1213,19 +1221,42 @@ def test_a_fixup_off_by_a_phase_is_refused_at_compile(monkeypatch, eps):
 @pytest.mark.parametrize(
     "circuit, step",
     [
-        (Circuit(bell_phi_plus(A0, B0), DATA, (Measure((A0,), "computational"),), B0), "the pairs on alice:0, bob:0"),
+        (Circuit(StateVector(BELL_VECTORS[0], (A0, B0)), DATA, (Measure((A0,), "computational"),), B0),
+         "the pairs on alice:0, bob:0"),
         (_hand_built(Apply(Gate(random_unimodular(np.random.default_rng(23)).matrix, "u"), (B0,))), r"gate 'u' on \(bob:0\)"),
     ],
-    ids=["bell_phi_plus_pairs", "seeded_rotation"],
+    ids=["twice_normalised_pairs", "seeded_rotation"],
 )
 def test_a_step_with_no_exact_form_is_refused_before_any_amplitude(monkeypatch, circuit, step):
-    """``bell_phi_plus`` normalises its amplitude to one ulp above
-    1/sqrt(2), which is off the grid, and a seeded rotation has no exact
-    form: ``_plan`` refuses each, naming it, before any amplitude is
-    touched."""
+    """``BELL_VECTORS[0]``, already divided by sqrt(2), normalised again
+    gives an amplitude one ulp above 1/sqrt(2), which is off the grid, and
+    a seeded rotation has no exact form: ``_plan`` refuses each, naming it,
+    before any amplitude is touched."""
     _no_amplitudes(monkeypatch)
     with pytest.raises(ValueError, match=_no_exact_form(step)):
         circuits._compile(circuit, None, "hand_built")
+
+
+def test_every_named_state_is_normalised_once_onto_the_grid():
+    """Every named state is normalised once, from its integer amplitudes:
+    ``basis_state``, ``plus_state``, ``minus_state``, ``bell_phi_plus`` and
+    each named ``cli.parse_state`` spec have exact forms, each named spec
+    gives its constructor's state on Bob's qubit, bit for bit, and one11's
+    circuits on ``bell_phi_plus`` pairs compile to the table's instruments,
+    every field and the tensor byte for byte."""
+    bob = QubitId("bob", 0)
+    constructed = {"0": basis_state("0", (bob,)), "1": basis_state("1", (bob,)), "+": plus_state(bob), "-": minus_state(bob)}
+    named = [*constructed.values(), basis_state("0110", (A0, A1, B0, B1)), bell_phi_plus(A0, B0)]
+    for state in named + [cli.parse_state(spec) for spec in cli._NAMED_STATES]:
+        circuits._exact_form(state.amplitudes, repr(state))
+    for spec, state in constructed.items():
+        parsed = cli.parse_state(spec)
+        assert parsed.register == state.register and parsed.amplitudes.tobytes() == state.amplitudes.tobytes(), spec
+    for promise in (COMMUTING, ANTICOMMUTING):
+        circuit = protocols._CIRCUITS["one11", promise]
+        pairs = bell_phi_plus(*circuit.pairs.register)
+        got = circuits._compile(circuit._replace(pairs=pairs), promise, "one11")
+        _assert_same_instrument(got, protocols._instrument("one11", promise))
 
 
 def test_branch_of_weight_zero_on_its_class_is_refused():
@@ -1313,6 +1344,24 @@ def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
     for b, d in enumerate(inst.group):
         rep = columns[:, inst.reps[d]]
         assert np.array_equal(columns[:, b], rep) or np.array_equal(columns[:, b], -rep)
+
+
+@pytest.mark.parametrize("key", list(_GROUPS), ids=str)
+def test_each_tensor_column_has_its_fixed_number_of_unit_terms(key):
+    """The two-term structure: every column of the tensor has exactly one
+    nonzero entry on the rows of each class of E_ij the instrument spans,
+    so two, or one in each of one11's class instruments, whose off-class
+    rows are zero. Every nonzero entry is +-1 or +-i times 1/4, or 1/2 for
+    one11, so the order in which a contraction sums a row's terms cannot
+    change its bits."""
+    tensor = protocols._instrument(*key).tensor
+    nonzero = tensor != 0
+    for promise in (COMMUTING, ANTICOMMUTING):
+        rows = circuits._CLASSES[promise]
+        spanned = (rows & circuits._CLASSES[key[1]]).any()
+        assert set(nonzero[np.repeat(rows.reshape(4), 2)].sum(axis=0).tolist()) == ({1} if spanned else {0}), promise
+    unit = 0.5 if key[0] == "one11" else 0.25
+    assert set(tensor[nonzero].tolist()) <= {unit, -unit, unit * 1j, -unit * 1j}
 
 
 def test_universal221_succeeds_with_probability_exactly_one_half():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import remotegate
-from remotegate import cli, operators, random_unimodular, verify, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
+from remotegate import QubitId, basis_state, cli, minus_state, operators, plus_state, random_unimodular, verify, rz, sigma_x, sigma_y, sigma_z, hadamard_matrix
 from remotegate.cli import main, parse_operator, parse_state, render_operator
 from remotegate.protocols import PROTOCOLS, ProtocolConfig, outcome_record
 
@@ -536,21 +536,25 @@ class TestMain:
     def test_a_run_prints_the_library_calls_records(self, protocol, capsys):
         """``run --format structured`` prints, byte for byte, the records of
         the library call on the same numbers: U as parsed and psi as the
-        spec's amplitudes, on seeded ``amp:`` specs and the four named
-        states. ``parse_state``'s ``StateVector`` is admitted as it is, not
-        normalized a second time, which need not give back its bits."""
+        spec's amplitudes, on seeded ``amp:`` specs, or, for the four named
+        states, as ``basis_state``, ``plus_state`` or ``minus_state`` of
+        Bob's qubit, since a named spec is normalized once, from integers,
+        as the library's. ``parse_state``'s ``StateVector`` is admitted as
+        it is, not normalized a second time, which need not give back its
+        bits."""
         rng = np.random.default_rng(50)
-        states = dict(cli._NAMED_STATES)
+        bob = QubitId("bob", 0)
+        states = {"0": basis_state("0", (bob,)), "1": basis_state("1", (bob,)), "+": plus_state(bob), "-": minus_state(bob)}
         for re0, im0, re1, im1 in rng.normal(size=(40, 4)).tolist():
-            states[f"amp:{re0!r},{im0!r},{re1!r},{im1!r}"] = (complex(re0, im0), complex(re1, im1))
-        for n, (spec, amplitudes) in enumerate(states.items()):
+            states[f"amp:{re0!r},{im0!r},{re1!r},{im1!r}"] = np.array([complex(re0, im0), complex(re1, im1)])
+        for n, (spec, psi) in enumerate(states.items()):
             phase, u, promise = rng.uniform(0, 2 * np.pi), random_unimodular(rng), None
             if protocol in ("restricted221", "one11"):  # in the set: a z turn or a half-turn about an axis in xy
                 u, kind = (rz(phase), "commuting") if n % 2 else (operators.Unimodular(0, np.exp(1j * phase)), "anticommuting")
                 promise = kind if protocol == "one11" else None
             argv = ["run", "--protocol", protocol, "--u", render_operator(u), "--psi", spec, "--format", "structured"]
             assert main(argv + (["--promise", promise] if promise else [])) == 0
-            outcomes = PROTOCOLS[protocol](ProtocolConfig(u=u, psi=np.array(amplitudes), promise=promise))
+            outcomes = PROTOCOLS[protocol](ProtocolConfig(u=u, psi=psi, promise=promise))
             want = [json.dumps(outcome_record(protocol, o), sort_keys=True) for o in outcomes]
             assert capsys.readouterr().out.splitlines() == ["schema: 1", *want], spec
 

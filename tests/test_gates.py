@@ -1,8 +1,9 @@
 """``gates.matmul2``, the 2x2 product of the stack paths, against ``@``;
 ``pauli_vectors`` against traces and ``pauli_dot``; the row norms against
-their one-vector forms; ``Gate``'s repr."""
+their one-vector forms; ``Gate``'s repr and its refusals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from remotegate.gates import (
     PAULIS,
     Gate,
     H,
+    controlled_phase,
     matmul2,
     pauli_dot,
     pauli_vectors,
@@ -192,3 +194,24 @@ def test_row_hypots_give_the_per_row_comprehensions_bytes():
 
 def test_a_gate_repr_gives_its_name_apart_from_its_size():
     assert [repr(H), repr(CNOT), repr(Gate(sigma_z))] == ["Gate('h', 2x2)", "Gate('cnot', 4x4)", "Gate(2x2)"]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gate(np.diag([1, np.inf])), r"^Gate\.matrix\[1, 1\] is not finite: inf$"),
+        (lambda: Gate(np.diag([1, 1, np.nan, 1]), "u"), r"^Gate\.matrix\[2, 2\] is not finite: nan$"),
+        (lambda: Gate(np.diag([1e200, 1, 1, 1]), "big"), r"^gate 'big' is not unitary within 1e-10$"),
+        (lambda: Gate(np.diag([1.5e308 + 1.5e308j, 1])), r"^gate '' is not unitary within 1e-10$"),
+        (lambda: controlled_phase(np.inf), r"^phi is not finite: inf$"),
+    ],
+    ids=["inf_entry", "nan_entry", "entry_1e200", "entry_past_the_float_range", "phase_inf"],
+)
+def test_a_gate_not_finite_or_oversized_is_refused_by_name_without_a_warning(build, message):
+    """A non-finite entry is refused by name, and an entry above 1 in
+    magnitude, which no unitary has, as not unitary, before G^dag G is
+    formed; ``controlled_phase`` checks ``phi`` before ``np.exp``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            build()

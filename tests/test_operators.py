@@ -460,6 +460,8 @@ class TestCommutationNorms:
         assert kinds == [COMMUTING, GENERAL, ANTICOMMUTING, GENERAL] * 3
 
     def test_rows_classify_as_classify_pairs(self):
+        """The tag the promise refusal computes from ``_Rows.norms`` is
+        ``classify_pairs``' on every row."""
         rng = np.random.default_rng(12)
         in_set = [(u.a, u.b) for u in (rz(rng.uniform(0, 6)) for _ in range(20))]
         in_set += [(0, np.exp(1j * rng.uniform(0, 6))) for _ in range(20)]
@@ -469,7 +471,7 @@ class TestCommutationNorms:
                                promise=np.zeros(count, dtype=np.intp), pairs=pairs)
         expected = operators.classify_pairs(pairs)
         assert set(expected.tolist()) == {COMMUTING, ANTICOMMUTING, GENERAL}
-        assert np.array_equal(rows.kinds, expected)
+        assert np.array_equal(operators.kinds_from_norms(*rows.norms), expected)
 
     def test_tags_are_those_of_the_string_formula(self):
         """The tags ``np.where`` takes as arrays give what it gave with the

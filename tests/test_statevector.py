@@ -498,6 +498,20 @@ class TestSampleBranch:
             assert sample_index(probs.tolist(), np.random.default_rng(seed)) == expected
             assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [([-0.5, 1.5], r"^probs\[0\] is negative: -0\.5$"), ([2, -1], r"^probs\[1\] is negative: -1\.0$")],
+        ids=["summing_to_one_first", "summing_to_one_second"],
+    )
+    def test_a_negative_entry_is_refused_by_name_before_any_draw(self, probs, message):
+        """Entries that sum to 1 with one negative would draw an index; the
+        entry is refused, named, and the generator is left as it was."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_index(probs, rng)
+        assert rng.bit_generator.state == state
+
     def test_degenerate_probabilities(self):
         probs = _probabilities(plus_state(B0))
         with pytest.raises(ValueError, match="degenerate"):
@@ -563,7 +577,7 @@ class TestFactorQubit:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: StateVector([np.nan, 1], (B0,)), r"^amplitudes must be finite$"),
+        (lambda: StateVector([np.nan, 1], (B0,)), r"^amplitudes\[0\] is not finite: nan$"),
         (lambda: basis_state("2", (B0,)), r"^bad basis label '2' for 1 qubits$"),
         (lambda: basis_state("01", (B0,)), r"^bad basis label '01' for 1 qubits$"),
         (lambda: apply_gate(tensor(plus_state(A0), plus_state(B0)), CNOT, [B0, B0]), r"^duplicate targets$"),
