@@ -249,8 +249,13 @@ class _Instrument(NamedTuple):
     Branch b maps the black box as c_b V_b E W_b, with (V_b, W_b) =
     ``frames[b]`` as indices into (1, sx, sy, sz) and ``weights[b]`` =
     |c_b|^2 exactly. Branch b's group is ``group[b]``, and group d has
-    ``counts[d]`` branches, the first of them ``reps[d]``. ``tree`` is the
-    branch tree that a sampled run draws down (``_draw_tree``)."""
+    ``counts[d]`` branches, the first of them ``reps[d]``; ``counts`` is the
+    float vector a run weighs its D distinct probabilities with. Branches of
+    a group give one output up to sign, so a run contracts with
+    ``distinct_tensor``, the columns of the D representatives, flattened
+    from (D, 2): ``tensor.reshape(8, B, 2)[:, reps]``, built here once.
+    Both arrays are read-only. ``tree`` is the branch tree that a sampled
+    run draws down (``_draw_tree``)."""
 
     tensor: np.ndarray  # (8, B * 2)
     records: tuple[tuple[tuple[str, str, str], ...], ...]
@@ -260,7 +265,8 @@ class _Instrument(NamedTuple):
     bob_qubit: QubitId
     group: tuple[int, ...]
     reps: tuple[int, ...]
-    counts: tuple[int, ...]
+    counts: np.ndarray  # (D,)
+    distinct_tensor: np.ndarray  # (8, D * 2)
     tree: _Node | int
 
 
@@ -272,14 +278,19 @@ _CLASSES = {None: np.ones((2, 2), dtype=bool), COMMUTING: np.eye(2, dtype=bool),
 _FRAMES = np.einsum("voi,wjm->vwijom", (identity2, *PAULIS), (identity2, *PAULIS)).reshape(16, 2, 2, 2, 2)
 
 
-def _grouped(keys) -> dict[str, tuple[int, ...]]:
-    """``_Instrument``'s ``group``, ``reps`` and ``counts`` for branches
-    whose ``keys`` are equal within a group, numbered in the order of their
-    first branch."""
+def _grouped(keys, tensor: np.ndarray) -> dict:
+    """``_Instrument``'s ``group``, ``reps``, ``counts`` and
+    ``distinct_tensor`` for branches whose ``keys`` are equal within a
+    group, numbered in the order of their first branch, and the
+    instrument's (8, B * 2) ``tensor``."""
     first = {}
     group = [first.setdefault(key, len(first)) for key in keys]
-    return {"group": tuple(group), "reps": tuple(map(group.index, range(len(first)))),
-            "counts": tuple(map(group.count, range(len(first))))}
+    reps = tuple(map(group.index, range(len(first))))
+    counts = np.array(list(map(group.count, range(len(first)))), dtype=float)
+    distinct = tensor.reshape(8, -1, 2)[:, reps].reshape(8, -1)
+    counts.setflags(write=False)
+    distinct.setflags(write=False)
+    return {"group": tuple(group), "reps": reps, "counts": counts, "distinct_tensor": distinct}
 
 
 def _draw_tree(records, weights, branches=None, level=0) -> _Node | int:
@@ -315,7 +326,8 @@ def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
     circuit as ``where``. The tensor is the played grid over sqrt(2)**e_b,
     its rows off the class zero, so a run contracts with what was
     certified. Branches with the same frame and c_b up to sign give the
-    same output up to sign on every row, and form a group. Not cached:
+    same output up to sign on every row, and form a group, whose first
+    branch's columns a run contracts with (``distinct_tensor``). Not cached:
     ``_instrument`` caches the protocols' circuits. A circuit without
     exactly one ``Slot`` is refused after ``_plan``, naming the count,
     before any amplitude: the box is used once per run."""
@@ -354,7 +366,7 @@ def _compile(circuit: Circuit, promise: str | None, where: str) -> _Instrument:
     keys = zip(frames.tolist(), (frozenset((x, -x)) for x in (c / scales).tolist()))  # c_b up to sign
     weights = tuple(weights.tolist())
     return _Instrument(tensor, records, tuple(divmod(p, 4) for p in frames.tolist()), weights,
-                       plan.ledger, circuit.output, **_grouped(keys), tree=_draw_tree(records, weights))
+                       plan.ledger, circuit.output, **_grouped(keys, tensor), tree=_draw_tree(records, weights))
 
 
 def _draw(node: _Node | int, rng: np.random.Generator) -> int:

@@ -312,6 +312,18 @@ def commutation_norms(pairs, axes) -> tuple[np.ndarray, np.ndarray]:
     return _2SQRT2 * comm, _2SQRT2 * anti
 
 
+def _z_norms(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``commutation_norms(pairs, Z_AXIS)`` of an (N, 2) stack of finite
+    pairs in closed form, bit for bit: with n = z, v x n = (vy, -vx, 0) and
+    v.n = vz, so the commutator norm is 2 sqrt(2) hypot(vx, vy) and the
+    anticommutator norm 2 sqrt(2) hypot(u0, vz), where (vy, vx) = (Re b,
+    Im b) and (u0, vz) = (Re a, Im a): 2 sqrt(2) times the hypot of each
+    entry's parts, b's then a's. The general form's extra terms are zeros,
+    and hypot(x, 0) is |x| and reads no sign, so its bits are these."""
+    norms = _2SQRT2 * np.hypot(pairs.real, pairs.imag)
+    return norms[:, 1], norms[:, 0]
+
+
 # The tags as 0-d arrays, converted once: np.where converts a Python str on every call.
 _COMMUTING_TAG, _ANTICOMMUTING_TAG, _GENERAL_TAG = (
     np.array(kind, dtype="<U13") for kind in (COMMUTING, ANTICOMMUTING, GENERAL)

@@ -49,10 +49,9 @@ from .gates import (
 from .operators import (
     ANTICOMMUTING,
     COMMUTING,
-    Z_AXIS,
     Unimodular,
     _pair_rows,
-    commutation_norms,
+    _z_norms,
     kinds_from_norms,
     rz,
     unimodular_error,
@@ -113,10 +112,12 @@ class _Rows:
 
     @functools.cached_property
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Commutator and anticommutator norms of each rotation with sz. Every
-        pair is finite and unimodular, or (0, 0) in place of one that fails the
+        """Commutator and anticommutator norms of each rotation with sz, in
+        closed form (``operators._z_norms``): 2 sqrt(2) |b| and 2 sqrt(2) |a|,
+        the bits ``commutation_norms(pairs, Z_AXIS)`` gives. Every pair is
+        finite and unimodular, or (0, 0) in place of one that fails the
         residual test, so no norm warns."""
-        return commutation_norms(self.pairs, Z_AXIS)
+        return _z_norms(self.pairs)
 
 
 #: The promises a row may carry, at their codes in ``_Rows.promise``; any
@@ -319,16 +320,19 @@ class BatchOutcome:
 def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
     """The table of ``rows`` from ``amps[n, d]``, Bob's unnormalised output
     on row n for the branches of group d of ``inst``, each of which gives
-    it up to sign. The compile fixed each branch's map as c V U W
-    (``_compile``); the one check left reads the run's own amplitudes:
-    each row's probabilities, each distinct one times its branch count, sum
-    within ``PROB_TOL`` to 1 or to the row's own |a|^2 + |b|^2, read from
-    its admitted pair, or a step was not unitary and the first such row is
-    named. Normalises and phase-fixes Bob's states in ``amps`` in place."""
+    it up to sign (the contraction with ``inst.distinct_tensor``). The
+    compile fixed each branch's map as c V U W (``_compile``); the one
+    check left reads the run's own amplitudes: each row's probabilities,
+    each distinct one times its branch count (``inst.counts``, a float
+    vector built with the instrument), sum within ``PROB_TOL`` to 1 or to
+    the row's own |a|^2 + |b|^2, read from its admitted pair, or a step was
+    not unitary and the first such row is named. Normalises and
+    phase-fixes Bob's states in ``amps`` in place."""
     probs = _squared_norms(amps)
     totals = probs.dot(inst.counts)
-    # x - 1 rounds monotonically in x, so the two ends decide every |x - 1|; a NaN fails
-    if not (totals.max() - 1.0 <= PROB_TOL and 1.0 - totals.min() <= PROB_TOL):
+    # x - 1 rounds monotonically in x, so the two ends decide every |x - 1|; a NaN fails.
+    # The ufunc reductions skip the max/min methods' Python wrappers, which a single run pays for.
+    if not (np.maximum.reduce(totals) - 1.0 <= PROB_TOL and 1.0 - np.minimum.reduce(totals) <= PROB_TOL):
         # the frames make a row's total |a|^2 + |b|^2, which admission lets be off 1 by UNIMODULAR_TOL
         own = _squared_norms(rows.pairs)
         bad = ~(np.abs(totals - 1.0) <= PROB_TOL) & ~(np.abs(totals - own) <= PROB_TOL)
@@ -339,7 +343,8 @@ def _finish(amps, rows: _Rows, inst: _Instrument) -> BatchOutcome:
             raise InvariantViolation(message)
     finals = np.divide(amps, np.sqrt(probs)[..., None], out=amps)
     # phase-fix: the larger component (the first on a tie) real and positive
-    lead = np.where(np.abs(finals[..., 0]) >= np.abs(finals[..., 1]), finals[..., 0], finals[..., 1])
+    first, second = finals[..., 0], finals[..., 1]
+    lead = np.where(np.abs(first) >= np.abs(second), first, second)
     np.divide(lead.conj(), np.abs(lead), out=lead)
     finals *= lead[..., None]
     fids = np.abs(finals @ (rows.u @ rows.psi[..., None]).conj())[..., 0] ** 2
@@ -442,7 +447,7 @@ def _instrument(protocol: str, promise: str | None) -> _Instrument:
         commuting, anticommuting = _instrument(protocol, COMMUTING), _instrument(protocol, ANTICOMMUTING)
         both = commuting.tensor + anticommuting.tensor
         both.setflags(write=False)
-        return commuting._replace(tensor=both, **_grouped(zip(commuting.group, anticommuting.group)))
+        return commuting._replace(tensor=both, **_grouped(zip(commuting.group, anticommuting.group), both))
     return _compile(_CIRCUITS[protocol, promise], promise, protocol if promise is None else f"{protocol} ({promise})")
 
 
@@ -453,8 +458,10 @@ _OFF_CLASS = np.repeat([~_CLASSES[p].reshape(4) for p in _PROMISES + (None,)], 2
 
 def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
     """``protocol`` on checked rows: each row's U[i, j] psi[m] contracted
-    with the protocol's whole instrument, as one product whatever the
-    groups, then each group's first branch finished."""
+    with the columns of each group's first branch (the instrument's
+    ``distinct_tensor``), as one product whatever the groups, and finished.
+    Every column holds one unit term per class of E_ij, so an output's
+    bits are those of the whole tensor's product at that column."""
     n_row = len(rows.psi)
     inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(n_row, 8)
     inst = _instrument(protocol, None)
@@ -462,8 +469,8 @@ def _run_rows(protocol: str, rows: _Rows) -> BatchOutcome:
         # one11: each row keeps the inputs of its promised class; the part of
         # U off it, which the promise check admits within CLASS_TOL, is dropped
         inputs[_OFF_CLASS[rows.promise]] = 0
-    amps = (inputs @ inst.tensor).reshape(n_row, len(inst.records), 2)
-    return _finish(amps.take(inst.reps, axis=1), rows, inst)
+    amps = (inputs @ inst.distinct_tensor).reshape(n_row, len(inst.reps), 2)
+    return _finish(amps, rows, inst)
 
 
 def _run_one(protocol: str, cfg: ProtocolConfig) -> list[ProtocolOutcome]:

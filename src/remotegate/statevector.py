@@ -124,11 +124,13 @@ def _amplitudes(values) -> np.ndarray:
 
 def _qubit_rows(states, name: str) -> tuple[np.ndarray, tuple]:
     """An (N, 2) array or a sequence of amplitude pairs and one-qubit ``StateVector``s as an
-    (N, 2) stack, and the check (rows that pass, message for row n) that a row is two amplitudes."""
+    (N, 2) stack, and the check (rows that pass, message for row n) that a row is two amplitudes.
+    A stack that fits as a whole passes it as ``np.True_``, which ``.all()`` reads as every row,
+    with no array built."""
     if not isinstance(states, np.ndarray):
         states = [s.amplitudes if isinstance(s, StateVector) else s for s in states]
     stack = _amplitudes(states)
-    fits = np.ones(len(stack), dtype=bool)
+    fits = np.True_
     if stack.shape[1:] != (2,):  # read row by row; a row that is not two amplitudes reads as zeros
         rows = list(map(_amplitudes, states))
         fits = np.array([row.shape == (2,) for row in rows], dtype=bool)
@@ -145,9 +147,9 @@ def _unit_qubits(states) -> tuple[np.ndarray, tuple]:
     unit, ok = unit_rows(psi, NORM_TOL)  # a row read as zeros fails
     if not isinstance(states, np.ndarray):
         for n, state in enumerate(states):
-            if isinstance(state, StateVector) and fits[n]:
+            if isinstance(state, StateVector) and state.n == 1:
                 unit[n] = psi[n]
-    return unit, (ok, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if fits[n] else misfit(n))
+    return unit, (ok, lambda n: (not_finite("psi", psi[n]) or "psi must be nonzero") if fits is np.True_ or fits[n] else misfit(n))
 
 
 def _given_unit(name: str, states: np.ndarray) -> None:

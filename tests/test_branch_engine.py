@@ -248,8 +248,16 @@ def _assert_batch_matches_per_branch_engine(name, us, psis, promises):
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_run_batch_matches_per_branch_engine(name):
-    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 60)
-    _assert_batch_matches_per_branch_engine(name, us, psis, promises)
+    """``run_batch`` against the circuit run step by step, with the real
+    black box, on ``ReferenceRun``, in one batch of 104 seeded rows: 64 and
+    then 40 of z rotations, half turns and (where the protocol takes them)
+    Haar rotations, both one11 classes mixed, on |0>, |1> and Haar states,
+    the 40 with [1, 1e-9] in every eighth row."""
+    index = sorted(PROTOCOLS).index(name)
+    us, psis, promises = _batch_rows(name, seed=index + 60)
+    more_us, more_psis, more_promises = _batch_rows(name, seed=index + 80, count=40)
+    more_psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(more_psis)]
+    _assert_batch_matches_per_branch_engine(name, us + more_us, psis + more_psis, promises + more_promises)
 
 
 #: Every (protocol, promise class) that is compiled.
@@ -1036,17 +1044,6 @@ def test_batch_memory_drops_measured_qubits(monkeypatch):
 # compiled instruments
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_compiled_run_matches_the_step_by_step_circuit(name):
-    """``run_batch`` against the circuit run step by step, with the real
-    black box, on ``ReferenceRun``: 40 seeded rows of z rotations, half
-    turns and (where the protocol takes them) Haar rotations, both one11
-    classes in one batch, on |0>, |1>, [1, 1e-9] and Haar states."""
-    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 80, count=40)
-    psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
-    _assert_batch_matches_per_branch_engine(name, us, psis, promises)
-
-
 def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     """100 ``run_*`` calls, exact and sampled, over every protocol and both
     one11 classes, resolve and play each (protocol, promise class) circuit
@@ -1068,18 +1065,34 @@ def test_each_protocol_compiles_once_per_promise_class(monkeypatch):
     assert len(played) == len(_COMPILED)
 
 
+#: The fields of ``_Instrument`` that are arrays, compared byte for byte.
+_ARRAYS = ("tensor", "distinct_tensor", "counts")
+
+
+def _others(inst):
+    """``inst`` with its array fields blanked, so the rest compares by value."""
+    return inst._replace(**dict.fromkeys(_ARRAYS))
+
+
+def _assert_same_instrument(got, want):
+    for name in _ARRAYS:
+        array, expected = getattr(got, name), getattr(want, name)
+        assert array.shape == expected.shape and array.dtype == expected.dtype, name
+        assert array.tobytes() == expected.tobytes() and not array.flags.writeable, name
+    assert _others(got) == _others(want)
+
+
 @pytest.mark.parametrize("key", list(protocols._CIRCUITS), ids=str)
 def test_compile_of_a_table_circuit_is_its_cached_instrument(key):
     """``_compile`` on a ``_CIRCUITS`` entry gives what ``_instrument``
-    caches for its key, field for field and the tensor byte for byte, and
+    caches for its key, field for field and every array (the tensor, the
+    representatives' columns and the counts) byte for byte, read-only, and
     neither reads nor fills that cache."""
     cached = protocols._instrument(*key)
     info = protocols._instrument.cache_info()
     compiled = circuits._compile(protocols._CIRCUITS[key], key[1], "table")
     assert protocols._instrument.cache_info() == info
-    assert compiled.tensor.shape == cached.tensor.shape and not compiled.tensor.flags.writeable
-    assert compiled.tensor.tobytes() == cached.tensor.tobytes()
-    assert compiled._replace(tensor=None) == cached._replace(tensor=None)
+    _assert_same_instrument(compiled, cached)
 
 
 @pytest.mark.parametrize("promise", [COMMUTING, ANTICOMMUTING])
@@ -1102,15 +1115,10 @@ def test_one11_drops_the_part_of_u_off_its_promised_class(promise):
     assert np.array_equal(a.bob_final, b.bob_final)
 
 
-def _assert_same_instrument(got, want):
-    assert got.tensor.tobytes() == want.tensor.tobytes() and not got.tensor.flags.writeable
-    assert got._replace(tensor=None) == want._replace(tensor=None)
-
-
 def test_one11s_anticommuting_circuit_is_the_circuit_with_bobs_sx_and_sz_sx_fix_ups(monkeypatch):
     """The anticommuting circuit, the commuting one after Bob's unconditioned
     sx, compiles to what Bob's fix-ups sx and sz sx, as two gates on Alice's
-    outcomes 0 and 1, give, in every field and the tensor byte for byte;
+    outcomes 0 and 1, give, in every field and every array byte for byte;
     with that circuit in the table, one11's summed instrument is the same."""
     key = ("one11", ANTICOMMUTING)
     bob, alice = protocols._B1, protocols._ALICE_HALF
@@ -1133,12 +1141,15 @@ def test_one11_class_tensors_lie_on_disjoint_rows_of_its_instrument():
     anticommuting one off it, and the instrument a run contracts with is
     their sum, bit for bit, after zeroing each row's inputs off its class."""
     commuting, anticommuting = (protocols._instrument("one11", c) for c in (COMMUTING, ANTICOMMUTING))
-    assert commuting._replace(tensor=None) == anticommuting._replace(tensor=None)
+    assert _others(commuting) == _others(anticommuting)
+    assert commuting.counts.tobytes() == anticommuting.counts.tobytes()
     diagonal = np.repeat(np.eye(2, dtype=bool).reshape(4), 2)
     assert not commuting.tensor[~diagonal].any() and commuting.tensor[diagonal].any()
     assert not anticommuting.tensor[diagonal].any() and anticommuting.tensor[~diagonal].any()
-    summed = protocols._instrument("one11", None).tensor
-    assert np.array_equal(summed, np.where(diagonal[:, None], commuting.tensor, anticommuting.tensor))
+    summed = protocols._instrument("one11", None)
+    for name in ("tensor", "distinct_tensor"):
+        parts = np.where(diagonal[:, None], getattr(commuting, name), getattr(anticommuting, name))
+        assert np.array_equal(getattr(summed, name), parts), name
     # a run zeroes each row's inputs off its class
     off = protocols._OFF_CLASS
     assert (off[protocols._COMMUTING] == ~diagonal).all() and (off[protocols._ANTICOMMUTING] == diagonal).all()
@@ -1243,7 +1254,7 @@ def test_every_named_state_is_normalised_once_onto_the_grid():
     each named ``cli.parse_state`` spec have exact forms, each named spec
     gives its constructor's state on Bob's qubit, bit for bit, and one11's
     circuits on ``bell_phi_plus`` pairs compile to the table's instruments,
-    every field and the tensor byte for byte."""
+    every field and every array byte for byte."""
     bob = QubitId("bob", 0)
     constructed = {"0": basis_state("0", (bob,)), "1": basis_state("1", (bob,)), "+": plus_state(bob), "-": minus_state(bob)}
     named = [*constructed.values(), basis_state("0110", (A0, A1, B0, B1)), bell_phi_plus(A0, B0)]
@@ -1339,8 +1350,12 @@ def test_each_instrument_groups_its_branches_by_output_up_to_sign(key):
     assert inst.tensor.tobytes() == _played_tensor(*key).tobytes()
     distinct = sorted(set(inst.group))
     assert inst.reps == tuple(inst.group.index(d) for d in distinct)
-    assert inst.counts == tuple(inst.group.count(d) for d in distinct)
+    assert inst.counts.dtype == float and inst.counts.tolist() == [inst.group.count(d) for d in distinct]
     columns = inst.tensor.reshape(8, -1, 2)
+    # a run contracts with the representatives' columns, built once, read-only
+    assert inst.distinct_tensor.tobytes() == columns[:, list(inst.reps)].reshape(8, -1).tobytes()
+    assert inst.distinct_tensor.shape == (8, 2 * len(distinct)) and inst.distinct_tensor.dtype == complex
+    assert not inst.distinct_tensor.flags.writeable and not inst.counts.flags.writeable
     for b, d in enumerate(inst.group):
         rep = columns[:, inst.reps[d]]
         assert np.array_equal(columns[:, b], rep) or np.array_equal(columns[:, b], -rep)
@@ -1420,6 +1435,40 @@ def test_grouped_finish_matches_every_branch_finished(name):
     _assert_matches_every_branch_finished(name, us, psis, promises)
 
 
+@pytest.mark.parametrize("count", [1, 3, 1000])
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_the_representatives_columns_give_the_whole_tensors_bits(name, count):
+    """A run contracts with the columns of each group's first branch only
+    (``distinct_tensor``): every ``distinct_*`` array of ``run_batch`` is,
+    byte for byte, what the whole tensor's product, taken at ``reps`` and
+    finished, gives, on seeded rows of z rotations, half turns and (where
+    the protocol takes them) Haar rotations, one11's two classes in one
+    batch, on |0>, |1>, [1, 1e-9] and Haar states; and each single
+    ``run_*`` call returns its row of the batch, bit for bit."""
+    us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 2741, count=count)
+    psis = [[1, 1e-9] if k % 8 == 3 else psi for k, psi in enumerate(psis)]
+    if name == "one11" and count > 1:
+        assert {COMMUTING, ANTICOMMUTING} <= set(promises)
+    table = protocols.run_batch(name, us, psis, promises)
+    rows = protocols._rows(us, psis, promises, protocols._PRECONDITIONS[name])
+    inst = protocols._instrument(name, None)
+    inputs = (rows.u[:, :, :, None] * rows.psi[:, None, None, :]).reshape(count, 8)
+    if name == "one11":
+        inputs[protocols._OFF_CLASS[rows.promise]] = 0
+    whole = (inputs @ inst.tensor).reshape(count, len(inst.records), 2).take(inst.reps, axis=1)
+    want = protocols._finish(whole, rows, inst)
+    for field in ("distinct_probability", "distinct_fidelity", "distinct_succeeded", "distinct_final"):
+        got, expected = getattr(table, field), getattr(want, field)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, field
+        assert got.tobytes() == expected.tobytes(), field
+    for n in range(0, count, 37):
+        single = PROTOCOLS[name](ProtocolConfig(u=us[n], psi=psis[n], promise=promises[n]))
+        for o, r in zip(single, table.row(n), strict=True):
+            assert o.measurement_record == r.measurement_record and o.ledger == r.ledger
+            assert (o.probability, o.target_fidelity, o.succeeded) == (r.probability, r.target_fidelity, r.succeeded)
+            assert o.bob_final.amplitudes.tobytes() == r.bob_final.amplitudes.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name):
     """The last branch's column scaled by 1 + 2**-52 at compile: it is no
@@ -1438,6 +1487,10 @@ def test_a_column_one_ulp_off_its_group_is_finished_on_its_own(monkeypatch, name
         inst = protocols._instrument(name, None)
         want = _GROUPS[name, None]
         assert inst.group == want[:-1] + (len(set(want)),)
+        # the singleton group's column is the scaled one, its own
+        assert inst.reps[-1] == len(want) - 1
+        scaled = inst.tensor.reshape(8, -1, 2)[:, -1]
+        assert inst.distinct_tensor.reshape(8, -1, 2)[:, -1].tobytes() == scaled.tobytes()
         us, psis, promises = _batch_rows(name, seed=sorted(PROTOCOLS).index(name) + 2711, count=40)
         _assert_matches_every_branch_finished(name, us, psis, promises)
     finally:
